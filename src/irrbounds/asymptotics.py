@@ -16,27 +16,30 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import DomainError, NonApplicableError, PrecisionError
-from .exact_arith import QuadRat, Rat
+from .exact_arith import Rat
 
 __all__ = [
     "digamma", "alpha_value", "saddle_real", "saddle_complex",
-    "k_constants", "quad_to_mpf", "cubic_roots_cardano", "ladder_check",
+    "k_constants", "cubic_roots_cardano", "ladder_agrees", "ladder_check",
 ]
 
 
-def quad_to_mpf(x: QuadRat, digits: int) -> mp.mpf:
-    """Numeric value of u + v*sqrt(D) at the requested precision."""
-    with mp.workdps(digits + 10):
-        return (mp.mpf(x.u.numerator) / x.u.denominator
-                + mp.mpf(x.v.numerator) / x.v.denominator * mp.sqrt(x.D))
+def ladder_agrees(lo, hi, digits: int) -> bool:
+    """The precision-ladder rule: the value at ``digits`` and the value at
+    2*digits agree to digits-5 places.  A finite value never agrees with an
+    infinite one, in either order."""
+    with mp.workdps(2 * digits + 10):
+        if mp.isfinite(lo) != mp.isfinite(hi):
+            return False
+        tol = mp.mpf(10) ** (-(digits - 5))
+        return not mp.isfinite(lo) or mp.fabs(lo - hi) <= tol * max(1, mp.fabs(hi))
 
 
 def ladder_check(fn, digits: int, what: str) -> mp.mpf:
-    """Run fn(digits) and fn(2*digits); require agreement to digits-5 places."""
+    """Run fn(digits) and fn(2*digits); require :func:`ladder_agrees`."""
     lo = fn(digits)
     hi = fn(2 * digits)
-    tol = mp.mpf(10) ** (-(digits - 5))
-    if mp.fabs(lo - hi) > tol * max(1, mp.fabs(hi)):
+    if not ladder_agrees(lo, hi, digits):
         raise PrecisionError(f"{what}: {digits}-digit value {lo} vs "
                              f"{2 * digits}-digit value {hi}")
     return hi

@@ -23,9 +23,9 @@ import mpmath as mp
 from .errors import DomainError, IntegralityError, SieveCapacityError
 from .exact_arith import format_rat
 from .forms import Params
-from .measures import (MU2_PARAMS, BoundResult, headline_table,
-                       is_degenerate, mu2_bound, mu_bound, predicted_decay,
-                       search_params, verify_forms)
+from .measures import (BoundResult, headline_table, is_degenerate,
+                       mu2_bound, mu_bound, predicted_decay, search_params,
+                       table_row, verify_forms)
 from .omega import compute_omega
 
 FORMATS = click.Choice(["text", "csv", "json"])
@@ -131,16 +131,7 @@ def cmd_table(paper, single_k, digits, print_digits, fmt):
     if paper == (single_k is not None):
         raise click.UsageError("pass exactly one of --paper or --k")
     rows = []
-    if paper:
-        table = headline_table(digits)
-    else:
-        mu = mu_bound(single_k, 1, 7, digits)
-        mu2 = None
-        if single_k in MU2_PARAMS:
-            a2, b2 = MU2_PARAMS[single_k]
-            mu2 = mu2_bound(single_k, a2, b2, digits)
-        from .measures import TableRow
-        table = [TableRow(k=single_k, mu=mu, mu2=mu2)]
+    table = headline_table(digits) if paper else [table_row(single_k, digits)]
     for tr in table:
         row = {
             "k": tr.k,

@@ -14,8 +14,8 @@ from math import isqrt
 
 import mpmath as mp
 
-from .asymptotics import (alpha_value, k_constants, saddle_complex,
-                          saddle_real)
+from .asymptotics import (alpha_value, k_constants, ladder_agrees,
+                          saddle_complex, saddle_real)
 from .errors import NonApplicableError, PrecisionError
 from .exact_arith import PrimeSieve, QuadRat, sqrt_bounds
 from .forms import (IntegerForms, Params, eval_UVW, scaled_integer_forms,
@@ -25,7 +25,8 @@ from .omega import compute_omega, delta_products, n_constants
 __all__ = [
     "BoundResult", "VerificationRow", "TableRow",
     "mu_bound", "mu2_bound", "verify_forms", "search_params",
-    "predicted_decay", "headline_table", "HEADLINE_KS", "is_degenerate",
+    "predicted_decay", "headline_table", "table_row", "HEADLINE_KS",
+    "is_degenerate",
 ]
 
 # k values of the headline table, with the parameter choices that produce it:
@@ -83,14 +84,15 @@ def _x_numeric(k: int, digits: int):
     return x, (x_lo, x_hi)
 
 
-def _constants_once(k: int, a: int, b: int, digits: int, quadratic: bool):
+def _constants(k: int, a: int, b: int, digits: int):
+    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits."""
     x, xb = _x_numeric(k, digits)
     _, m1 = saddle_real(a, b, x, digits, x_bounds=xb)
     _, m2 = saddle_complex(a, b, x, digits, x_bounds=xb)
     k1, k2 = k_constants(k, a, b, digits)
     report = compute_omega(a, b)
     n1, n2 = n_constants(a, b, report.omega, digits)
-    return (m1, m2, k2, n2) if quadratic else (m1, m2, k1, n1)
+    return m1, m2, k1, k2, n1, n2
 
 
 def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
@@ -98,7 +100,8 @@ def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
     Params(k=k, a=a, b=b, n=1)  # parameter validation only
 
     def assemble(d):
-        m1, m2, kk, nn = _constants_once(k, a, b, d, quadratic)
+        m1, m2, k1, k2, n1, n2 = _constants(k, a, b, d)
+        kk, nn = (k2, n2) if quadratic else (k1, n1)
         with mp.workdps(d + 10):
             denom = m2 + kk + nn
             val = 1 - (m1 + kk + nn) / denom if denom < 0 else mp.inf
@@ -106,18 +109,14 @@ def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
 
     try:
         m1, m2, kk, nn, denom, val = assemble(digits)
-        _, _, _, _, _, val2 = assemble(2 * digits)
+        val2 = assemble(2 * digits)[5]
     except NonApplicableError:
         # no saddle point exists for this cell; a structured outcome, so
         # parameter searches can iterate past it
         return BoundResult(kind=kind, k=k, a=a, b=b, M1=mp.nan, M2=mp.nan,
                            K=mp.nan, N=mp.nan, bound=None, applicable=False,
                            digits=digits, degenerate=is_degenerate(k))
-    with mp.workdps(2 * digits + 10):
-        tol = mp.mpf(10) ** (-(digits - 5))
-        mismatch = mp.isfinite(val) != mp.isfinite(val2) or (
-            mp.isfinite(val) and mp.fabs(val - val2) > tol * max(1, mp.fabs(val2)))
-    if mismatch:
+    if not ladder_agrees(val, val2, digits):
         raise PrecisionError(f"bound({k},{a},{b}) ladder mismatch: {val} vs {val2}")
     applicable = denom < 0
     return BoundResult(kind=kind, k=k, a=a, b=b, M1=m1, M2=m2, K=kk, N=nn,
@@ -139,10 +138,9 @@ def mu2_bound(k: int, a: int, b: int, digits: int = 60) -> BoundResult:
 
 def predicted_decay(k: int, a: int, b: int, digits: int = 60):
     """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms."""
-    _, m2, k1, n1 = _constants_once(k, a, b, digits, quadratic=False)
-    _, m2b, k2, n2 = _constants_once(k, a, b, digits, quadratic=True)
+    _, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     with mp.workdps(digits + 10):
-        return +(m2 + k1 + n1), +(m2b + k2 + n2)
+        return +(m2 + k1 + n1), +(m2 + k2 + n2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +250,15 @@ class TableRow:
     mu2: BoundResult | None
 
 
+def table_row(k: int, digits: int = 60) -> TableRow:
+    """One headline-table row: mu at (1, 7), and mu2 where MU2_PARAMS has
+    parameters for k."""
+    mu = mu_bound(k, 1, 7, digits)
+    mu2 = mu2_bound(k, *MU2_PARAMS[k], digits) if k in MU2_PARAMS else None
+    return TableRow(k=k, mu=mu, mu2=mu2)
+
+
 def headline_table(digits: int = 60) -> list[TableRow]:
     """The headline table: mu bounds at (1, 7) for the nine k values, plus
     the non-quadraticity bounds where parameters exist."""
-    rows = []
-    for k in HEADLINE_KS:
-        mu = mu_bound(k, 1, 7, digits)
-        mu2 = None
-        if k in MU2_PARAMS:
-            a2, b2 = MU2_PARAMS[k]
-            mu2 = mu2_bound(k, a2, b2, digits)
-        rows.append(TableRow(k=k, mu=mu, mu2=mu2))
-    return rows
+    return [table_row(k, digits) for k in HEADLINE_KS]

@@ -2,11 +2,12 @@
 prime products Delta and Delta1, and the asymptotic denominator-savings
 constants N1 and N2.
 
-Membership of a rational point is always decided by exact evaluation of the
-three-group floor inequality (minimized over six candidate x values); the
-interval description produced by :func:`compute_omega` exists for the digamma
-sums, where endpoint closure has measure zero.  Finite-n prime scans never
-consult the interval set, precisely because closure matters there.
+Membership of a rational point is always decided exactly, by integer
+residues derived from the three-group floor inequality (minimized over six
+candidate x values); the interval description produced by
+:func:`compute_omega` exists for the digamma sums, where endpoint closure has
+measure zero.  Finite-n prime scans never consult the interval set, precisely
+because closure matters there.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, SieveCapacityError
 from .exact_arith import PrimeSieve, Rat, format_rat, log_d_upto
@@ -26,6 +28,9 @@ __all__ = [
     "finite_n_n1", "finite_n_n2", "grid_discrepancies", "certified_grid_check",
 ]
 
+# grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
+GRID_CHUNK = 1 << 20
+
 
 def _validate_ab(a: int, b: int) -> None:
     if a < 1 or b <= 4 * a or b % 2 == 0:
@@ -35,6 +40,30 @@ def _validate_ab(a: int, b: int) -> None:
 # ---------------------------------------------------------------------------
 # the floor inequality
 # ---------------------------------------------------------------------------
+
+def _groups(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """The three groups (c1, c2, c3) of the floor expression, each
+    [x - c1*y] - [x - c2*y] - [c3*y] with c3 = c2 - c1."""
+    return ((2 * a, b - 2 * a, b - 4 * a), (a, b - a, b - 2 * a), (0, b, b))
+
+
+def _candidates(a: int, b: int) -> tuple[int, ...]:
+    """Coefficients c0 of the x = c0*y at which the min over x is attained."""
+    return (0, a, 2 * a, b - 2 * a, b - a, b)
+
+
+@lru_cache(maxsize=None)
+def _mod_table(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per candidate c0, the pairs (c0 - c1, c0 - c2) of the three groups.
+
+    At x = c0*y a group [u] - [u - w] - [w] with u = (c0 - c1)*y and
+    u - w = (c0 - c2)*y equals 1 exactly when {u} < {u - w}; for y = i/L
+    that is ((c0 - c1)*i mod L) < ((c0 - c2)*i mod L).  Every coefficient
+    satisfies |m| <= b.
+    """
+    return tuple(tuple((c0 - c1, c0 - c2) for c1, c2, _ in _groups(a, b))
+                 for c0 in _candidates(a, b))
+
 
 def floor_sum_value(a: int, b: int, x: Rat, y: Rat) -> int:
     """Exact value of the three-group floor expression at (x, y).
@@ -46,46 +75,29 @@ def floor_sum_value(a: int, b: int, x: Rat, y: Rat) -> int:
     den = x.denominator * y.denominator
     xn = x.numerator * y.denominator
     yn = y.numerator * x.denominator
-    total = 0
-    for c1, c2, c3 in ((2 * a, b - 2 * a, b - 4 * a),
-                       (a, b - a, b - 2 * a),
-                       (0, b, b)):
-        total += ((xn - c1 * yn) // den - (xn - c2 * yn) // den
-                  - (c3 * yn) // den)
-    return total
-
-
-def _candidates(a: int, b: int) -> tuple[int, ...]:
-    return (0, a, 2 * a, b - 2 * a, b - a, b)
+    return sum((xn - c1 * yn) // den - (xn - c2 * yn) // den - (c3 * yn) // den
+               for c1, c2, c3 in _groups(a, b))
 
 
 def floor_sum_min(a: int, b: int, y: Rat) -> int:
     """min over all real x of the floor expression, for fixed y.
 
     In x the expression is piecewise constant, right-continuous and 1-periodic
-    with jumps only at x = c*y (mod 1) for the six coefficients c below, so
-    the minimum is attained at one of those candidates.  (The dense-grid
-    oracle tests guard this reduction.)
+    with jumps only at x = c0*y (mod 1) for the six candidates c0, so the
+    minimum is attained at one of them.  (The dense-grid oracle tests guard
+    this reduction.)  This is the literal reference for :func:`omega_contains`.
     """
     y = Fraction(y)
-    num, den = y.numerator, y.denominator
-    best = None
-    for c0 in _candidates(a, b):
-        xn = c0 * num
-        total = 0
-        for c1, c2, c3 in ((2 * a, b - 2 * a, b - 4 * a),
-                           (a, b - a, b - 2 * a),
-                           (0, b, b)):
-            total += ((xn - c1 * num) // den - (xn - c2 * num) // den
-                      - (c3 * num) // den)
-        if best is None or total < best:
-            best = total
-    return best
+    return min(floor_sum_value(a, b, c0 * y, y) for c0 in _candidates(a, b))
 
 
 def omega_contains(a: int, b: int, y: Rat) -> bool:
-    """Pointwise membership test (the authoritative one for prime products)."""
-    return floor_sum_min(a, b, y) >= 1
+    """Pointwise membership test (the authoritative one for prime products):
+    every candidate row of :func:`_mod_table` needs a group equal to 1."""
+    y = Fraction(y)
+    num, den = y.numerator, y.denominator
+    return all(any((m_u * num) % den < (m_w * num) % den for m_u, m_w in row)
+               for row in _mod_table(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +233,36 @@ def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> Omega
 # finite-n prime products
 # ---------------------------------------------------------------------------
 
+def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
+    """The primes sqrt(bn) < p <= bn whose fractional part {n/p} lies in
+    Omega(a, b), ascending.
+
+    Primes above bn never qualify ({n/p} < 1/b there), and no product below
+    counts a prime p <= sqrt(bn).  Membership is decided pointwise, never via
+    the interval set.
+    """
+    _validate_ab(a, b)
+    bn = b * n
+    if sieve.limit < bn:
+        raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
+    return [p for p in sieve.primes(math.isqrt(bn) + 1, bn)
+            if omega_contains(a, b, Fraction(n % p, p))]
+
+
 def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int, int]:
     """(Delta, Delta1) for one n: products of the primes whose fractional
     part {n/p} satisfies the floor inequality, over p > sqrt(bn) and over
     p > (b-2a)n respectively.
-
-    Primes above bn never qualify ({n/p} < 1/b there), so the scan stops at
-    bn.  Membership is decided pointwise, never via the interval set.
     """
     a, b, n = params.a, params.b, params.n
-    bn = b * n
     if sieve is None:
-        sieve = PrimeSieve(max(bn, 10))
-    elif sieve.limit < bn:
-        raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
-    delta = delta1 = 1
+        sieve = PrimeSieve(max(b * n, 10))
     cut1 = (b - 2 * a) * n
-    for p in sieve.primes(2, bn):
-        if p * p <= bn:
-            continue
-        if omega_contains(a, b, Fraction(n % p, p)):
-            delta *= p
-            if p > cut1:
-                delta1 *= p
+    delta = delta1 = 1
+    for p in _omega_primes(a, b, n, sieve):
+        delta *= p
+        if p > cut1:
+            delta1 *= p
     return delta, delta1
 
 
@@ -292,33 +311,18 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
 
 def finite_n_n1(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
     """Sieve-based estimate (1/n) ln(d_bn / Delta) for one finite n."""
-    _validate_ab(a, b)
-    bn = b * n
-    if sieve.limit < bn:
-        raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
-    ln_delta = 0.0
-    for p in sieve.primes(2, bn):
-        if p * p > bn and omega_contains(a, b, Fraction(n % p, p)):
-            ln_delta += math.log(p)
-    return (log_d_upto(bn, sieve) - ln_delta) / n
+    ln_delta = sum(math.log(p) for p in _omega_primes(a, b, n, sieve))
+    return (log_d_upto(b * n, sieve) - ln_delta) / n
 
 
 def finite_n_n2(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
     """Sieve-based estimate (1/n) ln(d_(b-2a)n * Delta1 * d_bn / Delta)."""
-    _validate_ab(a, b)
-    bn = b * n
+    primes = _omega_primes(a, b, n, sieve)
     cut1 = (b - 2 * a) * n
-    if sieve.limit < bn:
-        raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
-    ln_delta = ln_delta1 = 0.0
-    for p in sieve.primes(2, bn):
-        if omega_contains(a, b, Fraction(n % p, p)):
-            if p * p > bn:
-                ln_delta += math.log(p)
-            if p > cut1:
-                ln_delta1 += math.log(p)
+    ln_delta = sum(math.log(p) for p in primes)
+    ln_delta1 = sum(math.log(p) for p in primes if p > cut1)
     return (log_d_upto(cut1, sieve) + ln_delta1
-            + log_d_upto(bn, sieve) - ln_delta) / n
+            + log_d_upto(b * n, sieve) - ln_delta) / n
 
 
 # ---------------------------------------------------------------------------
@@ -328,83 +332,43 @@ def finite_n_n2(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
 def grid_discrepancies(a: int, b: int, L: int, omega: IntervalSet,
                        indices=None) -> int:
     """Count grid points y = i/L where pointwise membership disagrees with
-    the interval description.  ``indices`` restricts the scan (full range
-    by default); evaluation is pure integer arithmetic."""
-    _validate_ab(a, b)
-    cands = _candidates(a, b)
-    groups = ((2 * a, b - 2 * a, b - 4 * a),
-              (a, b - a, b - 2 * a),
-              (0, b, b))
-    bad = 0
-    if indices is None:
-        indices = range(L)
-    for i in indices:
-        best = None
-        for c0 in cands:
-            xn = c0 * i
-            total = 0
-            for c1, c2, c3 in groups:
-                total += ((xn - c1 * i) // L - (xn - c2 * i) // L
-                          - (c3 * i) // L)
-            if best is None or total < best:
-                best = total
-        if (best >= 1) != omega.contains(Fraction(i, L)):
-            bad += 1
-    return bad
+    the interval description.
 
-
-def grid_discrepancies_vectorized(a: int, b: int, L: int, omega: IntervalSet,
-                                  start: int = 0, stop: int | None = None,
-                                  chunk: int = 1 << 22) -> int:
-    """Vectorized variant of :func:`grid_discrepancies` for huge grids.
-
-    Each group [x-c1*y] - [x-c2*y] - [c3*y] at x = c0*y equals 1 exactly when
-    ((c0-c1)*i mod L) < ((c0-c2)*i mod L), so membership needs only modular
-    products per candidate.  Interval containment maps to integer index
-    windows since every endpoint denominator divides L.
+    ``indices`` picks the i to scan: a ``range`` (``range(L)`` by default)
+    is scanned in chunks of ``GRID_CHUNK`` points, any other iterable as one
+    array.  Membership is the integer residue test of :func:`_mod_table`,
+    vectorized in int64, and interval containment maps to index windows.
     """
     import numpy as np
 
     _validate_ab(a, b)
+    if b * L >= 2**63:
+        raise DomainError(f"grid L = {L} too large: {b}*i overflows int64")
     windows = []
     for iv in omega:
-        lo_i = iv.lo * L
-        hi_i = iv.hi * L
-        if lo_i.denominator != 1 or hi_i.denominator != 1:
-            raise DomainError("interval endpoints do not lie on the grid")
-        windows.append((int(lo_i) + (0 if iv.lo_closed else 1),
-                        int(hi_i) - (0 if iv.hi_closed else 1)))
-    # coefficients stay small and signed: |m| <= b keeps m*i within int64
-    # even for grids beyond 10^10, and numpy's % is nonnegative for L > 0
-    pairs = []
-    for c0 in _candidates(a, b):
-        row = []
-        for c1, c2, _ in ((2 * a, b - 2 * a, b - 4 * a),
-                          (a, b - a, b - 2 * a),
-                          (0, b, b)):
-            row.append((c0 - c1, c0 - c2))
-        pairs.append(row)
+        lo, hi = iv.lo * L, iv.hi * L
+        windows.append((math.ceil(lo) if iv.lo_closed else math.floor(lo) + 1,
+                        math.floor(hi) if iv.hi_closed else math.ceil(hi) - 1))
+    if indices is None:
+        indices = range(L)
+    if isinstance(indices, range):
+        chunks = (np.arange(r.start, r.stop, r.step, dtype=np.int64)
+                  for r in (indices[j:j + GRID_CHUNK]
+                            for j in range(0, len(indices), GRID_CHUNK)))
+    else:
+        chunks = [np.fromiter(indices, dtype=np.int64)]
 
-    stop = L if stop is None else stop
+    table = _mod_table(a, b)
     bad = 0
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        i = np.arange(lo, hi, dtype=np.int64)
-        mods: dict[int, "np.ndarray"] = {}
-
-        def modcol(m):
-            if m not in mods:
-                mods[m] = (m * i) % L
-            return mods[m]
-
-        member = None
-        for row in pairs:
-            ok = None
-            for m_uw, m_u in row:
-                g = modcol(m_uw) < modcol(m_u)
-                ok = g if ok is None else (ok | g)
-            member = ok if member is None else (member & ok)
-        inside = np.zeros_like(member)
+    for i in chunks:
+        mods = {m: (m * i) % L for row in table for pair in row for m in pair}
+        member = np.ones(i.shape, dtype=bool)
+        for row in table:
+            ok = np.zeros(i.shape, dtype=bool)
+            for m_u, m_w in row:
+                ok |= mods[m_u] < mods[m_w]
+            member &= ok
+        inside = np.zeros(i.shape, dtype=bool)
         for w_lo, w_hi in windows:
             inside |= (i >= w_lo) & (i <= w_hi)
         bad += int(np.count_nonzero(member != inside))
@@ -426,14 +390,16 @@ def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
     every grid point individually.
 
     Every floor term in the six-candidate formula is of the form [m*y] with a
-    fixed integer coefficient |m| <= b.  On an open gap between consecutive
-    breakpoints, each such term is constant as soon as m*y crosses no integer
-    strictly inside the gap; that crossing-freeness is checked exactly per
-    gap and per coefficient.  Combined with exact membership at every
-    breakpoint (all of which are grid points, since lcm(1..b) | L) and at one
-    interior point per gap, agreement then holds at every one of the L grid
-    points.  A deterministic random sample of literal grid evaluations is run
-    on top as an independent guard on this very argument.
+    fixed integer coefficient |m| <= b: the pairs of :func:`_mod_table` and
+    their differences c3.  On an open gap between consecutive breakpoints,
+    each such term is constant as soon as m*y crosses no integer strictly
+    inside the gap; that crossing-freeness is checked exactly per gap and per
+    coefficient.  Combined with exact membership at every breakpoint (all of
+    which are grid points, since lcm(1..b) | L) and at one interior point per
+    gap, agreement then holds at every one of the L grid points.  A
+    deterministic random sample of grid points is scanned by
+    :func:`grid_discrepancies` on top as an independent guard on this very
+    argument.
     """
     import random
 
@@ -442,12 +408,8 @@ def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
         if L % m:
             raise DomainError(f"L = {L} is not divisible by {m}; breakpoints "
                               "would fall between grid points")
-    coeffs = set()
-    for c0 in _candidates(a, b):
-        for c1, c2, c3 in ((2 * a, b - 2 * a, b - 4 * a),
-                           (a, b - a, b - 2 * a),
-                           (0, b, b)):
-            coeffs.update((c0 - c1, c0 - c2, c3))
+    coeffs = {m for row in _mod_table(a, b) for m_u, m_w in row
+              for m in (m_u, m_w, m_u - m_w)}
     coeffs.discard(0)
 
     pts = _breakpoints(b)

@@ -21,7 +21,7 @@ from irrbounds import (Params, QuadRat, compute_omega, delta_products,
                        predicted_decay, scaled_integer_forms, series_uvw,
                        verify_forms, x_point)
 from irrbounds.omega import (certified_grid_check, finite_n_n1, finite_n_n2,
-                             grid_discrepancies, grid_discrepancies_vectorized)
+                             grid_discrepancies)
 
 MU_TABLE = {3: 6.64610, 5: 5.82337, 6: 3.51433, 7: 5.45248, 8: 3.47834,
             9: 5.23162, 10: 3.45356, 11: 5.08120, 12: 3.43506}
@@ -175,7 +175,7 @@ def test_criterion_6_omega_grids():
     bad23 = cert.discrepancies
     mode = "certified+sampled"
     if os.environ.get("IRRBOUNDS_FULL_GRID") == "1":
-        bad23 += grid_discrepancies_vectorized(2, 23, L23, omega23)
+        bad23 += grid_discrepancies(2, 23, L23, omega23)
         mode = "full literal scan"
 
     low_ok = (all(iv.lo >= F(1, 7) for iv in omega7)

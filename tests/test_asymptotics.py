@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from irrbounds import (DomainError, NonApplicableError, alpha_value, digamma,
-                       k_constants, saddle_complex, saddle_real)
+from irrbounds import (DomainError, NonApplicableError, PrecisionError,
+                       alpha_value, digamma, k_constants, saddle_complex,
+                       saddle_real)
 from irrbounds.asymptotics import (cubic_roots_cardano, ladder_check,
                                    _real_cubic_coeffs)
 from irrbounds.measures import _x_numeric
@@ -57,6 +58,15 @@ def test_digamma_precision_ladder():
     v = ladder_check(lambda d: digamma(F(2, 7), d), 60, "digamma(2/7)")
     with mp.workdps(90):
         assert mp.fabs(v - mp.digamma(mp.mpf(2) / 7)) < mp.mpf(10) ** -80
+
+
+@pytest.mark.parametrize("lo,hi", [(mp.mpf(3), mp.inf), (mp.inf, mp.mpf(3))])
+def test_ladder_rejects_finite_infinite_mismatch(lo, hi):
+    # |lo - hi| = inf is not above tol * max(1, inf) = inf, so the finite
+    # versus infinite case needs its own rule, in both directions
+    with pytest.raises(PrecisionError):
+        ladder_check(lambda d: lo if d == 60 else hi, 60, "mismatch")
+    assert ladder_check(lambda d: mp.inf, 60, "both infinite") == mp.inf
 
 
 # ---------------------------------------------------------------------------

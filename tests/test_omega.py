@@ -8,8 +8,7 @@ from irrbounds import (DomainError, Params, compute_omega, delta_products,
                        floor_sum_min, floor_sum_value, n_constants,
                        omega_contains)
 from irrbounds.omega import (Interval, IntervalSet, certified_grid_check,
-                             finite_n_n1, finite_n_n2, grid_discrepancies,
-                             grid_discrepancies_vectorized)
+                             finite_n_n1, finite_n_n2, grid_discrepancies)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +40,17 @@ def test_each_group_in_01_on_random_rationals():
             group = (math.floor(x - c1 * y) - math.floor(x - c2 * y)
                      - math.floor(c3 * y))
             assert group in (0, 1)
+
+
+def test_residue_membership_matches_literal_floor_min():
+    # the modular table against the literal floor expression, on pairs well
+    # past the ones the table uses and on y beyond [0, 1)
+    rng = random.Random(20261017)
+    for _ in range(15_000):
+        a = rng.randrange(1, 5)
+        b = rng.randrange(4 * a + 1, 4 * a + 40, 2)
+        y = F(rng.randrange(-500, 2000), rng.randrange(1, 400))
+        assert omega_contains(a, b, y) == (floor_sum_min(a, b, y) >= 1)
 
 
 def test_min_over_x_is_attained_on_candidates():
@@ -102,28 +112,38 @@ def test_full_literal_grid_1_13():
     # its grid is small enough to scan literally in full
     omega = compute_omega(1, 13).omega
     L = math.lcm(*range(1, 14)) * 10
-    assert grid_discrepancies_vectorized(1, 13, L, omega) == 0
+    assert grid_discrepancies(1, 13, L, omega) == 0
     assert compute_omega(1, 13, 26).omega == omega
 
 
 def test_vectorized_grid_matches_pure_python():
     omega = compute_omega(1, 7).omega
-    assert grid_discrepancies_vectorized(1, 7, 4200, omega) == 0
-    # force disagreements by shifting an interval: both scanners must count
-    # the same mismatches
-    broken = IntervalSet([Interval(iv.lo + F(1, 4200), iv.hi, iv.lo_closed,
-                                   iv.hi_closed) for iv in omega])
-    pure = grid_discrepancies(1, 7, 4200, broken)
-    vec = grid_discrepancies_vectorized(1, 7, 4200, broken)
-    assert pure == vec > 0
+    assert grid_discrepancies(1, 7, 4200, omega) == 0
+    assert grid_discrepancies(1, 7, 4199, omega) == 0  # endpoints off the grid
+    # force disagreements by shifting an interval or flipping its closure:
+    # the kernel must count the mismatches a literal floor_sum_min scan of
+    # every i/L counts, also on a grid (L = 4199) no endpoint lies on
+    shifted = IntervalSet([Interval(iv.lo + F(1, 4200), iv.hi, iv.lo_closed,
+                                    iv.hi_closed) for iv in omega])
+    flipped = IntervalSet([Interval(iv.lo, iv.hi, not iv.lo_closed,
+                                    not iv.hi_closed) for iv in omega])
+    for L in (4200, 4199):
+        for broken in (shifted, flipped):
+            literal = sum((floor_sum_min(1, 7, F(i, L)) >= 1)
+                          != broken.contains(F(i, L)) for i in range(L))
+            assert literal > 0 or L == 4199
+            assert grid_discrepancies(1, 7, L, broken) == literal
+            # an explicit index list scans as one array and counts the same
+            assert grid_discrepancies(1, 7, L, broken,
+                                      indices=list(range(L))) == literal
 
 
 def test_vectorized_grid_on_large_l_subrange():
-    # theacceptance-scale grid, scanned literally on a window around 1e10
+    # the acceptance-scale grid, scanned literally on a window around 1e10
     omega = compute_omega(2, 23).omega
     L = math.lcm(*range(1, 24)) * 10
-    assert grid_discrepancies_vectorized(2, 23, L, omega,
-                                         start=10**10, stop=10**10 + 10**6) == 0
+    assert grid_discrepancies(2, 23, L, omega,
+                              indices=range(10**10, 10**10 + 10**6)) == 0
 
 
 def test_certified_grid_rejects_bad_l():
