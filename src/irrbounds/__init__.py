@@ -5,8 +5,7 @@ from .asymptotics import (alpha_value, digamma, k_constants, saddle_complex,
                           saddle_real)
 from .errors import (DomainError, IntegralityError, NonApplicableError,
                      PrecisionError, SieveCapacityError)
-from .exact_arith import (PrimeSieve, QuadRat, Rat, d_upto, primes_between,
-                          rat_floor, rat_frac)
+from .exact_arith import PrimeSieve, QuadRat, Rat, d_upto
 from .forms import (IntegerForms, IntPoly, Params, UVWValues, build_A,
                     derivative, eval_UVW, scaled_integer_forms, series_uvw,
                     shift_poly, tail_transform_coeffs, x_point)
@@ -20,8 +19,7 @@ from .omega import (IntervalSet, OmegaReport, compute_omega, delta_products,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rat", "QuadRat", "PrimeSieve", "d_upto", "primes_between",
-    "rat_floor", "rat_frac",
+    "Rat", "QuadRat", "PrimeSieve", "d_upto",
     "Params", "IntPoly", "UVWValues", "IntegerForms",
     "build_A", "shift_poly", "derivative", "tail_transform_coeffs",
     "eval_UVW", "scaled_integer_forms", "series_uvw", "x_point",

@@ -1,6 +1,6 @@
 """High-precision real/complex evaluation: digamma at rational arguments, the
-saddle-point cubics behind the growth and decay rates M1 and M2, and the
-scaling-rate constants K1 and K2.
+saddle-point cubic whose real and complex roots give the growth and decay
+rates M1 and M2, and the scaling-rate constants K1 and K2.
 
 Root isolation is done with exact rational sign probes (bracketing can then
 never be fooled by rounding near the pole cluster), followed by damped Newton
@@ -11,7 +11,6 @@ ladder: recomputation at twice the digits must agree to the reported digits.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -49,53 +48,14 @@ def ladder_check(fn, digits: int, what: str) -> mp.mpf:
 # digamma at rational arguments
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
-    p, q = mp.bernfrac(m)
-    return Fraction(int(p), int(q))
-
-
 def digamma(x: Rat, digits: int) -> mp.mpf:
-    """psi(x) for rational x > 0 to ``digits`` decimal digits.
-
-    Shifts the argument above a precision-dependent threshold with the
-    recurrence psi(x+1) = psi(x) + 1/x, then applies the asymptotic series
-    psi(X) = ln X - 1/(2X) - sum B_{2j} / (2j X^{2j}).  For real X the error
-    after truncation is bounded by the first omitted term, so terms are added
-    until they drop below the target; the threshold keeps the series well
-    inside its decreasing regime before that happens.
-    """
+    """psi(x) for rational x > 0, from mpmath's digamma at digits + 10
+    working digits; the precision ladder of each caller checks the result."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"digamma requires a positive argument, got {x}")
-    dps = digits + 10
-    threshold = max(16, dps // 2 + 6)
-    shift = 0
-    if x < threshold:
-        shift = threshold - (x.numerator // x.denominator)
-    big = x + shift
-    with mp.workdps(dps):
-        xf = mp.mpf(big.numerator) / big.denominator
-        total = mp.log(xf) - 1 / (2 * xf)
-        eps = mp.mpf(10) ** (-dps)
-        x2 = xf * xf
-        powx = x2
-        j = 1
-        while True:
-            bern = _bernoulli(2 * j)
-            term = (mp.mpf(bern.numerator) / bern.denominator) / (2 * j * powx)
-            total -= term
-            if mp.fabs(term) < eps:
-                break
-            powx *= x2
-            j += 1
-            if 2 * j > 4 * threshold:
-                raise PrecisionError("digamma series failed to converge; "
-                                     "threshold too small for requested digits")
-        for i in range(shift):
-            step = x + i
-            total -= mp.mpf(step.denominator) / step.numerator
-        return +total
+    with mp.workdps(digits + 10):
+        return mp.digamma(mp.mpf(x.numerator) / x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +72,19 @@ def alpha_value(k: int, digits: int) -> mp.mpf:
 
 
 # ---------------------------------------------------------------------------
-# saddle-point cubics
+# the saddle-point cubic
 # ---------------------------------------------------------------------------
 
-def _real_cubic_coeffs(a: int, b: int, x, mirror: bool):
-    """Coefficients (c3, c2, c1, c0) of the cleared saddle equation.
+def _real_cubic_coeffs(a: int, b: int, x):
+    """Coefficients (c3, c2, c1, c0) of the cleared saddle equation
+    x*z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b).
 
-    Direct orientation:  x*z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b);
-    mirror orientation:  x*z(z+a)(z+2a) - (z+(b-2a))(z+(b-a))(z+b).
+    The mirrored equation x*z(z+a)(z+2a) - (z+(b-2a))(z+(b-a))(z+b) is minus
+    this cubic at -z, so its roots are these roots negated.
     """
-    s = -1 if mirror else 1
-    r1, r2, r3 = s * (b - 2 * a), s * (b - a), s * b
+    r1, r2, r3 = b - 2 * a, b - a, b
     c3 = x - 1
-    c2 = x * (-s * 3 * a) + (r1 + r2 + r3)
+    c2 = x * (-3 * a) + (r1 + r2 + r3)
     c1 = x * (2 * a * a) - (r1 * r2 + r1 * r3 + r2 * r3)
     c0 = r1 * r2 * r3
     return c3, c2, c1, c0
@@ -136,11 +96,11 @@ def _eval_cubic(coeffs, z):
 
 
 def _certified_sign(a: int, b: int, z: Fraction, x_lo: Fraction,
-                    x_hi: Fraction, mirror: bool) -> int | None:
+                    x_hi: Fraction) -> int | None:
     """Sign of the cleared cubic at rational z, certain for every x in
     [x_lo, x_hi]; None when the bracket of x values straddles zero."""
-    lo = _eval_cubic(_real_cubic_coeffs(a, b, x_lo, mirror), z)
-    hi = _eval_cubic(_real_cubic_coeffs(a, b, x_hi, mirror), z)
+    lo = _eval_cubic(_real_cubic_coeffs(a, b, x_lo), z)
+    hi = _eval_cubic(_real_cubic_coeffs(a, b, x_hi), z)
     if lo > 0 and hi > 0:
         return 1
     if lo < 0 and hi < 0:
@@ -150,24 +110,24 @@ def _certified_sign(a: int, b: int, z: Fraction, x_lo: Fraction,
     return None
 
 
-def _isolate_real_root(a: int, b: int, x_bounds, mirror: bool,
+def _isolate_real_root(a: int, b: int, x_bounds,
                        span: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     """Shrink [zlo, zhi] (with certified opposite signs) by exact bisection."""
     x_lo, x_hi = x_bounds
     zlo, zhi = span
     for _ in range(80):
         mid = (zlo + zhi) / 2
-        s = _certified_sign(a, b, mid, x_lo, x_hi, mirror)
+        s = _certified_sign(a, b, mid, x_lo, x_hi)
         if s is None:
             # nudge off the ambiguous point; the root is a single point so a
             # slightly offset probe resolves it
             mid = zlo + (zhi - zlo) * Fraction(4, 9)
-            s = _certified_sign(a, b, mid, x_lo, x_hi, mirror)
+            s = _certified_sign(a, b, mid, x_lo, x_hi)
             if s is None:
                 break
         if s == 0:
             return mid, mid
-        slo = _certified_sign(a, b, zlo, x_lo, x_hi, mirror)
+        slo = _certified_sign(a, b, zlo, x_lo, x_hi)
         if s == slo:
             zlo = mid
         else:
@@ -216,10 +176,41 @@ def _derive_x_bounds(x, digits: int) -> tuple[Fraction, Fraction]:
     return xf - pad, xf + pad
 
 
-def _m_from_moduli(a: int, b: int, mods, x, dps: int) -> mp.mpf:
-    """ln of the six-factor modulus quotient minus (b/2) ln x; ``mods`` maps
-    the shift c to |z + c| (or z - c for the direct orientation)."""
-    m1, m2, m3, m4, m5 = mods  # |z ~ (b-2a)|, |z ~ (b-a)|, |z ~ b|, |z ~ 2a|, |z ~ a|
+def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
+    """(x, z0, s, p) at the caller's working precision: x as mpf, the real
+    root z0 > b of the saddle cubic, and the sum s and product p of the
+    other two roots (from deflation).
+
+    Bracketing runs on exact rationals, with the sign at each probe certified
+    simultaneously for a rational enclosure of x; Newton in working precision
+    finishes the job.
+    """
+    if a < 1 or b <= 4 * a:
+        raise DomainError("need b > 4a >= 4")
+    x = mp.mpf(x)
+    if not 0 < x < 1:
+        raise DomainError("x must lie in (0, 1)")
+    x_lo, x_hi = _derive_x_bounds(x, digits) if x_bounds is None else x_bounds
+    zlo = Fraction(b)
+    zhi = Fraction(2 * b)
+    while _certified_sign(a, b, zhi, x_lo, x_hi) in (1, None):
+        zhi *= 2
+        if zhi > Fraction(b) * 2**60:
+            raise NonApplicableError("no sign change located beyond b")
+    if _certified_sign(a, b, zlo, x_lo, x_hi) != 1:
+        raise NonApplicableError("cleared cubic not positive at z = b")
+    zlo, zhi = _isolate_real_root(a, b, (x_lo, x_hi), (zlo, zhi))
+    coeffs = c3, c2, _, c0 = _real_cubic_coeffs(a, b, x)
+    z0 = _newton_polish(coeffs, (mp.mpf(str(zlo)) + mp.mpf(str(zhi))) / 2,
+                        digits + 10)
+    return x, z0, -c2 / c3 - z0, -c0 / (c3 * z0)
+
+
+def _m_rate(a: int, b: int, z, x) -> mp.mpf:
+    """ln of the six-factor modulus quotient at a root z of the saddle cubic,
+    minus (b/2) ln x."""
+    m1, m2, m3, m4, m5 = (mp.fabs(z - c)
+                          for c in (b - 2 * a, b - a, b, 2 * a, a))
     return ((b - 2 * a) * mp.log(m1) + (b - a) * mp.log(m2) + b * mp.log(m3)
             - 2 * a * mp.log(m4) - a * mp.log(m5)
             - (b - 4 * a) * mp.log(b - 4 * a) - (b - 2 * a) * mp.log(b - 2 * a)
@@ -228,49 +219,20 @@ def _m_from_moduli(a: int, b: int, mods, x, dps: int) -> mp.mpf:
 
 def saddle_real(a: int, b: int, x, digits: int,
                 x_bounds: tuple[Rat, Rat] | None = None) -> tuple[mp.mpf, mp.mpf]:
-    """(z0, M1): the unique root z0 > b of the direct saddle equation and the
-    growth rate of the U coefficients.
+    """(z0, M1): the unique root z0 > b of the saddle cubic and the growth
+    rate of the U coefficients.
 
-    Bracketing runs on exact rationals, with the sign at each probe certified
-    simultaneously for a rational enclosure of x; Newton in working precision
-    finishes the job.  More than one real root beyond b (all-real root
-    configurations) raises a non-applicability error.
+    More than one real root beyond b (all-real root configurations) raises a
+    non-applicability error.
     """
-    if a < 1 or b <= 4 * a:
-        raise DomainError("need b > 4a >= 4")
     with mp.workdps(digits + 15):
-        x = mp.mpf(x)
-        if not 0 < x < 1:
-            raise DomainError("x must lie in (0, 1)")
-        if x_bounds is None:
-            x_bounds = _derive_x_bounds(x, digits)
-        x_lo, x_hi = x_bounds
-        zlo = Fraction(b)
-        zhi = Fraction(2 * b)
-        while _certified_sign(a, b, zhi, x_lo, x_hi, mirror=False) in (1, None):
-            zhi *= 2
-            if zhi > Fraction(b) * 2**60:
-                raise NonApplicableError("no sign change located beyond b")
-        if _certified_sign(a, b, zlo, x_lo, x_hi, mirror=False) != 1:
-            raise NonApplicableError("cleared cubic not positive at z = b")
-        zlo, zhi = _isolate_real_root(a, b, (x_lo, x_hi), False, (zlo, zhi))
-        coeffs = _real_cubic_coeffs(a, b, x, mirror=False)
-        z0 = _newton_polish(coeffs, (mp.mpf(str(zlo)) + mp.mpf(str(zhi))) / 2,
-                            digits + 10)
-        # uniqueness: deflate and require the remaining pair to be complex or
-        # to lie at or below b
-        c3, c2, c1, c0 = coeffs
-        sum_other = -c2 / c3 - z0
-        prod_other = -c0 / (c3 * z0)
-        disc = sum_other * sum_other - 4 * prod_other
-        if disc >= 0:
-            r = mp.sqrt(disc)
-            others = ((sum_other + r) / 2, (sum_other - r) / 2)
-            if any(w > b for w in others):
-                raise NonApplicableError("real saddle root beyond b is not unique")
-        mods = (z0 - (b - 2 * a), z0 - (b - a), z0 - b, z0 - 2 * a, z0 - a)
-        m1 = _m_from_moduli(a, b, mods, x, digits)
-        return +z0, +m1
+        x, z0, s, p = _solve_cubic(a, b, x, digits, x_bounds)
+        # uniqueness: the larger of the other two roots, when they are real,
+        # must lie at or below b
+        disc = s * s - 4 * p
+        if disc >= 0 and (s + mp.sqrt(disc)) / 2 > b:
+            raise NonApplicableError("real saddle root beyond b is not unique")
+        return +z0, +_m_rate(a, b, z0, x)
 
 
 def saddle_complex(a: int, b: int, x, digits: int,
@@ -278,43 +240,18 @@ def saddle_complex(a: int, b: int, x, digits: int,
     """(z1, M2): the upper-half-plane root of the mirrored saddle equation and
     the decay rate of the linear and quadratic forms.
 
-    The mirrored cubic always has a real root below -b (isolated exactly, as
-    in the real case); the conjugate pair is recovered from the root sum and
-    product.  An all-real configuration means the statement does not apply.
+    z1 = -w for the root w = s/2 - i*sqrt(p - s^2/4) of the saddle cubic, its
+    pair recovered from the root sum and product after the real root z0 > b.
+    An all-real configuration means the statement does not apply.
     """
-    if a < 1 or b <= 4 * a:
-        raise DomainError("need b > 4a >= 4")
     with mp.workdps(digits + 15):
-        x = mp.mpf(x)
-        if not 0 < x < 1:
-            raise DomainError("x must lie in (0, 1)")
-        if x_bounds is None:
-            x_bounds = _derive_x_bounds(x, digits)
-        x_lo, x_hi = x_bounds
-        zhi = Fraction(-b)
-        zlo = Fraction(-2 * b)
-        while _certified_sign(a, b, zlo, x_lo, x_hi, mirror=True) in (-1, None):
-            zlo *= 2
-            if zlo < Fraction(-b) * 2**60:
-                raise NonApplicableError("no sign change located below -b")
-        if _certified_sign(a, b, zhi, x_lo, x_hi, mirror=True) != -1:
-            raise NonApplicableError("mirrored cubic not negative at z = -b")
-        zlo, zhi = _isolate_real_root(a, b, (x_lo, x_hi), True, (zlo, zhi))
-        coeffs = _real_cubic_coeffs(a, b, x, mirror=True)
-        r0 = _newton_polish(coeffs, (mp.mpf(str(zlo)) + mp.mpf(str(zhi))) / 2,
-                            digits + 10)
-        c3, c2, c1, c0 = coeffs
-        re2 = -c2 / c3 - r0          # w + conj(w)
-        absw2 = -c0 / (c3 * r0)      # w * conj(w)
-        im2 = absw2 - re2 * re2 / 4
+        x, _, s, p = _solve_cubic(a, b, x, digits, x_bounds)
+        im2 = p - s * s / 4
         if im2 <= 0:
-            raise NonApplicableError("mirrored cubic has three real roots; "
+            raise NonApplicableError("saddle cubic has three real roots; "
                                      "no complex saddle point")
-        z1 = mp.mpc(re2 / 2, mp.sqrt(im2))
-        mods = (mp.fabs(z1 + (b - 2 * a)), mp.fabs(z1 + (b - a)),
-                mp.fabs(z1 + b), mp.fabs(z1 + 2 * a), mp.fabs(z1 + a))
-        m2 = _m_from_moduli(a, b, mods, x, digits)
-        return +z1, +m2
+        w = mp.mpc(s / 2, -mp.sqrt(im2))
+        return -w, +_m_rate(a, b, w, x)
 
 
 def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:

@@ -20,7 +20,8 @@ import sys
 import click
 import mpmath as mp
 
-from .errors import DomainError, IntegralityError, SieveCapacityError
+from .errors import (DomainError, IntegralityError, NonApplicableError,
+                     SieveCapacityError)
 from .exact_arith import format_rat
 from .forms import Params
 from .measures import (BoundResult, headline_table, is_degenerate,
@@ -29,6 +30,9 @@ from .measures import (BoundResult, headline_table, is_degenerate,
 from .omega import compute_omega
 
 FORMATS = click.Choice(["text", "csv", "json"])
+# the working-precision floor of omega.n_constants, checked at parse time
+DIGITS = click.IntRange(min=30)
+PRINT_DIGITS = click.IntRange(min=1)
 
 
 def fmt_sig(x, sig: int = 6) -> str:
@@ -72,9 +76,9 @@ def cli() -> None:
 @click.option("--b", type=int, required=True)
 @click.option("--quadratic", is_flag=True,
               help="Non-quadraticity bound instead of irrationality.")
-@click.option("--digits", type=int, default=60, show_default=True,
+@click.option("--digits", type=DIGITS, default=60, show_default=True,
               help="Working precision (decimal digits).")
-@click.option("--print-digits", type=int, default=6, show_default=True,
+@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True,
               help="Significant digits shown.")
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_bound(k, a, b, quadratic, digits, print_digits, fmt):
@@ -123,8 +127,8 @@ def _bound_row(res: BoundResult, sig: int) -> dict:
               help="Reproduce the headline table (k = 3, 5, 6, ..., 12).")
 @click.option("--k", "single_k", type=int, default=None,
               help="Single-k row with the default parameter choices.")
-@click.option("--digits", type=int, default=60, show_default=True)
-@click.option("--print-digits", type=int, default=6, show_default=True)
+@click.option("--digits", type=DIGITS, default=60, show_default=True)
+@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_table(paper, single_k, digits, print_digits, fmt):
     """Tabulate bounds over k with the table's parameter choices."""
@@ -159,8 +163,8 @@ def cmd_table(paper, single_k, digits, print_digits, fmt):
               help="Comma-separated odd n values, e.g. 1,3,5.")
 @click.option("--quadratic", is_flag=True,
               help="Also show the quadratic-form columns X, Y, Z.")
-@click.option("--digits", type=int, default=60, show_default=True)
-@click.option("--print-digits", type=int, default=6, show_default=True)
+@click.option("--digits", type=DIGITS, default=60, show_default=True)
+@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
     """Run the exact integrality pipeline and report the form decay."""
@@ -196,8 +200,8 @@ def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
 @cli.command("omega")
 @click.option("--a", type=int, required=True)
 @click.option("--b", type=int, required=True)
-@click.option("--digits", type=int, default=60, show_default=True)
-@click.option("--print-digits", type=int, default=6, show_default=True)
+@click.option("--digits", type=DIGITS, default=60, show_default=True)
+@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_omega(a, b, digits, print_digits, fmt):
     """Print the certifying set as exact fraction intervals."""
@@ -236,8 +240,8 @@ def cmd_omega(a, b, digits, print_digits, fmt):
 @click.option("--a-max", type=int, default=2, show_default=True)
 @click.option("--b-max", type=int, default=15, show_default=True)
 @click.option("--quadratic", is_flag=True)
-@click.option("--digits", type=int, default=60, show_default=True)
-@click.option("--print-digits", type=int, default=6, show_default=True)
+@click.option("--digits", type=DIGITS, default=60, show_default=True)
+@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_search(k, a_max, b_max, quadratic, digits, print_digits, fmt):
     """Grid-search (a, b) and rank the applicable bounds."""
@@ -269,6 +273,9 @@ def main(argv=None) -> int:
     except IntegralityError as exc:
         click.echo(f"integrality failure: {exc}", err=True)
         return 3
+    except NonApplicableError as exc:
+        click.echo(f"not applicable: {exc}", err=True)
+        return 2
     except (ValueError, DomainError, SieveCapacityError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

@@ -21,45 +21,11 @@ DEFAULT_SIEVE_LIMIT = 2_000_000
 # rational helpers
 # ---------------------------------------------------------------------------
 
-def rat_floor(x: Rat) -> int:
-    """Largest integer <= x (exact, toward minus infinity)."""
-    return x.numerator // x.denominator
-
-
-def rat_frac(x: Rat) -> Rat:
-    """Fractional part in [0, 1); satisfies x == rat_floor(x) + rat_frac(x)."""
-    return x - rat_floor(x)
-
-
 def format_rat(x: Rat) -> str:
     """Render as ``num/den`` (plain ``num`` when the denominator is 1)."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s: str) -> Rat:
-    """Parse ``num/den``, integer, or decimal strings back into a Rat."""
-    try:
-        return Fraction(s.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse rational from {s!r}") from exc
-
-
-def rat_to_decimal(x: Rat, digits: int) -> str:
-    """Decimal rendering with exactly ``digits`` fractional digits.
-
-    Truncates toward zero, so the rendering of an exact decimal (denominator
-    of the form 2^a * 5^b with enough digits) parses back to an equal Rat.
-    """
-    if digits < 0:
-        raise DomainError("digits must be >= 0")
-    sign = "-" if x < 0 else ""
-    scaled = abs(x.numerator) * 10**digits // x.denominator
-    whole, frac = divmod(scaled, 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 def sqrt_bounds(d: int, digits: int) -> tuple[Rat, Rat]:
@@ -98,10 +64,6 @@ class QuadRat:
         self.u = u
         self.v = v
         self.D = D
-
-    @classmethod
-    def from_rat(cls, x, D: int = 1) -> "QuadRat":
-        return cls(x, 0, D)
 
     @classmethod
     def sqrt_d(cls, D: int) -> "QuadRat":
@@ -246,18 +208,6 @@ class PrimeSieve:
         if hi > self.limit:
             raise SieveCapacityError(f"{hi} exceeds sieve limit {self.limit}")
         return [p for p in range(max(lo, 2), hi + 1) if self._table[p]]
-
-
-def primes_between(lo, hi: int, sieve: PrimeSieve) -> list[int]:
-    """Primes p with lo < p <= hi; ``lo`` may be any Rat (exact comparison)."""
-    lo = Fraction(lo)
-    start = rat_floor(lo) + 1
-    return sieve.primes(start, hi)
-
-
-def primes_above_sqrt(m: int, hi: int, sieve: PrimeSieve) -> list[int]:
-    """Primes p with sqrt(m) < p <= hi, decided exactly via p*p > m."""
-    return [p for p in sieve.primes(2, hi) if p * p > m]
 
 
 def d_upto(n: int) -> int:

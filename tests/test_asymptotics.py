@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irrbounds import (DomainError, NonApplicableError, PrecisionError,
                        alpha_value, digamma, k_constants, saddle_complex,
                        saddle_real)
 from irrbounds.asymptotics import (cubic_roots_cardano, ladder_check,
-                                   _real_cubic_coeffs)
+                                   _eval_cubic, _real_cubic_coeffs)
 from irrbounds.measures import _x_numeric
 
 TABLE_KS = (3, 5, 6, 7, 8, 9, 10, 11, 12)
@@ -39,11 +41,29 @@ def test_digamma_reflection_quarter():
         assert mp.fabs(lhs - mp.pi) < mp.mpf(10) ** -57
 
 
-@pytest.mark.parametrize("x", [F(1, 6), F(3, 7), F(5, 2), F(19, 4), F(101)])
+def _gauss_digamma(x):
+    """psi(x) from Gauss's digamma theorem (DLMF 5.4.19) at h/k = x - n in
+    (0, 1], then psi(t+1) = psi(t) + 1/t from h/k up to x."""
+    n = -(-x.numerator // x.denominator) - 1
+    f = x - n
+    h, k = f.numerator, f.denominator
+    psi = -mp.euler
+    if k > 1:
+        psi += (-mp.log(k) - mp.pi / 2 * mp.cot(mp.pi * h / k)
+                + sum(mp.cos(2 * mp.pi * j * h / k)
+                      * mp.log(2 - 2 * mp.cos(2 * mp.pi * j / k))
+                      for j in range(1, k)) / 2)
+    steps = sum((1 / (f + i) for i in range(n)), F(0))
+    return psi + mp.mpf(steps.numerator) / steps.denominator
+
+
+@pytest.mark.parametrize("x", [F(1, 6), F(3, 7), F(5, 2), F(19, 4), F(101),
+                               F(1, 23), F(22, 23)])
 def test_digamma_against_mpmath(x):
+    # digamma is mpmath's, so the reference is Gauss's closed form instead
     for digits in (40, 80):
         with mp.workdps(digits + 15):
-            ref = mp.digamma(mp.mpf(x.numerator) / x.denominator)
+            ref = _gauss_digamma(x)
             assert mp.fabs(digamma(x, digits) - ref) < mp.mpf(10) ** -(digits - 1)
 
 
@@ -92,9 +112,22 @@ def test_alpha_two_routes_agree():
 # saddle points
 # ---------------------------------------------------------------------------
 
-def _residual(coeffs, z):
-    c3, c2, c1, c0 = coeffs
-    return ((c3 * z + c2) * z + c1) * z + c0
+@given(st.sampled_from([(1, 7), (1, 13), (2, 23), (3, 29)]),
+       st.fractions(0, 1, max_denominator=10**6),
+       st.fractions(-100, 100, max_denominator=1000))
+def test_cubic_coeffs_match_product_form(ab, x, z):
+    a, b = ab
+
+    def direct(z):
+        return x * z * (z - a) * (z - 2 * a) - (z - (b - 2 * a)) * (z - (b - a)) * (z - b)
+
+    def mirrored(z):
+        return x * z * (z + a) * (z + 2 * a) - (z + (b - 2 * a)) * (z + (b - a)) * (z + b)
+
+    coeffs = _real_cubic_coeffs(a, b, x)
+    assert _eval_cubic(coeffs, z) == direct(z)
+    # the mirrored saddle equation is minus the same cubic at -z
+    assert mirrored(z) == -_eval_cubic(coeffs, -z)
 
 
 def test_saddle_real_residual_and_location():
@@ -102,7 +135,7 @@ def test_saddle_real_residual_and_location():
     x, xb = _x_numeric(6, digits)
     z0, m1 = saddle_real(1, 7, x, digits, x_bounds=xb)
     with mp.workdps(digits + 10):
-        res = _residual(_real_cubic_coeffs(1, 7, x, mirror=False), z0)
+        res = _eval_cubic(_real_cubic_coeffs(1, 7, x), z0)
         assert mp.fabs(res) < mp.mpf(10) ** (-digits + 5)
     assert z0 > 7
     assert mp.isfinite(m1)
@@ -131,7 +164,7 @@ def test_saddle_complex_upper_half_and_residual():
     z1, m2 = saddle_complex(1, 7, x, digits, x_bounds=xb)
     assert mp.im(z1) > 0
     with mp.workdps(digits + 10):
-        res = _residual(_real_cubic_coeffs(1, 7, x, mirror=True), z1)
+        res = _eval_cubic(_real_cubic_coeffs(1, 7, x), -z1)
         assert mp.fabs(res) < mp.mpf(10) ** (-digits + 5)
     assert mp.isfinite(m2)
 
@@ -144,16 +177,16 @@ def test_saddles_against_cardano_oracle(k, a, b):
     z1, _ = saddle_complex(a, b, x, digits, x_bounds=xb)
     with mp.workdps(digits + 10):
         tol = mp.mpf(10) ** -30
-        roots0 = cubic_roots_cardano(_real_cubic_coeffs(a, b, x, False), digits)
-        assert min(mp.fabs(r - z0) for r in roots0) < tol
-        roots1 = cubic_roots_cardano(_real_cubic_coeffs(a, b, x, True), digits)
-        assert min(mp.fabs(r - z1) for r in roots1) < tol
-        # root counts match the degree
-        assert len(roots0) == len(roots1) == 3
+        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits)
+        # root count matches the degree
+        assert len(roots) == 3
+        assert min(mp.fabs(r - z0) for r in roots) < tol
+        # z1 is a root of the mirrored equation, so -z1 is one of the cubic
+        assert min(mp.fabs(r + z1) for r in roots) < tol
 
 
 def test_saddle_complex_all_real_rejected():
-    # at tiny x the mirrored cubic has three real roots and the complex
+    # at tiny x the saddle cubic has three real roots and the complex
     # saddle construction does not apply
     with pytest.raises(NonApplicableError):
         saddle_complex(1, 7, mp.mpf("0.001"), 40)

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from irrbounds.cli import fmt_sig, main
 from irrbounds.errors import IntegralityError
 
@@ -189,3 +193,56 @@ def test_displayed_value_stable_across_working_precision(capsys):
     _, out100, _ = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7",
                        "--digits", "100")
     assert out60 == out100
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+# ---------------------------------------------------------------------------
+
+def test_verify_inapplicable_cell_exit_2(capsys):
+    # the complex saddle point does not exist at (k, a, b) = (1, 7, 29); bound
+    # reports the same cell with exit 2
+    code, _, err = run(capsys, "verify", "--k", "1", "--a", "7", "--b", "29",
+                       "--n", "1")
+    assert code == 2
+    assert "not applicable" in err and "Traceback" not in err
+    code, _, _ = run(capsys, "bound", "--k", "1", "--a", "7", "--b", "29")
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "0"),
+    ("bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "-3"),
+    ("omega", "--a", "1", "--b", "7", "--print-digits", "0"),
+    ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1", "--digits", "10"),
+    ("table", "--k", "6", "--digits", "29"),
+])
+def test_digit_options_rejected_at_parse_time(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Invalid value for '--" in err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_small_argv_ends_in_documented_exit_code(capsys, data):
+    draw = data.draw
+    cmd = draw(st.sampled_from(["bound", "omega", "table", "verify"]))
+    k = str(draw(st.integers(-1, 13)))
+    a = str(draw(st.integers(0, 7)))
+    b = str(draw(st.sampled_from([3, 7, 13, 14, 23, 29])))
+    argv = {"bound": ["bound", "--k", k, "--a", a, "--b", b],
+            "omega": ["omega", "--a", a, "--b", b],
+            "table": ["table", "--k", k],
+            "verify": ["verify", "--k", k, "--a", a, "--b", b, "--n",
+                       draw(st.sampled_from(["1,3", "2", "0", "x", "1", ""]))]}[cmd]
+    if cmd in ("bound", "verify") and draw(st.booleans()):
+        argv.append("--quadratic")
+    if draw(st.booleans()):
+        argv += ["--digits", draw(st.sampled_from(["30", "60", "29", "10", "0", "x"]))]
+    if draw(st.booleans()):
+        argv += ["--print-digits", draw(st.sampled_from(["1", "12", "0", "-3", "x"]))]
+    code, _, _ = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), (argv, code)

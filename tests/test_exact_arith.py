@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrbounds import (DomainError, QuadRat, SieveCapacityError, d_upto,
-                       primes_between, rat_floor, rat_frac)
-from irrbounds.exact_arith import (format_rat, parse_rat, primes_above_sqrt,
-                                   rat_to_decimal, sqrt_bounds)
+from irrbounds import DomainError, QuadRat, SieveCapacityError, d_upto
+from irrbounds.exact_arith import format_rat, sqrt_bounds
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 
@@ -17,40 +15,9 @@ rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 # rationals
 # ---------------------------------------------------------------------------
 
-def test_floor_frac_examples():
-    assert rat_floor(F(-7, 2)) == -4
-    assert rat_frac(F(-7, 2)) == F(1, 2)
-    assert F(1, 3) + F(1, 6) == F(1, 2)
-    assert rat_frac(F(22, 7)) == F(1, 7)
-
-
-@given(rationals)
-def test_floor_bracket(x):
-    assert rat_floor(x) <= x < rat_floor(x) + 1
-    assert x == rat_floor(x) + rat_frac(x)
-    assert 0 <= rat_frac(x) < 1
-
-
 @given(rationals)
 def test_fraction_render_roundtrip(x):
-    assert parse_rat(format_rat(x)) == x
-
-
-@given(st.integers(-10**6, 10**6), st.integers(0, 6), st.integers(0, 6))
-def test_decimal_render_roundtrip_exact(num, a, b):
-    x = F(num, 2**a * 5**b)
-    assert parse_rat(rat_to_decimal(x, a + b)) == x
-
-
-def test_decimal_render_truncates_toward_zero():
-    assert rat_to_decimal(F(-7, 2), 3) == "-3.500"
-    assert rat_to_decimal(F(1, 3), 4) == "0.3333"
-    assert rat_to_decimal(F(-1, 3), 4) == "-0.3333"
-
-
-def test_parse_rat_rejects_garbage():
-    with pytest.raises(DomainError):
-        parse_rat("seven halves")
+    assert F(format_rat(x)) == x
 
 
 def test_sqrt_bounds_enclose():
@@ -182,15 +149,8 @@ def test_sieve_against_trial_division(small_sieve):
     assert small_sieve.primes(2, 1999) == expected
 
 
-def test_primes_between_examples(small_sieve):
-    assert primes_above_sqrt(7, 7, small_sieve) == [3, 5, 7]
-    assert primes_between(10, 10, small_sieve) == []
-    assert primes_between(2, 20, small_sieve) == [3, 5, 7, 11, 13, 17, 19]
-    assert primes_between(F(5, 2), 11, small_sieve) == [3, 5, 7, 11]
-
-
 def test_sieve_capacity_error(small_sieve):
     with pytest.raises(SieveCapacityError):
-        primes_between(2, 100_000, small_sieve)
+        small_sieve.primes(2, 100_000)
     with pytest.raises(SieveCapacityError):
         small_sieve.is_prime(100_000)
