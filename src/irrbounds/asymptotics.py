@@ -2,10 +2,11 @@
 saddle-point cubic whose real and complex roots give the growth and decay
 rates M1 and M2, and the scaling-rate constants K1 and K2.
 
-Root isolation is done with exact rational sign probes (bracketing can then
-never be fooled by rounding near the pole cluster), followed by damped Newton
-refinement in working precision.  Every published value carries a precision
-ladder: recomputation at twice the digits must agree to the reported digits.
+The real saddle root is found by Newton from a proven bound, then two exact
+probes: rational sign evaluations on a tight bracket, certain for every x in
+a rational enclosure, so rounding can never fool them.  Every published value
+carries a precision ladder: recomputation at twice the digits must agree to
+the reported digits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .exact_arith import Rat
 
 __all__ = [
     "digamma", "alpha_value", "saddle_real", "saddle_complex",
-    "k_constants", "cubic_roots_cardano", "ladder_agrees", "ladder_check",
+    "k_constants", "cubic_roots_cardano", "ladder_agrees",
 ]
 
 
@@ -32,16 +33,6 @@ def ladder_agrees(lo, hi, digits: int) -> bool:
             return False
         tol = mp.mpf(10) ** (-(digits - 5))
         return not mp.isfinite(lo) or mp.fabs(lo - hi) <= tol * max(1, mp.fabs(hi))
-
-
-def ladder_check(fn, digits: int, what: str) -> mp.mpf:
-    """Run fn(digits) and fn(2*digits); require :func:`ladder_agrees`."""
-    lo = fn(digits)
-    hi = fn(2 * digits)
-    if not ladder_agrees(lo, hi, digits):
-        raise PrecisionError(f"{what}: {digits}-digit value {lo} vs "
-                             f"{2 * digits}-digit value {hi}")
-    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -98,46 +89,18 @@ def _eval_cubic(coeffs, z):
 def _certified_sign(a: int, b: int, z: Fraction, x_lo: Fraction,
                     x_hi: Fraction) -> int | None:
     """Sign of the cleared cubic at rational z, certain for every x in
-    [x_lo, x_hi]; None when the bracket of x values straddles zero."""
+    [x_lo, x_hi] (the cubic is linear in x); None when it is not."""
     lo = _eval_cubic(_real_cubic_coeffs(a, b, x_lo), z)
     hi = _eval_cubic(_real_cubic_coeffs(a, b, x_hi), z)
     if lo > 0 and hi > 0:
         return 1
     if lo < 0 and hi < 0:
         return -1
-    if lo == 0 and hi == 0:
-        return 0
     return None
 
 
-def _isolate_real_root(a: int, b: int, x_bounds,
-                       span: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Shrink [zlo, zhi] (with certified opposite signs) by exact bisection."""
-    x_lo, x_hi = x_bounds
-    zlo, zhi = span
-    for _ in range(80):
-        mid = (zlo + zhi) / 2
-        s = _certified_sign(a, b, mid, x_lo, x_hi)
-        if s is None:
-            # nudge off the ambiguous point; the root is a single point so a
-            # slightly offset probe resolves it
-            mid = zlo + (zhi - zlo) * Fraction(4, 9)
-            s = _certified_sign(a, b, mid, x_lo, x_hi)
-            if s is None:
-                break
-        if s == 0:
-            return mid, mid
-        slo = _certified_sign(a, b, zlo, x_lo, x_hi)
-        if s == slo:
-            zlo = mid
-        else:
-            zhi = mid
-    return zlo, zhi
-
-
-def _newton_polish(coeffs_f, z0: mp.mpf, dps: int) -> mp.mpf:
-    c3, c2, c1, c0 = [mp.mpf(str(c)) if isinstance(c, Fraction) else c
-                      for c in coeffs_f]
+def _newton_polish(coeffs, z0: mp.mpf, dps: int) -> mp.mpf:
+    c3, c2, c1, c0 = coeffs
 
     def f(z):
         return ((c3 * z + c2) * z + c1) * z + c0
@@ -181,9 +144,19 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     root z0 > b of the saddle cubic, and the sum s and product p of the
     other two roots (from deflation).
 
-    Bracketing runs on exact rationals, with the sign at each probe certified
-    simultaneously for a rational enclosure of x; Newton in working precision
-    finishes the job.
+    The cubic is z(z-a)(z-2a) * (x - f(z)) with
+    f(z) = (z-(b-2a))(z-(b-a))(z-b) / (z(z-a)(z-2a)).  On z > b each factor
+    (z-r)/(z-c) of f has r > c >= 0 (as b > 4a), so it is positive and
+    strictly increasing: f rises strictly from 0 to 1, and for x in (0, 1)
+    exactly one root lies beyond b, with the cubic positive before it and
+    negative after it.  Each factor is also >= (z-b)/z, so
+    f(z) >= ((z-b)/z)^3 and that root is at most b/(1 - x^(1/3)).
+
+    Newton starts from that bound.  The polished z0 is then certified by two
+    exact probes at lo, hi = z0 -/+ z0*10^-digits/2: lo > b, sign +1 at lo and
+    -1 at hi, for every x in the rational enclosure ``x_bounds``.  By the
+    argument above, the unique root beyond b lies in [lo, hi]; if any of
+    this fails, PrecisionError.
     """
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
@@ -191,18 +164,15 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
     x_lo, x_hi = _derive_x_bounds(x, digits) if x_bounds is None else x_bounds
-    zlo = Fraction(b)
-    zhi = Fraction(2 * b)
-    while _certified_sign(a, b, zhi, x_lo, x_hi) in (1, None):
-        zhi *= 2
-        if zhi > Fraction(b) * 2**60:
-            raise NonApplicableError("no sign change located beyond b")
-    if _certified_sign(a, b, zlo, x_lo, x_hi) != 1:
-        raise NonApplicableError("cleared cubic not positive at z = b")
-    zlo, zhi = _isolate_real_root(a, b, (x_lo, x_hi), (zlo, zhi))
     coeffs = c3, c2, _, c0 = _real_cubic_coeffs(a, b, x)
-    z0 = _newton_polish(coeffs, (mp.mpf(str(zlo)) + mp.mpf(str(zhi))) / 2,
-                        digits + 10)
+    z0 = _newton_polish(coeffs, b / (1 - mp.cbrt(x)), digits + 10)
+    zf = _mpf_to_fraction(z0)
+    eps = _mpf_to_fraction(z0 / (2 * mp.mpf(10) ** digits))
+    lo, hi = zf - eps, zf + eps
+    if not (lo > b and _certified_sign(a, b, lo, x_lo, x_hi) == 1
+            and _certified_sign(a, b, hi, x_lo, x_hi) == -1):
+        raise PrecisionError(f"saddle root {z0} beyond b={b} not certified "
+                             f"for x in [{float(x_lo)}, {float(x_hi)}]")
     return x, z0, -c2 / c3 - z0, -c0 / (c3 * z0)
 
 
@@ -219,19 +189,10 @@ def _m_rate(a: int, b: int, z, x) -> mp.mpf:
 
 def saddle_real(a: int, b: int, x, digits: int,
                 x_bounds: tuple[Rat, Rat] | None = None) -> tuple[mp.mpf, mp.mpf]:
-    """(z0, M1): the unique root z0 > b of the saddle cubic and the growth
-    rate of the U coefficients.
-
-    More than one real root beyond b (all-real root configurations) raises a
-    non-applicability error.
-    """
+    """(z0, M1): the unique root z0 > b of the saddle cubic, certified by
+    exact sign probes, and the growth rate of the U coefficients."""
     with mp.workdps(digits + 15):
-        x, z0, s, p = _solve_cubic(a, b, x, digits, x_bounds)
-        # uniqueness: the larger of the other two roots, when they are real,
-        # must lie at or below b
-        disc = s * s - 4 * p
-        if disc >= 0 and (s + mp.sqrt(disc)) / 2 > b:
-            raise NonApplicableError("real saddle root beyond b is not unique")
+        x, z0, _, _ = _solve_cubic(a, b, x, digits, x_bounds)
         return +z0, +_m_rate(a, b, z0, x)
 
 
@@ -257,7 +218,7 @@ def saddle_complex(a: int, b: int, x, digits: int,
 def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:
     """All three roots of c3 z^3 + c2 z^2 + c1 z + c0 by the radical formula.
 
-    Kept as an independent oracle against the bisection/Newton/deflation path.
+    Kept as an independent oracle against the Newton/deflation path.
     """
     with mp.workdps(digits + 15):
         c3, c2, c1, c0 = [mp.mpc(str(c)) if isinstance(c, Fraction) else mp.mpc(c)

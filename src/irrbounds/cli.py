@@ -2,7 +2,8 @@
 
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes: 0 success, 1 usage/validation error,
-2 inapplicable parameters, 3 integrality verification failure.
+2 inapplicable parameters, 3 integrality verification failure, 4 precision
+failure (a precision ladder or a root certificate did not hold).
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), so identical invocations are
@@ -21,7 +22,7 @@ import click
 import mpmath as mp
 
 from .errors import (DomainError, IntegralityError, NonApplicableError,
-                     SieveCapacityError)
+                     PrecisionError, SieveCapacityError)
 from .exact_arith import format_rat
 from .forms import Params
 from .measures import (BoundResult, headline_table, is_degenerate,
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
     except NonApplicableError as exc:
         click.echo(f"not applicable: {exc}", err=True)
         return 2
+    except PrecisionError as exc:
+        click.echo(f"precision failure: {exc}", err=True)
+        return 4
     except (ValueError, DomainError, SieveCapacityError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

@@ -28,4 +28,5 @@ class NonApplicableError(ArithmeticError):
 
 
 class PrecisionError(ArithmeticError):
-    """A precision-ladder recomputation disagreed with the reported value."""
+    """A precision-ladder recomputation disagreed with the reported value, or
+    an exact root certificate did not hold."""

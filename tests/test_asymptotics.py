@@ -2,13 +2,14 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrbounds import (DomainError, NonApplicableError, PrecisionError,
                        alpha_value, digamma, k_constants, saddle_complex,
                        saddle_real)
-from irrbounds.asymptotics import (cubic_roots_cardano, ladder_check,
+from irrbounds import asymptotics
+from irrbounds.asymptotics import (cubic_roots_cardano, ladder_agrees,
                                    _eval_cubic, _real_cubic_coeffs)
 from irrbounds.measures import _x_numeric
 
@@ -75,18 +76,18 @@ def test_digamma_domain():
 
 
 def test_digamma_precision_ladder():
-    v = ladder_check(lambda d: digamma(F(2, 7), d), 60, "digamma(2/7)")
+    lo, hi = digamma(F(2, 7), 60), digamma(F(2, 7), 120)
+    assert ladder_agrees(lo, hi, 60)
     with mp.workdps(90):
-        assert mp.fabs(v - mp.digamma(mp.mpf(2) / 7)) < mp.mpf(10) ** -80
+        assert mp.fabs(hi - mp.digamma(mp.mpf(2) / 7)) < mp.mpf(10) ** -80
 
 
 @pytest.mark.parametrize("lo,hi", [(mp.mpf(3), mp.inf), (mp.inf, mp.mpf(3))])
 def test_ladder_rejects_finite_infinite_mismatch(lo, hi):
     # |lo - hi| = inf is not above tol * max(1, inf) = inf, so the finite
     # versus infinite case needs its own rule, in both directions
-    with pytest.raises(PrecisionError):
-        ladder_check(lambda d: lo if d == 60 else hi, 60, "mismatch")
-    assert ladder_check(lambda d: mp.inf, 60, "both infinite") == mp.inf
+    assert not ladder_agrees(lo, hi, 60)
+    assert ladder_agrees(mp.inf, mp.inf, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,79 @@ def test_cubic_coeffs_match_product_form(ab, x, z):
     assert _eval_cubic(coeffs, z) == direct(z)
     # the mirrored saddle equation is minus the same cubic at -z
     assert mirrored(z) == -_eval_cubic(coeffs, -z)
+
+
+def _ratio(a, b, z):
+    """f(z) of the saddle equation x = f(z), in exact arithmetic."""
+    return ((z - (b - 2 * a)) * (z - (b - a)) * (z - b)
+            / (z * (z - a) * (z - 2 * a)))
+
+
+# b odd in (4a, 4a+40]
+_AB = st.integers(1, 5).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, 20).map(lambda j: 4 * a + 2 * j - 1)))
+
+
+@given(_AB, st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1),
+       st.fractions(0, 1000, max_denominator=1000).filter(lambda t: t > 0),
+       st.fractions(0, 1000, max_denominator=1000).filter(lambda t: t > 0))
+def test_one_root_beyond_b_and_its_bound(ab, x, t, dt):
+    # the argument behind _solve_cubic: on z > b the cubic is
+    # z(z-a)(z-2a)(x - f(z)), f rises strictly and f(z) >= ((z-b)/z)^3
+    a, b = ab
+    z1, z2 = b + t, b + t + dt
+    assert (_eval_cubic(_real_cubic_coeffs(a, b, x), z1)
+            == z1 * (z1 - a) * (z1 - 2 * a) * (x - _ratio(a, b, z1)))
+    assert _ratio(a, b, z1) >= ((z1 - b) / z1) ** 3
+    assert _ratio(a, b, z1) < _ratio(a, b, z2)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 200), _AB)
+def test_saddle_real_certifies_on_the_grid(k, ab):
+    a, b = ab
+    digits = 40
+    x, xb = _x_numeric(k, digits)
+    z0, _ = saddle_real(a, b, x, digits, x_bounds=xb)
+    with mp.workdps(digits + 10):
+        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits)
+        assert min(mp.fabs(r - z0) for r in roots) < mp.mpf(10) ** -30
+        assert b < z0 <= b / (1 - mp.cbrt(x))
+
+
+def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
+    calls = []
+
+    def counted(coeffs, z):
+        calls.append(z)
+        return _eval_cubic(coeffs, z)
+
+    monkeypatch.setattr(asymptotics, "_eval_cubic", counted)
+    x, xb = _x_numeric(8, 60)
+    saddle_real(1, 13, x, 60, x_bounds=xb)  # one _solve_cubic call
+    assert len(calls) == 4 and all(isinstance(z, F) for z in calls)
+
+
+def test_saddle_certificate_fails_closed():
+    # an enclosure that misses x, or one widened to 10^-3, must not yield an
+    # uncertified root; widened on one side, it leaves one probe's sign
+    # certain, so the other probe alone must reject it
+    x, (x_lo, x_hi) = _x_numeric(6, 60)
+    shift, wide = F(1, 10**40), F(1, 10**3)
+    for xb in ((x_lo + shift, x_hi + shift), (x_lo, x_lo + wide),
+               (x_hi - wide, x_hi)):
+        with pytest.raises(PrecisionError):
+            saddle_real(1, 7, x, 60, x_bounds=xb)
+
+
+def test_saddle_certificate_rejects_a_root_below_b(monkeypatch):
+    # at x = 0.001 the smallest root (near 5.03) has the same sign change as
+    # the root beyond b; only lo > b tells them apart
+    polish = asymptotics._newton_polish
+    monkeypatch.setattr(asymptotics, "_newton_polish",
+                        lambda coeffs, z, dps: polish(coeffs, mp.mpf(5), dps))
+    with pytest.raises(PrecisionError):
+        saddle_real(1, 7, mp.mpf("0.001"), 40)
 
 
 def test_saddle_real_residual_and_location():

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from irrbounds.cli import fmt_sig, main
-from irrbounds.errors import IntegralityError
+from irrbounds.errors import IntegralityError, PrecisionError
 
 
 def run(capsys, *argv):
@@ -210,6 +210,17 @@ def test_verify_inapplicable_cell_exit_2(capsys):
     assert code == 2
 
 
+def test_precision_failure_exit_4(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise PrecisionError("saddle root not certified")
+
+    monkeypatch.setattr("irrbounds.cli.mu_bound", fail)
+    code, out, err = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7")
+    assert code == 4
+    assert out == ""
+    assert err == "precision failure: saddle root not certified\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "0"),
     ("bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "-3"),
@@ -245,4 +256,4 @@ def test_small_argv_ends_in_documented_exit_code(capsys, data):
     if draw(st.booleans()):
         argv += ["--print-digits", draw(st.sampled_from(["1", "12", "0", "-3", "x"]))]
     code, _, _ = run(capsys, *argv)
-    assert code in (0, 1, 2, 3), (argv, code)
+    assert code in (0, 1, 2, 3, 4), (argv, code)
