@@ -23,7 +23,7 @@ import mpmath as mp
 
 from .errors import (DomainError, IntegralityError, NonApplicableError,
                      PrecisionError, SieveCapacityError)
-from .exact_arith import format_rat
+from .exact_arith import format_int, format_rat
 from .forms import Params
 from .measures import (BoundResult, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
@@ -34,6 +34,12 @@ FORMATS = click.Choice(["text", "csv", "json"])
 # the working-precision floor of omega.n_constants, checked at parse time
 DIGITS = click.IntRange(min=30)
 PRINT_DIGITS = click.IntRange(min=1)
+# largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
+# verify accepts.  The exact forms cost about d^2.6: 0.2 s at d = 1023, 3.4 s
+# at d = 3333 and 20 s at d = 6633 on a shared 2-core machine, so the cap
+# stops a run of about a minute.  As b > 4a, it also keeps each prime sieve
+# below b*n < 2d/3.
+MAX_VERIFY_DEGREE = 10_000
 
 
 def fmt_sig(x, sig: int = 6) -> str:
@@ -175,18 +181,22 @@ def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
         raise click.UsageError(f"bad --n list {n_list!r}") from exc
     if not ns:
         raise click.UsageError("empty --n list")
-    for n in ns:
-        Params(k=k, a=a, b=b, n=n)
+    degree = sum(Params(k=k, a=a, b=b, n=n).degree for n in ns)
+    if degree > MAX_VERIFY_DEGREE:
+        raise click.ClickException(
+            f"the forms for --n {n_list} have total degree {degree}, above "
+            f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
     rows = verify_forms(k, a, b, ns, digits)
     pred_l, pred_m = predicted_decay(k, a, b, digits)
     out = []
     for r in rows:
         entry = {
-            "n": r.n, "P": str(r.P), "Q": str(r.Q),
+            "n": r.n, "P": format_int(r.P), "Q": format_int(r.Q),
             "decay_linear": float(fmt_sig(r.decay_linear, print_digits)),
         }
         if quadratic:
-            entry.update({"X": str(r.X), "Y": str(r.Y), "Z": str(r.Z),
+            entry.update({"X": format_int(r.X), "Y": format_int(r.Y),
+                          "Z": format_int(r.Z),
                           "decay_quadratic": float(fmt_sig(r.decay_quadratic, print_digits))})
         entry["integral"] = True
         out.append(entry)

@@ -7,6 +7,7 @@ immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -20,6 +21,14 @@ DEFAULT_SIEVE_LIMIT = 2_000_000
 # ---------------------------------------------------------------------------
 # rational helpers
 # ---------------------------------------------------------------------------
+
+def format_int(x: int) -> str:
+    """Decimal digits of an exact integer.  Unlike str(), the conversion
+    through Decimal is not cut off by the interpreter's int-to-str digit
+    limit (4300 digits by default), which the verify integers pass near
+    degree 4500."""
+    return str(Decimal(x))
+
 
 def format_rat(x: Rat) -> str:
     """Render as ``num/den`` (plain ``num`` when the denominator is 1)."""

@@ -1,20 +1,23 @@
-"""Construction of the product polynomial, its coefficient transform, and the
-exact evaluation of the three rational functions U, V, W that make up the
-linear and quadratic forms.
+"""Exact evaluation of the three rational functions U, V, W that make up the
+linear and quadratic forms, and their scaling to integers.
 
 The evaluation route is fully finite: the tail-series transform turns each
 tail series into a polynomial in t = z/(z-1), which at the algebraic point
 x_k has t = (1 - sqrt(2k+1))/2, so every value lives in Q(sqrt(2k+1)) and is
-computed in integer arithmetic over a single common denominator.  The original
-tail series (with an explicit geometric tail bound) is kept only as the
-cross-check oracle ``series_uvw``.
+computed in integer arithmetic.  The product polynomial A is never expanded:
+the values of A, A' and A'' at the integers come from its root multiset, and
+each transform sum is a two-term recurrence, so a form of degree d costs O(d)
+big-integer operations.  The expanded polynomial with its O(d^2) transform,
+and the original tail series (with an explicit geometric tail bound), are
+kept only as the cross-check oracles ``build_A`` and ``series_uvw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import factorial, lcm
 
 from .errors import DomainError, IntegralityError
 from .exact_arith import QuadRat, Rat, d_upto
@@ -67,7 +70,271 @@ def x_point(k: int) -> QuadRat:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial over Q, stored as integers over one denominator
+# values of A, A', A'' from the root multiset
+# ---------------------------------------------------------------------------
+
+def _root_blocks(params: Params) -> tuple[tuple[int, int], ...]:
+    """The three root blocks (lo, hi) of A, innermost first: A(x) times its
+    denominator is the product over the blocks of prod_{j=lo..hi} (x + j)."""
+    a, b, n = params.a, params.b, params.n
+    return ((2 * a * n + 1, (b - 2 * a) * n),
+            (a * n + 1, (b - a) * n),
+            (1, b * n))
+
+
+def _a_denominator(params: Params) -> int:
+    a, b, n = params.a, params.b, params.n
+    return (factorial((b - 4 * a) * n) * factorial((b - 2 * a) * n)
+            * factorial(b * n))
+
+
+def _derivative_values(params: Params, order: int):
+    """A^(order)(-m) as pairs (v, scale) with value v/scale, for
+    m = 1 + order*a*n + s and s = 0..degree - order.
+
+    Write den * A(x) = (x + m)^mu * R(x), mu the number of blocks holding m.
+    Then den * A^(order)(-m) = order!/r! * R^(r)(-m) with r = order - mu, and
+    0 when mu > order, which holds below the first m the walk visits.  At -m,
+    R = q, the product of (j - m) over the roots j != m, R'/R = h1 and
+    R''/R = h1^2 - h2, where h_i = sum over the roots j != m of 1/(j - m)^i;
+    h1 and h2 are kept as integers over L = lcm(1..last) and L^2.
+
+    Stepping m -> m + 1 multiplies q per block by (lo - 1 - m)/(hi - m) (no
+    divisor at m = hi) and adds 1/(lo - 1 - m)^i - 1/(hi - m)^i to h_i: small
+    numbers only.  Beyond bn, mu = 0 and A(-m) = q/den is an integer product
+    of binomial coefficients, so the walk drops den there and the values
+    come over L^order, a far smaller scale than den.
+    """
+    blocks = _root_blocks(params)
+    bn = blocks[2][1]
+    first = blocks[2 - order][1] + 1
+    start = 1 + order * params.a * params.n
+    last = start + params.degree - order
+    den = _a_denominator(params)
+    yield from repeat((0, den), first - start)
+    L = d_upto(last)
+    L2 = L * L
+    scale = L ** order
+    q, h1, h2 = 1, 0, 0
+    for lo, hi in blocks:
+        for j in range(lo, hi + 1):
+            if j != first:
+                q *= j - first
+                h1 += L // (j - first)
+                h2 += L2 // (j - first) ** 2
+    for m in range(first, last + 1):
+        if m <= bn:
+            # mu >= 1, so r <= 1, and r = 1 only for order 2
+            r = order - sum(lo <= m <= hi for lo, hi in blocks)
+            yield (factorial(order) * q if r == 0 else order * q * h1 // L), den
+        else:
+            if m == bn + 1:
+                q //= den
+            if order == 0:
+                yield q, scale
+            elif order == 1:
+                yield q * h1, scale
+            else:
+                yield q * (h1 * h1 - h2), scale
+        num = div = 1
+        for lo, hi in blocks:
+            num *= lo - 1 - m
+            h1 -= L // (m + 1 - lo)
+            h2 += L2 // (m + 1 - lo) ** 2
+            if m != hi:
+                div *= hi - m
+                h1 -= L // (hi - m)
+                h2 -= L2 // (hi - m) ** 2
+        q = q * num // div
+
+
+# ---------------------------------------------------------------------------
+# the transform sum in O(d) big operations, and U, V, W
+# ---------------------------------------------------------------------------
+
+def _int_pair(x: QuadRat) -> tuple[int, int, int]:
+    """(u, v, e) with x = (u + v sqrt(D))/e in integers, e > 0."""
+    e = lcm(x.u.denominator, x.v.denominator)
+    return (x.u.numerator * (e // x.u.denominator),
+            x.v.numerator * (e // x.v.denominator), e)
+
+
+def _pole_sum(values, delta: int, z: QuadRat, t: QuadRat) -> QuadRat:
+    """sum_j c_j t^(j+1) for the transform c_j of a degree-delta polynomial p.
+
+    ``values`` yields p(-1-s) (any offset already applied), s = 0..delta, as
+    pairs (v_s, scale) with value v_s/scale; a few distinct scales may occur.
+    Since c_j = sum_s (-1)^s C(j, s) p(-1-s), the sum is
+    S = sum_s (-1)^s p(-1-s) G_s with G_s = sum_{j=s..delta} C(j, s) t^(j+1).
+    As 1/(1 - t) = 1 - z,
+        G_0 = t (1 - t^(delta+1)) (1 - z),
+        G_s = -z G_(s-1) - C(delta+1, s) (1 - z) t^(delta+2),
+    so S costs O(delta) big operations.  G_s is a polynomial in t of degree
+    delta + 1, so g_s = G_s * td^(delta+1) is an integer pair, and the
+    recurrence for it, with k = (1 - z) t^(delta+2) td^(delta+2) zd, divides
+    exactly by zd * td.
+    """
+    D = z.D
+    zu, zv, zd = _int_pair(z)
+    td = _int_pair(t)[2]
+    step = zd * td
+    tdp = td ** (delta + 1)
+    t_top = t ** (delta + 1)
+    g0 = t * (1 - t_top) * (1 - z) * tdp
+    k = (1 - z) * t_top * t * tdp * step
+    gu, gv, ku, kv = int(g0.u), int(g0.v), int(k.u), int(k.v)
+    zu, zv = zu * td, zv * td
+    sums: dict[int, list[int]] = {}
+    binom = 1
+    for s, (v, scale) in enumerate(values):
+        if s:
+            binom = binom * (delta + 2 - s) // s
+            gu, gv = ((-zu * gu - D * zv * gv - binom * ku) // step,
+                      (-zu * gv - zv * gu - binom * kv) // step)
+        if v:
+            if s & 1:
+                v = -v
+            acc = sums.setdefault(scale, [0, 0])
+            acc[0] += v * gu
+            acc[1] += v * gv
+    return sum((QuadRat(Fraction(su, scale * tdp), Fraction(sv, scale * tdp), D)
+                for scale, (su, sv) in sums.items()), QuadRat(0, 0, D))
+
+
+@dataclass(frozen=True)
+class UVWValues:
+    """Exact values of the three rational functions at one point.
+
+    At z = x_k the radical parts of U and W and the rational part of V vanish
+    identically: U, W and sqrt(2k+1)*V are rational there.
+    """
+
+    U: QuadRat
+    V: QuadRat
+    W: QuadRat
+    params: Params
+    x: QuadRat
+
+
+def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
+    """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms.
+
+    U uses the transform of A itself; V the transform of A'(. - an) with the
+    extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}.  The
+    two shifts land the sums on the index ranges where the transform values
+    are nonzero (the doubled and tripled root blocks).  The values of A, A'
+    and A'' come from A's root multiset and the transform sums from a
+    two-term recurrence, so no polynomial is ever expanded.
+    """
+    if not z:
+        raise DomainError("z = 0 is outside the domain of U, V, W")
+    if z == QuadRat(1):
+        raise DomainError("z = 1 is a pole of the transform variable")
+    t = z / (z - QuadRat(1, 0, z.D))
+    shift = params.a * params.n
+    e = params.half_bn1
+    uvw = []
+    for order in range(3):
+        total = _pole_sum(_derivative_values(params, order),
+                           params.degree - order, z, t)
+        uvw.append(z ** (order * shift - e) * total)
+    U, V, W = uvw
+    return UVWValues(U=U, V=V, W=W, params=params, x=z)
+
+
+# ---------------------------------------------------------------------------
+# scaling to integers (the construction guarantees integrality; a violation
+# is a bug, never something to round away)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IntegerForms:
+    """The integer coefficient pairs of the linear and quadratic forms.
+
+    ell_n = P*alpha_k + Q and m_n = X*alpha_k^2 + Z are exponentially small;
+    Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
+    are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
+    T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
+    """
+
+    n: int
+    P: int
+    Q: int
+    X: int
+    Y: int
+    Z: int
+    A: int
+    B: int
+    C: int
+    R: Rat = field(repr=False)
+    S: Rat = field(repr=False)
+    T: Rat = field(repr=False)
+    delta: int = field(repr=False)
+    delta1: int = field(repr=False)
+    d_bn: int = field(repr=False)
+    d_b2an: int = field(repr=False)
+
+
+def scaling_factors(params: Params) -> tuple[Rat, Rat, Rat]:
+    """The three normalizing factors (R, S, T) for k even / odd."""
+    k, a, b, n = params.k, params.a, params.b, params.n
+    e_r = (b * n + 1) // 2
+    e_s = ((b - 2 * a) * n + 1) // 2
+    e_t = ((b - 4 * a) * n + 1) // 2
+    if k % 2 == 0:
+        m = k // 2
+        return Fraction(1, m**e_r), Fraction(1, m**e_s), Fraction(1, m**e_t)
+    two = 2 ** ((3 * (b - 2 * a) * n + 1) // 2)
+    return Fraction(two, k**e_r), Fraction(two, k**e_s), Fraction(two, k**e_t)
+
+
+def _as_int(value: Rat, quantity: str) -> int:
+    if value.denominator != 1:
+        raise IntegralityError(quantity, value)
+    return value.numerator
+
+
+def scaled_integer_forms(params: Params, uvw: UVWValues,
+                         delta: int, delta1: int) -> IntegerForms:
+    """Scale the exact U, V, W at x_k into the integer form coefficients.
+
+    Every quantity here is an exact integer; a fractional result aborts with
+    the offending name rather than being rounded.
+    """
+    k = params.k
+    D = 2 * k + 1
+    if uvw.x != x_point(k):
+        raise DomainError("integer forms are defined only at the point x_k")
+    U, V, W = uvw.U, uvw.V, uvw.W
+    sqV = QuadRat.sqrt_d(D) * V
+    for name, val in (("U(x_k)", U), ("sqrt(D)*V(x_k)", sqV), ("W(x_k)", W)):
+        if val.v != 0:
+            raise IntegralityError(f"radical part of {name}", val.v)
+
+    R, S, T = scaling_factors(params)
+    d_bn = d_upto(params.b * params.n)
+    d_b2an = d_upto((params.b - 2 * params.a) * params.n)
+    dd = Fraction(d_bn, delta)
+    if dd.denominator != 1:
+        raise IntegralityError("d_bn/Delta", dd)
+
+    A_int = _as_int(R * U.u, "R*U(x_k)")
+    B_int = _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)")
+    C_int = _as_int(T * d_b2an * delta1 * dd * W.u,
+                    "T*d'*Delta1*(d/Delta)*W(x_k)")
+    P = _as_int(S * dd * U.u, "P")
+    Q = _as_int(-S * dd * sqV.u, "Q")
+    X = _as_int(T * d_b2an * delta1 * dd * U.u, "X")
+    Y = _as_int(-T * d_b2an * delta1 * dd * sqV.u, "Y")
+    Z = _as_int(-T * d_b2an * delta1 * dd * D * W.u, "Z")
+    return IntegerForms(n=params.n, P=P, Q=Q, X=X, Y=Y, Z=Z,
+                        A=A_int, B=B_int, C=C_int, R=R, S=S, T=T,
+                        delta=delta, delta1=delta1, d_bn=d_bn, d_b2an=d_b2an)
+
+
+# ---------------------------------------------------------------------------
+# dense oracles (tests only): the expanded polynomial, its transform
+# coefficients and their radical sum, the route eval_UVW replaced
 # ---------------------------------------------------------------------------
 
 class IntPoly:
@@ -184,9 +451,7 @@ def derivative(p: IntPoly, order: int = 1) -> IntPoly:
     return IntPoly._raw(nums, p._den)
 
 
-# ---------------------------------------------------------------------------
 # coefficient transform:  -sum_{k>=1} P(-k) z^k = sum_j c_j (z/(z-1))^{j+1}
-# ---------------------------------------------------------------------------
 
 def _transform_nums(p: IntPoly, offset: int = 0) -> tuple[list[int], int]:
     """Numerators of the transform coefficients of x -> p(x - offset).
@@ -216,25 +481,6 @@ def tail_transform_coeffs(p: IntPoly) -> list[Rat]:
     return [Fraction(c, den) for c in nums]
 
 
-# ---------------------------------------------------------------------------
-# exact evaluation of U, V, W
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UVWValues:
-    """Exact values of the three rational functions at one point.
-
-    At z = x_k the radical parts of U and W and the rational part of V vanish
-    identically: U, W and sqrt(2k+1)*V are rational there.
-    """
-
-    U: QuadRat
-    V: QuadRat
-    W: QuadRat
-    params: Params
-    x: QuadRat
-
-
 def _radical_sum(nums: list[int], den: int, t: QuadRat) -> QuadRat:
     """sum_j (nums[j]/den) * t^(j+1) over a single common denominator."""
     td = lcm(t.u.denominator, t.v.denominator)
@@ -256,133 +502,9 @@ def _radical_sum(nums: list[int], den: int, t: QuadRat) -> QuadRat:
     return QuadRat(Fraction(su, full), Fraction(sv, full), D)
 
 
-def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
-    """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms.
-
-    U uses the transform of A itself; V the transform of A'(. - an) with the
-    extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}.  The
-    two shifts land the sums on the index ranges where the transform values
-    are nonzero (the doubled and tripled root blocks).
-    """
-    if not z:
-        raise DomainError("z = 0 is outside the domain of U, V, W")
-    if z == QuadRat(1):
-        raise DomainError("z = 1 is a pole of the transform variable")
-    a, n = params.a, params.n
-    A = build_A(params)
-    t = z / (z - QuadRat(1, 0, z.D))
-
-    cu, den_u = _transform_nums(A)
-    cv, den_v = _transform_nums(derivative(A), offset=a * n)
-    cw, den_w = _transform_nums(derivative(A, 2), offset=2 * a * n)
-
-    e = params.half_bn1
-    U = z ** (-e) * _radical_sum(cu, den_u, t)
-    V = z ** (-e + a * n) * _radical_sum(cv, den_v, t)
-    W = z ** (-e + 2 * a * n) * _radical_sum(cw, den_w, t)
-    return UVWValues(U=U, V=V, W=W, params=params, x=z)
-
-
-# ---------------------------------------------------------------------------
-# scaling to integers (the construction guarantees integrality; a violation
-# is a bug, never something to round away)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntegerForms:
-    """The integer coefficient pairs of the linear and quadratic forms.
-
-    ell_n = P*alpha_k + Q and m_n = X*alpha_k^2 + Z are exponentially small;
-    Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
-    are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
-    T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
-    """
-
-    n: int
-    P: int
-    Q: int
-    X: int
-    Y: int
-    Z: int
-    A: int
-    B: int
-    C: int
-    R: Rat = field(repr=False)
-    S: Rat = field(repr=False)
-    T: Rat = field(repr=False)
-    delta: int = field(repr=False)
-    delta1: int = field(repr=False)
-    d_bn: int = field(repr=False)
-    d_b2an: int = field(repr=False)
-
-
-def scaling_factors(params: Params) -> tuple[Rat, Rat, Rat]:
-    """The three normalizing factors (R, S, T) for k even / odd."""
-    k, a, b, n = params.k, params.a, params.b, params.n
-    e_r = (b * n + 1) // 2
-    e_s = ((b - 2 * a) * n + 1) // 2
-    e_t = ((b - 4 * a) * n + 1) // 2
-    if k % 2 == 0:
-        m = k // 2
-        return Fraction(1, m**e_r), Fraction(1, m**e_s), Fraction(1, m**e_t)
-    two = 2 ** ((3 * (b - 2 * a) * n + 1) // 2)
-    return Fraction(two, k**e_r), Fraction(two, k**e_s), Fraction(two, k**e_t)
-
-
-def _as_int(value: Rat, quantity: str) -> int:
-    if value.denominator != 1:
-        raise IntegralityError(quantity, value)
-    return value.numerator
-
-
-def scaled_integer_forms(params: Params, uvw: UVWValues,
-                         delta: int, delta1: int) -> IntegerForms:
-    """Scale the exact U, V, W at x_k into the integer form coefficients.
-
-    Every quantity here is an exact integer; a fractional result aborts with
-    the offending name rather than being rounded.
-    """
-    k = params.k
-    D = 2 * k + 1
-    if uvw.x != x_point(k):
-        raise DomainError("integer forms are defined only at the point x_k")
-    U, V, W = uvw.U, uvw.V, uvw.W
-    sqV = QuadRat.sqrt_d(D) * V
-    for name, val in (("U(x_k)", U), ("sqrt(D)*V(x_k)", sqV), ("W(x_k)", W)):
-        if val.v != 0:
-            raise IntegralityError(f"radical part of {name}", val.v)
-
-    R, S, T = scaling_factors(params)
-    d_bn = d_upto(params.b * params.n)
-    d_b2an = d_upto((params.b - 2 * params.a) * params.n)
-    dd = Fraction(d_bn, delta)
-    if dd.denominator != 1:
-        raise IntegralityError("d_bn/Delta", dd)
-
-    A_int = _as_int(R * U.u, "R*U(x_k)")
-    B_int = _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)")
-    C_int = _as_int(T * d_b2an * delta1 * dd * W.u,
-                    "T*d'*Delta1*(d/Delta)*W(x_k)")
-    P = _as_int(S * dd * U.u, "P")
-    Q = _as_int(-S * dd * sqV.u, "Q")
-    X = _as_int(T * d_b2an * delta1 * dd * U.u, "X")
-    Y = _as_int(-T * d_b2an * delta1 * dd * sqV.u, "Y")
-    Z = _as_int(-T * d_b2an * delta1 * dd * D * W.u, "Z")
-    return IntegerForms(n=params.n, P=P, Q=Q, X=X, Y=Y, Z=Z,
-                        A=A_int, B=B_int, C=C_int, R=R, S=S, T=T,
-                        delta=delta, delta1=delta1, d_bn=d_bn, d_b2an=d_b2an)
-
-
 # ---------------------------------------------------------------------------
 # series oracle (reference path; exact truncation + exact tail bound)
 # ---------------------------------------------------------------------------
-
-def _root_multiset_ranges(params: Params) -> list[tuple[int, int]]:
-    a, b, n = params.a, params.b, params.n
-    return [(2 * a * n + 1, (b - 2 * a) * n),
-            (a * n + 1, (b - a) * n),
-            (1, b * n)]
-
 
 def series_uvw(params: Params, z: Rat, terms: int):
     """Truncated tail series for U, V, W at rational z plus exact tail bounds.
@@ -419,7 +541,7 @@ def series_uvw(params: Params, z: Rat, terms: int):
         raise DomainError(f"tail ratio {ratio} >= 1; increase terms")
     h = Fraction(0)
     h2 = Fraction(0)
-    for lo, hi in _root_multiset_ranges(params):
+    for lo, hi in _root_blocks(params):
         for c in range(lo, hi + 1):
             h += Fraction(1, t0 - c)
             h2 += Fraction(1, (t0 - c) ** 2)

@@ -17,7 +17,7 @@ import mpmath as mp
 from .asymptotics import (alpha_value, k_constants, ladder_agrees,
                           saddle_complex, saddle_real)
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import PrimeSieve, QuadRat, sqrt_bounds
+from .exact_arith import PrimeSieve, QuadRat, format_int, sqrt_bounds
 from .forms import (IntegerForms, Params, eval_UVW, scaled_integer_forms,
                     x_point)
 from .omega import compute_omega, delta_products, n_constants
@@ -149,7 +149,8 @@ def predicted_decay(k: int, a: int, b: int, digits: int = 60):
 
 def _coeff_digits(c) -> int:
     c = Fraction(c)
-    return len(str(abs(c.numerator))) + len(str(c.denominator))
+    return len(format_int(abs(c.numerator))) + len(
+        format_int(c.denominator))
 
 
 def _alpha_combination(k: int, terms, digits: int) -> mp.mpf:

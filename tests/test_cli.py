@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +7,10 @@ from hypothesis import strategies as st
 
 from irrbounds.cli import fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
+
+
+# the benchmark's recorded stdout, read here and never rewritten
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run(capsys, *argv):
@@ -128,6 +133,37 @@ def test_verify_integrality_failure_exit_3(capsys, monkeypatch):
                        "--n", "1")
     assert code == 3
     assert "R*U(x_k)" in err
+
+
+def _verify_n31(k):
+    return ["verify", "--k", str(k), "--a", "1", "--b", "13", "--n", "31",
+            "--quadratic", "--format", "json"]
+
+
+@pytest.mark.parametrize("label,argv", [
+    ("verify-n31-k6", _verify_n31(6)),
+    ("verify-n31-k8", _verify_n31(8)),
+    ("verify-n31-k10", _verify_n31(10)),
+    ("table-paper", ["table", "--paper", "--format", "csv"]),
+])
+def test_stdout_matches_benchmark_reference(capsys, label, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (REFERENCE / f"{label}.out").read_bytes()
+
+
+def test_verify_refuses_degree_above_cap_before_any_work(capsys, monkeypatch):
+    import irrbounds.measures as measures_mod
+    import irrbounds.omega as omega_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("verify started work past its cap")
+
+    monkeypatch.setattr(measures_mod, "eval_UVW", boom)
+    monkeypatch.setattr(omega_mod, "PrimeSieve", boom)
+    code, _, _ = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
+                     "--n", "10000001")
+    assert code == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irrbounds import DomainError, QuadRat, SieveCapacityError, d_upto
-from irrbounds.exact_arith import format_rat, sqrt_bounds
+from irrbounds.exact_arith import format_int, format_rat, sqrt_bounds
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 
@@ -18,6 +19,19 @@ rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 @given(rationals)
 def test_fraction_render_roundtrip(x):
     assert F(format_rat(x)) == x
+
+
+@given(st.integers(-10**40, 10**40))
+def test_format_int_matches_str(x):
+    assert format_int(x) == str(x)
+
+
+def test_format_int_past_str_digit_limit():
+    # str() refuses ints above 4300 digits; the verify integers pass that
+    x = -(7 ** 6000)
+    text = format_int(x)
+    assert text.startswith("-") and text[1:].isdigit()
+    assert Decimal(text) == x
 
 
 def test_sqrt_bounds_enclose():

@@ -1,14 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrbounds import (DomainError, IntegralityError, IntPoly, Params,
                        QuadRat, build_A, derivative, eval_UVW,
                        scaled_integer_forms, series_uvw, shift_poly,
                        tail_transform_coeffs, x_point)
-from irrbounds.forms import scaling_factors
+from irrbounds.forms import (_derivative_values, _radical_sum,
+                             _transform_nums, scaling_factors)
 from irrbounds.omega import delta_products
 
 
@@ -158,10 +159,8 @@ def test_transform_matches_literal_binomial_sum():
 
 
 def test_internal_offset_equals_shifted_polynomial_route():
-    # eval_UVW reads A'(-l-an) directly; the shift-then-differentiate route
-    # must produce identical transform coefficients
-    from irrbounds.forms import _transform_nums
-
+    # the dense oracle reads A'(-l-an) directly; the shift-then-differentiate
+    # route must produce identical transform coefficients
     p = Params(k=6, a=1, b=7, n=3)
     A = build_A(p)
     direct_nums, direct_den = _transform_nums(derivative(A), offset=p.a * p.n)
@@ -182,8 +181,6 @@ def test_transform_support_vanishes_below_bn():
 def test_transform_support_for_derivative_routes():
     # the doubled and tripled root blocks push the first nonzero transform
     # coefficient of the V route to (b-2a)n and of the W route to (b-4a)n
-    from irrbounds.forms import _transform_nums
-
     for a, b, n in ((1, 7, 1), (1, 7, 3), (2, 23, 1)):
         p = Params(k=6, a=a, b=b, n=n)
         A = build_A(p)
@@ -250,6 +247,76 @@ def test_eval_rejects_poles():
         eval_UVW(p, QuadRat(0))
     with pytest.raises(DomainError):
         eval_UVW(p, QuadRat(1))
+
+
+# ---------------------------------------------------------------------------
+# the root-multiset path against the dense oracle
+# ---------------------------------------------------------------------------
+
+def _dense_uvw(params, z):
+    """U, V, W by the expanded-polynomial route eval_UVW replaced: build_A,
+    the O(d^2) transform of A^(order)(. - order*an), its radical sum in t,
+    and the power of z in front."""
+    A = build_A(params)
+    t = z / (z - QuadRat(1, 0, z.D))
+    shift = params.a * params.n
+    out = []
+    for order in range(3):
+        nums, den = _transform_nums(derivative(A, order), offset=order * shift)
+        out.append(z ** (order * shift - params.half_bn1)
+                   * _radical_sum(nums, den, t))
+    return tuple(out)
+
+
+def _uvw(params, z):
+    got = eval_UVW(params, z)
+    return got.U, got.V, got.W
+
+
+@st.composite
+def _cells_and_points(draw):
+    k = draw(st.integers(1, 13))
+    a = draw(st.integers(1, 2))
+    b = 4 * a + 1 + 2 * draw(st.integers(0, 4))
+    n = draw(st.sampled_from([1, 3, 5]))
+    D = 2 * k + 1
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    z = draw(st.one_of(
+        st.just(x_point(k)),
+        small.map(QuadRat),
+        st.tuples(small, small).map(lambda uv: QuadRat(uv[0], uv[1], D))))
+    return Params(k=k, a=a, b=b, n=n), z
+
+
+@given(_cells_and_points())
+@example((Params(k=4, a=1, b=7, n=3), x_point(4)))
+@example((Params(k=12, a=1, b=9, n=3), x_point(12)))
+@example((Params(k=12, a=2, b=11, n=1), QuadRat(F(1, 2))))
+@settings(max_examples=40, deadline=None)
+def test_eval_matches_dense_oracle(cell):
+    params, z = cell
+    if not z or z == QuadRat(1):
+        return
+    assert _uvw(params, z) == _dense_uvw(params, z)
+
+
+def test_eval_matches_dense_oracle_at_n31():
+    # the degree-1023 forms behind `verify --k 8 --a 1 --b 13 --n 31`
+    p = Params(k=8, a=1, b=13, n=31)
+    assert _uvw(p, x_point(8)) == _dense_uvw(p, x_point(8))
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 7, 1), (1, 7, 3), (2, 23, 1),
+                                   (1, 13, 5)])
+def test_root_multiset_values_match_dense_derivatives(a, b, n):
+    # every value the walk yields, inside the root blocks and beyond bn
+    p = Params(k=6, a=a, b=b, n=n)
+    A = build_A(p)
+    for order in range(3):
+        poly = derivative(A, order)
+        got = [F(v, scale) for v, scale in _derivative_values(p, order)]
+        start = 1 + order * a * n
+        assert got == [poly(-(start + s)) for s in range(p.degree - order + 1)]
 
 
 # ---------------------------------------------------------------------------
