@@ -12,6 +12,7 @@ the reported digits.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -45,8 +46,16 @@ def digamma(x: Rat, digits: int) -> mp.mpf:
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"digamma requires a positive argument, got {x}")
+    return _psi(x.numerator, x.denominator, digits)
+
+
+@lru_cache(maxsize=None)
+def _psi(num: int, den: int, digits: int) -> mp.mpf:
+    """psi(num/den), once per process for each key: the Omega endpoints of
+    different (a, b) share many arguments.  The key holds the ints of x, not
+    a copy of it, as the memo is the largest one on the bound path."""
     with mp.workdps(digits + 10):
-        return mp.digamma(mp.mpf(x.numerator) / x.denominator)
+        return mp.digamma(mp.mpf(num) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +166,11 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     -1 at hi, for every x in the rational enclosure ``x_bounds``.  By the
     argument above, the unique root beyond b lies in [lo, hi]; if any of
     this fails, PrecisionError.
+
+    :func:`saddle_real` and :func:`saddle_complex` both need this solve, and
+    a cell asks for them in turn, so the last solve is kept, keyed on every
+    exact input: a, b, x as the exact rational the mpf holds, digits, the
+    enclosure and the working precision.
     """
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
@@ -164,16 +178,25 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
     x_lo, x_hi = _derive_x_bounds(x, digits) if x_bounds is None else x_bounds
-    coeffs = c3, c2, _, c0 = _real_cubic_coeffs(a, b, x)
-    z0 = _newton_polish(coeffs, b / (1 - mp.cbrt(x)), digits + 10)
-    zf = _mpf_to_fraction(z0)
-    eps = _mpf_to_fraction(z0 / (2 * mp.mpf(10) ** digits))
-    lo, hi = zf - eps, zf + eps
-    if not (lo > b and _certified_sign(a, b, lo, x_lo, x_hi) == 1
-            and _certified_sign(a, b, hi, x_lo, x_hi) == -1):
-        raise PrecisionError(f"saddle root {z0} beyond b={b} not certified "
-                             f"for x in [{float(x_lo)}, {float(x_hi)}]")
-    return x, z0, -c2 / c3 - z0, -c0 / (c3 * z0)
+    return _certified_solve(a, b, _mpf_to_fraction(x), digits,
+                            Fraction(x_lo), Fraction(x_hi), mp.mp.prec)
+
+
+@lru_cache(maxsize=1)
+def _certified_solve(a: int, b: int, xf: Fraction, digits: int,
+                     x_lo: Fraction, x_hi: Fraction, prec: int):
+    with mp.workprec(prec):
+        x = mp.mpf(xf.numerator) / xf.denominator  # exact: xf is dyadic
+        coeffs = c3, c2, _, c0 = _real_cubic_coeffs(a, b, x)
+        z0 = _newton_polish(coeffs, b / (1 - mp.cbrt(x)), digits + 10)
+        zf = _mpf_to_fraction(z0)
+        eps = _mpf_to_fraction(z0 / (2 * mp.mpf(10) ** digits))
+        lo, hi = zf - eps, zf + eps
+        if not (lo > b and _certified_sign(a, b, lo, x_lo, x_hi) == 1
+                and _certified_sign(a, b, hi, x_lo, x_hi) == -1):
+            raise PrecisionError(f"saddle root {z0} beyond b={b} not certified "
+                                 f"for x in [{float(x_lo)}, {float(x_hi)}]")
+        return x, z0, -c2 / c3 - z0, -c0 / (c3 * z0)
 
 
 def _m_rate(a: int, b: int, z, x) -> mp.mpf:

@@ -25,14 +25,18 @@ from .errors import (DomainError, IntegralityError, NonApplicableError,
                      PrecisionError, SieveCapacityError)
 from .exact_arith import format_int, format_rat
 from .forms import Params
-from .measures import (BoundResult, headline_table, is_degenerate,
+from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
                        table_row, verify_forms)
 from .omega import compute_omega
 
 FORMATS = click.Choice(["text", "csv", "json"])
-# the working-precision floor of omega.n_constants, checked at parse time
-DIGITS = click.IntRange(min=30)
+# the working-precision floor of omega.n_constants and a cap, checked at
+# parse time.  Each bound computes its constants at digits and 2*digits:
+# bound --k 6 --a 1 --b 7 took 0.8 s at 300 digits, 4.0 s at 500 and 47 s at
+# 1000, and table --paper 8.8 s at 500, on a shared 2-core machine.
+MAX_DIGITS = 500
+DIGITS = click.IntRange(min=30, max=MAX_DIGITS)
 PRINT_DIGITS = click.IntRange(min=1)
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
 # verify accepts.  The exact forms cost about d^2.6: 0.2 s at d = 1023, 3.4 s
@@ -40,6 +44,10 @@ PRINT_DIGITS = click.IntRange(min=1)
 # stops a run of about a minute.  As b > 4a, it also keeps each prime sieve
 # below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
+# largest number of (a, b) cells that search accepts.  With --a-max 1 the
+# cap admits b up to 203, and that grid of 100 cells took 23 s at the
+# default digits on the same machine.
+MAX_SEARCH_CELLS = 100
 
 
 def fmt_sig(x, sig: int = 6) -> str:
@@ -256,6 +264,11 @@ def cmd_omega(a, b, digits, print_digits, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_search(k, a_max, b_max, quadratic, digits, print_digits, fmt):
     """Grid-search (a, b) and rank the applicable bounds."""
+    cells = grid_size(a_max, b_max)
+    if cells > MAX_SEARCH_CELLS:
+        raise click.ClickException(
+            f"--a-max {a_max} --b-max {b_max} spans {cells} (a, b) cells, "
+            f"above the cap {MAX_SEARCH_CELLS}")
     results = search_params(k, a_max, b_max, digits, quadratic=quadratic)
     if not results:
         click.echo("no applicable (a, b) on the grid", err=True)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from fractions import Fraction
+
 
 class DomainError(ValueError):
     """Operation applied outside its mathematical domain."""
@@ -18,9 +20,14 @@ class IntegralityError(ArithmeticError):
     """
 
     def __init__(self, quantity: str, value):
+        # imported here: exact_arith imports this module
+        from .exact_arith import format_rat
+
         self.quantity = quantity
         self.value = value
-        super().__init__(f"{quantity} is not an integer: {value}")
+        # format_rat is not cut off at str()'s 4300-digit limit
+        shown = format_rat(value) if isinstance(value, (int, Fraction)) else value
+        super().__init__(f"{quantity} is not an integer: {shown}")
 
 
 class NonApplicableError(ArithmeticError):

@@ -31,10 +31,11 @@ def format_int(x: int) -> str:
 
 
 def format_rat(x: Rat) -> str:
-    """Render as ``num/den`` (plain ``num`` when the denominator is 1)."""
+    """Render as ``num/den`` (plain ``num`` when the denominator is 1),
+    through :func:`format_int`, so without the 4300-digit limit."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return format_int(x.numerator)
+    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
 
 
 def sqrt_bounds(d: int, digits: int) -> tuple[Rat, Rat]:

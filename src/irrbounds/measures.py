@@ -26,7 +26,7 @@ __all__ = [
     "BoundResult", "VerificationRow", "TableRow",
     "mu_bound", "mu2_bound", "verify_forms", "search_params",
     "predicted_decay", "headline_table", "table_row", "HEADLINE_KS",
-    "is_degenerate",
+    "is_degenerate", "grid_size",
 ]
 
 # k values of the headline table, with the parameter choices that produce it:
@@ -227,16 +227,27 @@ def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
 # search and table
 # ---------------------------------------------------------------------------
 
+def _grid_a_max(a_max: int, b_max: int) -> int:
+    """The largest a with a cell on the grid: b > 4a needs 4a < b_max."""
+    return max(0, min(a_max, (b_max - 1) // 4))
+
+
+def grid_size(a_max: int, b_max: int) -> int:
+    """Number of (a, b) cells search_params visits: 1 <= a <= a_max and odd
+    b with 4a < b <= b_max.  Row a holds (b_max+1)//2 - 2a of them, so the
+    count is a closed form and costs nothing for any a_max and b_max."""
+    top = _grid_a_max(a_max, b_max)
+    return top * ((b_max + 1) // 2) - top * (top + 1)
+
+
 def search_params(k: int, a_max: int, b_max: int, digits: int = 60,
                   quadratic: bool = False) -> list[BoundResult]:
     """All applicable (a, b) cells on the grid, ascending by bound; ties break
     toward smaller b, then smaller a."""
     out = []
     fn = mu2_bound if quadratic else mu_bound
-    for a in range(1, a_max + 1):
-        for b in range(4 * a + 1, b_max + 1):
-            if b % 2 == 0:
-                continue
+    for a in range(1, _grid_a_max(a_max, b_max) + 1):
+        for b in range(4 * a + 1, b_max + 1, 2):
             res = fn(k, a, b, digits)
             if res.applicable:
                 out.append(res)

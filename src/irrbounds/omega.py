@@ -135,7 +135,10 @@ class Interval:
 
 
 class IntervalSet:
-    """Sorted, pairwise-disjoint rational-endpoint subintervals of [0, 1)."""
+    """Sorted, pairwise-disjoint rational-endpoint subintervals of [0, 1);
+    immutable, as :func:`compute_omega` shares one instance per (a, b)."""
+
+    intervals: tuple[Interval, ...]
 
     def __init__(self, intervals):
         ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
@@ -148,7 +151,10 @@ class IntervalSet:
         for iv in ivs:
             if iv.lo < 0 or iv.hi > 1 or (iv.hi == 1 and iv.hi_closed):
                 raise DomainError("intervals must lie within [0, 1)")
-        self.intervals: tuple[Interval, ...] = tuple(ivs)
+        object.__setattr__(self, "intervals", tuple(ivs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntervalSet is immutable")
 
     def contains(self, y: Rat) -> bool:
         y = Fraction(y)
@@ -183,11 +189,15 @@ class OmegaReport:
 
 
 def _breakpoints(bound: int) -> list[Fraction]:
-    pts = {Fraction(0)}
-    for m in range(1, bound + 1):
-        for j in range(m):
-            pts.add(Fraction(j, m))
-    return sorted(pts)
+    """The Farey sequence of order ``bound`` on [0, 1): every j/m with
+    m <= bound, ascending, by the next-term recurrence of Farey neighbours."""
+    pts = []
+    p, q, r, s = 0, 1, 1, bound
+    while p < q:
+        pts.append(Fraction(p, q))
+        t = (bound + q) // s
+        p, q, r, s = r, s, t * r - p, t * s - q
+    return pts
 
 
 def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> OmegaReport:
@@ -197,20 +207,28 @@ def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> Omega
     function of y every floor argument is linear with integer coefficient of
     magnitude <= b, so the min is piecewise constant with breakpoints among
     the fractions j/m, m <= b.  Evaluating exact membership at every
-    breakpoint and at one interior point of every gap therefore determines
-    the set, including closure flags.  Both reductions are guarded by the
-    dense-grid oracle tests rather than assumed silently.
+    breakpoint and at one interior point of every gap (the mediant of its
+    ends) therefore determines the set, including closure flags.  Both
+    reductions are guarded by the dense-grid oracle tests rather than
+    assumed silently.  The set depends on (a, b) alone, so it is computed
+    once per process for each (a, b, denominator bound).
     """
     _validate_ab(a, b)
     bound = b if denominator_bound is None else denominator_bound
     if bound < b:
         raise DomainError("denominator bound below b misses breakpoints")
+    return _omega_report(a, b, bound)
+
+
+@lru_cache(maxsize=None)
+def _omega_report(a: int, b: int, bound: int) -> OmegaReport:
     pts = _breakpoints(bound)
     events: list[tuple[Fraction, Fraction, bool, bool]] = []
-    for i, p in enumerate(pts):
+    for p, hi in zip(pts, pts[1:] + [Fraction(1)]):
         events.append((p, p, True, omega_contains(a, b, p)))
-        hi = pts[i + 1] if i + 1 < len(pts) else Fraction(1)
-        events.append((p, hi, False, omega_contains(a, b, (p + hi) / 2)))
+        mediant = Fraction(p.numerator + hi.numerator,
+                           p.denominator + hi.denominator)
+        events.append((p, hi, False, omega_contains(a, b, mediant)))
 
     intervals: list[Interval] = []
     cur: list | None = None  # [lo, hi, lo_closed, hi_closed]
@@ -280,25 +298,31 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
     n/p in [u, v) equal to 1/u - 1/v, restricted to [0, 1/(b-2a)) and with
     components split at the cut.  Both closed forms are certified against
     finite-n sieve oracles in the tests before anything downstream trusts
-    them.
+    them.  The pair is computed once per process for each (a, b, components,
+    digits).
     """
+    _validate_ab(a, b)
+    if digits < 30:
+        raise DomainError("digits must be >= 30")
+    return _n_pair(a, b, omega.intervals, digits)
+
+
+@lru_cache(maxsize=None)
+def _n_pair(a: int, b: int, components: tuple[Interval, ...], digits: int):
     import mpmath as mp
 
     from .asymptotics import digamma
 
-    _validate_ab(a, b)
-    if digits < 30:
-        raise DomainError("digits must be >= 30")
     with mp.workdps(digits + 10):
         psi_total = mp.mpf(0)
-        for iv in omega:
+        for iv in components:
             if iv.lo < iv.hi:
                 psi_total += digamma(iv.hi, digits + 10) - digamma(iv.lo, digits + 10)
         n1 = mp.mpf(b) - psi_total
 
         cut = Fraction(1, b - 2 * a)
         large = mp.mpf(0)
-        for iv in omega:
+        for iv in components:
             if iv.lo >= cut:
                 continue
             hi = min(iv.hi, cut)

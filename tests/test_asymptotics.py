@@ -177,6 +177,7 @@ def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
         return _eval_cubic(coeffs, z)
 
     monkeypatch.setattr(asymptotics, "_eval_cubic", counted)
+    asymptotics._certified_solve.cache_clear()  # the solve must really run
     x, xb = _x_numeric(8, 60)
     saddle_real(1, 13, x, 60, x_bounds=xb)  # one _solve_cubic call
     assert len(calls) == 4 and all(isinstance(z, F) for z in calls)
@@ -190,6 +191,8 @@ def test_saddle_certificate_fails_closed():
     shift, wide = F(1, 10**40), F(1, 10**3)
     for xb in ((x_lo + shift, x_hi + shift), (x_lo, x_lo + wide),
                (x_hi - wide, x_hi)):
+        # a solve certified for the true enclosure must not serve another
+        saddle_real(1, 7, x, 60, x_bounds=(x_lo, x_hi))
         with pytest.raises(PrecisionError):
             saddle_real(1, 7, x, 60, x_bounds=xb)
 
@@ -200,6 +203,7 @@ def test_saddle_certificate_rejects_a_root_below_b(monkeypatch):
     polish = asymptotics._newton_polish
     monkeypatch.setattr(asymptotics, "_newton_polish",
                         lambda coeffs, z, dps: polish(coeffs, mp.mpf(5), dps))
+    asymptotics._certified_solve.cache_clear()  # the solve must really run
     with pytest.raises(PrecisionError):
         saddle_real(1, 7, mp.mpf("0.001"), 40)
 

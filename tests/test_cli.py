@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irrbounds.cli import fmt_sig, main
+from irrbounds.cli import MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
 
 
@@ -135,6 +136,26 @@ def test_verify_integrality_failure_exit_3(capsys, monkeypatch):
     assert "R*U(x_k)" in err
 
 
+def test_integrality_error_renders_past_the_str_digit_limit():
+    exc = IntegralityError("R*U(x_k)", Fraction(7**6000, 3))
+    assert str(exc).startswith("R*U(x_k) is not an integer: 3874")
+    assert str(exc).endswith("/3")
+
+
+def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
+    import irrbounds.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise IntegralityError("R*U(x_k)", Fraction(7**6000, 3))
+
+    monkeypatch.setattr(cli_mod, "verify_forms", boom)
+    code, _, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
+                       "--n", "1")
+    assert code == 3
+    assert err.startswith("integrality failure: R*U(x_k) is not an integer: ")
+    assert len(err.splitlines()) == 1
+
+
 def _verify_n31(k):
     return ["verify", "--k", str(k), "--a", "1", "--b", "13", "--n", "31",
             "--quadratic", "--format", "json"]
@@ -145,6 +166,8 @@ def _verify_n31(k):
     ("verify-n31-k8", _verify_n31(8)),
     ("verify-n31-k10", _verify_n31(10)),
     ("table-paper", ["table", "--paper", "--format", "csv"]),
+    *((f"search-grid-k{k}", ["search", "--k", str(k), "--a-max", "3",
+                             "--b-max", "21"]) for k in (5, 7, 9, 11)),
 ])
 def test_stdout_matches_benchmark_reference(capsys, label, argv):
     code, out, _ = run(capsys, *argv)
@@ -164,6 +187,22 @@ def test_verify_refuses_degree_above_cap_before_any_work(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
                      "--n", "10000001")
     assert code == 1
+
+
+@pytest.mark.parametrize("a_max,b_max", [
+    (1, 2 * MAX_SEARCH_CELLS + 5), (3, 1001), (10**12, 10**12)])
+def test_search_refuses_grid_above_cap_before_any_work(capsys, monkeypatch,
+                                                       a_max, b_max):
+    import irrbounds.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("search started work past its cap")
+
+    monkeypatch.setattr(cli_mod, "search_params", boom)
+    code, out, err = run(capsys, "search", "--k", "7", "--a-max", str(a_max),
+                         "--b-max", str(b_max))
+    assert code == 1
+    assert out == "" and "above the cap" in err
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +302,13 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     ("omega", "--a", "1", "--b", "7", "--print-digits", "0"),
     ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1", "--digits", "10"),
     ("table", "--k", "6", "--digits", "29"),
+    # --digits above the cap, on all five commands
+    *((*argv, "--digits", str(MAX_DIGITS + 1)) for argv in (
+        ("bound", "--k", "6", "--a", "1", "--b", "7"),
+        ("table", "--paper"),
+        ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"),
+        ("omega", "--a", "1", "--b", "7"),
+        ("search", "--k", "6"))),
 ])
 def test_digit_options_rejected_at_parse_time(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -276,19 +322,25 @@ def test_digit_options_rejected_at_parse_time(capsys, argv):
 @given(st.data())
 def test_small_argv_ends_in_documented_exit_code(capsys, data):
     draw = data.draw
-    cmd = draw(st.sampled_from(["bound", "omega", "table", "verify"]))
+    cmd = draw(st.sampled_from(["bound", "omega", "table", "verify", "search"]))
     k = str(draw(st.integers(-1, 13)))
     a = str(draw(st.integers(0, 7)))
     b = str(draw(st.sampled_from([3, 7, 13, 14, 23, 29])))
+    # a search grid of at most 8 cells, or one far above the cap
+    a_max, b_max = draw(st.sampled_from([(2, 13), (1, 9), (0, 7), (-1, 3),
+                                         (3, 8), (7, 10**9)]))
     argv = {"bound": ["bound", "--k", k, "--a", a, "--b", b],
             "omega": ["omega", "--a", a, "--b", b],
             "table": ["table", "--k", k],
             "verify": ["verify", "--k", k, "--a", a, "--b", b, "--n",
-                       draw(st.sampled_from(["1,3", "2", "0", "x", "1", ""]))]}[cmd]
-    if cmd in ("bound", "verify") and draw(st.booleans()):
+                       draw(st.sampled_from(["1,3", "2", "0", "x", "1", ""]))],
+            "search": ["search", "--k", k, "--a-max", str(a_max),
+                       "--b-max", str(b_max)]}[cmd]
+    if cmd in ("bound", "verify", "search") and draw(st.booleans()):
         argv.append("--quadratic")
     if draw(st.booleans()):
-        argv += ["--digits", draw(st.sampled_from(["30", "60", "29", "10", "0", "x"]))]
+        argv += ["--digits", draw(st.sampled_from(
+            ["30", "60", "29", "10", "0", "x", str(MAX_DIGITS + 1), "10000000"]))]
     if draw(st.booleans()):
         argv += ["--print-digits", draw(st.sampled_from(["1", "12", "0", "-3", "x"]))]
     code, _, _ = run(capsys, *argv)

@@ -3,9 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrbounds import (headline_table, mu2_bound, mu_bound,
-                       predicted_decay, search_params, verify_forms)
-from irrbounds.measures import dual_path_ell, is_degenerate
+from irrbounds import (asymptotics, headline_table, mu2_bound, mu_bound,
+                       omega, predicted_decay, search_params, verify_forms)
+from irrbounds.measures import dual_path_ell, grid_size, is_degenerate
+
+# the once-per-key memos of the bound path, one per dependency layer
+MEMOS = (omega._omega_report, omega._n_pair, asymptotics._psi,
+         asymptotics._certified_solve)
+
+
+def _cold(fn, *args):
+    for memo in MEMOS:
+        memo.cache_clear()
+    return fn(*args)
 
 
 def test_mu_bound_table_spots():
@@ -120,3 +130,44 @@ def test_headline_table_shape():
     assert abs(float(k10.mu.bound) - 3.45356) < 1e-4
     assert abs(float(k10.mu2.bound) - 10.0339) < 1e-3
     assert all(t.mu2 is None for t in table if t.k in (3, 5, 7, 9, 11))
+
+
+def test_headline_table_computes_each_constant_once_per_key():
+    # 13 cells over 3 distinct (a, b), each cell at 60 and 120 digits
+    cold = _cold(headline_table, 60)
+    assert omega._omega_report.cache_info().misses == 3
+    assert omega._n_pair.cache_info().misses == 6
+    assert asymptotics._certified_solve.cache_info().misses == 26
+    psi = asymptotics._psi.cache_info()
+    assert psi.misses == psi.currsize and psi.hits > 0
+    assert headline_table(60) == cold  # served from the memos
+
+
+def test_ladder_rungs_share_no_digit_dependent_value():
+    # mu_bound at 60 digits fills the memos at 60 and 120 digits; a following
+    # call at 120 digits must still equal its own cold run
+    warm60 = _cold(mu_bound, 6, 1, 7, 60)
+    warm120 = mu_bound(6, 1, 7, 120)
+    assert warm60 == _cold(mu_bound, 6, 1, 7, 60)
+    assert warm120 == _cold(mu_bound, 6, 1, 7, 120)
+
+
+def test_digamma_runs_once_per_argument(monkeypatch):
+    calls = []
+    digamma = mp.digamma
+
+    def counted(x):
+        calls.append(x)
+        return digamma(x)
+
+    monkeypatch.setattr(mp, "digamma", counted)
+    _cold(search_params, 7, 3, 21)
+    assert len(calls) == asymptotics._psi.cache_info().currsize == 260
+
+
+def test_grid_size_counts_the_searched_cells():
+    for a_max in range(-1, 8):
+        for b_max in range(-2, 40):
+            cells = sum(1 for a in range(1, a_max + 1)
+                        for b in range(4 * a + 1, b_max + 1) if b % 2)
+            assert grid_size(a_max, b_max) == cells

@@ -7,8 +7,9 @@ import pytest
 from irrbounds import (DomainError, Params, compute_omega, delta_products,
                        floor_sum_min, floor_sum_value, n_constants,
                        omega_contains)
-from irrbounds.omega import (Interval, IntervalSet, certified_grid_check,
-                             finite_n_n1, finite_n_n2, grid_discrepancies)
+from irrbounds.omega import (Interval, IntervalSet, _breakpoints,
+                             certified_grid_check, finite_n_n1, finite_n_n2,
+                             grid_discrepancies)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,19 @@ def test_omega_avoids_low_interval():
 def test_omega_dense_grid_17():
     omega = compute_omega(1, 7).omega
     assert grid_discrepancies(1, 7, 5040, omega) == 0
+
+
+def test_breakpoints_are_the_farey_sequence():
+    for n in range(1, 60):
+        literal = sorted({F(j, m) for m in range(1, n + 1) for j in range(m)})
+        assert _breakpoints(n) == literal
+
+
+def test_omega_is_shared_and_immutable():
+    report = compute_omega(1, 7)
+    assert compute_omega(1, 7) is report
+    with pytest.raises(AttributeError):
+        report.omega.intervals = ()
 
 
 def test_omega_refinement_stability():
