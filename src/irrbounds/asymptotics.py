@@ -2,6 +2,11 @@
 saddle-point cubic whose real and complex roots give the growth and decay
 rates M1 and M2, and the scaling-rate constants K1 and K2.
 
+Digamma comes from Gauss's digamma theorem: one memoised row of cosines and
+log-sines per denominator and working precision serves every argument with
+that denominator, and the precision is part of the row's key, so the two
+rungs of a precision ladder never share a value.
+
 The real saddle root is found by Newton from a proven bound, then two exact
 probes: rational sign evaluations on a tight bracket, certain for every x in
 a rational enclosure, so rounding can never fool them.  Every published value
@@ -40,12 +45,22 @@ def ladder_agrees(lo, hi, digits: int) -> bool:
 # digamma at rational arguments
 # ---------------------------------------------------------------------------
 
+# the largest integer part of x that digamma accepts: psi(x) is psi of the
+# fraction part plus one term 1/t per unit step, so this caps the steps.
+# Omega's endpoints all lie in (0, 1].
+MAX_DIGAMMA_SHIFT = 10_000
+
+
 def digamma(x: Rat, digits: int) -> mp.mpf:
-    """psi(x) for rational x > 0, from mpmath's digamma at digits + 10
-    working digits; the precision ladder of each caller checks the result."""
+    """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1, by Gauss's
+    digamma theorem at digits + 10 working digits; the precision ladder of
+    each caller checks the result."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"digamma requires a positive argument, got {x}")
+    if x.numerator // x.denominator > MAX_DIGAMMA_SHIFT:
+        raise DomainError(f"digamma needs an integer part of at most "
+                          f"{MAX_DIGAMMA_SHIFT}, got {x.numerator // x.denominator}")
     return _psi(x.numerator, x.denominator, digits)
 
 
@@ -53,9 +68,50 @@ def digamma(x: Rat, digits: int) -> mp.mpf:
 def _psi(num: int, den: int, digits: int) -> mp.mpf:
     """psi(num/den), once per process for each key: the Omega endpoints of
     different (a, b) share many arguments.  The key holds the ints of x, not
-    a copy of it, as the memo is the largest one on the bound path."""
+    a copy of it, as the memo is the largest one on the bound path.
+
+    With x = s + p/q, p/q in (0, 1], Gauss's digamma theorem (DLMF 5.4.19)
+    gives, for q > 1,
+
+        psi(p/q) = -gamma - ln 2q - (pi/2) cot(pi p/q)
+                   + sum_{n=1}^{ceil(q/2)-1} cos(2 pi n p/q) ln sin^2(pi n/q),
+
+    psi(1) = -gamma, and psi(x) = psi(p/q) + sum_{j<s} 1/(p/q + j).  Every
+    quantity on the right comes from the row of denominator q, and
+    cot(pi p/q) = +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2.
+    """
+    s = -(-num // den) - 1
+    p = num - s * den
     with mp.workdps(digits + 10):
-        return mp.digamma(mp.mpf(num) / den)
+        # 1 - C_n loses about 2 log2(q) bits to cancellation near n = 0, and
+        # the n-sum and the shift cancel terms of size up to q
+        with mp.extraprec(2 * den.bit_length()):
+            if den == 1:
+                psi = -mp.euler
+            else:
+                cos_row, log_row, base = _gauss_row(den, mp.mp.prec)
+                c_p = cos_row[min(p, den - p)]
+                cot = mp.sqrt((1 + c_p) / (1 - c_p))
+                if 2 * p > den:
+                    cot = -cot
+                psi = base - mp.pi / 2 * cot + mp.fsum(
+                    cos_row[min(n * p % den, -n * p % den)] * ln_sin2
+                    for n, ln_sin2 in enumerate(log_row, 1))
+            psi += mp.fsum(mp.mpf(den) / (p + j * den) for j in range(s))
+        return +psi
+
+
+@lru_cache(maxsize=None)
+def _gauss_row(q: int, prec: int):
+    """(C, L, base) for denominator q > 1 at working precision prec:
+    C_j = cos(2 pi j/q) for j <= q/2, L_n = ln((1 - C_n)/2) = ln sin^2(pi n/q)
+    for 1 <= n < q/2, and base = -gamma - ln 2q.  All the endpoints of one
+    denominator share the row; the key carries the precision, so the rungs of
+    a precision ladder never share a value."""
+    with mp.workprec(prec):
+        cos_row = tuple(mp.cospi(mp.mpf(2 * j) / q) for j in range(q // 2 + 1))
+        log_row = tuple(mp.log((1 - c) / 2) for c in cos_row[1:(q + 1) // 2])
+        return cos_row, log_row, -mp.euler - mp.log(2 * q)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from .omega import compute_omega
 FORMATS = click.Choice(["text", "csv", "json"])
 # the working-precision floor of omega.n_constants and a cap, checked at
 # parse time.  Each bound computes its constants at digits and 2*digits:
-# bound --k 6 --a 1 --b 7 took 0.8 s at 300 digits, 4.0 s at 500 and 47 s at
-# 1000, and table --paper 8.8 s at 500, on a shared 2-core machine.
+# per process, bound --k 6 --a 1 --b 7 takes 0.4-0.5 s at 300 digits and
+# 0.6 s at 500, mu_bound(6, 1, 7, 1000) 0.8-0.9 s, and table --paper
+# 1.7-1.9 s at 500, on a shared 2-core machine.
 MAX_DIGITS = 500
 DIGITS = click.IntRange(min=30, max=MAX_DIGITS)
 PRINT_DIGITS = click.IntRange(min=1)

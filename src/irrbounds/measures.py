@@ -153,27 +153,28 @@ def _coeff_digits(c) -> int:
         format_int(c.denominator))
 
 
-def _alpha_combination(k: int, terms, digits: int) -> mp.mpf:
-    """sum of c * alpha_k^p over exact (c, p) pairs, precise despite
-    cancellation.
+def _alpha_combinations(k: int, combos, digits: int) -> list[mp.mpf]:
+    """each sum of c * alpha_k^p over exact (c, p) pairs, one list of pairs
+    per combination, precise despite cancellation.
 
-    The combination is exponentially small against coefficients of hundreds
+    A combination is exponentially small against coefficients of hundreds
     of digits, so the working precision is raised until two successive
-    evaluations agree to well past ``digits`` significant digits.
+    evaluations of every combination agree to well past ``digits``
+    significant digits.  One alpha per level serves all of them.
     """
-    terms = [(Fraction(c), p) for c, p in terms]
-    dps = max(_coeff_digits(c) for c, _ in terms) + digits + 20
+    combos = [[(Fraction(c), p) for c, p in terms] for terms in combos]
+    dps = max(_coeff_digits(c) for terms in combos for c, _ in terms) + digits + 20
     prev = None
     for _ in range(48):
         alpha = alpha_value(k, dps)
         with mp.workdps(dps):
-            val = mp.fsum(mp.mpf(c.numerator) / c.denominator * alpha**p
-                          for c, p in terms)
-        if prev is not None and val != 0:
-            with mp.workdps(dps):
-                if mp.fabs(prev / val - 1) < mp.mpf(10) ** (-(digits + 10)):
-                    return val
-        prev = val
+            vals = [mp.fsum(mp.mpf(c.numerator) / c.denominator * alpha**p
+                            for c, p in terms) for terms in combos]
+            tol = mp.mpf(10) ** (-(digits + 10))
+            if prev is not None and all(val != 0 and mp.fabs(old / val - 1) < tol
+                                        for old, val in zip(prev, vals)):
+                return vals
+        prev = vals
         dps *= 2
     raise PrecisionError(f"alpha combination did not stabilize for k={k}")
 
@@ -191,8 +192,8 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
         uvw = eval_UVW(params, x_point(k))
         delta, delta1 = delta_products(params, sieve)
         forms = scaled_integer_forms(params, uvw, delta, delta1)
-        ell = _alpha_combination(k, [(forms.P, 1), (forms.Q, 0)], digits)
-        m = _alpha_combination(k, [(forms.X, 2), (forms.Z, 0)], digits)
+        ell, m = _alpha_combinations(
+            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits)
         if ell == 0 or m == 0:
             raise PrecisionError(f"form vanished exactly at n={n}; "
                                  "this contradicts irrationality")
@@ -219,8 +220,8 @@ def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
     _, s_factor, _ = scaling_factors(params)
     scale = s_factor * Fraction(d_upto(b * n), delta)
     sq_v = QuadRat.sqrt_d(2 * k + 1) * uvw.V
-    return _alpha_combination(
-        k, [(scale * uvw.U.u, 1), (-scale * sq_v.u, 0)], digits)
+    return _alpha_combinations(
+        k, [[(scale * uvw.U.u, 1), (-scale * sq_v.u, 0)]], digits)[0]
 
 
 # ---------------------------------------------------------------------------

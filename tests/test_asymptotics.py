@@ -61,11 +61,29 @@ def _gauss_digamma(x):
 @pytest.mark.parametrize("x", [F(1, 6), F(3, 7), F(5, 2), F(19, 4), F(101),
                                F(1, 23), F(22, 23)])
 def test_digamma_against_mpmath(x):
-    # digamma is mpmath's, so the reference is Gauss's closed form instead
+    # the reference transcribes Gauss's theorem directly, with no shared row
     for digits in (40, 80):
         with mp.workdps(digits + 15):
             ref = _gauss_digamma(x)
             assert mp.fabs(digamma(x, digits) - ref) < mp.mpf(10) ** -(digits - 1)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 200), st.data(), st.sampled_from([30, 60, 120, 300]))
+def test_digamma_matches_mpmath_digamma(den, data, digits):
+    num = data.draw(st.integers(1, 10 * den))
+    psi = digamma(F(num, den), digits)
+    with mp.workdps(digits + 30):
+        ref = mp.digamma(mp.mpf(num) / den)
+        assert mp.fabs(psi - ref) <= mp.mpf(10) ** -(digits + 5) * max(1, mp.fabs(ref))
+
+
+def test_digamma_refuses_integer_part_above_cap():
+    cap = asymptotics.MAX_DIGAMMA_SHIFT
+    with pytest.raises(DomainError):
+        digamma(F(cap + 1), 40)
+    with pytest.raises(DomainError):
+        digamma(cap + 1 + F(1, 3), 40)
 
 
 def test_digamma_domain():

@@ -270,6 +270,40 @@ def test_displayed_value_stable_across_working_precision(capsys):
     assert out60 == out100
 
 
+def _zero_padded(value: str, sig: int) -> str:
+    return value + "0" * (sig - sum(ch.isdigit() for ch in value))
+
+
+def test_high_precision_stdout_pinned(capsys):
+    # stdout recorded before psi moved to Gauss's digamma theorem; fmt_sig
+    # renders each value through a 53-bit mpf, so the digits past the
+    # double's expansion are zeros (test_measures pins the full values)
+    bound = [_zero_padded(v, 480) for v in (
+        "3.514333682504972689031319532659836113452911376953125",
+        "24.06843690004583180552799603901803493499755859375",
+        "-8.53589601706113398904562927782535552978515625",
+        "-2.746530721670274122203636579797603189945220947265625",
+        "2.004897664182343941519093277747742831707000732421875")]
+    code, out, _ = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7",
+                       "--digits", "500", "--print-digits", "480")
+    assert code == 0
+    assert out == (f"mu(alpha_6) <= {bound[0]}   (a=1, b=7)\n"
+                   f"  M1 = {bound[1]}   M2 = {bound[2]}   K = {bound[3]}   "
+                   f"N = {bound[4]}\n")
+    quad = [_zero_padded(v, 280) for v in (
+        "10.90564530240491336599006899632513523101806640625",
+        "59.058633223985196991634438745677471160888671875",
+        "-18.36702024838299251996431848965585231781005859375",
+        "-6.23832462503950768706317830947227776050567626953125",
+        "17.505750917685258372102907742373645305633544921875")]
+    code, out, _ = run(capsys, "bound", "--k", "8", "--a", "1", "--b", "13",
+                       "--quadratic", "--digits", "300", "--print-digits", "280")
+    assert code == 0
+    assert out == (f"mu2(alpha_8) <= {quad[0]}   (a=1, b=13)\n"
+                   f"  M1 = {quad[1]}   M2 = {quad[2]}   K = {quad[3]}   "
+                   f"N = {quad[4]}\n")
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 # ---------------------------------------------------------------------------

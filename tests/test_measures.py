@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrbounds import (asymptotics, headline_table, mu2_bound, mu_bound,
-                       omega, predicted_decay, search_params, verify_forms)
+from irrbounds import (alpha_value, asymptotics, headline_table, mu2_bound,
+                       mu_bound, omega, predicted_decay, search_params,
+                       verify_forms)
 from irrbounds.measures import dual_path_ell, grid_size, is_degenerate
 
 # the once-per-key memos of the bound path, one per dependency layer
 MEMOS = (omega._omega_report, omega._n_pair, asymptotics._psi,
-         asymptotics._certified_solve)
+         asymptotics._gauss_row, asymptotics._certified_solve)
 
 
 def _cold(fn, *args):
@@ -100,6 +101,23 @@ def test_dual_path_ell_agreement():
         assert rel < mp.mpf(10) ** (-(digits - 10))
 
 
+def test_one_alpha_ladder_serves_both_forms(monkeypatch):
+    # ell and m share each alpha of the doubling ladder: three levels, not
+    # three for ell and three more for m
+    from irrbounds import measures
+
+    calls = []
+
+    def counted(k, dps):
+        calls.append(dps)
+        return alpha_value(k, dps)
+
+    monkeypatch.setattr(measures, "alpha_value", counted)
+    row = verify_forms(8, 1, 13, [31])[0]
+    assert calls == [1038, 2076, 4152]
+    assert row.ell != 0 and row.m != 0
+
+
 def test_verify_rejects_even_n():
     with pytest.raises(ValueError):
         verify_forms(6, 1, 7, [2])
@@ -153,16 +171,57 @@ def test_ladder_rungs_share_no_digit_dependent_value():
 
 
 def test_digamma_runs_once_per_argument(monkeypatch):
-    calls = []
-    digamma = mp.digamma
+    # psi comes from Gauss's theorem: production never calls mp.digamma, each
+    # of the 260 endpoints is computed once, and the 19 denominators share
+    # one cosine row per ladder rung
+    def refused(*args, **kwargs):
+        raise AssertionError("mp.digamma called on the bound path")
 
-    def counted(x):
-        calls.append(x)
-        return digamma(x)
-
-    monkeypatch.setattr(mp, "digamma", counted)
+    monkeypatch.setattr(mp, "digamma", refused)
     _cold(search_params, 7, 3, 21)
-    assert len(calls) == asymptotics._psi.cache_info().currsize == 260
+    psi = asymptotics._psi.cache_info()
+    assert psi.misses == psi.currsize == 260
+    assert asymptotics._gauss_row.cache_info().currsize == 38
+
+
+def _digits(value, sig):
+    with mp.workdps(sig + 20):
+        return mp.nstr(value, sig, strip_zeros=False)
+
+
+def test_high_precision_bounds_pinned():
+    # recorded with mp.digamma in the bound path; all the digits printed here
+    # must survive any change to how psi, the saddle or K are computed
+    res = _cold(mu_bound, 6, 1, 7, 500)
+    assert _digits(res.bound, 480) == (
+        "3.51433368250497276720812758589870508006296216671696362453562617501412"
+        "2169535978304040760706770022101686348944172789239849659043323649372586"
+        "0755635231280289961006415756010582987099759704558010018212728261255163"
+        "4767996061423496992015218045843384873656761416260952333834446174687386"
+        "0945990679835188921649457216542863242156717530247880316070600673667149"
+        "9340375752820728385630900938897082454752407762634310253308342346157112"
+        "4945316989636277179171072382983770490458073848074053169741323")
+    assert _digits(res.N, 480) == (
+        "2.00489766418234388744925765881385175892937370225142009899050050043865"
+        "0039200789137305852754633159707141146734807773883546146334909549460727"
+        "0542449274810158962640688369879957064401747560198645923169760158228827"
+        "5037232825761993322775619681703869916321658815562218835627534902665006"
+        "8566800173230074179578070862976299256554359559247168596402567423489922"
+        "7418233504841017822881804716856957376130762889361661162810384889056375"
+        "4845714531500435892474220028925492991771069136003686331331703")
+    res = _cold(mu2_bound, 8, 1, 13, 300)
+    assert _digits(res.bound, 280) == (
+        "10.9056453024049136393626748869951907340657701924096346945638458202005"
+        "9905814268564922935212526775832434037798794834338727265093858345232390"
+        "4375611356209279841961087680067685707702072654820172258010964949321383"
+        "0278243834287087831947475954718192408141038281594849675078113637502411"
+        "9")
+    assert _digits(res.N, 280) == (
+        "17.5057509176852568644391791080274711604601731246674985105158775711677"
+        "8626729852286659039736737942314276487295905503348748706256873457694102"
+        "0101458273484030928886155697134655425735369193785317099842702375629931"
+        "9881781530384578584014477492441362885986456209462995153913003771441745"
+        "8")
 
 
 def test_grid_size_counts_the_searched_cells():
