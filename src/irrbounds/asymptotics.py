@@ -12,6 +12,10 @@ probes: rational sign evaluations on a tight bracket, certain for every x in
 a rational enclosure, so rounding can never fool them.  Every published value
 carries a precision ladder: recomputation at twice the digits must agree to
 the reported digits.
+
+alpha_value is alpha_k by mpmath's log, the reference the tests hold the
+production route to: verify encloses alpha_k by a fixed-point integer sum
+(measures._alpha_fixed) and never calls it.
 """
 
 from __future__ import annotations
@@ -119,7 +123,8 @@ def _gauss_row(q: int, prec: int):
 # ---------------------------------------------------------------------------
 
 def alpha_value(k: int, digits: int) -> mp.mpf:
-    """alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)), negative."""
+    """alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)), negative;
+    the test oracle for the fixed-point enclosure of measures._alpha_fixed."""
     if k < 1:
         raise DomainError("k must be >= 1")
     with mp.workdps(digits + 10):

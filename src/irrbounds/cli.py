@@ -3,12 +3,16 @@
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes: 0 success, 1 usage/validation error,
 2 inapplicable parameters, 3 integrality verification failure, 4 precision
-failure (a precision ladder or a root certificate did not hold).
+failure (a precision ladder or a root certificate did not hold, or the
+enclosure of a form in alpha_k was still too wide after its last pass).
+--print-digits above --digits - 5, more digits than the ladder checks, is a
+usage error (exit 1), refused before any work.
 
 All numeric output is fixed-format at a requested number of significant
-digits (6 by default, the table precision), so identical invocations are
-byte-identical and diffable.  Exact rationals are serialized as "num/den"
-strings, never floats.
+digits (6 by default, the table precision), rendered from all the bits of
+each value's own precision, so identical invocations are byte-identical and
+diffable.  Exact rationals are serialized as "num/den" strings, never
+floats.
 """
 
 from __future__ import annotations
@@ -52,12 +56,23 @@ MAX_SEARCH_CELLS = 100
 
 
 def fmt_sig(x, sig: int = 6) -> str:
-    """Fixed rendering of an mpf at ``sig`` significant digits."""
+    """Fixed rendering of an mpf at ``sig`` significant digits, from all the
+    bits of its own precision."""
     if x is None:
         return ""
     if mp.isnan(x) or mp.isinf(x):
         return str(x)
-    return mp.nstr(mp.mpf(x), sig, strip_zeros=False)
+    return mp.nstr(x, sig, strip_zeros=False)
+
+
+def _check_print_digits(print_digits: int, digits: int) -> None:
+    """Refuse, before any work, to print digits the precision ladder does
+    not check: it compares each value at digits and 2*digits to digits-5
+    places."""
+    if print_digits > digits - 5:
+        raise click.ClickException(
+            f"--print-digits {print_digits} is above --digits {digits} - 5 = "
+            f"{digits - 5}, the digits the precision ladder checks")
 
 
 def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
@@ -99,6 +114,7 @@ def cli() -> None:
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_bound(k, a, b, quadratic, digits, print_digits, fmt):
     """Compute one measure bound for alpha_k with parameters (a, b)."""
+    _check_print_digits(print_digits, digits)
     res = (mu2_bound if quadratic else mu_bound)(k, a, b, digits)
     row = _bound_row(res, print_digits)
     if fmt == "json":
@@ -111,8 +127,10 @@ def cmd_bound(k, a, b, quadratic, digits, print_digits, fmt):
             click.echo(f"note: 2k+1 = {2*k+1} is a perfect square; alpha_{k} "
                        "is a rational multiple of the log of a rational")
         if not res.applicable:
+            with mp.workdps(digits + 10):
+                total = res.M2 + res.K + res.N
             click.echo(f"{label}(alpha_{k}) bound not applicable at "
-                       f"a={a}, b={b}: M2+K+N = {fmt_sig(res.M2 + res.K + res.N, print_digits)} >= 0")
+                       f"a={a}, b={b}: M2+K+N = {fmt_sig(total, print_digits)} >= 0")
         else:
             click.echo(f"{label}(alpha_{k}) <= {fmt_sig(res.bound, print_digits)}   "
                        f"(a={a}, b={b})")
@@ -148,6 +166,7 @@ def _bound_row(res: BoundResult, sig: int) -> dict:
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_table(paper, single_k, digits, print_digits, fmt):
     """Tabulate bounds over k with the table's parameter choices."""
+    _check_print_digits(print_digits, digits)
     if paper == (single_k is not None):
         raise click.UsageError("pass exactly one of --paper or --k")
     rows = []
@@ -184,6 +203,7 @@ def cmd_table(paper, single_k, digits, print_digits, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
     """Run the exact integrality pipeline and report the form decay."""
+    _check_print_digits(print_digits, digits)
     try:
         ns = [int(s) for s in n_list.split(",") if s.strip()]
     except ValueError as exc:
@@ -225,6 +245,7 @@ def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_omega(a, b, digits, print_digits, fmt):
     """Print the certifying set as exact fraction intervals."""
+    _check_print_digits(print_digits, digits)
     from .omega import n_constants
 
     report = compute_omega(a, b)
@@ -265,6 +286,7 @@ def cmd_omega(a, b, digits, print_digits, fmt):
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_search(k, a_max, b_max, quadratic, digits, print_digits, fmt):
     """Grid-search (a, b) and rank the applicable bounds."""
+    _check_print_digits(print_digits, digits)
     cells = grid_size(a_max, b_max)
     if cells > MAX_SEARCH_CELLS:
         raise click.ClickException(

@@ -35,5 +35,7 @@ class NonApplicableError(ArithmeticError):
 
 
 class PrecisionError(ArithmeticError):
-    """A precision-ladder recomputation disagreed with the reported value, or
-    an exact root certificate did not hold."""
+    """A precision-ladder recomputation disagreed with the reported value, an
+    exact root certificate did not hold, or the enclosure of a form in
+    alpha_k was still too wide for the requested digits after its last
+    pass."""

@@ -185,12 +185,13 @@ def _pole_sum(values, delta: int, z: QuadRat, t: QuadRat) -> QuadRat:
     gu, gv, ku, kv = int(g0.u), int(g0.v), int(k.u), int(k.v)
     zu, zv = zu * td, zv * td
     sums: dict[int, list[int]] = {}
-    binom = 1
     for s, (v, scale) in enumerate(values):
         if s:
-            binom = binom * (delta + 2 - s) // s
-            gu, gv = ((-zu * gu - D * zv * gv - binom * ku) // step,
-                      (-zu * gv - zv * gu - binom * kv) // step)
+            # ku, kv carry the factor C(delta+1, s); the division is exact,
+            # as C(delta+1, s-1) (delta+2-s) = s C(delta+1, s)
+            ku, kv = ku * (delta + 2 - s) // s, kv * (delta + 2 - s) // s
+            gu, gv = ((-zu * gu - D * zv * gv - ku) // step,
+                      (-zu * gv - zv * gu - kv) // step)
         if v:
             if s & 1:
                 v = -v

@@ -4,20 +4,26 @@ integrality and decay claims, and the small parameter-space search.
 
 Applicability (the sign condition on the decay rate) is a data outcome, not
 an exception: searches iterate past inapplicable cells.
+
+The form values ell = P alpha_k + Q and m = X alpha_k^2 + Z are certified,
+not checked by agreement: one fixed-point integer sum encloses alpha_k * 2^M
+with a proven radius, the forms become integer enclosures, and each is
+accepted only when it is narrow enough for digits + 10 digits and excludes
+0.  No mpmath enters until the accepted center is rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import mpmath as mp
 
-from .asymptotics import (alpha_value, k_constants, ladder_agrees,
-                          saddle_complex, saddle_real)
+from .asymptotics import (k_constants, ladder_agrees, saddle_complex,
+                          saddle_real)
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import PrimeSieve, QuadRat, format_int, sqrt_bounds
+from .exact_arith import PrimeSieve, QuadRat, sqrt_bounds
 from .forms import (IntegerForms, Params, eval_UVW, scaled_integer_forms,
                     x_point)
 from .omega import compute_omega, delta_products, n_constants
@@ -147,44 +153,96 @@ def predicted_decay(k: int, a: int, b: int, digits: int = 60):
 # finite-n verification harness
 # ---------------------------------------------------------------------------
 
-def _coeff_digits(c) -> int:
-    c = Fraction(c)
-    return len(format_int(abs(c.numerator))) + len(
-        format_int(c.denominator))
+# passes of the alpha-enclosure loop before a form counts as unresolved
+MAX_ALPHA_PASSES = 8
+
+
+def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
+    """(A, E) with |alpha_k * 2^bits - A| < E, from one fixed-point sum.
+
+    With D = 2k+1 and t = 1/sqrt(D), ln((1-t)/(1+t)) = -2 atanh(t), so
+    alpha_k = -2 sum_{j>=0} 1/((2j+1) D^j).  Here term_j = term_(j-1) // D
+    from term_0 = 2^bits, and A = -2 sum_{j<J} term_j // (2j+1), where J is
+    the number of nonzero terms.  Nested floors compose, so term_j is the
+    floor of 2^bits / D^j; with the floor of the quotient by 2j+1, each of
+    the two floors of a term loses less than 1, and each of the J summands
+    is within 2 of
+    2^bits / ((2j+1) D^j).  The tail j >= J sums to less than 2, because
+    term_J = 0 makes 2^bits / D^J < 1 and D >= 3 sums the geometric rest to
+    under 3/2.  So A / (-2) is within 2J + 2 of alpha_k 2^bits / (-2), and
+    |alpha_k 2^bits - A| < 4(J + 1) = E.
+    """
+    d = 2 * k + 1
+    term, total, j = 1 << bits, 0, 0
+    while term:
+        total += term // (2 * j + 1)
+        term //= d
+        j += 1
+    return -2 * total, 4 * (j + 1)
 
 
 def _alpha_combinations(k: int, combos, digits: int) -> list[mp.mpf]:
-    """each sum of c * alpha_k^p over exact (c, p) pairs, one list of pairs
-    per combination, precise despite cancellation.
+    """each sum of c * alpha_k^p over exact (c, p) pairs, p in {0, 1, 2},
+    one list of pairs per combination, certified to 10^-(digits+10)
+    relative and nonzero, rounded to digits + 10 digits.
 
-    A combination is exponentially small against coefficients of hundreds
-    of digits, so the working precision is raised until two successive
-    evaluations of every combination agree to well past ``digits``
-    significant digits.  One alpha per level serves all of them.
+    A combination is exponentially small against coefficients of thousands
+    of bits.  Its coefficients c are scaled to integers by the lcm L of
+    their denominators, and with top its largest p and (A, E) the enclosure
+    of alpha_k * 2^bits, its value times L 2^(top bits) lies within
+        radius = sum |c| ((|A| + E)^p - |A|^p) 2^((top-p) bits)
+    of
+        center = sum c A^p 2^((top-p) bits),
+    as |x^p - A^p| <= (|A| + E)^p - |A|^p when |x - A| <= E.  It is
+    accepted when radius * 10^(digits+10) < |center| - radius, which also
+    certifies that the value is not 0, and center / (L 2^(top bits)) is
+    rounded.  Otherwise bits grows by the shortfall read from the bit
+    lengths of center and radius, plus 16 bits as E grows with bits, and by
+    at least twice its last growth: while the enclosure still holds 0, the
+    center is noise and that reading is only a lower bound.  After
+    MAX_ALPHA_PASSES passes PrecisionError is raised.
     """
-    combos = [[(Fraction(c), p) for c, p in terms] for terms in combos]
-    dps = max(_coeff_digits(c) for terms in combos for c, _ in terms) + digits + 20
-    prev = None
-    for _ in range(48):
-        alpha = alpha_value(k, dps)
-        with mp.workdps(dps):
-            vals = [mp.fsum(mp.mpf(c.numerator) / c.denominator * alpha**p
-                            for c, p in terms) for terms in combos]
-            tol = mp.mpf(10) ** (-(digits + 10))
-            if prev is not None and all(val != 0 and mp.fabs(old / val - 1) < tol
-                                        for old, val in zip(prev, vals)):
-                return vals
-        prev = vals
-        dps *= 2
-    raise PrecisionError(f"alpha combination did not stabilize for k={k}")
+    scaled = []
+    for terms in combos:
+        terms = [(Fraction(c), p) for c, p in terms]
+        den = lcm(*(c.denominator for c, _ in terms))
+        ints = [(c.numerator * (den // c.denominator), p) for c, p in terms]
+        scaled.append((den, max(p for _, p in ints), ints))
+    scale = 10 ** (digits + 10)
+    need = scale.bit_length() + 2  # 2^need > 4 * scale
+    bits = (max(abs(c).bit_length() for *_, terms in scaled for c, _ in terms)
+            + scale.bit_length() + 64)
+    grow = 0
+    for _ in range(MAX_ALPHA_PASSES):
+        a, e = _alpha_fixed(k, bits)
+        wide = [0, e, (abs(a) + e) ** 2 - a * a]
+        vals, shortfall = [], 0
+        for den, top, terms in scaled:
+            center = sum(c * (a ** p) << (top - p) * bits for c, p in terms)
+            radius = sum(abs(c) * wide[p] << (top - p) * bits for c, p in terms)
+            if radius * scale < abs(center) - radius:
+                vals.append(mp.ldexp(mp.fdiv(center, den, dps=digits + 10),
+                                     -top * bits))
+            else:
+                shortfall = max(shortfall, radius.bit_length() + need
+                                - center.bit_length())
+        if len(vals) == len(scaled):
+            return vals
+        grow = max(shortfall + 16, 2 * grow)
+        bits += grow
+    raise PrecisionError(f"the enclosure of a form in alpha_{k} is still too "
+                         f"wide for {digits} digits after {MAX_ALPHA_PASSES} "
+                         "passes")
 
 
 def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
                  sieve: PrimeSieve | None = None) -> list[VerificationRow]:
     """Exact integer forms and high-precision form values for each odd n.
 
-    Integrality violations raise IntegralityError naming the quantity; a
-    vanishing linear form would falsify the machinery and raises too.
+    Integrality violations raise IntegralityError naming the quantity.  ell
+    and m come from certified enclosures that exclude 0; a form whose
+    enclosure stays too wide, as a vanishing form would, raises
+    PrecisionError.
     """
     rows = []
     for n in n_list:
@@ -194,9 +252,6 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
         forms = scaled_integer_forms(params, uvw, delta, delta1)
         ell, m = _alpha_combinations(
             k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits)
-        if ell == 0 or m == 0:
-            raise PrecisionError(f"form vanished exactly at n={n}; "
-                                 "this contradicts irrationality")
         with mp.workdps(digits + 10):
             rows.append(VerificationRow(
                 n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,

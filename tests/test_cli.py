@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from irrbounds.cli import MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
+from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 
 # the benchmark's recorded stdout, read here and never rewritten
@@ -270,38 +271,31 @@ def test_displayed_value_stable_across_working_precision(capsys):
     assert out60 == out100
 
 
-def _zero_padded(value: str, sig: int) -> str:
-    return value + "0" * (sig - sum(ch.isdigit() for ch in value))
+def test_not_applicable_sum_at_working_precision(capsys):
+    # M2+K+N is summed at the working digits, not at 53 bits; the digits
+    # agree with the sum of mu2_bound(3, 1, 7, 120)'s constants
+    code, out, _ = run(capsys, "bound", "--k", "3", "--a", "1", "--b", "7",
+                       "--quadratic", "--print-digits", "50")
+    assert code == 2
+    assert out == ("mu2(alpha_3) bound not applicable at a=1, b=7: M2+K+N = "
+                   "2.9382935790758548366557872174101604242928458714335 >= 0\n")
 
 
 def test_high_precision_stdout_pinned(capsys):
-    # stdout recorded before psi moved to Gauss's digamma theorem; fmt_sig
-    # renders each value through a 53-bit mpf, so the digits past the
-    # double's expansion are zeros (test_measures pins the full values)
-    bound = [_zero_padded(v, 480) for v in (
-        "3.514333682504972689031319532659836113452911376953125",
-        "24.06843690004583180552799603901803493499755859375",
-        "-8.53589601706113398904562927782535552978515625",
-        "-2.746530721670274122203636579797603189945220947265625",
-        "2.004897664182343941519093277747742831707000732421875")]
-    code, out, _ = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7",
-                       "--digits", "500", "--print-digits", "480")
-    assert code == 0
-    assert out == (f"mu(alpha_6) <= {bound[0]}   (a=1, b=7)\n"
-                   f"  M1 = {bound[1]}   M2 = {bound[2]}   K = {bound[3]}   "
-                   f"N = {bound[4]}\n")
-    quad = [_zero_padded(v, 280) for v in (
-        "10.90564530240491336599006899632513523101806640625",
-        "59.058633223985196991634438745677471160888671875",
-        "-18.36702024838299251996431848965585231781005859375",
-        "-6.23832462503950768706317830947227776050567626953125",
-        "17.505750917685258372102907742373645305633544921875")]
-    code, out, _ = run(capsys, "bound", "--k", "8", "--a", "1", "--b", "13",
-                       "--quadratic", "--digits", "300", "--print-digits", "280")
-    assert code == 0
-    assert out == (f"mu2(alpha_8) <= {quad[0]}   (a=1, b=13)\n"
-                   f"  M1 = {quad[1]}   M2 = {quad[2]}   K = {quad[3]}   "
-                   f"N = {quad[4]}\n")
+    # each value is rendered from its own precision, so stdout carries the
+    # digits test_measures pins in the library
+    for argv, label, pinned in (
+            (("bound", "--k", "6", "--a", "1", "--b", "7", "--digits", "500",
+              "--print-digits", "480"), "mu(alpha_6)", MU_6_1_7),
+            (("bound", "--k", "8", "--a", "1", "--b", "13", "--quadratic",
+              "--digits", "300", "--print-digits", "280"), "mu2(alpha_8)",
+             MU2_8_1_13)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        a, b = argv[4], argv[6]
+        assert out == (f"{label} <= {pinned['bound']}   (a={a}, b={b})\n"
+                       f"  M1 = {pinned['M1']}   M2 = {pinned['M2']}   "
+                       f"K = {pinned['K']}   N = {pinned['N']}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +322,45 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "precision failure: saddle root not certified\n"
+
+
+def test_alpha_enclosure_too_wide_exit_4(capsys, monkeypatch):
+    # one pass of the alpha enclosure at its starting width cannot certify
+    # the forms at n = 31
+    monkeypatch.setattr("irrbounds.measures.MAX_ALPHA_PASSES", 1)
+    code, out, err = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
+                         "--n", "31")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("precision failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--k", "6", "--a", "1", "--b", "7"),
+    ("table", "--paper"),
+    ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"),
+    ("omega", "--a", "1", "--b", "7"),
+    ("search", "--k", "6", "--a-max", "7", "--b-max", str(10**9)),
+])
+@pytest.mark.parametrize("digit_opts", [
+    ("--print-digits", "56"),
+    ("--digits", "30", "--print-digits", "26"),
+    ("--digits", str(MAX_DIGITS), "--print-digits", "1000000"),
+])
+def test_print_digits_above_checked_digits_rejected(capsys, argv, digit_opts):
+    # more printed digits than the ladder checks (digits - 5) is refused
+    # before any work, even ahead of the search grid cap
+    code, out, err = run(capsys, *argv, *digit_opts)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("Error: --print-digits ") and err.count("\n") == 1
+
+
+def test_print_digits_at_checked_digits_accepted(capsys):
+    code, out, _ = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7",
+                       "--digits", "30", "--print-digits", "25")
+    assert code == 0
+    assert out.startswith("mu(alpha_6) <= 3.514333682504972767208128   ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,10 +405,19 @@ def test_small_argv_ends_in_documented_exit_code(capsys, data):
                        "--b-max", str(b_max)]}[cmd]
     if cmd in ("bound", "verify", "search") and draw(st.booleans()):
         argv.append("--quadratic")
+    digits = print_digits = None
     if draw(st.booleans()):
-        argv += ["--digits", draw(st.sampled_from(
-            ["30", "60", "29", "10", "0", "x", str(MAX_DIGITS + 1), "10000000"]))]
+        digits = draw(st.sampled_from(
+            ["30", "60", "29", "10", "0", "x", str(MAX_DIGITS + 1), "10000000"]))
+        argv += ["--digits", digits]
     if draw(st.booleans()):
-        argv += ["--print-digits", draw(st.sampled_from(["1", "12", "0", "-3", "x"]))]
+        # 26 and 56 lie just above the checked digits at 30 and 60
+        print_digits = draw(st.sampled_from(
+            ["1", "12", "0", "-3", "x", "26", "56", "1000000"]))
+        argv += ["--print-digits", print_digits]
     code, _, _ = run(capsys, *argv)
     assert code in (0, 1, 2, 3, 4), (argv, code)
+    if (print_digits is not None and print_digits.isdigit()
+            and (digits is None or digits.isdigit())
+            and int(print_digits) > int(digits or 60) - 5):
+        assert code == 1, (argv, code)

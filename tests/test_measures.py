@@ -1,12 +1,17 @@
+import sys
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import (alpha_value, asymptotics, headline_table, mu2_bound,
-                       mu_bound, omega, predicted_decay, search_params,
-                       verify_forms)
+from irrbounds import (alpha_value, asymptotics, headline_table, measures,
+                       mu2_bound, mu_bound, omega, predicted_decay,
+                       search_params, verify_forms)
+from irrbounds.errors import PrecisionError
 from irrbounds.measures import dual_path_ell, grid_size, is_degenerate
+from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 # the once-per-key memos of the bound path, one per dependency layer
 MEMOS = (omega._omega_report, omega._n_pair, asymptotics._psi,
@@ -101,21 +106,71 @@ def test_dual_path_ell_agreement():
         assert rel < mp.mpf(10) ** (-(digits - 10))
 
 
-def test_one_alpha_ladder_serves_both_forms(monkeypatch):
-    # ell and m share each alpha of the doubling ladder: three levels, not
-    # three for ell and three more for m
-    from irrbounds import measures
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(64, 6000))
+@example(4, 64)
+@example(12, 6000)
+def test_alpha_enclosure_contains_alpha(k, bits):
+    # |alpha_k 2^bits - A| < E against mpmath's log at bits + 200 bits,
+    # degenerate k = 4 and 12 included
+    a, e = measures._alpha_fixed(k, bits)
+    alpha = alpha_value(k, (bits + 200) * 30103 // 100000 + 1)
+    with mp.workprec(bits + 300):
+        assert mp.fabs(mp.ldexp(alpha, bits) - a) < e
 
-    calls = []
 
-    def counted(k, dps):
-        calls.append(dps)
-        return alpha_value(k, dps)
+def test_alpha_radius_is_the_proven_bound():
+    # E = 4(J + 1) for the J nonzero terms 2^bits // D^j: two floors per term
+    # and the tail, each doubled by alpha's factor -2
+    for k in (1, 4, 8, 200):
+        d = 2 * k + 1
+        for bits in (0, 1, 64, 1000):
+            terms = sum(1 for j in range(bits + 1) if d ** j <= 2 ** bits)
+            assert measures._alpha_fixed(k, bits)[1] == 4 * (terms + 1)
 
-    monkeypatch.setattr(measures, "alpha_value", counted)
-    row = verify_forms(8, 1, 13, [31])[0]
-    assert calls == [1038, 2076, 4152]
-    assert row.ell != 0 and row.m != 0
+
+def test_verify_never_calls_alpha_value(monkeypatch):
+    # ell and m come from the fixed-point enclosure alone, every binding of
+    # alpha_value in the package raises, and both match P alpha + Q and
+    # X alpha^2 + Z at 1300 digits to 10^-(digits+10), plus the final rounding
+    digits, dps = 60, 1300
+    alpha = alpha_value(8, dps)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("alpha_value called on the verify path")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "irrbounds" or name.startswith("irrbounds."):
+            for attr, value in list(vars(mod).items()):
+                if value is alpha_value:
+                    monkeypatch.setattr(mod, attr, refused)
+    row = verify_forms(8, 1, 13, [31], digits)[0]
+    with mp.workdps(dps):
+        for got, want in ((row.ell, row.P * alpha + row.Q),
+                          (row.m, row.X * alpha ** 2 + row.Z)):
+            assert mp.fabs(got / want - 1) < 2 * mp.mpf(10) ** -(digits + 10)
+
+
+def test_alpha_enclosure_resolves_deep_cancellation():
+    # q alpha - p for a best approximation p/q of alpha_8 with q near 2^4000
+    # is about 2^-4000, so the first pass sees only noise and bits must
+    # grow by about 4000 within MAX_ALPHA_PASSES, as at verify --n 303
+    digits = 60
+    with mp.workdps(3000):
+        near = Fraction(int(mp.ldexp(alpha_value(8, 3000), 9000)), 2 ** 9000)
+    best = near.limit_denominator(2 ** 4000)
+    p, q = best.numerator, best.denominator
+    got = measures._alpha_combinations(8, [[(q, 1), (-p, 0)]], digits)[0]
+    with mp.workdps(3000):
+        want = q * alpha_value(8, 3000) - p
+        assert mp.fabs(want) < mp.mpf(2) ** -3900
+        assert mp.fabs(got / want - 1) < 2 * mp.mpf(10) ** -(digits + 10)
+
+
+def test_vanishing_form_is_never_certified():
+    # an enclosure of 0 never excludes 0, so the passes run out
+    with pytest.raises(PrecisionError):
+        measures._alpha_combinations(8, [[(0, 1), (0, 0)]], 60)
 
 
 def test_verify_rejects_even_n():
@@ -190,38 +245,12 @@ def _digits(value, sig):
 
 
 def test_high_precision_bounds_pinned():
-    # recorded with mp.digamma in the bound path; all the digits printed here
-    # must survive any change to how psi, the saddle or K are computed
-    res = _cold(mu_bound, 6, 1, 7, 500)
-    assert _digits(res.bound, 480) == (
-        "3.51433368250497276720812758589870508006296216671696362453562617501412"
-        "2169535978304040760706770022101686348944172789239849659043323649372586"
-        "0755635231280289961006415756010582987099759704558010018212728261255163"
-        "4767996061423496992015218045843384873656761416260952333834446174687386"
-        "0945990679835188921649457216542863242156717530247880316070600673667149"
-        "9340375752820728385630900938897082454752407762634310253308342346157112"
-        "4945316989636277179171072382983770490458073848074053169741323")
-    assert _digits(res.N, 480) == (
-        "2.00489766418234388744925765881385175892937370225142009899050050043865"
-        "0039200789137305852754633159707141146734807773883546146334909549460727"
-        "0542449274810158962640688369879957064401747560198645923169760158228827"
-        "5037232825761993322775619681703869916321658815562218835627534902665006"
-        "8566800173230074179578070862976299256554359559247168596402567423489922"
-        "7418233504841017822881804716856957376130762889361661162810384889056375"
-        "4845714531500435892474220028925492991771069136003686331331703")
-    res = _cold(mu2_bound, 8, 1, 13, 300)
-    assert _digits(res.bound, 280) == (
-        "10.9056453024049136393626748869951907340657701924096346945638458202005"
-        "9905814268564922935212526775832434037798794834338727265093858345232390"
-        "4375611356209279841961087680067685707702072654820172258010964949321383"
-        "0278243834287087831947475954718192408141038281594849675078113637502411"
-        "9")
-    assert _digits(res.N, 280) == (
-        "17.5057509176852568644391791080274711604601731246674985105158775711677"
-        "8626729852286659039736737942314276487295905503348748706256873457694102"
-        "0101458273484030928886155697134655425735369193785317099842702375629931"
-        "9881781530384578584014477492441362885986456209462995153913003771441745"
-        "8")
+    # all the digits printed here must survive any change to how psi, the
+    # saddle or K are computed
+    for res, sig, pinned in ((_cold(mu_bound, 6, 1, 7, 500), 480, MU_6_1_7),
+                             (_cold(mu2_bound, 8, 1, 13, 300), 280, MU2_8_1_13)):
+        for name, digits in pinned.items():
+            assert _digits(getattr(res, name), sig) == digits, name
 
 
 def test_grid_size_counts_the_searched_cells():
