@@ -44,10 +44,10 @@ MAX_DIGITS = 500
 DIGITS = click.IntRange(min=30, max=MAX_DIGITS)
 PRINT_DIGITS = click.IntRange(min=1)
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
-# verify accepts.  The exact forms cost about d^2.6: 0.2 s at d = 1023, 3.4 s
-# at d = 3333 and 20 s at d = 6633 on a shared 2-core machine, so the cap
-# stops a run of about a minute.  As b > 4a, it also keeps each prime sieve
-# below b*n < 2d/3.
+# verify accepts.  The exact forms (eval_UVW) cost about d^2.3: 0.1 s at
+# d = 1023, 1.1 s at d = 3333, 5.7 s at d = 6633 and 17 s at d = 9999 on a
+# shared 2-core machine, so the cap stops a run of well under a minute.  As
+# b > 4a, it also keeps each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
 # cap admits b up to 203, and that grid of 100 cells took 23 s at the

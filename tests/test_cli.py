@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +156,49 @@ def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("integrality failure: R*U(x_k) is not an integer: ")
     assert len(err.splitlines()) == 1
+
+
+def test_inexact_pole_sum_block_exit_3(capsys, monkeypatch):
+    # with blocks of 4, the order-0 block at s0 = 20 holds the first nonzero
+    # values A(-m), m > bn = 21; one corrupted coefficient there, alpha_3,
+    # leaves that block's division by eps_3 with a remainder, which must end
+    # the run with one line
+    import irrbounds.forms as forms_mod
+
+    coeffs = forms_mod._block_coeffs
+
+    def corrupt(*args):
+        for i, row in enumerate(coeffs(*args)):
+            if args[4] == 20 and i == 3:
+                row = (row[0] + 1, *row[1:])
+            yield row
+
+    monkeypatch.setattr(forms_mod, "_BLOCK", 4)
+    monkeypatch.setattr(forms_mod, "_block_coeffs", corrupt)
+    code, out, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
+                         "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("integrality failure: order-0 pole-sum block at "
+                          "s0 = 20 is not an integer: ")
+    assert len(err.splitlines()) == 1
+
+
+# SHA-256 of the stdout of `verify --k 8 --a 1 --b 13 --n N --quadratic
+# --format json`, recorded before the pole sum ran in blocks; beyond the
+# reach of the dense oracle, these pin the forms at d = 1683 and 3333
+PINNED_VERIFY_SHA256 = {
+    51: "a0a342c7807054ad469597cb612710bea94c7aa45e14af8b453ba993b586138d",
+    101: "25591cf538273d9ff016449293187cf6eab3d067ebf28aafa7aaf417e2aa22e3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_VERIFY_SHA256))
+def test_large_verify_stdout_pinned(capsys, n):
+    code, out, _ = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
+                       "--n", str(n), "--quadratic", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_SHA256[n]
 
 
 def _verify_n31(k):

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from irrbounds import (DomainError, IntegralityError, IntPoly, Params,
                        QuadRat, build_A, derivative, eval_UVW,
                        scaled_integer_forms, series_uvw, shift_poly,
                        tail_transform_coeffs, x_point)
+import irrbounds.forms as forms_mod
 from irrbounds.forms import (_derivative_values, _radical_sum,
                              _transform_nums, scaling_factors)
 from irrbounds.omega import delta_products
@@ -268,6 +271,12 @@ def _dense_uvw(params, z):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _dense_at_x(k, a, b, n):
+    """The dense oracle at x_k, computed once per cell for all tests."""
+    return _dense_uvw(Params(k=k, a=a, b=b, n=n), x_point(k))
+
+
 def _uvw(params, z):
     got = eval_UVW(params, z)
     return got.U, got.V, got.W
@@ -288,22 +297,61 @@ def _cells_and_points(draw):
     return Params(k=k, a=a, b=b, n=n), z
 
 
-@given(_cells_and_points())
-@example((Params(k=4, a=1, b=7, n=3), x_point(4)))
-@example((Params(k=12, a=1, b=9, n=3), x_point(12)))
-@example((Params(k=12, a=2, b=11, n=1), QuadRat(F(1, 2))))
+@given(_cells_and_points(), st.integers(1, 40))
+@example((Params(k=4, a=1, b=7, n=3), x_point(4)), forms_mod._BLOCK)
+@example((Params(k=12, a=1, b=9, n=3), x_point(12)), 1)
+@example((Params(k=12, a=2, b=11, n=1), QuadRat(F(1, 2))), 5)
 @settings(max_examples=40, deadline=None)
-def test_eval_matches_dense_oracle(cell):
+def test_eval_matches_dense_oracle(cell, block):
+    # the block size of the pole sum is drawn too: it must not matter
     params, z = cell
     if not z or z == QuadRat(1):
         return
-    assert _uvw(params, z) == _dense_uvw(params, z)
+    with patch.object(forms_mod, "_BLOCK", block):
+        assert _uvw(params, z) == _dense_uvw(params, z)
 
 
 def test_eval_matches_dense_oracle_at_n31():
     # the degree-1023 forms behind `verify --k 8 --a 1 --b 13 --n 31`
     p = Params(k=8, a=1, b=13, n=31)
-    assert _uvw(p, x_point(8)) == _dense_uvw(p, x_point(8))
+    assert _uvw(p, x_point(8)) == _dense_at_x(8, 1, 13, 31)
+
+
+def _scale_change(params, order):
+    """Index s of the first value whose scale differs from the one before."""
+    scales = [scale for _, scale in _derivative_values(params, order)]
+    return next(s for s in range(1, len(scales)) if scales[s] != scales[s - 1])
+
+
+@pytest.mark.parametrize("cell", [(8, 1, 13, 31), (6, 2, 23, 3)],
+                         ids=["8-1-13-31", "6-2-23-3"])
+@pytest.mark.parametrize("block", [1, 2, 7, None],
+                         ids=["1", "2", "7", "one-block"])
+def test_block_size_does_not_matter(monkeypatch, cell, block):
+    # one step per block, two, an odd size, and one block over all delta+1
+    # values; at (6,2,23,3) a block of 2 or 7 straddles the den -> L^order
+    # scale change of some order, so that block sums over two scales
+    p = Params(*cell)
+    if block is None:
+        block = p.degree + 2
+    if cell == (6, 2, 23, 3) and block in (2, 7):
+        assert any(_scale_change(p, order) % block for order in range(3))
+    monkeypatch.setattr(forms_mod, "_BLOCK", block)
+    assert _uvw(p, x_point(p.k)) == _dense_at_x(*cell)
+
+
+def test_order0_walk_needs_no_lcm(monkeypatch):
+    # order 0 reads only the product q, so it never computes L = lcm(1..last)
+    p = Params(k=6, a=1, b=13, n=5)
+    want = list(_derivative_values(p, 0))
+
+    def boom(*args):
+        raise RuntimeError("d_upto called")
+
+    monkeypatch.setattr(forms_mod, "d_upto", boom)
+    assert list(_derivative_values(p, 0)) == want
+    with pytest.raises(RuntimeError):
+        list(_derivative_values(p, 1))
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 7, 1), (1, 7, 3), (2, 23, 1),
