@@ -1,12 +1,13 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes: 0 success, 1 usage/validation error,
 2 inapplicable parameters, 3 integrality verification failure, 4 precision
 failure (a precision ladder or a root certificate did not hold, or the
 enclosure of a form in alpha_k was still too wide after its last pass).
---print-digits above --digits - 5, more digits than the ladder checks, is a
-usage error (exit 1), refused before any work.
+Usage errors, --print-digits above --digits - 5 (more digits than the
+ladder checks) among them, are refused before any work with one stderr
+line, ``Error: <message>``, and nothing on stdout.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
@@ -17,32 +18,29 @@ floats.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import sys
 
-import click
 import mpmath as mp
 
-from .errors import (DomainError, IntegralityError, NonApplicableError,
-                     PrecisionError, SieveCapacityError)
+from .errors import IntegralityError, NonApplicableError, PrecisionError
 from .exact_arith import format_int, format_rat
 from .forms import Params
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
                        table_row, verify_forms)
-from .omega import compute_omega
+from .omega import compute_omega, n_constants
 
-FORMATS = click.Choice(["text", "csv", "json"])
-# the working-precision floor of omega.n_constants and a cap, checked at
-# parse time.  Each bound computes its constants at digits and 2*digits:
+# the working-precision floor of omega.n_constants and a cap, checked before
+# any work.  Each bound computes its constants at digits and 2*digits:
 # per process, bound --k 6 --a 1 --b 7 takes 0.4-0.5 s at 300 digits and
 # 0.6 s at 500, mu_bound(6, 1, 7, 1000) 0.8-0.9 s, and table --paper
 # 1.7-1.9 s at 500, on a shared 2-core machine.
+MIN_DIGITS = 30
 MAX_DIGITS = 500
-DIGITS = click.IntRange(min=30, max=MAX_DIGITS)
-PRINT_DIGITS = click.IntRange(min=1)
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
 # verify accepts.  The exact forms (eval_UVW) cost about d^2.3: 0.1 s at
 # d = 1023, 1.1 s at d = 3333, 5.7 s at d = 6633 and 17 s at d = 9999 on a
@@ -55,6 +53,10 @@ MAX_VERIFY_DEGREE = 10_000
 MAX_SEARCH_CELLS = 100
 
 
+class UsageError(Exception):
+    """A command line refused before any work (exit 1)."""
+
+
 def fmt_sig(x, sig: int = 6) -> str:
     """Fixed rendering of an mpf at ``sig`` significant digits, from all the
     bits of its own precision."""
@@ -65,89 +67,72 @@ def fmt_sig(x, sig: int = 6) -> str:
     return mp.nstr(x, sig, strip_zeros=False)
 
 
-def _check_print_digits(print_digits: int, digits: int) -> None:
-    """Refuse, before any work, to print digits the precision ladder does
-    not check: it compares each value at digits and 2*digits to digits-5
-    places."""
-    if print_digits > digits - 5:
-        raise click.ClickException(
-            f"--print-digits {print_digits} is above --digits {digits} - 5 = "
-            f"{digits - 5}, the digits the precision ladder checks")
+def _check_digits(args: argparse.Namespace) -> None:
+    """Refuse, before any work, digits outside their ranges, and printed
+    digits the precision ladder does not check: it compares each value at
+    digits and 2*digits to digits-5 places."""
+    if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
+        raise UsageError(f"Invalid value for '--digits': {args.digits} is not "
+                         f"in the range {MIN_DIGITS}<=x<={MAX_DIGITS}.")
+    if args.print_digits < 1:
+        raise UsageError(f"Invalid value for '--print-digits': "
+                         f"{args.print_digits} is not in the range x>=1.")
+    if args.print_digits > args.digits - 5:
+        raise UsageError(
+            f"--print-digits {args.print_digits} is above --digits {args.digits}"
+            f" - 5 = {args.digits - 5}, the digits the precision ladder checks")
 
 
 def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=order, lineterminator="\n")
         writer.writeheader()
         for r in rows:
             writer.writerow({k: ("" if r.get(k) is None else r[k]) for k in order})
-        click.echo(buf.getvalue(), nl=False)
+        print(buf.getvalue(), end="")
     else:
-        widths = {c: max(len(c), *(len(str(r.get(c, "") if r.get(c) is not None else ""))
-                                   for r in rows)) for c in order}
-        click.echo("  ".join(c.rjust(widths[c]) for c in order))
-        for r in rows:
-            click.echo("  ".join(
-                str(r.get(c, "") if r.get(c) is not None else "").rjust(widths[c])
-                for c in order))
+        lines = [order, *([("" if r.get(c) is None else str(r[c])) for c in order]
+                          for r in rows)]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        for line in lines:
+            print("  ".join(s.rjust(w) for s, w in zip(line, widths)))
 
 
-@click.group()
-def cli() -> None:
-    """Upper bounds on the irrationality and non-quadraticity measures of
-    alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."""
-
-
-@cli.command("bound")
-@click.option("--k", type=int, required=True, help="Index of alpha_k.")
-@click.option("--a", type=int, required=True)
-@click.option("--b", type=int, required=True)
-@click.option("--quadratic", is_flag=True,
-              help="Non-quadraticity bound instead of irrationality.")
-@click.option("--digits", type=DIGITS, default=60, show_default=True,
-              help="Working precision (decimal digits).")
-@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True,
-              help="Significant digits shown.")
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-def cmd_bound(k, a, b, quadratic, digits, print_digits, fmt):
+def cmd_bound(args) -> int:
     """Compute one measure bound for alpha_k with parameters (a, b)."""
-    _check_print_digits(print_digits, digits)
-    res = (mu2_bound if quadratic else mu_bound)(k, a, b, digits)
-    row = _bound_row(res, print_digits)
-    if fmt == "json":
-        click.echo(json.dumps(row, indent=2))
-    elif fmt == "csv":
+    k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
+    res = (mu2_bound if args.quadratic else mu_bound)(k, a, b, digits)
+    row = _bound_row(res, sig)
+    if args.fmt == "json":
+        print(json.dumps(row, indent=2))
+    elif args.fmt == "csv":
         _echo_rows([row], "csv", list(row))
     else:
-        label = "mu2" if quadratic else "mu"
+        label = "mu2" if args.quadratic else "mu"
         if res.degenerate:
-            click.echo(f"note: 2k+1 = {2*k+1} is a perfect square; alpha_{k} "
-                       "is a rational multiple of the log of a rational")
+            print(f"note: 2k+1 = {2*k+1} is a perfect square; alpha_{k} "
+                  "is a rational multiple of the log of a rational")
         if not res.applicable:
             with mp.workdps(digits + 10):
                 total = res.M2 + res.K + res.N
-            click.echo(f"{label}(alpha_{k}) bound not applicable at "
-                       f"a={a}, b={b}: M2+K+N = {fmt_sig(total, print_digits)} >= 0")
+            print(f"{label}(alpha_{k}) bound not applicable at "
+                  f"a={a}, b={b}: M2+K+N = {fmt_sig(total, sig)} >= 0")
         else:
-            click.echo(f"{label}(alpha_{k}) <= {fmt_sig(res.bound, print_digits)}   "
-                       f"(a={a}, b={b})")
-            click.echo(f"  M1 = {fmt_sig(res.M1, print_digits)}   "
-                       f"M2 = {fmt_sig(res.M2, print_digits)}   "
-                       f"K = {fmt_sig(res.K, print_digits)}   "
-                       f"N = {fmt_sig(res.N, print_digits)}")
-    if not res.applicable:
-        raise SystemExit(2)
+            print(f"{label}(alpha_{k}) <= {fmt_sig(res.bound, sig)}   "
+                  f"(a={a}, b={b})")
+            print(f"  M1 = {fmt_sig(res.M1, sig)}   M2 = {fmt_sig(res.M2, sig)}   "
+                  f"K = {fmt_sig(res.K, sig)}   N = {fmt_sig(res.N, sig)}")
+    return 0 if res.applicable else 2
 
 
 def _bound_row(res: BoundResult, sig: int) -> dict:
     return {
         "kind": res.kind, "k": res.k, "a": res.a, "b": res.b,
         "bound": float(fmt_sig(res.bound, sig)) if res.applicable else None,
-        "applicable": res.applicable,
-        "degenerate": res.degenerate,
+        "applicable": res.applicable, "degenerate": res.degenerate,
         "M1": float(fmt_sig(res.M1, sig)),
         "M2": float(fmt_sig(res.M2, sig)),
         "K": float(fmt_sig(res.K, sig)),
@@ -156,26 +141,16 @@ def _bound_row(res: BoundResult, sig: int) -> dict:
     }
 
 
-@cli.command("table")
-@click.option("--paper", is_flag=True,
-              help="Reproduce the headline table (k = 3, 5, 6, ..., 12).")
-@click.option("--k", "single_k", type=int, default=None,
-              help="Single-k row with the default parameter choices.")
-@click.option("--digits", type=DIGITS, default=60, show_default=True)
-@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-def cmd_table(paper, single_k, digits, print_digits, fmt):
+def cmd_table(args) -> int:
     """Tabulate bounds over k with the table's parameter choices."""
-    _check_print_digits(print_digits, digits)
-    if paper == (single_k is not None):
-        raise click.UsageError("pass exactly one of --paper or --k")
+    sig, fmt = args.print_digits, args.fmt
     rows = []
-    table = headline_table(digits) if paper else [table_row(single_k, digits)]
+    table = headline_table(args.digits) if args.paper else [table_row(args.k, args.digits)]
     for tr in table:
         row = {
             "k": tr.k,
-            "mu": float(fmt_sig(tr.mu.bound, print_digits)) if tr.mu.applicable else None,
-            "mu2": (float(fmt_sig(tr.mu2.bound, print_digits))
+            "mu": float(fmt_sig(tr.mu.bound, sig)) if tr.mu.applicable else None,
+            "mu2": (float(fmt_sig(tr.mu2.bound, sig))
                     if tr.mu2 is not None and tr.mu2.applicable else None),
             "a_mu": tr.mu.a, "b_mu": tr.mu.b,
             "a_mu2": tr.mu2.a if tr.mu2 is not None else None,
@@ -188,32 +163,22 @@ def cmd_table(paper, single_k, digits, print_digits, fmt):
     if fmt == "text" and any("note" in r for r in rows):
         order.append("note")
     _echo_rows(rows, fmt, order)
+    return 0
 
 
-@cli.command("verify")
-@click.option("--k", type=int, required=True)
-@click.option("--a", type=int, required=True)
-@click.option("--b", type=int, required=True)
-@click.option("--n", "n_list", type=str, required=True,
-              help="Comma-separated odd n values, e.g. 1,3,5.")
-@click.option("--quadratic", is_flag=True,
-              help="Also show the quadratic-form columns X, Y, Z.")
-@click.option("--digits", type=DIGITS, default=60, show_default=True)
-@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
+def cmd_verify(args) -> int:
     """Run the exact integrality pipeline and report the form decay."""
-    _check_print_digits(print_digits, digits)
+    k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
     try:
-        ns = [int(s) for s in n_list.split(",") if s.strip()]
+        ns = [int(s) for s in args.n.split(",") if s.strip()]
     except ValueError as exc:
-        raise click.UsageError(f"bad --n list {n_list!r}") from exc
+        raise UsageError(f"bad --n list {args.n!r}") from exc
     if not ns:
-        raise click.UsageError("empty --n list")
+        raise UsageError("empty --n list")
     degree = sum(Params(k=k, a=a, b=b, n=n).degree for n in ns)
     if degree > MAX_VERIFY_DEGREE:
-        raise click.ClickException(
-            f"the forms for --n {n_list} have total degree {degree}, above "
+        raise UsageError(
+            f"the forms for --n {args.n} have total degree {degree}, above "
             f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
     rows = verify_forms(k, a, b, ns, digits)
     pred_l, pred_m = predicted_decay(k, a, b, digits)
@@ -221,114 +186,146 @@ def cmd_verify(k, a, b, n_list, quadratic, digits, print_digits, fmt):
     for r in rows:
         entry = {
             "n": r.n, "P": format_int(r.P), "Q": format_int(r.Q),
-            "decay_linear": float(fmt_sig(r.decay_linear, print_digits)),
+            "decay_linear": float(fmt_sig(r.decay_linear, sig)),
         }
-        if quadratic:
+        if args.quadratic:
             entry.update({"X": format_int(r.X), "Y": format_int(r.Y),
                           "Z": format_int(r.Z),
-                          "decay_quadratic": float(fmt_sig(r.decay_quadratic, print_digits))})
+                          "decay_quadratic": float(fmt_sig(r.decay_quadratic, sig))})
         entry["integral"] = True
         out.append(entry)
-    order = list(out[0])
-    _echo_rows(out, fmt, order)
-    if fmt == "text":
-        click.echo(f"predicted decay: linear {fmt_sig(pred_l, print_digits)}"
-                   f", quadratic {fmt_sig(pred_m, print_digits)}")
-        click.echo(f"all integrality checks passed for n in {ns}")
+    _echo_rows(out, args.fmt, list(out[0]))
+    if args.fmt == "text":
+        print(f"predicted decay: linear {fmt_sig(pred_l, sig)}"
+              f", quadratic {fmt_sig(pred_m, sig)}")
+        print(f"all integrality checks passed for n in {ns}")
+    return 0
 
 
-@cli.command("omega")
-@click.option("--a", type=int, required=True)
-@click.option("--b", type=int, required=True)
-@click.option("--digits", type=DIGITS, default=60, show_default=True)
-@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-def cmd_omega(a, b, digits, print_digits, fmt):
+def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
-    _check_print_digits(print_digits, digits)
-    from .omega import n_constants
-
+    a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     report = compute_omega(a, b)
     n1, n2 = n_constants(a, b, report.omega, digits)
     with mp.workdps(digits + 10):
         psi_sum = +(b - n1)  # the digamma-difference total over the components
-    if fmt == "json":
-        payload = {
-            "a": a, "b": b,
-            "intervals": [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
-                           "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
-                          for iv in report.omega],
-            "measure": format_rat(report.omega.total_measure()),
-            "psi_sum": float(fmt_sig(psi_sum, print_digits)),
-            "N1": float(fmt_sig(n1, print_digits)),
-            "N2": float(fmt_sig(n2, print_digits)),
-        }
-        click.echo(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        rows = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
-                 "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
-                for iv in report.omega]
-        _echo_rows(rows, "csv", ["lo", "hi", "lo_closed", "hi_closed"])
+    measure = format_rat(report.omega.total_measure())
+    intervals = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
+                  "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
+                 for iv in report.omega]
+    if args.fmt == "json":
+        print(json.dumps({
+            "a": a, "b": b, "intervals": intervals, "measure": measure,
+            "psi_sum": float(fmt_sig(psi_sum, sig)),
+            "N1": float(fmt_sig(n1, sig)), "N2": float(fmt_sig(n2, sig)),
+        }, indent=2))
+    elif args.fmt == "csv":
+        _echo_rows(intervals, "csv", ["lo", "hi", "lo_closed", "hi_closed"])
     else:
-        click.echo(f"Omega({a}, {b}) = {report.omega}")
-        click.echo(f"measure = {format_rat(report.omega.total_measure())}")
-        click.echo(f"psi sum = {fmt_sig(psi_sum, print_digits)}   "
-                   f"N1 = {fmt_sig(n1, print_digits)}   N2 = {fmt_sig(n2, print_digits)}")
+        print(f"Omega({a}, {b}) = {report.omega}")
+        print(f"measure = {measure}")
+        print(f"psi sum = {fmt_sig(psi_sum, sig)}   "
+              f"N1 = {fmt_sig(n1, sig)}   N2 = {fmt_sig(n2, sig)}")
+    return 0
 
 
-@cli.command("search")
-@click.option("--k", type=int, required=True)
-@click.option("--a-max", type=int, default=2, show_default=True)
-@click.option("--b-max", type=int, default=15, show_default=True)
-@click.option("--quadratic", is_flag=True)
-@click.option("--digits", type=DIGITS, default=60, show_default=True)
-@click.option("--print-digits", type=PRINT_DIGITS, default=6, show_default=True)
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
-def cmd_search(k, a_max, b_max, quadratic, digits, print_digits, fmt):
+def cmd_search(args) -> int:
     """Grid-search (a, b) and rank the applicable bounds."""
-    _check_print_digits(print_digits, digits)
-    cells = grid_size(a_max, b_max)
+    cells = grid_size(args.a_max, args.b_max)
     if cells > MAX_SEARCH_CELLS:
-        raise click.ClickException(
-            f"--a-max {a_max} --b-max {b_max} spans {cells} (a, b) cells, "
-            f"above the cap {MAX_SEARCH_CELLS}")
-    results = search_params(k, a_max, b_max, digits, quadratic=quadratic)
+        raise UsageError(
+            f"--a-max {args.a_max} --b-max {args.b_max} spans {cells} (a, b) "
+            f"cells, above the cap {MAX_SEARCH_CELLS}")
+    results = search_params(args.k, args.a_max, args.b_max, args.digits,
+                            quadratic=args.quadratic)
     if not results:
-        click.echo("no applicable (a, b) on the grid", err=True)
-        raise SystemExit(2)
-    rows = [_bound_row(r, print_digits) for r in results]
-    order = ["kind", "k", "a", "b", "bound", "applicable", "degenerate",
-             "M1", "M2", "K", "N", "digits"]
-    _echo_rows(rows, fmt, order)
+        print("no applicable (a, b) on the grid", file=sys.stderr)
+        return 2
+    rows = [_bound_row(r, args.print_digits) for r in results]
+    _echo_rows(rows, args.fmt, list(rows[0]))
+    return 0
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _parser() -> _Parser:
+    """The command line; every command inherits the digit and format options."""
+    shared = {"allow_abbrev": False, "formatter_class": _Formatter}
+    common = _Parser(add_help=False, **shared)
+    common.add_argument("--digits", type=int, default=60, help=f"working "
+                        f"digits, {MIN_DIGITS} to {MAX_DIGITS} (default %(default)s)")
+    common.add_argument("--print-digits", type=int, default=6, help="digits "
+                        "shown, 1 to --digits - 5 (default %(default)s)")
+    common.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
+                        default="text", help="output format (default %(default)s)")
+
+    parser = _Parser(prog="irrbounds", description=(
+        "Upper bounds on the irrationality and non-quadraticity measures of "
+        "alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."), **shared)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+
+    def command(name: str, run, *int_options: str,
+                quadratic: str | None = None) -> _Parser:
+        sub = commands.add_parser(name, parents=[common], help=run.__doc__,
+                                  description=run.__doc__, **shared)
+        sub.set_defaults(run=run)
+        for option in int_options:
+            sub.add_argument(f"--{option}", type=int, required=True)
+        if quadratic:
+            sub.add_argument("--quadratic", action="store_true", help=quadratic)
+        return sub
+
+    command("bound", cmd_bound, "k", "a", "b",
+            quadratic="non-quadraticity bound instead of irrationality")
+    table = command("table", cmd_table).add_mutually_exclusive_group(required=True)
+    table.add_argument("--paper", action="store_true",
+                       help="the headline table (k = 3, 5, 6, ..., 12)")
+    table.add_argument("--k", type=int,
+                       help="one row, with the default parameter choices")
+    verify = command("verify", cmd_verify, "k", "a", "b",
+                     quadratic="also show the quadratic-form columns X, Y, Z")
+    verify.add_argument("--n", required=True,
+                        help="comma-separated odd n values, e.g. 1,3,5")
+    command("omega", cmd_omega, "a", "b")
+    search = command("search", cmd_search, "k", quadratic="rank the mu2 bounds")
+    search.add_argument("--a-max", type=int, default=2, help="(default %(default)s)")
+    search.add_argument("--b-max", type=int, default=15, help="(default %(default)s)")
+    return parser
+
+
+# exception -> exit code and stderr prefix; the first match wins
+EXIT_CODES = (
+    (UsageError, 1, "Error: "),
+    (IntegralityError, 3, "integrality failure: "),
+    (NonApplicableError, 2, "not applicable: "),
+    (PrecisionError, 4, "precision failure: "),
+    (ValueError, 1, "error: "),  # DomainError, SieveCapacityError
+)
 
 
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, prog_name="irrbounds", standalone_mode=False)
-        return 0
-    except SystemExit as exc:
+        args = _parser().parse_args(argv)
+        _check_digits(args)
+        return args.run(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except IntegralityError as exc:
-        click.echo(f"integrality failure: {exc}", err=True)
-        return 3
-    except NonApplicableError as exc:
-        click.echo(f"not applicable: {exc}", err=True)
-        return 2
-    except PrecisionError as exc:
-        click.echo(f"precision failure: {exc}", err=True)
-        return 4
-    except (ValueError, DomainError, SieveCapacityError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    except Exception as exc:
+        for types, code, prefix in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -226,18 +226,12 @@ def d_upto(n: int) -> int:
         raise DomainError("d_upto requires n >= 1")
     if n == 1:
         return 1
-    table = bytearray([1]) * (n + 1)
-    table[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if table[p]:
-            table[p * p:: p] = b"\x00" * len(range(p * p, n + 1, p))
     out = 1
-    for p in range(2, n + 1):
-        if table[p]:
-            q = p
-            while q * p <= n:
-                q *= p
-            out *= q
+    for p in PrimeSieve(n).primes():
+        q = p
+        while q * p <= n:
+            q *= p
+        out *= q
     return out
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 # the benchmark's recorded stdout, read here and never rewritten
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -465,3 +469,67 @@ def test_small_argv_ends_in_documented_exit_code(capsys, data):
             and (digits is None or digits.isdigit())
             and int(print_digits) > int(digits or 60) - 5):
         assert code == 1, (argv, code)
+
+
+# ---------------------------------------------------------------------------
+# the command line itself
+# ---------------------------------------------------------------------------
+
+# a child that cannot import click or numpy runs --help and one bound and
+# prints each exit code and stdout as JSON
+NO_CLICK_OR_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["click"] = sys.modules["numpy"] = None
+from irrbounds.cli import main
+results = []
+for argv in (["--help"], ["bound", "--k", "6", "--a", "1", "--b", "7"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_cli_runs_without_click_or_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", NO_CLICK_OR_NUMPY], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    (help_code, help_out), (bound_code, bound_out) = json.loads(child.stdout)
+    assert help_code == 0 and help_out.startswith("Usage:")
+    assert bound_code == 0
+    assert bound_out == ("mu(alpha_6) <= 3.51433   (a=1, b=7)\n"
+                         "  M1 = 24.0684   M2 = -8.53590   K = -2.74653   "
+                         "N = 2.00490\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([cmd, "--help"] for cmd in ("bound", "table", "verify", "omega", "search")),
+])
+def test_help_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("Usage: irrbounds ") and err == ""
+
+
+BOUND_6_1_7 = ("bound", "--k", "6", "--a", "1", "--b", "7")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param((), id="no-command"),
+    pytest.param(("frobnicate",), id="unknown-command"),
+    pytest.param((*BOUND_6_1_7, "--bogus"), id="unknown-option"),
+    pytest.param((*BOUND_6_1_7, "--dig", "30"), id="abbreviated-option"),
+    pytest.param(("bound", "--k", "x", "--a", "1", "--b", "7"), id="k-not-int"),
+    pytest.param((*BOUND_6_1_7, "--format", "xml"), id="unknown-format"),
+    pytest.param(("verify", "--k", "6", "--a", "1", "--b", "7"), id="verify-without-n"),
+    pytest.param(("table", "--paper", "--k", "3"), id="table-paper-and-k"),
+])
+def test_usage_errors_exit_1_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("Error: ") and err.count("\n") == 1 and err.endswith("\n")

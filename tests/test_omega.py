@@ -8,8 +8,8 @@ from irrbounds import (DomainError, Params, compute_omega, delta_products,
                        floor_sum_min, floor_sum_value, n_constants,
                        omega_contains)
 from irrbounds.omega import (Interval, IntervalSet, _breakpoints,
-                             certified_grid_check, finite_n_n1, finite_n_n2,
-                             grid_discrepancies)
+                             finite_n_n1, finite_n_n2)
+from oracles import certified_grid_check, grid_discrepancies
 
 
 # ---------------------------------------------------------------------------
