@@ -19,9 +19,7 @@ floats.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 
 import mpmath as mp
@@ -83,10 +81,20 @@ def _check_digits(args: argparse.Namespace) -> None:
             f" - 5 = {args.digits - 5}, the digits the precision ladder checks")
 
 
+# json and csv are imported where they format, so a process loads at most
+# the one its --format names
+def _echo_json(value) -> None:
+    import json
+
+    print(json.dumps(value, indent=2))
+
+
 def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        _echo_json(rows)
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=order, lineterminator="\n")
         writer.writeheader()
@@ -107,7 +115,7 @@ def cmd_bound(args) -> int:
     res = (mu2_bound if args.quadratic else mu_bound)(k, a, b, digits)
     row = _bound_row(res, sig)
     if args.fmt == "json":
-        print(json.dumps(row, indent=2))
+        _echo_json(row)
     elif args.fmt == "csv":
         _echo_rows([row], "csv", list(row))
     else:
@@ -214,11 +222,11 @@ def cmd_omega(args) -> int:
                   "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
                  for iv in report.omega]
     if args.fmt == "json":
-        print(json.dumps({
+        _echo_json({
             "a": a, "b": b, "intervals": intervals, "measure": measure,
             "psi_sum": float(fmt_sig(psi_sum, sig)),
             "N1": float(fmt_sig(n1, sig)), "N2": float(fmt_sig(n2, sig)),
-        }, indent=2))
+        })
     elif args.fmt == "csv":
         _echo_rows(intervals, "csv", ["lo", "hi", "lo_closed", "hi_closed"])
     else:

@@ -1,4 +1,5 @@
-"""Exact arithmetic substrate: rationals, quadratic extensions, prime sieve, lcm(1..n).
+"""Exact arithmetic substrate: rationals, quadratic extensions, prime sieve,
+lcm(1..n), and ``Frozen``, the base of the package's immutable records.
 
 ``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps
 values canonical (gcd-reduced, positive denominator).  Everything here is
@@ -16,6 +17,54 @@ from .errors import DomainError, SieveCapacityError
 Rat = Fraction
 
 DEFAULT_SIEVE_LIMIT = 2_000_000
+
+
+class Frozen:
+    """Base of the package's immutable records: a subclass lists its fields
+    in ``__slots__``, which are set once, by position or keyword, and never
+    reassigned.  Equality and hash go by the tuple of fields, and the repr
+    leaves out the fields named in ``_hidden``: the contract of a frozen
+    dataclass, without the import of ``dataclasses`` and ``inspect`` that
+    cost every CLI process about 10 ms of start-up."""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args))
+        if (len(args) > len(names) or values.keys() & kwargs.keys()
+                or values.keys() | kwargs.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        values.update(kwargs)
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return type(self), self._fields()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in self._hidden)
+        return f"{type(self).__name__}({shown})"
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ kept only as the cross-check oracles ``build_A`` and ``series_uvw``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import factorial, lcm, prod
 
 from .errors import DomainError, IntegralityError
-from .exact_arith import QuadRat, Rat, d_upto
+from .exact_arith import Frozen, QuadRat, Rat, d_upto
 
 __all__ = [
     "Params", "IntPoly", "UVWValues", "IntegerForms",
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Frozen):
     """Index k of alpha_k plus the construction parameters (a, b, n).
 
     b and n must be odd so that (bn+1)/2 and the power-of-two exponents in
@@ -42,12 +40,14 @@ class Params:
     the product polynomial nested.
     """
 
+    __slots__ = ("k", "a", "b", "n")
     k: int
     a: int
     b: int
     n: int
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.k < 1 or self.a < 1 or self.b < 1 or self.n < 1:
             raise ValueError("k, a, b, n must all be positive")
         if self.b % 2 == 0:
@@ -307,14 +307,14 @@ def _pole_sum(values, delta: int, z: QuadRat, t: QuadRat) -> QuadRat:
                 for scale, (su, sv) in sums.items()), QuadRat(0, 0, D))
 
 
-@dataclass(frozen=True)
-class UVWValues:
+class UVWValues(Frozen):
     """Exact values of the three rational functions at one point.
 
     At z = x_k the radical parts of U and W and the rational part of V vanish
     identically: U, W and sqrt(2k+1)*V are rational there.
     """
 
+    __slots__ = ("U", "V", "W", "params", "x")
     U: QuadRat
     V: QuadRat
     W: QuadRat
@@ -359,16 +359,19 @@ def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
 # is a bug, never something to round away)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegerForms:
+class IntegerForms(Frozen):
     """The integer coefficient pairs of the linear and quadratic forms.
 
     ell_n = P*alpha_k + Q and m_n = X*alpha_k^2 + Z are exponentially small;
     Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
     are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
     T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
+    The repr leaves out the scaling ingredients R..d_b2an.
     """
 
+    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "A", "B", "C",
+                 "R", "S", "T", "delta", "delta1", "d_bn", "d_b2an")
+    _hidden = ("R", "S", "T", "delta", "delta1", "d_bn", "d_b2an")
     n: int
     P: int
     Q: int
@@ -378,13 +381,13 @@ class IntegerForms:
     A: int
     B: int
     C: int
-    R: Rat = field(repr=False)
-    S: Rat = field(repr=False)
-    T: Rat = field(repr=False)
-    delta: int = field(repr=False)
-    delta1: int = field(repr=False)
-    d_bn: int = field(repr=False)
-    d_b2an: int = field(repr=False)
+    R: Rat
+    S: Rat
+    T: Rat
+    delta: int
+    delta1: int
+    d_bn: int
+    d_b2an: int
 
 
 def scaling_factors(params: Params) -> tuple[Rat, Rat, Rat]:

@@ -14,7 +14,6 @@ accepted only when it is narrow enough for digits + 10 digits and excludes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -23,7 +22,7 @@ import mpmath as mp
 from .asymptotics import (k_constants, ladder_agrees, saddle_complex,
                           saddle_real)
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import PrimeSieve, QuadRat, sqrt_bounds
+from .exact_arith import Frozen, PrimeSieve, QuadRat, sqrt_bounds
 from .forms import (IntegerForms, Params, eval_UVW, scaled_integer_forms,
                     x_point)
 from .omega import compute_omega, delta_products, n_constants
@@ -49,8 +48,9 @@ def is_degenerate(k: int) -> bool:
     return isqrt(d) ** 2 == d
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Frozen):
+    __slots__ = ("kind", "k", "a", "b", "M1", "M2", "K", "N", "bound",
+                 "applicable", "digits", "degenerate")
     kind: str               # "irrationality" | "non-quadraticity"
     k: int
     a: int
@@ -65,8 +65,9 @@ class BoundResult:
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(Frozen):
+    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "ell", "m", "decay_linear",
+                 "decay_quadratic", "forms")
     n: int
     P: int
     Q: int
@@ -311,8 +312,8 @@ def search_params(k: int, a_max: int, b_max: int, digits: int = 60,
     return out
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Frozen):
+    __slots__ = ("k", "mu", "mu2")
     k: int
     mu: BoundResult
     mu2: BoundResult | None

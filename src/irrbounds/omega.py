@@ -13,12 +13,11 @@ because closure matters there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, SieveCapacityError
-from .exact_arith import PrimeSieve, Rat, format_rat, log_d_upto
+from .exact_arith import Frozen, PrimeSieve, Rat, format_rat, log_d_upto
 from .forms import Params
 
 __all__ = [
@@ -101,14 +100,15 @@ def omega_contains(a: int, b: int, y: Rat) -> bool:
 # interval description
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
     lo: Rat
     hi: Rat
     lo_closed: bool
     hi_closed: bool
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.lo > self.hi:
             raise DomainError("interval endpoints out of order")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -171,14 +171,17 @@ class IntervalSet:
             return NotImplemented
         return self.intervals == other.intervals
 
+    def __hash__(self):
+        return hash(self.intervals)
+
     def __str__(self):
         if not self.intervals:
             return "{}"
         return " u ".join(str(iv) for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class OmegaReport:
+class OmegaReport(Frozen):
+    __slots__ = ("a", "b", "omega", "denominator_bound")
     a: int
     b: int
     omega: IntervalSet

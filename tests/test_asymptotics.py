@@ -187,6 +187,22 @@ def test_saddle_real_certifies_on_the_grid(k, ab):
         assert b < z0 <= b / (1 - mp.cbrt(x))
 
 
+def test_newton_start_near_the_root_or_at_the_bound():
+    # Newton in doubles starts the mpf Newton within about 1e-15 of z0 on the
+    # table cells; where float(x) rounds to 1, the start is the proven bound
+    for k in TABLE_KS:
+        x, xb = _x_numeric(k, 60)
+        for a, b in ((1, 7), (2, 23), (1, 13)):
+            z0, _ = saddle_real(a, b, x, 60, x_bounds=xb)
+            with mp.workdps(75):
+                start = asymptotics._newton_start(a, b, x)
+                assert mp.fabs(start - z0) < mp.mpf(10) ** -13 * z0
+    with mp.workdps(75):
+        x = 1 - mp.mpf(10) ** -40
+        assert float(x) == 1
+        assert asymptotics._newton_start(1, 7, x) == 7 / (1 - mp.cbrt(x))
+
+
 def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
     calls = []
 

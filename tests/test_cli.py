@@ -491,11 +491,16 @@ print(json.dumps(results))
 """
 
 
-def test_cli_runs_without_click_or_numpy():
+def _run_child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's package; bytes out."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", NO_CLICK_OR_NUMPY], env=env,
-                           capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_cli_runs_without_click_or_numpy():
+    child = _run_child("-c", NO_CLICK_OR_NUMPY)
     assert child.returncode == 0, child.stderr
     (help_code, help_out), (bound_code, bound_out) = json.loads(child.stdout)
     assert help_code == 0 and help_out.startswith("Usage:")
@@ -503,6 +508,39 @@ def test_cli_runs_without_click_or_numpy():
     assert bound_out == ("mu(alpha_6) <= 3.51433   (a=1, b=7)\n"
                          "  M1 = 24.0684   M2 = -8.53590   K = -2.74653   "
                          "N = 2.00490\n")
+
+
+# modules no CLI start-up may load: dataclasses, with inspect, cost every
+# process about 10 ms, and json and csv load only where a --format uses them
+UNUSED_AT_START = {"dataclasses", "inspect", "json", "csv"}
+
+
+def test_import_and_help_load_no_unused_module():
+    child = _run_child("-c", "import sys, irrbounds.cli; print(*sys.modules)")
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.decode().split())
+    assert "irrbounds.cli" in loaded
+    assert not UNUSED_AT_START & loaded
+    # -X importtime names every module the process imports, on stderr
+    child = _run_child("-X", "importtime", "-m", "irrbounds", "--help")
+    assert child.returncode == 0 and child.stdout.startswith(b"Usage: irrbounds")
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in child.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+    assert "irrbounds.cli" in imported
+    assert not UNUSED_AT_START & imported
+
+
+@pytest.mark.parametrize("label,argv", [
+    ("table-paper", ["table", "--paper", "--format", "csv"]),
+    ("verify-n31-k6", _verify_n31(6)),
+])
+def test_fresh_process_formats_match_reference(label, argv):
+    # json and csv are imported inside the formatting branches; a fresh
+    # process has not loaded them through the test run
+    child = _run_child("-m", "irrbounds", *argv)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == (REFERENCE / f"{label}.out").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
