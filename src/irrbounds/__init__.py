@@ -3,8 +3,8 @@ alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."""
 
 from .asymptotics import (alpha_value, digamma, k_constants, saddle_complex,
                           saddle_real)
-from .errors import (DomainError, IntegralityError, NonApplicableError,
-                     PrecisionError, SieveCapacityError)
+from .errors import (CertificateError, DomainError, IntegralityError,
+                     NonApplicableError, PrecisionError, SieveCapacityError)
 from .exact_arith import PrimeSieve, QuadRat, Rat, d_upto
 from .forms import (IntegerForms, IntPoly, Params, UVWValues, build_A,
                     derivative, eval_UVW, scaled_integer_forms, series_uvw,
@@ -29,6 +29,6 @@ __all__ = [
     "BoundResult", "VerificationRow", "mu_bound", "mu2_bound",
     "verify_forms", "search_params", "headline_table", "predicted_decay",
     "DomainError", "SieveCapacityError", "IntegralityError",
-    "NonApplicableError", "PrecisionError",
+    "NonApplicableError", "PrecisionError", "CertificateError",
     "__version__",
 ]

@@ -8,10 +8,11 @@ that denominator, and the precision is part of the row's key, so the two
 rungs of a precision ladder never share a value.
 
 The real saddle root is found by Newton from a proven bound, then two exact
-probes: rational sign evaluations on a tight bracket, certain for every x in
-a rational enclosure, so rounding can never fool them.  Every published value
-carries a precision ladder: recomputation at twice the digits must agree to
-the reported digits.
+probes: integer sign evaluations on a tight dyadic bracket, certain for every
+x in a rational enclosure, so rounding can never fool them.  Near x = 1 the
+root is ill-conditioned, and the working precision carries guard digits
+(:func:`guard_digits`).  Every published value carries a precision ladder:
+recomputation at twice the digits must agree to the reported digits.
 
 alpha_value is alpha_k by mpmath's log, the reference the tests hold the
 production route to: verify encloses alpha_k by a fixed-point integer sum
@@ -157,12 +158,22 @@ def _eval_cubic(coeffs, z):
     return ((c3 * z + c2) * z + c1) * z + c0
 
 
-def _certified_sign(a: int, b: int, z: Fraction, x_lo: Fraction,
+def _cleared_cubic(a: int, b: int, zn: int, zd: int, xn: int, xd: int) -> int:
+    """The cleared cubic at z = zn/zd and x = xn/xd times zd^3 * xd: the
+    integer xn*G - xd*H with G = zn(zn - a zd)(zn - 2a zd) and
+    H = (zn - r1 zd)(zn - r2 zd)(zn - r3 zd), r1, r2, r3 = b-2a, b-a, b.
+    With zd, xd > 0 it has the sign of the cubic."""
+    g = zn * (zn - a * zd) * (zn - 2 * a * zd)
+    h = (zn - (b - 2 * a) * zd) * (zn - (b - a) * zd) * (zn - b * zd)
+    return xn * g - xd * h
+
+
+def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo: Fraction,
                     x_hi: Fraction) -> int | None:
-    """Sign of the cleared cubic at rational z, certain for every x in
-    [x_lo, x_hi] (the cubic is linear in x); None when it is not."""
-    lo = _eval_cubic(_real_cubic_coeffs(a, b, x_lo), z)
-    hi = _eval_cubic(_real_cubic_coeffs(a, b, x_hi), z)
+    """Sign of the cleared cubic at z = zn/zd (zd > 0), certain for every x
+    in [x_lo, x_hi] (the cubic is linear in x); None when it is not."""
+    lo = _cleared_cubic(a, b, zn, zd, x_lo.numerator, x_lo.denominator)
+    hi = _cleared_cubic(a, b, zn, zd, x_hi.numerator, x_hi.denominator)
     if lo > 0 and hi > 0:
         return 1
     if lo < 0 and hi < 0:
@@ -217,18 +228,22 @@ def _newton_start(a: int, b: int, x: mp.mpf) -> mp.mpf:
     return mp.mpf(z) if math.isfinite(z) and z > b else b / (1 - mp.cbrt(x))
 
 
-def _mpf_to_fraction(x: mp.mpf) -> Fraction:
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
+def _dyadic(x: mp.mpf) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e exactly, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    if man == 0 and x != 0:
         raise DomainError(f"cannot convert {x} to a fraction")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
+    return -man if sign else man, exp
+
+
+def _dyadic_ratio(x: mp.mpf) -> tuple[int, int]:
+    """(num, den) with x = num/den exactly, den a power of 2."""
+    m, e = _dyadic(x)
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
 
 
 def _derive_x_bounds(x, digits: int) -> tuple[Fraction, Fraction]:
-    xf = _mpf_to_fraction(mp.mpf(x))
+    xf = Fraction(*_dyadic_ratio(mp.mpf(x)))
     pad = Fraction(1, 10 ** (digits + 2))
     return xf - pad, xf + pad
 
@@ -249,14 +264,15 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     Newton starts from that bound, first in doubles and then in mpf
     (:func:`_newton_start`).  The polished z0 is then certified by two
     exact probes at lo, hi = z0 -/+ z0*10^-digits/2: lo > b, sign +1 at lo and
-    -1 at hi, for every x in the rational enclosure ``x_bounds``.  By the
-    argument above, the unique root beyond b lies in [lo, hi]; if any of
-    this fails, PrecisionError.
+    -1 at hi, for every x in the rational enclosure ``x_bounds``.  lo and hi
+    are dyadic, so each probe is one integer (:func:`_cleared_cubic`) per
+    end of the enclosure.  By the argument above, the unique root beyond b
+    lies in [lo, hi]; if any of this fails, PrecisionError.
 
     :func:`saddle_real` and :func:`saddle_complex` both need this solve, and
     a cell asks for them in turn, so the last solve is kept, keyed on every
-    exact input: a, b, x as the exact rational the mpf holds, digits, the
-    enclosure and the working precision.
+    exact input: a, b, x as the exact dyadic (m, e) the mpf holds, digits,
+    the enclosure and the working precision.
     """
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
@@ -264,25 +280,62 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
     x_lo, x_hi = _derive_x_bounds(x, digits) if x_bounds is None else x_bounds
-    return _certified_solve(a, b, _mpf_to_fraction(x), digits,
+    return _certified_solve(a, b, _dyadic(x), digits,
                             Fraction(x_lo), Fraction(x_hi), mp.mp.prec)
 
 
 @lru_cache(maxsize=1)
-def _certified_solve(a: int, b: int, xf: Fraction, digits: int,
+def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                      x_lo: Fraction, x_hi: Fraction, prec: int):
     with mp.workprec(prec):
-        x = mp.mpf(xf.numerator) / xf.denominator  # exact: xf is dyadic
+        x = mp.mpf(x_dyadic)  # exact: the caller's x at this precision
         coeffs = c3, c2, _, c0 = _real_cubic_coeffs(a, b, x)
-        z0 = _newton_polish(coeffs, _newton_start(a, b, x), digits + 10)
-        zf = _mpf_to_fraction(z0)
-        eps = _mpf_to_fraction(z0 / (2 * mp.mpf(10) ** digits))
-        lo, hi = zf - eps, zf + eps
-        if not (lo > b and _certified_sign(a, b, lo, x_lo, x_hi) == 1
-                and _certified_sign(a, b, hi, x_lo, x_hi) == -1):
+        # the deflation s = -c2/c3 - z0 needs z0 to absolute, not relative,
+        # accuracy: its z0 ~ 1/(1 - x) costs the guard digits once more
+        z0 = _newton_polish(coeffs, _newton_start(a, b, x),
+                            digits + 10 + guard_digits(1 - x))
+        # lo, hi = z0 -/+ z0*10^-digits/2 as (zn -/+ en)/zd, zd = 2^-e
+        zm, ze = _dyadic(z0)
+        em, ee = _dyadic(z0 / (2 * mp.mpf(10) ** digits))
+        e = min(ze, ee, 0)
+        zn, en, zd = zm << (ze - e), em << (ee - e), 1 << -e
+        if not (zn - en > b * zd
+                and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
+                and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
             raise PrecisionError(f"saddle root {z0} beyond b={b} not certified "
                                  f"for x in [{float(x_lo)}, {float(x_hi)}]")
         return x, z0, -c2 / c3 - z0, -c0 / (c3 * z0)
+
+
+def guard_digits(gap) -> int:
+    """Working digits to add to the saddle solve at x = 1 - gap (an mpf or
+    an exact rational).
+
+    The root beyond b is about 3(b - 2a)/(1 - x), so a relative error e in
+    x moves it by about e/(1 - x) relative.  x carries digits + 10 digits
+    and the root is certified to z0*10^-digits/2, which leaves room for
+    1/(1 - x) up to about 10^8; each further decimal of it costs one digit:
+    max(0, ceil(log10(1/gap)) - 8), decided in integers.  The same guard
+    goes into Newton's stopping tolerance, which is relative to z0.  1 - x_k
+    is about sqrt(2/k), so the guard is 0 for k <= 10^16.
+    """
+    num, den = (_dyadic_ratio(gap) if isinstance(gap, mp.mpf)
+                else (gap.numerator, gap.denominator))
+    if num <= 0 or num * 10**8 >= den:
+        return 0
+    # the least c with 10^c * num >= den, starting from a float estimate
+    c = int(math.log10(den // num))
+    while 10**c * num < den:
+        c += 1
+    while 10**(c - 1) * num >= den:
+        c -= 1
+    return c - 8
+
+
+def _saddle_dps(x, digits: int) -> int:
+    """Working digits of the saddle functions: digits + 15 and the guard."""
+    x = x if isinstance(x, mp.mpf) else mp.mpf(x)
+    return digits + 15 + guard_digits(1 - x)
 
 
 def _m_rate(a: int, b: int, z, x) -> mp.mpf:
@@ -300,7 +353,7 @@ def saddle_real(a: int, b: int, x, digits: int,
                 x_bounds: tuple[Rat, Rat] | None = None) -> tuple[mp.mpf, mp.mpf]:
     """(z0, M1): the unique root z0 > b of the saddle cubic, certified by
     exact sign probes, and the growth rate of the U coefficients."""
-    with mp.workdps(digits + 15):
+    with mp.workdps(_saddle_dps(x, digits)):
         x, z0, _, _ = _solve_cubic(a, b, x, digits, x_bounds)
         return +z0, +_m_rate(a, b, z0, x)
 
@@ -314,7 +367,7 @@ def saddle_complex(a: int, b: int, x, digits: int,
     pair recovered from the root sum and product after the real root z0 > b.
     An all-real configuration means the statement does not apply.
     """
-    with mp.workdps(digits + 15):
+    with mp.workdps(_saddle_dps(x, digits)):
         x, _, s, p = _solve_cubic(a, b, x, digits, x_bounds)
         im2 = p - s * s / 4
         if im2 <= 0:

@@ -2,9 +2,10 @@
 
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes: 0 success, 1 usage/validation error,
-2 inapplicable parameters, 3 integrality verification failure, 4 precision
-failure (a precision ladder or a root certificate did not hold, or the
-enclosure of a form in alpha_k was still too wide after its last pass).
+2 inapplicable parameters, 3 integrality verification failure, 4 a
+certificate did not hold (a precision ladder, the saddle root's certificate
+or Omega's Farey-neighbour certificate, or the enclosure of a form in
+alpha_k was still too wide after its last pass).
 Usage errors, --print-digits above --digits - 5 (more digits than the
 ladder checks) among them, are refused before any work with one stderr
 line, ``Error: <message>``, and nothing on stdout.
@@ -24,7 +25,8 @@ import sys
 
 import mpmath as mp
 
-from .errors import IntegralityError, NonApplicableError, PrecisionError
+from .errors import (CertificateError, IntegralityError, NonApplicableError,
+                     PrecisionError)
 from .exact_arith import format_int, format_rat
 from .forms import Params
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
@@ -46,8 +48,9 @@ MAX_DIGITS = 500
 # b > 4a, it also keeps each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
-# cap admits b up to 203, and that grid of 100 cells took 23 s at the
-# default digits on the same machine.
+# cap admits b up to 203, and that grid of 100 cells takes 13 s per process
+# at the default digits on the same machine (21 s before Omega's integer
+# walk), most of it the digamma rows of N1 and N2.
 MAX_SEARCH_CELLS = 100
 
 
@@ -316,6 +319,7 @@ EXIT_CODES = (
     (IntegralityError, 3, "integrality failure: "),
     (NonApplicableError, 2, "not applicable: "),
     (PrecisionError, 4, "precision failure: "),
+    (CertificateError, 4, "certificate failure: "),
     (ValueError, 1, "error: "),  # DomainError, SieveCapacityError
 )
 

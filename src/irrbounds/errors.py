@@ -39,3 +39,10 @@ class PrecisionError(ArithmeticError):
     exact root certificate did not hold, or the enclosure of a form in
     alpha_k was still too wide for the requested digits after its last
     pass."""
+
+
+class CertificateError(ArithmeticError):
+    """An exact certificate of Omega's interval description did not hold: a
+    step of the breakpoint walk did not join Farey neighbours beyond the
+    denominator bound, a floor coefficient exceeded that bound, or an
+    interval's closure disagreed with pointwise membership."""

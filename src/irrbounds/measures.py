@@ -19,8 +19,8 @@ from math import isqrt, lcm
 
 import mpmath as mp
 
-from .asymptotics import (k_constants, ladder_agrees, saddle_complex,
-                          saddle_real)
+from .asymptotics import (guard_digits, k_constants, ladder_agrees,
+                          saddle_complex, saddle_real)
 from .errors import NonApplicableError, PrecisionError
 from .exact_arith import Frozen, PrimeSieve, QuadRat, sqrt_bounds
 from .forms import (IntegerForms, Params, eval_UVW, scaled_integer_forms,
@@ -82,11 +82,15 @@ class VerificationRow(Frozen):
 
 
 def _x_numeric(k: int, digits: int):
-    """x_k as mpf together with exact rational bounds for certified probing."""
+    """x_k as mpf together with exact rational bounds for certified probing.
+
+    The mpf carries digits + 10 digits and the guard digits that the saddle
+    solve adds near x = 1, from 1 - x_hi = (lo - 1)/k <= 1 - x_k
+    (asymptotics.guard_digits)."""
     lo, hi = sqrt_bounds(2 * k + 1, digits + 6)
     x_lo = (k + 1 - hi) / k
     x_hi = (k + 1 - lo) / k
-    with mp.workdps(digits + 10):
+    with mp.workdps(digits + 10 + guard_digits((lo - 1) / k)):
         x = (k + 1 - mp.sqrt(2 * k + 1)) / mp.mpf(k)
     return x, (x_lo, x_hi)
 

@@ -2,21 +2,23 @@
 prime products Delta and Delta1, and the asymptotic denominator-savings
 constants N1 and N2.
 
-Membership of a rational point is always decided exactly, by integer
-residues derived from the three-group floor inequality (minimized over six
-candidate x values); the interval description produced by
+Membership of a rational point num/den is always decided exactly, by integer
+residues mod den derived from the three-group floor inequality (minimized
+over six candidate x values); the interval description produced by
 :func:`compute_omega` exists for the digamma sums, where endpoint closure has
-measure zero.  Finite-n prime scans never consult the interval set, precisely
-because closure matters there.
+measure zero, and certifies itself by the Farey-neighbour property.
+Finite-n prime scans never consult the interval set, precisely because
+closure matters there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, SieveCapacityError
+from .errors import CertificateError, DomainError, SieveCapacityError
 from .exact_arith import Frozen, PrimeSieve, Rat, format_rat, log_d_upto
 from .forms import Params
 
@@ -79,21 +81,31 @@ def floor_sum_min(a: int, b: int, y: Rat) -> int:
     """min over all real x of the floor expression, for fixed y.
 
     In x the expression is piecewise constant, right-continuous and 1-periodic
-    with jumps only at x = c0*y (mod 1) for the six candidates c0, so the
-    minimum is attained at one of them.  (The dense-grid oracle tests guard
-    this reduction.)  This is the literal reference for :func:`omega_contains`.
+    with jumps only at x = c0*y (mod 1) for the six candidates c0; each step
+    takes its value at its left end, a jump, so the minimum is attained at
+    one of them.  This is the literal reference for :func:`omega_contains`.
     """
     y = Fraction(y)
     return min(floor_sum_value(a, b, c0 * y, y) for c0 in _candidates(a, b))
 
 
+def _member(table, num: int, den: int) -> bool:
+    """Whether num/den (den > 0, not necessarily in lowest terms) lies in
+    Omega: every candidate row of the :func:`_mod_table` ``table`` needs a
+    group equal to 1.  The first row without one ends the test."""
+    for row in table:
+        for m_u, m_w in row:
+            if m_u * num % den < m_w * num % den:
+                break
+        else:
+            return False
+    return True
+
+
 def omega_contains(a: int, b: int, y: Rat) -> bool:
-    """Pointwise membership test (the authoritative one for prime products):
-    every candidate row of :func:`_mod_table` needs a group equal to 1."""
+    """Pointwise membership test (the authoritative one for prime products)."""
     y = Fraction(y)
-    num, den = y.numerator, y.denominator
-    return all(any((m_u * num) % den < (m_w * num) % den for m_u, m_w in row)
-               for row in _mod_table(a, b))
+    return _member(_mod_table(a, b), y.numerator, y.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +200,34 @@ class OmegaReport(Frozen):
     denominator_bound: int
 
 
-def _breakpoints(bound: int) -> list[Fraction]:
+def _breakpoints(bound: int):
     """The Farey sequence of order ``bound`` on [0, 1): every j/m with
-    m <= bound, ascending, by the next-term recurrence of Farey neighbours."""
-    pts = []
+    m <= bound as the pair (j, m), ascending, by the next-term recurrence of
+    Farey neighbours."""
     p, q, r, s = 0, 1, 1, bound
     while p < q:
-        pts.append(Fraction(p, q))
+        yield p, q
         t = (bound + q) // s
         p, q, r, s = r, s, t * r - p, t * s - q
-    return pts
 
 
 def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> OmegaReport:
     """Exact interval description of the certifying set.
 
-    For fixed y the min over x reduces to six candidate x values; as a
-    function of y every floor argument is linear with integer coefficient of
-    magnitude <= b, so the min is piecewise constant with breakpoints among
-    the fractions j/m, m <= b.  Evaluating exact membership at every
-    breakpoint and at one interior point of every gap (the mediant of its
-    ends) therefore determines the set, including closure flags.  Both
-    reductions are guarded by the dense-grid oracle tests rather than
-    assumed silently.  The set depends on (a, b) alone, so it is computed
-    once per process for each (a, b, denominator bound).
+    For fixed y the min over x reduces to six candidate x values
+    (:func:`floor_sum_min`).  At those candidates every floor term is [m*y]
+    for an integer m of :func:`_mod_table` or a difference of two of them,
+    and [m*y] changes only where m*y is an integer: at fractions whose
+    reduced denominator divides |m|.  If p/q < r/s are Farey neighbours
+    (r*q - p*s = 1), every fraction strictly between them has a denominator
+    of at least q + s (Hardy & Wright, Thm. 28).  So on a gap with
+    q + s > bound >= |m| no floor term changes, membership is constant, and
+    the gap's mediant (p + r)/(q + s) decides all of it; each breakpoint is
+    decided by itself.  One integer walk decides both and certifies each
+    step as it goes: it runs from 0/1 to 1/1, each step joins neighbours
+    with q + s > bound, and every coefficient is at most the bound;
+    otherwise CertificateError.  The set depends on (a, b) alone, so it is
+    computed once per process for each (a, b, denominator bound).
     """
     _validate_ab(a, b)
     bound = b if denominator_bound is None else denominator_bound
@@ -222,27 +238,45 @@ def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> Omega
 
 @lru_cache(maxsize=None)
 def _omega_report(a: int, b: int, bound: int) -> OmegaReport:
-    pts = _breakpoints(bound)
-    events: list[tuple[Fraction, Fraction, bool, bool]] = []
-    for p, hi in zip(pts, pts[1:] + [Fraction(1)]):
-        events.append((p, p, True, omega_contains(a, b, p)))
-        mediant = Fraction(p.numerator + hi.numerator,
-                           p.denominator + hi.denominator)
-        events.append((p, hi, False, omega_contains(a, b, mediant)))
+    table = _mod_table(a, b)
+    widest = max(max(abs(m_u), abs(m_w), abs(m_u - m_w))
+                 for row in table for m_u, m_w in row)
+    if widest > bound:
+        raise CertificateError(f"floor coefficient {widest} exceeds the "
+                               f"denominator bound {bound}")
+    steps = iter(_breakpoints(bound))
+    p, q = next(steps, (None, None))
+    if (p, q) != (0, 1):
+        raise CertificateError("the breakpoint walk does not start at 0/1")
 
-    intervals: list[Interval] = []
-    cur: list | None = None  # [lo, hi, lo_closed, hi_closed]
-    for lo, hi, is_point, inside in events:
-        if inside:
-            if cur is None:
-                cur = [lo, hi, is_point, is_point]
+    runs: list[list] = []
+    cur: list | None = None  # [lo, hi, lo_closed, hi_closed], ends as (num, den)
+    for r, s in itertools.chain(steps, ((1, 1),)):
+        if r * q - p * s != 1 or q + s <= bound:
+            raise CertificateError(
+                f"{p}/{q} and {r}/{s} are not Farey neighbours beyond order "
+                f"{bound}; a breakpoint may lie between them")
+        # the point p/q, then the open gap (p/q, r/s)
+        for hi, closed, inside in (((p, q), True, _member(table, p, q)),
+                                   ((r, s), False, _member(table, p + r, q + s))):
+            if inside:
+                if cur is None:
+                    cur = [(p, q), hi, closed, closed]
+                    runs.append(cur)
+                else:
+                    cur[1], cur[3] = hi, closed
             else:
-                cur[1], cur[3] = hi, is_point
-        elif cur is not None:
-            intervals.append(Interval(*cur))
-            cur = None
-    if cur is not None:
-        intervals.append(Interval(*cur))
+                cur = None
+        p, q = r, s
+
+    intervals = [Interval(Fraction(*lo), Fraction(*hi), lo_closed, hi_closed)
+                 for lo, hi, lo_closed, hi_closed in runs]
+    # each closure flag against the public predicate at the exact endpoint
+    for iv in intervals:
+        if (omega_contains(a, b, iv.lo) != iv.lo_closed
+                or omega_contains(a, b, iv.hi) != iv.hi_closed):
+            raise CertificateError(f"the closure of {iv} disagrees with "
+                                   "pointwise membership")
     return OmegaReport(a=a, b=b, omega=IntervalSet(intervals),
                        denominator_bound=bound)
 
@@ -263,8 +297,9 @@ def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
     bn = b * n
     if sieve.limit < bn:
         raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
+    table = _mod_table(a, b)
     return [p for p in sieve.primes(math.isqrt(bn) + 1, bn)
-            if omega_contains(a, b, Fraction(n % p, p))]
+            if _member(table, n % p, p)]
 
 
 def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int, int]:

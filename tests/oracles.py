@@ -1,7 +1,10 @@
-"""Grid oracles for the interval description of Omega(a, b), kept with the
+"""Oracles for the interval description of Omega(a, b), kept with the
 tests that use them.  numpy is needed here only; the package does not
 import it.
 
+:func:`omega_by_fraction_probes` is the interval description built the way
+the package built it before its integer walk: ``Fraction`` probes at every
+point of the literal Farey set and at every gap's mediant.
 :func:`grid_discrepancies` compares pointwise membership with the interval
 set on a literal grid; :func:`certified_grid_check` extends that to every
 point of a grid with per-gap constancy certificates plus a random literal
@@ -14,11 +17,47 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from irrbounds.errors import DomainError
-from irrbounds.omega import (IntervalSet, _breakpoints, _mod_table,
+from irrbounds.omega import (Interval, IntervalSet, _breakpoints, _mod_table,
                              _validate_ab, omega_contains)
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
 GRID_CHUNK = 1 << 20
+
+
+def _contains_by_fraction(a: int, b: int, y: Fraction) -> bool:
+    """Membership of y by the residue rows of :func:`_mod_table`, every row
+    and every group tested on the reduced ``Fraction``."""
+    num, den = y.numerator, y.denominator
+    return all(any((m_u * num) % den < (m_w * num) % den for m_u, m_w in row)
+               for row in _mod_table(a, b))
+
+
+def omega_by_fraction_probes(a: int, b: int, bound: int) -> IntervalSet:
+    """Omega(a, b) from ``Fraction`` probes: membership at each j/m with
+    m <= bound in [0, 1), sorted from the literal set, and at the mediant of
+    each gap up to 1, merged into maximal runs."""
+    pts = sorted({Fraction(j, m) for m in range(1, bound + 1) for j in range(m)})
+    events = []
+    for p, hi in zip(pts, pts[1:] + [Fraction(1)]):
+        events.append((p, p, True, _contains_by_fraction(a, b, p)))
+        mediant = Fraction(p.numerator + hi.numerator,
+                           p.denominator + hi.denominator)
+        events.append((p, hi, False, _contains_by_fraction(a, b, mediant)))
+
+    intervals = []
+    cur = None  # [lo, hi, lo_closed, hi_closed]
+    for lo, hi, is_point, inside in events:
+        if inside:
+            if cur is None:
+                cur = [lo, hi, is_point, is_point]
+            else:
+                cur[1], cur[3] = hi, is_point
+        elif cur is not None:
+            intervals.append(Interval(*cur))
+            cur = None
+    if cur is not None:
+        intervals.append(Interval(*cur))
+    return IntervalSet(intervals)
 
 
 def grid_discrepancies(a: int, b: int, L: int, omega: IntervalSet,
@@ -102,7 +141,7 @@ def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
               for m in (m_u, m_w, m_u - m_w)}
     coeffs.discard(0)
 
-    pts = _breakpoints(b)
+    pts = [Fraction(p, q) for p, q in _breakpoints(b)]
     endpoints = {iv.lo for iv in omega} | {iv.hi for iv in omega}
     bad = 0
     for i, p in enumerate(pts):

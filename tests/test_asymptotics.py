@@ -11,7 +11,7 @@ from irrbounds import (DomainError, NonApplicableError, PrecisionError,
 from irrbounds import asymptotics
 from irrbounds.asymptotics import (cubic_roots_cardano, ladder_agrees,
                                    _eval_cubic, _real_cubic_coeffs)
-from irrbounds.measures import _x_numeric
+from irrbounds.measures import _x_numeric, mu_bound
 
 TABLE_KS = (3, 5, 6, 7, 8, 9, 10, 11, 12)
 
@@ -205,16 +205,34 @@ def test_newton_start_near_the_root_or_at_the_bound():
 
 def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
     calls = []
+    probe = asymptotics._cleared_cubic
 
-    def counted(coeffs, z):
-        calls.append(z)
-        return _eval_cubic(coeffs, z)
+    def counted(*args):
+        calls.append(args)
+        return probe(*args)
 
-    monkeypatch.setattr(asymptotics, "_eval_cubic", counted)
+    monkeypatch.setattr(asymptotics, "_cleared_cubic", counted)
     asymptotics._certified_solve.cache_clear()  # the solve must really run
     x, xb = _x_numeric(8, 60)
     saddle_real(1, 13, x, 60, x_bounds=xb)  # one _solve_cubic call
-    assert len(calls) == 4 and all(isinstance(z, F) for z in calls)
+    # exact rationals z = zn/zd and x = xn/xd, as integers with zd, xd > 0
+    assert len(calls) == 4
+    assert all(type(v) is int for args in calls for v in args)
+    assert all(zd > 0 and xd > 0 for _, _, _, zd, _, xd in calls)
+
+
+@given(_AB, st.fractions(-1, 2, max_denominator=10**30),
+       st.fractions(-100, 10**6, max_denominator=10**30))
+def test_integer_probe_has_the_sign_of_the_cubic(ab, x, z):
+    a, b = ab
+    probe = asymptotics._cleared_cubic(a, b, z.numerator, z.denominator,
+                                       x.numerator, x.denominator)
+    value = _eval_cubic(_real_cubic_coeffs(a, b, x), z)
+    assert (probe > 0) == (value > 0) and (probe < 0) == (value < 0)
+    # the same integer for an unreduced z and x
+    assert asymptotics._cleared_cubic(
+        a, b, 3 * z.numerator, 3 * z.denominator,
+        7 * x.numerator, 7 * x.denominator) == 27 * 7 * probe
 
 
 def test_saddle_certificate_fails_closed():
@@ -229,6 +247,35 @@ def test_saddle_certificate_fails_closed():
         saddle_real(1, 7, x, 60, x_bounds=(x_lo, x_hi))
         with pytest.raises(PrecisionError):
             saddle_real(1, 7, x, 60, x_bounds=xb)
+
+
+def test_guard_digits_only_near_one():
+    # max(0, ceil(log10(1/gap)) - 8), exact at the powers of ten
+    assert asymptotics.guard_digits(F(1, 10**8)) == 0
+    assert asymptotics.guard_digits(F(1, 2 * 10**8)) == 1
+    assert asymptotics.guard_digits(F(1, 10**50)) == 42
+    assert asymptotics.guard_digits(F(3, 10**50)) == 42
+    assert asymptotics.guard_digits(F(1, 2)) == 0
+    with mp.workdps(30):
+        assert asymptotics.guard_digits(mp.mpf(3) / 10**50) == 42
+        assert asymptotics.guard_digits(mp.mpf("0.5")) == 0
+    # 1 - x_k is about sqrt(2/k): no guard, so no change, up to k = 10^16
+    for k in (6, 10**9, 10**16):
+        x, _ = _x_numeric(k, 60)
+        assert asymptotics.guard_digits(1 - x) == 0
+    x, _ = _x_numeric(10**30, 60)
+    assert asymptotics.guard_digits(1 - x) == 7
+
+
+@pytest.mark.parametrize("e, bound", [(30, "3.0268974"), (60, "3.0136297"),
+                                      (100, "3.0082221"), (300, "3.0027556")])
+def test_huge_k_certifies_with_guard_digits(e, bound):
+    # 1/(1 - x_k) is about 10^(e/2): without the guard digits in x and in
+    # the solve, the saddle certificate refused the root (k >= 10^24); without
+    # them in Newton's tolerance, M2 from the deflation failed the precision
+    # ladder (k >= 10^215)
+    res = mu_bound(10**e, 1, 7, 60)
+    assert res.applicable and mp.nstr(res.bound, 8) == bound
 
 
 def test_saddle_certificate_rejects_a_root_below_b(monkeypatch):

@@ -372,6 +372,41 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     assert err == "precision failure: saddle root not certified\n"
 
 
+def _swap_two(pts):
+    pts[3], pts[4] = pts[4], pts[3]
+    return pts
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda pts: [(p, q) for p, q in pts if q != 7], _swap_two])
+def test_omega_certificate_failure_exit_4(capsys, monkeypatch, mutate):
+    # a breakpoint walk without the points of denominator b, or with two
+    # neighbours swapped, has a step whose ends are not Farey neighbours
+    # beyond b: no set may be printed
+    from irrbounds import omega
+
+    farey = omega._breakpoints
+    monkeypatch.setattr(omega, "_breakpoints",
+                        lambda bound: mutate(list(farey(bound))))
+    omega._omega_report.cache_clear()
+    try:
+        code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
+    finally:
+        omega._omega_report.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("certificate failure: ") and err.count("\n") == 1
+
+
+def test_huge_k_bound_is_certified(capsys):
+    # k = 10^24: 1/(1 - x_k) is about 7e11, and the saddle solve carries
+    # four guard digits
+    code, out, err = run(capsys, "bound", "--k", str(10**24), "--a", "1",
+                         "--b", "7")
+    assert code == 0 and err == ""
+    assert "3.03340" in out
+
+
 def test_alpha_enclosure_too_wide_exit_4(capsys, monkeypatch):
     # one pass of the alpha enclosure at its starting width cannot certify
     # the forms at n = 31

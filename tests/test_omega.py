@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from irrbounds import (DomainError, Params, compute_omega, delta_products,
-                       floor_sum_min, floor_sum_value, n_constants,
-                       omega_contains)
+from irrbounds import (CertificateError, DomainError, Params, compute_omega,
+                       delta_products, floor_sum_min, floor_sum_value,
+                       n_constants, omega_contains)
+from irrbounds import omega as omega_module
 from irrbounds.omega import (Interval, IntervalSet, _breakpoints,
                              finite_n_n1, finite_n_n2)
-from oracles import certified_grid_check, grid_discrepancies
+from oracles import (certified_grid_check, grid_discrepancies,
+                     omega_by_fraction_probes)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,58 @@ def test_omega_dense_grid_17():
 def test_breakpoints_are_the_farey_sequence():
     for n in range(1, 60):
         literal = sorted({F(j, m) for m in range(1, n + 1) for j in range(m)})
-        assert _breakpoints(n) == literal
+        assert [F(p, q) for p, q in _breakpoints(n)] == literal
+
+
+def test_walk_matches_the_fraction_probes():
+    # the integer walk against the Fraction-probe construction it replaced
+    cells = [(a, b) for b in range(5, 62, 2) for a in range(1, (b - 1) // 4 + 1)]
+    for a, b in cells + [(1, 203)]:
+        assert compute_omega(a, b).omega == omega_by_fraction_probes(a, b, b)
+    assert compute_omega(2, 23, 40).omega == omega_by_fraction_probes(2, 23, 40)
+
+
+# the walk's breakpoints, kept from monkeypatching
+_farey = _breakpoints
+
+
+def _dropped(bound):
+    return [(p, q) for p, q in _farey(bound) if q != bound]
+
+
+def _swapped(bound):
+    pts = list(_farey(bound))
+    pts[3], pts[4] = pts[4], pts[3]
+    return pts
+
+
+@pytest.mark.parametrize("mutate", [_dropped, _swapped])
+def test_broken_walk_raises(monkeypatch, mutate):
+    # without the points of the largest denominator, or with two neighbours
+    # out of order, some step joins fractions that are not Farey neighbours
+    # beyond the bound, and the walk must not return a set
+    monkeypatch.setattr(omega_module, "_breakpoints", mutate)
+    omega_module._omega_report.cache_clear()
+    try:
+        with pytest.raises(CertificateError, match="not Farey neighbours"):
+            compute_omega(1, 7)
+    finally:
+        omega_module._omega_report.cache_clear()
+
+
+def test_walk_checks_its_start_and_its_coefficients(monkeypatch):
+    omega_module._omega_report.cache_clear()
+    try:
+        monkeypatch.setattr(omega_module, "_breakpoints",
+                            lambda bound: iter(list(_farey(bound))[1:]))
+        with pytest.raises(CertificateError, match="start at 0/1"):
+            compute_omega(1, 7)
+        monkeypatch.undo()
+        # a coefficient beyond the bound may jump inside a gap
+        with pytest.raises(CertificateError, match="exceeds"):
+            omega_module._omega_report(1, 7, 6)
+    finally:
+        omega_module._omega_report.cache_clear()
 
 
 def test_omega_is_shared_and_immutable():
