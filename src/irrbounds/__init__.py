@@ -1,34 +1,40 @@
 """Exact-arithmetic bounds on irrationality and non-quadraticity measures of
-alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."""
+alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)).
 
-from .asymptotics import (alpha_value, digamma, k_constants, saddle_complex,
-                          saddle_real)
-from .errors import (CertificateError, DomainError, IntegralityError,
-                     NonApplicableError, PrecisionError, SieveCapacityError)
-from .exact_arith import PrimeSieve, QuadRat, Rat, d_upto
-from .forms import (IntegerForms, IntPoly, Params, UVWValues, build_A,
-                    derivative, eval_UVW, scaled_integer_forms, series_uvw,
-                    shift_poly, tail_transform_coeffs, x_point)
-from .measures import (BoundResult, VerificationRow, headline_table,
-                       mu2_bound, mu_bound, predicted_decay, search_params,
-                       verify_forms)
-from .omega import (IntervalSet, OmegaReport, compute_omega, delta_products,
-                    floor_sum_min, floor_sum_value, n_constants,
-                    omega_contains)
+Each name loads its module on first access (PEP 562), so a process imports
+only the layers it uses: the bound commands never load ``forms``."""
+
+_EXPORTS = {
+    "asymptotics": ("alpha_value", "digamma", "k_constants", "saddle_complex",
+                    "saddle_real"),
+    "errors": ("CertificateError", "DomainError", "IntegralityError",
+               "NonApplicableError", "PrecisionError", "SieveCapacityError"),
+    "exact_arith": ("Params", "PrimeSieve", "QuadRat", "Rat", "d_upto"),
+    "dense": ("IntPoly", "build_A", "derivative", "series_uvw", "shift_poly",
+              "tail_transform_coeffs"),
+    "forms": ("IntegerForms", "UVWValues", "eval_UVW", "scaled_integer_forms",
+              "x_point"),
+    "measures": ("BoundResult", "VerificationRow", "headline_table",
+                 "mu2_bound", "mu_bound", "predicted_decay", "search_params",
+                 "verify_forms"),
+    "omega": ("IntervalSet", "OmegaReport", "compute_omega", "delta_products",
+              "floor_sum_min", "floor_sum_value", "n_constants",
+              "omega_contains"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rat", "QuadRat", "PrimeSieve", "d_upto",
-    "Params", "IntPoly", "UVWValues", "IntegerForms",
-    "build_A", "shift_poly", "derivative", "tail_transform_coeffs",
-    "eval_UVW", "scaled_integer_forms", "series_uvw", "x_point",
-    "IntervalSet", "OmegaReport", "compute_omega", "delta_products",
-    "n_constants", "floor_sum_value", "floor_sum_min", "omega_contains",
-    "digamma", "alpha_value", "saddle_real", "saddle_complex", "k_constants",
-    "BoundResult", "VerificationRow", "mu_bound", "mu2_bound",
-    "verify_forms", "search_params", "headline_table", "predicted_decay",
-    "DomainError", "SieveCapacityError", "IntegralityError",
-    "NonApplicableError", "PrecisionError", "CertificateError",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+

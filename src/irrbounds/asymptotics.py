@@ -2,17 +2,22 @@
 saddle-point cubic whose real and complex roots give the growth and decay
 rates M1 and M2, and the scaling-rate constants K1 and K2.
 
+The inner loops run on Python ints in fixed point; mpmath seeds the
+transcendental values (cos, log, pi, gamma) and rounds each result once.
 Digamma comes from Gauss's digamma theorem: one memoised row of cosines and
-log-sines per denominator and working precision serves every argument with
-that denominator, and the precision is part of the row's key, so the two
-rungs of a precision ladder never share a value.
+log-sines per denominator and working precision, as integers with a proven
+error, serves every argument with that denominator, and the precision is
+part of the row's key, so the two rungs of a precision ladder never share a
+value.
 
-The real saddle root is found by Newton from a proven bound, then two exact
-probes: integer sign evaluations on a tight dyadic bracket, certain for every
-x in a rational enclosure, so rounding can never fool them.  Near x = 1 the
-root is ill-conditioned, and the working precision carries guard digits
-(:func:`guard_digits`).  Every published value carries a precision ladder:
-recomputation at twice the digits must agree to the reported digits.
+The real saddle root is found by Newton from a proven bound, in doubles and
+then in integers, then two exact probes: integer sign evaluations on a tight
+dyadic bracket, certain for every x in a rational enclosure, so rounding can
+never fool them.  Near x = 1 the root is ill-conditioned, and the working
+precision carries guard digits (:func:`guard_digits`).  Each saddle rate is
+one logarithm of a product of integer powers.  Every published value
+carries a precision ladder: recomputation at twice the digits must agree to
+the reported digits.
 
 alpha_value is alpha_k by mpmath's log, the reference the tests hold the
 production route to: verify encloses alpha_k by a fixed-point integer sum
@@ -22,17 +27,20 @@ production route to: verify encloses alpha_k by a fixed-point integer sum
 from __future__ import annotations
 
 import math
+from operator import mul
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import (dps_to_prec, euler_fixed, from_man_exp, from_rational,
+                          log_int_fixed, mpf_cos_pi, mpf_log, pi_fixed, to_fixed)
 
 from .errors import DomainError, NonApplicableError, PrecisionError
 from .exact_arith import Rat
 
 __all__ = [
     "digamma", "alpha_value", "saddle_real", "saddle_complex",
-    "k_constants", "cubic_roots_cardano", "ladder_agrees",
+    "k_constants", "ladder_agrees",
 ]
 
 
@@ -82,42 +90,64 @@ def _psi(num: int, den: int, digits: int) -> mp.mpf:
         psi(p/q) = -gamma - ln 2q - (pi/2) cot(pi p/q)
                    + sum_{n=1}^{ceil(q/2)-1} cos(2 pi n p/q) ln sin^2(pi n/q),
 
-    psi(1) = -gamma, and psi(x) = psi(p/q) + sum_{j<s} 1/(p/q + j).  Every
-    quantity on the right comes from the row of denominator q, and
-    cot(pi p/q) = +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2.
+    psi(1) = -gamma, and psi(x) = psi(p/q) + sum_{j<s} q/(p + jq).  All of
+    it is integer arithmetic on the row of denominator q (:func:`_gauss_row`):
+    cot(pi p/q) = +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2, by isqrt,
+    the n-sum one dot product, each q/(p + jq) a floor division to
+    bitlen(s) more bits; the total is rounded once, to digits + 10 digits.
+    The row carries 2 bitlen(q) bits beyond those, as the n-sum adds up q/2
+    of its errors and cancels terms up to about q in size.
     """
     s = -(-num // den) - 1
     p = num - s * den
-    with mp.workdps(digits + 10):
-        # 1 - C_n loses about 2 log2(q) bits to cancellation near n = 0, and
-        # the n-sum and the shift cancel terms of size up to q
-        with mp.extraprec(2 * den.bit_length()):
-            if den == 1:
-                psi = -mp.euler
-            else:
-                cos_row, log_row, base = _gauss_row(den, mp.mp.prec)
-                c_p = cos_row[min(p, den - p)]
-                cot = mp.sqrt((1 + c_p) / (1 - c_p))
-                if 2 * p > den:
-                    cot = -cot
-                psi = base - mp.pi / 2 * cot + mp.fsum(
-                    cos_row[min(n * p % den, -n * p % den)] * ln_sin2
-                    for n, ln_sin2 in enumerate(log_row, 1))
-            psi += mp.fsum(mp.mpf(den) / (p + j * den) for j in range(s))
-        return +psi
+    prec = dps_to_prec(digits + 10)
+    wp = prec + 2 * den.bit_length()
+    if den == 1:
+        bits, total = wp, -euler_fixed(wp)
+    else:
+        bits, cos_row, log_row, base = _gauss_row(den, wp)
+        one = 1 << bits
+        c_p = cos_row[p]
+        cot = math.isqrt(((one + c_p) << 2 * bits) // (one - c_p))
+        if 2 * p > den:
+            cot = -cot
+        cos_np = [cos_row[i % den] for i in range(p, p * len(log_row) + 1, p)]
+        dot = sum(map(mul, cos_np, log_row))
+        total = base - (pi_fixed(bits) * cot >> bits + 1) + (dot >> bits)
+    g = s.bit_length()
+    total += sum((den << bits + g) // (p + j * den) for j in range(s)) >> g
+    return mp.make_mpf(from_man_exp(total, -bits, prec, "n"))
 
 
 @lru_cache(maxsize=None)
 def _gauss_row(q: int, prec: int):
-    """(C, L, base) for denominator q > 1 at working precision prec:
-    C_j = cos(2 pi j/q) for j <= q/2, L_n = ln((1 - C_n)/2) = ln sin^2(pi n/q)
-    for 1 <= n < q/2, and base = -gamma - ln 2q.  All the endpoints of one
-    denominator share the row; the key carries the precision, so the rungs of
-    a precision ladder never share a value."""
-    with mp.workprec(prec):
-        cos_row = tuple(mp.cospi(mp.mpf(2 * j) / q) for j in range(q // 2 + 1))
-        log_row = tuple(mp.log((1 - c) / 2) for c in cos_row[1:(q + 1) // 2])
-        return cos_row, log_row, -mp.euler - mp.log(2 * q)
+    """(B, C, L, base) for denominator q > 1 at working precision prec, in
+    integers scaled by 2^B, B = prec + 4 bitlen(q): C_j ~ cos(2 pi j/q) for
+    j < q, L_n ~ ln((1 - C_n)/2) = ln sin^2(pi n/q) for 1 <= n < q/2, and
+    base ~ -gamma - ln 2q.  The key carries the precision, so the rungs of a
+    precision ladder never share a row.
+
+    C_(j+1) = 2 C_1 C_j / 2^B - C_(j-1), rounded, from C_1 = cos(2 pi/q)
+    rounded, is the Chebyshev recurrence of cos(j t).  Its error
+    e_j = C_j - 2^B cos(2 pi j/q) follows the same recurrence, forced by at
+    most 3/2 per step, whose unforced solutions U_(j-1)(C_1/2^B) are at most
+    j in size: |e_j| <= j^2 <= q^2/4 for j <= q/2, so 2 bitlen(q) guard bits
+    keep C_j within 2^-(prec + 2 bitlen(q) + 2).  As sin^2(pi n/q) >= 4/q^2,
+    that moves ln sin^2 by at most q^4/32 units, and the log's truncation by
+    2 more: the other 2 bitlen(q) keep L_n within 2^-(prec + 3).
+    """
+    bits = prec + 4 * q.bit_length()
+    one = 1 << bits
+    wp = bits + 20
+    c_1 = to_fixed(mpf_cos_pi(from_rational(2, q, wp), wp), bits + 1) + 1 >> 1
+    cos_row = [one, c_1]
+    for _ in range(q // 2 - 1):
+        cos_row.append(((c_1 * cos_row[-1] >> bits - 2) + 1 >> 1) - cos_row[-2])
+    log_row = tuple(to_fixed(mpf_log(from_man_exp(one - c, -bits - 1), wp), bits)
+                    for c in cos_row[1:(q + 1) // 2])
+    cos_row += cos_row[(q - 1) // 2:0:-1]  # C_(q-j) = C_j
+    return (bits, tuple(cos_row), log_row,
+            -euler_fixed(bits) - log_int_fixed(2 * q, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +212,44 @@ def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo: Fraction,
 
 
 def _newton_polish(coeffs, z0: mp.mpf, dps: int) -> mp.mpf:
-    c3, c2, c1, c0 = coeffs
-
-    def f(z):
-        return ((c3 * z + c2) * z + c1) * z + c0
-
-    def fp(z):
-        return (3 * c3 * z + 2 * c2) * z + c1
-
-    z, fz = z0, f(z0)
-    tol = mp.mpf(10) ** (-dps + 3)
+    """Newton on the cubic of ``coeffs`` from z0 until a step is at most
+    10^(3-dps) max(1, |z|); a step that raises |f| is halved while it is
+    above 10^(3-dps).  It runs on integers: with each coefficient the dyadic
+    C_i 2^e its mpf holds and z = Z 2^E, E <= 0, Z of the working
+    precision's bits, f(z) 2^-(e+3E) and f'(z) 2^-(e+2E) are exact integers
+    and a step moves Z by their quotient, rounded: the only error."""
+    parts = [_dyadic(mp.mpf(c)) for c in coeffs]
+    e = min(exp for _, exp in parts)
+    zm, ze = _dyadic(z0)
+    shift = max(0, -ze, mp.mp.prec - ze - abs(zm).bit_length())  # -E
+    z, u = zm << ze + shift, 1 << shift
+    ints = c3, c2, c1, _ = [m << exp - e + i * shift
+                            for i, (m, exp) in enumerate(parts)]
+    tol = 10 ** (dps - 3)
+    fz = _eval_cubic(ints, z)
     for _ in range(200):
-        step = fz / fp(z)
+        fp = (3 * c3 * z + 2 * c2) * z + c1
+        step = (2 * fz + fp) // (2 * fp)
         znew = z - step
-        fnew = f(znew)
-        while mp.fabs(fnew) > mp.fabs(fz) and mp.fabs(step) > tol:
-            step /= 2
+        fnew = _eval_cubic(ints, znew)
+        while abs(fnew) > abs(fz) and abs(step) * tol > u:
+            step = step // 2 if step > 0 else -(-step // 2)
             znew = z - step
-            fnew = f(znew)
+            fnew = _eval_cubic(ints, znew)
         z, fz = znew, fnew
-        if mp.fabs(step) <= tol * max(1, mp.fabs(z)):
+        if abs(step) * tol <= max(u, abs(z)):
             break
-    return z
+    return mp.mpf((z, -shift))
 
 
 def _newton_start(a: int, b: int, x: mp.mpf) -> mp.mpf:
-    """Start of the mpf Newton for the root beyond b: Newton in doubles from
-    the proven bound b/(1 - x^(1/3)), which leaves the mpf Newton 3-5 steps
-    at 60 and 120 digits instead of 9-10.  When doubles cannot hold the
-    solve (float(x) rounds to 1 at huge k, say) or do not end beyond b, the
-    start is that bound in mpf.  Only the exact probes after the polish
-    certify the root, so the start decides the speed, never the result."""
+    """Start of the integer Newton for the root beyond b: Newton in doubles
+    from the proven bound b/(1 - x^(1/3)), which leaves :func:`_newton_polish`
+    3-5 steps at 60 and 120 digits instead of 9-10.  When doubles cannot
+    hold the solve (float(x) rounds to 1 at huge k, say) or do not end
+    beyond b, the start is that bound in mpf.  Only the exact probes after
+    the polish certify the root, so the start decides the speed, never the
+    result."""
     try:
         xd = float(x)
         c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xd)
@@ -261,13 +298,14 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     negative after it.  Each factor is also >= (z-b)/z, so
     f(z) >= ((z-b)/z)^3 and that root is at most b/(1 - x^(1/3)).
 
-    Newton starts from that bound, first in doubles and then in mpf
-    (:func:`_newton_start`).  The polished z0 is then certified by two
-    exact probes at lo, hi = z0 -/+ z0*10^-digits/2: lo > b, sign +1 at lo and
-    -1 at hi, for every x in the rational enclosure ``x_bounds``.  lo and hi
-    are dyadic, so each probe is one integer (:func:`_cleared_cubic`) per
-    end of the enclosure.  By the argument above, the unique root beyond b
-    lies in [lo, hi]; if any of this fails, PrecisionError.
+    Newton starts from that bound, first in doubles (:func:`_newton_start`)
+    and then in integers (:func:`_newton_polish`).  The polished z0 is then
+    certified by two exact probes at lo, hi = z0 -/+ z0*10^-digits/2: lo > b,
+    sign +1 at lo and -1 at hi, for every x in the rational enclosure
+    ``x_bounds``.  lo and hi are dyadic, so each probe is one integer
+    (:func:`_cleared_cubic`) per end of the enclosure.  By the argument
+    above, the unique root beyond b lies in [lo, hi]; if any of this fails,
+    PrecisionError.
 
     :func:`saddle_real` and :func:`saddle_complex` both need this solve, and
     a cell asks for them in turn, so the last solve is kept, keyed on every
@@ -338,15 +376,17 @@ def _saddle_dps(x, digits: int) -> int:
     return digits + 15 + guard_digits(1 - x)
 
 
-def _m_rate(a: int, b: int, z, x) -> mp.mpf:
+def _m_rate(a: int, b: int, x: mp.mpf, dist2) -> mp.mpf:
     """ln of the six-factor modulus quotient at a root z of the saddle cubic,
-    minus (b/2) ln x."""
-    m1, m2, m3, m4, m5 = (mp.fabs(z - c)
-                          for c in (b - 2 * a, b - a, b, 2 * a, a))
-    return ((b - 2 * a) * mp.log(m1) + (b - a) * mp.log(m2) + b * mp.log(m3)
-            - 2 * a * mp.log(m4) - a * mp.log(m5)
-            - (b - 4 * a) * mp.log(b - 4 * a) - (b - 2 * a) * mp.log(b - 2 * a)
-            - b * mp.log(b) - mp.mpf(b) / 2 * mp.log(x))
+    minus (b/2) ln x, by one logarithm: (1/2) ln of prod_c dist2(c)^e_c /
+    (I^2 x^b), dist2(c) = |z - c|^2 over c = b-2a, b-a, b, 2a, a with
+    e_c = b-2a, b-a, b, -2a, -a, and the integer
+    I = (b-4a)^(b-4a) (b-2a)^(b-2a) b^b."""
+    num = (dist2(b - 2 * a) ** (b - 2 * a) * dist2(b - a) ** (b - a)
+           * dist2(b) ** b)
+    den = dist2(2 * a) ** (2 * a) * dist2(a) ** a * x ** b
+    ints = (b - 4 * a) ** (b - 4 * a) * (b - 2 * a) ** (b - 2 * a) * b ** b
+    return mp.log(num / (den * ints ** 2)) / 2
 
 
 def saddle_real(a: int, b: int, x, digits: int,
@@ -355,7 +395,7 @@ def saddle_real(a: int, b: int, x, digits: int,
     exact sign probes, and the growth rate of the U coefficients."""
     with mp.workdps(_saddle_dps(x, digits)):
         x, z0, _, _ = _solve_cubic(a, b, x, digits, x_bounds)
-        return +z0, +_m_rate(a, b, z0, x)
+        return +z0, +_m_rate(a, b, x, lambda c: (z0 - c) ** 2)
 
 
 def saddle_complex(a: int, b: int, x, digits: int,
@@ -373,37 +413,9 @@ def saddle_complex(a: int, b: int, x, digits: int,
         if im2 <= 0:
             raise NonApplicableError("saddle cubic has three real roots; "
                                      "no complex saddle point")
-        w = mp.mpc(s / 2, -mp.sqrt(im2))
-        return -w, +_m_rate(a, b, w, x)
-
-
-def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:
-    """All three roots of c3 z^3 + c2 z^2 + c1 z + c0 by the radical formula.
-
-    Kept as an independent oracle against the Newton/deflation path.
-    """
-    with mp.workdps(digits + 15):
-        c3, c2, c1, c0 = [mp.mpc(str(c)) if isinstance(c, Fraction) else mp.mpc(c)
-                          for c in coeffs]
-        if c3 == 0:
-            raise DomainError("not a cubic")
-        p2, p1, p0 = c2 / c3, c1 / c3, c0 / c3
-        shift = p2 / 3
-        p = p1 - p2 * p2 / 3
-        q = 2 * p2**3 / 27 - p2 * p1 / 3 + p0
-        disc = (q / 2) ** 2 + (p / 3) ** 3
-        u3 = -q / 2 + mp.sqrt(disc)
-        if mp.fabs(u3) < mp.mpf(10) ** (-(digits + 5)):
-            u3 = -q / 2 - mp.sqrt(disc)
-        u = u3 ** (mp.mpf(1) / 3)
-        if u == 0:
-            return [+(-shift)] * 3
-        omega = mp.mpc(-mp.mpf(1) / 2, mp.sqrt(3) / 2)
-        roots = []
-        for i in range(3):
-            ui = u * omega**i
-            roots.append(+(ui - p / (3 * ui) - shift))
-        return roots
+        # |w - c|^2 = (c - s/2)^2 + p - s^2/4 = c^2 - s c + p: no mpc
+        return (mp.mpc(-s / 2, mp.sqrt(im2)),
+                +_m_rate(a, b, x, lambda c: (c - s / 2) ** 2 + im2))
 
 
 # ---------------------------------------------------------------------------

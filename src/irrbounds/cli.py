@@ -25,10 +25,10 @@ import sys
 
 import mpmath as mp
 
+from .asymptotics import ladder_agrees
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
-from .exact_arith import format_int, format_rat
-from .forms import Params
+from .exact_arith import Params, format_int, format_rat
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
                        table_row, verify_forms)
@@ -36,9 +36,9 @@ from .omega import compute_omega, n_constants
 
 # the working-precision floor of omega.n_constants and a cap, checked before
 # any work.  Each bound computes its constants at digits and 2*digits:
-# per process, bound --k 6 --a 1 --b 7 takes 0.4-0.5 s at 300 digits and
-# 0.6 s at 500, mu_bound(6, 1, 7, 1000) 0.8-0.9 s, and table --paper
-# 1.7-1.9 s at 500, on a shared 2-core machine.
+# per process, bound --k 6 --a 1 --b 7 takes 0.22-0.26 s at 500 digits,
+# table --paper 0.62-0.67 s, and a cold mu_bound(6, 1, 7, 1000) 0.24 s
+# in-process, on a shared 2-core machine.
 MIN_DIGITS = 30
 MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
@@ -48,9 +48,9 @@ MAX_DIGITS = 500
 # b > 4a, it also keeps each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
-# cap admits b up to 203, and that grid of 100 cells takes 13 s per process
-# at the default digits on the same machine (21 s before Omega's integer
-# walk), most of it the digamma rows of N1 and N2.
+# cap admits b up to 203, and that grid of 100 cells takes 5.1-5.3 s per
+# process at the default digits on the same machine: about 2.1 s in Omega's
+# walks and 2.5 s in the psi sums of N1 and N2 at both ladder rungs.
 MAX_SEARCH_CELLS = 100
 
 
@@ -217,9 +217,14 @@ def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     report = compute_omega(a, b)
-    n1, n2 = n_constants(a, b, report.omega, digits)
-    with mp.workdps(digits + 10):
-        psi_sum = +(b - n1)  # the digamma-difference total over the components
+    rungs = []  # (psi sum, N1, N2), each through the ladder, as in a bound
+    for d in (digits, 2 * digits):
+        n1, n2 = n_constants(a, b, report.omega, d)
+        with mp.workdps(d + 10):
+            rungs.append((b - n1, n1, n2))
+    if not all(map(ladder_agrees, *rungs, [digits] * 3)):
+        raise PrecisionError(f"Omega({a}, {b}) constants ladder mismatch: {rungs}")
+    psi_sum, n1, n2 = rungs[0]
     measure = format_rat(report.omega.total_measure())
     intervals = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
                   "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, quadratic extensions, prime sieve,
-lcm(1..n), and ``Frozen``, the base of the package's immutable records.
+lcm(1..n), ``Frozen``, the base of the package's immutable records, and
+``Params``, the construction parameters every layer validates.
 
 ``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps
 values canonical (gcd-reduced, positive denominator).  Everything here is
@@ -65,6 +66,40 @@ class Frozen:
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self.__slots__ if name not in self._hidden)
         return f"{type(self).__name__}({shown})"
+
+
+class Params(Frozen):
+    """Index k of alpha_k plus the construction parameters (a, b, n).
+
+    b and n must be odd so that (bn+1)/2 and the power-of-two exponents in
+    the scaling factors are integers; b > 4a keeps the three root blocks of
+    the product polynomial nested.
+    """
+
+    __slots__ = ("k", "a", "b", "n")
+    k: int
+    a: int
+    b: int
+    n: int
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.k < 1 or self.a < 1 or self.b < 1 or self.n < 1:
+            raise ValueError("k, a, b, n must all be positive")
+        if self.b % 2 == 0:
+            raise ValueError(f"b must be odd, got {self.b}")
+        if self.n % 2 == 0:
+            raise ValueError(f"n must be odd, got {self.n}")
+        if self.b <= 4 * self.a:
+            raise ValueError(f"need b > 4a, got b={self.b}, a={self.a}")
+
+    @property
+    def degree(self) -> int:
+        return 3 * (self.b - 2 * self.a) * self.n
+
+    @property
+    def half_bn1(self) -> int:
+        return (self.b * self.n + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +317,3 @@ def d_upto(n: int) -> int:
             q *= p
         out *= q
     return out
-
-
-def log_d_upto(n: int, sieve: PrimeSieve) -> float:
-    """ln lcm(1..n) as a float (finite-n oracle use; exact value is huge)."""
-    import math
-
-    if n > sieve.limit:
-        raise SieveCapacityError(f"{n} exceeds sieve limit {sieve.limit}")
-    total = 0.0
-    for p in sieve.primes(2, n):
-        e = 1
-        q = p
-        while q * p <= n:
-            q *= p
-            e += 1
-        total += e * math.log(p)
-    return total

@@ -22,9 +22,7 @@ import mpmath as mp
 from .asymptotics import (guard_digits, k_constants, ladder_agrees,
                           saddle_complex, saddle_real)
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, PrimeSieve, QuadRat, sqrt_bounds
-from .forms import (IntegerForms, Params, eval_UVW, scaled_integer_forms,
-                    x_point)
+from .exact_arith import Frozen, Params, PrimeSieve, QuadRat, sqrt_bounds
 from .omega import compute_omega, delta_products, n_constants
 
 __all__ = [
@@ -78,7 +76,7 @@ class VerificationRow(Frozen):
     m: mp.mpf
     decay_linear: mp.mpf
     decay_quadratic: mp.mpf
-    forms: IntegerForms
+    forms: IntegerForms  # of .forms, which only verify imports
 
 
 def _x_numeric(k: int, digits: int):
@@ -249,6 +247,8 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
     enclosure stays too wide, as a vanishing form would, raises
     PrecisionError.
     """
+    from .forms import eval_UVW, scaled_integer_forms, x_point
+
     rows = []
     for n in n_list:
         params = Params(k=k, a=a, b=b, n=n)
@@ -272,7 +272,7 @@ def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
     rational scalar on U(x_k)*alpha - sqrt(D)*V(x_k); agreement with
     P*alpha + Q cross-checks the integer assembly."""
     from .exact_arith import d_upto
-    from .forms import scaling_factors
+    from .forms import eval_UVW, scaling_factors, x_point
 
     params = Params(k=k, a=a, b=b, n=n)
     uvw = eval_UVW(params, x_point(k))

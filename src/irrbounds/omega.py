@@ -19,14 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CertificateError, DomainError, SieveCapacityError
-from .exact_arith import Frozen, PrimeSieve, Rat, format_rat, log_d_upto
-from .forms import Params
+from .exact_arith import Frozen, Params, PrimeSieve, Rat, format_rat
 
 __all__ = [
     "Interval", "IntervalSet", "OmegaReport",
     "floor_sum_value", "floor_sum_min", "omega_contains",
     "compute_omega", "delta_products", "n_constants",
-    "finite_n_n1", "finite_n_n2",
 ]
 
 
@@ -356,29 +354,7 @@ def _n_pair(a: int, b: int, components: tuple[Interval, ...], digits: int):
         n1 = mp.mpf(b) - psi_total
 
         cut = Fraction(1, b - 2 * a)
-        large = mp.mpf(0)
-        for iv in components:
-            if iv.lo >= cut:
-                continue
-            hi = min(iv.hi, cut)
-            if iv.lo < hi:
-                large += (mp.mpf(iv.lo.denominator) / iv.lo.numerator
-                          - mp.mpf(hi.denominator) / hi.numerator)
-        n2 = n1 + (b - 2 * a) + large
+        large = sum((1 / iv.lo - 1 / min(iv.hi, cut) for iv in components
+                     if iv.lo < min(iv.hi, cut)), Fraction(0))  # exact
+        n2 = n1 + (b - 2 * a) + mp.fdiv(large.numerator, large.denominator)
     return n1, n2
-
-
-def finite_n_n1(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
-    """Sieve-based estimate (1/n) ln(d_bn / Delta) for one finite n."""
-    ln_delta = sum(math.log(p) for p in _omega_primes(a, b, n, sieve))
-    return (log_d_upto(b * n, sieve) - ln_delta) / n
-
-
-def finite_n_n2(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
-    """Sieve-based estimate (1/n) ln(d_(b-2a)n * Delta1 * d_bn / Delta)."""
-    primes = _omega_primes(a, b, n, sieve)
-    cut1 = (b - 2 * a) * n
-    ln_delta = sum(math.log(p) for p in primes)
-    ln_delta1 = sum(math.log(p) for p in primes if p > cut1)
-    return (log_d_upto(cut1, sieve) + ln_delta1
-            + log_d_upto(b * n, sieve) - ln_delta) / n

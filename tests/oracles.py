@@ -1,6 +1,6 @@
-"""Oracles for the interval description of Omega(a, b), kept with the
-tests that use them.  numpy is needed here only; the package does not
-import it.
+"""Oracles kept with the tests that use them: the interval description of
+Omega(a, b), and the saddle rate by nine logarithms.  numpy is needed here
+only; the package does not import it.
 
 :func:`omega_by_fraction_probes` is the interval description built the way
 the package built it before its integer walk: ``Fraction`` probes at every
@@ -9,6 +9,13 @@ point of the literal Farey set and at every gap's mediant.
 set on a literal grid; :func:`certified_grid_check` extends that to every
 point of a grid with per-gap constancy certificates plus a random literal
 sample.
+
+:func:`m_rate_nine_logs` is the saddle rate the way the package took it
+before its one-logarithm form: one log per factor, and
+:func:`cubic_roots_cardano` finds all three roots of the saddle cubic by
+the radical formula, independently of the Newton and deflation path.
+:func:`finite_n_n1` and :func:`finite_n_n2` are the finite-n sieve
+estimates that N1 and N2 are held to.
 """
 
 import math
@@ -16,9 +23,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from irrbounds.errors import DomainError
+import mpmath as mp
+
+from irrbounds.errors import DomainError, SieveCapacityError
+from irrbounds.exact_arith import PrimeSieve
 from irrbounds.omega import (Interval, IntervalSet, _breakpoints, _mod_table,
-                             _validate_ab, omega_contains)
+                             _omega_primes, _validate_ab, omega_contains)
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
 GRID_CHUNK = 1 << 20
@@ -173,3 +183,74 @@ def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
     return GridCheck(grid_size=L, breakpoints_checked=len(pts),
                      gaps_certified=len(pts), sampled_literal=sampled,
                      discrepancies=bad)
+
+
+def m_rate_nine_logs(a: int, b: int, z, x):
+    """ln of the six-factor modulus quotient at a root z of the saddle cubic,
+    minus (b/2) ln x, one log per factor, at the working precision."""
+    m1, m2, m3, m4, m5 = (mp.fabs(z - c)
+                          for c in (b - 2 * a, b - a, b, 2 * a, a))
+    return ((b - 2 * a) * mp.log(m1) + (b - a) * mp.log(m2) + b * mp.log(m3)
+            - 2 * a * mp.log(m4) - a * mp.log(m5)
+            - (b - 4 * a) * mp.log(b - 4 * a) - (b - 2 * a) * mp.log(b - 2 * a)
+            - b * mp.log(b) - mp.mpf(b) / 2 * mp.log(x))
+
+
+def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:
+    """All three roots of c3 z^3 + c2 z^2 + c1 z + c0 by the radical formula.
+
+    Kept as an independent oracle against the Newton/deflation path.
+    """
+    with mp.workdps(digits + 15):
+        c3, c2, c1, c0 = [mp.mpc(str(c)) if isinstance(c, Fraction) else mp.mpc(c)
+                          for c in coeffs]
+        if c3 == 0:
+            raise DomainError("not a cubic")
+        p2, p1, p0 = c2 / c3, c1 / c3, c0 / c3
+        shift = p2 / 3
+        p = p1 - p2 * p2 / 3
+        q = 2 * p2**3 / 27 - p2 * p1 / 3 + p0
+        disc = (q / 2) ** 2 + (p / 3) ** 3
+        u3 = -q / 2 + mp.sqrt(disc)
+        if mp.fabs(u3) < mp.mpf(10) ** (-(digits + 5)):
+            u3 = -q / 2 - mp.sqrt(disc)
+        u = u3 ** (mp.mpf(1) / 3)
+        if u == 0:
+            return [+(-shift)] * 3
+        omega = mp.mpc(-mp.mpf(1) / 2, mp.sqrt(3) / 2)
+        roots = []
+        for i in range(3):
+            ui = u * omega**i
+            roots.append(+(ui - p / (3 * ui) - shift))
+        return roots
+
+
+def log_d_upto(n: int, sieve: PrimeSieve) -> float:
+    """ln lcm(1..n) as a float (finite-n oracle use; exact value is huge)."""
+    if n > sieve.limit:
+        raise SieveCapacityError(f"{n} exceeds sieve limit {sieve.limit}")
+    total = 0.0
+    for p in sieve.primes(2, n):
+        e = 1
+        q = p
+        while q * p <= n:
+            q *= p
+            e += 1
+        total += e * math.log(p)
+    return total
+
+
+def finite_n_n1(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
+    """Sieve-based estimate (1/n) ln(d_bn / Delta) for one finite n."""
+    ln_delta = sum(math.log(p) for p in _omega_primes(a, b, n, sieve))
+    return (log_d_upto(b * n, sieve) - ln_delta) / n
+
+
+def finite_n_n2(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
+    """Sieve-based estimate (1/n) ln(d_(b-2a)n * Delta1 * d_bn / Delta)."""
+    primes = _omega_primes(a, b, n, sieve)
+    cut1 = (b - 2 * a) * n
+    ln_delta = sum(math.log(p) for p in primes)
+    ln_delta1 = sum(math.log(p) for p in primes if p > cut1)
+    return (log_d_upto(cut1, sieve) + ln_delta1
+            + log_d_upto(b * n, sieve) - ln_delta) / n

@@ -20,8 +20,8 @@ from irrbounds import (Params, QuadRat, compute_omega, delta_products,
                        eval_UVW, mu2_bound, mu_bound, n_constants,
                        predicted_decay, scaled_integer_forms, series_uvw,
                        verify_forms, x_point)
-from irrbounds.omega import finite_n_n1, finite_n_n2
-from oracles import certified_grid_check, grid_discrepancies
+from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
+                     grid_discrepancies)
 
 MU_TABLE = {3: 6.64610, 5: 5.82337, 6: 3.51433, 7: 5.45248, 8: 3.47834,
             9: 5.23162, 10: 3.45356, 11: 5.08120, 12: 3.43506}

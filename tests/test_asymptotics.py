@@ -9,9 +9,10 @@ from irrbounds import (DomainError, NonApplicableError, PrecisionError,
                        alpha_value, digamma, k_constants, saddle_complex,
                        saddle_real)
 from irrbounds import asymptotics
-from irrbounds.asymptotics import (cubic_roots_cardano, ladder_agrees,
-                                   _eval_cubic, _real_cubic_coeffs)
+from irrbounds.asymptotics import (ladder_agrees, _eval_cubic,
+                                   _real_cubic_coeffs)
 from irrbounds.measures import _x_numeric, mu_bound
+from oracles import cubic_roots_cardano, m_rate_nine_logs
 
 TABLE_KS = (3, 5, 6, 7, 8, 9, 10, 11, 12)
 
@@ -69,13 +70,33 @@ def test_digamma_against_mpmath(x):
 
 
 @settings(deadline=None)
-@given(st.integers(1, 200), st.data(), st.sampled_from([30, 60, 120, 300]))
+@given(st.integers(1, 400), st.data(), st.sampled_from([30, 60, 120, 300]))
 def test_digamma_matches_mpmath_digamma(den, data, digits):
     num = data.draw(st.integers(1, 10 * den))
     psi = digamma(F(num, den), digits)
     with mp.workdps(digits + 30):
         ref = mp.digamma(mp.mpf(num) / den)
         assert mp.fabs(psi - ref) <= mp.mpf(10) ** -(digits + 5) * max(1, mp.fabs(ref))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 400), st.sampled_from([100, 200, 400, 1000]))
+def test_gauss_row_within_its_documented_bound(q, prec):
+    # the bounds of _gauss_row's docstring, against mpmath at 30 more digits:
+    # |e_j| <= j^2 <= 2^(B - prec - 2 bitlen(q) - 2) for C_j, q^4/32 + 2 and
+    # 2^(B - prec - 3) for L_n, and C_(q-j) = C_j
+    bits, cos_row, log_row, base = asymptotics._gauss_row(q, prec)
+    with mp.workprec(bits + 100):
+        scale = mp.mpf(2) ** bits
+        for j in range(q // 2 + 1):
+            err = mp.fabs(cos_row[j] - mp.cospi(mp.mpf(2 * j) / q) * scale)
+            assert err <= min(j * j, 2 ** (bits - prec - 2 * q.bit_length() - 2))
+            assert j == 0 or cos_row[q - j] == cos_row[j]
+        for n, ln_sin2 in enumerate(log_row, 1):
+            err = mp.fabs(ln_sin2 - mp.log(mp.sinpi(mp.mpf(n) / q) ** 2) * scale)
+            assert err <= min(q ** 4 / 32 + 2, 2 ** (bits - prec - 3))
+        assert len(cos_row) == q and len(log_row) == (q + 1) // 2 - 1
+        assert mp.fabs(base + (mp.euler + mp.log(2 * q)) * scale) <= 2
 
 
 def test_digamma_refuses_integer_part_above_cap():
@@ -342,6 +363,32 @@ def test_saddles_against_cardano_oracle(k, a, b):
         assert min(mp.fabs(r - z0) for r in roots) < tol
         # z1 is a root of the mirrored equation, so -z1 is one of the cubic
         assert min(mp.fabs(r + z1) for r in roots) < tol
+
+
+_RATE_AB = st.integers(1, 5).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(0, 99).map(lambda i: 4 * a + 2 * i + 1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_RATE_AB, st.one_of(st.integers(1, 200), st.sampled_from([10**20, 10**100])),
+       st.sampled_from([30, 60, 120, 300]))
+def test_one_log_rate_matches_nine_logs(ab, k, digits):
+    # M1 and M2 from one log of a product of powers, against one log per
+    # factor at the same root and x
+    a, b = ab
+    x, xb = _x_numeric(k, digits)
+    z0, m1 = saddle_real(a, b, x, digits, x_bounds=xb)
+    try:
+        z1, m2 = saddle_complex(a, b, x, digits, x_bounds=xb)
+    except NonApplicableError:
+        z1 = None
+    with mp.workdps(asymptotics._saddle_dps(x, digits)):
+        x = mp.mpf(x)
+        # the cubic's complex root is w = -z1, negated at this precision
+        pairs = [(z0, m1)] + ([] if z1 is None else [(-z1, m2)])
+        for z, rate in pairs:
+            ref = m_rate_nine_logs(a, b, z, x)
+            assert mp.fabs(rate - ref) <= mp.mpf(10) ** -(digits + 8) * max(1, mp.fabs(ref))
 
 
 def test_saddle_complex_all_real_rejected():

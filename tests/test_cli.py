@@ -6,10 +6,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from irrbounds import omega
 from irrbounds.cli import MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
 from pinned_digits import MU2_8_1_13, MU_6_1_7
@@ -225,13 +227,14 @@ def test_stdout_matches_benchmark_reference(capsys, label, argv):
 
 
 def test_verify_refuses_degree_above_cap_before_any_work(capsys, monkeypatch):
-    import irrbounds.measures as measures_mod
+    import irrbounds.forms as forms_mod
     import irrbounds.omega as omega_mod
 
     def boom(*args, **kwargs):
         raise RuntimeError("verify started work past its cap")
 
-    monkeypatch.setattr(measures_mod, "eval_UVW", boom)
+    # verify_forms imports eval_UVW from forms when it runs
+    monkeypatch.setattr(forms_mod, "eval_UVW", boom)
     monkeypatch.setattr(omega_mod, "PrimeSieve", boom)
     code, _, _ = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
                      "--n", "10000001")
@@ -370,6 +373,22 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "precision failure: saddle root not certified\n"
+
+
+def test_omega_ladder_mismatch_exit_4(capsys, monkeypatch):
+    # N1, N2 and the psi sum are published only when the 2*digits rung
+    # agrees; a second rung perturbed by 10^-50 must refuse them
+    n_constants = omega.n_constants
+
+    def perturbed(a, b, components, digits):
+        n1, n2 = n_constants(a, b, components, digits)
+        return (n1 + mp.mpf(10) ** -50, n2) if digits == 120 else (n1, n2)
+
+    monkeypatch.setattr("irrbounds.cli.n_constants", perturbed)
+    code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("precision failure: Omega(1, 7) constants ladder")
 
 
 def _swap_two(pts):
@@ -564,6 +583,20 @@ def test_import_and_help_load_no_unused_module():
                 if line.startswith("import time:")}
     assert "irrbounds.cli" in imported
     assert not UNUSED_AT_START & imported
+    # the bound commands never compile forms.py; verify loads it, but not
+    # the dense oracles of irrbounds.dense
+    assert "irrbounds.forms" not in loaded | imported
+    for argv, loads_forms in (
+            (["table", "--paper"], False),
+            (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], False),
+            (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], True)):
+        child = _run_child("-c", "import sys, irrbounds.cli as cli; "
+                           "code = cli.main(sys.argv[1:]); "
+                           "print(code, *sys.modules, file=sys.stderr)", *argv)
+        code, *modules = child.stderr.decode().split()
+        assert code == "0", child.stderr
+        assert ("irrbounds.forms" in modules) == loads_forms, argv
+        assert "irrbounds.dense" not in modules
 
 
 @pytest.mark.parametrize("label,argv", [

@@ -8,10 +8,9 @@ from irrbounds import (CertificateError, DomainError, Params, compute_omega,
                        delta_products, floor_sum_min, floor_sum_value,
                        n_constants, omega_contains)
 from irrbounds import omega as omega_module
-from irrbounds.omega import (Interval, IntervalSet, _breakpoints,
-                             finite_n_n1, finite_n_n2)
-from oracles import (certified_grid_check, grid_discrepancies,
-                     omega_by_fraction_probes)
+from irrbounds.omega import Interval, IntervalSet, _breakpoints
+from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
+                     grid_discrepancies, omega_by_fraction_probes)
 
 
 # ---------------------------------------------------------------------------
