@@ -10,16 +10,14 @@ _EXPORTS = {
     "errors": ("CertificateError", "DomainError", "IntegralityError",
                "NonApplicableError", "PrecisionError", "SieveCapacityError"),
     "exact_arith": ("Params", "PrimeSieve", "QuadRat", "Rat", "d_upto"),
-    "dense": ("IntPoly", "build_A", "derivative", "series_uvw", "shift_poly",
-              "tail_transform_coeffs"),
+    "dense": ("IntPoly", "build_A", "derivative"),
     "forms": ("IntegerForms", "UVWValues", "eval_UVW", "scaled_integer_forms",
               "x_point"),
     "measures": ("BoundResult", "VerificationRow", "headline_table",
                  "mu2_bound", "mu_bound", "predicted_decay", "search_params",
                  "verify_forms"),
     "omega": ("IntervalSet", "OmegaReport", "compute_omega", "delta_products",
-              "floor_sum_min", "floor_sum_value", "n_constants",
-              "omega_contains"),
+              "n_constants", "omega_contains"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

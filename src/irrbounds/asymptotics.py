@@ -6,18 +6,19 @@ The inner loops run on Python ints in fixed point; mpmath seeds the
 transcendental values (cos, log, pi, gamma) and rounds each result once.
 Digamma comes from Gauss's digamma theorem: one memoised row of cosines and
 log-sines per denominator and working precision, as integers with a proven
-error, serves every argument with that denominator, and the precision is
-part of the row's key, so the two rungs of a precision ladder never share a
-value.
+error, serves every argument with that denominator.  Each constant is
+computed once, with a proven error bound (a radius), which :func:`certify`
+holds every published value to.  The bounds trust mpmath's transcendentals
+(cos 2 pi/q, the log-sines, gamma, ln 2q, pi, the logs of K and M) to one
+unit of their fixed-point scale or one ulp, as its ``iv`` context does.
 
 The real saddle root is found by Newton from a proven bound, in doubles and
 then in integers, then two exact probes: integer sign evaluations on a tight
 dyadic bracket, certain for every x in a rational enclosure, so rounding can
 never fool them.  Near x = 1 the root is ill-conditioned, and the working
 precision carries guard digits (:func:`guard_digits`).  Each saddle rate is
-one logarithm of a product of integer powers.  Every published value
-carries a precision ladder: recomputation at twice the digits must agree to
-the reported digits.
+one logarithm of a product of integer powers, with a radius
+(:func:`_m_rate`).
 
 alpha_value is alpha_k by mpmath's log, the reference the tests hold the
 production route to: verify encloses alpha_k by a fixed-point integer sum
@@ -33,26 +34,35 @@ from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import (dps_to_prec, euler_fixed, from_man_exp, from_rational,
-                          log_int_fixed, mpf_cos_pi, mpf_log, pi_fixed, to_fixed)
+                          log_int_fixed, mpf_cos_pi, mpf_log, mpf_neg, pi_fixed,
+                          to_fixed)
 
 from .errors import DomainError, NonApplicableError, PrecisionError
 from .exact_arith import Rat
 
 __all__ = [
     "digamma", "alpha_value", "saddle_real", "saddle_complex",
-    "k_constants", "ladder_agrees",
+    "k_constants", "certify",
 ]
 
 
-def ladder_agrees(lo, hi, digits: int) -> bool:
-    """The precision-ladder rule: the value at ``digits`` and the value at
-    2*digits agree to digits-5 places.  A finite value never agrees with an
-    infinite one, in either order."""
-    with mp.workdps(2 * digits + 10):
-        if mp.isfinite(lo) != mp.isfinite(hi):
-            return False
-        tol = mp.mpf(10) ** (-(digits - 5))
-        return not mp.isfinite(lo) or mp.fabs(lo - hi) <= tol * max(1, mp.fabs(hi))
+def certify(name: str, value, radius, digits: int) -> None:
+    """PrecisionError unless the finite ``value`` has a finite radius of at
+    most 10^-(digits-5) max(1, |value|), decided exactly: the rule that
+    certifies the digits - 5 leading digits of every published value."""
+    if mp.isfinite(value) and mp.isfinite(radius):
+        (rm, re), (vm, ve) = _dyadic(radius), _dyadic(value)
+        e = min(re, ve, 0)
+        if abs(rm) * 10 ** (digits - 5) << re - e <= max(1 << -e, abs(vm) << ve - e):
+            return
+    raise PrecisionError(f"{name} = {value} is certified only to within "
+                         f"{radius}, too wide for {digits} digits")
+
+
+def units(x, w: int) -> tuple[int, int]:
+    """floor and ceil of x 2^w, for a finite mpf x: radii are summed as ints
+    in units of 2^-w."""
+    return to_fixed(x._mpf_, w), -to_fixed(mpf_neg(x._mpf_), w)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +77,8 @@ MAX_DIGAMMA_SHIFT = 10_000
 
 def digamma(x: Rat, digits: int) -> mp.mpf:
     """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1, by Gauss's
-    digamma theorem at digits + 10 working digits; the precision ladder of
-    each caller checks the result."""
+    digamma theorem, within 2^-prec (1 + |psi(x)|), prec the bits of
+    digits + 10 digits (:func:`_psi`)."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"digamma requires a positive argument, got {x}")
@@ -94,16 +104,22 @@ def _psi(num: int, den: int, digits: int) -> mp.mpf:
     it is integer arithmetic on the row of denominator q (:func:`_gauss_row`):
     cot(pi p/q) = +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2, by isqrt,
     the n-sum one dot product, each q/(p + jq) a floor division to
-    bitlen(s) more bits; the total is rounded once, to digits + 10 digits.
-    The row carries 2 bitlen(q) bits beyond those, as the n-sum adds up q/2
-    of its errors and cancels terms up to about q in size.
+    bitlen(s) more bits; the total is rounded once, to prec bits, from
+    B = prec + 6 bitlen(q) (prec + 2 for q = 1).  Its error in units of
+    2^-B must be at most 2^(B - prec), else PrecisionError.  From the row's
+    bounds (|C_j err| <= q^2/4, L_n's q^4/32 + 2) and mpmath's gamma, ln 2q
+    and pi, each trusted to 1 unit (the module's assumption):
+    (q^4 + 16 q^2 bitlen(q))/32 + 4 per dot term (|ln sin^2| < 2 bitlen(q));
+    q^5/16 + q/2 + 5 for pi/2 cot (|cot| < q), as d/dc sqrt((1+c)/(1-c)) =
+    1/((1 - c)|sin 2 pi p/q|) < q^3/8 near C_p (0 exactly when q = 2);
+    1 per floor in the count, 2 for gamma and ln 2q, 2 for the s steps.
     """
     s = -(-num // den) - 1
     p = num - s * den
     prec = dps_to_prec(digits + 10)
     wp = prec + 2 * den.bit_length()
     if den == 1:
-        bits, total = wp, -euler_fixed(wp)
+        bits, total, err = wp, -euler_fixed(wp), 1
     else:
         bits, cos_row, log_row, base = _gauss_row(den, wp)
         one = 1 << bits
@@ -114,8 +130,14 @@ def _psi(num: int, den: int, digits: int) -> mp.mpf:
         cos_np = [cos_row[i % den] for i in range(p, p * len(log_row) + 1, p)]
         dot = sum(map(mul, cos_np, log_row))
         total = base - (pi_fixed(bits) * cot >> bits + 1) + (dot >> bits)
+        q2 = den * den
+        err = (q2 * q2 * den // 16 + den // 2 + 10
+               + len(log_row) * ((q2 * q2 + 16 * q2 * den.bit_length()) // 32 + 5))
     g = s.bit_length()
     total += sum((den << bits + g) // (p + j * den) for j in range(s)) >> g
+    if err + 2 > 1 << bits - prec:
+        raise PrecisionError(f"the fixed-point psi({num}/{den}) is not within "
+                             f"2^-{prec}: {err + 2} units of 2^-{bits}")
     return mp.make_mpf(from_man_exp(total, -bits, prec, "n"))
 
 
@@ -124,8 +146,7 @@ def _gauss_row(q: int, prec: int):
     """(B, C, L, base) for denominator q > 1 at working precision prec, in
     integers scaled by 2^B, B = prec + 4 bitlen(q): C_j ~ cos(2 pi j/q) for
     j < q, L_n ~ ln((1 - C_n)/2) = ln sin^2(pi n/q) for 1 <= n < q/2, and
-    base ~ -gamma - ln 2q.  The key carries the precision, so the rungs of a
-    precision ladder never share a row.
+    base ~ -gamma - ln 2q.  The key carries the precision.
 
     C_(j+1) = 2 C_1 C_j / 2^B - C_(j-1), rounded, from C_1 = cos(2 pi/q)
     rounded, is the Chebyshev recurrence of cos(j t).  Its error
@@ -286,9 +307,9 @@ def _derive_x_bounds(x, digits: int) -> tuple[Fraction, Fraction]:
 
 
 def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
-    """(x, z0, s, p) at the caller's working precision: x as mpf, the real
-    root z0 > b of the saddle cubic, and the sum s and product p of the
-    other two roots (from deflation).
+    """(x, z0, s, p, box) at the caller's working precision: x as mpf, the
+    real root z0 > b of the saddle cubic, the sum s and product p of the
+    other two roots (from deflation), and the box of the rates' radii.
 
     The cubic is z(z-a)(z-2a) * (x - f(z)) with
     f(z) = (z-(b-2a))(z-(b-a))(z-b) / (z(z-a)(z-2a)).  On z > b each factor
@@ -306,6 +327,10 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
     (:func:`_cleared_cubic`) per end of the enclosure.  By the argument
     above, the unique root beyond b lies in [lo, hi]; if any of this fails,
     PrecisionError.
+
+    The box is (zn, en, e, x_lo, x_hi, x_term): the bracket
+    [(zn -/+ en)/2^e], the enclosure widened to hold x, inside (0, 1), and
+    x_term >= 2^w (b/2)(x_hi - x_lo)/x_lo, w the working precision.
 
     :func:`saddle_real` and :func:`saddle_complex` both need this solve, and
     a cell asks for them in turn, so the last solve is kept, keyed on every
@@ -342,7 +367,16 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                 and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
             raise PrecisionError(f"saddle root {z0} beyond b={b} not certified "
                                  f"for x in [{float(x_lo)}, {float(x_hi)}]")
-        return x, z0, -c2 / c3 - z0, -c0 / (c3 * z0)
+        xf = Fraction(*_dyadic_ratio(x))
+        x_lo, x_hi = min(x_lo, xf), max(x_hi, xf)
+        if not 0 < x_lo <= x_hi < 1:
+            raise PrecisionError(f"x's enclosure [{float(x_lo)}, {float(x_hi)}] "
+                                 "leaves (0, 1)")
+        width = x_hi - x_lo
+        x_term = -(-(b * width.numerator * x_lo.denominator << prec)
+                   // (2 * width.denominator * x_lo.numerator))
+        return (x, z0, -c2 / c3 - z0, -c0 / (c3 * z0),
+                (zn, en, -e, x_lo, x_hi, x_term))
 
 
 def guard_digits(gap) -> int:
@@ -376,58 +410,121 @@ def _saddle_dps(x, digits: int) -> int:
     return digits + 15 + guard_digits(1 - x)
 
 
-def _m_rate(a: int, b: int, x: mp.mpf, dist2) -> mp.mpf:
-    """ln of the six-factor modulus quotient at a root z of the saddle cubic,
-    minus (b/2) ln x, by one logarithm: (1/2) ln of prod_c dist2(c)^e_c /
-    (I^2 x^b), dist2(c) = |z - c|^2 over c = b-2a, b-a, b, 2a, a with
-    e_c = b-2a, b-a, b, -2a, -a, and the integer
-    I = (b-4a)^(b-4a) (b-2a)^(b-2a) b^b."""
-    num = (dist2(b - 2 * a) ** (b - 2 * a) * dist2(b - a) ** (b - a)
-           * dist2(b) ** b)
-    den = dist2(2 * a) ** (2 * a) * dist2(a) ** a * x ** b
+def _m_rate(a: int, b: int, x: mp.mpf, dists, ranges, x_term: int):
+    """(M, radius): ln of the six-factor modulus quotient at a root z of the
+    saddle cubic, minus (b/2) ln x, by one logarithm: (1/2) ln of
+    prod_c d_c^(+-c) / (I^2 x^b), c = b-2a, b-a, b (+), 2a, a (-), the mpf
+    d_c = |z - c|^2 in ``dists``, I = (b-4a)^(b-4a) (b-2a)^(b-2a) b^b.
+
+    The radius bounds M's distance from M at the true root and x.  Each true
+    |z - c|^2 lies in [lo, hi] of ``ranges`` (units of 2^-w, w the working
+    precision), so c/2 ln d_c errs by c/2 max(d_c - lo, hi - d_c)/min(d_c,
+    lo), and (b/2) ln x by ``x_term``; from the d_c on, six powers round
+    within 2 units of 2^-w (mpmath's works at w + 4 bitlen(e) + 4 bits),
+    six other steps within 1 and the log within an ulp: 11 + 2.01 |M|.
+    """
+    d1, d2, d3, d4, d5 = dists
+    num = d1 ** (b - 2 * a) * d2 ** (b - a) * d3 ** b
+    den = d4 ** (2 * a) * d5 ** a * x ** b
     ints = (b - 4 * a) ** (b - 4 * a) * (b - 2 * a) ** (b - 2 * a) * b ** b
-    return mp.log(num / (den * ints ** 2)) / 2
+    rate = mp.log(num / (den * ints ** 2)) / 2
+    w = mp.mp.prec
+    radius = x_term + 19 + 3 * int(abs(rate))
+    for c, d, (lo, hi) in zip((b - 2 * a, b - a, b, 2 * a, a), dists, ranges):
+        d_lo, d_hi = units(d, w)
+        if min(d_lo, lo) <= 0:
+            raise PrecisionError("a saddle rate's factor |z - c| is not "
+                                 "bounded away from 0")
+        radius += -(-(c * max(d_hi - lo, hi - d_lo) << w) // (2 * min(d_lo, lo)))
+    return rate, mp.make_mpf(from_man_exp(radius, -w))
+
+
+def _deflation_bounds(a: int, b: int, box, w: int):
+    """((s_lo, p_lo), (s_hi, p_hi)): exact bounds, in units of 2^-w, on the
+    other two roots' sum s and product p over the :func:`_solve_cubic` box.
+    By Vieta, with g = 1 - x, p = c0/(g z) and s = (Q - 2a^2 x - c0/z)/(g z),
+    Q = r1 r2 + r1 r3 + r2 r3, c0 = r1 r2 r3: unlike the root sum -c2/c3 - z,
+    no terms of size 1/(1 - x) cancel.  Both fall as z > b rises and rise
+    with x (ds/dz has the sign of 2 c0/z - Q + 2a^2 x < 4a^2 - b^2 < 0, ds/dx
+    that of Q - 2a^2 - c0/z > 0): the corners (x_lo, z_hi), (x_hi, z_lo)."""
+    zn, en, e, x_lo, x_hi, _ = box
+    r1, r2, r3 = b - 2 * a, b - a, b
+    q, c0 = r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
+    bounds = []
+    for x, z, up in ((x_lo, zn + en, False), (x_hi, zn - en, True)):
+        xn, xd = x.numerator, x.denominator
+        den = (xd - xn) * z * z
+        bounds.append([-(-v // den) if up else v // den for v in (
+            (q * xd * z - 2 * a * a * xn * z - (c0 * xd << e)) << w + e,
+            c0 * xd * z << w + e)])
+    return bounds
 
 
 def saddle_real(a: int, b: int, x, digits: int,
-                x_bounds: tuple[Rat, Rat] | None = None) -> tuple[mp.mpf, mp.mpf]:
-    """(z0, M1): the unique root z0 > b of the saddle cubic, certified by
-    exact sign probes, and the growth rate of the U coefficients."""
+                x_bounds: tuple[Rat, Rat] | None = None
+                ) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+    """(z0, M1, radius): the unique root z0 > b of the saddle cubic,
+    certified by exact sign probes, the growth rate M1 of the U
+    coefficients, and M1's radius (:func:`_m_rate`; |z - c|^2 rises with
+    z > b >= c, so the bracket's ends bound it)."""
     with mp.workdps(_saddle_dps(x, digits)):
-        x, z0, _, _ = _solve_cubic(a, b, x, digits, x_bounds)
-        return +z0, +_m_rate(a, b, x, lambda c: (z0 - c) ** 2)
+        x, z0, _, _, (zn, en, e, _, _, x_term) = _solve_cubic(a, b, x, digits, x_bounds)
+        w, cs = mp.mp.prec, (b - 2 * a, b - a, b, 2 * a, a)
+        ranges = [((zn - en - (c << e)) ** 2 << w >> 2 * e,
+                   -(-((zn + en - (c << e)) ** 2 << w) >> 2 * e)) for c in cs]
+        m1, radius = _m_rate(a, b, x, [(z0 - c) ** 2 for c in cs], ranges, x_term)
+        return +z0, +m1, radius
 
 
 def saddle_complex(a: int, b: int, x, digits: int,
-                   x_bounds: tuple[Rat, Rat] | None = None) -> tuple[mp.mpc, mp.mpf]:
-    """(z1, M2): the upper-half-plane root of the mirrored saddle equation and
-    the decay rate of the linear and quadratic forms.
+                   x_bounds: tuple[Rat, Rat] | None = None
+                   ) -> tuple[mp.mpc, mp.mpf, mp.mpf]:
+    """(z1, M2, radius): the upper-half-plane root of the mirrored saddle
+    equation, the decay rate M2 of the linear and quadratic forms, and M2's
+    radius, as in :func:`saddle_real`.
 
     z1 = -w for the root w = s/2 - i*sqrt(p - s^2/4) of the saddle cubic, its
-    pair recovered from the root sum and product after the real root z0 > b.
-    An all-real configuration means the statement does not apply.
+    pair recovered from the root sum and product after the real root z0 > b,
+    and |w - c|^2 = c^2 - s c + p, bounded through :func:`_deflation_bounds`.
+    Where those bounds prove p - s^2/4 <= 0 the configuration is all-real
+    and the statement does not apply (NonApplicableError); where they leave
+    its sign open, PrecisionError.
     """
     with mp.workdps(_saddle_dps(x, digits)):
-        x, _, s, p = _solve_cubic(a, b, x, digits, x_bounds)
-        im2 = p - s * s / 4
-        if im2 <= 0:
+        x, _, s, p, box = _solve_cubic(a, b, x, digits, x_bounds)
+        w, cs = mp.mp.prec, (b - 2 * a, b - a, b, 2 * a, a)
+        (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(a, b, box, w)
+        squares = s_lo * s_lo, s_hi * s_hi
+        if p_hi - (0 if s_lo <= 0 <= s_hi else min(squares) >> w + 2) <= 0:
             raise NonApplicableError("saddle cubic has three real roots; "
                                      "no complex saddle point")
+        im2 = p - s * s / 4
+        if p_lo + (-max(squares) >> w + 2) <= 0 or im2 <= 0:
+            raise PrecisionError(f"the sign of p - s^2/4 = {im2} at a={a}, "
+                                 f"b={b} is not certified")
         # |w - c|^2 = (c - s/2)^2 + p - s^2/4 = c^2 - s c + p: no mpc
-        return (mp.mpc(-s / 2, mp.sqrt(im2)),
-                +_m_rate(a, b, x, lambda c: (c - s / 2) ** 2 + im2))
+        ranges = [((c * c << w) - c * s_hi + p_lo, (c * c << w) - c * s_lo + p_hi)
+                  for c in cs]
+        m2, radius = _m_rate(a, b, x, [(c - s / 2) ** 2 + im2 for c in cs],
+                             ranges, box[-1])
+        return mp.mpc(-s / 2, mp.sqrt(im2)), +m2, radius
 
 
 # ---------------------------------------------------------------------------
 # scaling-rate constants
 # ---------------------------------------------------------------------------
 
-def k_constants(k: int, a: int, b: int, digits: int = 60) -> tuple[mp.mpf, mp.mpf]:
-    """(K1, K2): exponential rates of the S and T scaling factors.
+def k_constants(k: int, a: int, b: int,
+                digits: int = 60) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
+    """(K1, K2, radius): exponential rates of the S and T scaling factors.
 
     Even k = 2m:  K1 = -((b-2a)/2) ln m,            K2 = -((b-4a)/2) ln m;
     odd k:        K1 = -((b-2a)/2) ln k + (3(b-2a)/2) ln 2, and K2 likewise
     with b-4a in the first coefficient.
+
+    Each is within radius = 4b (bitlen(k) + 2) units of 2^-p at the
+    working precision p: the logs are within an ulp, products and the odd
+    sum add half of one, of terms up to (b/2) ln k and (3b/2) ln 2.
     """
     if k < 1 or a < 1 or b <= 4 * a:
         raise DomainError("need k >= 1 and b > 4a")
@@ -442,4 +539,4 @@ def k_constants(k: int, a: int, b: int, digits: int = 60) -> tuple[mp.mpf, mp.mp
             bonus = mp.mpf(3 * (b - 2 * a)) / 2 * ln2
             k1 = -mp.mpf(b - 2 * a) / 2 * lnk + bonus
             k2 = -mp.mpf(b - 4 * a) / 2 * lnk + bonus
-        return +k1, +k2
+        return +k1, +k2, mp.ldexp(4 * b * (k.bit_length() + 2), -mp.mp.prec)

@@ -3,12 +3,14 @@
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes: 0 success, 1 usage/validation error,
 2 inapplicable parameters, 3 integrality verification failure, 4 a
-certificate did not hold (a precision ladder, the saddle root's certificate
-or Omega's Farey-neighbour certificate, or the enclosure of a form in
+certificate did not hold (a published value's radius was wider than
+10^-(digits-5) of it, the sign of M2+K+N or of the saddle cubic's
+discriminant was left open by the radii, the saddle root's certificate or
+Omega's Farey-neighbour certificate failed, or the enclosure of a form in
 alpha_k was still too wide after its last pass).
 Usage errors, --print-digits above --digits - 5 (more digits than the
-ladder checks) among them, are refused before any work with one stderr
-line, ``Error: <message>``, and nothing on stdout.
+enclosures certify) among them, are refused before any work with one
+stderr line, ``Error: <message>``, and nothing on stdout.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
@@ -25,7 +27,7 @@ import sys
 
 import mpmath as mp
 
-from .asymptotics import ladder_agrees
+from .asymptotics import certify
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
 from .exact_arith import Params, format_int, format_rat
@@ -35,10 +37,10 @@ from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
 from .omega import compute_omega, n_constants
 
 # the working-precision floor of omega.n_constants and a cap, checked before
-# any work.  Each bound computes its constants at digits and 2*digits:
-# per process, bound --k 6 --a 1 --b 7 takes 0.22-0.26 s at 500 digits,
-# table --paper 0.62-0.67 s, and a cold mu_bound(6, 1, 7, 1000) 0.24 s
-# in-process, on a shared 2-core machine.
+# any work.  Each bound computes its constants once, at digits: per
+# process, bound --k 6 --a 1 --b 7 takes 0.13-0.17 s at 500 digits, table
+# --paper 0.20-0.29 s, and a cold mu_bound(6, 1, 7, 1000) 0.05 s in-process,
+# on a shared 2-core machine.
 MIN_DIGITS = 30
 MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
@@ -48,9 +50,9 @@ MAX_DIGITS = 500
 # b > 4a, it also keeps each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
-# cap admits b up to 203, and that grid of 100 cells takes 5.1-5.3 s per
-# process at the default digits on the same machine: about 2.1 s in Omega's
-# walks and 2.5 s in the psi sums of N1 and N2 at both ladder rungs.
+# cap admits b up to 203, and that grid of 100 cells takes 3.5-3.8 s per
+# process at the default digits on the same machine: about 1.8 s in Omega's
+# walks and 1.2 s in the psi sums of N1 and N2.
 MAX_SEARCH_CELLS = 100
 
 
@@ -70,8 +72,8 @@ def fmt_sig(x, sig: int = 6) -> str:
 
 def _check_digits(args: argparse.Namespace) -> None:
     """Refuse, before any work, digits outside their ranges, and printed
-    digits the precision ladder does not check: it compares each value at
-    digits and 2*digits to digits-5 places."""
+    digits the enclosures do not certify: each published value is accepted
+    only with a radius of at most 10^-(digits-5) of it."""
     if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
         raise UsageError(f"Invalid value for '--digits': {args.digits} is not "
                          f"in the range {MIN_DIGITS}<=x<={MAX_DIGITS}.")
@@ -81,7 +83,7 @@ def _check_digits(args: argparse.Namespace) -> None:
     if args.print_digits > args.digits - 5:
         raise UsageError(
             f"--print-digits {args.print_digits} is above --digits {args.digits}"
-            f" - 5 = {args.digits - 5}, the digits the precision ladder checks")
+            f" - 5 = {args.digits - 5}, the digits the enclosures certify")
 
 
 # json and csv are imported where they format, so a process loads at most
@@ -217,14 +219,15 @@ def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     report = compute_omega(a, b)
-    rungs = []  # (psi sum, N1, N2), each through the ladder, as in a bound
-    for d in (digits, 2 * digits):
-        n1, n2 = n_constants(a, b, report.omega, d)
-        with mp.workdps(d + 10):
-            rungs.append((b - n1, n1, n2))
-    if not all(map(ladder_agrees, *rungs, [digits] * 3)):
-        raise PrecisionError(f"Omega({a}, {b}) constants ladder mismatch: {rungs}")
-    psi_sum, n1, n2 = rungs[0]
+    n1, n2, radius = n_constants(a, b, report.omega, digits)
+    with mp.workdps(digits + 10):
+        psi_sum = b - n1
+        # the subtraction's rounding, within 2^-prec |psi_sum|, on top
+        psi_radius = mp.fadd(radius, mp.ldexp(int(abs(psi_sum)) + 1, -mp.mp.prec),
+                             exact=True)
+    for name, value, r in (("psi sum", psi_sum, psi_radius), ("N1", n1, radius),
+                           ("N2", n2, radius)):
+        certify(f"Omega({a}, {b}) {name}", value, r, digits)
     measure = format_rat(report.omega.total_measure())
     intervals = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
                   "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}

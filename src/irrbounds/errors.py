@@ -35,7 +35,8 @@ class NonApplicableError(ArithmeticError):
 
 
 class PrecisionError(ArithmeticError):
-    """A precision-ladder recomputation disagreed with the reported value, an
+    """A published value's proven radius was wider than its printable
+    digits allow, the radii left open a sign that decides applicability, an
     exact root certificate did not hold, or the enclosure of a form in
     alpha_k was still too wide for the requested digits after its last
     pass."""

@@ -11,10 +11,10 @@ of a few dozen steps (the grouping of Paterson and Stockmeyer, 1973): inside
 a block each value meets only multipliers of a few hundred bits, and the
 full-size products with the recurrence's state come once per block.  A form
 of degree d thus costs O(d) big-by-small operations and O(d/block) full-size
-products.  The expanded polynomial with its O(d^2) transform,
-and the original tail series (with an explicit geometric tail bound), are
-kept only as the cross-check oracles ``build_A`` and ``series_uvw`` in
-``irrbounds.dense``, loaded on first access: verify never compiles them.
+products.  The expanded polynomial is kept only as the cross-check oracle
+``build_A`` in ``irrbounds.dense``, loaded on first access, so verify never
+compiles it; its O(d^2) transform and the original tail series (with an
+explicit geometric tail bound) are oracles of the tests.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .exact_arith import Frozen, Params, QuadRat, Rat, d_upto
 
 __all__ = [
     "Params", "IntPoly", "UVWValues", "IntegerForms",
-    "x_point", "build_A", "shift_poly", "derivative", "tail_transform_coeffs",
-    "eval_UVW", "scaled_integer_forms", "series_uvw",
+    "x_point", "build_A", "derivative", "eval_UVW", "scaled_integer_forms",
 ]
 
 

@@ -18,11 +18,12 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
-from .asymptotics import (guard_digits, k_constants, ladder_agrees,
-                          saddle_complex, saddle_real)
+from .asymptotics import (certify, guard_digits, k_constants, saddle_complex,
+                          saddle_real, units)
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, Params, PrimeSieve, QuadRat, sqrt_bounds
+from .exact_arith import Frozen, Params, PrimeSieve, sqrt_bounds
 from .omega import compute_omega, delta_products, n_constants
 
 __all__ = [
@@ -94,42 +95,67 @@ def _x_numeric(k: int, digits: int):
 
 
 def _constants(k: int, a: int, b: int, digits: int):
-    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits."""
+    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits, each a
+    (value, radius) pair."""
     x, xb = _x_numeric(k, digits)
-    _, m1 = saddle_real(a, b, x, digits, x_bounds=xb)
-    _, m2 = saddle_complex(a, b, x, digits, x_bounds=xb)
-    k1, k2 = k_constants(k, a, b, digits)
-    report = compute_omega(a, b)
-    n1, n2 = n_constants(a, b, report.omega, digits)
-    return m1, m2, k1, k2, n1, n2
+    _, *m1 = saddle_real(a, b, x, digits, x_bounds=xb)
+    _, *m2 = saddle_complex(a, b, x, digits, x_bounds=xb)
+    k1, k2, r_k = k_constants(k, a, b, digits)
+    n1, n2, r_n = n_constants(a, b, compute_omega(a, b).omega, digits)
+    return tuple(m1), tuple(m2), (k1, r_k), (k2, r_k), (n1, r_n), (n2, r_n)
+
+
+def _add(parts, w: int):
+    """(sum, radius) of (value, radius) ``parts`` added left to right at the
+    context's precision p = w - 16, the radius in units of 2^-w: the parts'
+    radii and one rounding per addition, within 2^-p of a partial sum."""
+    total = parts[0][0]
+    for value, _ in parts[1:]:
+        total += value
+    return total, (sum(units(r, w)[1] for _, r in parts)
+                   + ((len(parts) - 1) * sum(int(abs(v)) + 1 for v, _ in parts) << 16))
+
+
+def _quotient(m1, m2, kk, nn, digits: int):
+    """(D, value, radius) at digits + 10 digits from the (value, radius)
+    pairs of M1, M2, K, N: D = M2+K+N, and value = 1 - A/D, A = M1+K+N, when
+    D < 0, else D.  With A and D within r_A and r_D of their true values,
+    |A/D - A*/D*| <= (r_A |D| + |A| r_D)/(|D| (|D| - r_D)), plus the two
+    roundings; PrecisionError when |D| <= r_D leaves the sign of D open."""
+    with mp.workdps(digits + 10):
+        w = mp.mp.prec + 16
+        (num, r_num), (denom, r_den) = _add((m1, kk, nn), w), _add((m2, kk, nn), w)
+        den_lo, den_hi = units(abs(denom), w)
+        if den_lo <= r_den:
+            raise PrecisionError(f"the sign of M2+K+N = {denom} is not certified")
+        if denom > 0:
+            return denom, denom, mp.make_mpf(from_man_exp(r_den, -w))
+        val = 1 - num / denom
+        r_val = (-(-(r_num * den_hi + units(abs(num), w)[1] * r_den << w)
+                   // (den_lo * (den_lo - r_den))) + (2 * int(abs(val)) + 3 << 16))
+        return denom, val, mp.make_mpf(from_man_exp(r_val, -w))
 
 
 def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
     quadratic = kind == "non-quadraticity"
     Params(k=k, a=a, b=b, n=1)  # parameter validation only
-
-    def assemble(d):
-        m1, m2, k1, k2, n1, n2 = _constants(k, a, b, d)
-        kk, nn = (k2, n2) if quadratic else (k1, n1)
-        with mp.workdps(d + 10):
-            denom = m2 + kk + nn
-            val = 1 - (m1 + kk + nn) / denom if denom < 0 else mp.inf
-            return m1, m2, kk, nn, +denom, +val
-
     try:
-        m1, m2, kk, nn, denom, val = assemble(digits)
-        val2 = assemble(2 * digits)[5]
+        m1, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     except NonApplicableError:
         # no saddle point exists for this cell; a structured outcome, so
         # parameter searches can iterate past it
         return BoundResult(kind=kind, k=k, a=a, b=b, M1=mp.nan, M2=mp.nan,
                            K=mp.nan, N=mp.nan, bound=None, applicable=False,
                            digits=digits, degenerate=is_degenerate(k))
-    if not ladder_agrees(val, val2, digits):
-        raise PrecisionError(f"bound({k},{a},{b}) ladder mismatch: {val} vs {val2}")
+    kk, nn = (k2, n2) if quadratic else (k1, n1)
+    for name, (value, radius) in zip(("M1", "M2", "K", "N"), (m1, m2, kk, nn)):
+        certify(f"{name} of bound({k},{a},{b})", value, radius, digits)
+    denom, val, radius = _quotient(m1, m2, kk, nn, digits)
     applicable = denom < 0
-    return BoundResult(kind=kind, k=k, a=a, b=b, M1=m1, M2=m2, K=kk, N=nn,
-                       bound=val if applicable else None,
+    certify(f"{'bound' if applicable else 'M2+K+N'} of bound({k},{a},{b})",
+            val, radius, digits)
+    return BoundResult(kind=kind, k=k, a=a, b=b, M1=m1[0], M2=m2[0], K=kk[0],
+                       N=nn[0], bound=val if applicable else None,
                        applicable=applicable, digits=digits,
                        degenerate=is_degenerate(k))
 
@@ -146,10 +172,16 @@ def mu2_bound(k: int, a: int, b: int, digits: int = 60) -> BoundResult:
 
 
 def predicted_decay(k: int, a: int, b: int, digits: int = 60):
-    """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms."""
+    """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms, each
+    certified to its radius."""
     _, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     with mp.workdps(digits + 10):
-        return +(m2 + k1 + n1), +(m2 + k2 + n2)
+        w = mp.mp.prec + 16
+        decays = [_add((m2, kk, nn), w) for kk, nn in ((k1, n1), (k2, n2))]
+    for name, (decay, radius) in zip(("linear", "quadratic"), decays):
+        certify(f"the {name} decay of ({k},{a},{b})", decay,
+                mp.make_mpf(from_man_exp(radius, -w)), digits)
+    return tuple(decay for decay, _ in decays)
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +297,6 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
                 decay_quadratic=mp.log(mp.fabs(m)) / n,
                 forms=forms))
     return rows
-
-
-def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
-    """ell recomputed without the integer detour: S*(d/Delta) stays an exact
-    rational scalar on U(x_k)*alpha - sqrt(D)*V(x_k); agreement with
-    P*alpha + Q cross-checks the integer assembly."""
-    from .exact_arith import d_upto
-    from .forms import eval_UVW, scaling_factors, x_point
-
-    params = Params(k=k, a=a, b=b, n=n)
-    uvw = eval_UVW(params, x_point(k))
-    delta, _ = delta_products(params)
-    _, s_factor, _ = scaling_factors(params)
-    scale = s_factor * Fraction(d_upto(b * n), delta)
-    sq_v = QuadRat.sqrt_d(2 * k + 1) * uvw.V
-    return _alpha_combinations(
-        k, [[(scale * uvw.U.u, 1), (-scale * sq_v.u, 0)]], digits)[0]
 
 
 # ---------------------------------------------------------------------------

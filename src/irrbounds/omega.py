@@ -23,7 +23,7 @@ from .exact_arith import Frozen, Params, PrimeSieve, Rat, format_rat
 
 __all__ = [
     "Interval", "IntervalSet", "OmegaReport",
-    "floor_sum_value", "floor_sum_min", "omega_contains",
+    "omega_contains",
     "compute_omega", "delta_products", "n_constants",
 ]
 
@@ -44,7 +44,10 @@ def _groups(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _candidates(a: int, b: int) -> tuple[int, ...]:
-    """Coefficients c0 of the x = c0*y at which the min over x is attained."""
+    """Coefficients c0 of the x = c0*y at which the min over x is attained:
+    in x the floor expression is piecewise constant, right-continuous and
+    1-periodic, with jumps only at these x (mod 1), so each step takes its
+    value at its left end, a jump."""
     return (0, a, 2 * a, b - 2 * a, b - a, b)
 
 
@@ -59,32 +62,6 @@ def _mod_table(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """
     return tuple(tuple((c0 - c1, c0 - c2) for c1, c2, _ in _groups(a, b))
                  for c0 in _candidates(a, b))
-
-
-def floor_sum_value(a: int, b: int, x: Rat, y: Rat) -> int:
-    """Exact value of the three-group floor expression at (x, y).
-
-    Each group has the shape [u] - [u - w] - [w] and individually lies in
-    {0, 1}; the certifying condition is that the sum is >= 1 for all real x.
-    """
-    x, y = Fraction(x), Fraction(y)
-    den = x.denominator * y.denominator
-    xn = x.numerator * y.denominator
-    yn = y.numerator * x.denominator
-    return sum((xn - c1 * yn) // den - (xn - c2 * yn) // den - (c3 * yn) // den
-               for c1, c2, c3 in _groups(a, b))
-
-
-def floor_sum_min(a: int, b: int, y: Rat) -> int:
-    """min over all real x of the floor expression, for fixed y.
-
-    In x the expression is piecewise constant, right-continuous and 1-periodic
-    with jumps only at x = c0*y (mod 1) for the six candidates c0; each step
-    takes its value at its left end, a jump, so the minimum is attained at
-    one of them.  This is the literal reference for :func:`omega_contains`.
-    """
-    y = Fraction(y)
-    return min(floor_sum_value(a, b, c0 * y, y) for c0 in _candidates(a, b))
 
 
 def _member(table, num: int, den: int) -> bool:
@@ -213,7 +190,7 @@ def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> Omega
     """Exact interval description of the certifying set.
 
     For fixed y the min over x reduces to six candidate x values
-    (:func:`floor_sum_min`).  At those candidates every floor term is [m*y]
+    (:func:`_candidates`).  At those candidates every floor term is [m*y]
     for an integer m of :func:`_mod_table` or a difference of two of them,
     and [m*y] changes only where m*y is an integer: at fractions whose
     reduced denominator divides |m|.  If p/q < r/s are Farey neighbours
@@ -322,7 +299,8 @@ def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int
 # ---------------------------------------------------------------------------
 
 def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
-    """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta.
+    """(N1, N2, radius): the exponential rates of d_bn/Delta and
+    d'*Delta1*d_bn/Delta, each within radius of its value.
 
     N1 = b - sum over components [u, v] of psi(v) - psi(u): the lcm grows at
     rate b while the digamma difference is the density of the primes counted
@@ -331,8 +309,8 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
     n/p in [u, v) equal to 1/u - 1/v, restricted to [0, 1/(b-2a)) and with
     components split at the cut.  Both closed forms are certified against
     finite-n sieve oracles in the tests before anything downstream trusts
-    them.  The pair is computed once per process for each (a, b, components,
-    digits).
+    them.  The triple is computed once per process for each (a, b,
+    components, digits).
     """
     _validate_ab(a, b)
     if digits < 30:
@@ -342,19 +320,31 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
 
 @lru_cache(maxsize=None)
 def _n_pair(a: int, b: int, components: tuple[Interval, ...], digits: int):
+    """With psi within 2^-p (1 + |psi|) at the sums' precision p, and
+    |psi(j/q)| <= q + 1 on (0, 1] (psi(j/q) = psi(1 + j/q) - q/j), let W sum
+    q + 2 over the endpoints of the m nonempty components and L be the
+    large-prime part rounded up: the psi values, their m differences and m
+    partial sums each err by at most 2^-p W, b - sum by 2^-p (b + W), and
+    N2's three roundings by 2^-p (2b + W + L) each, so 2^-p ((m + 5) W +
+    5b + 3L) bounds the error of N1 and of N2."""
     import mpmath as mp
 
     from .asymptotics import digamma
 
     with mp.workdps(digits + 10):
         psi_total = mp.mpf(0)
+        terms = weight = 0
         for iv in components:
             if iv.lo < iv.hi:
                 psi_total += digamma(iv.hi, digits + 10) - digamma(iv.lo, digits + 10)
+                terms += 1
+                weight += iv.hi.denominator + iv.lo.denominator + 4
         n1 = mp.mpf(b) - psi_total
 
         cut = Fraction(1, b - 2 * a)
         large = sum((1 / iv.lo - 1 / min(iv.hi, cut) for iv in components
                      if iv.lo < min(iv.hi, cut)), Fraction(0))  # exact
         n2 = n1 + (b - 2 * a) + mp.fdiv(large.numerator, large.denominator)
-    return n1, n2
+        ceil_large = -(-large.numerator // large.denominator)
+        units = (terms + 5) * weight + 5 * b + 3 * ceil_large
+        return n1, n2, mp.ldexp(units, -mp.mp.prec)

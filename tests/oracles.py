@@ -2,6 +2,13 @@
 Omega(a, b), and the saddle rate by nine logarithms.  numpy is needed here
 only; the package does not import it.
 
+:func:`floor_sum_value` and :func:`floor_sum_min` evaluate the three-group
+floor expression literally, the reference for ``omega.omega_contains``.
+:func:`shift_poly`, :func:`tail_transform_coeffs` (by the difference
+triangle of :func:`_transform_nums`), :func:`_radical_sum` and
+:func:`series_uvw` complete the dense route of ``irrbounds.dense``: the
+coefficient transform of the expanded A, its sum at a quadratic point, and
+the truncated tail series with an exact tail bound.
 :func:`omega_by_fraction_probes` is the interval description built the way
 the package built it before its integer walk: ``Fraction`` probes at every
 point of the literal Farey set and at every gap's mediant.
@@ -14,6 +21,9 @@ sample.
 before its one-logarithm form: one log per factor, and
 :func:`cubic_roots_cardano` finds all three roots of the saddle cubic by
 the radical formula, independently of the Newton and deflation path.
+:func:`saddle_rates_iv` encloses M1 and M2 over a box of roots and x in
+mpmath's ``iv`` interval context at full precision, the reference for the
+radii the package proves without it.
 :func:`finite_n_n1` and :func:`finite_n_n2` are the finite-n sieve
 estimates that N1 and N2 are held to.
 """
@@ -22,16 +32,56 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 
+from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
-from irrbounds.exact_arith import PrimeSieve
-from irrbounds.omega import (Interval, IntervalSet, _breakpoints, _mod_table,
-                             _omega_primes, _validate_ab, omega_contains)
+from irrbounds.exact_arith import Params, PrimeSieve, QuadRat, Rat, d_upto
+from irrbounds.forms import _root_blocks, eval_UVW, scaling_factors, x_point
+from irrbounds.measures import _alpha_combinations
+from irrbounds.omega import (Interval, IntervalSet, _breakpoints, _candidates,
+                             _groups, _mod_table, _omega_primes, _validate_ab,
+                             delta_products, omega_contains)
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
 GRID_CHUNK = 1 << 20
+
+
+def floor_sum_value(a: int, b: int, x, y) -> int:
+    """Exact value of the three-group floor expression at (x, y).
+
+    Each group has the shape [u] - [u - w] - [w] and individually lies in
+    {0, 1}; the certifying condition is that the sum is >= 1 for all real x.
+    """
+    x, y = Fraction(x), Fraction(y)
+    den = x.denominator * y.denominator
+    xn = x.numerator * y.denominator
+    yn = y.numerator * x.denominator
+    return sum((xn - c1 * yn) // den - (xn - c2 * yn) // den - (c3 * yn) // den
+               for c1, c2, c3 in _groups(a, b))
+
+
+def floor_sum_min(a: int, b: int, y) -> int:
+    """min over all real x of the floor expression, for fixed y, attained at
+    one of the six candidate x = c0*y (omega._candidates)."""
+    y = Fraction(y)
+    return min(floor_sum_value(a, b, c0 * y, y) for c0 in _candidates(a, b))
+
+
+def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
+    """ell recomputed without the integer detour: S*(d/Delta) stays an exact
+    rational scalar on U(x_k)*alpha - sqrt(D)*V(x_k); agreement with
+    P*alpha + Q cross-checks the integer assembly."""
+    params = Params(k=k, a=a, b=b, n=n)
+    uvw = eval_UVW(params, x_point(k))
+    delta, _ = delta_products(params)
+    _, s_factor, _ = scaling_factors(params)
+    scale = s_factor * Fraction(d_upto(b * n), delta)
+    sq_v = QuadRat.sqrt_d(2 * k + 1) * uvw.V
+    return _alpha_combinations(
+        k, [[(scale * uvw.U.u, 1), (-scale * sq_v.u, 0)]], digits)[0]
 
 
 def _contains_by_fraction(a: int, b: int, y: Fraction) -> bool:
@@ -196,6 +246,45 @@ def m_rate_nine_logs(a: int, b: int, z, x):
             - b * mp.log(b) - mp.mpf(b) / 2 * mp.log(x))
 
 
+def saddle_rates_iv(a: int, b: int, z_lo: Fraction, z_hi: Fraction,
+                    x_lo: Fraction, x_hi: Fraction, dps: int):
+    """Enclosures of M1 and M2 at every root z in [z_lo, z_hi] and x in
+    [x_lo, x_hi], in mp.iv at dps digits: the same one-logarithm product of
+    the distances |z - c|^2, for M1 from the interval z, for M2 from
+    c^2 - s c + p with the other roots' sum s and product p taken at the
+    corners that asymptotics._deflation_bounds documents (s and p fall as z
+    rises and rise with x)."""
+    iv = mp.iv
+    saved = iv.dps
+    iv.dps = dps
+    try:
+        def enclose(lo, hi):
+            return iv.mpf([(iv.mpf(lo.numerator) / lo.denominator).a,
+                           (iv.mpf(hi.numerator) / hi.denominator).b])
+
+        z, x = enclose(z_lo, z_hi), enclose(x_lo, x_hi)
+        r1, r2, r3 = b - 2 * a, b - a, b
+        q, c0 = r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
+
+        def deflation(xc, zc):
+            xc, zc = enclose(xc, xc), enclose(zc, zc)
+            gz = (1 - xc) * zc
+            return (q - 2 * a * a * xc - c0 / zc) / gz, c0 / gz
+
+        (s_lo, p_lo), (s_hi, p_hi) = deflation(x_lo, z_hi), deflation(x_hi, z_lo)
+        s, p = iv.mpf([s_lo.a, s_hi.b]), iv.mpf([p_lo.a, p_hi.b])
+        ints = (b - 4 * a) ** (b - 4 * a) * (b - 2 * a) ** (b - 2 * a) * b ** b
+        rates = []
+        for dist2 in (lambda c: (z - c) ** 2, lambda c: c * c - c * s + p):
+            d1, d2, d3, d4, d5 = (dist2(c) for c in (r1, r2, r3, 2 * a, a))
+            num = d1 ** (b - 2 * a) * d2 ** (b - a) * d3 ** b
+            den = d4 ** (2 * a) * d5 ** a * x ** b
+            rates.append(iv.log(num / (den * ints ** 2)) / 2)
+        return tuple(rates)
+    finally:
+        iv.dps = saved
+
+
 def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:
     """All three roots of c3 z^3 + c2 z^2 + c1 z + c0 by the radical formula.
 
@@ -254,3 +343,111 @@ def finite_n_n2(a: int, b: int, n: int, sieve: PrimeSieve) -> float:
     ln_delta1 = sum(math.log(p) for p in primes if p > cut1)
     return (log_d_upto(cut1, sieve) + ln_delta1
             + log_d_upto(b * n, sieve) - ln_delta) / n
+
+
+def shift_poly(p: IntPoly, s: int) -> IntPoly:
+    """Taylor shift: the polynomial q with q(x) = p(x + s)."""
+    if not isinstance(s, int):
+        raise DomainError("only integer shifts are supported")
+    nums = list(p._num)
+    for i in range(len(nums) - 1):
+        for j in range(len(nums) - 2, i - 1, -1):
+            nums[j] += s * nums[j + 1]
+    return IntPoly._raw(nums, p._den)
+
+
+# coefficient transform:  -sum_{k>=1} P(-k) z^k = sum_j c_j (z/(z-1))^{j+1}
+
+def _transform_nums(p: IntPoly, offset: int = 0) -> tuple[list[int], int]:
+    """Numerators of the transform coefficients of x -> p(x - offset).
+
+    c_j = sum_{k=1}^{j+1} (-1)^{k-1} p(-k-offset) C(j, k-1) computed by the
+    signed difference triangle T[s][j] = T[s][j-1] - T[s+1][j-1] seeded with
+    T[s][0] = p(-1-offset-s): subtractions only, no bignum-by-binomial
+    products.  Returns (numerators over p's denominator, denominator).
+    """
+    d = p.degree
+    if d < 0:
+        return [], p._den
+    row = [p._eval_num(-(1 + offset + s)) for s in range(d + 1)]
+    out = [row[0]]
+    for j in range(1, d + 1):
+        for s in range(d - j + 1):
+            row[s] -= row[s + 1]
+        out.append(row[0])
+    return out, p._den
+
+
+def tail_transform_coeffs(p: IntPoly) -> list[Rat]:
+    """Exact coefficients c_0..c_d of the geometric-pole expansion of p's tail
+    series; for |z| < 1 the identity
+    -sum_{k>=1} p(-k) z^k = sum_j c_j (z/(z-1))^{j+1} holds."""
+    nums, den = _transform_nums(p)
+    return [Fraction(c, den) for c in nums]
+
+
+def _radical_sum(nums: list[int], den: int, t: QuadRat) -> QuadRat:
+    """sum_j (nums[j]/den) * t^(j+1) over a single common denominator."""
+    td = lcm(t.u.denominator, t.v.denominator)
+    tu = int(t.u * td)
+    tv = int(t.v * td)
+    D = t.D
+    jmax = len(nums) - 1
+    su = sv = 0
+    pu, pv = tu, tv                 # integer pair of t^(j+1), scaled by td^(j+1)
+    scale = td**jmax if jmax >= 0 else 1  # td^(jmax - j), common denominator below
+    for j in range(jmax + 1):
+        if nums[j]:
+            m = nums[j] * scale
+            su += m * pu
+            sv += m * pv
+        pu, pv = pu * tu + D * pv * tv, pu * tv + pv * tu
+        scale //= td
+    full = den * td ** (jmax + 1)
+    return QuadRat(Fraction(su, full), Fraction(sv, full), D)
+
+
+def series_uvw(params: Params, z: Rat, terms: int):
+    """Truncated tail series for U, V, W at rational z plus exact tail bounds.
+
+    Returns ((U, V, W), (tail_U, tail_V, tail_W)) where each value is the
+    truncation of the defining series after ``terms`` summation indices and
+    each tail is a proven Rat bound on the truncation error, from the
+    geometric ratio of |A(-t) z^t| beyond the cutoff and the pointwise bounds
+    |A'| <= |A|*h, |A''| <= |A|*(h^2 + h2) with h, h2 the (decreasing)
+    inverse-distance sums to the root multiset.
+    """
+    z = Fraction(z)
+    if not 0 < z < 1:
+        raise DomainError("series converges for 0 < z < 1 only")
+    a, b, n = params.a, params.b, params.n
+    K = terms
+    if K <= params.degree + b * n:
+        raise DomainError("truncation must reach beyond the root blocks")
+
+    A = build_A(params)
+    A1 = derivative(A)
+    A2 = derivative(A, 2)
+    e = params.half_bn1
+    pref = z ** (-e)
+
+    sU = sum((A(-t) * z**t for t in range(b * n + 1, K + 1)), Fraction(0))
+    sV = sum((A1(-t) * z**t for t in range((b - a) * n + 1, K + 1)), Fraction(0))
+    sW = sum((A2(-t) * z**t for t in range((b - 2 * a) * n + 1, K + 1)), Fraction(0))
+
+    t0 = K + 1
+    ratio = z * Fraction((t0 - 2 * a * n) * (t0 - a * n) * t0,
+                         (t0 - (b - 2 * a) * n) * (t0 - (b - a) * n) * (t0 - b * n))
+    if ratio >= 1:
+        raise DomainError(f"tail ratio {ratio} >= 1; increase terms")
+    h = Fraction(0)
+    h2 = Fraction(0)
+    for lo, hi in _root_blocks(params):
+        for c in range(lo, hi + 1):
+            h += Fraction(1, t0 - c)
+            h2 += Fraction(1, (t0 - c) ** 2)
+    tail_first = abs(A(-t0)) * z**t0 / (1 - ratio)
+    tails = (pref * tail_first,
+             pref * h * tail_first,
+             pref * (h * h + h2) * tail_first)
+    return (-pref * sU, -pref * sV, -pref * sW), tails

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,10 +10,9 @@ from irrbounds import (DomainError, NonApplicableError, PrecisionError,
                        alpha_value, digamma, k_constants, saddle_complex,
                        saddle_real)
 from irrbounds import asymptotics
-from irrbounds.asymptotics import (ladder_agrees, _eval_cubic,
-                                   _real_cubic_coeffs)
+from irrbounds.asymptotics import _eval_cubic, _real_cubic_coeffs
 from irrbounds.measures import _x_numeric, mu_bound
-from oracles import cubic_roots_cardano, m_rate_nine_logs
+from oracles import cubic_roots_cardano, m_rate_nine_logs, saddle_rates_iv
 
 TABLE_KS = (3, 5, 6, 7, 8, 9, 10, 11, 12)
 
@@ -77,6 +77,9 @@ def test_digamma_matches_mpmath_digamma(den, data, digits):
     with mp.workdps(digits + 30):
         ref = mp.digamma(mp.mpf(num) / den)
         assert mp.fabs(psi - ref) <= mp.mpf(10) ** -(digits + 5) * max(1, mp.fabs(ref))
+        # the bound digamma states: 2^-prec (1 + |psi|), prec of digits + 10
+        prec = dps_to_prec(digits + 10)
+        assert mp.fabs(psi - ref) <= mp.ldexp(1 + mp.fabs(psi), -prec)
 
 
 @settings(deadline=None, max_examples=30)
@@ -115,18 +118,12 @@ def test_digamma_domain():
 
 
 def test_digamma_precision_ladder():
+    # the value at 60 digits agrees with the one at 120 to 55 places
     lo, hi = digamma(F(2, 7), 60), digamma(F(2, 7), 120)
-    assert ladder_agrees(lo, hi, 60)
+    with mp.workdps(130):
+        assert mp.fabs(lo - hi) <= mp.mpf(10) ** -55 * max(1, mp.fabs(hi))
     with mp.workdps(90):
         assert mp.fabs(hi - mp.digamma(mp.mpf(2) / 7)) < mp.mpf(10) ** -80
-
-
-@pytest.mark.parametrize("lo,hi", [(mp.mpf(3), mp.inf), (mp.inf, mp.mpf(3))])
-def test_ladder_rejects_finite_infinite_mismatch(lo, hi):
-    # |lo - hi| = inf is not above tol * max(1, inf) = inf, so the finite
-    # versus infinite case needs its own rule, in both directions
-    assert not ladder_agrees(lo, hi, 60)
-    assert ladder_agrees(mp.inf, mp.inf, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +198,7 @@ def test_saddle_real_certifies_on_the_grid(k, ab):
     a, b = ab
     digits = 40
     x, xb = _x_numeric(k, digits)
-    z0, _ = saddle_real(a, b, x, digits, x_bounds=xb)
+    z0, _, _ = saddle_real(a, b, x, digits, x_bounds=xb)
     with mp.workdps(digits + 10):
         roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits)
         assert min(mp.fabs(r - z0) for r in roots) < mp.mpf(10) ** -30
@@ -214,7 +211,7 @@ def test_newton_start_near_the_root_or_at_the_bound():
     for k in TABLE_KS:
         x, xb = _x_numeric(k, 60)
         for a, b in ((1, 7), (2, 23), (1, 13)):
-            z0, _ = saddle_real(a, b, x, 60, x_bounds=xb)
+            z0, _, _ = saddle_real(a, b, x, 60, x_bounds=xb)
             with mp.workdps(75):
                 start = asymptotics._newton_start(a, b, x)
                 assert mp.fabs(start - z0) < mp.mpf(10) ** -13 * z0
@@ -293,8 +290,8 @@ def test_guard_digits_only_near_one():
 def test_huge_k_certifies_with_guard_digits(e, bound):
     # 1/(1 - x_k) is about 10^(e/2): without the guard digits in x and in
     # the solve, the saddle certificate refused the root (k >= 10^24); without
-    # them in Newton's tolerance, M2 from the deflation failed the precision
-    # ladder (k >= 10^215)
+    # them in Newton's tolerance, M2 from the deflation lost digits that its
+    # radius must certify (a 60/120-digit comparison caught it from 10^215)
     res = mu_bound(10**e, 1, 7, 60)
     assert res.applicable and mp.nstr(res.bound, 8) == bound
 
@@ -313,7 +310,7 @@ def test_saddle_certificate_rejects_a_root_below_b(monkeypatch):
 def test_saddle_real_residual_and_location():
     digits = 60
     x, xb = _x_numeric(6, digits)
-    z0, m1 = saddle_real(1, 7, x, digits, x_bounds=xb)
+    z0, m1, _ = saddle_real(1, 7, x, digits, x_bounds=xb)
     with mp.workdps(digits + 10):
         res = _eval_cubic(_real_cubic_coeffs(1, 7, x), z0)
         assert mp.fabs(res) < mp.mpf(10) ** (-digits + 5)
@@ -325,23 +322,23 @@ def test_saddle_constants_for_table_parameter_sets():
     # z0 beyond b, and both rates finite, for every headline cell
     for k in TABLE_KS:
         x, xb = _x_numeric(k, 40)
-        z0, m1 = saddle_real(1, 7, x, 40, x_bounds=xb)
+        z0, m1, _ = saddle_real(1, 7, x, 40, x_bounds=xb)
         assert z0 > 7
         assert mp.isfinite(m1)
-        z1, m2 = saddle_complex(1, 7, x, 40, x_bounds=xb)
+        z1, m2, _ = saddle_complex(1, 7, x, 40, x_bounds=xb)
         assert mp.im(z1) > 0
         assert mp.isfinite(m2)
     for k, a, b in ((6, 2, 23), (8, 1, 13), (10, 1, 13), (12, 1, 13)):
         x, xb = _x_numeric(k, 40)
-        _, m1 = saddle_real(a, b, x, 40, x_bounds=xb)
-        _, m2 = saddle_complex(a, b, x, 40, x_bounds=xb)
+        _, m1, _ = saddle_real(a, b, x, 40, x_bounds=xb)
+        _, m2, _ = saddle_complex(a, b, x, 40, x_bounds=xb)
         assert mp.isfinite(m1) and mp.isfinite(m2)
 
 
 def test_saddle_complex_upper_half_and_residual():
     digits = 60
     x, xb = _x_numeric(6, digits)
-    z1, m2 = saddle_complex(1, 7, x, digits, x_bounds=xb)
+    z1, m2, _ = saddle_complex(1, 7, x, digits, x_bounds=xb)
     assert mp.im(z1) > 0
     with mp.workdps(digits + 10):
         res = _eval_cubic(_real_cubic_coeffs(1, 7, x), -z1)
@@ -353,8 +350,8 @@ def test_saddle_complex_upper_half_and_residual():
 def test_saddles_against_cardano_oracle(k, a, b):
     digits = 60
     x, xb = _x_numeric(k, digits)
-    z0, _ = saddle_real(a, b, x, digits, x_bounds=xb)
-    z1, _ = saddle_complex(a, b, x, digits, x_bounds=xb)
+    z0, _, _ = saddle_real(a, b, x, digits, x_bounds=xb)
+    z1, _, _ = saddle_complex(a, b, x, digits, x_bounds=xb)
     with mp.workdps(digits + 10):
         tol = mp.mpf(10) ** -30
         roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits)
@@ -377,9 +374,9 @@ def test_one_log_rate_matches_nine_logs(ab, k, digits):
     # factor at the same root and x
     a, b = ab
     x, xb = _x_numeric(k, digits)
-    z0, m1 = saddle_real(a, b, x, digits, x_bounds=xb)
+    z0, m1, _ = saddle_real(a, b, x, digits, x_bounds=xb)
     try:
-        z1, m2 = saddle_complex(a, b, x, digits, x_bounds=xb)
+        z1, m2, _ = saddle_complex(a, b, x, digits, x_bounds=xb)
     except NonApplicableError:
         z1 = None
     with mp.workdps(asymptotics._saddle_dps(x, digits)):
@@ -405,18 +402,137 @@ def test_saddle_domain_checks():
         saddle_real(1, 3, mp.mpf("0.5"), 40)
 
 
+def test_saddle_complex_decides_the_discriminant_on_its_bounds(monkeypatch):
+    # p - s^2/4 from the exact bounds on s and p: provably <= 0 is an
+    # all-real configuration (not applicable), undecided is a precision
+    # failure, even where the mpf p - s^2/4 alone would pass
+    bounds = asymptotics._deflation_bounds
+    x, xb = _x_numeric(6, 60)
+    for shift, error in ((10**6, PrecisionError), (-(10**6), NonApplicableError)):
+        def moved(a, b, box, w, shift=shift):
+            (s_lo, p_lo), (s_hi, p_hi) = bounds(a, b, box, w)
+            if shift > 0:  # p's bounds widened to hold 0
+                return (s_lo, p_lo - (shift << w)), (s_hi, p_hi)
+            return (s_lo, p_lo + (shift << w)), (s_hi, p_hi + (shift << w))
+
+        monkeypatch.setattr(asymptotics, "_deflation_bounds", moved)
+        with pytest.raises(error):
+            saddle_complex(1, 7, x, 60, x_bounds=xb)
+
+
+def _deflation(a, b, x, z):
+    """The other two roots' sum and product by the forms that
+    asymptotics._deflation_bounds bounds, in exact arithmetic."""
+    r1, r2, r3 = b - 2 * a, b - a, b
+    q, c0 = r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
+    gz = (1 - x) * z
+    return (q - 2 * a * a * x - c0 / z) / gz, c0 / gz
+
+
+@given(_AB, st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1),
+       st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1),
+       st.fractions(0, 1000, max_denominator=1000).filter(lambda t: t > 0),
+       st.fractions(0, 1000, max_denominator=1000).filter(lambda t: t > 0))
+def test_deflation_forms_fall_with_z_and_rise_with_x(ab, x1, x2, t, dt):
+    # the monotonicity that puts the bounds of s and p at two corners
+    a, b = ab
+    z = b + t
+    s, p = _deflation(a, b, x1, z)
+    s_z, p_z = _deflation(a, b, x1, z + dt)
+    assert s_z < s and p_z < p
+    if x1 != x2:
+        (s_x, p_x), low = _deflation(a, b, x2, z), x1 < x2
+        assert (s < s_x) == low and (p < p_x) == low
+
+
+@pytest.mark.parametrize("k,a,b", [(6, 1, 7), (8, 1, 13), (3, 2, 23), (1, 1, 7)])
+def test_deflation_bounds_hold_the_other_roots(k, a, b):
+    # the exact bounds on s and p hold the sum and product of the two roots
+    # that Cardano's formula gives besides the one beyond b
+    digits = 60
+    x, xb = _x_numeric(k, digits)
+    with mp.workdps(asymptotics._saddle_dps(x, digits)):
+        w = mp.mp.prec
+        x, z0, _, _, box = asymptotics._solve_cubic(a, b, x, digits, xb)
+        (s_lo, p_lo), (s_hi, p_hi) = asymptotics._deflation_bounds(a, b, box, w)
+    with mp.workdps(digits + 30):
+        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits + 20)
+        roots.sort(key=lambda r: mp.fabs(r - z0))
+        s, p = mp.re(roots[1] + roots[2]), mp.re(roots[1] * roots[2])
+        for value, lo, hi in ((s, s_lo, s_hi), (p, p_lo, p_hi)):
+            assert mp.ldexp(lo, -w) <= value <= mp.ldexp(hi, -w)
+            assert hi - lo < 2 ** (w - 190)
+
+
+def _box(x, x_bounds, z0, digits):
+    """The box the radii are taken over, rebuilt from what the solve states:
+    the bracket z0 (1 -/+ 10^-digits/2) the probes certify, and the hull of
+    x's enclosure and x."""
+    z, half = F(*asymptotics._dyadic_ratio(z0)), F(1, 2 * 10**digits)
+    xf = F(*asymptotics._dyadic_ratio(x))
+    return z * (1 - half), z * (1 + half), min(x_bounds[0], xf), max(x_bounds[1], xf)
+
+
+@pytest.mark.parametrize("k,a,b", [(6, 1, 7), (8, 1, 13), (6, 2, 23), (12, 1, 13),
+                                   (5, 3, 13), (11, 3, 21), (1, 1, 7),
+                                   (10**30, 1, 7), (10**300, 1, 13)],
+                         ids=lambda v: f"1e{len(str(v)) - 1}" if v > 10**6 else str(v))
+def test_rate_radii_against_the_iv_oracle(k, a, b):
+    # the full-precision iv enclosure of each rate over the root's box lies
+    # within the rate's radius, and the radius is no wider than it
+    digits = 60
+    x, xb = _x_numeric(k, digits)
+    z0, m1, r1 = saddle_real(a, b, x, digits, x_bounds=xb)
+    _, m2, r2 = saddle_complex(a, b, x, digits, x_bounds=xb)
+    dps = 200 + len(str(k))
+    enclosures = saddle_rates_iv(a, b, *_box(x, xb, z0, digits), dps)
+    for rate, radius, enclosure in zip((m1, m2), (r1, r2), enclosures):
+        with mp.workdps(dps):
+            lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)
+            assert rate - radius <= lo and hi <= rate + radius
+            assert radius <= (hi - lo) / 2 * mp.mpf("1.01") + mp.mpf(10) ** -(digits + 8)
+
+
+@pytest.mark.parametrize("digits", [30, 60, 120])
+def test_x_enclosure_holds_x_k(digits):
+    # x_k = (k + 1 - sqrt(2k+1))/k lies in the rational enclosure that the
+    # root's probes and the radii rest on, decided exactly: with
+    # t = k + 1 - k x, x <= x_k <= x' means t' <= sqrt(2k+1) <= t
+    for k in [*range(1, 60), 10**9, 10**30, 10**300]:
+        _, (x_lo, x_hi) = _x_numeric(k, digits)
+        t_hi, t_lo = k + 1 - k * F(x_lo), k + 1 - k * F(x_hi)
+        d = 2 * k + 1
+        assert t_lo <= 0 or t_lo.numerator ** 2 <= d * t_lo.denominator ** 2
+        assert t_hi > 0 and d * t_hi.denominator ** 2 <= t_hi.numerator ** 2
+
+
+def test_certify_rule():
+    # radius <= 10^-(digits-5) max(1, |value|), decided exactly; a value or
+    # radius that is not finite never passes
+    with mp.workdps(80):
+        tol, slack = mp.mpf(10) ** -55, mp.mpf(10) ** -20
+        below, above = tol * (1 - slack), tol * (1 + slack)
+        asymptotics.certify("v", mp.mpf(3), 3 * below, 60)
+        asymptotics.certify("v", mp.mpf("0.5"), below, 60)
+        for value, radius in ((mp.mpf(3), 3 * above), (mp.mpf("0.5"), above),
+                              (mp.inf, below), (mp.mpf(3), mp.inf),
+                              (mp.nan, below)):
+            with pytest.raises(PrecisionError):
+                asymptotics.certify("v", value, radius, 60)
+
+
 # ---------------------------------------------------------------------------
 # scaling-rate constants
 # ---------------------------------------------------------------------------
 
 def test_k_constants_values():
     with mp.workdps(70):
-        k1, k2 = k_constants(6, 1, 7, 60)
+        k1, k2, _ = k_constants(6, 1, 7, 60)
         assert mp.fabs(k1 + F(5, 2) * mp.log(3)) < mp.mpf(10) ** -55
         assert mp.fabs(k2 + F(3, 2) * mp.log(3)) < mp.mpf(10) ** -55
-        k1, _ = k_constants(2, 1, 7, 60)
+        k1, _, _ = k_constants(2, 1, 7, 60)
         assert k1 == 0
-        k1, k2 = k_constants(7, 1, 7, 60)
+        k1, k2, _ = k_constants(7, 1, 7, 60)
         expect = -F(5, 2) * mp.log(7) + F(15, 2) * mp.log(2)
         assert mp.fabs(k1 - expect) < mp.mpf(10) ** -55
 
@@ -428,5 +544,20 @@ def test_k1_finite_n_cross_check():
     n = 10**5 + 1
     b, a, m = 7, 1, 3
     fin = -((b - 2 * a) * n + 1) / 2 * math.log(m) / n
-    k1, _ = k_constants(6, a, b, 60)
+    k1, _, _ = k_constants(6, a, b, 60)
     assert abs(fin - float(k1)) < 1e-3
+
+
+@settings(deadline=None)
+@given(st.one_of(st.integers(1, 10**6), st.integers(10**20, 10**40),
+                 st.just(10**300)), _AB, st.sampled_from([30, 60, 120]))
+def test_k_radius_holds_the_rates(k, ab, digits):
+    a, b = ab
+    k1, k2, radius = k_constants(k, a, b, digits)
+    with mp.workdps(2 * digits + 30):
+        if k % 2 == 0:
+            exact = [-mp.mpf(c) / 2 * mp.log(k // 2) for c in (b - 2 * a, b - 4 * a)]
+        else:
+            exact = [-mp.mpf(c) / 2 * mp.log(k) + mp.mpf(3 * (b - 2 * a)) / 2 * mp.log(2)
+                     for c in (b - 2 * a, b - 4 * a)]
+        assert mp.fabs(k1 - exact[0]) <= radius and mp.fabs(k2 - exact[1]) <= radius

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import omega
+from irrbounds import asymptotics, omega
 from irrbounds.cli import MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
 from pinned_digits import MU2_8_1_13, MU_6_1_7
@@ -375,20 +375,41 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     assert err == "precision failure: saddle root not certified\n"
 
 
-def test_omega_ladder_mismatch_exit_4(capsys, monkeypatch):
-    # N1, N2 and the psi sum are published only when the 2*digits rung
-    # agrees; a second rung perturbed by 10^-50 must refuse them
+def test_omega_wide_radius_exit_4(capsys, monkeypatch):
+    # N1, N2 and the psi sum are published only within 10^-(digits-5) of
+    # their radius; a radius forced to 10^-50 must refuse them
     n_constants = omega.n_constants
 
-    def perturbed(a, b, components, digits):
-        n1, n2 = n_constants(a, b, components, digits)
-        return (n1 + mp.mpf(10) ** -50, n2) if digits == 120 else (n1, n2)
+    def widened(a, b, components, digits):
+        n1, n2, _ = n_constants(a, b, components, digits)
+        return n1, n2, mp.mpf(10) ** -50
 
-    monkeypatch.setattr("irrbounds.cli.n_constants", perturbed)
+    monkeypatch.setattr("irrbounds.cli.n_constants", widened)
     code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
     assert code == 4
     assert out == ""
-    assert err.startswith("precision failure: Omega(1, 7) constants ladder")
+    assert err.startswith("precision failure: Omega(1, 7) psi sum = ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--k", "6", "--a", "1", "--b", "7"),
+    ("search", "--k", "7", "--a-max", "1", "--b-max", "9"),
+    ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1")])
+def test_wide_saddle_radius_exit_4(capsys, monkeypatch, argv):
+    # a bound, a search and verify's predicted decay stop at the first value
+    # whose radius is too wide, with nothing on stdout
+    saddle_complex = asymptotics.saddle_complex
+
+    def widened(*args, **kwargs):
+        z1, m2, _ = saddle_complex(*args, **kwargs)
+        return z1, m2, mp.mpf(10) ** -40
+
+    monkeypatch.setattr("irrbounds.measures.saddle_complex", widened)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("precision failure: ") and err.count("\n") == 1
 
 
 def _swap_two(pts):
@@ -402,7 +423,7 @@ def test_omega_certificate_failure_exit_4(capsys, monkeypatch, mutate):
     # a breakpoint walk without the points of denominator b, or with two
     # neighbours swapped, has a step whose ends are not Farey neighbours
     # beyond b: no set may be printed
-    from irrbounds import omega
+    from irrbounds import asymptotics, omega
 
     farey = omega._breakpoints
     monkeypatch.setattr(omega, "_breakpoints",

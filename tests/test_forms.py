@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from irrbounds import (DomainError, IntegralityError, IntPoly, Params,
                        QuadRat, build_A, derivative, eval_UVW,
-                       scaled_integer_forms, series_uvw, shift_poly,
-                       tail_transform_coeffs, x_point)
+                       scaled_integer_forms, x_point)
 import irrbounds.forms as forms_mod
-from irrbounds.forms import (_derivative_values, _radical_sum,
-                             _transform_nums, scaling_factors)
+from irrbounds.forms import _derivative_values, scaling_factors
+from oracles import (_radical_sum, _transform_nums, series_uvw, shift_poly,
+                     tail_transform_coeffs)
 from irrbounds.omega import delta_products
 
 

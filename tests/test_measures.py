@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from irrbounds import (alpha_value, asymptotics, headline_table, measures,
                        mu2_bound, mu_bound, omega, predicted_decay,
                        search_params, verify_forms)
-from irrbounds.errors import PrecisionError
-from irrbounds.measures import dual_path_ell, grid_size, is_degenerate
+from irrbounds.errors import NonApplicableError, PrecisionError
+from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, grid_size, is_degenerate
+from oracles import dual_path_ell
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 # the once-per-key memos of the bound path, one per dependency layer
@@ -206,19 +207,19 @@ def test_headline_table_shape():
 
 
 def test_headline_table_computes_each_constant_once_per_key():
-    # 13 cells over 3 distinct (a, b), each cell at 60 and 120 digits
+    # 13 cells over 3 distinct (a, b), each cell once, at 60 digits
     cold = _cold(headline_table, 60)
     assert omega._omega_report.cache_info().misses == 3
-    assert omega._n_pair.cache_info().misses == 6
-    assert asymptotics._certified_solve.cache_info().misses == 26
+    assert omega._n_pair.cache_info().misses == 3
+    assert asymptotics._certified_solve.cache_info().misses == 13
     psi = asymptotics._psi.cache_info()
     assert psi.misses == psi.currsize and psi.hits > 0
     assert headline_table(60) == cold  # served from the memos
 
 
 def test_ladder_rungs_share_no_digit_dependent_value():
-    # mu_bound at 60 digits fills the memos at 60 and 120 digits; a following
-    # call at 120 digits must still equal its own cold run
+    # mu_bound at 60 digits fills the memos at 60 digits; a following call
+    # at 120 digits must still equal its own cold run
     warm60 = _cold(mu_bound, 6, 1, 7, 60)
     warm120 = mu_bound(6, 1, 7, 120)
     assert warm60 == _cold(mu_bound, 6, 1, 7, 60)
@@ -227,16 +228,56 @@ def test_ladder_rungs_share_no_digit_dependent_value():
 
 def test_digamma_runs_once_per_argument(monkeypatch):
     # psi comes from Gauss's theorem: production never calls mp.digamma, each
-    # of the 260 endpoints is computed once, and the 19 denominators share
-    # one cosine row per ladder rung
+    # of the 130 endpoints is computed once, at the one working precision,
+    # and the 19 denominators share one cosine row each
     def refused(*args, **kwargs):
         raise AssertionError("mp.digamma called on the bound path")
 
     monkeypatch.setattr(mp, "digamma", refused)
     _cold(search_params, 7, 3, 21)
     psi = asymptotics._psi.cache_info()
-    assert psi.misses == psi.currsize == 260
-    assert asymptotics._gauss_row.cache_info().currsize == 38
+    assert psi.misses == psi.currsize == 130
+    assert asymptotics._gauss_row.cache_info().currsize == 19
+
+
+def _published(k, a, b, quadratic, digits):
+    """Each value a bound cell publishes, with its radius, from one pass."""
+    m1, m2, k1, k2, n1, n2 = measures._constants(k, a, b, digits)
+    kk, nn = (k2, n2) if quadratic else (k1, n1)
+    pairs = {"M1": m1, "M2": m2, "K": kk, "N": nn}
+    denom, value, radius = measures._quotient(m1, m2, kk, nn, digits)
+    pairs["bound" if denom < 0 else "M2+K+N"] = value, radius
+    return pairs
+
+
+_CELLS = {
+    "table": ([(k, 1, 7, False) for k in HEADLINE_KS]
+              + [(k, a, b, True) for k, (a, b) in MU2_PARAMS.items()]),
+    "search-grid": [(k, a, b, False) for k in (5, 7, 9, 11) for a in (1, 2, 3)
+                    for b in range(4 * a + 1, 22, 2)],
+    "huge-k": [(10**e, 1, 7, False) for e in (30, 60, 100, 300)],
+}
+
+
+@pytest.mark.parametrize("group", list(_CELLS))
+def test_one_pass_radius_holds_the_120_digit_value(group):
+    # every published value at 60 digits, its radius against the value the
+    # same cell gives at 120 digits, and no wider than the 55 digits printed
+    checked = 0
+    for k, a, b, quadratic in _CELLS[group]:
+        try:
+            low = _published(k, a, b, quadratic, 60)
+        except NonApplicableError:
+            continue
+        high = (mu2_bound if quadratic else mu_bound)(k, a, b, 120)
+        with mp.workdps(130):
+            ref = {"M1": high.M1, "M2": high.M2, "K": high.K, "N": high.N,
+                   "bound": high.bound, "M2+K+N": high.M2 + high.K + high.N}
+            for name, (value, radius) in low.items():
+                assert mp.fabs(ref[name] - value) <= radius, (k, a, b, name)
+                assert radius <= mp.mpf(10) ** -55 * max(1, mp.fabs(value))
+        checked += 1
+    assert checked == len(_CELLS[group])
 
 
 def _digits(value, sig):
