@@ -44,10 +44,10 @@ from .omega import compute_omega, n_constants
 MIN_DIGITS = 30
 MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
-# verify accepts.  The exact forms (eval_UVW) cost about d^2.3: 0.1 s at
-# d = 1023, 1.1 s at d = 3333, 5.7 s at d = 6633 and 17 s at d = 9999 on a
-# shared 2-core machine, so the cap stops a run of well under a minute.  As
-# b > 4a, it also keeps each prime sieve below b*n < 2d/3.
+# verify accepts.  The exact forms (eval_UVW) cost about d^2.1: 0.04 s at
+# d = 1023, 0.5 s at d = 3333, 1.9 s at d = 6633 and 4.5 s at d = 9999
+# in-process on a shared 2-core machine, so the cap stops a run of well under
+# a minute.  As b > 4a, it also keeps each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
 # cap admits b up to 203, and that grid of 100 cells takes 3.5-3.8 s per
@@ -193,8 +193,8 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"the forms for --n {args.n} have total degree {degree}, above "
             f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
-    rows = verify_forms(k, a, b, ns, digits)
     pred_l, pred_m = predicted_decay(k, a, b, digits)
+    rows = verify_forms(k, a, b, ns, digits, decays=(pred_l, pred_m))
     out = []
     for r in rows:
         entry = {

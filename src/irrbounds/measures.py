@@ -216,10 +216,12 @@ def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
     return -2 * total, 4 * (j + 1)
 
 
-def _alpha_combinations(k: int, combos, digits: int) -> list[mp.mpf]:
+def _alpha_combinations(k: int, combos, digits: int,
+                        depth: int = 0) -> list[mp.mpf]:
     """each sum of c * alpha_k^p over exact (c, p) pairs, p in {0, 1, 2},
     one list of pairs per combination, certified to 10^-(digits+10)
-    relative and nonzero, rounded to digits + 10 digits.
+    relative and nonzero, rounded to digits + 10 digits; ``depth`` bits
+    widen the first pass for sums near 2^-depth.
 
     A combination is exponentially small against coefficients of thousands
     of bits.  Its coefficients c are scaled to integers by the lcm L of
@@ -246,7 +248,7 @@ def _alpha_combinations(k: int, combos, digits: int) -> list[mp.mpf]:
     scale = 10 ** (digits + 10)
     need = scale.bit_length() + 2  # 2^need > 4 * scale
     bits = (max(abs(c).bit_length() for *_, terms in scaled for c, _ in terms)
-            + scale.bit_length() + 64)
+            + scale.bit_length() + 64 + depth)
     grow = 0
     for _ in range(MAX_ALPHA_PASSES):
         a, e = _alpha_fixed(k, bits)
@@ -271,13 +273,15 @@ def _alpha_combinations(k: int, combos, digits: int) -> list[mp.mpf]:
 
 
 def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
-                 sieve: PrimeSieve | None = None) -> list[VerificationRow]:
+                 sieve: PrimeSieve | None = None,
+                 decays=()) -> list[VerificationRow]:
     """Exact integer forms and high-precision form values for each odd n.
 
     Integrality violations raise IntegralityError naming the quantity.  ell
     and m come from certified enclosures that exclude 0; a form whose
     enclosure stays too wide, as a vanishing form would, raises
-    PrecisionError.
+    PrecisionError.  ``decays``, the rates of ``predicted_decay``, size the
+    enclosure's first pass for forms of about exp(n * rate).
     """
     from .forms import eval_UVW, scaled_integer_forms, x_point
 
@@ -288,7 +292,8 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
         delta, delta1 = delta_products(params, sieve)
         forms = scaled_integer_forms(params, uvw, delta, delta1)
         ell, m = _alpha_combinations(
-            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits)
+            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits,
+            max(0, -int(n * min(decays, default=0) / mp.ln2)))
         with mp.workdps(digits + 10):
             rows.append(VerificationRow(
                 n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,

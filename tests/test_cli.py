@@ -166,27 +166,53 @@ def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
 
 def test_inexact_pole_sum_block_exit_3(capsys, monkeypatch):
     # with blocks of 4, the order-0 block at s0 = 20 holds the first nonzero
-    # values A(-m), m > bn = 21; one corrupted coefficient there, alpha_3,
-    # leaves that block's division by eps_3 with a remainder, which must end
-    # the run with one line
+    # values A(-m), m > bn = 21; one corrupted coefficient there, the
+    # rational part of the beta_4 that advances g past the block, leaves
+    # the block's division by eps_4 with a remainder, which must end the run
+    # with one line
     import irrbounds.forms as forms_mod
 
-    coeffs = forms_mod._block_coeffs
+    beta = forms_mod._beta
 
-    def corrupt(*args):
-        for i, row in enumerate(coeffs(*args)):
-            if args[4] == 20 and i == 3:
-                row = (row[0] + 1, *row[1:])
-            yield row
+    def corrupt(w, D, step, delta, s0, size):
+        bu, bv = beta(w, D, step, delta, s0, size)
+        if s0 == 20 and delta == 45:  # order 0 of degree 45
+            bu += 1
+        return bu, bv
 
     monkeypatch.setattr(forms_mod, "_BLOCK", 4)
-    monkeypatch.setattr(forms_mod, "_block_coeffs", corrupt)
+    monkeypatch.setattr(forms_mod, "_beta", corrupt)
     code, out, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
                          "--n", "3")
     assert code == 3
     assert out == ""
     assert err.startswith("integrality failure: order-0 pole-sum block at "
                           "s0 = 20 is not an integer: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("state", range(6))
+def test_corrupted_walk_state_exit_3(capsys, monkeypatch, state):
+    # the walk restarts from the root multiset at m = bn + 1 = 22; one unit
+    # added to any of its six states there leaves the next step's division
+    # by C(-22) with a remainder, which must end the run with one line
+    import irrbounds.forms as forms_mod
+
+    restart = forms_mod._restart
+
+    def corrupt(blocks, m, L, S1, S2):
+        states = restart(blocks, m, L, S1, S2)
+        if m == 22:
+            states[state] += 1
+        return states
+
+    monkeypatch.setattr(forms_mod, "_restart", corrupt)
+    code, out, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
+                         "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("integrality failure: shift-identity step to m = 23 "
+                          "is not an integer: ")
     assert len(err.splitlines()) == 1
 
 
@@ -449,7 +475,13 @@ def test_huge_k_bound_is_certified(capsys):
 
 def test_alpha_enclosure_too_wide_exit_4(capsys, monkeypatch):
     # one pass of the alpha enclosure at its starting width cannot certify
-    # the forms at n = 31
+    # the forms at n = 31 when nothing sizes that width: a zero decay hint
+    # starts it as if the forms were of size 1
+    import irrbounds.cli as cli_mod
+
+    predicted = cli_mod.predicted_decay
+    monkeypatch.setattr(cli_mod, "predicted_decay",
+                        lambda *args: tuple(0 * rate for rate in predicted(*args)))
     monkeypatch.setattr("irrbounds.measures.MAX_ALPHA_PASSES", 1)
     code, out, err = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
                          "--n", "31")

@@ -10,7 +10,8 @@ from irrbounds import (DomainError, IntegralityError, IntPoly, Params,
                        QuadRat, build_A, derivative, eval_UVW,
                        scaled_integer_forms, x_point)
 import irrbounds.forms as forms_mod
-from irrbounds.forms import _derivative_values, scaling_factors
+from irrbounds.exact_arith import d_upto
+from irrbounds.forms import _root_blocks, _walk, scaling_factors
 from oracles import (_radical_sum, _transform_nums, series_uvw, shift_poly,
                      tail_transform_coeffs)
 from irrbounds.omega import delta_products
@@ -317,10 +318,11 @@ def test_eval_matches_dense_oracle_at_n31():
     assert _uvw(p, x_point(8)) == _dense_at_x(8, 1, 13, 31)
 
 
-def _scale_change(params, order):
-    """Index s of the first value whose scale differs from the one before."""
-    scales = [scale for _, scale in _derivative_values(params, order)]
-    return next(s for s in range(1, len(scales)) if scales[s] != scales[s - 1])
+def _first_value(params, order):
+    """Index s of the first nonzero value of order ``order``, m = hi + 1 of
+    its root block, where the walk starts or restarts."""
+    hi = _root_blocks(params)[2 - order][1]
+    return hi - order * params.a * params.n
 
 
 @pytest.mark.parametrize("cell", [(8, 1, 13, 31), (6, 2, 23, 3)],
@@ -329,42 +331,52 @@ def _scale_change(params, order):
                          ids=["1", "2", "7", "one-block"])
 def test_block_size_does_not_matter(monkeypatch, cell, block):
     # one step per block, two, an odd size, and one block over all delta+1
-    # values; at (6,2,23,3) a block of 2 or 7 straddles the den -> L^order
-    # scale change of some order, so that block sums over two scales
+    # values; at (6,2,23,3) a block of 2 or 7 straddles the first nonzero
+    # value of some order, so that block holds zeros and values
     p = Params(*cell)
     if block is None:
         block = p.degree + 2
     if cell == (6, 2, 23, 3) and block in (2, 7):
-        assert any(_scale_change(p, order) % block for order in range(3))
+        assert any(_first_value(p, order) % block for order in range(3))
     monkeypatch.setattr(forms_mod, "_BLOCK", block)
     assert _uvw(p, x_point(p.k)) == _dense_at_x(*cell)
 
 
-def test_order0_walk_needs_no_lcm(monkeypatch):
-    # order 0 reads only the product q, so it never computes L = lcm(1..last)
+def test_d_upto_called_once_per_eval_UVW(monkeypatch):
+    # one walk serves all three orders at the one scale L = lcm(1..d)
     p = Params(k=6, a=1, b=13, n=5)
-    want = list(_derivative_values(p, 0))
+    want = _uvw(p, x_point(6))
+    calls = []
 
-    def boom(*args):
-        raise RuntimeError("d_upto called")
+    def counting(n):
+        calls.append(n)
+        return d_upto(n)
 
-    monkeypatch.setattr(forms_mod, "d_upto", boom)
-    assert list(_derivative_values(p, 0)) == want
-    with pytest.raises(RuntimeError):
-        list(_derivative_values(p, 1))
+    monkeypatch.setattr(forms_mod, "d_upto", counting)
+    assert _uvw(p, x_point(6)) == want
+    assert calls == [p.degree]
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 7, 1), (1, 7, 3), (2, 23, 1),
                                    (1, 13, 5)])
 def test_root_multiset_values_match_dense_derivatives(a, b, n):
-    # every value the walk yields, inside the root blocks and beyond bn
+    # every value the walk yields, across both restarts and beyond bn, is
+    # L^r A^(r)(-m); below its first m, every value a transform sum reads
+    # is 0
     p = Params(k=6, a=a, b=b, n=n)
     A = build_A(p)
-    for order in range(3):
-        poly = derivative(A, order)
-        got = [F(v, scale) for v, scale in _derivative_values(p, order)]
-        start = 1 + order * a * n
-        assert got == [poly(-(start + s)) for s in range(p.degree - order + 1)]
+    polys = [derivative(A, order) for order in range(3)]
+    L = d_upto(p.degree)
+    first = (b - 2 * a) * n + 1
+    last = 2 * a * n + p.degree - 1
+    got = list(_walk(p, L, last))
+    assert len(got) == last - first + 1
+    for m, u in zip(range(first, last + 1), got):
+        assert [F(v, L**r) for r, v in enumerate(u)] == [q(-m) for q in polys]
+    for m in range(1, first):
+        for order in range(3):
+            if m > order * a * n:
+                assert polys[order](-m) == 0
 
 
 # ---------------------------------------------------------------------------
