@@ -2,27 +2,22 @@
 saddle-point cubic whose real and complex roots give the growth and decay
 rates M1 and M2, and the scaling-rate constants K1 and K2.
 
-The inner loops run on Python ints in fixed point; mpmath seeds the
-transcendental values (cos, log, pi, gamma) and rounds each result once.
-Digamma comes from Gauss's digamma theorem: one memoised row of cosines and
+Everything runs on Python ints.  Each constant is a :class:`fixed.Ball`
+with a radius proved end to end, rounded where mpmath's mpf arithmetic once
+rounded it, and the transcendental values come from :mod:`fixed`.  Digamma
+comes from Gauss's digamma theorem: one memoised row of cosines and
 log-sines per denominator and working precision, as integers with a proven
-error, serves every argument with that denominator.  Each constant is
-computed once, with a proven error bound (a radius), which :func:`certify`
-holds every published value to.  The bounds trust mpmath's transcendentals
-(cos 2 pi/q, the log-sines, gamma, ln 2q, pi, the logs of K and M) to one
-unit of their fixed-point scale or one ulp, as its ``iv`` context does.
+error, serves every argument with that denominator.
 
 The real saddle root is found by Newton from a proven bound, in doubles and
 then in integers, then two exact probes: integer sign evaluations on a tight
-dyadic bracket, certain for every x in a rational enclosure, so rounding can
-never fool them.  Near x = 1 the root is ill-conditioned, and the working
-precision carries guard digits (:func:`guard_digits`).  Each saddle rate is
-one logarithm of a product of integer powers, with a radius
-(:func:`_m_rate`).
+dyadic bracket, certain for every x in a rational enclosure.  Near x = 1 the
+root is ill-conditioned, and the working precision carries guard digits
+(:func:`guard_digits`).  Each saddle rate is one logarithm of a product of
+powers of balls (:func:`_m_rate`).
 
-alpha_value is alpha_k by mpmath's log, the reference the tests hold the
-production route to: verify encloses alpha_k by a fixed-point integer sum
-(measures._alpha_fixed) and never calls it.
+alpha_value, alpha_k by mpmath's log, is the test oracle of the fixed-point
+enclosure in measures._alpha_fixed; only it imports mpmath.
 """
 
 from __future__ import annotations
@@ -32,37 +27,14 @@ from operator import mul
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
-from mpmath.libmp import (dps_to_prec, euler_fixed, from_man_exp, from_rational,
-                          log_int_fixed, mpf_cos_pi, mpf_log, mpf_neg, pi_fixed,
-                          to_fixed)
-
 from .errors import DomainError, NonApplicableError, PrecisionError
 from .exact_arith import Rat
+from .fixed import (Ball, cos_2pi, euler_fixed, icbrt, ln_fixed, pi_fixed,
+                    prec_of)
 
 __all__ = [
-    "digamma", "alpha_value", "saddle_real", "saddle_complex",
-    "k_constants", "certify",
+    "digamma", "alpha_value", "saddle_real", "saddle_complex", "k_constants",
 ]
-
-
-def certify(name: str, value, radius, digits: int) -> None:
-    """PrecisionError unless the finite ``value`` has a finite radius of at
-    most 10^-(digits-5) max(1, |value|), decided exactly: the rule that
-    certifies the digits - 5 leading digits of every published value."""
-    if mp.isfinite(value) and mp.isfinite(radius):
-        (rm, re), (vm, ve) = _dyadic(radius), _dyadic(value)
-        e = min(re, ve, 0)
-        if abs(rm) * 10 ** (digits - 5) << re - e <= max(1 << -e, abs(vm) << ve - e):
-            return
-    raise PrecisionError(f"{name} = {value} is certified only to within "
-                         f"{radius}, too wide for {digits} digits")
-
-
-def units(x, w: int) -> tuple[int, int]:
-    """floor and ceil of x 2^w, for a finite mpf x: radii are summed as ints
-    in units of 2^-w."""
-    return to_fixed(x._mpf_, w), -to_fixed(mpf_neg(x._mpf_), w)
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +47,9 @@ def units(x, w: int) -> tuple[int, int]:
 MAX_DIGAMMA_SHIFT = 10_000
 
 
-def digamma(x: Rat, digits: int) -> mp.mpf:
+def digamma(x: Rat, digits: int) -> Ball:
     """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1, by Gauss's
-    digamma theorem, within 2^-prec (1 + |psi(x)|), prec the bits of
+    digamma theorem: a ball of radius at most 2^-prec, prec the bits of
     digits + 10 digits (:func:`_psi`)."""
     x = Fraction(x)
     if x <= 0:
@@ -89,10 +61,10 @@ def digamma(x: Rat, digits: int) -> mp.mpf:
 
 
 @lru_cache(maxsize=None)
-def _psi(num: int, den: int, digits: int) -> mp.mpf:
+def _psi(num: int, den: int, digits: int) -> Ball:
     """psi(num/den), once per process for each key: the Omega endpoints of
-    different (a, b) share many arguments.  The key holds the ints of x, not
-    a copy of it, as the memo is the largest one on the bound path.
+    different (a, b) share many arguments.  The key holds the ints of x, as
+    the memo is the largest one on the bound path.
 
     With x = s + p/q, p/q in (0, 1], Gauss's digamma theorem (DLMF 5.4.19)
     gives, for q > 1,
@@ -100,23 +72,23 @@ def _psi(num: int, den: int, digits: int) -> mp.mpf:
         psi(p/q) = -gamma - ln 2q - (pi/2) cot(pi p/q)
                    + sum_{n=1}^{ceil(q/2)-1} cos(2 pi n p/q) ln sin^2(pi n/q),
 
-    psi(1) = -gamma, and psi(x) = psi(p/q) + sum_{j<s} q/(p + jq).  All of
-    it is integer arithmetic on the row of denominator q (:func:`_gauss_row`):
-    cot(pi p/q) = +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2, by isqrt,
-    the n-sum one dot product, each q/(p + jq) a floor division to
-    bitlen(s) more bits; the total is rounded once, to prec bits, from
-    B = prec + 6 bitlen(q) (prec + 2 for q = 1).  Its error in units of
-    2^-B must be at most 2^(B - prec), else PrecisionError.  From the row's
-    bounds (|C_j err| <= q^2/4, L_n's q^4/32 + 2) and mpmath's gamma, ln 2q
-    and pi, each trusted to 1 unit (the module's assumption):
-    (q^4 + 16 q^2 bitlen(q))/32 + 4 per dot term (|ln sin^2| < 2 bitlen(q));
-    q^5/16 + q/2 + 5 for pi/2 cot (|cot| < q), as d/dc sqrt((1+c)/(1-c)) =
-    1/((1 - c)|sin 2 pi p/q|) < q^3/8 near C_p (0 exactly when q = 2);
-    1 per floor in the count, 2 for gamma and ln 2q, 2 for the s steps.
+    psi(1) = -gamma, and psi(x) = psi(p/q) + sum_{j<s} q/(p + jq), all in
+    integers on the row of q (:func:`_gauss_row`): cot(pi p/q) =
+    +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2, by isqrt, the n-sum one dot
+    product, each q/(p + jq) a floor to bitlen(s) more bits.  The total, at
+    B = prec + 6 bitlen(q) bits (prec + 2 for q = 1), is rounded to prec
+    bits, its error in units of 2^-B at most 2^(B - prec), else
+    PrecisionError.  From the row's bounds (|C_j err| <= q^2/4, L_n's
+    q^4/32 + 2) and gamma, ln 2q and pi within 1 unit (1 more for their
+    2^-20 excesses, :mod:`fixed`): (q^4 + 16 q^2 bitlen(q))/32 + 4 per dot
+    term (|ln sin^2| < 2 bitlen(q)); q^5/16 + q/2 + 5 for pi/2 cot
+    (|cot| < q), as d/dc sqrt((1+c)/(1-c)) = 1/((1 - c)|sin 2 pi p/q|) <
+    q^3/8 near C_p (0 when q = 2); 1 per floor, 2 for gamma and ln 2q, 2 for
+    the s steps.
     """
     s = -(-num // den) - 1
     p = num - s * den
-    prec = dps_to_prec(digits + 10)
+    prec = prec_of(digits + 10)
     wp = prec + 2 * den.bit_length()
     if den == 1:
         bits, total, err = wp, -euler_fixed(wp), 1
@@ -138,7 +110,7 @@ def _psi(num: int, den: int, digits: int) -> mp.mpf:
     if err + 2 > 1 << bits - prec:
         raise PrecisionError(f"the fixed-point psi({num}/{den}) is not within "
                              f"2^-{prec}: {err + 2} units of 2^-{bits}")
-    return mp.make_mpf(from_man_exp(total, -bits, prec, "n"))
+    return Ball(total, -bits, err + 3).rnd(prec)
 
 
 @lru_cache(maxsize=None)
@@ -151,33 +123,35 @@ def _gauss_row(q: int, prec: int):
     C_(j+1) = 2 C_1 C_j / 2^B - C_(j-1), rounded, from C_1 = cos(2 pi/q)
     rounded, is the Chebyshev recurrence of cos(j t).  Its error
     e_j = C_j - 2^B cos(2 pi j/q) follows the same recurrence, forced by at
-    most 3/2 per step, whose unforced solutions U_(j-1)(C_1/2^B) are at most
-    j in size: |e_j| <= j^2 <= q^2/4 for j <= q/2, so 2 bitlen(q) guard bits
-    keep C_j within 2^-(prec + 2 bitlen(q) + 2).  As sin^2(pi n/q) >= 4/q^2,
-    that moves ln sin^2 by at most q^4/32 units, and the log's truncation by
-    2 more: the other 2 bitlen(q) keep L_n within 2^-(prec + 3).
+    most 3/2 per step (C_1 is within 1/2 + 2^-16, :func:`fixed.cos_2pi`),
+    whose unforced solutions U_(j-1)(C_1/2^B) are at most j in size:
+    |e_j| <= j^2 <= q^2/4 for j <= q/2, so 2 bitlen(q) guard bits keep C_j
+    within 2^-(prec + 2 bitlen(q) + 2).  As sin^2(pi n/q) >= 4/q^2, that
+    moves ln sin^2 by at most q^4/32 units, and the log's rounding by 1 more
+    (:func:`fixed.ln_fixed`): the other 2 bitlen(q) keep L_n within
+    2^-(prec + 3).
     """
     bits = prec + 4 * q.bit_length()
     one = 1 << bits
-    wp = bits + 20
-    c_1 = to_fixed(mpf_cos_pi(from_rational(2, q, wp), wp), bits + 1) + 1 >> 1
+    c_1 = cos_2pi(q, bits)
     cos_row = [one, c_1]
     for _ in range(q // 2 - 1):
         cos_row.append(((c_1 * cos_row[-1] >> bits - 2) + 1 >> 1) - cos_row[-2])
-    log_row = tuple(to_fixed(mpf_log(from_man_exp(one - c, -bits - 1), wp), bits)
+    log_row = tuple(ln_fixed(one - c, -bits - 1, bits)
                     for c in cos_row[1:(q + 1) // 2])
     cos_row += cos_row[(q - 1) // 2:0:-1]  # C_(q-j) = C_j
     return (bits, tuple(cos_row), log_row,
-            -euler_fixed(bits) - log_int_fixed(2 * q, bits))
+            -euler_fixed(bits) - ln_fixed(2 * q, 0, bits))
 
 
 # ---------------------------------------------------------------------------
 # the target numbers alpha_k
 # ---------------------------------------------------------------------------
 
-def alpha_value(k: int, digits: int) -> mp.mpf:
-    """alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)), negative;
-    the test oracle for the fixed-point enclosure of measures._alpha_fixed."""
+def alpha_value(k: int, digits: int):
+    """alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)) < 0, an mpf."""
+    import mpmath as mp
+
     if k < 1:
         raise DomainError("k must be >= 1")
     with mp.workdps(digits + 10):
@@ -232,20 +206,19 @@ def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo: Fraction,
     return None
 
 
-def _newton_polish(coeffs, z0: mp.mpf, dps: int) -> mp.mpf:
-    """Newton on the cubic of ``coeffs`` from z0 until a step is at most
-    10^(3-dps) max(1, |z|); a step that raises |f| is halved while it is
-    above 10^(3-dps).  It runs on integers: with each coefficient the dyadic
-    C_i 2^e its mpf holds and z = Z 2^E, E <= 0, Z of the working
-    precision's bits, f(z) 2^-(e+3E) and f'(z) 2^-(e+2E) are exact integers
-    and a step moves Z by their quotient, rounded: the only error."""
-    parts = [_dyadic(mp.mpf(c)) for c in coeffs]
-    e = min(exp for _, exp in parts)
-    zm, ze = _dyadic(z0)
-    shift = max(0, -ze, mp.mp.prec - ze - abs(zm).bit_length())  # -E
+def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
+    """Newton on the cubic of the ball centres ``coeffs`` from z0 = m 2^e
+    until a step is at most 10^(3-dps) max(1, |z|), halving a step that
+    raises |f| while it is above 10^(3-dps), rounded to prec bits.  With each
+    C_i 2^e_i, e = min e_i, and z = Z 2^-E, Z of prec bits or more,
+    f(z) 2^(3E-e) and f'(z) 2^(2E-e) are integers, and a step moves Z by
+    their quotient, rounded: the only error."""
+    e = min(c.exp for c in coeffs)
+    zm, ze = z0
+    shift = max(0, -ze, prec - ze - zm.bit_length())  # E
     z, u = zm << ze + shift, 1 << shift
-    ints = c3, c2, c1, _ = [m << exp - e + i * shift
-                            for i, (m, exp) in enumerate(parts)]
+    ints = c3, c2, c1, _ = [c.man << c.exp - e + i * shift
+                            for i, c in enumerate(coeffs)]
     tol = 10 ** (dps - 3)
     fz = _eval_cubic(ints, z)
     for _ in range(200):
@@ -260,17 +233,18 @@ def _newton_polish(coeffs, z0: mp.mpf, dps: int) -> mp.mpf:
         z, fz = znew, fnew
         if abs(step) * tol <= max(u, abs(z)):
             break
-    return mp.mpf((z, -shift))
+    return Ball(z, -shift).rnd(prec)
 
 
-def _newton_start(a: int, b: int, x: mp.mpf) -> mp.mpf:
-    """Start of the integer Newton for the root beyond b: Newton in doubles
-    from the proven bound b/(1 - x^(1/3)), which leaves :func:`_newton_polish`
-    3-5 steps at 60 and 120 digits instead of 9-10.  When doubles cannot
-    hold the solve (float(x) rounds to 1 at huge k, say) or do not end
-    beyond b, the start is that bound in mpf.  Only the exact probes after
-    the polish certify the root, so the start decides the speed, never the
-    result."""
+def _newton_start(a: int, b: int, x: Fraction, prec: int) -> tuple[int, int]:
+    """Start (m, e) of the integer Newton for the root beyond b: Newton in
+    doubles from the proven bound b/(1 - x^(1/3)), which leaves
+    :func:`_newton_polish` 3-5 steps at 60 and 120 digits, not 9-10.  Where
+    doubles fail (float(x) rounds to 1 at huge k) or end at or below b, the
+    bound itself rounded at prec bits, as mpmath's b/(1 - cbrt(x)) is: the
+    cube root by :func:`fixed.icbrt` to prec + 4 bits or more and a sticky
+    bit rounds as the exact one.  The start sets the speed, never the
+    result, which the exact probes certify."""
     try:
         xd = float(x)
         c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xd)
@@ -283,160 +257,124 @@ def _newton_start(a: int, b: int, x: mp.mpf) -> mp.mpf:
                 break
     except (OverflowError, ZeroDivisionError):
         z = math.nan
-    return mp.mpf(z) if math.isfinite(z) and z > b else b / (1 - mp.cbrt(x))
+    if math.isfinite(z) and z > b:
+        num, den = z.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    t = prec + 4 + max(0, x.denominator.bit_length() - x.numerator.bit_length()) // 3
+    root = icbrt((x.numerator << 3 * t) // x.denominator)
+    if root ** 3 * x.denominator != x.numerator << 3 * t:
+        root, t = 2 * root + 1, t + 1
+    bound = Ball(b).div((1 - Ball(root, -t).rnd(prec)).rnd(prec), prec)
+    return bound.man, bound.exp
 
 
-def _dyadic(x: mp.mpf) -> tuple[int, int]:
-    """(m, e) with x = m * 2^e exactly, for a finite mpf x."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0 and x != 0:
-        raise DomainError(f"cannot convert {x} to a fraction")
-    return -man if sign else man, exp
-
-
-def _dyadic_ratio(x: mp.mpf) -> tuple[int, int]:
-    """(num, den) with x = num/den exactly, den a power of 2."""
-    m, e = _dyadic(x)
-    return (m << e, 1) if e >= 0 else (m, 1 << -e)
-
-
-def _derive_x_bounds(x, digits: int) -> tuple[Fraction, Fraction]:
-    xf = Fraction(*_dyadic_ratio(mp.mpf(x)))
-    pad = Fraction(1, 10 ** (digits + 2))
-    return xf - pad, xf + pad
-
-
-def _solve_cubic(a: int, b: int, x, digits: int, x_bounds):
-    """(x, z0, s, p, box) at the caller's working precision: x as mpf, the
-    real root z0 > b of the saddle cubic, the sum s and product p of the
-    other two roots (from deflation), and the box of the rates' radii.
+def _solve_cubic(a: int, b: int, x, digits: int, x_bounds, w: int):
+    """(z0, s, p, box) at w bits for x, a ball (or an exact rational, made
+    one at w bits): the real root z0 > b of the saddle cubic at x's centre,
+    the other two roots' sum s = -c2/c3 - z0 and product p = -c0/(c3 z0),
+    and the box (zn, en, e, x_lo, x_hi, x_ball): the root's certified
+    bracket [(zn -/+ en)/2^e], zn/2^e = z0, the enclosure ``x_bounds`` of x
+    (the ball's own by default) widened to hold x's centre, and the ball of
+    x's centre that holds that.
 
     The cubic is z(z-a)(z-2a) * (x - f(z)) with
     f(z) = (z-(b-2a))(z-(b-a))(z-b) / (z(z-a)(z-2a)).  On z > b each factor
     (z-r)/(z-c) of f has r > c >= 0 (as b > 4a), so it is positive and
     strictly increasing: f rises strictly from 0 to 1, and for x in (0, 1)
     exactly one root lies beyond b, with the cubic positive before it and
-    negative after it.  Each factor is also >= (z-b)/z, so
-    f(z) >= ((z-b)/z)^3 and that root is at most b/(1 - x^(1/3)).
-
-    Newton starts from that bound, first in doubles (:func:`_newton_start`)
-    and then in integers (:func:`_newton_polish`).  The polished z0 is then
-    certified by two exact probes at lo, hi = z0 -/+ z0*10^-digits/2: lo > b,
-    sign +1 at lo and -1 at hi, for every x in the rational enclosure
-    ``x_bounds``.  lo and hi are dyadic, so each probe is one integer
-    (:func:`_cleared_cubic`) per end of the enclosure.  By the argument
-    above, the unique root beyond b lies in [lo, hi]; if any of this fails,
-    PrecisionError.
-
-    The box is (zn, en, e, x_lo, x_hi, x_term): the bracket
-    [(zn -/+ en)/2^e], the enclosure widened to hold x, inside (0, 1), and
-    x_term >= 2^w (b/2)(x_hi - x_lo)/x_lo, w the working precision.
-
-    :func:`saddle_real` and :func:`saddle_complex` both need this solve, and
-    a cell asks for them in turn, so the last solve is kept, keyed on every
-    exact input: a, b, x as the exact dyadic (m, e) the mpf holds, digits,
-    the enclosure and the working precision.
-    """
+    negative after it.  Each factor is also >= (z-b)/z, so that root is at
+    most b/(1 - x^(1/3)), where Newton starts (:func:`_newton_start`,
+    :func:`_newton_polish`).  Two exact probes at lo, hi = z0 -/+
+    z0*10^-(digits+5)/2, or where those fail z0 -/+ z0*10^-digits/2, then
+    certify it: lo > b, sign +1 at lo and -1 at hi for every x in the
+    enclosure, one integer each (:func:`_cleared_cubic`) per end of it; if
+    no bracket holds, PrecisionError.  Newton stops near 10^-(digits+7), but
+    x's centre may move the root by up to 10^-(digits+2) (:func:`guard_digits`).
+    The last solve is kept for the next cell's other saddle, keyed on every
+    exact input."""
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
-    x = mp.mpf(x)
+    if not isinstance(x, Ball):
+        x = Fraction(x)
+        x = Ball(x.numerator).div(x.denominator, w)
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
-    x_lo, x_hi = _derive_x_bounds(x, digits) if x_bounds is None else x_bounds
-    return _certified_solve(a, b, _dyadic(x), digits,
-                            Fraction(x_lo), Fraction(x_hi), mp.mp.prec)
+    x_lo, x_hi = x.bounds() if x_bounds is None else x_bounds
+    return _certified_solve(a, b, (x.man, x.exp), digits,
+                            Fraction(x_lo), Fraction(x_hi), w)
 
 
 @lru_cache(maxsize=1)
 def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                      x_lo: Fraction, x_hi: Fraction, prec: int):
-    with mp.workprec(prec):
-        x = mp.mpf(x_dyadic)  # exact: the caller's x at this precision
-        coeffs = c3, c2, _, c0 = _real_cubic_coeffs(a, b, x)
-        # the deflation s = -c2/c3 - z0 needs z0 to absolute, not relative,
-        # accuracy: its z0 ~ 1/(1 - x) costs the guard digits once more
-        z0 = _newton_polish(coeffs, _newton_start(a, b, x),
-                            digits + 10 + guard_digits(1 - x))
-        # lo, hi = z0 -/+ z0*10^-digits/2 as (zn -/+ en)/zd, zd = 2^-e
-        zm, ze = _dyadic(z0)
-        em, ee = _dyadic(z0 / (2 * mp.mpf(10) ** digits))
-        e = min(ze, ee, 0)
-        zn, en, zd = zm << (ze - e), em << (ee - e), 1 << -e
-        if not (zn - en > b * zd
+    x = Ball(*x_dyadic)
+    xf = x.centre()
+    c3, c2, c1, c0 = ((c if isinstance(c, Ball) else Ball(c)).rnd(prec)
+                      for c in _real_cubic_coeffs(a, b, x))
+    # the deflation needs z0 to absolute, not relative, accuracy: its
+    # z0 ~ 1/(1 - x) costs the guard digits once more
+    z0 = _newton_polish((c3, c2, c1, c0), _newton_start(a, b, xf, prec), prec,
+                        digits + 10 + guard_digits(1 - xf))
+    e = max(0, -z0.exp)
+    zn, zd = z0.man << z0.exp + e, 1 << e
+    for margin in (digits + 5, digits):
+        en = zn // (2 * 10 ** margin)
+        if (zn - en > b * zd
                 and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
                 and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
-            raise PrecisionError(f"saddle root {z0} beyond b={b} not certified "
-                                 f"for x in [{float(x_lo)}, {float(x_hi)}]")
-        xf = Fraction(*_dyadic_ratio(x))
-        x_lo, x_hi = min(x_lo, xf), max(x_hi, xf)
-        if not 0 < x_lo <= x_hi < 1:
-            raise PrecisionError(f"x's enclosure [{float(x_lo)}, {float(x_hi)}] "
-                                 "leaves (0, 1)")
-        width = x_hi - x_lo
-        x_term = -(-(b * width.numerator * x_lo.denominator << prec)
-                   // (2 * width.denominator * x_lo.numerator))
-        return (x, z0, -c2 / c3 - z0, -c0 / (c3 * z0),
-                (zn, en, -e, x_lo, x_hi, x_term))
+            break
+    else:
+        raise PrecisionError(f"saddle root {z0.to_str(20)} beyond b={b} not "
+                             f"certified for x in [{float(x_lo)}, {float(x_hi)}]")
+    x_lo, x_hi = min(x_lo, xf), max(x_hi, xf)
+    if not 0 < x_lo <= x_hi < 1:
+        raise PrecisionError(f"x's enclosure [{float(x_lo)}, {float(x_hi)}] "
+                             "leaves (0, 1)")
+    s = ((-c2).div(c3, prec) - z0).rnd(prec)
+    p = (-c0).div((c3 * z0).rnd(prec), prec)
+    return z0, s, p, (zn, en, e, x_lo, x_hi, x.spanning(x_lo, x_hi))
 
 
 def guard_digits(gap) -> int:
-    """Working digits to add to the saddle solve at x = 1 - gap (an mpf or
-    an exact rational).
+    """Working digits to add to the saddle solve at x = 1 - gap (a ball's
+    centre or an exact rational).
 
     The root beyond b is about 3(b - 2a)/(1 - x), so a relative error e in
     x moves it by about e/(1 - x) relative.  x carries digits + 10 digits
-    and the root is certified to z0*10^-digits/2, which leaves room for
-    1/(1 - x) up to about 10^8; each further decimal of it costs one digit:
-    max(0, ceil(log10(1/gap)) - 8), decided in integers.  The same guard
-    goes into Newton's stopping tolerance, which is relative to z0.  1 - x_k
-    is about sqrt(2/k), so the guard is 0 for k <= 10^16.
+    and the root is certified to z0*10^-digits/2 at worst, which leaves
+    room for 1/(1 - x) up to about 10^8; each further decimal costs one
+    digit: max(0, ceil(log10(1/gap)) - 8), the least c with
+    10^c >= ceil(1/gap), minus 8.  The same guard goes into Newton's
+    tolerance.  1 - x_k is about sqrt(2/k): no guard for k <= 10^16.
     """
-    num, den = (_dyadic_ratio(gap) if isinstance(gap, mp.mpf)
-                else (gap.numerator, gap.denominator))
-    if num <= 0 or num * 10**8 >= den:
+    gap = gap.centre() if isinstance(gap, Ball) else Fraction(gap)
+    if gap <= 0 or gap * 10**8 >= 1:
         return 0
-    # the least c with 10^c * num >= den, starting from a float estimate
-    c = int(math.log10(den // num))
-    while 10**c * num < den:
-        c += 1
-    while 10**(c - 1) * num >= den:
-        c -= 1
-    return c - 8
+    return len(str(-(-gap.denominator // gap.numerator) - 1)) - 8
 
 
-def _saddle_dps(x, digits: int) -> int:
-    """Working digits of the saddle functions: digits + 15 and the guard."""
-    x = x if isinstance(x, mp.mpf) else mp.mpf(x)
-    return digits + 15 + guard_digits(1 - x)
+def _saddle_bits(x, digits: int) -> int:
+    """Working bits of the saddle functions: digits + 15 and the guard."""
+    return prec_of(digits + 15 + guard_digits(1 - x))
 
 
-def _m_rate(a: int, b: int, x: mp.mpf, dists, ranges, x_term: int):
-    """(M, radius): ln of the six-factor modulus quotient at a root z of the
-    saddle cubic, minus (b/2) ln x, by one logarithm: (1/2) ln of
-    prod_c d_c^(+-c) / (I^2 x^b), c = b-2a, b-a, b (+), 2a, a (-), the mpf
-    d_c = |z - c|^2 in ``dists``, I = (b-4a)^(b-4a) (b-2a)^(b-2a) b^b.
+def _rate_cs(a: int, b: int) -> tuple[int, ...]:
+    """The c of the rate's factors |z - c|^2: three above, two below."""
+    return b - 2 * a, b - a, b, 2 * a, a
 
-    The radius bounds M's distance from M at the true root and x.  Each true
-    |z - c|^2 lies in [lo, hi] of ``ranges`` (units of 2^-w, w the working
-    precision), so c/2 ln d_c errs by c/2 max(d_c - lo, hi - d_c)/min(d_c,
-    lo), and (b/2) ln x by ``x_term``; from the d_c on, six powers round
-    within 2 units of 2^-w (mpmath's works at w + 4 bitlen(e) + 4 bits),
-    six other steps within 1 and the log within an ulp: 11 + 2.01 |M|.
-    """
-    d1, d2, d3, d4, d5 = dists
-    num = d1 ** (b - 2 * a) * d2 ** (b - a) * d3 ** b
-    den = d4 ** (2 * a) * d5 ** a * x ** b
+
+def _m_rate(a: int, b: int, x: Ball, dists, w: int) -> Ball:
+    """M, the ln of the six-factor modulus quotient at a root z of the
+    saddle cubic, minus (b/2) ln x, by one logarithm at w bits: (1/2) ln of
+    prod_c d_c^(+-c) / (I^2 x^b), d_c = |z - c|^2 (:func:`_rate_cs`),
+    I = (b-4a)^(b-4a) (b-2a)^(b-2a) b^b.  Each ball d_c holds |z - c|^2 over
+    the root's bracket and x its enclosure, so M's ball holds the true
+    rate."""
+    ups = [d.pow(c, w) for c, d in zip(_rate_cs(a, b), dists)]
+    num = ((ups[0] * ups[1]).rnd(w) * ups[2]).rnd(w)
     ints = (b - 4 * a) ** (b - 4 * a) * (b - 2 * a) ** (b - 2 * a) * b ** b
-    rate = mp.log(num / (den * ints ** 2)) / 2
-    w = mp.mp.prec
-    radius = x_term + 19 + 3 * int(abs(rate))
-    for c, d, (lo, hi) in zip((b - 2 * a, b - a, b, 2 * a, a), dists, ranges):
-        d_lo, d_hi = units(d, w)
-        if min(d_lo, lo) <= 0:
-            raise PrecisionError("a saddle rate's factor |z - c| is not "
-                                 "bounded away from 0")
-        radius += -(-(c * max(d_hi - lo, hi - d_lo) << w) // (2 * min(d_lo, lo)))
-    return rate, mp.make_mpf(from_man_exp(radius, -w))
+    den = ((((ups[3] * ups[4]).rnd(w) * x.pow(b, w)).rnd(w)) * ints ** 2).rnd(w)
+    return num.div(den, w).log(w).ldexp(-1)
 
 
 def _deflation_bounds(a: int, b: int, box, w: int):
@@ -461,82 +399,70 @@ def _deflation_bounds(a: int, b: int, box, w: int):
 
 
 def saddle_real(a: int, b: int, x, digits: int,
-                x_bounds: tuple[Rat, Rat] | None = None
-                ) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
-    """(z0, M1, radius): the unique root z0 > b of the saddle cubic,
-    certified by exact sign probes, the growth rate M1 of the U
-    coefficients, and M1's radius (:func:`_m_rate`; |z - c|^2 rises with
-    z > b >= c, so the bracket's ends bound it)."""
-    with mp.workdps(_saddle_dps(x, digits)):
-        x, z0, _, _, (zn, en, e, _, _, x_term) = _solve_cubic(a, b, x, digits, x_bounds)
-        w, cs = mp.mp.prec, (b - 2 * a, b - a, b, 2 * a, a)
-        ranges = [((zn - en - (c << e)) ** 2 << w >> 2 * e,
-                   -(-((zn + en - (c << e)) ** 2 << w) >> 2 * e)) for c in cs]
-        m1, radius = _m_rate(a, b, x, [(z0 - c) ** 2 for c in cs], ranges, x_term)
-        return +z0, +m1, radius
+                x_bounds: tuple[Rat, Rat] | None = None) -> tuple[Ball, Ball]:
+    """(z0, M1): the unique root z0 > b of the saddle cubic at x's centre,
+    certified by exact sign probes (:func:`_solve_cubic`), and the growth
+    rate M1 of the U coefficients, a ball over the root's bracket and x's
+    enclosure (:func:`_m_rate`)."""
+    w = _saddle_bits(x, digits)
+    z0, _, _, (zn, en, e, _, _, x_ball) = _solve_cubic(a, b, x, digits,
+                                                       x_bounds, w)
+    z = z0.spanning(zn - en, zn + en, -e)
+    dists = [(z - c).rnd(w).pow(2, w) for c in _rate_cs(a, b)]
+    return z0, _m_rate(a, b, x_ball, dists, w)
 
 
 def saddle_complex(a: int, b: int, x, digits: int,
                    x_bounds: tuple[Rat, Rat] | None = None
-                   ) -> tuple[mp.mpc, mp.mpf, mp.mpf]:
-    """(z1, M2, radius): the upper-half-plane root of the mirrored saddle
-    equation, the decay rate M2 of the linear and quadratic forms, and M2's
-    radius, as in :func:`saddle_real`.
-
-    z1 = -w for the root w = s/2 - i*sqrt(p - s^2/4) of the saddle cubic, its
-    pair recovered from the root sum and product after the real root z0 > b,
-    and |w - c|^2 = c^2 - s c + p, bounded through :func:`_deflation_bounds`.
-    Where those bounds prove p - s^2/4 <= 0 the configuration is all-real
-    and the statement does not apply (NonApplicableError); where they leave
-    its sign open, PrecisionError.
-    """
-    with mp.workdps(_saddle_dps(x, digits)):
-        x, _, s, p, box = _solve_cubic(a, b, x, digits, x_bounds)
-        w, cs = mp.mp.prec, (b - 2 * a, b - a, b, 2 * a, a)
-        (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(a, b, box, w)
-        squares = s_lo * s_lo, s_hi * s_hi
-        if p_hi - (0 if s_lo <= 0 <= s_hi else min(squares) >> w + 2) <= 0:
-            raise NonApplicableError("saddle cubic has three real roots; "
-                                     "no complex saddle point")
-        im2 = p - s * s / 4
-        if p_lo + (-max(squares) >> w + 2) <= 0 or im2 <= 0:
-            raise PrecisionError(f"the sign of p - s^2/4 = {im2} at a={a}, "
-                                 f"b={b} is not certified")
-        # |w - c|^2 = (c - s/2)^2 + p - s^2/4 = c^2 - s c + p: no mpc
-        ranges = [((c * c << w) - c * s_hi + p_lo, (c * c << w) - c * s_lo + p_hi)
-                  for c in cs]
-        m2, radius = _m_rate(a, b, x, [(c - s / 2) ** 2 + im2 for c in cs],
-                             ranges, box[-1])
-        return mp.mpc(-s / 2, mp.sqrt(im2)), +m2, radius
+                   ) -> tuple[tuple[Ball, Ball], Ball]:
+    """(z1, M2): z1 = (re, im), the upper-half-plane root of the mirrored
+    saddle equation, and the decay rate M2 of the forms, as in
+    :func:`saddle_real`.  z1 = -w for the root w = s/2 - i*sqrt(p - s^2/4)
+    of the cubic, and |w - c|^2 = c^2 - s c + p, a ball over the exact
+    bounds of s and p (:func:`_deflation_bounds`).  Where those prove
+    p - s^2/4 <= 0, no complex saddle exists (NonApplicableError); where
+    they leave its sign open, PrecisionError."""
+    w = _saddle_bits(x, digits)
+    _, s, p, box = _solve_cubic(a, b, x, digits, x_bounds, w)
+    (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(a, b, box, w)
+    squares = s_lo * s_lo, s_hi * s_hi
+    if p_hi - (0 if s_lo <= 0 <= s_hi else min(squares) >> w + 2) <= 0:
+        raise NonApplicableError("saddle cubic has three real roots; "
+                                 "no complex saddle point")
+    im2 = (p - (s * s).rnd(w).ldexp(-2)).rnd(w)
+    if p_lo + (-max(squares) >> w + 2) <= 0 or im2 <= 0:
+        raise PrecisionError(f"the sign of p - s^2/4 = {im2.to_str(10)} at "
+                             f"a={a}, b={b} is not certified")
+    # |w - c|^2 = (c - s/2)^2 + p - s^2/4 = c^2 - s c + p
+    half = s.ldexp(-1)
+    dists = [((c - half).rnd(w).pow(2, w) + im2).rnd(w).spanning(
+        (c * c << w) - c * s_hi + p_lo, (c * c << w) - c * s_lo + p_hi, -w)
+        for c in _rate_cs(a, b)]
+    return (-half, im2.sqrt(w)), _m_rate(a, b, box[-1], dists, w)
 
 
 # ---------------------------------------------------------------------------
 # scaling-rate constants
 # ---------------------------------------------------------------------------
 
-def k_constants(k: int, a: int, b: int,
-                digits: int = 60) -> tuple[mp.mpf, mp.mpf, mp.mpf]:
-    """(K1, K2, radius): exponential rates of the S and T scaling factors.
+def k_constants(k: int, a: int, b: int, digits: int = 60) -> tuple[Ball, Ball]:
+    """(K1, K2): exponential rates of the S and T scaling factors, as balls.
 
     Even k = 2m:  K1 = -((b-2a)/2) ln m,            K2 = -((b-4a)/2) ln m;
     odd k:        K1 = -((b-2a)/2) ln k + (3(b-2a)/2) ln 2, and K2 likewise
     with b-4a in the first coefficient.
 
-    Each is within radius = 4b (bitlen(k) + 2) units of 2^-p at the
-    working precision p: the logs are within an ulp, products and the odd
-    sum add half of one, of terms up to (b/2) ln k and (3b/2) ln 2.
+    Each is a ball at digits + 10 digits (:meth:`fixed.Ball.log`), rounded
+    after each product and sum.
     """
     if k < 1 or a < 1 or b <= 4 * a:
         raise DomainError("need k >= 1 and b > 4a")
-    with mp.workdps(digits + 10):
-        if k % 2 == 0:
-            lnm = mp.log(k // 2)
-            k1 = -mp.mpf(b - 2 * a) / 2 * lnm
-            k2 = -mp.mpf(b - 4 * a) / 2 * lnm
-        else:
-            lnk = mp.log(k)
-            ln2 = mp.log(2)
-            bonus = mp.mpf(3 * (b - 2 * a)) / 2 * ln2
-            k1 = -mp.mpf(b - 2 * a) / 2 * lnk + bonus
-            k2 = -mp.mpf(b - 4 * a) / 2 * lnk + bonus
-        return +k1, +k2, mp.ldexp(4 * b * (k.bit_length() + 2), -mp.mp.prec)
+    p = prec_of(digits + 10)
+    if k % 2 == 0:
+        ln, bonus = Ball(k // 2).rnd(p).log(p), 0
+    else:
+        ln = Ball(k).rnd(p).log(p)
+        bonus = (Ball(2).log(p) * (3 * (b - 2 * a))).ldexp(-1).rnd(p)
+    k1, k2 = (((ln * -c).ldexp(-1).rnd(p) + bonus).rnd(p)
+              for c in (b - 2 * a, b - 4 * a))
+    return k1, k2

@@ -25,22 +25,19 @@ import argparse
 import io
 import sys
 
-import mpmath as mp
-
-from .asymptotics import certify
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
 from .exact_arith import Params, format_int, format_rat
+from .fixed import certify
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
                        table_row, verify_forms)
 from .omega import compute_omega, n_constants
 
 # the working-precision floor of omega.n_constants and a cap, checked before
-# any work.  Each bound computes its constants once, at digits: per
-# process, bound --k 6 --a 1 --b 7 takes 0.13-0.17 s at 500 digits, table
-# --paper 0.20-0.29 s, and a cold mu_bound(6, 1, 7, 1000) 0.05 s in-process,
-# on a shared 2-core machine.
+# any work; Euler's constant is held for psi up to about 560 digits.  Per
+# process on a shared 2-core machine, bound --k 6 --a 1 --b 7 takes
+# 0.12-0.15 s at 500 digits and table --paper 0.20-0.22 s.
 MIN_DIGITS = 30
 MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
@@ -50,9 +47,9 @@ MAX_DIGITS = 500
 # a minute.  As b > 4a, it also keeps each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
-# cap admits b up to 203, and that grid of 100 cells takes 3.5-3.8 s per
-# process at the default digits on the same machine: about 1.8 s in Omega's
-# walks and 1.2 s in the psi sums of N1 and N2.
+# cap admits b up to 203, and that grid of 100 cells takes 2.7-3.1 s per
+# process at the default digits on the same machine, and 7.1-8.6 s with a
+# 29 MB peak at --digits 500.
 MAX_SEARCH_CELLS = 100
 
 
@@ -61,13 +58,13 @@ class UsageError(Exception):
 
 
 def fmt_sig(x, sig: int = 6) -> str:
-    """Fixed rendering of an mpf at ``sig`` significant digits, from all the
-    bits of its own precision."""
+    """Fixed rendering of a ball's centre at ``sig`` significant digits, from
+    all its bits; a float (the nan of an inapplicable cell) as str()."""
     if x is None:
         return ""
-    if mp.isnan(x) or mp.isinf(x):
+    if isinstance(x, float):
         return str(x)
-    return mp.nstr(x, sig, strip_zeros=False)
+    return x.to_str(sig)
 
 
 def _check_digits(args: argparse.Namespace) -> None:
@@ -129,8 +126,7 @@ def cmd_bound(args) -> int:
             print(f"note: 2k+1 = {2*k+1} is a perfect square; alpha_{k} "
                   "is a rational multiple of the log of a rational")
         if not res.applicable:
-            with mp.workdps(digits + 10):
-                total = res.M2 + res.K + res.N
+            total = res.M2 + res.K + res.N
             print(f"{label}(alpha_{k}) bound not applicable at "
                   f"a={a}, b={b}: M2+K+N = {fmt_sig(total, sig)} >= 0")
         else:
@@ -219,15 +215,10 @@ def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     report = compute_omega(a, b)
-    n1, n2, radius = n_constants(a, b, report.omega, digits)
-    with mp.workdps(digits + 10):
-        psi_sum = b - n1
-        # the subtraction's rounding, within 2^-prec |psi_sum|, on top
-        psi_radius = mp.fadd(radius, mp.ldexp(int(abs(psi_sum)) + 1, -mp.mp.prec),
-                             exact=True)
-    for name, value, r in (("psi sum", psi_sum, psi_radius), ("N1", n1, radius),
-                           ("N2", n2, radius)):
-        certify(f"Omega({a}, {b}) {name}", value, r, digits)
+    n1, n2 = n_constants(a, b, report.omega, digits)
+    psi_sum = b - n1
+    for name, value in (("psi sum", psi_sum), ("N1", n1), ("N2", n2)):
+        certify(f"Omega({a}, {b}) {name}", value, digits)
     measure = format_rat(report.omega.total_measure())
     intervals = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
                   "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}

@@ -218,22 +218,32 @@ class _PoleSum:
     __slots__ = ("order", "delta", "D", "w", "step", "tdp", "g", "k", "s0",
                  "buf", "su", "sv", "w_block", "step_block")
 
-    def __init__(self, order: int, delta: int, z: QuadRat, t: QuadRat):
-        self.order, self.delta, self.D = order, delta, z.D
-        zu, zv, zd = _int_pair(z)
-        td = _int_pair(t)[2]
-        self.step = zd * td
-        self.w = (-zu * td, -zv * td)
-        # alpha_B = W^B rise and eps_B = step^B rise, rise = (s0+B)!/s0!
-        w_block = QuadRat(*self.w, z.D) ** _BLOCK
-        self.w_block = int(w_block.u), int(w_block.v)
-        self.step_block = self.step ** _BLOCK
-        self.tdp = td ** (delta + 1)
-        t_top = t ** (delta + 1)
-        g0 = t * (1 - t_top) * (1 - z) * self.tdp
-        k = (1 - z) * t_top * t * self.tdp * self.step
+    def __init__(self, order: int, delta: int, common, zt: QuadRat,
+                 t_top: QuadRat, tdp: int):
+        # common = (D, W, step, W^B, step^B), zt = (1 - z) t,
+        # t_top = t^(delta+1) and tdp = td^(delta+1)
+        self.order, self.delta, self.tdp = order, delta, tdp
+        self.D, self.w, self.step, self.w_block, self.step_block = common
+        top = zt * t_top * tdp
+        g0, k = zt * tdp - top, top * self.step
         self.g, self.k = (int(g0.u), int(g0.v)), (int(k.u), int(k.v))
         self.s0, self.buf, self.su, self.sv = 0, [], 0, 0
+
+    @classmethod
+    def orders(cls, d: int, z: QuadRat, t: QuadRat) -> list[_PoleSum]:
+        """The sums for delta = d, d - 1, d - 2, from one W^B and step^B
+        (alpha_B = W^B rise and eps_B = step^B rise, rise = (s0+B)!/s0!),
+        and one t^(d-1) and td^(d-1), carried up a delta by t and td."""
+        zu, zv, zd = _int_pair(z)
+        td = _int_pair(t)[2]
+        w, step = (-zu * td, -zv * td), zd * td
+        w_block = QuadRat(*w, z.D) ** _BLOCK
+        common = (z.D, w, step, (int(w_block.u), int(w_block.v)), step ** _BLOCK)
+        zt, t_top, tdp, sums = (1 - z) * t, t ** (d - 1), td ** (d - 1), []
+        for r in (2, 1, 0):
+            sums.append(cls(r, d - r, common, zt, t_top, tdp))
+            t_top, tdp = t_top * t, tdp * td
+        return sums[::-1]
 
     def push(self, v: int) -> None:
         buf = self.buf
@@ -305,7 +315,7 @@ def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
         raise DomainError("z = 1 is a pole of the transform variable")
     t = z / (z - QuadRat(1, 0, z.D))
     d, shift, L = params.degree, params.a * params.n, d_upto(params.degree)
-    sums = [_PoleSum(r, d - r, z, t) for r in range(3)]
+    sums = _PoleSum.orders(d, z, t)
     values = chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
                    _walk(params, L, 2 * shift + d - 1))
     # order r reads A^(r)(-m) at m = 1 + r*shift + s, s = 0..d-r

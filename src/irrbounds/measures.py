@@ -3,27 +3,21 @@ denominator-savings constants, the finite-n verification harness for the
 integrality and decay claims, and the small parameter-space search.
 
 Applicability (the sign condition on the decay rate) is a data outcome, not
-an exception: searches iterate past inapplicable cells.
-
-The form values ell = P alpha_k + Q and m = X alpha_k^2 + Z are certified,
-not checked by agreement: one fixed-point integer sum encloses alpha_k * 2^M
-with a proven radius, the forms become integer enclosures, and each is
-accepted only when it is narrow enough for digits + 10 digits and excludes
-0.  No mpmath enters until the accepted center is rounded.
+an exception: searches iterate past inapplicable cells.  Every constant is a
+:class:`fixed.Ball`, and the bound 1 - A/D is ball arithmetic on them.  The
+form values ell = P alpha_k + Q and m = X alpha_k^2 + Z are certified from
+one fixed-point integer enclosure of alpha_k * 2^M.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, log, nan
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp
-
-from .asymptotics import (certify, guard_digits, k_constants, saddle_complex,
-                          saddle_real, units)
+from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, Params, PrimeSieve, sqrt_bounds
+from .exact_arith import Frozen, Params, PrimeSieve
+from .fixed import Ball, certify, prec_of
 from .omega import compute_omega, delta_products, n_constants
 
 __all__ = [
@@ -54,11 +48,11 @@ class BoundResult(Frozen):
     k: int
     a: int
     b: int
-    M1: mp.mpf
-    M2: mp.mpf
-    K: mp.mpf
-    N: mp.mpf
-    bound: mp.mpf | None
+    M1: Ball                # each nan where no saddle point exists
+    M2: Ball
+    K: Ball
+    N: Ball
+    bound: Ball | None
     applicable: bool
     digits: int
     degenerate: bool
@@ -73,67 +67,53 @@ class VerificationRow(Frozen):
     X: int
     Y: int
     Z: int
-    ell: mp.mpf
-    m: mp.mpf
-    decay_linear: mp.mpf
-    decay_quadratic: mp.mpf
+    ell: Ball
+    m: Ball
+    decay_linear: Ball
+    decay_quadratic: Ball
     forms: IntegerForms  # of .forms, which only verify imports
 
 
-def _x_numeric(k: int, digits: int):
-    """x_k as mpf together with exact rational bounds for certified probing.
-
-    The mpf carries digits + 10 digits and the guard digits that the saddle
-    solve adds near x = 1, from 1 - x_hi = (lo - 1)/k <= 1 - x_k
-    (asymptotics.guard_digits)."""
-    lo, hi = sqrt_bounds(2 * k + 1, digits + 6)
-    x_lo = (k + 1 - hi) / k
-    x_hi = (k + 1 - lo) / k
-    with mp.workdps(digits + 10 + guard_digits((lo - 1) / k)):
-        x = (k + 1 - mp.sqrt(2 * k + 1)) / mp.mpf(k)
-    return x, (x_lo, x_hi)
+def _x_numeric(k: int, digits: int) -> Ball:
+    """x_k = (k + 1 - sqrt(2k+1))/k as a ball, whose ends are the exact
+    enclosure the saddle probes are certified on.  It carries digits + 10
+    digits and the guard digits that the saddle solve adds near x = 1, from
+    1 - x_k >= (isqrt(2k+1) - 1)/k (asymptotics.guard_digits)."""
+    d = 2 * k + 1
+    p = prec_of(digits + 10 + guard_digits(Fraction(isqrt(d) - 1, k)))
+    return (k + 1 - Ball(d).rnd(p).sqrt(p)).rnd(p).div(Ball(k).rnd(p), p)
 
 
 def _constants(k: int, a: int, b: int, digits: int):
-    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits, each a
-    (value, radius) pair."""
-    x, xb = _x_numeric(k, digits)
-    _, *m1 = saddle_real(a, b, x, digits, x_bounds=xb)
-    _, *m2 = saddle_complex(a, b, x, digits, x_bounds=xb)
-    k1, k2, r_k = k_constants(k, a, b, digits)
-    n1, n2, r_n = n_constants(a, b, compute_omega(a, b).omega, digits)
-    return tuple(m1), tuple(m2), (k1, r_k), (k2, r_k), (n1, r_n), (n2, r_n)
-
-
-def _add(parts, w: int):
-    """(sum, radius) of (value, radius) ``parts`` added left to right at the
-    context's precision p = w - 16, the radius in units of 2^-w: the parts'
-    radii and one rounding per addition, within 2^-p of a partial sum."""
-    total = parts[0][0]
-    for value, _ in parts[1:]:
-        total += value
-    return total, (sum(units(r, w)[1] for _, r in parts)
-                   + ((len(parts) - 1) * sum(int(abs(v)) + 1 for v, _ in parts) << 16))
+    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits, each a ball."""
+    x = _x_numeric(k, digits)
+    _, m1 = saddle_real(a, b, x, digits)
+    _, m2 = saddle_complex(a, b, x, digits)
+    k1, k2 = k_constants(k, a, b, digits)
+    n1, n2 = n_constants(a, b, compute_omega(a, b).omega, digits)
+    return m1, m2, k1, k2, n1, n2
 
 
 def _quotient(m1, m2, kk, nn, digits: int):
-    """(D, value, radius) at digits + 10 digits from the (value, radius)
-    pairs of M1, M2, K, N: D = M2+K+N, and value = 1 - A/D, A = M1+K+N, when
-    D < 0, else D.  With A and D within r_A and r_D of their true values,
-    |A/D - A*/D*| <= (r_A |D| + |A| r_D)/(|D| (|D| - r_D)), plus the two
-    roundings; PrecisionError when |D| <= r_D leaves the sign of D open."""
-    with mp.workdps(digits + 10):
-        w = mp.mp.prec + 16
-        (num, r_num), (denom, r_den) = _add((m1, kk, nn), w), _add((m2, kk, nn), w)
-        den_lo, den_hi = units(abs(denom), w)
-        if den_lo <= r_den:
-            raise PrecisionError(f"the sign of M2+K+N = {denom} is not certified")
-        if denom > 0:
-            return denom, denom, mp.make_mpf(from_man_exp(r_den, -w))
-        val = 1 - num / denom
-        r_val = (-(-(r_num * den_hi + units(abs(num), w)[1] * r_den << w)
-                   // (den_lo * (den_lo - r_den))) + (2 * int(abs(val)) + 3 << 16))
-        return denom, val, mp.make_mpf(from_man_exp(r_val, -w))
+    """(D, value) from the balls of M1, M2, K, N: D = M2+K+N, and
+    value = 1 - A/D, A = M1+K+N, when D < 0, else D, each rounded at
+    digits + 10 digits after every operation (:func:`_sum`).
+    PrecisionError when D's ball holds 0 and so leaves its sign open."""
+    p = prec_of(digits + 10)
+    num, denom = _sum((m1, kk, nn), p), _sum((m2, kk, nn), p)
+    if abs(denom.man) <= denom.rad:
+        raise PrecisionError(f"the sign of M2+K+N = {denom.to_str(10)} is not "
+                             "certified")
+    return denom, (denom if denom > 0 else (1 - num.div(denom, p)).rnd(p))
+
+
+def _sum(balls, prec: int) -> Ball:
+    """The balls added left to right, each partial sum rounded to prec
+    bits."""
+    total = balls[0]
+    for ball in balls[1:]:
+        total = (total + ball).rnd(prec)
+    return total
 
 
 def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
@@ -144,18 +124,18 @@ def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
     except NonApplicableError:
         # no saddle point exists for this cell; a structured outcome, so
         # parameter searches can iterate past it
-        return BoundResult(kind=kind, k=k, a=a, b=b, M1=mp.nan, M2=mp.nan,
-                           K=mp.nan, N=mp.nan, bound=None, applicable=False,
+        return BoundResult(kind=kind, k=k, a=a, b=b, M1=nan, M2=nan,
+                           K=nan, N=nan, bound=None, applicable=False,
                            digits=digits, degenerate=is_degenerate(k))
     kk, nn = (k2, n2) if quadratic else (k1, n1)
-    for name, (value, radius) in zip(("M1", "M2", "K", "N"), (m1, m2, kk, nn)):
-        certify(f"{name} of bound({k},{a},{b})", value, radius, digits)
-    denom, val, radius = _quotient(m1, m2, kk, nn, digits)
+    for name, value in zip(("M1", "M2", "K", "N"), (m1, m2, kk, nn)):
+        certify(f"{name} of bound({k},{a},{b})", value, digits)
+    denom, val = _quotient(m1, m2, kk, nn, digits)
     applicable = denom < 0
     certify(f"{'bound' if applicable else 'M2+K+N'} of bound({k},{a},{b})",
-            val, radius, digits)
-    return BoundResult(kind=kind, k=k, a=a, b=b, M1=m1[0], M2=m2[0], K=kk[0],
-                       N=nn[0], bound=val if applicable else None,
+            val, digits)
+    return BoundResult(kind=kind, k=k, a=a, b=b, M1=m1, M2=m2, K=kk,
+                       N=nn, bound=val if applicable else None,
                        applicable=applicable, digits=digits,
                        degenerate=is_degenerate(k))
 
@@ -172,16 +152,14 @@ def mu2_bound(k: int, a: int, b: int, digits: int = 60) -> BoundResult:
 
 
 def predicted_decay(k: int, a: int, b: int, digits: int = 60):
-    """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms, each
-    certified to its radius."""
+    """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms, balls
+    each certified to its radius."""
     _, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
-    with mp.workdps(digits + 10):
-        w = mp.mp.prec + 16
-        decays = [_add((m2, kk, nn), w) for kk, nn in ((k1, n1), (k2, n2))]
-    for name, (decay, radius) in zip(("linear", "quadratic"), decays):
-        certify(f"the {name} decay of ({k},{a},{b})", decay,
-                mp.make_mpf(from_man_exp(radius, -w)), digits)
-    return tuple(decay for decay, _ in decays)
+    decays = tuple(_sum((m2, kk, nn), prec_of(digits + 10))
+                   for kk, nn in ((k1, n1), (k2, n2)))
+    for name, decay in zip(("linear", "quadratic"), decays):
+        certify(f"the {name} decay of ({k},{a},{b})", decay, digits)
+    return decays
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +195,20 @@ def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
 
 
 def _alpha_combinations(k: int, combos, digits: int,
-                        depth: int = 0) -> list[mp.mpf]:
+                        depth: int = 0) -> list[Ball]:
     """each sum of c * alpha_k^p over exact (c, p) pairs, p in {0, 1, 2},
     one list of pairs per combination, certified to 10^-(digits+10)
-    relative and nonzero, rounded to digits + 10 digits; ``depth`` bits
+    relative and nonzero, as a ball at digits + 10 digits; ``depth`` bits
     widen the first pass for sums near 2^-depth.
 
     A combination is exponentially small against coefficients of thousands
     of bits.  Its coefficients c are scaled to integers by the lcm L of
-    their denominators, and with top its largest p and (A, E) the enclosure
-    of alpha_k * 2^bits, its value times L 2^(top bits) lies within
-        radius = sum |c| ((|A| + E)^p - |A|^p) 2^((top-p) bits)
-    of
-        center = sum c A^p 2^((top-p) bits),
-    as |x^p - A^p| <= (|A| + E)^p - |A|^p when |x - A| <= E.  It is
-    accepted when radius * 10^(digits+10) < |center| - radius, which also
-    certifies that the value is not 0, and center / (L 2^(top bits)) is
-    rounded.  Otherwise bits grows by the shortfall read from the bit
+    their denominators, and with (A, E) the enclosure of alpha_k * 2^bits,
+    the ball sum of c (A +- E)^p 2^(-p bits) holds its value times L: its
+    radius adds |c| ((|A| + E)^p - |A|^p), as |x^p - A^p| <= (|A| + E)^p -
+    |A|^p when |x - A| <= E.  It is accepted when radius * 10^(digits+10) <
+    |center| - radius, which also certifies that the value is not 0, and
+    divided by L.  Otherwise bits grows by the shortfall read from the bit
     lengths of center and radius, plus 16 bits as E grows with bits, and by
     at least twice its last growth: while the enclosure still holds 0, the
     center is noise and that reading is only a lower bound.  After
@@ -243,26 +218,25 @@ def _alpha_combinations(k: int, combos, digits: int,
     for terms in combos:
         terms = [(Fraction(c), p) for c, p in terms]
         den = lcm(*(c.denominator for c, _ in terms))
-        ints = [(c.numerator * (den // c.denominator), p) for c, p in terms]
-        scaled.append((den, max(p for _, p in ints), ints))
-    scale = 10 ** (digits + 10)
+        scaled.append((den, [(c.numerator * (den // c.denominator), p)
+                             for c, p in terms]))
+    scale, prec = 10 ** (digits + 10), prec_of(digits + 10)
     need = scale.bit_length() + 2  # 2^need > 4 * scale
-    bits = (max(abs(c).bit_length() for *_, terms in scaled for c, _ in terms)
+    bits = (max(abs(c).bit_length() for _, terms in scaled for c, _ in terms)
             + scale.bit_length() + 64 + depth)
     grow = 0
     for _ in range(MAX_ALPHA_PASSES):
         a, e = _alpha_fixed(k, bits)
-        wide = [0, e, (abs(a) + e) ** 2 - a * a]
+        alpha = Ball(a, -bits, e)
+        powers = [Ball(1), alpha, alpha * alpha]
         vals, shortfall = [], 0
-        for den, top, terms in scaled:
-            center = sum(c * (a ** p) << (top - p) * bits for c, p in terms)
-            radius = sum(abs(c) * wide[p] << (top - p) * bits for c, p in terms)
-            if radius * scale < abs(center) - radius:
-                vals.append(mp.ldexp(mp.fdiv(center, den, dps=digits + 10),
-                                     -top * bits))
+        for den, terms in scaled:
+            value = sum((powers[p] * c for c, p in terms), Ball(0))
+            if value.rad * scale < abs(value.man) - value.rad:
+                vals.append(value.div(den, prec))
             else:
-                shortfall = max(shortfall, radius.bit_length() + need
-                                - center.bit_length())
+                shortfall = max(shortfall, value.rad.bit_length() + need
+                                - abs(value.man).bit_length())
         if len(vals) == len(scaled):
             return vals
         grow = max(shortfall + 16, 2 * grow)
@@ -293,14 +267,12 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
         forms = scaled_integer_forms(params, uvw, delta, delta1)
         ell, m = _alpha_combinations(
             k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits,
-            max(0, -int(n * min(decays, default=0) / mp.ln2)))
-        with mp.workdps(digits + 10):
-            rows.append(VerificationRow(
-                n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,
-                ell=ell, m=m,
-                decay_linear=mp.log(mp.fabs(ell)) / n,
-                decay_quadratic=mp.log(mp.fabs(m)) / n,
-                forms=forms))
+            max(0, -int(n * float(min(decays, default=0)) / log(2))))
+        prec = prec_of(digits + 10)
+        rows.append(VerificationRow(
+            n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,
+            ell=ell, m=m, decay_linear=abs(ell).log(prec).div(n, prec),
+            decay_quadratic=abs(m).log(prec).div(n, prec), forms=forms))
     return rows
 
 

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .errors import CertificateError, DomainError, SieveCapacityError
 from .exact_arith import Frozen, Params, PrimeSieve, Rat, format_rat
+from .fixed import Ball, prec_of
 
 __all__ = [
     "Interval", "IntervalSet", "OmegaReport",
@@ -299,8 +300,8 @@ def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int
 # ---------------------------------------------------------------------------
 
 def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
-    """(N1, N2, radius): the exponential rates of d_bn/Delta and
-    d'*Delta1*d_bn/Delta, each within radius of its value.
+    """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta,
+    as balls.
 
     N1 = b - sum over components [u, v] of psi(v) - psi(u): the lcm grows at
     rate b while the digamma difference is the density of the primes counted
@@ -309,7 +310,7 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
     n/p in [u, v) equal to 1/u - 1/v, restricted to [0, 1/(b-2a)) and with
     components split at the cut.  Both closed forms are certified against
     finite-n sieve oracles in the tests before anything downstream trusts
-    them.  The triple is computed once per process for each (a, b,
+    them.  The pair is computed once per process for each (a, b,
     components, digits).
     """
     _validate_ab(a, b)
@@ -320,31 +321,21 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
 
 @lru_cache(maxsize=None)
 def _n_pair(a: int, b: int, components: tuple[Interval, ...], digits: int):
-    """With psi within 2^-p (1 + |psi|) at the sums' precision p, and
-    |psi(j/q)| <= q + 1 on (0, 1] (psi(j/q) = psi(1 + j/q) - q/j), let W sum
-    q + 2 over the endpoints of the m nonempty components and L be the
-    large-prime part rounded up: the psi values, their m differences and m
-    partial sums each err by at most 2^-p W, b - sum by 2^-p (b + W), and
-    N2's three roundings by 2^-p (2b + W + L) each, so 2^-p ((m + 5) W +
-    5b + 3L) bounds the error of N1 and of N2."""
-    import mpmath as mp
-
+    """psi's balls at digits + 10 digits (asymptotics.digamma), summed and
+    differenced, and the exact large-prime part, each rounded at digits + 10
+    digits: ball arithmetic carries the radii."""
     from .asymptotics import digamma
 
-    with mp.workdps(digits + 10):
-        psi_total = mp.mpf(0)
-        terms = weight = 0
-        for iv in components:
-            if iv.lo < iv.hi:
-                psi_total += digamma(iv.hi, digits + 10) - digamma(iv.lo, digits + 10)
-                terms += 1
-                weight += iv.hi.denominator + iv.lo.denominator + 4
-        n1 = mp.mpf(b) - psi_total
+    p = prec_of(digits + 10)
+    psi_total = Ball(0)
+    for iv in components:
+        if iv.lo < iv.hi:
+            psi = digamma(iv.hi, digits + 10) - digamma(iv.lo, digits + 10)
+            psi_total = (psi_total + psi.rnd(p)).rnd(p)
+    n1 = (b - psi_total).rnd(p)
 
-        cut = Fraction(1, b - 2 * a)
-        large = sum((1 / iv.lo - 1 / min(iv.hi, cut) for iv in components
-                     if iv.lo < min(iv.hi, cut)), Fraction(0))  # exact
-        n2 = n1 + (b - 2 * a) + mp.fdiv(large.numerator, large.denominator)
-        ceil_large = -(-large.numerator // large.denominator)
-        units = (terms + 5) * weight + 5 * b + 3 * ceil_large
-        return n1, n2, mp.ldexp(units, -mp.mp.prec)
+    cut = Fraction(1, b - 2 * a)
+    large = sum((1 / iv.lo - 1 / min(iv.hi, cut) for iv in components
+                 if iv.lo < min(iv.hi, cut)), Fraction(0))  # exact
+    return n1, ((n1 + (b - 2 * a)).rnd(p)
+                + Ball(large.numerator).div(large.denominator, p)).rnd(p)

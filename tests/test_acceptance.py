@@ -85,7 +85,7 @@ def test_criterion_3_integrality():
 def test_criterion_4_decay_linear():
     pred, _ = predicted_decay(6, 1, 7, digits=60)
     row = verify_forms(6, 1, 7, [DECAY_N], digits=60)[0]
-    rel = float(abs((row.decay_linear - pred) / pred))
+    rel = abs(float(row.decay_linear - pred) / float(pred))
     ok = rel < 0.10
     assert report("4 (linear)",
                   f"(1/n) ln|P alpha + Q| at n={DECAY_N} within 10% of "
@@ -192,7 +192,7 @@ def test_criterion_6_omega_grids():
 def test_criterion_7_n1_convergence(big_sieve):
     t0 = time.monotonic()
     omega = compute_omega(1, 7).omega
-    n1, _, _ = n_constants(1, 7, omega, 60)
+    n1, _ = n_constants(1, 7, omega, 60)
     n = 10**5 + 1
     est = finite_n_n1(1, 7, n, big_sieve)
     rel = abs(est - float(n1)) / float(n1)

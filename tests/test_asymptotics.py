@@ -11,6 +11,7 @@ from irrbounds import (DomainError, NonApplicableError, PrecisionError,
                        saddle_real)
 from irrbounds import asymptotics
 from irrbounds.asymptotics import _eval_cubic, _real_cubic_coeffs
+from irrbounds.fixed import Ball, certify
 from irrbounds.measures import _x_numeric, mu_bound
 from oracles import cubic_roots_cardano, m_rate_nine_logs, saddle_rates_iv
 
@@ -33,7 +34,7 @@ def test_digamma_classical_values():
 def test_digamma_recurrence():
     with mp.workdps(70):
         x = F(3, 7)
-        lhs = digamma(x + 1, 60) - digamma(x, 60) - F(7, 3)
+        lhs = digamma(x + 1, 60) - digamma(x, 60) - mp.mpf(7) / 3
         assert mp.fabs(lhs) < mp.mpf(10) ** -57
 
 
@@ -197,10 +198,10 @@ def test_one_root_beyond_b_and_its_bound(ab, x, t, dt):
 def test_saddle_real_certifies_on_the_grid(k, ab):
     a, b = ab
     digits = 40
-    x, xb = _x_numeric(k, digits)
-    z0, _, _ = saddle_real(a, b, x, digits, x_bounds=xb)
+    x = _x_numeric(k, digits)
+    z0, _ = saddle_real(a, b, x, digits)
     with mp.workdps(digits + 10):
-        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits)
+        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, mp.mpf(x)), digits)
         assert min(mp.fabs(r - z0) for r in roots) < mp.mpf(10) ** -30
         assert b < z0 <= b / (1 - mp.cbrt(x))
 
@@ -209,16 +210,18 @@ def test_newton_start_near_the_root_or_at_the_bound():
     # Newton in doubles starts the mpf Newton within about 1e-15 of z0 on the
     # table cells; where float(x) rounds to 1, the start is the proven bound
     for k in TABLE_KS:
-        x, xb = _x_numeric(k, 60)
+        x = _x_numeric(k, 60)
         for a, b in ((1, 7), (2, 23), (1, 13)):
-            z0, _, _ = saddle_real(a, b, x, 60, x_bounds=xb)
+            z0, _ = saddle_real(a, b, x, 60)
             with mp.workdps(75):
-                start = asymptotics._newton_start(a, b, x)
+                start = mp.mpf(asymptotics._newton_start(a, b, x.centre(), 250))
                 assert mp.fabs(start - z0) < mp.mpf(10) ** -13 * z0
     with mp.workdps(75):
         x = 1 - mp.mpf(10) ** -40
         assert float(x) == 1
-        assert asymptotics._newton_start(1, 7, x) == 7 / (1 - mp.cbrt(x))
+        _, man, exp, _ = x._mpf_
+        start = asymptotics._newton_start(1, 7, F(man, 2**-exp), mp.mp.prec)
+        assert mp.mpf(start) == 7 / (1 - mp.cbrt(x))
 
 
 def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
@@ -231,8 +234,8 @@ def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "_cleared_cubic", counted)
     asymptotics._certified_solve.cache_clear()  # the solve must really run
-    x, xb = _x_numeric(8, 60)
-    saddle_real(1, 13, x, 60, x_bounds=xb)  # one _solve_cubic call
+    x = _x_numeric(8, 60)
+    saddle_real(1, 13, x, 60)  # one _solve_cubic call
     # exact rationals z = zn/zd and x = xn/xd, as integers with zd, xd > 0
     assert len(calls) == 4
     assert all(type(v) is int for args in calls for v in args)
@@ -257,7 +260,8 @@ def test_saddle_certificate_fails_closed():
     # an enclosure that misses x, or one widened to 10^-3, must not yield an
     # uncertified root; widened on one side, it leaves one probe's sign
     # certain, so the other probe alone must reject it
-    x, (x_lo, x_hi) = _x_numeric(6, 60)
+    x = _x_numeric(6, 60)
+    x_lo, x_hi = x.bounds()
     shift, wide = F(1, 10**40), F(1, 10**3)
     for xb in ((x_lo + shift, x_hi + shift), (x_lo, x_lo + wide),
                (x_hi - wide, x_hi)):
@@ -274,14 +278,13 @@ def test_guard_digits_only_near_one():
     assert asymptotics.guard_digits(F(1, 10**50)) == 42
     assert asymptotics.guard_digits(F(3, 10**50)) == 42
     assert asymptotics.guard_digits(F(1, 2)) == 0
-    with mp.workdps(30):
-        assert asymptotics.guard_digits(mp.mpf(3) / 10**50) == 42
-        assert asymptotics.guard_digits(mp.mpf("0.5")) == 0
+    assert asymptotics.guard_digits(Ball(3).div(10**50, 100)) == 42
+    assert asymptotics.guard_digits(Ball(1, -1)) == 0
     # 1 - x_k is about sqrt(2/k): no guard, so no change, up to k = 10^16
     for k in (6, 10**9, 10**16):
-        x, _ = _x_numeric(k, 60)
+        x = _x_numeric(k, 60)
         assert asymptotics.guard_digits(1 - x) == 0
-    x, _ = _x_numeric(10**30, 60)
+    x = _x_numeric(10**30, 60)
     assert asymptotics.guard_digits(1 - x) == 7
 
 
@@ -301,18 +304,18 @@ def test_saddle_certificate_rejects_a_root_below_b(monkeypatch):
     # the root beyond b; only lo > b tells them apart
     polish = asymptotics._newton_polish
     monkeypatch.setattr(asymptotics, "_newton_polish",
-                        lambda coeffs, z, dps: polish(coeffs, mp.mpf(5), dps))
+                        lambda coeffs, z, prec, dps: polish(coeffs, (5, 0), prec, dps))
     asymptotics._certified_solve.cache_clear()  # the solve must really run
     with pytest.raises(PrecisionError):
-        saddle_real(1, 7, mp.mpf("0.001"), 40)
+        saddle_real(1, 7, F(1, 1000), 40)
 
 
 def test_saddle_real_residual_and_location():
     digits = 60
-    x, xb = _x_numeric(6, digits)
-    z0, m1, _ = saddle_real(1, 7, x, digits, x_bounds=xb)
+    x = _x_numeric(6, digits)
+    z0, m1 = saddle_real(1, 7, x, digits)
     with mp.workdps(digits + 10):
-        res = _eval_cubic(_real_cubic_coeffs(1, 7, x), z0)
+        res = _eval_cubic(_real_cubic_coeffs(1, 7, mp.mpf(x)), mp.mpf(z0))
         assert mp.fabs(res) < mp.mpf(10) ** (-digits + 5)
     assert z0 > 7
     assert mp.isfinite(m1)
@@ -321,27 +324,27 @@ def test_saddle_real_residual_and_location():
 def test_saddle_constants_for_table_parameter_sets():
     # z0 beyond b, and both rates finite, for every headline cell
     for k in TABLE_KS:
-        x, xb = _x_numeric(k, 40)
-        z0, m1, _ = saddle_real(1, 7, x, 40, x_bounds=xb)
+        x = _x_numeric(k, 40)
+        z0, m1 = saddle_real(1, 7, x, 40)
         assert z0 > 7
         assert mp.isfinite(m1)
-        z1, m2, _ = saddle_complex(1, 7, x, 40, x_bounds=xb)
-        assert mp.im(z1) > 0
+        z1, m2 = saddle_complex(1, 7, x, 40)
+        assert z1[1] > 0
         assert mp.isfinite(m2)
     for k, a, b in ((6, 2, 23), (8, 1, 13), (10, 1, 13), (12, 1, 13)):
-        x, xb = _x_numeric(k, 40)
-        _, m1, _ = saddle_real(a, b, x, 40, x_bounds=xb)
-        _, m2, _ = saddle_complex(a, b, x, 40, x_bounds=xb)
+        x = _x_numeric(k, 40)
+        _, m1 = saddle_real(a, b, x, 40)
+        _, m2 = saddle_complex(a, b, x, 40)
         assert mp.isfinite(m1) and mp.isfinite(m2)
 
 
 def test_saddle_complex_upper_half_and_residual():
     digits = 60
-    x, xb = _x_numeric(6, digits)
-    z1, m2, _ = saddle_complex(1, 7, x, digits, x_bounds=xb)
-    assert mp.im(z1) > 0
+    x = _x_numeric(6, digits)
+    z1, m2 = saddle_complex(1, 7, x, digits)
+    assert z1[1] > 0
     with mp.workdps(digits + 10):
-        res = _eval_cubic(_real_cubic_coeffs(1, 7, x), -z1)
+        res = _eval_cubic(_real_cubic_coeffs(1, 7, mp.mpf(x)), -mp.mpc(*z1))
         assert mp.fabs(res) < mp.mpf(10) ** (-digits + 5)
     assert mp.isfinite(m2)
 
@@ -349,12 +352,13 @@ def test_saddle_complex_upper_half_and_residual():
 @pytest.mark.parametrize("k,a,b", [(6, 1, 7), (8, 1, 13)])
 def test_saddles_against_cardano_oracle(k, a, b):
     digits = 60
-    x, xb = _x_numeric(k, digits)
-    z0, _, _ = saddle_real(a, b, x, digits, x_bounds=xb)
-    z1, _, _ = saddle_complex(a, b, x, digits, x_bounds=xb)
+    x = _x_numeric(k, digits)
+    z0, _ = saddle_real(a, b, x, digits)
+    z1, _ = saddle_complex(a, b, x, digits)
     with mp.workdps(digits + 10):
         tol = mp.mpf(10) ** -30
-        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits)
+        z1 = mp.mpc(*z1)
+        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, mp.mpf(x)), digits)
         # root count matches the degree
         assert len(roots) == 3
         assert min(mp.fabs(r - z0) for r in roots) < tol
@@ -373,16 +377,16 @@ def test_one_log_rate_matches_nine_logs(ab, k, digits):
     # M1 and M2 from one log of a product of powers, against one log per
     # factor at the same root and x
     a, b = ab
-    x, xb = _x_numeric(k, digits)
-    z0, m1, _ = saddle_real(a, b, x, digits, x_bounds=xb)
+    x = _x_numeric(k, digits)
+    z0, m1 = saddle_real(a, b, x, digits)
     try:
-        z1, m2, _ = saddle_complex(a, b, x, digits, x_bounds=xb)
+        z1, m2 = saddle_complex(a, b, x, digits)
     except NonApplicableError:
         z1 = None
-    with mp.workdps(asymptotics._saddle_dps(x, digits)):
+    with mp.workprec(asymptotics._saddle_bits(x, digits)):
         x = mp.mpf(x)
         # the cubic's complex root is w = -z1, negated at this precision
-        pairs = [(z0, m1)] + ([] if z1 is None else [(-z1, m2)])
+        pairs = [(z0, m1)] + ([] if z1 is None else [(-mp.mpc(*z1), m2)])
         for z, rate in pairs:
             ref = m_rate_nine_logs(a, b, z, x)
             assert mp.fabs(rate - ref) <= mp.mpf(10) ** -(digits + 8) * max(1, mp.fabs(ref))
@@ -392,14 +396,14 @@ def test_saddle_complex_all_real_rejected():
     # at tiny x the saddle cubic has three real roots and the complex
     # saddle construction does not apply
     with pytest.raises(NonApplicableError):
-        saddle_complex(1, 7, mp.mpf("0.001"), 40)
+        saddle_complex(1, 7, F(1, 1000), 40)
 
 
 def test_saddle_domain_checks():
     with pytest.raises(DomainError):
-        saddle_real(1, 7, mp.mpf("1.5"), 40)
+        saddle_real(1, 7, F(3, 2), 40)
     with pytest.raises(DomainError):
-        saddle_real(1, 3, mp.mpf("0.5"), 40)
+        saddle_real(1, 3, F(1, 2), 40)
 
 
 def test_saddle_complex_decides_the_discriminant_on_its_bounds(monkeypatch):
@@ -407,7 +411,7 @@ def test_saddle_complex_decides_the_discriminant_on_its_bounds(monkeypatch):
     # all-real configuration (not applicable), undecided is a precision
     # failure, even where the mpf p - s^2/4 alone would pass
     bounds = asymptotics._deflation_bounds
-    x, xb = _x_numeric(6, 60)
+    x = _x_numeric(6, 60)
     for shift, error in ((10**6, PrecisionError), (-(10**6), NonApplicableError)):
         def moved(a, b, box, w, shift=shift):
             (s_lo, p_lo), (s_hi, p_hi) = bounds(a, b, box, w)
@@ -417,7 +421,7 @@ def test_saddle_complex_decides_the_discriminant_on_its_bounds(monkeypatch):
 
         monkeypatch.setattr(asymptotics, "_deflation_bounds", moved)
         with pytest.raises(error):
-            saddle_complex(1, 7, x, 60, x_bounds=xb)
+            saddle_complex(1, 7, x, 60)
 
 
 def _deflation(a, b, x, z):
@@ -450,13 +454,12 @@ def test_deflation_bounds_hold_the_other_roots(k, a, b):
     # the exact bounds on s and p hold the sum and product of the two roots
     # that Cardano's formula gives besides the one beyond b
     digits = 60
-    x, xb = _x_numeric(k, digits)
-    with mp.workdps(asymptotics._saddle_dps(x, digits)):
-        w = mp.mp.prec
-        x, z0, _, _, box = asymptotics._solve_cubic(a, b, x, digits, xb)
-        (s_lo, p_lo), (s_hi, p_hi) = asymptotics._deflation_bounds(a, b, box, w)
+    x = _x_numeric(k, digits)
+    w = asymptotics._saddle_bits(x, digits)
+    z0, _, _, box = asymptotics._solve_cubic(a, b, x, digits, None, w)
+    (s_lo, p_lo), (s_hi, p_hi) = asymptotics._deflation_bounds(a, b, box, w)
     with mp.workdps(digits + 30):
-        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, x), digits + 20)
+        roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, mp.mpf(x)), digits + 20)
         roots.sort(key=lambda r: mp.fabs(r - z0))
         s, p = mp.re(roots[1] + roots[2]), mp.re(roots[1] * roots[2])
         for value, lo, hi in ((s, s_lo, s_hi), (p, p_lo, p_hi)):
@@ -464,13 +467,14 @@ def test_deflation_bounds_hold_the_other_roots(k, a, b):
             assert hi - lo < 2 ** (w - 190)
 
 
-def _box(x, x_bounds, z0, digits):
-    """The box the radii are taken over, rebuilt from what the solve states:
-    the bracket z0 (1 -/+ 10^-digits/2) the probes certify, and the hull of
-    x's enclosure and x."""
-    z, half = F(*asymptotics._dyadic_ratio(z0)), F(1, 2 * 10**digits)
-    xf = F(*asymptotics._dyadic_ratio(x))
-    return z * (1 - half), z * (1 + half), min(x_bounds[0], xf), max(x_bounds[1], xf)
+def _box(a, b, x, digits):
+    """The box the radii are taken over, as the solve states it: the
+    bracket (zn -/+ en)/2^e the probes certify, and the hull of x's
+    enclosure and x."""
+    w = asymptotics._saddle_bits(x, digits)
+    *_, (zn, en, e, x_lo, x_hi, _) = asymptotics._solve_cubic(a, b, x, digits,
+                                                              None, w)
+    return F(zn - en, 2**e), F(zn + en, 2**e), x_lo, x_hi
 
 
 @pytest.mark.parametrize("k,a,b", [(6, 1, 7), (8, 1, 13), (6, 2, 23), (12, 1, 13),
@@ -481,13 +485,14 @@ def test_rate_radii_against_the_iv_oracle(k, a, b):
     # the full-precision iv enclosure of each rate over the root's box lies
     # within the rate's radius, and the radius is no wider than it
     digits = 60
-    x, xb = _x_numeric(k, digits)
-    z0, m1, r1 = saddle_real(a, b, x, digits, x_bounds=xb)
-    _, m2, r2 = saddle_complex(a, b, x, digits, x_bounds=xb)
+    x = _x_numeric(k, digits)
+    _, m1 = saddle_real(a, b, x, digits)
+    _, m2 = saddle_complex(a, b, x, digits)
     dps = 200 + len(str(k))
-    enclosures = saddle_rates_iv(a, b, *_box(x, xb, z0, digits), dps)
-    for rate, radius, enclosure in zip((m1, m2), (r1, r2), enclosures):
+    enclosures = saddle_rates_iv(a, b, *_box(a, b, x, digits), dps)
+    for rate, enclosure in zip((m1, m2), enclosures):
         with mp.workdps(dps):
+            rate, radius = mp.mpf(rate), mp.mpf(rate.radius())
             lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)
             assert rate - radius <= lo and hi <= rate + radius
             assert radius <= (hi - lo) / 2 * mp.mpf("1.01") + mp.mpf(10) ** -(digits + 8)
@@ -499,26 +504,34 @@ def test_x_enclosure_holds_x_k(digits):
     # root's probes and the radii rest on, decided exactly: with
     # t = k + 1 - k x, x <= x_k <= x' means t' <= sqrt(2k+1) <= t
     for k in [*range(1, 60), 10**9, 10**30, 10**300]:
-        _, (x_lo, x_hi) = _x_numeric(k, digits)
+        x_lo, x_hi = _x_numeric(k, digits).bounds()
         t_hi, t_lo = k + 1 - k * F(x_lo), k + 1 - k * F(x_hi)
         d = 2 * k + 1
         assert t_lo <= 0 or t_lo.numerator ** 2 <= d * t_lo.denominator ** 2
         assert t_hi > 0 and d * t_hi.denominator ** 2 <= t_hi.numerator ** 2
 
 
+def _ball(value, radius):
+    """The ball of an mpf centre and radius, exactly."""
+    (vm, ve), (rm, re) = [((-1) ** sign * int(man), exp)
+                          for sign, man, exp, _ in (value._mpf_, radius._mpf_)]
+    e = min(ve, re)
+    return Ball(vm << ve - e, e, rm << re - e)
+
+
 def test_certify_rule():
-    # radius <= 10^-(digits-5) max(1, |value|), decided exactly; a value or
-    # radius that is not finite never passes
+    # radius <= 10^-(digits-5) max(1, |value|), decided exactly; a value
+    # that is not finite (a float; a ball's radius is always finite) never
+    # passes
     with mp.workdps(80):
         tol, slack = mp.mpf(10) ** -55, mp.mpf(10) ** -20
         below, above = tol * (1 - slack), tol * (1 + slack)
-        asymptotics.certify("v", mp.mpf(3), 3 * below, 60)
-        asymptotics.certify("v", mp.mpf("0.5"), below, 60)
-        for value, radius in ((mp.mpf(3), 3 * above), (mp.mpf("0.5"), above),
-                              (mp.inf, below), (mp.mpf(3), mp.inf),
-                              (mp.nan, below)):
+        certify("v", _ball(mp.mpf(3), 3 * below), 60)
+        certify("v", _ball(mp.mpf("0.5"), below), 60)
+        for value in (_ball(mp.mpf(3), 3 * above), _ball(mp.mpf("0.5"), above),
+                      float(mp.inf), float(mp.nan)):
             with pytest.raises(PrecisionError):
-                asymptotics.certify("v", value, radius, 60)
+                certify("v", value, 60)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +540,12 @@ def test_certify_rule():
 
 def test_k_constants_values():
     with mp.workdps(70):
-        k1, k2, _ = k_constants(6, 1, 7, 60)
+        k1, k2 = k_constants(6, 1, 7, 60)
         assert mp.fabs(k1 + F(5, 2) * mp.log(3)) < mp.mpf(10) ** -55
         assert mp.fabs(k2 + F(3, 2) * mp.log(3)) < mp.mpf(10) ** -55
-        k1, _, _ = k_constants(2, 1, 7, 60)
+        k1, _ = k_constants(2, 1, 7, 60)
         assert k1 == 0
-        k1, k2, _ = k_constants(7, 1, 7, 60)
+        k1, k2 = k_constants(7, 1, 7, 60)
         expect = -F(5, 2) * mp.log(7) + F(15, 2) * mp.log(2)
         assert mp.fabs(k1 - expect) < mp.mpf(10) ** -55
 
@@ -544,7 +557,7 @@ def test_k1_finite_n_cross_check():
     n = 10**5 + 1
     b, a, m = 7, 1, 3
     fin = -((b - 2 * a) * n + 1) / 2 * math.log(m) / n
-    k1, _, _ = k_constants(6, a, b, 60)
+    k1, _ = k_constants(6, a, b, 60)
     assert abs(fin - float(k1)) < 1e-3
 
 
@@ -553,11 +566,12 @@ def test_k1_finite_n_cross_check():
                  st.just(10**300)), _AB, st.sampled_from([30, 60, 120]))
 def test_k_radius_holds_the_rates(k, ab, digits):
     a, b = ab
-    k1, k2, radius = k_constants(k, a, b, digits)
+    k1, k2 = k_constants(k, a, b, digits)
     with mp.workdps(2 * digits + 30):
         if k % 2 == 0:
             exact = [-mp.mpf(c) / 2 * mp.log(k // 2) for c in (b - 2 * a, b - 4 * a)]
         else:
             exact = [-mp.mpf(c) / 2 * mp.log(k) + mp.mpf(3 * (b - 2 * a)) / 2 * mp.log(2)
                      for c in (b - 2 * a, b - 4 * a)]
-        assert mp.fabs(k1 - exact[0]) <= radius and mp.fabs(k2 - exact[1]) <= radius
+        assert mp.fabs(k1 - exact[0]) <= k1.radius()
+        assert mp.fabs(k2 - exact[1]) <= k2.radius()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from irrbounds import asymptotics, omega
 from irrbounds.cli import MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
+from irrbounds.fixed import Ball
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 
@@ -334,10 +335,12 @@ def test_search_empty_grid_exit_2(capsys):
 # ---------------------------------------------------------------------------
 
 def test_fmt_sig_keeps_trailing_zeros():
-    import mpmath as mp
+    def ball(x):
+        sign, man, exp, _ = x._mpf_
+        return Ball(-man if sign else man, exp)
 
-    assert fmt_sig(mp.mpf("6.6461037"), 6) == "6.64610"
-    assert fmt_sig(mp.mpf("12.40837834"), 6) == "12.4084"
+    assert fmt_sig(ball(mp.mpf("6.6461037")), 6) == "6.64610"
+    assert fmt_sig(ball(mp.mpf("12.40837834")), 6) == "12.4084"
     assert fmt_sig(None) == ""
 
 
@@ -401,14 +404,19 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     assert err == "precision failure: saddle root not certified\n"
 
 
+def _widened(ball, radius):
+    """The ball of the same centre with the rational ``radius``."""
+    return ball.spanning(ball.centre() - radius, ball.centre() + radius)
+
+
 def test_omega_wide_radius_exit_4(capsys, monkeypatch):
     # N1, N2 and the psi sum are published only within 10^-(digits-5) of
     # their radius; a radius forced to 10^-50 must refuse them
     n_constants = omega.n_constants
 
     def widened(a, b, components, digits):
-        n1, n2, _ = n_constants(a, b, components, digits)
-        return n1, n2, mp.mpf(10) ** -50
+        n1, n2 = n_constants(a, b, components, digits)
+        return _widened(n1, Fraction(1, 10**50)), _widened(n2, Fraction(1, 10**50))
 
     monkeypatch.setattr("irrbounds.cli.n_constants", widened)
     code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
@@ -428,8 +436,8 @@ def test_wide_saddle_radius_exit_4(capsys, monkeypatch, argv):
     saddle_complex = asymptotics.saddle_complex
 
     def widened(*args, **kwargs):
-        z1, m2, _ = saddle_complex(*args, **kwargs)
-        return z1, m2, mp.mpf(10) ** -40
+        z1, m2 = saddle_complex(*args, **kwargs)
+        return z1, _widened(m2, Fraction(1, 10**40))
 
     monkeypatch.setattr("irrbounds.measures.saddle_complex", widened)
     code, out, err = run(capsys, *argv)
@@ -618,8 +626,9 @@ def test_cli_runs_without_click_or_numpy():
 
 
 # modules no CLI start-up may load: dataclasses, with inspect, cost every
-# process about 10 ms, and json and csv load only where a --format uses them
-UNUSED_AT_START = {"dataclasses", "inspect", "json", "csv"}
+# process about 10 ms, json and csv load only where a --format uses them,
+# and mpmath is a test oracle alone
+UNUSED_AT_START = {"dataclasses", "inspect", "json", "csv", "mpmath"}
 
 
 def test_import_and_help_load_no_unused_module():
@@ -650,6 +659,32 @@ def test_import_and_help_load_no_unused_module():
         assert code == "0", child.stderr
         assert ("irrbounds.forms" in modules) == loads_forms, argv
         assert "irrbounds.dense" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--paper"],
+    ["search", "--k", "7", "--a-max", "1", "--b-max", "9"],
+    ["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1", "--quadratic"],
+    ["bound", "--k", "6", "--a", "1", "--b", "7"],
+    ["omega", "--a", "1", "--b", "7", "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_commands_never_load_mpmath(argv):
+    # every command runs on the package's own integer arithmetic
+    child = _run_child("-c", "import sys, irrbounds.cli as cli; "
+                       "code = cli.main(sys.argv[1:]); "
+                       "print(code, 'mpmath' in sys.modules, file=sys.stderr)", *argv)
+    assert child.stderr.decode().split() == ["0", "False"], child.stderr
+
+
+def test_no_module_level_mpmath_import():
+    # only the test oracle asymptotics.alpha_value imports mpmath, in its body
+    import ast
+
+    for path in sorted(SRC.glob("irrbounds/*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any(n.split(".")[0] == "mpmath" for n in names), path
 
 
 @pytest.mark.parametrize("label,argv", [

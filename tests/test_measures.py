@@ -103,7 +103,7 @@ def test_dual_path_ell_agreement():
     rows = verify_forms(4, 1, 7, [3], digits)
     other = dual_path_ell(4, 1, 7, 3, digits)
     with mp.workdps(digits + 10):
-        rel = mp.fabs(rows[0].ell / other - 1)
+        rel = mp.fabs(mp.mpf(rows[0].ell) / mp.mpf(other) - 1)
         assert rel < mp.mpf(10) ** (-(digits - 10))
 
 
@@ -244,10 +244,10 @@ def _published(k, a, b, quadratic, digits):
     """Each value a bound cell publishes, with its radius, from one pass."""
     m1, m2, k1, k2, n1, n2 = measures._constants(k, a, b, digits)
     kk, nn = (k2, n2) if quadratic else (k1, n1)
-    pairs = {"M1": m1, "M2": m2, "K": kk, "N": nn}
-    denom, value, radius = measures._quotient(m1, m2, kk, nn, digits)
-    pairs["bound" if denom < 0 else "M2+K+N"] = value, radius
-    return pairs
+    balls = {"M1": m1, "M2": m2, "K": kk, "N": nn}
+    denom, value = measures._quotient(m1, m2, kk, nn, digits)
+    balls["bound" if denom < 0 else "M2+K+N"] = value
+    return {name: (v, v.radius()) for name, v in balls.items()}
 
 
 _CELLS = {

@@ -288,9 +288,9 @@ def test_delta_squarefree_and_prime_range():
 # ---------------------------------------------------------------------------
 
 def test_n_constants_empty_set():
-    n1, n2, _ = n_constants(1, 7, IntervalSet([]), 40)
-    assert abs(n1 - 7) < 1e-30
-    assert abs(n2 - 12) < 1e-30  # 2b - 2a
+    n1, n2 = n_constants(1, 7, IntervalSet([]), 40)
+    assert abs(float(n1 - 7)) < 1e-30
+    assert abs(float(n2 - 12)) < 1e-30  # 2b - 2a
 
 
 def test_n_constants_digit_guard():
@@ -300,7 +300,7 @@ def test_n_constants_digit_guard():
 
 def test_n1_finite_n_convergence_monotone(big_sieve):
     omega = compute_omega(1, 7).omega
-    n1, _, _ = n_constants(1, 7, omega, 40)
+    n1, _ = n_constants(1, 7, omega, 40)
     errs = [abs(finite_n_n1(1, 7, n, big_sieve) - float(n1))
             for n in (10**3 + 1, 10**4 + 1, 10**5 + 1)]
     assert errs[0] > errs[1] > errs[2]
@@ -311,6 +311,6 @@ def test_n1_finite_n_convergence_monotone(big_sieve):
 def test_n2_finite_n_agrees(a, b, big_sieve):
     # every parameter pair the non-quadraticity table depends on
     omega = compute_omega(a, b).omega
-    _, n2, _ = n_constants(a, b, omega, 40)
+    _, n2 = n_constants(a, b, omega, 40)
     est = finite_n_n2(a, b, 10**4 + 1, big_sieve)
     assert abs(est - float(n2)) / float(n2) < 0.02
