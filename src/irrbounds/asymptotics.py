@@ -285,12 +285,11 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds, w: int):
     negative after it.  Each factor is also >= (z-b)/z, so that root is at
     most b/(1 - x^(1/3)), where Newton starts (:func:`_newton_start`,
     :func:`_newton_polish`).  Two exact probes at lo, hi = z0 -/+
-    z0*10^-(digits+5)/2, or where those fail z0 -/+ z0*10^-digits/2, then
-    certify it: lo > b, sign +1 at lo and -1 at hi for every x in the
-    enclosure, one integer each (:func:`_cleared_cubic`) per end of it; if
-    no bracket holds, PrecisionError.  Newton stops near 10^-(digits+7), but
-    x's centre may move the root by up to 10^-(digits+2) (:func:`guard_digits`).
-    The last solve is kept for the next cell's other saddle, keyed on every
+    z0*10^-(digits+5)/2 then certify it: lo > b, sign +1 at lo and -1 at hi
+    for every x in the enclosure, one integer each (:func:`_cleared_cubic`)
+    per end of it; else PrecisionError.  Newton stops near 10^-(digits+7),
+    and x_k's enclosure moves the root by less (measures._x_numeric).  The
+    last solve is kept for the next cell's other saddle, keyed on every
     exact input."""
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
@@ -317,13 +316,10 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                         digits + 10 + guard_digits(1 - xf))
     e = max(0, -z0.exp)
     zn, zd = z0.man << z0.exp + e, 1 << e
-    for margin in (digits + 5, digits):
-        en = zn // (2 * 10 ** margin)
-        if (zn - en > b * zd
-                and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
-                and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
-            break
-    else:
+    en = zn // (2 * 10 ** (digits + 5))
+    if not (zn - en > b * zd
+            and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
+            and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
         raise PrecisionError(f"saddle root {z0.to_str(20)} beyond b={b} not "
                              f"certified for x in [{float(x_lo)}, {float(x_hi)}]")
     x_lo, x_hi = min(x_lo, xf), max(x_hi, xf)
@@ -340,12 +336,12 @@ def guard_digits(gap) -> int:
     centre or an exact rational).
 
     The root beyond b is about 3(b - 2a)/(1 - x), so a relative error e in
-    x moves it by about e/(1 - x) relative.  x carries digits + 10 digits
-    and the root is certified to z0*10^-digits/2 at worst, which leaves
-    room for 1/(1 - x) up to about 10^8; each further decimal costs one
-    digit: max(0, ceil(log10(1/gap)) - 8), the least c with
-    10^c >= ceil(1/gap), minus 8.  The same guard goes into Newton's
-    tolerance.  1 - x_k is about sqrt(2/k): no guard for k <= 10^16.
+    x moves it by about e/(1 - x) relative: past 1/(1 - x) = 10^8 each
+    decimal of it costs one digit, max(0, ceil(log10(1/gap)) - 8), the
+    least c with 10^c >= ceil(1/gap), minus 8.  The saddle's working
+    precision and Newton's tolerance carry it; x_k itself carries five more
+    (measures._x_numeric).  1 - x_k is about sqrt(2/k): no guard for
+    k <= 10^16.
     """
     gap = gap.centre() if isinstance(gap, Ball) else Fraction(gap)
     if gap <= 0 or gap * 10**8 >= 1:

@@ -77,10 +77,11 @@ class VerificationRow(Frozen):
 def _x_numeric(k: int, digits: int) -> Ball:
     """x_k = (k + 1 - sqrt(2k+1))/k as a ball, whose ends are the exact
     enclosure the saddle probes are certified on.  It carries digits + 10
-    digits and the guard digits that the saddle solve adds near x = 1, from
-    1 - x_k >= (isqrt(2k+1) - 1)/k (asymptotics.guard_digits)."""
+    digits and, near x = 1, the guard digits of 10^-5 (1 - x_k), from
+    1 - x_k >= (isqrt(2k+1) - 1)/k (asymptotics.guard_digits): so its
+    rounding moves the saddle root by under 10^-(digits+7) relative."""
     d = 2 * k + 1
-    p = prec_of(digits + 10 + guard_digits(Fraction(isqrt(d) - 1, k)))
+    p = prec_of(digits + 10 + guard_digits(Fraction(isqrt(d) - 1, k * 10**5)))
     return (k + 1 - Ball(d).rnd(p).sqrt(p)).rnd(p).div(Ball(k).rnd(p), p)
 
 
