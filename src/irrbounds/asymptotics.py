@@ -1,23 +1,13 @@
-"""High-precision real/complex evaluation: digamma at rational arguments, the
-saddle-point cubic whose real and complex roots give the growth and decay
-rates M1 and M2, and the scaling-rate constants K1 and K2.
+"""Digamma at rational arguments, the saddle-point cubic whose real and
+complex roots give the growth and decay rates M1 and M2, and the
+scaling-rate constants K1 and K2, on Python ints: each a
+:class:`fixed.Ball` with a radius proved end to end.
 
-Everything runs on Python ints.  Each constant is a :class:`fixed.Ball`
-with a radius proved end to end, rounded where mpmath's mpf arithmetic once
-rounded it, and the transcendental values come from :mod:`fixed`.  Digamma
-comes from Gauss's digamma theorem: one memoised row of cosines and
-log-sines per denominator and working precision, as integers with a proven
-error, serves every argument with that denominator.
-
-The real saddle root is found by Newton from a proven bound, in doubles and
-then in integers, then two exact probes: integer sign evaluations on a tight
-dyadic bracket, certain for every x in a rational enclosure.  Near x = 1 the
-root is ill-conditioned, and the working precision carries guard digits
-(:func:`guard_digits`).  Each saddle rate is one logarithm of a product of
-powers of balls (:func:`_m_rate`).
-
-alpha_value, alpha_k by mpmath's log, is the test oracle of the fixed-point
-enclosure in measures._alpha_fixed; only it imports mpmath.
+Digamma comes from Gauss's digamma theorem, one memoised row of cosines and
+log-sines per denominator and precision.  The saddle root beyond b is found
+by Newton and certified by two exact probes for every x in a rational
+enclosure; near x = 1 the working precision carries guard digits.
+alpha_value, by mpmath, is the test oracle of measures._alpha_fixed.
 """
 
 from __future__ import annotations
@@ -37,9 +27,7 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# digamma at rational arguments
-# ---------------------------------------------------------------------------
+# -- digamma at rational arguments --------------------------------------------
 
 # the largest integer part of x that digamma accepts: psi(x) is psi of the
 # fraction part plus one term 1/t per unit step, so this caps the steps.
@@ -50,7 +38,8 @@ MAX_DIGAMMA_SHIFT = 10_000
 def digamma(x: Rat, digits: int) -> Ball:
     """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1, by Gauss's
     digamma theorem: a ball of radius at most 2^-prec, prec the bits of
-    digits + 10 digits (:func:`_psi`)."""
+    digits + 10 digits (:func:`_psi`).  Euler's constant is held to 2048
+    bits, so above about 560 digits it raises PrecisionError."""
     x = Fraction(x)
     if x <= 0:
         raise DomainError(f"digamma requires a positive argument, got {x}")
@@ -62,9 +51,7 @@ def digamma(x: Rat, digits: int) -> Ball:
 
 @lru_cache(maxsize=None)
 def _psi(num: int, den: int, digits: int) -> Ball:
-    """psi(num/den), once per process for each key: the Omega endpoints of
-    different (a, b) share many arguments.  The key holds the ints of x, as
-    the memo is the largest one on the bound path.
+    """psi(num/den), memoised: Omega's endpoints share many arguments.
 
     With x = s + p/q, p/q in (0, 1], Gauss's digamma theorem (DLMF 5.4.19)
     gives, for q > 1,
@@ -144,9 +131,7 @@ def _gauss_row(q: int, prec: int):
             -euler_fixed(bits) - ln_fixed(2 * q, 0, bits))
 
 
-# ---------------------------------------------------------------------------
-# the target numbers alpha_k
-# ---------------------------------------------------------------------------
+# -- the target numbers alpha_k -----------------------------------------------
 
 def alpha_value(k: int, digits: int):
     """alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)) < 0, an mpf."""
@@ -159,9 +144,7 @@ def alpha_value(k: int, digits: int):
         return +(r * mp.log((r - 1) / (r + 1)))
 
 
-# ---------------------------------------------------------------------------
-# the saddle-point cubic
-# ---------------------------------------------------------------------------
+# -- the saddle-point cubic ---------------------------------------------------
 
 def _real_cubic_coeffs(a: int, b: int, x):
     """Coefficients (c3, c2, c1, c0) of the cleared saddle equation
@@ -197,13 +180,9 @@ def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo: Fraction,
                     x_hi: Fraction) -> int | None:
     """Sign of the cleared cubic at z = zn/zd (zd > 0), certain for every x
     in [x_lo, x_hi] (the cubic is linear in x); None when it is not."""
-    lo = _cleared_cubic(a, b, zn, zd, x_lo.numerator, x_lo.denominator)
-    hi = _cleared_cubic(a, b, zn, zd, x_hi.numerator, x_hi.denominator)
-    if lo > 0 and hi > 0:
-        return 1
-    if lo < 0 and hi < 0:
-        return -1
-    return None
+    lo, hi = (_cleared_cubic(a, b, zn, zd, x.numerator, x.denominator)
+              for x in (x_lo, x_hi))
+    return 1 if lo > 0 < hi else -1 if lo < 0 > hi else None
 
 
 def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
@@ -238,13 +217,10 @@ def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
 
 def _newton_start(a: int, b: int, x: Fraction, prec: int) -> tuple[int, int]:
     """Start (m, e) of the integer Newton for the root beyond b: Newton in
-    doubles from the proven bound b/(1 - x^(1/3)), which leaves
-    :func:`_newton_polish` 3-5 steps at 60 and 120 digits, not 9-10.  Where
-    doubles fail (float(x) rounds to 1 at huge k) or end at or below b, the
-    bound itself rounded at prec bits, as mpmath's b/(1 - cbrt(x)) is: the
-    cube root by :func:`fixed.icbrt` to prec + 4 bits or more and a sticky
-    bit rounds as the exact one.  The start sets the speed, never the
-    result, which the exact probes certify."""
+    doubles from the proven bound b/(1 - x^(1/3)), or where doubles fail
+    (float(x) rounds to 1 at huge k) or end at or below b, the bound rounded
+    as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4 bits or more
+    and a sticky bit.  The start sets the speed, never the result."""
     try:
         xd = float(x)
         c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xd)
@@ -268,29 +244,25 @@ def _newton_start(a: int, b: int, x: Fraction, prec: int) -> tuple[int, int]:
     return bound.man, bound.exp
 
 
-def _solve_cubic(a: int, b: int, x, digits: int, x_bounds, w: int):
+def _solve_cubic(a: int, b: int, x, digits: int, w: int):
     """(z0, s, p, box) at w bits for x, a ball (or an exact rational, made
     one at w bits): the real root z0 > b of the saddle cubic at x's centre,
     the other two roots' sum s = -c2/c3 - z0 and product p = -c0/(c3 z0),
     and the box (zn, en, e, x_lo, x_hi, x_ball): the root's certified
-    bracket [(zn -/+ en)/2^e], zn/2^e = z0, the enclosure ``x_bounds`` of x
-    (the ball's own by default) widened to hold x's centre, and the ball of
-    x's centre that holds that.
+    bracket [(zn -/+ en)/2^e], zn/2^e = z0, x's enclosure and x's ball.
 
-    The cubic is z(z-a)(z-2a) * (x - f(z)) with
-    f(z) = (z-(b-2a))(z-(b-a))(z-b) / (z(z-a)(z-2a)).  On z > b each factor
-    (z-r)/(z-c) of f has r > c >= 0 (as b > 4a), so it is positive and
-    strictly increasing: f rises strictly from 0 to 1, and for x in (0, 1)
-    exactly one root lies beyond b, with the cubic positive before it and
-    negative after it.  Each factor is also >= (z-b)/z, so that root is at
-    most b/(1 - x^(1/3)), where Newton starts (:func:`_newton_start`,
-    :func:`_newton_polish`).  Two exact probes at lo, hi = z0 -/+
-    z0*10^-(digits+5)/2 then certify it: lo > b, sign +1 at lo and -1 at hi
-    for every x in the enclosure, one integer each (:func:`_cleared_cubic`)
-    per end of it; else PrecisionError.  Newton stops near 10^-(digits+7),
-    and x_k's enclosure moves the root by less (measures._x_numeric).  The
-    last solve is kept for the next cell's other saddle, keyed on every
-    exact input."""
+    The cubic is z(z-a)(z-2a) (x - f(z)), f(z) = (z-(b-2a))(z-(b-a))(z-b) /
+    (z(z-a)(z-2a)).  On z > b each factor (z-r)/(z-c) of f has r > c >= 0
+    (as b > 4a), so it is positive and strictly increasing: f rises from 0
+    to 1, and for x in (0, 1) exactly one root lies beyond b, the cubic
+    positive before it and negative after it.  Each factor is also
+    >= (z-b)/z, so that root is at most b/(1 - x^(1/3)), where Newton
+    starts.  Two exact probes at lo, hi = z0 -/+ z0 10^-(digits+5)/2,
+    rounded outward, certify it: lo > b, sign +1 at lo and -1 at hi for
+    every x in the enclosure (:func:`_cleared_cubic` at its ends); else
+    PrecisionError.  Newton stops near 10^-(digits+7), and x_k's enclosure
+    moves the root by less (measures._x_numeric).  The last solve is kept,
+    keyed on every exact input."""
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
     if not isinstance(x, Ball):
@@ -298,9 +270,7 @@ def _solve_cubic(a: int, b: int, x, digits: int, x_bounds, w: int):
         x = Ball(x.numerator).div(x.denominator, w)
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
-    x_lo, x_hi = x.bounds() if x_bounds is None else x_bounds
-    return _certified_solve(a, b, (x.man, x.exp), digits,
-                            Fraction(x_lo), Fraction(x_hi), w)
+    return _certified_solve(a, b, (x.man, x.exp), digits, *x.bounds(), w)
 
 
 @lru_cache(maxsize=1)
@@ -316,13 +286,12 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                         digits + 10 + guard_digits(1 - xf))
     e = max(0, -z0.exp)
     zn, zd = z0.man << z0.exp + e, 1 << e
-    en = zn // (2 * 10 ** (digits + 5))
+    en = -(-zn // (2 * 10 ** (digits + 5)))
     if not (zn - en > b * zd
             and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
             and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
         raise PrecisionError(f"saddle root {z0.to_str(20)} beyond b={b} not "
                              f"certified for x in [{float(x_lo)}, {float(x_hi)}]")
-    x_lo, x_hi = min(x_lo, xf), max(x_hi, xf)
     if not 0 < x_lo <= x_hi < 1:
         raise PrecisionError(f"x's enclosure [{float(x_lo)}, {float(x_hi)}] "
                              "leaves (0, 1)")
@@ -333,16 +302,11 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
 
 def guard_digits(gap) -> int:
     """Working digits to add to the saddle solve at x = 1 - gap (a ball's
-    centre or an exact rational).
-
-    The root beyond b is about 3(b - 2a)/(1 - x), so a relative error e in
-    x moves it by about e/(1 - x) relative: past 1/(1 - x) = 10^8 each
-    decimal of it costs one digit, max(0, ceil(log10(1/gap)) - 8), the
-    least c with 10^c >= ceil(1/gap), minus 8.  The saddle's working
-    precision and Newton's tolerance carry it; x_k itself carries five more
-    (measures._x_numeric).  1 - x_k is about sqrt(2/k): no guard for
-    k <= 10^16.
-    """
+    centre or an exact rational).  The root beyond b is about
+    3(b - 2a)/(1 - x), so a relative error e in x moves it by about
+    e/(1 - x) relative: past 1/(1 - x) = 10^8 each decimal costs one digit,
+    max(0, ceil(log10(1/gap)) - 8).  1 - x_k is about sqrt(2/k): no guard
+    for k <= 10^16."""
     gap = gap.centre() if isinstance(gap, Ball) else Fraction(gap)
     if gap <= 0 or gap * 10**8 >= 1:
         return 0
@@ -394,23 +358,20 @@ def _deflation_bounds(a: int, b: int, box, w: int):
     return bounds
 
 
-def saddle_real(a: int, b: int, x, digits: int,
-                x_bounds: tuple[Rat, Rat] | None = None) -> tuple[Ball, Ball]:
+def saddle_real(a: int, b: int, x, digits: int) -> tuple[Ball, Ball]:
     """(z0, M1): the unique root z0 > b of the saddle cubic at x's centre,
     certified by exact sign probes (:func:`_solve_cubic`), and the growth
     rate M1 of the U coefficients, a ball over the root's bracket and x's
     enclosure (:func:`_m_rate`)."""
     w = _saddle_bits(x, digits)
-    z0, _, _, (zn, en, e, _, _, x_ball) = _solve_cubic(a, b, x, digits,
-                                                       x_bounds, w)
+    z0, _, _, (zn, en, e, _, _, x_ball) = _solve_cubic(a, b, x, digits, w)
     z = z0.spanning(zn - en, zn + en, -e)
     dists = [(z - c).rnd(w).pow(2, w) for c in _rate_cs(a, b)]
     return z0, _m_rate(a, b, x_ball, dists, w)
 
 
-def saddle_complex(a: int, b: int, x, digits: int,
-                   x_bounds: tuple[Rat, Rat] | None = None
-                   ) -> tuple[tuple[Ball, Ball], Ball]:
+def saddle_complex(a: int, b: int, x,
+                   digits: int) -> tuple[tuple[Ball, Ball], Ball]:
     """(z1, M2): z1 = (re, im), the upper-half-plane root of the mirrored
     saddle equation, and the decay rate M2 of the forms, as in
     :func:`saddle_real`.  z1 = -w for the root w = s/2 - i*sqrt(p - s^2/4)
@@ -419,7 +380,7 @@ def saddle_complex(a: int, b: int, x, digits: int,
     p - s^2/4 <= 0, no complex saddle exists (NonApplicableError); where
     they leave its sign open, PrecisionError."""
     w = _saddle_bits(x, digits)
-    _, s, p, box = _solve_cubic(a, b, x, digits, x_bounds, w)
+    _, s, p, box = _solve_cubic(a, b, x, digits, w)
     (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(a, b, box, w)
     squares = s_lo * s_lo, s_hi * s_hi
     if p_hi - (0 if s_lo <= 0 <= s_hi else min(squares) >> w + 2) <= 0:
@@ -437,9 +398,7 @@ def saddle_complex(a: int, b: int, x, digits: int,
     return (-half, im2.sqrt(w)), _m_rate(a, b, box[-1], dists, w)
 
 
-# ---------------------------------------------------------------------------
-# scaling-rate constants
-# ---------------------------------------------------------------------------
+# -- scaling-rate constants ---------------------------------------------------
 
 def k_constants(k: int, a: int, b: int, digits: int = 60) -> tuple[Ball, Ball]:
     """(K1, K2): exponential rates of the S and T scaling factors, as balls.

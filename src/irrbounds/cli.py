@@ -41,10 +41,9 @@ from .omega import compute_omega, n_constants
 MIN_DIGITS = 30
 MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
-# verify accepts.  The exact forms (eval_UVW) cost about d^2.1: 0.04 s at
-# d = 1023, 0.5 s at d = 3333, 1.9 s at d = 6633 and 4.5 s at d = 9999
-# in-process on a shared 2-core machine, so the cap stops a run of well under
-# a minute.  As b > 4a, it also keeps each prime sieve below b*n < 2d/3.
+# verify accepts.  eval_UVW costs about d^2.1: 0.04 s at d = 1023 and 4.5 s at
+# d = 9999 in-process on a shared 2-core machine.  As b > 4a, it also keeps
+# each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
 # cap admits b up to 203, and that grid of 100 cells takes 2.7-3.1 s per
@@ -142,10 +141,8 @@ def _bound_row(res: BoundResult, sig: int) -> dict:
         "kind": res.kind, "k": res.k, "a": res.a, "b": res.b,
         "bound": float(fmt_sig(res.bound, sig)) if res.applicable else None,
         "applicable": res.applicable, "degenerate": res.degenerate,
-        "M1": float(fmt_sig(res.M1, sig)),
-        "M2": float(fmt_sig(res.M2, sig)),
-        "K": float(fmt_sig(res.K, sig)),
-        "N": float(fmt_sig(res.N, sig)),
+        **{name: float(fmt_sig(getattr(res, name), sig))
+           for name in ("M1", "M2", "K", "N")},
         "digits": res.digits,
     }
 

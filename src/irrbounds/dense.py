@@ -13,11 +13,8 @@ from .exact_arith import Params
 
 
 class IntPoly:
-    """Dense polynomial with exact rational coefficients, ascending degree.
-
-    Internally keeps integer coefficients over a single positive denominator;
-    the heavy transforms below stay in pure integer arithmetic that way.
-    """
+    """Dense polynomial with exact rational coefficients, ascending degree,
+    kept as integer coefficients over one positive denominator."""
 
     __slots__ = ("_num", "_den")
 
@@ -79,13 +76,9 @@ class IntPoly:
 
 
 def build_A(params: Params) -> IntPoly:
-    """The product of the three binomial-coefficient factors.
-
-    Built by incremental multiplication with the factorial normalizers split
-    off into the shared denominator, so intermediate coefficients never leave
-    integer arithmetic.  Degree 3(b-2a)n; roots fill -1..-bn with the blocks
-    -(an+1)..-(b-a)n doubled and -(2an+1)..-(b-2a)n tripled.
-    """
+    """The product of the three binomial-coefficient factors, of degree
+    3(b-2a)n, in integers over the factorial normalizers: its roots fill
+    -1..-bn, -(an+1)..-(b-a)n doubled and -(2an+1)..-(b-2a)n tripled."""
     a, b, n = params.a, params.b, params.n
     nums = [1]
     for lo, hi in ((2 * a * n + 1, (b - 2 * a) * n),

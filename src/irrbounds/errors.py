@@ -12,12 +12,8 @@ class SieveCapacityError(ValueError):
 
 
 class IntegralityError(ArithmeticError):
-    """A quantity that must be an exact integer is not.
-
-    Raised with the name of the offending scaled quantity; this is never
-    silently rounded: it would mean either the integrality guarantee the
-    whole construction rests on is false or the implementation is wrong.
-    """
+    """A quantity that must be an exact integer is not: never rounded, as
+    either the construction's integrality guarantee or the code is wrong."""
 
     def __init__(self, quantity: str, value):
         # imported here: exact_arith imports this module
@@ -35,11 +31,9 @@ class NonApplicableError(ArithmeticError):
 
 
 class PrecisionError(ArithmeticError):
-    """A published value's proven radius was wider than its printable
-    digits allow, the radii left open a sign that decides applicability, an
-    exact root certificate did not hold, or the enclosure of a form in
-    alpha_k was still too wide for the requested digits after its last
-    pass."""
+    """A published value's proven radius was too wide for its digits, the
+    radii left open a sign that decides applicability, an exact root
+    certificate failed, or a form's enclosure stayed too wide."""
 
 
 class CertificateError(ArithmeticError):

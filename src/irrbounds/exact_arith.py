@@ -22,11 +22,9 @@ DEFAULT_SIEVE_LIMIT = 2_000_000
 
 class Frozen:
     """Base of the package's immutable records: a subclass lists its fields
-    in ``__slots__``, which are set once, by position or keyword, and never
-    reassigned.  Equality and hash go by the tuple of fields, and the repr
-    leaves out the fields named in ``_hidden``: the contract of a frozen
-    dataclass, without the import of ``dataclasses`` and ``inspect`` that
-    cost every CLI process about 10 ms of start-up."""
+    in ``__slots__``, set once, by position or keyword.  Equality and hash go
+    by the tuple of fields, and the repr leaves out those in ``_hidden``: a
+    frozen dataclass without the start-up cost of ``dataclasses``."""
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
@@ -69,12 +67,9 @@ class Frozen:
 
 
 class Params(Frozen):
-    """Index k of alpha_k plus the construction parameters (a, b, n).
-
-    b and n must be odd so that (bn+1)/2 and the power-of-two exponents in
-    the scaling factors are integers; b > 4a keeps the three root blocks of
-    the product polynomial nested.
-    """
+    """Index k of alpha_k plus the construction parameters (a, b, n): b and
+    n odd, so that (bn+1)/2 and the scaling exponents are integers, and
+    b > 4a, so that the three root blocks of A nest."""
 
     __slots__ = ("k", "a", "b", "n")
     k: int
@@ -102,15 +97,11 @@ class Params(Frozen):
         return (self.b * self.n + 1) // 2
 
 
-# ---------------------------------------------------------------------------
-# rational helpers
-# ---------------------------------------------------------------------------
+# -- rational helpers ---------------------------------------------------------
 
 def format_int(x: int) -> str:
-    """Decimal digits of an exact integer.  Unlike str(), the conversion
-    through Decimal is not cut off by the interpreter's int-to-str digit
-    limit (4300 digits by default), which the verify integers pass near
-    degree 4500."""
+    """Decimal digits of an exact integer, through Decimal: not cut off at
+    str()'s 4300-digit limit, which the verify integers pass."""
     return str(Decimal(x))
 
 
@@ -133,17 +124,12 @@ def sqrt_bounds(d: int, digits: int) -> tuple[Rat, Rat]:
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# quadratic extension Q(sqrt(D))
-# ---------------------------------------------------------------------------
+# -- quadratic extension Q(sqrt(D)) -------------------------------------------
 
 class QuadRat:
     """u + v*sqrt(D) with exact rational parts and a fixed positive integer D.
-
-    A perfect-square D collapses to pure rational form at construction
-    (v folded into u), so degenerate indices like k = 4 (D = 9) flow through
-    the same code paths as the generic irrational case.  Values with v == 0
-    combine with any D, which is what makes the collapse transparent.
+    A perfect-square D folds v into u at construction, so degenerate k = 4
+    (D = 9) takes the generic paths; values with v == 0 combine with any D.
     """
 
     __slots__ = ("u", "v", "D")
@@ -193,10 +179,7 @@ class QuadRat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRat(self.u - o.u, self.v - o.v, self._join_d(o))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -270,9 +253,7 @@ class QuadRat:
         return f"QuadRat({format_rat(self.u)} + {format_rat(self.v)}*sqrt({self.D}))"
 
 
-# ---------------------------------------------------------------------------
-# primes and d_n = lcm(1..n)
-# ---------------------------------------------------------------------------
+# -- primes and d_n = lcm(1..n) -----------------------------------------------
 
 class PrimeSieve:
     """Bit-table sieve of Eratosthenes, built once and then read-only."""

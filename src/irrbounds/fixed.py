@@ -250,11 +250,8 @@ class Ball:
         return float(self.centre())
 
     @property
-    def _mpf_(self):
-        """The exact centre as mpmath's raw tuple, for tests: mpmath converts
-        any object that has it."""
+    def _mpf_(self):  # the exact centre, as mpmath converts it (tests)
         from mpmath.libmp import from_man_exp
-
         return from_man_exp(self.man, self.exp)
 
     def ldexp(self, n: int) -> Ball:

@@ -49,9 +49,7 @@ def _exact_div(num: int, den: int, where: str) -> int:
     return quo
 
 
-# ---------------------------------------------------------------------------
-# L^r A^(r)(-m), r = 0, 1, 2, from one walk over m
-# ---------------------------------------------------------------------------
+# -- L^r A^(r)(-m), r = 0, 1, 2, from one walk over m -------------------------
 
 def _root_blocks(params: Params) -> tuple[tuple[int, int], ...]:
     """The three root blocks (lo, hi) of A, innermost first: A(x) times its
@@ -140,9 +138,7 @@ def _walk(params: Params, L: int, last: int):
         yield u0, u1, u2
 
 
-# ---------------------------------------------------------------------------
-# the transform sums in O(d) big operations, and U, V, W
-# ---------------------------------------------------------------------------
+# -- the transform sums in O(d) big operations, and U, V, W -------------------
 
 def _int_pair(x: QuadRat) -> tuple[int, int, int]:
     """(u, v, e) with x = (u + v sqrt(D))/e in integers, e > 0."""
@@ -218,15 +214,10 @@ class _PoleSum:
     __slots__ = ("order", "delta", "D", "w", "step", "tdp", "g", "k", "s0",
                  "buf", "su", "sv", "w_block", "step_block")
 
-    def __init__(self, order: int, delta: int, common, zt: QuadRat,
-                 t_top: QuadRat, tdp: int):
-        # common = (D, W, step, W^B, step^B), zt = (1 - z) t,
-        # t_top = t^(delta+1) and tdp = td^(delta+1)
-        self.order, self.delta, self.tdp = order, delta, tdp
+    def __init__(self, order: int, delta: int, common, tdp: int, g, k):
+        # common = (D, W, step, W^B, step^B), tdp = td^(delta+1)
+        self.order, self.delta, self.tdp, self.g, self.k = order, delta, tdp, g, k
         self.D, self.w, self.step, self.w_block, self.step_block = common
-        top = zt * t_top * tdp
-        g0, k = zt * tdp - top, top * self.step
-        self.g, self.k = (int(g0.u), int(g0.v)), (int(k.u), int(k.v))
         self.s0, self.buf, self.su, self.sv = 0, [], 0, 0
 
     @classmethod
@@ -241,7 +232,10 @@ class _PoleSum:
         common = (z.D, w, step, (int(w_block.u), int(w_block.v)), step ** _BLOCK)
         zt, t_top, tdp, sums = (1 - z) * t, t ** (d - 1), td ** (d - 1), []
         for r in (2, 1, 0):
-            sums.append(cls(r, d - r, common, zt, t_top, tdp))
+            top = zt * t_top * tdp
+            g0, k = zt * tdp - top, top * step
+            sums.append(cls(r, d - r, common, tdp, (int(g0.u), int(g0.v)),
+                            (int(k.u), int(k.v))))
             t_top, tdp = t_top * t, tdp * td
         return sums[::-1]
 
@@ -302,12 +296,10 @@ def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
     """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms.
 
     U uses the transform of A itself; V the transform of A'(. - an) with the
-    extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}.  The
-    two shifts land the sums on the index ranges where the transform values
-    are nonzero (the doubled and tripled root blocks).  One ``_walk`` yields
-    L^r A^(r)(-m) for all three orders, and the three ``_PoleSum`` take each
-    value as it comes, so no list of values is kept.  An inexact step raises
-    ``IntegralityError`` naming m, or the order and s0 of a block.
+    extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}: the
+    shifts land the sums where the transform values are nonzero.  The three
+    ``_PoleSum`` take each value of one ``_walk`` as it comes.  An inexact
+    step raises ``IntegralityError`` naming m, or the order and s0 of a block.
     """
     if not z:
         raise DomainError("z = 0 is outside the domain of U, V, W")
@@ -329,10 +321,7 @@ def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
     return UVWValues(U=U, V=V, W=W, params=params, x=z)
 
 
-# ---------------------------------------------------------------------------
-# scaling to integers (the construction guarantees integrality; a violation
-# is a bug, never something to round away)
-# ---------------------------------------------------------------------------
+# -- scaling to integers ------------------------------------------------------
 
 class IntegerForms(Frozen):
     """The integer coefficient pairs of the linear and quadratic forms.
@@ -341,7 +330,6 @@ class IntegerForms(Frozen):
     Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
     are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
     T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
-    The repr leaves out the scaling ingredients R..d_b2an.
     """
 
     __slots__ = ("n", "P", "Q", "X", "Y", "Z", "A", "B", "C",
@@ -386,11 +374,8 @@ def _as_int(value: Rat, quantity: str) -> int:
 
 def scaled_integer_forms(params: Params, uvw: UVWValues,
                          delta: int, delta1: int) -> IntegerForms:
-    """Scale the exact U, V, W at x_k into the integer form coefficients.
-
-    Every quantity here is an exact integer; a fractional result aborts with
-    the offending name rather than being rounded.
-    """
+    """Scale the exact U, V, W at x_k into the integer form coefficients;
+    a fractional result aborts with the offending name, never rounded."""
     k = params.k
     D = 2 * k + 1
     if uvw.x != x_point(k):

@@ -143,7 +143,8 @@ def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
 
 def mu_bound(k: int, a: int, b: int, digits: int = 60) -> BoundResult:
     """Irrationality-measure bound 1 - (M1+K1+N1)/(M2+K1+N1), when the
-    denominator is negative; inapplicable otherwise."""
+    denominator is negative; inapplicable otherwise.  Digits up to about 560
+    (digamma), PrecisionError above."""
     return _bound("irrationality", k, a, b, digits)
 
 
@@ -163,9 +164,7 @@ def predicted_decay(k: int, a: int, b: int, digits: int = 60):
     return decays
 
 
-# ---------------------------------------------------------------------------
-# finite-n verification harness
-# ---------------------------------------------------------------------------
+# -- finite-n verification harness --------------------------------------------
 
 # passes of the alpha-enclosure loop before a form counts as unresolved
 MAX_ALPHA_PASSES = 8
@@ -175,17 +174,11 @@ def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
     """(A, E) with |alpha_k * 2^bits - A| < E, from one fixed-point sum.
 
     With D = 2k+1 and t = 1/sqrt(D), ln((1-t)/(1+t)) = -2 atanh(t), so
-    alpha_k = -2 sum_{j>=0} 1/((2j+1) D^j).  Here term_j = term_(j-1) // D
-    from term_0 = 2^bits, and A = -2 sum_{j<J} term_j // (2j+1), where J is
-    the number of nonzero terms.  Nested floors compose, so term_j is the
-    floor of 2^bits / D^j; with the floor of the quotient by 2j+1, each of
-    the two floors of a term loses less than 1, and each of the J summands
-    is within 2 of
-    2^bits / ((2j+1) D^j).  The tail j >= J sums to less than 2, because
-    term_J = 0 makes 2^bits / D^J < 1 and D >= 3 sums the geometric rest to
-    under 3/2.  So A / (-2) is within 2J + 2 of alpha_k 2^bits / (-2), and
-    |alpha_k 2^bits - A| < 4(J + 1) = E.
-    """
+    alpha_k = -2 sum_{j>=0} 1/((2j+1) D^j).  term_j = term_(j-1) // D from
+    2^bits is floor(2^bits/D^j), as nested floors compose, so each of the J
+    nonzero summands term_j // (2j+1) is within 2 of 2^bits/((2j+1) D^j),
+    and the tail j >= J sums to under 2 (2^bits/D^J < 1, D >= 3): A, -2
+    times their sum, is within 4(J + 1) = E."""
     d = 2 * k + 1
     term, total, j = 1 << bits, 0, 0
     while term:
@@ -203,17 +196,14 @@ def _alpha_combinations(k: int, combos, digits: int,
     widen the first pass for sums near 2^-depth.
 
     A combination is exponentially small against coefficients of thousands
-    of bits.  Its coefficients c are scaled to integers by the lcm L of
-    their denominators, and with (A, E) the enclosure of alpha_k * 2^bits,
-    the ball sum of c (A +- E)^p 2^(-p bits) holds its value times L: its
-    radius adds |c| ((|A| + E)^p - |A|^p), as |x^p - A^p| <= (|A| + E)^p -
-    |A|^p when |x - A| <= E.  It is accepted when radius * 10^(digits+10) <
-    |center| - radius, which also certifies that the value is not 0, and
+    of bits.  Scaled to integers by the lcm L of their denominators, the
+    ball sum of c (A +- E)^p 2^(-p bits), (A, E) the enclosure of
+    alpha_k 2^bits, holds its value times L.  It is accepted when radius
+    10^(digits+10) < |centre| - radius, which also proves it nonzero, and
     divided by L.  Otherwise bits grows by the shortfall read from the bit
-    lengths of center and radius, plus 16 bits as E grows with bits, and by
-    at least twice its last growth: while the enclosure still holds 0, the
-    center is noise and that reading is only a lower bound.  After
-    MAX_ALPHA_PASSES passes PrecisionError is raised.
+    lengths of centre and radius, plus 16 as E grows with bits, and by at
+    least twice its last growth (while the ball holds 0 the centre is
+    noise); after MAX_ALPHA_PASSES passes, PrecisionError.
     """
     scaled = []
     for terms in combos:
@@ -277,9 +267,7 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
     return rows
 
 
-# ---------------------------------------------------------------------------
-# search and table
-# ---------------------------------------------------------------------------
+# -- search and table ---------------------------------------------------------
 
 def _grid_a_max(a_max: int, b_max: int) -> int:
     """The largest a with a cell on the grid: b > 4a needs 4a < b_max."""

@@ -1,14 +1,12 @@
-"""The set of fractional parts certifying extra prime divisors, the finite-n
-prime products Delta and Delta1, and the asymptotic denominator-savings
-constants N1 and N2.
+"""The set Omega of fractional parts certifying extra prime divisors, the
+finite-n prime products Delta and Delta1, and the asymptotic
+denominator-savings constants N1 and N2.
 
-Membership of a rational point num/den is always decided exactly, by integer
-residues mod den derived from the three-group floor inequality (minimized
-over six candidate x values); the interval description produced by
-:func:`compute_omega` exists for the digamma sums, where endpoint closure has
-measure zero, and certifies itself by the Farey-neighbour property.
-Finite-n prime scans never consult the interval set, precisely because
-closure matters there.
+Membership of a point num/den is decided exactly, by integer residues mod
+den from the three-group floor inequality; finite-n prime scans use only
+that, as closure matters there.  The interval description of
+:func:`compute_omega`, which certifies itself by the Farey-neighbour
+property, serves the digamma sums, where closure has measure zero.
 """
 
 from __future__ import annotations
@@ -34,9 +32,7 @@ def _validate_ab(a: int, b: int) -> None:
         raise DomainError(f"need b odd and b > 4a >= 4, got a={a}, b={b}")
 
 
-# ---------------------------------------------------------------------------
-# the floor inequality
-# ---------------------------------------------------------------------------
+# -- the floor inequality -----------------------------------------------------
 
 def _groups(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
     """The three groups (c1, c2, c3) of the floor expression, each
@@ -84,9 +80,7 @@ def omega_contains(a: int, b: int, y: Rat) -> bool:
     return _member(_mod_table(a, b), y.numerator, y.denominator)
 
 
-# ---------------------------------------------------------------------------
-# interval description
-# ---------------------------------------------------------------------------
+# -- interval description -----------------------------------------------------
 
 class Interval(Frozen):
     __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
@@ -103,13 +97,8 @@ class Interval(Frozen):
             raise DomainError("a degenerate interval must be closed")
 
     def contains(self, y: Rat) -> bool:
-        if y < self.lo or y > self.hi:
-            return False
-        if y == self.lo and not self.lo_closed:
-            return False
-        if y == self.hi and not self.hi_closed:
-            return False
-        return True
+        return (self.lo < y < self.hi or y == self.lo and self.lo_closed
+                or y == self.hi and self.hi_closed)
 
     def __str__(self):
         if self.lo == self.hi:
@@ -128,8 +117,7 @@ class IntervalSet:
     def __init__(self, intervals):
         ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
         for prev, cur in zip(ivs, ivs[1:]):
-            # touching is legal only when the shared point is excluded by
-            # both sides; anything else overlaps or should have been merged
+            # touching only where both sides exclude the shared point
             if cur.lo < prev.hi or (cur.lo == prev.hi
                                     and (cur.lo_closed or prev.hi_closed)):
                 raise DomainError("intervals overlap or touch with closure")
@@ -202,8 +190,7 @@ def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> Omega
     decided by itself.  One integer walk decides both and certifies each
     step as it goes: it runs from 0/1 to 1/1, each step joins neighbours
     with q + s > bound, and every coefficient is at most the bound;
-    otherwise CertificateError.  The set depends on (a, b) alone, so it is
-    computed once per process for each (a, b, denominator bound).
+    otherwise CertificateError.  Memoised per (a, b, denominator bound).
     """
     _validate_ab(a, b)
     bound = b if denominator_bound is None else denominator_bound
@@ -257,18 +244,12 @@ def _omega_report(a: int, b: int, bound: int) -> OmegaReport:
                        denominator_bound=bound)
 
 
-# ---------------------------------------------------------------------------
-# finite-n prime products
-# ---------------------------------------------------------------------------
+# -- finite-n prime products --------------------------------------------------
 
 def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
-    """The primes sqrt(bn) < p <= bn whose fractional part {n/p} lies in
-    Omega(a, b), ascending.
-
-    Primes above bn never qualify ({n/p} < 1/b there), and no product below
-    counts a prime p <= sqrt(bn).  Membership is decided pointwise, never via
-    the interval set.
-    """
+    """The primes sqrt(bn) < p <= bn whose {n/p} lies in Omega(a, b),
+    ascending, decided pointwise: primes above bn never qualify ({n/p} < 1/b
+    there), and no product counts a prime p <= sqrt(bn)."""
     _validate_ab(a, b)
     bn = b * n
     if sieve.limit < bn:
@@ -279,10 +260,8 @@ def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
 
 
 def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int, int]:
-    """(Delta, Delta1) for one n: products of the primes whose fractional
-    part {n/p} satisfies the floor inequality, over p > sqrt(bn) and over
-    p > (b-2a)n respectively.
-    """
+    """(Delta, Delta1) for one n: products of the primes with {n/p} in
+    Omega, over p > sqrt(bn) and over p > (b-2a)n respectively."""
     a, b, n = params.a, params.b, params.n
     if sieve is None:
         sieve = PrimeSieve(max(b * n, 10))
@@ -295,9 +274,7 @@ def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int
     return delta, delta1
 
 
-# ---------------------------------------------------------------------------
-# asymptotic constants
-# ---------------------------------------------------------------------------
+# -- asymptotic constants -----------------------------------------------------
 
 def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
     """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta,
@@ -308,10 +285,7 @@ def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
     in Delta.  N2 adds b - 2a for the second lcm plus the large-prime regime
     of Delta1, where {n/p} = n/p makes the density of p > (b-2a)n with
     n/p in [u, v) equal to 1/u - 1/v, restricted to [0, 1/(b-2a)) and with
-    components split at the cut.  Both closed forms are certified against
-    finite-n sieve oracles in the tests before anything downstream trusts
-    them.  The pair is computed once per process for each (a, b,
-    components, digits).
+    components split at the cut.  The tests hold both to finite-n sieves.
     """
     _validate_ab(a, b)
     if digits < 30:

@@ -262,13 +262,18 @@ def test_saddle_certificate_fails_closed():
     # certain, so the other probe alone must reject it
     x = _x_numeric(6, 60)
     x_lo, x_hi = x.bounds()
+    w = asymptotics._saddle_bits(x, 60)
+
+    def solve(lo, hi):
+        return asymptotics._certified_solve(1, 7, (x.man, x.exp), 60, lo, hi, w)
+
     shift, wide = F(1, 10**40), F(1, 10**3)
     for xb in ((x_lo + shift, x_hi + shift), (x_lo, x_lo + wide),
                (x_hi - wide, x_hi)):
         # a solve certified for the true enclosure must not serve another
-        saddle_real(1, 7, x, 60, x_bounds=(x_lo, x_hi))
+        solve(x_lo, x_hi)
         with pytest.raises(PrecisionError):
-            saddle_real(1, 7, x, 60, x_bounds=xb)
+            solve(*xb)
 
 
 def test_guard_digits_only_near_one():
@@ -456,7 +461,7 @@ def test_deflation_bounds_hold_the_other_roots(k, a, b):
     digits = 60
     x = _x_numeric(k, digits)
     w = asymptotics._saddle_bits(x, digits)
-    z0, _, _, box = asymptotics._solve_cubic(a, b, x, digits, None, w)
+    z0, _, _, box = asymptotics._solve_cubic(a, b, x, digits, w)
     (s_lo, p_lo), (s_hi, p_hi) = asymptotics._deflation_bounds(a, b, box, w)
     with mp.workdps(digits + 30):
         roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, mp.mpf(x)), digits + 20)
@@ -467,14 +472,13 @@ def test_deflation_bounds_hold_the_other_roots(k, a, b):
             assert hi - lo < 2 ** (w - 190)
 
 
-def _box(a, b, x, digits):
-    """The box the radii are taken over, as the solve states it: the
-    bracket (zn -/+ en)/2^e the probes certify, and the hull of x's
-    enclosure and x."""
-    w = asymptotics._saddle_bits(x, digits)
-    *_, (zn, en, e, x_lo, x_hi, _) = asymptotics._solve_cubic(a, b, x, digits,
-                                                              None, w)
-    return F(zn - en, 2**e), F(zn + en, 2**e), x_lo, x_hi
+def _box(x, z0, digits):
+    """The box the radii are taken over, rebuilt from what the solve states:
+    the bracket z0 (1 -/+ 10^-(digits+5)/2) the probes certify, and the hull
+    of x's enclosure and x."""
+    z, half = z0.centre(), F(1, 2 * 10 ** (digits + 5))
+    (x_lo, x_hi), xf = x.bounds(), x.centre()
+    return z * (1 - half), z * (1 + half), min(x_lo, xf), max(x_hi, xf)
 
 
 @pytest.mark.parametrize("k,a,b", [(6, 1, 7), (8, 1, 13), (6, 2, 23), (12, 1, 13),
@@ -486,10 +490,10 @@ def test_rate_radii_against_the_iv_oracle(k, a, b):
     # within the rate's radius, and the radius is no wider than it
     digits = 60
     x = _x_numeric(k, digits)
-    _, m1 = saddle_real(a, b, x, digits)
+    z0, m1 = saddle_real(a, b, x, digits)
     _, m2 = saddle_complex(a, b, x, digits)
     dps = 200 + len(str(k))
-    enclosures = saddle_rates_iv(a, b, *_box(a, b, x, digits), dps)
+    enclosures = saddle_rates_iv(a, b, *_box(x, z0, digits), dps)
     for rate, enclosure in zip((m1, m2), enclosures):
         with mp.workdps(dps):
             rate, radius = mp.mpf(rate), mp.mpf(rate.radius())
