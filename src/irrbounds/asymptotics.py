@@ -1,30 +1,27 @@
 """Digamma at rational arguments, the saddle-point cubic whose real and
 complex roots give the growth and decay rates M1 and M2, and the
-scaling-rate constants K1 and K2, on Python ints: each a
-:class:`fixed.Ball` with a radius proved end to end.
+scaling-rate constants K1 and K2: each a :class:`fixed.Ball` with a radius
+proved end to end, on Python ints alone (no ``fractions``).
 
 Digamma comes from Gauss's digamma theorem, one memoised row of cosines and
 log-sines per denominator and precision.  The saddle root beyond b is found
-by Newton and certified by two exact probes for every x in a rational
-enclosure; near x = 1 the working precision carries guard digits.
-alpha_value, by mpmath, is the test oracle of measures._alpha_fixed.
+by Newton and certified by two exact probes for every x in an enclosure
+whose ends are int pairs; near x = 1 the working precision carries guard
+digits.  alpha_value, by mpmath, is the test oracle of measures._alpha_fixed.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, NonApplicableError, PrecisionError
-from .exact_arith import Rat
-from .fixed import (Ball, cos_2pi, euler_fixed, icbrt, ln_fixed, pi_fixed,
-                    prec_of)
+from .exact_arith import as_pair, icbrt
+from .fixed import Ball, cos_2pi, euler_fixed, ln_fixed, pi_fixed, prec_of
 
-__all__ = [
-    "digamma", "alpha_value", "saddle_real", "saddle_complex", "k_constants",
-]
+__all__ = ["digamma", "alpha_value", "saddle_real", "saddle_complex",
+           "k_constants"]
 
 
 # -- digamma at rational arguments --------------------------------------------
@@ -35,18 +32,18 @@ __all__ = [
 MAX_DIGAMMA_SHIFT = 10_000
 
 
-def digamma(x: Rat, digits: int) -> Ball:
-    """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1, by Gauss's
-    digamma theorem: a ball of radius at most 2^-prec, prec the bits of
-    digits + 10 digits (:func:`_psi`).  Euler's constant is held to 2048
-    bits, so above about 560 digits it raises PrecisionError."""
-    x = Fraction(x)
-    if x <= 0:
+def digamma(x, digits: int) -> Ball:
+    """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1 in lowest terms
+    (exact_arith.as_pair), by Gauss's digamma theorem: a ball of radius at
+    most 2^-prec, prec the bits of digits + 10 digits (:func:`_psi`).
+    Euler's constant has 2048 bits: PrecisionError above about 560 digits."""
+    num, den = as_pair(x)
+    if num <= 0:
         raise DomainError(f"digamma requires a positive argument, got {x}")
-    if x.numerator // x.denominator > MAX_DIGAMMA_SHIFT:
+    if num // den > MAX_DIGAMMA_SHIFT:
         raise DomainError(f"digamma needs an integer part of at most "
-                          f"{MAX_DIGAMMA_SHIFT}, got {x.numerator // x.denominator}")
-    return _psi(x.numerator, x.denominator, digits)
+                          f"{MAX_DIGAMMA_SHIFT}, got {num // den}")
+    return _psi(num, den, digits)
 
 
 @lru_cache(maxsize=None)
@@ -176,12 +173,10 @@ def _cleared_cubic(a: int, b: int, zn: int, zd: int, xn: int, xd: int) -> int:
     return xn * g - xd * h
 
 
-def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo: Fraction,
-                    x_hi: Fraction) -> int | None:
+def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo, x_hi) -> int | None:
     """Sign of the cleared cubic at z = zn/zd (zd > 0), certain for every x
-    in [x_lo, x_hi] (the cubic is linear in x); None when it is not."""
-    lo, hi = (_cleared_cubic(a, b, zn, zd, x.numerator, x.denominator)
-              for x in (x_lo, x_hi))
+    in [x_lo, x_hi], int pairs (it is linear in x); None when it is not."""
+    lo, hi = (_cleared_cubic(a, b, zn, zd, *x) for x in (x_lo, x_hi))
     return 1 if lo > 0 < hi else -1 if lo < 0 > hi else None
 
 
@@ -215,16 +210,17 @@ def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
     return Ball(z, -shift).rnd(prec)
 
 
-def _newton_start(a: int, b: int, x: Fraction, prec: int) -> tuple[int, int]:
-    """Start (m, e) of the integer Newton for the root beyond b: Newton in
-    doubles from the proven bound b/(1 - x^(1/3)), or where doubles fail
-    (float(x) rounds to 1 at huge k) or end at or below b, the bound rounded
-    as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4 bits or more
-    and a sticky bit.  The start sets the speed, never the result."""
+def _newton_start(a: int, b: int, x, prec: int) -> tuple[int, int]:
+    """Start (m, e) of the integer Newton for the root beyond b at an exact
+    x (as_pair): Newton in doubles from the proven bound b/(1 - x^(1/3)), or
+    where doubles fail (x rounds to 1 at huge k) or end at or below b, the
+    bound rounded as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4
+    bits or more and a sticky bit.  The start sets the speed, not the result."""
+    xn, xd = as_pair(x)
     try:
-        xd = float(x)
-        c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xd)
-        z = b / (1 - xd ** (1 / 3))
+        xf = xn / xd
+        c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xf)
+        z = b / (1 - xf ** (1 / 3))
         for _ in range(100):
             step = ((((c3 * z + c2) * z + c1) * z + c0)
                     / ((3 * c3 * z + 2 * c2) * z + c1))
@@ -236,9 +232,9 @@ def _newton_start(a: int, b: int, x: Fraction, prec: int) -> tuple[int, int]:
     if math.isfinite(z) and z > b:
         num, den = z.as_integer_ratio()
         return num, 1 - den.bit_length()
-    t = prec + 4 + max(0, x.denominator.bit_length() - x.numerator.bit_length()) // 3
-    root = icbrt((x.numerator << 3 * t) // x.denominator)
-    if root ** 3 * x.denominator != x.numerator << 3 * t:
+    t = prec + 4 + max(0, xd.bit_length() - xn.bit_length()) // 3
+    root = icbrt((xn << 3 * t) // xd)
+    if root ** 3 * xd != xn << 3 * t:
         root, t = 2 * root + 1, t + 1
     bound = Ball(b).div((1 - Ball(root, -t).rnd(prec)).rnd(prec), prec)
     return bound.man, bound.exp
@@ -249,7 +245,7 @@ def _solve_cubic(a: int, b: int, x, digits: int, w: int):
     one at w bits): the real root z0 > b of the saddle cubic at x's centre,
     the other two roots' sum s = -c2/c3 - z0 and product p = -c0/(c3 z0),
     and the box (zn, en, e, x_lo, x_hi, x_ball): the root's certified
-    bracket [(zn -/+ en)/2^e], zn/2^e = z0, x's enclosure and x's ball.
+    bracket [(zn -/+ en)/2^e], zn/2^e = z0, x's ends as int pairs and ball.
 
     The cubic is z(z-a)(z-2a) (x - f(z)), f(z) = (z-(b-2a))(z-(b-a))(z-b) /
     (z(z-a)(z-2a)).  On z > b each factor (z-r)/(z-c) of f has r > c >= 0
@@ -266,7 +262,6 @@ def _solve_cubic(a: int, b: int, x, digits: int, w: int):
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
     if not isinstance(x, Ball):
-        x = Fraction(x)
         x = Ball(x.numerator).div(x.denominator, w)
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
@@ -275,15 +270,15 @@ def _solve_cubic(a: int, b: int, x, digits: int, w: int):
 
 @lru_cache(maxsize=1)
 def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
-                     x_lo: Fraction, x_hi: Fraction, prec: int):
+                     x_lo, x_hi, prec: int):
     x = Ball(*x_dyadic)
-    xf = x.centre()
+    (ln, ld), (hn, hd) = x_lo, x_hi = as_pair(x_lo), as_pair(x_hi)
     c3, c2, c1, c0 = ((c if isinstance(c, Ball) else Ball(c)).rnd(prec)
                       for c in _real_cubic_coeffs(a, b, x))
     # the deflation needs z0 to absolute, not relative, accuracy: its
     # z0 ~ 1/(1 - x) costs the guard digits once more
-    z0 = _newton_polish((c3, c2, c1, c0), _newton_start(a, b, xf, prec), prec,
-                        digits + 10 + guard_digits(1 - xf))
+    z0 = _newton_polish((c3, c2, c1, c0), _newton_start(a, b, x.centre(), prec),
+                        prec, digits + 10 + guard_digits(1 - x))
     e = max(0, -z0.exp)
     zn, zd = z0.man << z0.exp + e, 1 << e
     en = -(-zn // (2 * 10 ** (digits + 5)))
@@ -291,10 +286,9 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
             and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
             and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
         raise PrecisionError(f"saddle root {z0.to_str(20)} beyond b={b} not "
-                             f"certified for x in [{float(x_lo)}, {float(x_hi)}]")
-    if not 0 < x_lo <= x_hi < 1:
-        raise PrecisionError(f"x's enclosure [{float(x_lo)}, {float(x_hi)}] "
-                             "leaves (0, 1)")
+                             f"certified for x in [{ln / ld}, {hn / hd}]")
+    if not 0 < ln * hd <= hn * ld < hd * ld:
+        raise PrecisionError(f"x's enclosure [{ln / ld}, {hn / hd}] leaves (0, 1)")
     s = ((-c2).div(c3, prec) - z0).rnd(prec)
     p = (-c0).div((c3 * z0).rnd(prec), prec)
     return z0, s, p, (zn, en, e, x_lo, x_hi, x.spanning(x_lo, x_hi))
@@ -302,15 +296,15 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
 
 def guard_digits(gap) -> int:
     """Working digits to add to the saddle solve at x = 1 - gap (a ball's
-    centre or an exact rational).  The root beyond b is about
+    centre or an exact rational, as_pair).  The root beyond b is about
     3(b - 2a)/(1 - x), so a relative error e in x moves it by about
     e/(1 - x) relative: past 1/(1 - x) = 10^8 each decimal costs one digit,
     max(0, ceil(log10(1/gap)) - 8).  1 - x_k is about sqrt(2/k): no guard
     for k <= 10^16."""
-    gap = gap.centre() if isinstance(gap, Ball) else Fraction(gap)
-    if gap <= 0 or gap * 10**8 >= 1:
+    num, den = as_pair(gap.centre() if isinstance(gap, Ball) else gap)
+    if num <= 0 or num * 10**8 >= den:
         return 0
-    return len(str(-(-gap.denominator // gap.numerator) - 1)) - 8
+    return len(str(-(-den // num) - 1)) - 8
 
 
 def _saddle_bits(x, digits: int) -> int:
@@ -349,8 +343,7 @@ def _deflation_bounds(a: int, b: int, box, w: int):
     r1, r2, r3 = b - 2 * a, b - a, b
     q, c0 = r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
     bounds = []
-    for x, z, up in ((x_lo, zn + en, False), (x_hi, zn - en, True)):
-        xn, xd = x.numerator, x.denominator
+    for (xn, xd), z, up in ((x_lo, zn + en, False), (x_hi, zn - en, True)):
         den = (xd - xn) * z * z
         bounds.append([-(-v // den) if up else v // den for v in (
             (q * xd * z - 2 * a * a * xn * z - (c0 * xd << e)) << w + e,

@@ -1,16 +1,12 @@
 """Command-line front end, on the standard library's argparse.
 
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
-columns), csv, json.  Exit codes: 0 success, 1 usage/validation error,
-2 inapplicable parameters, 3 integrality verification failure, 4 a
-certificate did not hold (a published value's radius was wider than
-10^-(digits-5) of it, the sign of M2+K+N or of the saddle cubic's
-discriminant was left open by the radii, the saddle root's certificate or
-Omega's Farey-neighbour certificate failed, or the enclosure of a form in
-alpha_k was still too wide after its last pass).
-Usage errors, --print-digits above --digits - 5 (more digits than the
-enclosures certify) among them, are refused before any work with one
-stderr line, ``Error: <message>``, and nothing on stdout.
+columns), csv, json.  Exit codes (:data:`EXIT_CODES`): 0 success, 1 usage
+or validation error, 2 inapplicable parameters, 3 integrality failure, 4 a
+certificate did not hold (a radius too wide for its digits or for a sign,
+the saddle root's or Omega's certificate, a form's alpha_k enclosure).
+Usage errors, --print-digits above --digits - 5 among them, are refused
+before any work with one stderr line, ``Error: <message>``, and no stdout.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
@@ -27,7 +23,7 @@ import sys
 
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
-from .exact_arith import Params, format_int, format_rat
+from .exact_arith import Params
 from .fixed import certify
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
@@ -46,8 +42,8 @@ MAX_DIGITS = 500
 # each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
-# cap admits b up to 203, and that grid of 100 cells takes 2.7-3.1 s per
-# process at the default digits on the same machine, and 7.1-8.6 s with a
+# cap admits b up to 203, and that grid of 100 cells takes 1.6-2.0 s per
+# process at the default digits on the same machine, and 5.8-8.1 s with a
 # 29 MB peak at --digits 500.
 MAX_SEARCH_CELLS = 100
 
@@ -174,6 +170,8 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run the exact integrality pipeline and report the form decay."""
+    from .rational import format_int
+
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
     try:
         ns = [int(s) for s in args.n.split(",") if s.strip()]
@@ -210,6 +208,8 @@ def cmd_verify(args) -> int:
 
 def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
+    from .rational import format_rat
+
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     report = compute_omega(a, b)
     n1, n2 = n_constants(a, b, report.omega, digits)

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from fractions import Fraction
-
 
 class DomainError(ValueError):
     """Operation applied outside its mathematical domain."""
@@ -16,13 +14,12 @@ class IntegralityError(ArithmeticError):
     either the construction's integrality guarantee or the code is wrong."""
 
     def __init__(self, quantity: str, value):
-        # imported here: exact_arith imports this module
-        from .exact_arith import format_rat
+        # imported here, as rational imports this module; format_rat is not
+        # cut off at str()'s 4300-digit limit
+        from .rational import Rat, format_rat
 
-        self.quantity = quantity
-        self.value = value
-        # format_rat is not cut off at str()'s 4300-digit limit
-        shown = format_rat(value) if isinstance(value, (int, Fraction)) else value
+        self.quantity, self.value = quantity, value
+        shown = format_rat(value) if isinstance(value, (int, Rat)) else value
         super().__init__(f"{quantity} is not an integer: {shown}")
 
 

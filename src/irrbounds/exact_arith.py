@@ -1,23 +1,39 @@
-"""Exact arithmetic substrate: rationals, quadratic extensions, prime sieve,
-lcm(1..n), ``Frozen``, the base of the package's immutable records, and
-``Params``, the construction parameters every layer validates.
-
-``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps
-values canonical (gcd-reduced, positive denominator).  Everything here is
-immutable after construction and safe to share between workers.
-"""
+"""Exact integer substrate, which every command loads: rationals as int
+pairs (:func:`as_pair`), the integer cube root, the prime sieve, lcm(1..n),
+``Frozen``, the base of the package's immutable records, and ``Params``.
+The ``Fraction`` names (``Rat``, ``QuadRat``, ``sqrt_bounds``,
+``format_int``, ``format_rat``) load :mod:`.rational` on first access
+(PEP 562), so the bound commands import neither ``fractions`` nor
+``decimal``.  All of it is immutable and safe to share between workers."""
 
 from __future__ import annotations
 
-from decimal import Decimal
-from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, SieveCapacityError
 
-Rat = Fraction
-
 DEFAULT_SIEVE_LIMIT = 2_000_000
+
+
+def __getattr__(name):
+    if name in ("QuadRat", "Rat", "format_int", "format_rat", "sqrt_bounds"):
+        from . import rational
+        return getattr(rational, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def as_pair(x) -> tuple[int, int]:
+    """An exact rational as the int pair (num, den), den > 0: a pair as it
+    is, an int or a Fraction by its numerator and denominator."""
+    return x if isinstance(x, tuple) else (x.numerator, x.denominator)
+
+
+def icbrt(n: int) -> int:
+    """floor(n^(1/3)) for an int n > 0, by integer Newton from above."""
+    y = 1 << -(-n.bit_length() // 3)
+    while (z := (2 * y + n // (y * y)) // 3) < y:
+        y = z
+    return y
 
 
 class Frozen:
@@ -95,162 +111,6 @@ class Params(Frozen):
     @property
     def half_bn1(self) -> int:
         return (self.b * self.n + 1) // 2
-
-
-# -- rational helpers ---------------------------------------------------------
-
-def format_int(x: int) -> str:
-    """Decimal digits of an exact integer, through Decimal: not cut off at
-    str()'s 4300-digit limit, which the verify integers pass."""
-    return str(Decimal(x))
-
-
-def format_rat(x: Rat) -> str:
-    """Render as ``num/den`` (plain ``num`` when the denominator is 1),
-    through :func:`format_int`, so without the 4300-digit limit."""
-    if x.denominator == 1:
-        return format_int(x.numerator)
-    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
-
-
-def sqrt_bounds(d: int, digits: int) -> tuple[Rat, Rat]:
-    """Exact rational bounds lo <= sqrt(d) <= hi sharing denominator 10^digits."""
-    if d < 0:
-        raise DomainError("sqrt of a negative integer")
-    scale = 10**digits
-    root = isqrt(d * scale * scale)
-    lo = Fraction(root, scale)
-    hi = lo if root * root == d * scale * scale else Fraction(root + 1, scale)
-    return lo, hi
-
-
-# -- quadratic extension Q(sqrt(D)) -------------------------------------------
-
-class QuadRat:
-    """u + v*sqrt(D) with exact rational parts and a fixed positive integer D.
-    A perfect-square D folds v into u at construction, so degenerate k = 4
-    (D = 9) takes the generic paths; values with v == 0 combine with any D.
-    """
-
-    __slots__ = ("u", "v", "D")
-
-    def __init__(self, u, v=0, D: int = 1):
-        if D < 1:
-            raise DomainError(f"D must be a positive integer, got {D}")
-        u, v = Fraction(u), Fraction(v)
-        r = isqrt(D)
-        if r * r == D and v:
-            u, v = u + v * r, Fraction(0)
-        self.u = u
-        self.v = v
-        self.D = D
-
-    @classmethod
-    def sqrt_d(cls, D: int) -> "QuadRat":
-        """The element sqrt(D) itself (collapses when D is a perfect square)."""
-        return cls(0, 1, D)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.v == 0
-
-    def _join_d(self, other: "QuadRat") -> int:
-        if self.D == other.D:
-            return self.D
-        if self.v == 0:
-            return other.D
-        if other.v == 0:
-            return self.D
-        raise DomainError(f"mismatched radicands: {self.D} vs {other.D}")
-
-    def _coerce(self, other) -> "QuadRat":
-        if isinstance(other, QuadRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRat(other, 0, self.D)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRat(self.u + o.u, self.v + o.v, self._join_d(o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return QuadRat(-self.u, -self.v, self.D)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        D = self._join_d(o)
-        return QuadRat(self.u * o.u + D * self.v * o.v,
-                       self.u * o.v + self.v * o.u, D)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadRat":
-        n = self.norm()
-        if n == 0:
-            raise DomainError("inverse of zero (or of a zero-norm element)")
-        return QuadRat(self.u / n, -self.v / n, self.D)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int) -> "QuadRat":
-        if not isinstance(e, int):
-            raise DomainError("QuadRat powers must be integers")
-        base = self.inverse() if e < 0 else self
-        e = abs(e)
-        out = QuadRat(1, 0, self.D)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def conj(self) -> "QuadRat":
-        return QuadRat(self.u, -self.v, self.D)
-
-    def norm(self) -> Rat:
-        return self.u * self.u - self.D * self.v * self.v
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.u != o.u or self.v != o.v:
-            return False
-        return self.v == 0 or self.D == o.D
-
-    def __hash__(self):
-        if self.v == 0:
-            return hash(self.u)
-        return hash((self.u, self.v, self.D))
-
-    def __bool__(self):
-        return bool(self.u) or bool(self.v)
-
-    def __repr__(self):
-        if self.v == 0:
-            return f"QuadRat({format_rat(self.u)})"
-        return f"QuadRat({format_rat(self.u)} + {format_rat(self.v)}*sqrt({self.D}))"
 
 
 # -- primes and d_n = lcm(1..n) -----------------------------------------------

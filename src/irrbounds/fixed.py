@@ -15,13 +15,13 @@ literal.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, total_ordering
 
 from .errors import PrecisionError
+from .exact_arith import as_pair
 
 __all__ = ["Ball", "certify", "prec_of", "ln_fixed", "pi_fixed", "cos_2pi",
-           "euler_fixed", "icbrt"]
+           "euler_fixed"]
 
 
 def prec_of(digits: int) -> int:
@@ -159,14 +159,6 @@ def euler_fixed(prec: int) -> int:
     return _EULER >> 2048 - prec
 
 
-def icbrt(n: int) -> int:
-    """floor(n^(1/3)) for an int n > 0, by integer Newton from above."""
-    y = 1 << -(-n.bit_length() // 3)
-    while (z := (2 * y + n // (y * y)) // 3) < y:
-        y = z
-    return y
-
-
 @total_ordering
 class Ball:
     """The real interval [man - rad, man + rad] 2^exp, rad >= 0; compared
@@ -179,17 +171,21 @@ class Ball:
 
     def spanning(self, lo, hi, exp: int = 0) -> Ball:
         """The ball of this centre, in units 2^32 times finer, that holds
-        [lo, hi] 2^exp (ints or Fractions)."""
-        man, scale = self.man << 32, Fraction(2) ** (exp - self.exp + 32)
-        return Ball(man, self.exp - 32,
-                    math.ceil(max(man - lo * scale, hi * scale - man, 0)))
+        [lo, hi] 2^exp (exact_arith.as_pair): radius max(man - floor(lo 2^s),
+        ceil(hi 2^s) - man, 0), s = exp - self.exp + 32, in ints."""
+        man, s = self.man << 32, exp - self.exp + 32
+        t = max(0, -s)
+        (ln, ld), (hn, hd) = as_pair(lo), as_pair(hi)
+        return Ball(man, self.exp - 32, max(man - (ln << s + t) // (ld << t),
+                                            -((-hn << s + t) // (hd << t)) - man, 0))
 
-    def centre(self) -> Fraction:
-        return self.man * Fraction(2) ** self.exp
+    def centre(self):
+        """The exact centre as an int pair (num, den)."""
+        return self.man << max(self.exp, 0), 1 << max(-self.exp, 0)
 
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        scale = Fraction(2) ** self.exp
-        return (self.man - self.rad) * scale, (self.man + self.rad) * scale
+    def bounds(self):
+        """The exact ends as int pairs (num, den)."""
+        return (self - self.radius()).centre(), (self + self.radius()).centre()
 
     def radius(self) -> Ball:
         return Ball(self.rad, self.exp)
@@ -243,11 +239,11 @@ class Ball:
     def __eq__(self, other):
         return NotImplemented if (c := self._cmp(other)) is None else c == 0
 
-    def __hash__(self):
-        return hash(self.centre())
+    def __hash__(self):  # the centre's, m 2^e mod 2^61 - 1 (or 2^31 - 1)
+        return hash(self.man << self.exp % 1891)  # 2^1891 = 2^(61*31) = 1 there
 
-    def __float__(self):
-        return float(self.centre())
+    def __float__(self):  # as Fraction's: the int quotient, correctly rounded
+        return int.__truediv__(*self.centre())
 
     @property
     def _mpf_(self):  # the exact centre, as mpmath converts it (tests)

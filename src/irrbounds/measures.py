@@ -11,21 +11,18 @@ one fixed-point integer enclosure of alpha_k * 2^M.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm, log, nan
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
 from .exact_arith import Frozen, Params, PrimeSieve
 from .fixed import Ball, certify, prec_of
-from .omega import compute_omega, delta_products, n_constants
+from .omega import delta_products, n_constants, omega_runs
 
-__all__ = [
-    "BoundResult", "VerificationRow", "TableRow",
-    "mu_bound", "mu2_bound", "verify_forms", "search_params",
-    "predicted_decay", "headline_table", "table_row", "HEADLINE_KS",
-    "is_degenerate", "grid_size",
-]
+__all__ = ["BoundResult", "VerificationRow", "TableRow", "mu_bound",
+           "mu2_bound", "verify_forms", "search_params", "predicted_decay",
+           "headline_table", "table_row", "HEADLINE_KS", "is_degenerate",
+           "grid_size"]
 
 # k values of the headline table, with the parameter choices that produce it:
 # (1, 7) for every irrationality bound; non-quadraticity bounds exist for the
@@ -81,7 +78,7 @@ def _x_numeric(k: int, digits: int) -> Ball:
     1 - x_k >= (isqrt(2k+1) - 1)/k (asymptotics.guard_digits): so its
     rounding moves the saddle root by under 10^-(digits+7) relative."""
     d = 2 * k + 1
-    p = prec_of(digits + 10 + guard_digits(Fraction(isqrt(d) - 1, k * 10**5)))
+    p = prec_of(digits + 10 + guard_digits((isqrt(d) - 1, k * 10**5)))
     return (k + 1 - Ball(d).rnd(p).sqrt(p)).rnd(p).div(Ball(k).rnd(p), p)
 
 
@@ -91,7 +88,7 @@ def _constants(k: int, a: int, b: int, digits: int):
     _, m1 = saddle_real(a, b, x, digits)
     _, m2 = saddle_complex(a, b, x, digits)
     k1, k2 = k_constants(k, a, b, digits)
-    n1, n2 = n_constants(a, b, compute_omega(a, b).omega, digits)
+    n1, n2 = n_constants(a, b, omega_runs(a, b), digits)
     return m1, m2, k1, k2, n1, n2
 
 
@@ -190,10 +187,10 @@ def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
 
 def _alpha_combinations(k: int, combos, digits: int,
                         depth: int = 0) -> list[Ball]:
-    """each sum of c * alpha_k^p over exact (c, p) pairs, p in {0, 1, 2},
-    one list of pairs per combination, certified to 10^-(digits+10)
-    relative and nonzero, as a ball at digits + 10 digits; ``depth`` bits
-    widen the first pass for sums near 2^-depth.
+    """each sum of c * alpha_k^p over (c, p) pairs, c an int or Fraction and
+    p in {0, 1, 2}, one list of pairs per combination, certified to
+    10^-(digits+10) relative and nonzero, as a ball at digits + 10 digits;
+    ``depth`` bits widen the first pass for sums near 2^-depth.
 
     A combination is exponentially small against coefficients of thousands
     of bits.  Scaled to integers by the lcm L of their denominators, the
@@ -203,11 +200,9 @@ def _alpha_combinations(k: int, combos, digits: int,
     divided by L.  Otherwise bits grows by the shortfall read from the bit
     lengths of centre and radius, plus 16 as E grows with bits, and by at
     least twice its last growth (while the ball holds 0 the centre is
-    noise); after MAX_ALPHA_PASSES passes, PrecisionError.
-    """
+    noise); after MAX_ALPHA_PASSES passes, PrecisionError."""
     scaled = []
     for terms in combos:
-        terms = [(Fraction(c), p) for c, p in terms]
         den = lcm(*(c.denominator for c, _ in terms))
         scaled.append((den, [(c.numerator * (den // c.denominator), p)
                              for c, p in terms]))
@@ -284,8 +279,10 @@ def grid_size(a_max: int, b_max: int) -> int:
 
 def search_params(k: int, a_max: int, b_max: int, digits: int = 60,
                   quadratic: bool = False) -> list[BoundResult]:
-    """All applicable (a, b) cells on the grid, ascending by bound; ties break
-    toward smaller b, then smaller a."""
+    """All applicable (a, b) cells on the grid, ascending by the bound's
+    centre, equal centres toward smaller b, then smaller a.  Equal bounds,
+    as scale invariance makes (1, 5) and (3, 15), mostly differ in their
+    rounded centres' last bit, which then orders them, not b or a."""
     out = []
     fn = mu2_bound if quadratic else mu_bound
     for a in range(1, _grid_a_max(a_max, b_max) + 1):

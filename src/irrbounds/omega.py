@@ -2,29 +2,26 @@
 finite-n prime products Delta and Delta1, and the asymptotic
 denominator-savings constants N1 and N2.
 
-Membership of a point num/den is decided exactly, by integer residues mod
-den from the three-group floor inequality; finite-n prime scans use only
-that, as closure matters there.  The interval description of
-:func:`compute_omega`, which certifies itself by the Farey-neighbour
-property, serves the digamma sums, where closure has measure zero.
+Membership of num/den is decided by integer residues mod den from the
+three-group floor inequality, as the prime scans need.  One walk certified
+by the Farey-neighbour property yields Omega's runs as int pairs
+(:func:`omega_runs`) for the digamma sums and N2's exact large-prime sum;
+only :func:`compute_omega` (omega's printing, the tests) makes ``Fraction``
+intervals of them, so only it loads ``fractions``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CertificateError, DomainError, SieveCapacityError
-from .exact_arith import Frozen, Params, PrimeSieve, Rat, format_rat
+from .exact_arith import Frozen, Params, PrimeSieve, as_pair
 from .fixed import Ball, prec_of
 
-__all__ = [
-    "Interval", "IntervalSet", "OmegaReport",
-    "omega_contains",
-    "compute_omega", "delta_products", "n_constants",
-]
+__all__ = ["Interval", "IntervalSet", "OmegaReport", "omega_contains",
+           "omega_runs", "compute_omega", "delta_products", "n_constants"]
 
 
 def _validate_ab(a: int, b: int) -> None:
@@ -74,18 +71,18 @@ def _member(table, num: int, den: int) -> bool:
     return True
 
 
-def omega_contains(a: int, b: int, y: Rat) -> bool:
-    """Pointwise membership test (the authoritative one for prime products)."""
-    y = Fraction(y)
-    return _member(_mod_table(a, b), y.numerator, y.denominator)
+def omega_contains(a: int, b: int, y) -> bool:
+    """Pointwise membership test (the authoritative one for prime products)
+    of an exact rational y (:func:`exact_arith.as_pair`)."""
+    return _member(_mod_table(a, b), *as_pair(y))
 
 
 # -- interval description -----------------------------------------------------
 
 class Interval(Frozen):
     __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
-    lo: Rat
-    hi: Rat
+    lo: Fraction
+    hi: Fraction
     lo_closed: bool
     hi_closed: bool
 
@@ -96,11 +93,13 @@ class Interval(Frozen):
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise DomainError("a degenerate interval must be closed")
 
-    def contains(self, y: Rat) -> bool:
+    def contains(self, y: Fraction) -> bool:
         return (self.lo < y < self.hi or y == self.lo and self.lo_closed
                 or y == self.hi and self.hi_closed)
 
     def __str__(self):
+        from .rational import format_rat
+
         if self.lo == self.hi:
             return "{%s}" % format_rat(self.lo)
         return "%s%s, %s%s" % ("[" if self.lo_closed else "(",
@@ -108,10 +107,11 @@ class Interval(Frozen):
                                ")" if not self.hi_closed else "]")
 
 
-class IntervalSet:
+class IntervalSet(Frozen):
     """Sorted, pairwise-disjoint rational-endpoint subintervals of [0, 1);
     immutable, as :func:`compute_omega` shares one instance per (a, b)."""
 
+    __slots__ = ("intervals",)
     intervals: tuple[Interval, ...]
 
     def __init__(self, intervals):
@@ -124,31 +124,19 @@ class IntervalSet:
         for iv in ivs:
             if iv.lo < 0 or iv.hi > 1 or (iv.hi == 1 and iv.hi_closed):
                 raise DomainError("intervals must lie within [0, 1)")
-        object.__setattr__(self, "intervals", tuple(ivs))
+        super().__init__(tuple(ivs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalSet is immutable")
-
-    def contains(self, y: Rat) -> bool:
-        y = Fraction(y)
+    def contains(self, y: Fraction) -> bool:
         return any(iv.contains(y) for iv in self.intervals)
 
-    def total_measure(self) -> Rat:
-        return sum((iv.hi - iv.lo for iv in self.intervals), Fraction(0))
+    def total_measure(self) -> Fraction:
+        return sum(iv.hi - iv.lo for iv in self.intervals)
 
     def __iter__(self):
         return iter(self.intervals)
 
     def __len__(self):
         return len(self.intervals)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        return self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash(self.intervals)
 
     def __str__(self):
         if not self.intervals:
@@ -175,23 +163,23 @@ def _breakpoints(bound: int):
         p, q, r, s = r, s, t * r - p, t * s - q
 
 
-def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> OmegaReport:
-    """Exact interval description of the certifying set.
-
-    For fixed y the min over x reduces to six candidate x values
-    (:func:`_candidates`).  At those candidates every floor term is [m*y]
-    for an integer m of :func:`_mod_table` or a difference of two of them,
-    and [m*y] changes only where m*y is an integer: at fractions whose
-    reduced denominator divides |m|.  If p/q < r/s are Farey neighbours
-    (r*q - p*s = 1), every fraction strictly between them has a denominator
-    of at least q + s (Hardy & Wright, Thm. 28).  So on a gap with
-    q + s > bound >= |m| no floor term changes, membership is constant, and
-    the gap's mediant (p + r)/(q + s) decides all of it; each breakpoint is
-    decided by itself.  One integer walk decides both and certifies each
-    step as it goes: it runs from 0/1 to 1/1, each step joins neighbours
-    with q + s > bound, and every coefficient is at most the bound;
-    otherwise CertificateError.  Memoised per (a, b, denominator bound).
-    """
+def omega_runs(a: int, b: int, denominator_bound: int | None = None) -> tuple:
+    """Omega(a, b) as its runs ((lo_num, lo_den), (hi_num, hi_den),
+    lo_closed, hi_closed), ascending, ends in lowest terms.  For fixed y the
+    min over x reduces to six candidate x values (:func:`_candidates`).  At
+    those candidates every floor term is [m*y] for an integer m of
+    :func:`_mod_table` or a difference of two of them, and [m*y] changes
+    only where m*y is an integer: at fractions whose reduced denominator
+    divides |m|.  If p/q < r/s are Farey neighbours (r*q - p*s = 1), every
+    fraction strictly between them has a denominator of at least q + s
+    (Hardy & Wright, Thm. 28).  So on a gap with q + s > bound >= |m| no
+    floor term changes, membership is constant, and the gap's mediant
+    (p + r)/(q + s) decides all of it; each breakpoint is decided by itself.
+    One integer walk decides both and certifies each step as it goes: it
+    runs from 0/1 to 1/1, each step joins neighbours with q + s > bound,
+    every coefficient is at most the bound, and each run's closure flags
+    agree with pointwise membership; otherwise CertificateError.  Memoised
+    per (a, b, denominator bound)."""
     _validate_ab(a, b)
     bound = b if denominator_bound is None else denominator_bound
     if bound < b:
@@ -199,8 +187,23 @@ def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> Omega
     return _omega_report(a, b, bound)
 
 
+def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> OmegaReport:
+    """Exact interval description of the certifying set: :func:`omega_runs`
+    as ``Fraction`` intervals, one shared report per (a, b, runs, bound)."""
+    return _report(a, b, omega_runs(a, b, denominator_bound), denominator_bound or b)
+
+
 @lru_cache(maxsize=None)
-def _omega_report(a: int, b: int, bound: int) -> OmegaReport:
+def _report(a: int, b: int, runs: tuple, bound: int) -> OmegaReport:
+    from fractions import Fraction
+
+    return OmegaReport(a, b, IntervalSet(
+        Interval(Fraction(*lo), Fraction(*hi), *flags) for lo, hi, *flags in runs), bound)
+
+
+@lru_cache(maxsize=None)
+def _omega_report(a: int, b: int, bound: int) -> tuple:
+    """The certified walk of :func:`omega_runs`."""
     table = _mod_table(a, b)
     widest = max(max(abs(m_u), abs(m_w), abs(m_u - m_w))
                  for row in table for m_u, m_w in row)
@@ -232,16 +235,12 @@ def _omega_report(a: int, b: int, bound: int) -> OmegaReport:
                 cur = None
         p, q = r, s
 
-    intervals = [Interval(Fraction(*lo), Fraction(*hi), lo_closed, hi_closed)
-                 for lo, hi, lo_closed, hi_closed in runs]
     # each closure flag against the public predicate at the exact endpoint
-    for iv in intervals:
-        if (omega_contains(a, b, iv.lo) != iv.lo_closed
-                or omega_contains(a, b, iv.hi) != iv.hi_closed):
-            raise CertificateError(f"the closure of {iv} disagrees with "
-                                   "pointwise membership")
-    return OmegaReport(a=a, b=b, omega=IntervalSet(intervals),
-                       denominator_bound=bound)
+    for lo, hi, *flags in runs:
+        if [omega_contains(a, b, lo), omega_contains(a, b, hi)] != flags:
+            raise CertificateError(f"the closure of the run {lo}-{hi} disagrees "
+                                   "with pointwise membership")
+    return tuple(map(tuple, runs))
 
 
 # -- finite-n prime products --------------------------------------------------
@@ -276,40 +275,39 @@ def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int
 
 # -- asymptotic constants -----------------------------------------------------
 
-def n_constants(a: int, b: int, omega: IntervalSet, digits: int):
+def n_constants(a: int, b: int, omega, digits: int):
     """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta,
-    as balls.
-
+    as balls, from Omega's :func:`omega_runs` or an :class:`IntervalSet`.
     N1 = b - sum over components [u, v] of psi(v) - psi(u): the lcm grows at
     rate b while the digamma difference is the density of the primes counted
     in Delta.  N2 adds b - 2a for the second lcm plus the large-prime regime
     of Delta1, where {n/p} = n/p makes the density of p > (b-2a)n with
     n/p in [u, v) equal to 1/u - 1/v, restricted to [0, 1/(b-2a)) and with
-    components split at the cut.  The tests hold both to finite-n sieves.
-    """
+    components split at the cut.  The tests hold both to finite-n sieves."""
     _validate_ab(a, b)
     if digits < 30:
         raise DomainError("digits must be >= 30")
-    return _n_pair(a, b, omega.intervals, digits)
+    if not isinstance(omega, tuple):
+        omega = tuple((as_pair(iv.lo), as_pair(iv.hi), iv.lo_closed, iv.hi_closed)
+                      for iv in omega)
+    return _n_pair(a, b, omega, digits)
 
 
 @lru_cache(maxsize=None)
-def _n_pair(a: int, b: int, components: tuple[Interval, ...], digits: int):
+def _n_pair(a: int, b: int, runs: tuple, digits: int):
     """psi's balls at digits + 10 digits (asymptotics.digamma), summed and
-    differenced, and the exact large-prime part, each rounded at digits + 10
-    digits: ball arithmetic carries the radii."""
+    differenced, and the large-prime part, an exact int-pair sum, each
+    rounded at digits + 10 digits: ball arithmetic carries the radii."""
     from .asymptotics import digamma
 
-    p = prec_of(digits + 10)
-    psi_total = Ball(0)
-    for iv in components:
-        if iv.lo < iv.hi:
-            psi = digamma(iv.hi, digits + 10) - digamma(iv.lo, digits + 10)
+    p, cut = prec_of(digits + 10), b - 2 * a
+    psi_total, num, den = Ball(0), 0, 1  # large-prime part num/den
+    for lo, hi, _, _ in runs:
+        if lo != hi:
+            psi = digamma(hi, digits + 10) - digamma(lo, digits + 10)
             psi_total = (psi_total + psi.rnd(p)).rnd(p)
+        (ln, ld), (hn, hd) = lo, hi if hi[0] * cut <= hi[1] else (1, cut)
+        if ln * hd < hn * ld:  # 1/u - 1/min(v, cut) = (ld hn - hd ln)/(ln hn)
+            num, den = num * ln * hn + (ld * hn - hd * ln) * den, den * ln * hn
     n1 = (b - psi_total).rnd(p)
-
-    cut = Fraction(1, b - 2 * a)
-    large = sum((1 / iv.lo - 1 / min(iv.hi, cut) for iv in components
-                 if iv.lo < min(iv.hi, cut)), Fraction(0))  # exact
-    return n1, ((n1 + (b - 2 * a)).rnd(p)
-                + Ball(large.numerator).div(large.denominator, p)).rnd(p)
+    return n1, ((n1 + cut).rnd(p) + Ball(num).div(den, p)).rnd(p)

@@ -1,0 +1,159 @@
+"""The ``Fraction`` layer: ``Rat`` (:class:`fractions.Fraction`, reduced),
+decimal rendering past str()'s 4300-digit limit, rational square-root
+bounds and :class:`QuadRat`, the field Q(sqrt D) of verify's forms.  Only
+verify, omega's printing and IntegralityError's message import it, and with
+it ``fractions`` and ``decimal``; :mod:`.exact_arith` re-exports its names."""
+
+from decimal import Decimal
+from fractions import Fraction
+from math import isqrt
+
+from .errors import DomainError
+
+Rat = Fraction
+
+
+def format_int(x: int) -> str:
+    """Decimal digits of an exact integer, through Decimal: not cut off at
+    str()'s 4300-digit limit, which the verify integers pass."""
+    return str(Decimal(x))
+
+
+def format_rat(x: Rat) -> str:
+    """Render as ``num/den`` (plain ``num`` when the denominator is 1),
+    through :func:`format_int`, so without the 4300-digit limit."""
+    if x.denominator == 1:
+        return format_int(x.numerator)
+    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
+
+
+def sqrt_bounds(d: int, digits: int) -> tuple[Rat, Rat]:
+    """Exact rational bounds lo <= sqrt(d) <= hi sharing denominator 10^digits."""
+    if d < 0:
+        raise DomainError("sqrt of a negative integer")
+    scale = 10**digits
+    root = isqrt(d * scale * scale)
+    lo = Fraction(root, scale)
+    hi = lo if root * root == d * scale * scale else Fraction(root + 1, scale)
+    return lo, hi
+
+
+class QuadRat:
+    """u + v*sqrt(D) with exact rational parts and a fixed positive integer D.
+    A perfect-square D folds v into u at construction, so degenerate k = 4
+    (D = 9) takes the generic paths; values with v == 0 combine with any D.
+    """
+
+    __slots__ = ("u", "v", "D")
+
+    def __init__(self, u, v=0, D: int = 1):
+        if D < 1:
+            raise DomainError(f"D must be a positive integer, got {D}")
+        u, v = Fraction(u), Fraction(v)
+        r = isqrt(D)
+        if r * r == D and v:
+            u, v = u + v * r, Fraction(0)
+        self.u, self.v, self.D = u, v, D
+
+    @classmethod
+    def sqrt_d(cls, D: int) -> "QuadRat":
+        """The element sqrt(D) itself (collapses when D is a perfect square)."""
+        return cls(0, 1, D)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.v == 0
+
+    def _join_d(self, other: "QuadRat") -> int:
+        if self.D == other.D:
+            return self.D
+        if self.v == 0:
+            return other.D
+        if other.v == 0:
+            return self.D
+        raise DomainError(f"mismatched radicands: {self.D} vs {other.D}")
+
+    def _coerce(self, other) -> "QuadRat":
+        if isinstance(other, QuadRat):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadRat(other, 0, self.D)
+        return NotImplemented
+
+    def __add__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        return QuadRat(self.u + o.u, self.v + o.v, self._join_d(o))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return QuadRat(-self.u, -self.v, self.D)
+
+    def __mul__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        D = self._join_d(o)
+        return QuadRat(self.u * o.u + D * self.v * o.v,
+                       self.u * o.v + self.v * o.u, D)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadRat":
+        n = self.norm()
+        if n == 0:
+            raise DomainError("inverse of zero (or of a zero-norm element)")
+        return QuadRat(self.u / n, -self.v / n, self.D)
+
+    def __truediv__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, e: int) -> "QuadRat":
+        if not isinstance(e, int):
+            raise DomainError("QuadRat powers must be integers")
+        base = self.inverse() if e < 0 else self
+        e = abs(e)
+        out = QuadRat(1, 0, self.D)
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def conj(self) -> "QuadRat":
+        return QuadRat(self.u, -self.v, self.D)
+
+    def norm(self) -> Rat:
+        return self.u * self.u - self.D * self.v * self.v
+
+    def __eq__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        if self.u != o.u or self.v != o.v:
+            return False
+        return self.v == 0 or self.D == o.D
+
+    def __hash__(self):
+        if self.v == 0:
+            return hash(self.u)
+        return hash((self.u, self.v, self.D))
+
+    def __bool__(self):
+        return bool(self.u) or bool(self.v)
+
+    def __repr__(self):
+        if self.v == 0:
+            return f"QuadRat({format_rat(self.u)})"
+        return f"QuadRat({format_rat(self.u)} + {format_rat(self.v)}*sqrt({self.D}))"

@@ -261,7 +261,7 @@ def test_saddle_certificate_fails_closed():
     # uncertified root; widened on one side, it leaves one probe's sign
     # certain, so the other probe alone must reject it
     x = _x_numeric(6, 60)
-    x_lo, x_hi = x.bounds()
+    x_lo, x_hi = (F(*end) for end in x.bounds())
     w = asymptotics._saddle_bits(x, 60)
 
     def solve(lo, hi):
@@ -476,8 +476,8 @@ def _box(x, z0, digits):
     """The box the radii are taken over, rebuilt from what the solve states:
     the bracket z0 (1 -/+ 10^-(digits+5)/2) the probes certify, and the hull
     of x's enclosure and x."""
-    z, half = z0.centre(), F(1, 2 * 10 ** (digits + 5))
-    (x_lo, x_hi), xf = x.bounds(), x.centre()
+    z, half = F(*z0.centre()), F(1, 2 * 10 ** (digits + 5))
+    (x_lo, x_hi), xf = (F(*end) for end in x.bounds()), F(*x.centre())
     return z * (1 - half), z * (1 + half), min(x_lo, xf), max(x_hi, xf)
 
 
@@ -509,7 +509,7 @@ def test_x_enclosure_holds_x_k(digits):
     # t = k + 1 - k x, x <= x_k <= x' means t' <= sqrt(2k+1) <= t
     for k in [*range(1, 60), 10**9, 10**30, 10**300]:
         x_lo, x_hi = _x_numeric(k, digits).bounds()
-        t_hi, t_lo = k + 1 - k * F(x_lo), k + 1 - k * F(x_hi)
+        t_hi, t_lo = k + 1 - k * F(*x_lo), k + 1 - k * F(*x_hi)
         d = 2 * k + 1
         assert t_lo <= 0 or t_lo.numerator ** 2 <= d * t_lo.denominator ** 2
         assert t_hi > 0 and d * t_hi.denominator ** 2 <= t_hi.numerator ** 2

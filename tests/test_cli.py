@@ -406,7 +406,8 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
 
 def _widened(ball, radius):
     """The ball of the same centre with the rational ``radius``."""
-    return ball.spanning(ball.centre() - radius, ball.centre() + radius)
+    centre = Fraction(*ball.centre())
+    return ball.spanning(centre - radius, centre + radius)
 
 
 def test_omega_wide_radius_exit_4(capsys, monkeypatch):
@@ -659,6 +660,41 @@ def test_import_and_help_load_no_unused_module():
         assert code == "0", child.stderr
         assert ("irrbounds.forms" in modules) == loads_forms, argv
         assert "irrbounds.dense" not in modules
+
+
+# a bare interpreter: -I ignores the PYTHON* variables and the user site,
+# and -S skips site, so no .pth file or sitecustomize can load a module
+# ahead of the package (faking a load) or stub one out (hiding it); -B
+# leaves no bytecode in src/
+BARE_RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import irrbounds.cli as cli; "
+            "code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
+            "print(code, *sys.modules, file=sys.stderr)")
+
+
+@pytest.mark.parametrize("argv,loads", [
+    ([], False),
+    (["table", "--paper"], False),
+    (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], False),
+    (["bound", "--k", "6", "--a", "1", "--b", "7"], False),
+    (["omega", "--a", "1", "--b", "7"], True),
+    (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], True),
+], ids=["import", "table", "search", "bound", "omega", "verify"])
+def test_bound_commands_never_load_fractions_or_decimal(argv, loads):
+    # the bound path runs on ints: the import and table, search and bound
+    # leave fractions and decimal unloaded; omega and verify load both,
+    # which shows that the check sees a load
+    bare = subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
+                           "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=60)
+    assert not {"fractions", "decimal"} & set(bare.stdout.split())
+    child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", BARE_RUN,
+                            str(SRC), *argv], capture_output=True, text=True,
+                           timeout=120)
+    code, *modules = child.stderr.split()
+    assert code == "0", child.stderr
+    assert {"fractions", "decimal"} & set(modules) == (
+        {"fractions", "decimal"} if loads else set())
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 to mpmath, the oracle, over random arguments and precisions from 30 to 510
 digits."""
 
+import math
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -13,7 +14,8 @@ from mpmath.libmp import (from_man_exp, mpf_add, mpf_div, mpf_log, mpf_mul,
 
 from irrbounds.asymptotics import guard_digits
 from irrbounds.errors import PrecisionError
-from irrbounds.fixed import (Ball, cos_2pi, euler_fixed, icbrt, ln_fixed,
+from irrbounds.exact_arith import icbrt
+from irrbounds.fixed import (Ball, cos_2pi, euler_fixed, ln_fixed,
                              pi_fixed, prec_of)
 
 DIGITS = st.integers(30, 510)
@@ -109,9 +111,49 @@ def test_ball_centres_round_as_mpmath(am, ae, bm, be, rad, prec, n):
         for got, fn in ((wide.log(prec), mp.log), (wide.sqrt(prec), mp.sqrt),
                         (wide.pow(n, prec), lambda v: v ** n)):
             centre, radius = _exact(got), _exact(got.radius())
-            for end in wide.bounds():
-                value = fn(mp.mpf(end.numerator) / end.denominator)
+            for num, den in wide.bounds():
+                value = fn(mp.mpf(num) / den)
                 assert mp.fabs(value - centre) <= radius
+
+
+ENDS = st.one_of(st.integers(-2**90, 2**90),
+                 st.fractions(-2**90, 2**90, max_denominator=2**200))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(-2**80, 2**80), st.integers(-4000, 4000),
+       st.integers(0, 2**40), ENDS, ENDS, st.integers(-4100, 4100))
+@example(1, 61, 0, 0, 1, 0)
+@example(-3, 1891, 1, F(-1, 3), 5, -4000)
+@example(5, -2000, 0, F(1, 2), F(2, 3), -2100)
+def test_ball_int_views_are_the_fraction_formulas(man, exp, rad, lo, hi, shift):
+    # centre, bounds, float(), hash and spanning on ints and int pairs give
+    # what the Fraction formulas they replace gave, spanning for int and
+    # Fraction ends and scale exponents s = shift - exp + 32 of either sign
+    ball, scale = Ball(man, exp, rad), F(2) ** exp
+    assert F(*ball.centre()) == man * scale
+    assert [F(*end) for end in ball.bounds()] == [(man - rad) * scale,
+                                                   (man + rad) * scale]
+    try:
+        want = float(man * scale)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(ball)
+    else:
+        assert float(ball) == want
+    assert hash(ball) == hash(man * scale)
+    # equal balls at different exponents, and a ball equal to an int
+    finer = Ball(man << 75, exp - 75, rad)
+    assert finer == ball and hash(finer) == hash(ball)
+    if exp >= 0:
+        assert ball == man << exp and hash(ball) == hash(man << exp)
+    lo, hi = min(lo, hi), max(lo, hi)
+    s, m32 = F(2) ** (shift - exp + 32), man << 32
+    want = Ball(m32, exp - 32, math.ceil(max(m32 - lo * s, hi * s - m32, 0)))
+    for ends in ((lo, hi), ((lo.numerator, lo.denominator),
+                            (hi.numerator, hi.denominator))):
+        got = ball.spanning(*ends, shift)
+        assert (got.man, got.exp, got.rad) == (want.man, want.exp, want.rad)
 
 
 @settings(deadline=None, max_examples=300)

@@ -7,7 +7,8 @@ import pytest
 from irrbounds import (CertificateError, DomainError, Params, compute_omega,
                        delta_products, n_constants, omega_contains)
 from irrbounds import omega as omega_module
-from irrbounds.omega import Interval, IntervalSet, _breakpoints
+from irrbounds.fixed import Ball, prec_of
+from irrbounds.omega import Interval, IntervalSet, _breakpoints, omega_runs
 from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
                      floor_sum_min, floor_sum_value, grid_discrepancies,
                      omega_by_fraction_probes)
@@ -108,6 +109,33 @@ def test_walk_matches_the_fraction_probes():
     for a, b in cells + [(1, 203)]:
         assert compute_omega(a, b).omega == omega_by_fraction_probes(a, b, b)
     assert compute_omega(2, 23, 40).omega == omega_by_fraction_probes(2, 23, 40)
+
+
+def test_runs_are_the_fraction_intervals():
+    # the int runs the bound path reads are compute_omega's intervals, end
+    # for end and flag for flag, in lowest terms; N1 and N2 come out ball
+    # for ball from either input, and N2's int-pair large-prime sum is the
+    # Fraction sum it replaced
+    for a in (1, 2, 3):
+        for b in range(4 * a + 1, 42, 2):
+            runs, omega = omega_runs(a, b), compute_omega(a, b).omega
+            assert [(F(*lo), F(*hi), *flags) for lo, hi, *flags in runs] == [
+                (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in omega]
+            assert all(math.gcd(*end) == 1 for lo, hi, _, _ in runs
+                       for end in (lo, hi))
+            balls = []
+            for given in (runs, omega):
+                omega_module._n_pair.cache_clear()
+                balls.append([(v.man, v.exp, v.rad)
+                              for v in n_constants(a, b, given, 40)])
+            assert balls[0] == balls[1]
+            n1, n2 = n_constants(a, b, runs, 40)
+            cut, p = F(1, b - 2 * a), prec_of(50)
+            large = sum((1 / iv.lo - 1 / min(iv.hi, cut) for iv in omega
+                         if iv.lo < min(iv.hi, cut)), F(0))
+            want = ((n1 + (b - 2 * a)).rnd(p)
+                    + Ball(large.numerator).div(large.denominator, p)).rnd(p)
+            assert (n2.man, n2.exp, n2.rad) == (want.man, want.exp, want.rad)
 
 
 # the walk's breakpoints, kept from monkeypatching
