@@ -11,11 +11,10 @@ _EXPORTS = {
                "NonApplicableError", "PrecisionError", "SieveCapacityError"),
     "exact_arith": ("Params", "PrimeSieve", "QuadRat", "Rat", "d_upto"),
     "dense": ("IntPoly", "build_A", "derivative"),
-    "forms": ("IntegerForms", "UVWValues", "eval_UVW", "scaled_integer_forms",
-              "x_point"),
-    "measures": ("BoundResult", "VerificationRow", "headline_table",
-                 "mu2_bound", "mu_bound", "predicted_decay", "search_params",
-                 "verify_forms"),
+    "forms": ("IntegerForms", "UVWValues", "VerificationRow", "eval_UVW",
+              "scaled_integer_forms", "verify_forms", "x_point"),
+    "measures": ("BoundResult", "headline_table", "mu2_bound", "mu_bound",
+                 "predicted_decay", "search_params"),
     "omega": ("IntervalSet", "OmegaReport", "compute_omega", "delta_products",
               "n_constants", "omega_contains"),
 }

@@ -23,11 +23,11 @@ import sys
 
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
-from .exact_arith import Params
+from .exact_arith import Params, format_int
 from .fixed import certify
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
-                       table_row, verify_forms)
+                       table_row)
 from .omega import compute_omega, n_constants
 
 # the working-precision floor of omega.n_constants and a cap, checked before
@@ -170,8 +170,6 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run the exact integrality pipeline and report the form decay."""
-    from .rational import format_int
-
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
     try:
         ns = [int(s) for s in args.n.split(",") if s.strip()]
@@ -185,6 +183,9 @@ def cmd_verify(args) -> int:
             f"the forms for --n {args.n} have total degree {degree}, above "
             f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
     pred_l, pred_m = predicted_decay(k, a, b, digits)
+    # imported past the checks, so a refused command line never compiles it
+    from .forms import verify_forms
+
     rows = verify_forms(k, a, b, ns, digits, decays=(pred_l, pred_m))
     out = []
     for r in rows:

@@ -15,9 +15,10 @@ class IntegralityError(ArithmeticError):
 
     def __init__(self, quantity: str, value):
         # imported here, as rational imports this module; format_rat is not
-        # cut off at str()'s 4300-digit limit
+        # cut off at str()'s 4300-digit limit.  An int pair is num/den.
         from .rational import Rat, format_rat
 
+        value = Rat(*value) if isinstance(value, tuple) else value
         self.quantity, self.value = quantity, value
         shown = format_rat(value) if isinstance(value, (int, Rat)) else value
         super().__init__(f"{quantity} is not an integer: {shown}")

@@ -1,10 +1,10 @@
 """Exact integer substrate, which every command loads: rationals as int
-pairs (:func:`as_pair`), the integer cube root, the prime sieve, lcm(1..n),
-``Frozen``, the base of the package's immutable records, and ``Params``.
-The ``Fraction`` names (``Rat``, ``QuadRat``, ``sqrt_bounds``,
-``format_int``, ``format_rat``) load :mod:`.rational` on first access
-(PEP 562), so the bound commands import neither ``fractions`` nor
-``decimal``.  All of it is immutable and safe to share between workers."""
+pairs (:func:`as_pair`), ``format_int``, the integer cube root, the prime
+sieve, lcm(1..n), ``Frozen``, the base of the package's immutable records,
+and ``Params``.  The ``Fraction`` names (``Rat``, ``QuadRat``,
+``sqrt_bounds``, ``format_rat``) load :mod:`.rational` on first access
+(PEP 562), so only omega imports ``fractions`` and ``decimal``.  All of it
+is immutable and safe to share between workers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ DEFAULT_SIEVE_LIMIT = 2_000_000
 
 
 def __getattr__(name):
-    if name in ("QuadRat", "Rat", "format_int", "format_rat", "sqrt_bounds"):
+    if name in ("QuadRat", "Rat", "format_rat", "sqrt_bounds"):
         from . import rational
         return getattr(rational, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -26,6 +26,16 @@ def as_pair(x) -> tuple[int, int]:
     """An exact rational as the int pair (num, den), den > 0: a pair as it
     is, an int or a Fraction by its numerator and denominator."""
     return x if isinstance(x, tuple) else (x.numerator, x.denominator)
+
+
+def format_int(x: int) -> str:
+    """str(x), or past str()'s 4300-digit limit (Python 3.11), which verify
+    --n 303 passes, Decimal, imported only then."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(x))
 
 
 def icbrt(n: int) -> int:

@@ -1,15 +1,19 @@
 """Exact evaluation of the three rational functions U, V, W that make up the
-linear and quadratic forms, and their scaling to integers.
+linear and quadratic forms, their scaling to integers, and verify's harness,
+which certifies ell = P alpha_k + Q and m = X alpha_k^2 + Z from one
+fixed-point integer enclosure of alpha_k * 2^M.
 
 The evaluation route is fully finite: the tail-series transform turns each
 tail series into a polynomial in t = z/(z-1), which at the algebraic point
 x_k has t = (1 - sqrt(2k+1))/2, so every value lives in Q(sqrt(2k+1)) and is
-computed in integer arithmetic.  A of degree d is never expanded (the
-expanded A is the test oracle ``build_A`` of ``irrbounds.dense``): one walk
-over the integers m yields u_r(m) = L^r A^(r)(-m), r = 0, 1, 2, at one scale
-L = lcm(1..d), and the three transform sums take it in lockstep, streamed,
-in blocks (after Paterson and Stockmeyer, 1973): O(d) big-by-small
-operations and O(d/block) full-size products per form.
+computed on int tuples, (u, v, e) for (u + v sqrt(D))/e; the ``QuadRat`` and
+``Fraction`` fields of the records are views built on first access.  A of
+degree d is never expanded (the expanded A is the test oracle ``build_A`` of
+``irrbounds.dense``): one walk over the integers m yields
+u_r(m) = L^r A^(r)(-m), r = 0, 1, 2, at one scale L = lcm(1..d), and the
+three transform sums take it in lockstep, streamed, in blocks (after
+Paterson and Stockmeyer, 1973): O(d) big-by-small operations and
+O(d/block) full-size products per form.
 
 Every u_r is an integer.  A is a product of binomial coefficients, so
 y -> A(y0 + y) maps integers to integers for each integer y0, and
@@ -21,31 +25,85 @@ lcm(1..j)^2.  As j <= d, L A'(y0) and L^2 A''(y0) are integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, repeat
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, isqrt, lcm, log, prod
 
-from .errors import DomainError, IntegralityError
-from .exact_arith import Frozen, Params, QuadRat, Rat, d_upto
+from .errors import DomainError, IntegralityError, PrecisionError
+from .exact_arith import Frozen, Params, PrimeSieve, d_upto
+from .fixed import Ball, prec_of
+from .omega import delta_products
 
 __all__ = [
-    "Params", "IntPoly", "UVWValues", "IntegerForms",
+    "Params", "IntPoly", "UVWValues", "IntegerForms", "VerificationRow",
     "x_point", "build_A", "derivative", "eval_UVW", "scaled_integer_forms",
+    "verify_forms",
 ]
 
 
-def x_point(k: int) -> QuadRat:
-    """The evaluation point x_k = (k+1 - sqrt(2k+1))/k in (0, 1)."""
+# -- Q(sqrt D) on ints --------------------------------------------------------
+
+def _canon(u: int, v: int, e: int, D: int) -> tuple[int, int, int]:
+    """(u + v sqrt(D))/e as QuadRat normalizes it: v folded into u where D
+    is a perfect square, then in lowest terms with e > 0."""
+    r = isqrt(D)
+    if r * r == D:
+        u, v = u + v * r, 0
+    g = gcd(u, v, e) if e > 0 else -gcd(u, v, e)
+    return u // g, v // g, e // g
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int], D: int) -> tuple[int, int]:
+    """The product of the int pairs x and y, (u, v) meaning u + v sqrt(D)."""
+    return x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pow(x: tuple[int, int], e: int, D: int) -> tuple[int, int]:
+    """x^e, e >= 0, left to right, so each product takes the small x."""
+    out = (1, 0)
+    for bit in bin(e)[2:]:
+        out = _mul(out, out, D)
+        if bit == "1":
+            out = _mul(out, x, D)
+    return out
+
+
+def _x_k(k: int) -> tuple[int, int, int, int]:
+    """x_k = (k+1 - sqrt(2k+1))/k in (0, 1) as the int tuple (u, v, e, D)."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    return QuadRat(Fraction(k + 1, k), Fraction(-1, k), 2 * k + 1)
+    return (*_canon(k + 1, -1, k, 2 * k + 1), 2 * k + 1)
+
+
+def _view(x):
+    """The public object of a stored field: the Fraction of an int pair
+    (num, den), the QuadRat (u + v sqrt(D))/e of (u, v, e, D), else x."""
+    if not isinstance(x, tuple):
+        return x
+    from .rational import QuadRat, Rat
+    if len(x) == 2:
+        return Rat(*x)
+    u, v, e, D = x
+    return QuadRat(Rat(u, e), Rat(v, e), D)
+
+
+def _parts(x) -> tuple[int, int, int, int]:
+    """The int tuple (u, v, e, D) of a QuadRat, or the tuple x itself."""
+    if isinstance(x, tuple):
+        return x
+    (a, b), (c, d) = x.u.as_integer_ratio(), x.v.as_integer_ratio()
+    return (*_canon(a * d, c * b, b * d, x.D), x.D)
+
+
+def x_point(k: int) -> QuadRat:
+    """The evaluation point x_k of :func:`_x_k`, a QuadRat."""
+    return _view(_x_k(k))
 
 
 def _exact_div(num: int, den: int, where: str) -> int:
     """num/den, exact by construction: a remainder is reported, never rounded."""
     quo, rem = divmod(num, den)
     if rem:
-        raise IntegralityError(where, Fraction(num, den))
+        raise IntegralityError(where, (num, den))
     return quo
 
 
@@ -132,20 +190,13 @@ def _walk(params: Params, L: int, last: int):
                             - nla1 * (2 * C1) - nl2a * C2, C)
             if r0 or r1 or r2 or r3 or r4 or r5:
                 raise IntegralityError(f"shift-identity step to m = {m}", next(
-                    q + Fraction(r, C) for q, r in ((nla, r0), (nl2a, r1), (nla1, r2),
-                                                    (u0, r3), (u1, r4), (u2, r5)) if r))
+                    (q * C + r, C) for q, r in ((nla, r0), (nl2a, r1), (nla1, r2),
+                                                (u0, r3), (u1, r4), (u2, r5)) if r))
             la, l2a, la1 = nla, nl2a, nla1
         yield u0, u1, u2
 
 
 # -- the transform sums in O(d) big operations, and U, V, W -------------------
-
-def _int_pair(x: QuadRat) -> tuple[int, int, int]:
-    """(u, v, e) with x = (u + v sqrt(D))/e in integers, e > 0."""
-    e = lcm(x.u.denominator, x.v.denominator)
-    return (x.u.numerator * (e // x.u.denominator),
-            x.v.numerator * (e // x.v.denominator), e)
-
 
 # values per block of _PoleSum.  Median CPU time of eval_UVW by block size,
 # shared 2-core machine: d = 1023 (21 runs) 48 ms at 32, 46 at 48 and 64, 49
@@ -221,22 +272,25 @@ class _PoleSum:
         self.s0, self.buf, self.su, self.sv = 0, [], 0, 0
 
     @classmethod
-    def orders(cls, d: int, z: QuadRat, t: QuadRat) -> list[_PoleSum]:
-        """The sums for delta = d, d - 1, d - 2, from one W^B and step^B
-        (alpha_B = W^B rise and eps_B = step^B rise, rise = (s0+B)!/s0!),
-        and one t^(d-1) and td^(d-1), carried up a delta by t and td."""
-        zu, zv, zd = _int_pair(z)
-        td = _int_pair(t)[2]
+    def orders(cls, d: int, z: tuple, D: int) -> list[_PoleSum]:
+        """The sums for delta = d, d - 1, d - 2 at z = (zu + zv sqrt(D))/zd,
+        from one W^B and step^B (alpha_B = W^B rise and eps_B = step^B rise,
+        rise = (s0+B)!/s0!), and one T^(d-1), T = t td, and td^(d-1),
+        carried up a delta by T and td.  As (1 - z) t = -z, the seeds are
+        g_0 = z (T^(delta+1) - td^(delta+1)) and k_0 = -z zd td T^(delta+1)."""
+        zu, zv, zd = z[:3]
+        tu, tv, td = _canon(*_mul((zu, zv), (zu - zd, -zv), D),
+                            (zu - zd) ** 2 - D * zv * zv, D)
         w, step = (-zu * td, -zv * td), zd * td
-        w_block = QuadRat(*w, z.D) ** _BLOCK
-        common = (z.D, w, step, (int(w_block.u), int(w_block.v)), step ** _BLOCK)
-        zt, t_top, tdp, sums = (1 - z) * t, t ** (d - 1), td ** (d - 1), []
+        common = (D, w, step, _pow(w, _BLOCK, D), step ** _BLOCK)
+        top, tdp, sums = _pow((tu, tv), d - 1, D), td ** (d - 1), []
         for r in (2, 1, 0):
-            top = zt * t_top * tdp
-            g0, k = zt * tdp - top, top * step
-            sums.append(cls(r, d - r, common, tdp, (int(g0.u), int(g0.v)),
-                            (int(k.u), int(k.v))))
-            t_top, tdp = t_top * t, tdp * td
+            where = f"order-{r} pole-sum seed"
+            g0 = tuple(_exact_div(x, zd, where)
+                       for x in _mul((zu, zv), (top[0] - tdp, top[1]), D))
+            ku, kv = _mul((zu, zv), top, D)
+            sums.append(cls(r, d - r, common, tdp, g0, (-ku * td, -kv * td)))
+            top, tdp = _mul(top, (tu, tv), D), tdp * td
         return sums[::-1]
 
     def push(self, v: int) -> None:
@@ -277,11 +331,25 @@ class _PoleSum:
             self.k = tuple(_exact_div(x * num, rise, where) for x in self.k)
 
 
+_SLOTS = {}  # the member descriptor of each field that holds an int tuple
+
+
+def _views(cls, *names) -> None:
+    """Let each named field of the record ``cls`` hold an int tuple, which
+    the int path reads through ``_SLOTS``; reading the field gives its
+    :func:`_view`, so loads :mod:`.rational` only then."""
+    for name in names:
+        slot = _SLOTS[name] = getattr(cls, name)
+        setattr(cls, name, property(lambda self, slot=slot: _view(
+            slot.__get__(self)), slot.__set__))
+
+
 class UVWValues(Frozen):
     """Exact values of the three rational functions at one point.
 
     At z = x_k the radical parts of U and W and the rational part of V vanish
-    identically: U, W and sqrt(2k+1)*V are rational there.
+    identically: U, W and sqrt(2k+1)*V are rational there.  ``eval_UVW``
+    stores U, V, W and x as int tuples (u, v, e, D), read as QuadRats.
     """
 
     __slots__ = ("U", "V", "W", "params", "x")
@@ -292,8 +360,12 @@ class UVWValues(Frozen):
     x: QuadRat
 
 
-def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
-    """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms.
+_views(UVWValues, "U", "V", "W", "x")
+
+
+def eval_UVW(params: Params, z: QuadRat | tuple) -> UVWValues:
+    """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms;
+    z is a QuadRat, or x_k as the int tuple of :func:`_x_k`.
 
     U uses the transform of A itself; V the transform of A'(. - an) with the
     extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}: the
@@ -301,13 +373,13 @@ def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
     ``_PoleSum`` take each value of one ``_walk`` as it comes.  An inexact
     step raises ``IntegralityError`` naming m, or the order and s0 of a block.
     """
-    if not z:
+    zu, zv, zd, D = _parts(z)
+    if not (zu or zv):
         raise DomainError("z = 0 is outside the domain of U, V, W")
-    if z == QuadRat(1):
+    if not zv and zu == zd:
         raise DomainError("z = 1 is a pole of the transform variable")
-    t = z / (z - QuadRat(1, 0, z.D))
     d, shift, L = params.degree, params.a * params.n, d_upto(params.degree)
-    sums = _PoleSum.orders(d, z, t)
+    sums = _PoleSum.orders(d, (zu, zv, zd), D)
     values = chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
                    _walk(params, L, 2 * shift + d - 1))
     # order r reads A^(r)(-m) at m = 1 + r*shift + s, s = 0..d-r
@@ -315,10 +387,12 @@ def eval_UVW(params: Params, z: QuadRat) -> UVWValues:
         for r, pole_sum in enumerate(sums):
             if 0 <= i - r * shift <= d - r:
                 pole_sum.push(u[r])
-    U, V, W = (z ** (r * shift - params.half_bn1) * QuadRat(
-        Fraction(s.su, L**r * s.tdp), Fraction(s.sv, L**r * s.tdp), z.D)
-        for r, s in enumerate(sums))
-    return UVWValues(U=U, V=V, W=W, params=params, x=z)
+    # order r carries z^(r*shift - (bn+1)/2), a negative power as b > 4a
+    iu, iv, ie = _canon(zd * zu, -zd * zv, zu * zu - D * zv * zv, D)
+    U, V, W = ((*_mul(_pow((iu, iv), e, D), (s.su, s.sv), D),
+                ie**e * L**r * s.tdp, D)
+               for r, s in enumerate(sums) for e in [params.half_bn1 - r * shift])
+    return UVWValues(U=U, V=V, W=W, params=params, x=(zu, zv, zd, D))
 
 
 # -- scaling to integers ------------------------------------------------------
@@ -330,6 +404,7 @@ class IntegerForms(Frozen):
     Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
     are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
     T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
+    ``scaled_integer_forms`` stores R, S, T as int pairs, read as Fractions.
     """
 
     __slots__ = ("n", "P", "Q", "X", "Y", "Z", "A", "B", "C",
@@ -353,58 +428,162 @@ class IntegerForms(Frozen):
     d_b2an: int
 
 
-def scaling_factors(params: Params) -> tuple[Rat, Rat, Rat]:
-    """The three normalizing factors (R, S, T) for k even / odd."""
-    k, a, b, n = params.k, params.a, params.b, params.n
-    e_r = (b * n + 1) // 2
-    e_s = ((b - 2 * a) * n + 1) // 2
-    e_t = ((b - 4 * a) * n + 1) // 2
-    if k % 2 == 0:
-        m = k // 2
-        return Fraction(1, m**e_r), Fraction(1, m**e_s), Fraction(1, m**e_t)
-    two = 2 ** ((3 * (b - 2 * a) * n + 1) // 2)
-    return Fraction(two, k**e_r), Fraction(two, k**e_s), Fraction(two, k**e_t)
-
-
-def _as_int(value: Rat, quantity: str) -> int:
-    if value.denominator != 1:
-        raise IntegralityError(quantity, value)
-    return value.numerator
+_views(IntegerForms, "R", "S", "T")
 
 
 def scaled_integer_forms(params: Params, uvw: UVWValues,
                          delta: int, delta1: int) -> IntegerForms:
     """Scale the exact U, V, W at x_k into the integer form coefficients;
     a fractional result aborts with the offending name, never rounded."""
-    k = params.k
-    D = 2 * k + 1
-    if uvw.x != x_point(k):
+    *x, D = _x_k(params.k)
+    *z, zD = _parts(_SLOTS["x"].__get__(uvw))
+    if z != x or z[1] and zD != D:
         raise DomainError("integer forms are defined only at the point x_k")
-    U, V, W = uvw.U, uvw.V, uvw.W
-    sqV = QuadRat.sqrt_d(D) * V
-    for name, val in (("U(x_k)", U), ("sqrt(D)*V(x_k)", sqV), ("W(x_k)", W)):
-        if val.v != 0:
-            raise IntegralityError(f"radical part of {name}", val.v)
+    (uu, uv, ue, _), (vu, vv, ve, _), (wu, wv, we, _) = (
+        _parts(_SLOTS[name].__get__(uvw)) for name in "UVW")
+    # sqrt(D) V = (D vv + vu sqrt(D))/ve, folded where D is a square
+    r = isqrt(D)
+    sq, sqv = (D * vv + r * vu, 0) if r * r == D else (D * vv, vu)
+    for name, v, e in (("U(x_k)", uv, ue), ("sqrt(D)*V(x_k)", sqv, ve),
+                       ("W(x_k)", wv, we)):
+        if v:
+            raise IntegralityError(f"radical part of {name}", (v, e))
 
-    R, S, T = scaling_factors(params)
-    d_bn = d_upto(params.b * params.n)
-    d_b2an = d_upto((params.b - 2 * params.a) * params.n)
-    dd = Fraction(d_bn, delta)
-    if dd.denominator != 1:
-        raise IntegralityError("d_bn/Delta", dd)
+    # the normalizing factors R, S, T for k even / odd, int pairs in lowest terms
+    k, a, b, n = params.k, params.a, params.b, params.n
+    top, base = ((1, k // 2) if k % 2 == 0
+                 else (2 ** ((3 * (b - 2 * a) * n + 1) // 2), k))
+    R, S, T = ((top, base ** ((c * n + 1) // 2)) for c in (b, b - 2 * a, b - 4 * a))
+    d_bn, d_b2an = d_upto(b * n), d_upto((b - 2 * a) * n)
+    dd = _exact_div(d_bn, delta, "d_bn/Delta")
+    (rn, rd), (sn, sd), (tn, td) = R, S, T
+    sn, tn = sn * dd, tn * d_b2an * delta1 * dd
+    # in the order the checks report: A, B, C, then P, Q, X, Y, Z
+    A, B, C, P, Q, X, Y, Z = (_exact_div(num, den, name) for num, den, name in (
+        (rn * uu, rd * ue, "R*U(x_k)"),
+        (sn * sq, sd * ve, "S*(d/Delta)*sqrt(D)*V(x_k)"),
+        (tn * wu, td * we, "T*d'*Delta1*(d/Delta)*W(x_k)"),
+        (sn * uu, sd * ue, "P"), (-sn * sq, sd * ve, "Q"),
+        (tn * uu, td * ue, "X"), (-tn * sq, td * ve, "Y"),
+        (-tn * D * wu, td * we, "Z")))
+    return IntegerForms(n=n, P=P, Q=Q, X=X, Y=Y, Z=Z, A=A, B=B, C=C,
+                        R=R, S=S, T=T, delta=delta, delta1=delta1, d_bn=d_bn,
+                        d_b2an=d_b2an)
 
-    A_int = _as_int(R * U.u, "R*U(x_k)")
-    B_int = _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)")
-    C_int = _as_int(T * d_b2an * delta1 * dd * W.u,
-                    "T*d'*Delta1*(d/Delta)*W(x_k)")
-    P = _as_int(S * dd * U.u, "P")
-    Q = _as_int(-S * dd * sqV.u, "Q")
-    X = _as_int(T * d_b2an * delta1 * dd * U.u, "X")
-    Y = _as_int(-T * d_b2an * delta1 * dd * sqV.u, "Y")
-    Z = _as_int(-T * d_b2an * delta1 * dd * D * W.u, "Z")
-    return IntegerForms(n=params.n, P=P, Q=Q, X=X, Y=Y, Z=Z,
-                        A=A_int, B=B_int, C=C_int, R=R, S=S, T=T,
-                        delta=delta, delta1=delta1, d_bn=d_bn, d_b2an=d_b2an)
+
+# -- finite-n verification harness --------------------------------------------
+
+class VerificationRow(Frozen):
+    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "ell", "m", "decay_linear",
+                 "decay_quadratic", "forms")
+    n: int
+    P: int
+    Q: int
+    X: int
+    Y: int
+    Z: int
+    ell: Ball
+    m: Ball
+    decay_linear: Ball
+    decay_quadratic: Ball
+    forms: IntegerForms
+
+
+# passes of the alpha-enclosure loop before a form counts as unresolved
+MAX_ALPHA_PASSES = 8
+
+
+def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
+    """(A, E) with |alpha_k * 2^bits - A| < E, from one fixed-point sum.
+
+    With D = 2k+1 and t = 1/sqrt(D), ln((1-t)/(1+t)) = -2 atanh(t), so
+    alpha_k = -2 sum_{j>=0} 1/((2j+1) D^j).  term_j = term_(j-1) // D from
+    2^bits is floor(2^bits/D^j), as nested floors compose, so each of the J
+    nonzero summands term_j // (2j+1) is within 2 of 2^bits/((2j+1) D^j),
+    and the tail j >= J sums to under 2 (2^bits/D^J < 1, D >= 3): A, -2
+    times their sum, is within 4(J + 1) = E."""
+    d = 2 * k + 1
+    term, total, j = 1 << bits, 0, 0
+    while term:
+        total += term // (2 * j + 1)
+        term //= d
+        j += 1
+    return -2 * total, 4 * (j + 1)
+
+
+def _alpha_combinations(k: int, combos, digits: int,
+                        depth: int = 0) -> list[Ball]:
+    """each sum of c * alpha_k^p over (c, p) pairs, c an int or Fraction and
+    p in {0, 1, 2}, one list of pairs per combination, certified to
+    10^-(digits+10) relative and nonzero, as a ball at digits + 10 digits;
+    ``depth`` bits widen the first pass for sums near 2^-depth.
+
+    A combination is exponentially small against coefficients of thousands
+    of bits.  Scaled to integers by the lcm L of their denominators, the
+    ball sum of c (A +- E)^p 2^(-p bits), (A, E) the enclosure of
+    alpha_k 2^bits, holds its value times L.  It is accepted when radius
+    10^(digits+10) < |centre| - radius, which also proves it nonzero, and
+    divided by L.  Otherwise bits grows by the shortfall read from the bit
+    lengths of centre and radius, plus 16 as E grows with bits, and by at
+    least twice its last growth (while the ball holds 0 the centre is
+    noise); after MAX_ALPHA_PASSES passes, PrecisionError."""
+    scaled = []
+    for terms in combos:
+        den = lcm(*(c.denominator for c, _ in terms))
+        scaled.append((den, [(c.numerator * (den // c.denominator), p)
+                             for c, p in terms]))
+    scale, prec = 10 ** (digits + 10), prec_of(digits + 10)
+    need = scale.bit_length() + 2  # 2^need > 4 * scale
+    bits = (max(abs(c).bit_length() for _, terms in scaled for c, _ in terms)
+            + scale.bit_length() + 64 + depth)
+    grow = 0
+    for _ in range(MAX_ALPHA_PASSES):
+        a, e = _alpha_fixed(k, bits)
+        alpha = Ball(a, -bits, e)
+        powers = [Ball(1), alpha, alpha * alpha]
+        vals, shortfall = [], 0
+        for den, terms in scaled:
+            value = sum((powers[p] * c for c, p in terms), Ball(0))
+            if value.rad * scale < abs(value.man) - value.rad:
+                vals.append(value.div(den, prec))
+            else:
+                shortfall = max(shortfall, value.rad.bit_length() + need
+                                - abs(value.man).bit_length())
+        if len(vals) == len(scaled):
+            return vals
+        grow = max(shortfall + 16, 2 * grow)
+        bits += grow
+    raise PrecisionError(f"the enclosure of a form in alpha_{k} is still too "
+                         f"wide for {digits} digits after {MAX_ALPHA_PASSES} "
+                         "passes")
+
+
+def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
+                 sieve: PrimeSieve | None = None,
+                 decays=()) -> list[VerificationRow]:
+    """Exact integer forms and high-precision form values for each odd n.
+
+    Integrality violations raise IntegralityError naming the quantity.  ell
+    and m come from certified enclosures that exclude 0; a form whose
+    enclosure stays too wide, as a vanishing form would, raises
+    PrecisionError.  ``decays``, the rates of ``predicted_decay``, size the
+    enclosure's first pass for forms of about exp(n * rate).
+    """
+    rows = []
+    for n in n_list:
+        params = Params(k=k, a=a, b=b, n=n)
+        uvw = eval_UVW(params, _x_k(k))
+        delta, delta1 = delta_products(params, sieve)
+        forms = scaled_integer_forms(params, uvw, delta, delta1)
+        ell, m = _alpha_combinations(
+            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits,
+            max(0, -int(n * float(min(decays, default=0)) / log(2))))
+        prec = prec_of(digits + 10)
+        rows.append(VerificationRow(
+            n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,
+            ell=ell, m=m, decay_linear=abs(ell).log(prec).div(n, prec),
+            decay_quadratic=abs(m).log(prec).div(n, prec), forms=forms))
+    return rows
 
 
 def __getattr__(name):

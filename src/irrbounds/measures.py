@@ -1,28 +1,26 @@
 """Assembly of the two measure bounds from the growth, scaling and
-denominator-savings constants, the finite-n verification harness for the
-integrality and decay claims, and the small parameter-space search.
+denominator-savings constants, the predicted decay of the forms, and the
+small parameter-space search.  The finite-n verification harness lives in
+:mod:`.forms`, which only verify loads; ``verify_forms`` resolves here.
 
 Applicability (the sign condition on the decay rate) is a data outcome, not
 an exception: searches iterate past inapplicable cells.  Every constant is a
-:class:`fixed.Ball`, and the bound 1 - A/D is ball arithmetic on them.  The
-form values ell = P alpha_k + Q and m = X alpha_k^2 + Z are certified from
-one fixed-point integer enclosure of alpha_k * 2^M.
+:class:`fixed.Ball`, and the bound 1 - A/D is ball arithmetic on them.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm, log, nan
+from math import isqrt, nan
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, Params, PrimeSieve
+from .exact_arith import Frozen, Params
 from .fixed import Ball, certify, prec_of
-from .omega import delta_products, n_constants, omega_runs
+from .omega import n_constants, omega_runs
 
-__all__ = ["BoundResult", "VerificationRow", "TableRow", "mu_bound",
-           "mu2_bound", "verify_forms", "search_params", "predicted_decay",
-           "headline_table", "table_row", "HEADLINE_KS", "is_degenerate",
-           "grid_size"]
+__all__ = ["BoundResult", "TableRow", "mu_bound", "mu2_bound",
+           "search_params", "predicted_decay", "headline_table", "table_row",
+           "HEADLINE_KS", "is_degenerate", "grid_size"]
 
 # k values of the headline table, with the parameter choices that produce it:
 # (1, 7) for every irrationality bound; non-quadraticity bounds exist for the
@@ -55,20 +53,12 @@ class BoundResult(Frozen):
     degenerate: bool
 
 
-class VerificationRow(Frozen):
-    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "ell", "m", "decay_linear",
-                 "decay_quadratic", "forms")
-    n: int
-    P: int
-    Q: int
-    X: int
-    Y: int
-    Z: int
-    ell: Ball
-    m: Ball
-    decay_linear: Ball
-    decay_quadratic: Ball
-    forms: IntegerForms  # of .forms, which only verify imports
+def __getattr__(name):
+    # the verify harness lives in .forms, which only verify loads
+    if name in ("VerificationRow", "verify_forms"):
+        from . import forms
+        return getattr(forms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _x_numeric(k: int, digits: int) -> Ball:
@@ -159,107 +149,6 @@ def predicted_decay(k: int, a: int, b: int, digits: int = 60):
     for name, decay in zip(("linear", "quadratic"), decays):
         certify(f"the {name} decay of ({k},{a},{b})", decay, digits)
     return decays
-
-
-# -- finite-n verification harness --------------------------------------------
-
-# passes of the alpha-enclosure loop before a form counts as unresolved
-MAX_ALPHA_PASSES = 8
-
-
-def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
-    """(A, E) with |alpha_k * 2^bits - A| < E, from one fixed-point sum.
-
-    With D = 2k+1 and t = 1/sqrt(D), ln((1-t)/(1+t)) = -2 atanh(t), so
-    alpha_k = -2 sum_{j>=0} 1/((2j+1) D^j).  term_j = term_(j-1) // D from
-    2^bits is floor(2^bits/D^j), as nested floors compose, so each of the J
-    nonzero summands term_j // (2j+1) is within 2 of 2^bits/((2j+1) D^j),
-    and the tail j >= J sums to under 2 (2^bits/D^J < 1, D >= 3): A, -2
-    times their sum, is within 4(J + 1) = E."""
-    d = 2 * k + 1
-    term, total, j = 1 << bits, 0, 0
-    while term:
-        total += term // (2 * j + 1)
-        term //= d
-        j += 1
-    return -2 * total, 4 * (j + 1)
-
-
-def _alpha_combinations(k: int, combos, digits: int,
-                        depth: int = 0) -> list[Ball]:
-    """each sum of c * alpha_k^p over (c, p) pairs, c an int or Fraction and
-    p in {0, 1, 2}, one list of pairs per combination, certified to
-    10^-(digits+10) relative and nonzero, as a ball at digits + 10 digits;
-    ``depth`` bits widen the first pass for sums near 2^-depth.
-
-    A combination is exponentially small against coefficients of thousands
-    of bits.  Scaled to integers by the lcm L of their denominators, the
-    ball sum of c (A +- E)^p 2^(-p bits), (A, E) the enclosure of
-    alpha_k 2^bits, holds its value times L.  It is accepted when radius
-    10^(digits+10) < |centre| - radius, which also proves it nonzero, and
-    divided by L.  Otherwise bits grows by the shortfall read from the bit
-    lengths of centre and radius, plus 16 as E grows with bits, and by at
-    least twice its last growth (while the ball holds 0 the centre is
-    noise); after MAX_ALPHA_PASSES passes, PrecisionError."""
-    scaled = []
-    for terms in combos:
-        den = lcm(*(c.denominator for c, _ in terms))
-        scaled.append((den, [(c.numerator * (den // c.denominator), p)
-                             for c, p in terms]))
-    scale, prec = 10 ** (digits + 10), prec_of(digits + 10)
-    need = scale.bit_length() + 2  # 2^need > 4 * scale
-    bits = (max(abs(c).bit_length() for _, terms in scaled for c, _ in terms)
-            + scale.bit_length() + 64 + depth)
-    grow = 0
-    for _ in range(MAX_ALPHA_PASSES):
-        a, e = _alpha_fixed(k, bits)
-        alpha = Ball(a, -bits, e)
-        powers = [Ball(1), alpha, alpha * alpha]
-        vals, shortfall = [], 0
-        for den, terms in scaled:
-            value = sum((powers[p] * c for c, p in terms), Ball(0))
-            if value.rad * scale < abs(value.man) - value.rad:
-                vals.append(value.div(den, prec))
-            else:
-                shortfall = max(shortfall, value.rad.bit_length() + need
-                                - abs(value.man).bit_length())
-        if len(vals) == len(scaled):
-            return vals
-        grow = max(shortfall + 16, 2 * grow)
-        bits += grow
-    raise PrecisionError(f"the enclosure of a form in alpha_{k} is still too "
-                         f"wide for {digits} digits after {MAX_ALPHA_PASSES} "
-                         "passes")
-
-
-def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
-                 sieve: PrimeSieve | None = None,
-                 decays=()) -> list[VerificationRow]:
-    """Exact integer forms and high-precision form values for each odd n.
-
-    Integrality violations raise IntegralityError naming the quantity.  ell
-    and m come from certified enclosures that exclude 0; a form whose
-    enclosure stays too wide, as a vanishing form would, raises
-    PrecisionError.  ``decays``, the rates of ``predicted_decay``, size the
-    enclosure's first pass for forms of about exp(n * rate).
-    """
-    from .forms import eval_UVW, scaled_integer_forms, x_point
-
-    rows = []
-    for n in n_list:
-        params = Params(k=k, a=a, b=b, n=n)
-        uvw = eval_UVW(params, x_point(k))
-        delta, delta1 = delta_products(params, sieve)
-        forms = scaled_integer_forms(params, uvw, delta, delta1)
-        ell, m = _alpha_combinations(
-            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits,
-            max(0, -int(n * float(min(decays, default=0)) / log(2))))
-        prec = prec_of(digits + 10)
-        rows.append(VerificationRow(
-            n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,
-            ell=ell, m=m, decay_linear=abs(ell).log(prec).div(n, prec),
-            decay_quadratic=abs(m).log(prec).div(n, prec), forms=forms))
-    return rows
 
 
 # -- search and table ---------------------------------------------------------

@@ -6,8 +6,8 @@ Membership of num/den is decided by integer residues mod den from the
 three-group floor inequality, as the prime scans need.  One walk certified
 by the Farey-neighbour property yields Omega's runs as int pairs
 (:func:`omega_runs`) for the digamma sums and N2's exact large-prime sum;
-only :func:`compute_omega` (omega's printing, the tests) makes ``Fraction``
-intervals of them, so only it loads ``fractions``.
+only :func:`compute_omega` (omega's printing, the tests) makes the
+``Fraction`` records of :mod:`.rational` of them, re-exported here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 
 from .errors import CertificateError, DomainError, SieveCapacityError
-from .exact_arith import Frozen, Params, PrimeSieve, as_pair
+from .exact_arith import Params, PrimeSieve, as_pair
 from .fixed import Ball, prec_of
 
 __all__ = ["Interval", "IntervalSet", "OmegaReport", "omega_contains",
@@ -79,79 +79,6 @@ def omega_contains(a: int, b: int, y) -> bool:
 
 # -- interval description -----------------------------------------------------
 
-class Interval(Frozen):
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.lo > self.hi:
-            raise DomainError("interval endpoints out of order")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise DomainError("a degenerate interval must be closed")
-
-    def contains(self, y: Fraction) -> bool:
-        return (self.lo < y < self.hi or y == self.lo and self.lo_closed
-                or y == self.hi and self.hi_closed)
-
-    def __str__(self):
-        from .rational import format_rat
-
-        if self.lo == self.hi:
-            return "{%s}" % format_rat(self.lo)
-        return "%s%s, %s%s" % ("[" if self.lo_closed else "(",
-                               format_rat(self.lo), format_rat(self.hi),
-                               ")" if not self.hi_closed else "]")
-
-
-class IntervalSet(Frozen):
-    """Sorted, pairwise-disjoint rational-endpoint subintervals of [0, 1);
-    immutable, as :func:`compute_omega` shares one instance per (a, b)."""
-
-    __slots__ = ("intervals",)
-    intervals: tuple[Interval, ...]
-
-    def __init__(self, intervals):
-        ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-        for prev, cur in zip(ivs, ivs[1:]):
-            # touching only where both sides exclude the shared point
-            if cur.lo < prev.hi or (cur.lo == prev.hi
-                                    and (cur.lo_closed or prev.hi_closed)):
-                raise DomainError("intervals overlap or touch with closure")
-        for iv in ivs:
-            if iv.lo < 0 or iv.hi > 1 or (iv.hi == 1 and iv.hi_closed):
-                raise DomainError("intervals must lie within [0, 1)")
-        super().__init__(tuple(ivs))
-
-    def contains(self, y: Fraction) -> bool:
-        return any(iv.contains(y) for iv in self.intervals)
-
-    def total_measure(self) -> Fraction:
-        return sum(iv.hi - iv.lo for iv in self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def __str__(self):
-        if not self.intervals:
-            return "{}"
-        return " u ".join(str(iv) for iv in self.intervals)
-
-
-class OmegaReport(Frozen):
-    __slots__ = ("a", "b", "omega", "denominator_bound")
-    a: int
-    b: int
-    omega: IntervalSet
-    denominator_bound: int
-
-
 def _breakpoints(bound: int):
     """The Farey sequence of order ``bound`` on [0, 1): every j/m with
     m <= bound as the pair (j, m), ascending, by the next-term recurrence of
@@ -190,15 +117,15 @@ def omega_runs(a: int, b: int, denominator_bound: int | None = None) -> tuple:
 def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> OmegaReport:
     """Exact interval description of the certifying set: :func:`omega_runs`
     as ``Fraction`` intervals, one shared report per (a, b, runs, bound)."""
+    from .rational import _report
     return _report(a, b, omega_runs(a, b, denominator_bound), denominator_bound or b)
 
 
-@lru_cache(maxsize=None)
-def _report(a: int, b: int, runs: tuple, bound: int) -> OmegaReport:
-    from fractions import Fraction
-
-    return OmegaReport(a, b, IntervalSet(
-        Interval(Fraction(*lo), Fraction(*hi), *flags) for lo, hi, *flags in runs), bound)
+def __getattr__(name):
+    if name in ("Interval", "IntervalSet", "OmegaReport"):
+        from . import rational
+        return getattr(rational, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @lru_cache(maxsize=None)

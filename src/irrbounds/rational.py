@@ -1,22 +1,18 @@
 """The ``Fraction`` layer: ``Rat`` (:class:`fractions.Fraction`, reduced),
-decimal rendering past str()'s 4300-digit limit, rational square-root
-bounds and :class:`QuadRat`, the field Q(sqrt D) of verify's forms.  Only
-verify, omega's printing and IntegralityError's message import it, and with
-it ``fractions`` and ``decimal``; :mod:`.exact_arith` re-exports its names."""
+its rendering, rational square-root bounds, :class:`QuadRat` (Q(sqrt D), the
+view of the forms' int tuples) and Omega's ``Fraction`` records.  Only omega,
+IntegralityError's message and those views import it, and with it
+``fractions`` and ``decimal``; :mod:`.exact_arith` and :mod:`.omega`
+re-export its names."""
 
-from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError
+from .exact_arith import Frozen, format_int
 
 Rat = Fraction
-
-
-def format_int(x: int) -> str:
-    """Decimal digits of an exact integer, through Decimal: not cut off at
-    str()'s 4300-digit limit, which the verify integers pass."""
-    return str(Decimal(x))
 
 
 def format_rat(x: Rat) -> str:
@@ -157,3 +153,82 @@ class QuadRat:
         if self.v == 0:
             return f"QuadRat({format_rat(self.u)})"
         return f"QuadRat({format_rat(self.u)} + {format_rat(self.v)}*sqrt({self.D}))"
+
+
+# -- Omega as Fraction intervals ----------------------------------------------
+
+class Interval(Frozen):
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool
+    hi_closed: bool
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.lo > self.hi:
+            raise DomainError("interval endpoints out of order")
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            raise DomainError("a degenerate interval must be closed")
+
+    def contains(self, y: Fraction) -> bool:
+        return (self.lo < y < self.hi or y == self.lo and self.lo_closed
+                or y == self.hi and self.hi_closed)
+
+    def __str__(self):
+        if self.lo == self.hi:
+            return "{%s}" % format_rat(self.lo)
+        return "%s%s, %s%s" % ("[" if self.lo_closed else "(",
+                               format_rat(self.lo), format_rat(self.hi),
+                               ")" if not self.hi_closed else "]")
+
+
+class IntervalSet(Frozen):
+    """Sorted, pairwise-disjoint rational-endpoint subintervals of [0, 1);
+    immutable, as :func:`compute_omega` shares one instance per (a, b)."""
+
+    __slots__ = ("intervals",)
+    intervals: tuple[Interval, ...]
+
+    def __init__(self, intervals):
+        ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
+        for prev, cur in zip(ivs, ivs[1:]):
+            # touching only where both sides exclude the shared point
+            if cur.lo < prev.hi or (cur.lo == prev.hi
+                                    and (cur.lo_closed or prev.hi_closed)):
+                raise DomainError("intervals overlap or touch with closure")
+        for iv in ivs:
+            if iv.lo < 0 or iv.hi > 1 or (iv.hi == 1 and iv.hi_closed):
+                raise DomainError("intervals must lie within [0, 1)")
+        super().__init__(tuple(ivs))
+
+    def contains(self, y: Fraction) -> bool:
+        return any(iv.contains(y) for iv in self.intervals)
+
+    def total_measure(self) -> Fraction:
+        return sum(iv.hi - iv.lo for iv in self.intervals)
+
+    def __iter__(self):
+        return iter(self.intervals)
+
+    def __len__(self):
+        return len(self.intervals)
+
+    def __str__(self):
+        if not self.intervals:
+            return "{}"
+        return " u ".join(str(iv) for iv in self.intervals)
+
+
+class OmegaReport(Frozen):
+    __slots__ = ("a", "b", "omega", "denominator_bound")
+    a: int
+    b: int
+    omega: IntervalSet
+    denominator_bound: int
+
+
+@lru_cache(maxsize=None)
+def _report(a: int, b: int, runs: tuple, bound: int) -> OmegaReport:
+    return OmegaReport(a, b, IntervalSet(
+        Interval(Fraction(*lo), Fraction(*hi), *flags) for lo, hi, *flags in runs), bound)

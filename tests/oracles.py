@@ -9,6 +9,11 @@ triangle of :func:`_transform_nums`), :func:`_radical_sum` and
 :func:`series_uvw` complete the dense route of ``irrbounds.dense``: the
 coefficient transform of the expanded A, its sum at a quadratic point, and
 the truncated tail series with an exact tail bound.
+:func:`fraction_uvw`, :func:`scaling_factors` and
+:func:`fraction_integer_forms` are the edge of the forms as the package
+computed it before its int tuples: t, the pole-sum seeds, the power of z
+and the integer scaling in ``QuadRat`` and ``Fraction`` arithmetic, around
+the same int kernel.
 :func:`omega_by_fraction_probes` is the interval description built the way
 the package built it before its integer walk: ``Fraction`` probes at every
 point of the literal Farey set and at every gap's mediant.
@@ -32,6 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm
 
 import mpmath as mp
@@ -39,8 +45,10 @@ import mpmath as mp
 from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
 from irrbounds.exact_arith import Params, PrimeSieve, QuadRat, Rat, d_upto
-from irrbounds.forms import _root_blocks, eval_UVW, scaling_factors, x_point
-from irrbounds.measures import _alpha_combinations
+from irrbounds import forms
+from irrbounds.errors import IntegralityError
+from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
+                             _walk, eval_UVW, x_point)
 from irrbounds.omega import (Interval, IntervalSet, _breakpoints, _candidates,
                              _groups, _mod_table, _omega_primes, _validate_ab,
                              delta_products, omega_contains)
@@ -451,3 +459,91 @@ def series_uvw(params: Params, z: Rat, terms: int):
              pref * h * tail_first,
              pref * (h * h + h2) * tail_first)
     return (-pref * sU, -pref * sV, -pref * sW), tails
+
+
+def _int_pair(x: QuadRat) -> tuple[int, int, int]:
+    """(u, v, e) with x = (u + v sqrt(D))/e in integers, e > 0."""
+    e = lcm(x.u.denominator, x.v.denominator)
+    return (x.u.numerator * (e // x.u.denominator),
+            x.v.numerator * (e // x.v.denominator), e)
+
+
+def fraction_uvw(params: Params, z: QuadRat) -> tuple:
+    """(U, V, W) at z by the ``QuadRat`` formulas of eval_UVW before its int
+    tuples: t = z/(z-1), the seeds of the three ``forms._PoleSum`` from
+    t^(d-1) and (1-z) t, and z^(r*an - (bn+1)/2) times the scaled sums; the
+    walk and the blocks are the package's own."""
+    t = z / (z - QuadRat(1, 0, z.D))
+    d, shift, L = params.degree, params.a * params.n, d_upto(params.degree)
+    zu, zv, zd = _int_pair(z)
+    td = _int_pair(t)[2]
+    w, step = (-zu * td, -zv * td), zd * td
+    w_block = QuadRat(*w, z.D) ** forms._BLOCK
+    common = (z.D, w, step, (int(w_block.u), int(w_block.v)),
+              step ** forms._BLOCK)
+    zt, t_top, tdp, sums = (1 - z) * t, t ** (d - 1), td ** (d - 1), []
+    for r in (2, 1, 0):
+        top = zt * t_top * tdp
+        g0, k = zt * tdp - top, top * step
+        sums.append(_PoleSum(r, d - r, common, tdp, (int(g0.u), int(g0.v)),
+                             (int(k.u), int(k.v))))
+        t_top, tdp = t_top * t, tdp * td
+    sums = sums[::-1]
+    values = chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
+                   _walk(params, L, 2 * shift + d - 1))
+    for i, u in enumerate(values):
+        for r, pole_sum in enumerate(sums):
+            if 0 <= i - r * shift <= d - r:
+                pole_sum.push(u[r])
+    return tuple(z ** (r * shift - params.half_bn1) * QuadRat(
+        Fraction(s.su, L**r * s.tdp), Fraction(s.sv, L**r * s.tdp), z.D)
+        for r, s in enumerate(sums))
+
+
+def scaling_factors(params: Params) -> tuple[Fraction, Fraction, Fraction]:
+    """The three normalizing factors (R, S, T) for k even / odd, by the
+    ``Fraction`` formulas before the int pairs of ``forms._scaling``."""
+    k, a, b, n = params.k, params.a, params.b, params.n
+    e_r = (b * n + 1) // 2
+    e_s = ((b - 2 * a) * n + 1) // 2
+    e_t = ((b - 4 * a) * n + 1) // 2
+    if k % 2 == 0:
+        m = k // 2
+        return Fraction(1, m**e_r), Fraction(1, m**e_s), Fraction(1, m**e_t)
+    two = 2 ** ((3 * (b - 2 * a) * n + 1) // 2)
+    return Fraction(two, k**e_r), Fraction(two, k**e_s), Fraction(two, k**e_t)
+
+
+def _as_int(value: Fraction, quantity: str) -> int:
+    if value.denominator != 1:
+        raise IntegralityError(quantity, value)
+    return value.numerator
+
+
+def fraction_integer_forms(params: Params, U: QuadRat, V: QuadRat,
+                           W: QuadRat, delta: int, delta1: int) -> dict:
+    """The fields of scaled_integer_forms at x_k by its ``Fraction``
+    formulas before the int tuples, checks and their order included."""
+    k, a, b, n = params.k, params.a, params.b, params.n
+    D = 2 * k + 1
+    sqV = QuadRat.sqrt_d(D) * V
+    for name, val in (("U(x_k)", U), ("sqrt(D)*V(x_k)", sqV), ("W(x_k)", W)):
+        if val.v != 0:
+            raise IntegralityError(f"radical part of {name}", val.v)
+    R, S, T = scaling_factors(params)
+    d_bn = d_upto(b * n)
+    d_b2an = d_upto((b - 2 * a) * n)
+    dd = Fraction(d_bn, delta)
+    if dd.denominator != 1:
+        raise IntegralityError("d_bn/Delta", dd)
+    scale = T * d_b2an * delta1 * dd
+    fields = {"A": _as_int(R * U.u, "R*U(x_k)"),
+              "B": _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)"),
+              "C": _as_int(scale * W.u, "T*d'*Delta1*(d/Delta)*W(x_k)"),
+              "P": _as_int(S * dd * U.u, "P"),
+              "Q": _as_int(-S * dd * sqV.u, "Q"),
+              "X": _as_int(scale * U.u, "X"),
+              "Y": _as_int(-scale * sqV.u, "Y"),
+              "Z": _as_int(-scale * D * W.u, "Z")}
+    return {"n": n, **fields, "R": R, "S": S, "T": T, "delta": delta,
+            "delta1": delta1, "d_bn": d_bn, "d_b2an": d_b2an}

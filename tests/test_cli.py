@@ -133,12 +133,13 @@ def test_verify_quadratic_columns(capsys):
 
 
 def test_verify_integrality_failure_exit_3(capsys, monkeypatch):
-    import irrbounds.cli as cli_mod
+    import irrbounds.forms as forms_mod
 
     def boom(*args, **kwargs):
         raise IntegralityError("R*U(x_k)", "7/3")
 
-    monkeypatch.setattr(cli_mod, "verify_forms", boom)
+    # cmd_verify imports verify_forms from forms when it runs
+    monkeypatch.setattr(forms_mod, "verify_forms", boom)
     code, _, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
                        "--n", "1")
     assert code == 3
@@ -152,12 +153,12 @@ def test_integrality_error_renders_past_the_str_digit_limit():
 
 
 def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
-    import irrbounds.cli as cli_mod
+    import irrbounds.forms as forms_mod
 
     def boom(*args, **kwargs):
         raise IntegralityError("R*U(x_k)", Fraction(7**6000, 3))
 
-    monkeypatch.setattr(cli_mod, "verify_forms", boom)
+    monkeypatch.setattr(forms_mod, "verify_forms", boom)
     code, _, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
                        "--n", "1")
     assert code == 3
@@ -491,7 +492,7 @@ def test_alpha_enclosure_too_wide_exit_4(capsys, monkeypatch):
     predicted = cli_mod.predicted_decay
     monkeypatch.setattr(cli_mod, "predicted_decay",
                         lambda *args: tuple(0 * rate for rate in predicted(*args)))
-    monkeypatch.setattr("irrbounds.measures.MAX_ALPHA_PASSES", 1)
+    monkeypatch.setattr("irrbounds.forms.MAX_ALPHA_PASSES", 1)
     code, out, err = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
                          "--n", "31")
     assert code == 4
@@ -678,23 +679,25 @@ BARE_RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
     (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], False),
     (["bound", "--k", "6", "--a", "1", "--b", "7"], False),
     (["omega", "--a", "1", "--b", "7"], True),
-    (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], True),
-], ids=["import", "table", "search", "bound", "omega", "verify"])
+    (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], False),
+    (_verify_n31(8), False),
+], ids=["import", "table", "search", "bound", "omega", "verify", "verify-n31"])
 def test_bound_commands_never_load_fractions_or_decimal(argv, loads):
-    # the bound path runs on ints: the import and table, search and bound
-    # leave fractions and decimal unloaded; omega and verify load both,
-    # which shows that the check sees a load
+    # the bound path and verify run on ints: the import and table, search,
+    # bound and verify leave fractions, decimal and the package's Fraction
+    # layer unloaded; omega loads all three, which shows that the check sees
+    # a load
+    fraction_layer = {"fractions", "decimal", "irrbounds.rational"}
     bare = subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
                            "import sys; print(*sys.modules)"],
                           capture_output=True, text=True, timeout=60)
-    assert not {"fractions", "decimal"} & set(bare.stdout.split())
+    assert not fraction_layer & set(bare.stdout.split())
     child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", BARE_RUN,
                             str(SRC), *argv], capture_output=True, text=True,
                            timeout=120)
     code, *modules = child.stderr.split()
     assert code == "0", child.stderr
-    assert {"fractions", "decimal"} & set(modules) == (
-        {"fractions", "decimal"} if loads else set())
+    assert fraction_layer & set(modules) == (fraction_layer if loads else set())
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,10 @@
 import math
+import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,6 +12,8 @@ from hypothesis import strategies as st
 
 from irrbounds import DomainError, QuadRat, SieveCapacityError, d_upto
 from irrbounds.exact_arith import format_int, format_rat, sqrt_bounds
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 
@@ -32,6 +38,34 @@ def test_format_int_past_str_digit_limit():
     text = format_int(x)
     assert text.startswith("-") and text[1:].isdigit()
     assert Decimal(text) == x
+
+
+def test_format_int_exact_across_the_str_limit():
+    # integers of known digits on both sides of str()'s 4300-digit limit
+    rng = random.Random(4300)
+    for size in (4299, 4300, 4301, 9000):
+        digits = str(rng.randint(1, 9)) + "".join(
+            str(rng.randint(0, 9)) for _ in range(size - 1))
+        x = sum(int(c) * 10**i for i, c in enumerate(reversed(digits)))
+        assert format_int(x) == digits and format_int(-x) == "-" + digits
+
+
+def test_format_int_loads_decimal_only_past_the_limit():
+    # a bare interpreter: str() renders 4300 digits, and decimal loads for
+    # 4301; Python 3.10 has no limit, so str() renders both
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from irrbounds.exact_arith import format_int; "
+            "text = format_int(10**4299); before = 'decimal' in sys.modules; "
+            "longer = format_int(-10**4300); "
+            "print(len(text), before, len(longer), 'decimal' in sys.modules, "
+            "hasattr(sys, 'get_int_max_str_digits'))")
+    child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code,
+                            str(SRC)], capture_output=True, text=True,
+                           timeout=60)
+    assert child.returncode == 0, child.stderr
+    length, before, longer, after, limited = child.stdout.split()
+    assert (length, before, longer) == ("4300", "False", "4302")
+    assert after == limited
 
 
 def test_sqrt_bounds_enclose():

@@ -11,8 +11,9 @@ from irrbounds import (DomainError, IntegralityError, IntPoly, Params,
                        scaled_integer_forms, x_point)
 import irrbounds.forms as forms_mod
 from irrbounds.exact_arith import d_upto
-from irrbounds.forms import _root_blocks, _walk, scaling_factors
-from oracles import (_radical_sum, _transform_nums, series_uvw, shift_poly,
+from irrbounds.forms import IntegerForms, UVWValues, _root_blocks, _walk
+from oracles import (_radical_sum, _transform_nums, fraction_integer_forms,
+                     fraction_uvw, scaling_factors, series_uvw, shift_poly,
                      tail_transform_coeffs)
 from irrbounds.omega import delta_products
 
@@ -310,6 +311,51 @@ def test_eval_matches_dense_oracle(cell, block):
         return
     with patch.object(forms_mod, "_BLOCK", block):
         assert _uvw(params, z) == _dense_uvw(params, z)
+
+
+@given(_cells_and_points())
+@example((Params(k=4, a=1, b=7, n=3), x_point(4)))
+@example((Params(k=12, a=1, b=9, n=3), x_point(12)))
+@example((Params(k=12, a=2, b=11, n=5), x_point(12)))
+@settings(max_examples=60, deadline=None)
+def test_int_edge_matches_fraction_formulas(cell):
+    # U, V, W from the int tuples equal the QuadRat formulas they replace,
+    # at x_k (given as a QuadRat and as the int tuple verify passes) and at
+    # other points; at x_k so does every IntegerForms field, R, S, T too
+    params, z = cell
+    if not z or z == QuadRat(1):
+        return
+    uvw = eval_UVW(params, z)
+    want = fraction_uvw(params, z)
+    assert (uvw.U, uvw.V, uvw.W) == want
+    if z != x_point(params.k):
+        return
+    assert eval_UVW(params, forms_mod._x_k(params.k)) == uvw
+    delta, delta1 = delta_products(params)
+    forms = scaled_integer_forms(params, uvw, delta, delta1)
+    got = {name: getattr(forms, name) for name in IntegerForms.__slots__}
+    assert got == fraction_integer_forms(params, *want, delta, delta1)
+    assert {type(got[name]) for name in "RST"} == {F}
+
+
+@pytest.mark.parametrize("field,part", [(f, p) for f in "UVW" for p in (0, 1)])
+def test_corrupted_remainder_names_quantity_and_exact_rational(field, part):
+    # one unit added to the rational (0) or radical (1) numerator of U, V or
+    # W at x_6 leaves a remainder or a radical part: the int path raises
+    # what the Fraction formulas raise, quantity and exact rational alike
+    p = Params(k=6, a=1, b=7, n=3)
+    uvw = eval_UVW(p, x_point(6))
+    parts = {name: list(forms_mod._SLOTS[name].__get__(uvw)) for name in "UVW"}
+    parts[field][part] += 1
+    bad = UVWValues(*map(tuple, parts.values()), params=p, x=uvw.x)
+    delta, delta1 = delta_products(p)
+    with pytest.raises(IntegralityError) as got:
+        scaled_integer_forms(p, bad, delta, delta1)
+    with pytest.raises(IntegralityError) as want:
+        fraction_integer_forms(p, bad.U, bad.V, bad.W, delta, delta1)
+    assert got.value.quantity == want.value.quantity
+    assert isinstance(got.value.value, F) and got.value.value == want.value.value
+    assert str(got.value) == str(want.value)
 
 
 def test_eval_matches_dense_oracle_at_n31():

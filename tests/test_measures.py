@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import (alpha_value, asymptotics, headline_table, measures,
-                       mu2_bound, mu_bound, omega, predicted_decay,
+from irrbounds import (alpha_value, asymptotics, forms, headline_table,
+                       measures, mu2_bound, mu_bound, omega, predicted_decay,
                        search_params, verify_forms)
 from irrbounds.errors import NonApplicableError, PrecisionError
 from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, grid_size, is_degenerate
@@ -114,7 +114,7 @@ def test_dual_path_ell_agreement():
 def test_alpha_enclosure_contains_alpha(k, bits):
     # |alpha_k 2^bits - A| < E against mpmath's log at bits + 200 bits,
     # degenerate k = 4 and 12 included
-    a, e = measures._alpha_fixed(k, bits)
+    a, e = forms._alpha_fixed(k, bits)
     alpha = alpha_value(k, (bits + 200) * 30103 // 100000 + 1)
     with mp.workprec(bits + 300):
         assert mp.fabs(mp.ldexp(alpha, bits) - a) < e
@@ -127,7 +127,7 @@ def test_alpha_radius_is_the_proven_bound():
         d = 2 * k + 1
         for bits in (0, 1, 64, 1000):
             terms = sum(1 for j in range(bits + 1) if d ** j <= 2 ** bits)
-            assert measures._alpha_fixed(k, bits)[1] == 4 * (terms + 1)
+            assert forms._alpha_fixed(k, bits)[1] == 4 * (terms + 1)
 
 
 def test_verify_never_calls_alpha_value(monkeypatch):
@@ -161,7 +161,7 @@ def test_alpha_enclosure_resolves_deep_cancellation():
         near = Fraction(int(mp.ldexp(alpha_value(8, 3000), 9000)), 2 ** 9000)
     best = near.limit_denominator(2 ** 4000)
     p, q = best.numerator, best.denominator
-    got = measures._alpha_combinations(8, [[(q, 1), (-p, 0)]], digits)[0]
+    got = forms._alpha_combinations(8, [[(q, 1), (-p, 0)]], digits)[0]
     with mp.workdps(3000):
         want = q * alpha_value(8, 3000) - p
         assert mp.fabs(want) < mp.mpf(2) ** -3900
@@ -171,7 +171,7 @@ def test_alpha_enclosure_resolves_deep_cancellation():
 def test_vanishing_form_is_never_certified():
     # an enclosure of 0 never excludes 0, so the passes run out
     with pytest.raises(PrecisionError):
-        measures._alpha_combinations(8, [[(0, 1), (0, 0)]], 60)
+        forms._alpha_combinations(8, [[(0, 1), (0, 0)]], 60)
 
 
 def test_verify_rejects_even_n():
