@@ -9,14 +9,15 @@ _EXPORTS = {
                     "saddle_real"),
     "errors": ("CertificateError", "DomainError", "IntegralityError",
                "NonApplicableError", "PrecisionError", "SieveCapacityError"),
-    "exact_arith": ("Params", "PrimeSieve", "QuadRat", "Rat", "d_upto"),
+    "exact_arith": ("Params", "PrimeSieve", "d_upto"),
     "dense": ("IntPoly", "build_A", "derivative"),
     "forms": ("IntegerForms", "UVWValues", "VerificationRow", "eval_UVW",
               "scaled_integer_forms", "verify_forms", "x_point"),
     "measures": ("BoundResult", "headline_table", "mu2_bound", "mu_bound",
                  "predicted_decay", "search_params"),
-    "omega": ("IntervalSet", "OmegaReport", "compute_omega", "delta_products",
-              "n_constants", "omega_contains"),
+    "omega": ("compute_omega", "delta_products", "n_constants",
+              "omega_contains"),
+    "rational": ("IntervalSet", "OmegaReport", "QuadRat", "Rat"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

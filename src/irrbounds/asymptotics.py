@@ -26,40 +26,29 @@ __all__ = ["digamma", "alpha_value", "saddle_real", "saddle_complex",
 
 # -- digamma at rational arguments --------------------------------------------
 
-# the largest integer part of x that digamma accepts: psi(x) is psi of the
-# fraction part plus one term 1/t per unit step, so this caps the steps.
-# Omega's endpoints all lie in (0, 1].
-MAX_DIGAMMA_SHIFT = 10_000
-
-
 def digamma(x, digits: int) -> Ball:
-    """psi(x) for rational 0 < x < MAX_DIGAMMA_SHIFT + 1 in lowest terms
-    (exact_arith.as_pair), by Gauss's digamma theorem: a ball of radius at
-    most 2^-prec, prec the bits of digits + 10 digits (:func:`_psi`).
-    Euler's constant has 2048 bits: PrecisionError above about 560 digits."""
+    """psi(x) for rational 0 < x <= 1 in lowest terms (exact_arith.as_pair),
+    where all of Omega's endpoints lie, by Gauss's digamma theorem: a ball
+    of radius at most 2^-prec, prec the bits of digits + 10 digits
+    (:func:`_psi`).  Euler's constant has 2048 bits: PrecisionError above
+    about 560 digits."""
     num, den = as_pair(x)
-    if num <= 0:
-        raise DomainError(f"digamma requires a positive argument, got {x}")
-    if num // den > MAX_DIGAMMA_SHIFT:
-        raise DomainError(f"digamma needs an integer part of at most "
-                          f"{MAX_DIGAMMA_SHIFT}, got {num // den}")
+    if not 0 < num <= den:
+        raise DomainError(f"digamma requires 0 < x <= 1, got {x}")
     return _psi(num, den, digits)
 
 
 @lru_cache(maxsize=None)
-def _psi(num: int, den: int, digits: int) -> Ball:
-    """psi(num/den), memoised: Omega's endpoints share many arguments.
-
-    With x = s + p/q, p/q in (0, 1], Gauss's digamma theorem (DLMF 5.4.19)
-    gives, for q > 1,
+def _psi(p: int, den: int, digits: int) -> Ball:
+    """psi(p/q), q = den, 0 < p <= q, memoised: Omega's endpoints share many
+    arguments.  Gauss's digamma theorem (DLMF 5.4.19) gives, for q > 1,
 
         psi(p/q) = -gamma - ln 2q - (pi/2) cot(pi p/q)
                    + sum_{n=1}^{ceil(q/2)-1} cos(2 pi n p/q) ln sin^2(pi n/q),
 
-    psi(1) = -gamma, and psi(x) = psi(p/q) + sum_{j<s} q/(p + jq), all in
-    integers on the row of q (:func:`_gauss_row`): cot(pi p/q) =
-    +-sqrt((1 + C_p)/(1 - C_p)), + for p/q < 1/2, by isqrt, the n-sum one dot
-    product, each q/(p + jq) a floor to bitlen(s) more bits.  The total, at
+    and psi(1) = -gamma, all in integers on the row of q
+    (:func:`_gauss_row`): cot(pi p/q) = +-sqrt((1 + C_p)/(1 - C_p)), + for
+    p/q < 1/2, by isqrt, and the n-sum one dot product.  The total, at
     B = prec + 6 bitlen(q) bits (prec + 2 for q = 1), is rounded to prec
     bits, its error in units of 2^-B at most 2^(B - prec), else
     PrecisionError.  From the row's bounds (|C_j err| <= q^2/4, L_n's
@@ -67,11 +56,8 @@ def _psi(num: int, den: int, digits: int) -> Ball:
     2^-20 excesses, :mod:`fixed`): (q^4 + 16 q^2 bitlen(q))/32 + 4 per dot
     term (|ln sin^2| < 2 bitlen(q)); q^5/16 + q/2 + 5 for pi/2 cot
     (|cot| < q), as d/dc sqrt((1+c)/(1-c)) = 1/((1 - c)|sin 2 pi p/q|) <
-    q^3/8 near C_p (0 when q = 2); 1 per floor, 2 for gamma and ln 2q, 2 for
-    the s steps.
+    q^3/8 near C_p (0 when q = 2); 1 per floor, 2 for gamma and ln 2q.
     """
-    s = -(-num // den) - 1
-    p = num - s * den
     prec = prec_of(digits + 10)
     wp = prec + 2 * den.bit_length()
     if den == 1:
@@ -89,12 +75,10 @@ def _psi(num: int, den: int, digits: int) -> Ball:
         q2 = den * den
         err = (q2 * q2 * den // 16 + den // 2 + 10
                + len(log_row) * ((q2 * q2 + 16 * q2 * den.bit_length()) // 32 + 5))
-    g = s.bit_length()
-    total += sum((den << bits + g) // (p + j * den) for j in range(s)) >> g
-    if err + 2 > 1 << bits - prec:
-        raise PrecisionError(f"the fixed-point psi({num}/{den}) is not within "
-                             f"2^-{prec}: {err + 2} units of 2^-{bits}")
-    return Ball(total, -bits, err + 3).rnd(prec)
+    if err + 1 > 1 << bits - prec:
+        raise PrecisionError(f"the fixed-point psi({p}/{den}) is not within "
+                             f"2^-{prec}: {err + 1} units of 2^-{bits}")
+    return Ball(total, -bits, err + 1).rnd(prec)
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,11 @@ Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes (:data:`EXIT_CODES`): 0 success, 1 usage
 or validation error, 2 inapplicable parameters, 3 integrality failure, 4 a
 certificate did not hold (a radius too wide for its digits or for a sign,
-the saddle root's or Omega's certificate, a form's alpha_k enclosure).
-Usage errors, --print-digits above --digits - 5 among them, are refused
-before any work with one stderr line, ``Error: <message>``, and no stdout.
+the saddle root's or Omega's certificate, a form's alpha_k enclosure), 141
+stdout closed before all of it was written (``| head``), as for SIGPIPE,
+with nothing on stderr.  Usage errors, --print-digits above --digits - 5
+and --b above MAX_B among them, are refused before any work with one
+stderr line, ``Error: <message>``, and no stdout.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
@@ -28,7 +31,7 @@ from .fixed import certify
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
                        table_row)
-from .omega import compute_omega, n_constants
+from .omega import compute_omega, n_constants, omega_runs
 
 # the working-precision floor of omega.n_constants and a cap, checked before
 # any work; Euler's constant is held for psi up to about 560 digits.  Per
@@ -46,6 +49,12 @@ MAX_VERIFY_DEGREE = 10_000
 # process at the default digits on the same machine, and 5.8-8.1 s with a
 # 29 MB peak at --digits 500.
 MAX_SEARCH_CELLS = 100
+# largest b that bound, omega and verify accept: Omega's Farey walk is
+# O(b^2).  Per process on the same machine (two runs), bound --k 6 --a 1
+# --b B takes 0.14-0.18 / 0.29-0.32 / 0.72-0.86 / 1.2-1.7 s at B = 201 /
+# 401 / 801 / 1001, and 0.39-0.41 / 0.73-1.1 / 2.7-2.9 / 3.6-6.0 s with a
+# 17 MB peak at --digits 500.
+MAX_B = 1001
 
 
 class UsageError(Exception):
@@ -62,10 +71,10 @@ def fmt_sig(x, sig: int = 6) -> str:
     return x.to_str(sig)
 
 
-def _check_digits(args: argparse.Namespace) -> None:
-    """Refuse, before any work, digits outside their ranges, and printed
-    digits the enclosures do not certify: each published value is accepted
-    only with a radius of at most 10^-(digits-5) of it."""
+def _check_limits(args: argparse.Namespace) -> None:
+    """Refuse, before any work, digits outside their ranges, printed digits
+    the enclosures do not certify (each published value is accepted only
+    with a radius of at most 10^-(digits-5) of it), and b above MAX_B."""
     if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
         raise UsageError(f"Invalid value for '--digits': {args.digits} is not "
                          f"in the range {MIN_DIGITS}<=x<={MAX_DIGITS}.")
@@ -76,6 +85,8 @@ def _check_digits(args: argparse.Namespace) -> None:
         raise UsageError(
             f"--print-digits {args.print_digits} is above --digits {args.digits}"
             f" - 5 = {args.digits - 5}, the digits the enclosures certify")
+    if getattr(args, "b", 0) > MAX_B:
+        raise UsageError(f"--b {args.b} is above the cap {MAX_B}")
 
 
 # json and csv are imported where they format, so a process loads at most
@@ -213,7 +224,7 @@ def cmd_omega(args) -> int:
 
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     report = compute_omega(a, b)
-    n1, n2 = n_constants(a, b, report.omega, digits)
+    n1, n2 = n_constants(a, b, omega_runs(a, b), digits)
     psi_sum = b - n1
     for name, value in (("psi sum", psi_sum), ("N1", n1), ("N2", n2)):
         certify(f"Omega({a}, {b}) {name}", value, digits)
@@ -310,7 +321,8 @@ def _parser() -> _Parser:
     return parser
 
 
-# exception -> exit code and stderr prefix; the first match wins
+# exception -> exit code and stderr prefix; the first match wins.  main
+# turns a closed stdout (BrokenPipeError) into 141, with nothing on stderr
 EXIT_CODES = (
     (UsageError, 1, "Error: "),
     (IntegralityError, 3, "integrality failure: "),
@@ -324,11 +336,21 @@ EXIT_CODES = (
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        args = _parser().parse_args(argv)
-        _check_digits(args)
-        return args.run(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        try:
+            args = _parser().parse_args(argv)
+            _check_limits(args)
+            code = args.run(args)
+        except SystemExit as exc:  # --help
+            code = int(exc.code or 0)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left has nowhere to go, so stdout
+        # points at devnull, where the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:
         for types, code, prefix in EXIT_CODES:
             if isinstance(exc, types):

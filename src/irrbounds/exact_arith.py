@@ -1,10 +1,8 @@
 """Exact integer substrate, which every command loads: rationals as int
-pairs (:func:`as_pair`), ``format_int``, the integer cube root, the prime
+pairs (:func:`as_pair`), ``format_int``, the integer cube root, rational
+square-root bounds (which import ``fractions`` when called), the prime
 sieve, lcm(1..n), ``Frozen``, the base of the package's immutable records,
-and ``Params``.  The ``Fraction`` names (``Rat``, ``QuadRat``,
-``sqrt_bounds``, ``format_rat``) load :mod:`.rational` on first access
-(PEP 562), so only omega imports ``fractions`` and ``decimal``.  All of it
-is immutable and safe to share between workers."""
+and ``Params``.  All of it is immutable and safe to share between workers."""
 
 from __future__ import annotations
 
@@ -13,13 +11,6 @@ from math import isqrt
 from .errors import DomainError, SieveCapacityError
 
 DEFAULT_SIEVE_LIMIT = 2_000_000
-
-
-def __getattr__(name):
-    if name in ("QuadRat", "Rat", "format_rat", "sqrt_bounds"):
-        from . import rational
-        return getattr(rational, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_pair(x) -> tuple[int, int]:
@@ -44,6 +35,19 @@ def icbrt(n: int) -> int:
     while (z := (2 * y + n // (y * y)) // 3) < y:
         y = z
     return y
+
+
+def sqrt_bounds(d: int, digits: int):
+    """Exact rational bounds lo <= sqrt(d) <= hi sharing denominator 10^digits."""
+    from fractions import Fraction
+
+    if d < 0:
+        raise DomainError("sqrt of a negative integer")
+    scale = 10**digits
+    root = isqrt(d * scale * scale)
+    lo = Fraction(root, scale)
+    hi = lo if root * root == d * scale * scale else Fraction(root + 1, scale)
+    return lo, hi
 
 
 class Frozen:

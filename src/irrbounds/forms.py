@@ -6,14 +6,13 @@ fixed-point integer enclosure of alpha_k * 2^M.
 The evaluation route is fully finite: the tail-series transform turns each
 tail series into a polynomial in t = z/(z-1), which at the algebraic point
 x_k has t = (1 - sqrt(2k+1))/2, so every value lives in Q(sqrt(2k+1)) and is
-computed on int tuples, (u, v, e) for (u + v sqrt(D))/e; the ``QuadRat`` and
-``Fraction`` fields of the records are views built on first access.  A of
-degree d is never expanded (the expanded A is the test oracle ``build_A`` of
-``irrbounds.dense``): one walk over the integers m yields
-u_r(m) = L^r A^(r)(-m), r = 0, 1, 2, at one scale L = lcm(1..d), and the
-three transform sums take it in lockstep, streamed, in blocks (after
-Paterson and Stockmeyer, 1973): O(d) big-by-small operations and
-O(d/block) full-size products per form.
+computed on int tuples (u, v, e, D) for (u + v sqrt(D))/e, the form the
+records hold them in too.  A of degree d is never expanded (the expanded A
+is the test oracle ``build_A`` of ``irrbounds.dense``): one walk over the
+integers m yields u_r(m) = L^r A^(r)(-m), r = 0, 1, 2, at one scale
+L = lcm(1..d), and the three transform sums take it in lockstep, streamed,
+in blocks (after Paterson and Stockmeyer, 1973): O(d) big-by-small
+operations and O(d/block) full-size products per form.
 
 Every u_r is an integer.  A is a product of binomial coefficients, so
 y -> A(y0 + y) maps integers to integers for each integer y0, and
@@ -43,8 +42,8 @@ __all__ = [
 # -- Q(sqrt D) on ints --------------------------------------------------------
 
 def _canon(u: int, v: int, e: int, D: int) -> tuple[int, int, int]:
-    """(u + v sqrt(D))/e as QuadRat normalizes it: v folded into u where D
-    is a perfect square, then in lowest terms with e > 0."""
+    """(u + v sqrt(D))/e in canonical form: v folded into u where D is a
+    perfect square, then in lowest terms with e > 0."""
     r = isqrt(D)
     if r * r == D:
         u, v = u + v * r, 0
@@ -67,36 +66,11 @@ def _pow(x: tuple[int, int], e: int, D: int) -> tuple[int, int]:
     return out
 
 
-def _x_k(k: int) -> tuple[int, int, int, int]:
+def x_point(k: int) -> tuple[int, int, int, int]:
     """x_k = (k+1 - sqrt(2k+1))/k in (0, 1) as the int tuple (u, v, e, D)."""
     if k < 1:
         raise DomainError("k must be >= 1")
     return (*_canon(k + 1, -1, k, 2 * k + 1), 2 * k + 1)
-
-
-def _view(x):
-    """The public object of a stored field: the Fraction of an int pair
-    (num, den), the QuadRat (u + v sqrt(D))/e of (u, v, e, D), else x."""
-    if not isinstance(x, tuple):
-        return x
-    from .rational import QuadRat, Rat
-    if len(x) == 2:
-        return Rat(*x)
-    u, v, e, D = x
-    return QuadRat(Rat(u, e), Rat(v, e), D)
-
-
-def _parts(x) -> tuple[int, int, int, int]:
-    """The int tuple (u, v, e, D) of a QuadRat, or the tuple x itself."""
-    if isinstance(x, tuple):
-        return x
-    (a, b), (c, d) = x.u.as_integer_ratio(), x.v.as_integer_ratio()
-    return (*_canon(a * d, c * b, b * d, x.D), x.D)
-
-
-def x_point(k: int) -> QuadRat:
-    """The evaluation point x_k of :func:`_x_k`, a QuadRat."""
-    return _view(_x_k(k))
 
 
 def _exact_div(num: int, den: int, where: str) -> int:
@@ -331,41 +305,25 @@ class _PoleSum:
             self.k = tuple(_exact_div(x * num, rise, where) for x in self.k)
 
 
-_SLOTS = {}  # the member descriptor of each field that holds an int tuple
-
-
-def _views(cls, *names) -> None:
-    """Let each named field of the record ``cls`` hold an int tuple, which
-    the int path reads through ``_SLOTS``; reading the field gives its
-    :func:`_view`, so loads :mod:`.rational` only then."""
-    for name in names:
-        slot = _SLOTS[name] = getattr(cls, name)
-        setattr(cls, name, property(lambda self, slot=slot: _view(
-            slot.__get__(self)), slot.__set__))
-
-
 class UVWValues(Frozen):
     """Exact values of the three rational functions at one point.
 
     At z = x_k the radical parts of U and W and the rational part of V vanish
-    identically: U, W and sqrt(2k+1)*V are rational there.  ``eval_UVW``
-    stores U, V, W and x as int tuples (u, v, e, D), read as QuadRats.
+    identically: U, W and sqrt(2k+1)*V are rational there.  U, V, W and x
+    are int tuples (u, v, e, D), each (u + v sqrt(D))/e.
     """
 
     __slots__ = ("U", "V", "W", "params", "x")
-    U: QuadRat
-    V: QuadRat
-    W: QuadRat
+    U: tuple[int, int, int, int]
+    V: tuple[int, int, int, int]
+    W: tuple[int, int, int, int]
     params: Params
-    x: QuadRat
+    x: tuple[int, int, int, int]
 
 
-_views(UVWValues, "U", "V", "W", "x")
-
-
-def eval_UVW(params: Params, z: QuadRat | tuple) -> UVWValues:
+def eval_UVW(params: Params, z: tuple[int, int, int, int]) -> UVWValues:
     """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms;
-    z is a QuadRat, or x_k as the int tuple of :func:`_x_k`.
+    z is an int tuple (u, v, e, D), e != 0 and D >= 1, as :func:`x_point`.
 
     U uses the transform of A itself; V the transform of A'(. - an) with the
     extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}: the
@@ -373,7 +331,7 @@ def eval_UVW(params: Params, z: QuadRat | tuple) -> UVWValues:
     ``_PoleSum`` take each value of one ``_walk`` as it comes.  An inexact
     step raises ``IntegralityError`` naming m, or the order and s0 of a block.
     """
-    zu, zv, zd, D = _parts(z)
+    (zu, zv, zd), D = _canon(*z), z[3]
     if not (zu or zv):
         raise DomainError("z = 0 is outside the domain of U, V, W")
     if not zv and zu == zd:
@@ -404,12 +362,11 @@ class IntegerForms(Frozen):
     Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
     are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
     T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
-    ``scaled_integer_forms`` stores R, S, T as int pairs, read as Fractions.
     """
 
-    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "A", "B", "C",
-                 "R", "S", "T", "delta", "delta1", "d_bn", "d_b2an")
-    _hidden = ("R", "S", "T", "delta", "delta1", "d_bn", "d_b2an")
+    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "A", "B", "C", "delta",
+                 "delta1", "d_bn", "d_b2an")
+    _hidden = ("delta", "delta1", "d_bn", "d_b2an")
     n: int
     P: int
     Q: int
@@ -419,28 +376,21 @@ class IntegerForms(Frozen):
     A: int
     B: int
     C: int
-    R: Rat
-    S: Rat
-    T: Rat
     delta: int
     delta1: int
     d_bn: int
     d_b2an: int
 
 
-_views(IntegerForms, "R", "S", "T")
-
-
 def scaled_integer_forms(params: Params, uvw: UVWValues,
                          delta: int, delta1: int) -> IntegerForms:
     """Scale the exact U, V, W at x_k into the integer form coefficients;
     a fractional result aborts with the offending name, never rounded."""
-    *x, D = _x_k(params.k)
-    *z, zD = _parts(_SLOTS["x"].__get__(uvw))
+    *x, D = x_point(params.k)
+    *z, zD = uvw.x
     if z != x or z[1] and zD != D:
         raise DomainError("integer forms are defined only at the point x_k")
-    (uu, uv, ue, _), (vu, vv, ve, _), (wu, wv, we, _) = (
-        _parts(_SLOTS[name].__get__(uvw)) for name in "UVW")
+    (uu, uv, ue, _), (vu, vv, ve, _), (wu, wv, we, _) = uvw.U, uvw.V, uvw.W
     # sqrt(D) V = (D vv + vu sqrt(D))/ve, folded where D is a square
     r = isqrt(D)
     sq, sqv = (D * vv + r * vu, 0) if r * r == D else (D * vv, vu)
@@ -467,8 +417,7 @@ def scaled_integer_forms(params: Params, uvw: UVWValues,
         (tn * uu, td * ue, "X"), (-tn * sq, td * ve, "Y"),
         (-tn * D * wu, td * we, "Z")))
     return IntegerForms(n=n, P=P, Q=Q, X=X, Y=Y, Z=Z, A=A, B=B, C=C,
-                        R=R, S=S, T=T, delta=delta, delta1=delta1, d_bn=d_bn,
-                        d_b2an=d_b2an)
+                        delta=delta, delta1=delta1, d_bn=d_bn, d_b2an=d_b2an)
 
 
 # -- finite-n verification harness --------------------------------------------
@@ -572,7 +521,7 @@ def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
     rows = []
     for n in n_list:
         params = Params(k=k, a=a, b=b, n=n)
-        uvw = eval_UVW(params, _x_k(k))
+        uvw = eval_UVW(params, x_point(k))
         delta, delta1 = delta_products(params, sieve)
         forms = scaled_integer_forms(params, uvw, delta, delta1)
         ell, m = _alpha_combinations(

@@ -55,7 +55,7 @@ class BoundResult(Frozen):
 
 def __getattr__(name):
     # the verify harness lives in .forms, which only verify loads
-    if name in ("VerificationRow", "verify_forms"):
+    if name == "verify_forms":
         from . import forms
         return getattr(forms, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

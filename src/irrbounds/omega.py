@@ -7,7 +7,7 @@ three-group floor inequality, as the prime scans need.  One walk certified
 by the Farey-neighbour property yields Omega's runs as int pairs
 (:func:`omega_runs`) for the digamma sums and N2's exact large-prime sum;
 only :func:`compute_omega` (omega's printing, the tests) makes the
-``Fraction`` records of :mod:`.rational` of them, re-exported here.
+``Fraction`` records of :mod:`.rational` of them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import CertificateError, DomainError, SieveCapacityError
 from .exact_arith import Params, PrimeSieve, as_pair
 from .fixed import Ball, prec_of
 
-__all__ = ["Interval", "IntervalSet", "OmegaReport", "omega_contains",
-           "omega_runs", "compute_omega", "delta_products", "n_constants"]
+__all__ = ["omega_contains", "omega_runs", "compute_omega", "delta_products",
+           "n_constants"]
 
 
 def _validate_ab(a: int, b: int) -> None:
@@ -114,18 +114,11 @@ def omega_runs(a: int, b: int, denominator_bound: int | None = None) -> tuple:
     return _omega_report(a, b, bound)
 
 
-def compute_omega(a: int, b: int, denominator_bound: int | None = None) -> OmegaReport:
-    """Exact interval description of the certifying set: :func:`omega_runs`
-    as ``Fraction`` intervals, one shared report per (a, b, runs, bound)."""
+def compute_omega(a: int, b: int, denominator_bound: int | None = None):
+    """The certifying set as :func:`omega_runs` in ``Fraction`` intervals, a
+    :class:`rational.OmegaReport` shared per (a, b, runs, bound)."""
     from .rational import _report
     return _report(a, b, omega_runs(a, b, denominator_bound), denominator_bound or b)
-
-
-def __getattr__(name):
-    if name in ("Interval", "IntervalSet", "OmegaReport"):
-        from . import rational
-        return getattr(rational, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +195,9 @@ def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int
 
 # -- asymptotic constants -----------------------------------------------------
 
-def n_constants(a: int, b: int, omega, digits: int):
+def n_constants(a: int, b: int, runs: tuple, digits: int):
     """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta,
-    as balls, from Omega's :func:`omega_runs` or an :class:`IntervalSet`.
+    as balls, from Omega's runs (:func:`omega_runs`).
     N1 = b - sum over components [u, v] of psi(v) - psi(u): the lcm grows at
     rate b while the digamma difference is the density of the primes counted
     in Delta.  N2 adds b - 2a for the second lcm plus the large-prime regime
@@ -214,10 +207,7 @@ def n_constants(a: int, b: int, omega, digits: int):
     _validate_ab(a, b)
     if digits < 30:
         raise DomainError("digits must be >= 30")
-    if not isinstance(omega, tuple):
-        omega = tuple((as_pair(iv.lo), as_pair(iv.hi), iv.lo_closed, iv.hi_closed)
-                      for iv in omega)
-    return _n_pair(a, b, omega, digits)
+    return _n_pair(a, b, runs, digits)
 
 
 @lru_cache(maxsize=None)

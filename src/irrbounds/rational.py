@@ -1,9 +1,8 @@
 """The ``Fraction`` layer: ``Rat`` (:class:`fractions.Fraction`, reduced),
-its rendering, rational square-root bounds, :class:`QuadRat` (Q(sqrt D), the
-view of the forms' int tuples) and Omega's ``Fraction`` records.  Only omega,
-IntegralityError's message and those views import it, and with it
-``fractions`` and ``decimal``; :mod:`.exact_arith` and :mod:`.omega`
-re-export its names."""
+its rendering, Omega's ``Fraction`` records, and :class:`QuadRat`, Q(sqrt D),
+which only the tests use, as the reference for the forms' int tuples.  Only
+omega's printing and IntegralityError's message import it, and with it
+``fractions`` and ``decimal``."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -21,17 +20,6 @@ def format_rat(x: Rat) -> str:
     if x.denominator == 1:
         return format_int(x.numerator)
     return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
-
-
-def sqrt_bounds(d: int, digits: int) -> tuple[Rat, Rat]:
-    """Exact rational bounds lo <= sqrt(d) <= hi sharing denominator 10^digits."""
-    if d < 0:
-        raise DomainError("sqrt of a negative integer")
-    scale = 10**digits
-    root = isqrt(d * scale * scale)
-    lo = Fraction(root, scale)
-    hi = lo if root * root == d * scale * scale else Fraction(root + 1, scale)
-    return lo, hi
 
 
 class QuadRat:

@@ -13,7 +13,9 @@ the truncated tail series with an exact tail bound.
 :func:`fraction_integer_forms` are the edge of the forms as the package
 computed it before its int tuples: t, the pole-sum seeds, the power of z
 and the integer scaling in ``QuadRat`` and ``Fraction`` arithmetic, around
-the same int kernel.
+the same int kernel.  :func:`quad_tuple` and :func:`quad_rat` convert
+between a ``QuadRat`` and the int tuple (u, v, e, D) the forms compute on,
+and :func:`runs_of` turns an ``IntervalSet`` into Omega's int runs.
 :func:`omega_by_fraction_probes` is the interval description built the way
 the package built it before its integer walk: ``Fraction`` probes at every
 point of the literal Farey set and at every gap's mediant.
@@ -44,17 +46,36 @@ import mpmath as mp
 
 from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
-from irrbounds.exact_arith import Params, PrimeSieve, QuadRat, Rat, d_upto
+from irrbounds.exact_arith import Params, PrimeSieve, d_upto
 from irrbounds import forms
 from irrbounds.errors import IntegralityError
 from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
                              _walk, eval_UVW, x_point)
-from irrbounds.omega import (Interval, IntervalSet, _breakpoints, _candidates,
-                             _groups, _mod_table, _omega_primes, _validate_ab,
-                             delta_products, omega_contains)
+from irrbounds.omega import (_breakpoints, _candidates, _groups, _mod_table,
+                             _omega_primes, _validate_ab, delta_products,
+                             omega_contains)
+from irrbounds.rational import Interval, IntervalSet, QuadRat, Rat
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
 GRID_CHUNK = 1 << 20
+
+
+def quad_tuple(x: QuadRat) -> tuple[int, int, int, int]:
+    """The int tuple (u, v, e, D) of x = (u + v sqrt(D))/e, in lowest terms."""
+    return (*_int_pair(x), x.D)
+
+
+def quad_rat(x: tuple[int, int, int, int]) -> QuadRat:
+    """The QuadRat of the int tuple x = (u, v, e, D), (u + v sqrt(D))/e."""
+    u, v, e, D = x
+    return QuadRat(Fraction(u, e), Fraction(v, e), D)
+
+
+def runs_of(omega: IntervalSet) -> tuple:
+    """The intervals of ``omega`` as the int runs of ``omega.omega_runs``."""
+    return tuple(((iv.lo.numerator, iv.lo.denominator),
+                  (iv.hi.numerator, iv.hi.denominator), iv.lo_closed,
+                  iv.hi_closed) for iv in omega)
 
 
 def floor_sum_value(a: int, b: int, x, y) -> int:
@@ -87,9 +108,9 @@ def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
     delta, _ = delta_products(params)
     _, s_factor, _ = scaling_factors(params)
     scale = s_factor * Fraction(d_upto(b * n), delta)
-    sq_v = QuadRat.sqrt_d(2 * k + 1) * uvw.V
+    sq_v = QuadRat.sqrt_d(2 * k + 1) * quad_rat(uvw.V)
     return _alpha_combinations(
-        k, [[(scale * uvw.U.u, 1), (-scale * sq_v.u, 0)]], digits)[0]
+        k, [[(scale * quad_rat(uvw.U).u, 1), (-scale * sq_v.u, 0)]], digits)[0]
 
 
 def _contains_by_fraction(a: int, b: int, y: Fraction) -> bool:
@@ -545,5 +566,5 @@ def fraction_integer_forms(params: Params, U: QuadRat, V: QuadRat,
               "X": _as_int(scale * U.u, "X"),
               "Y": _as_int(-scale * sqV.u, "Y"),
               "Z": _as_int(-scale * D * W.u, "Z")}
-    return {"n": n, **fields, "R": R, "S": S, "T": T, "delta": delta,
-            "delta1": delta1, "d_bn": d_bn, "d_b2an": d_b2an}
+    return {"n": n, **fields, "delta": delta, "delta1": delta1, "d_bn": d_bn,
+            "d_b2an": d_b2an}

@@ -16,12 +16,15 @@ import random
 import time
 from fractions import Fraction as F
 
-from irrbounds import (Params, QuadRat, compute_omega, delta_products,
-                       eval_UVW, mu2_bound, mu_bound, n_constants,
-                       predicted_decay, scaled_integer_forms, verify_forms,
-                       x_point)
+from irrbounds.exact_arith import Params
+from irrbounds.forms import (eval_UVW, scaled_integer_forms, verify_forms,
+                             x_point)
+from irrbounds.measures import mu2_bound, mu_bound, predicted_decay
+from irrbounds.omega import compute_omega, delta_products, n_constants, omega_runs
+from irrbounds.rational import QuadRat
 from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
-                     grid_discrepancies, series_uvw)
+                     grid_discrepancies, quad_rat, quad_tuple, scaling_factors,
+                     series_uvw)
 
 MU_TABLE = {3: 6.64610, 5: 5.82337, 6: 3.51433, 7: 5.45248, 8: 3.47834,
             9: 5.23162, 10: 3.45356, 11: 5.08120, 12: 3.43506}
@@ -113,7 +116,8 @@ def test_criterion_4_decay_quadratic(big_sieve):
     row = verify_forms(k, a, b, [n], digits=60)[0]
     f = row.forms
     observed = float(row.decay_quadratic)
-    rate_t = (math.log(f.T.numerator) - math.log(f.T.denominator)) / n
+    T = scaling_factors(Params(k=k, a=a, b=b, n=n))[2]
+    rate_t = (math.log(T.numerator) - math.log(T.denominator)) / n
     rate_n = (math.log(f.d_b2an) + math.log(f.delta1)
               + math.log(f.d_bn) - math.log(f.delta)) / n
     reference = m2 + rate_t + rate_n
@@ -151,11 +155,11 @@ def test_criterion_5_series_oracle():
     for n in (1, 3):
         params = Params(k=6, a=1, b=7, n=n)
         for z in (F(1, 3), F(1, 2)):
-            closed = eval_UVW(params, QuadRat(z))
+            closed = eval_UVW(params, quad_tuple(QuadRat(z)))
             (su, sv, sw), (tu, tv, tw) = series_uvw(params, z, 300)
-            for val, trunc, tail in ((closed.U.u, su, tu),
-                                     (closed.V.u, sv, tv),
-                                     (closed.W.u, sw, tw)):
+            for val, trunc, tail in ((quad_rat(closed.U).u, su, tu),
+                                     (quad_rat(closed.V).u, sv, tv),
+                                     (quad_rat(closed.W).u, sw, tw)):
                 gap = abs(val - trunc)
                 assert gap <= tail
                 worst = max(worst, gap / tail if tail else F(0))
@@ -191,8 +195,7 @@ def test_criterion_6_omega_grids():
 
 def test_criterion_7_n1_convergence(big_sieve):
     t0 = time.monotonic()
-    omega = compute_omega(1, 7).omega
-    n1, _ = n_constants(1, 7, omega, 60)
+    n1, _ = n_constants(1, 7, omega_runs(1, 7), 60)
     n = 10**5 + 1
     est = finite_n_n1(1, 7, n, big_sieve)
     rel = abs(est - float(n1)) / float(n1)
@@ -208,19 +211,19 @@ def test_criterion_8_property_suites():
     # symmetry identities at three rational points
     params = Params(k=6, a=1, b=7, n=1)
     for z in (F(1, 3), F(2, 5), F(3, 7)):
-        here = eval_UVW(params, QuadRat(z))
-        there = eval_UVW(params, QuadRat(1 / z))
-        assert here.U == there.U
-        assert here.V == -there.V
-        assert here.W == there.W
+        here, there = (eval_UVW(params, quad_tuple(QuadRat(y)))
+                       for y in (z, 1 / z))
+        assert quad_rat(here.U) == quad_rat(there.U)
+        assert quad_rat(here.V) == -quad_rat(there.V)
+        assert quad_rat(here.W) == quad_rat(there.W)
 
     # rationality: radical components vanish exactly at x_k
     for k, a, b, n in ((6, 1, 7, 1), (6, 1, 7, 3), (7, 1, 7, 1),
                        (8, 1, 13, 1), (4, 1, 7, 3)):
         p = Params(k=k, a=a, b=b, n=n)
         uvw = eval_UVW(p, x_point(k))
-        assert uvw.U.v == 0 and uvw.W.v == 0
-        assert (QuadRat.sqrt_d(2 * k + 1) * uvw.V).v == 0
+        assert quad_rat(uvw.U).v == 0 and quad_rat(uvw.W).v == 0
+        assert (QuadRat.sqrt_d(2 * k + 1) * quad_rat(uvw.V)).v == 0
 
     # floor groups stay in {0, 1} on 10^4 random rationals
     rng = random.Random(1789)

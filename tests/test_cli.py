@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from irrbounds import asymptotics, omega
-from irrbounds.cli import MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
+from irrbounds.cli import MAX_B, MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
 from irrbounds.fixed import Ball
 from pinned_digits import MU2_8_1_13, MU_6_1_7
@@ -283,6 +283,25 @@ def test_search_refuses_grid_above_cap_before_any_work(capsys, monkeypatch,
                          "--b-max", str(b_max))
     assert code == 1
     assert out == "" and "above the cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--k", "6", "--a", "1"),
+    ("omega", "--a", "1"),
+    ("verify", "--k", "6", "--a", "1", "--n", "1"),
+], ids=lambda argv: argv[0])
+def test_b_above_cap_refused_before_the_walk(capsys, monkeypatch, argv):
+    # Omega's Farey walk is O(b^2): b = MAX_B + 2 is refused with one line
+    # before the walk starts, and b = MAX_B reaches it
+    def boom(*args, **kwargs):
+        raise RuntimeError("the Farey walk started")
+
+    monkeypatch.setattr(omega, "_breakpoints", boom)
+    code, out, err = run(capsys, *argv, "--b", str(MAX_B + 2))
+    assert code == 1 and out == ""
+    assert err == f"Error: --b {MAX_B + 2} is above the cap {MAX_B}\n"
+    with pytest.raises(RuntimeError, match="the Farey walk started"):
+        main([*argv, "--b", str(MAX_B)])
 
 
 # ---------------------------------------------------------------------------
@@ -766,3 +785,22 @@ def test_usage_errors_exit_1_one_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("Error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [BOUND_6_1_7, _verify_n31(8)],
+                         ids=["bound", "verify-n31"])
+def test_closed_stdout_exits_141_with_empty_stderr(argv):
+    # stdout's reader is gone before the first write, as with `| head -c 0`:
+    # exit 141, as for SIGPIPE, with no traceback and no "Exception
+    # ignored" line at interpreter shutdown
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    try:
+        child = subprocess.run([sys.executable, "-m", "irrbounds", *argv],
+                               stdout=write_end, stderr=subprocess.PIPE,
+                               env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, b"")

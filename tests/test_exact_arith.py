@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irrbounds import DomainError, QuadRat, SieveCapacityError, d_upto
-from irrbounds.exact_arith import format_int, format_rat, sqrt_bounds
+from irrbounds.errors import DomainError, SieveCapacityError
+from irrbounds.exact_arith import d_upto, format_int, sqrt_bounds
+from irrbounds.rational import QuadRat, format_rat
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -6,16 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import (DomainError, IntegralityError, IntPoly, Params,
-                       QuadRat, build_A, derivative, eval_UVW,
-                       scaled_integer_forms, x_point)
+from irrbounds.dense import IntPoly, build_A, derivative
+from irrbounds.errors import DomainError, IntegralityError
 import irrbounds.forms as forms_mod
-from irrbounds.exact_arith import d_upto
-from irrbounds.forms import IntegerForms, UVWValues, _root_blocks, _walk
+from irrbounds.exact_arith import Params, d_upto
+from irrbounds.forms import (IntegerForms, UVWValues, _root_blocks, _walk,
+                             eval_UVW, scaled_integer_forms, x_point)
+from irrbounds.rational import QuadRat
 from oracles import (_radical_sum, _transform_nums, fraction_integer_forms,
-                     fraction_uvw, scaling_factors, series_uvw, shift_poly,
-                     tail_transform_coeffs)
+                     fraction_uvw, quad_rat, quad_tuple, scaling_factors,
+                     series_uvw, shift_poly, tail_transform_coeffs)
 from irrbounds.omega import delta_products
+
+
+def _quads(uvw, names="UVW"):
+    """The named int-tuple fields of ``uvw`` as QuadRats."""
+    return tuple(quad_rat(getattr(uvw, name)) for name in names)
+
+
+def _eval(params, z):
+    """eval_UVW at the QuadRat z, its U, V, W as QuadRats."""
+    return _quads(eval_UVW(params, quad_tuple(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +45,9 @@ def test_params_validation(kwargs):
 
 
 def test_x_point_values():
-    assert x_point(4) == QuadRat(F(1, 2))          # sqrt(9) collapses
-    assert x_point(12) == QuadRat(F(2, 3))         # sqrt(25) collapses
-    x6 = x_point(6)
+    assert quad_rat(x_point(4)) == QuadRat(F(1, 2))    # sqrt(9) collapses
+    assert quad_rat(x_point(12)) == QuadRat(F(2, 3))   # sqrt(25) collapses
+    x6 = quad_rat(x_point(6))
     assert x6.D == 13 and not x6.is_rational
     assert x6 + x6**-1 == QuadRat(F(7, 3))
     assert x6 - x6**-1 == QuadRat(0, F(-1, 3), 13)  # -2 sqrt(13)/6
@@ -205,21 +216,20 @@ def test_transform_support_for_derivative_routes():
 
 def test_rationality_at_xk():
     p = Params(k=6, a=1, b=7, n=1)
-    uvw = eval_UVW(p, x_point(6))
-    assert uvw.U.v == 0
-    assert uvw.V.u == 0
-    assert uvw.W.v == 0
+    U, V, W = _eval(p, quad_rat(x_point(6)))
+    assert U.v == 0
+    assert V.u == 0
+    assert W.v == 0
 
 
 @pytest.mark.parametrize("z", [F(1, 3), F(2, 5), F(3, 7)])
 def test_symmetry_under_inversion(z):
     # U(z) = U(1/z), V(z) = -V(1/z), W(z) = W(1/z) exactly
     p = Params(k=6, a=1, b=7, n=1)
-    here = eval_UVW(p, QuadRat(z))
-    there = eval_UVW(p, QuadRat(1 / z))
-    assert here.U == there.U
-    assert here.V == -there.V
-    assert here.W == there.W
+    (hU, hV, hW), (tU, tV, tW) = _eval(p, QuadRat(z)), _eval(p, QuadRat(1 / z))
+    assert hU == tU
+    assert hV == -tV
+    assert hW == tW
 
 
 @given(st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40))
@@ -228,30 +238,29 @@ def test_symmetry_under_inversion_random(z):
     if z == 0:
         return
     p = Params(k=3, a=1, b=5, n=1)
-    here = eval_UVW(p, QuadRat(z))
-    there = eval_UVW(p, QuadRat(1 / z))
-    assert here.U == there.U
-    assert here.V == -there.V
-    assert here.W == there.W
+    (hU, hV, hW), (tU, tV, tW) = _eval(p, QuadRat(z)), _eval(p, QuadRat(1 / z))
+    assert hU == tU
+    assert hV == -tV
+    assert hW == tW
 
 
 def test_closed_form_matches_series_at_half():
     # k = 4 makes x rational (1/2): the closed forms must agree with the
     # 300-term truncations within the exact geometric tail bounds
     p = Params(k=4, a=1, b=7, n=1)
-    closed = eval_UVW(p, QuadRat(F(1, 2)))
+    U, V, W = _eval(p, QuadRat(F(1, 2)))
     (su, sv, sw), (tu, tv, tw) = series_uvw(p, F(1, 2), 300)
-    assert abs(closed.U.u - su) <= tu
-    assert abs(closed.V.u - sv) <= tv
-    assert abs(closed.W.u - sw) <= tw
+    assert abs(U.u - su) <= tu
+    assert abs(V.u - sv) <= tv
+    assert abs(W.u - sw) <= tw
 
 
 def test_eval_rejects_poles():
     p = Params(k=6, a=1, b=7, n=1)
     with pytest.raises(DomainError):
-        eval_UVW(p, QuadRat(0))
+        eval_UVW(p, quad_tuple(QuadRat(0)))
     with pytest.raises(DomainError):
-        eval_UVW(p, QuadRat(1))
+        eval_UVW(p, quad_tuple(QuadRat(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +285,7 @@ def _dense_uvw(params, z):
 @lru_cache(maxsize=None)
 def _dense_at_x(k, a, b, n):
     """The dense oracle at x_k, computed once per cell for all tests."""
-    return _dense_uvw(Params(k=k, a=a, b=b, n=n), x_point(k))
-
-
-def _uvw(params, z):
-    got = eval_UVW(params, z)
-    return got.U, got.V, got.W
+    return _dense_uvw(Params(k=k, a=a, b=b, n=n), quad_rat(x_point(k)))
 
 
 @st.composite
@@ -293,15 +297,15 @@ def _cells_and_points(draw):
     D = 2 * k + 1
     small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
     z = draw(st.one_of(
-        st.just(x_point(k)),
+        st.just(quad_rat(x_point(k))),
         small.map(QuadRat),
         st.tuples(small, small).map(lambda uv: QuadRat(uv[0], uv[1], D))))
     return Params(k=k, a=a, b=b, n=n), z
 
 
 @given(_cells_and_points(), st.integers(1, 40))
-@example((Params(k=4, a=1, b=7, n=3), x_point(4)), forms_mod._BLOCK)
-@example((Params(k=12, a=1, b=9, n=3), x_point(12)), 1)
+@example((Params(k=4, a=1, b=7, n=3), quad_rat(x_point(4))), forms_mod._BLOCK)
+@example((Params(k=12, a=1, b=9, n=3), quad_rat(x_point(12))), 1)
 @example((Params(k=12, a=2, b=11, n=1), QuadRat(F(1, 2))), 5)
 @settings(max_examples=40, deadline=None)
 def test_eval_matches_dense_oracle(cell, block):
@@ -310,32 +314,32 @@ def test_eval_matches_dense_oracle(cell, block):
     if not z or z == QuadRat(1):
         return
     with patch.object(forms_mod, "_BLOCK", block):
-        assert _uvw(params, z) == _dense_uvw(params, z)
+        assert _eval(params, z) == _dense_uvw(params, z)
 
 
 @given(_cells_and_points())
-@example((Params(k=4, a=1, b=7, n=3), x_point(4)))
-@example((Params(k=12, a=1, b=9, n=3), x_point(12)))
-@example((Params(k=12, a=2, b=11, n=5), x_point(12)))
+@example((Params(k=4, a=1, b=7, n=3), quad_rat(x_point(4))))
+@example((Params(k=12, a=1, b=9, n=3), quad_rat(x_point(12))))
+@example((Params(k=12, a=2, b=11, n=5), quad_rat(x_point(12))))
 @settings(max_examples=60, deadline=None)
 def test_int_edge_matches_fraction_formulas(cell):
     # U, V, W from the int tuples equal the QuadRat formulas they replace,
-    # at x_k (given as a QuadRat and as the int tuple verify passes) and at
-    # other points; at x_k so does every IntegerForms field, R, S, T too
+    # at x_k (converted from a QuadRat and as the int tuple verify passes)
+    # and at other points; at x_k so does every IntegerForms field
     params, z = cell
     if not z or z == QuadRat(1):
         return
-    uvw = eval_UVW(params, z)
+    uvw = eval_UVW(params, quad_tuple(z))
     want = fraction_uvw(params, z)
-    assert (uvw.U, uvw.V, uvw.W) == want
-    if z != x_point(params.k):
+    assert _quads(uvw) == want
+    if z != quad_rat(x_point(params.k)):
         return
-    assert eval_UVW(params, forms_mod._x_k(params.k)) == uvw
+    at_x = eval_UVW(params, x_point(params.k))
+    assert at_x.params == uvw.params and _quads(at_x, "UVWx") == _quads(uvw, "UVWx")
     delta, delta1 = delta_products(params)
     forms = scaled_integer_forms(params, uvw, delta, delta1)
     got = {name: getattr(forms, name) for name in IntegerForms.__slots__}
     assert got == fraction_integer_forms(params, *want, delta, delta1)
-    assert {type(got[name]) for name in "RST"} == {F}
 
 
 @pytest.mark.parametrize("field,part", [(f, p) for f in "UVW" for p in (0, 1)])
@@ -345,14 +349,14 @@ def test_corrupted_remainder_names_quantity_and_exact_rational(field, part):
     # what the Fraction formulas raise, quantity and exact rational alike
     p = Params(k=6, a=1, b=7, n=3)
     uvw = eval_UVW(p, x_point(6))
-    parts = {name: list(forms_mod._SLOTS[name].__get__(uvw)) for name in "UVW"}
+    parts = {name: list(getattr(uvw, name)) for name in "UVW"}
     parts[field][part] += 1
     bad = UVWValues(*map(tuple, parts.values()), params=p, x=uvw.x)
     delta, delta1 = delta_products(p)
     with pytest.raises(IntegralityError) as got:
         scaled_integer_forms(p, bad, delta, delta1)
     with pytest.raises(IntegralityError) as want:
-        fraction_integer_forms(p, bad.U, bad.V, bad.W, delta, delta1)
+        fraction_integer_forms(p, *_quads(bad), delta, delta1)
     assert got.value.quantity == want.value.quantity
     assert isinstance(got.value.value, F) and got.value.value == want.value.value
     assert str(got.value) == str(want.value)
@@ -361,7 +365,7 @@ def test_corrupted_remainder_names_quantity_and_exact_rational(field, part):
 def test_eval_matches_dense_oracle_at_n31():
     # the degree-1023 forms behind `verify --k 8 --a 1 --b 13 --n 31`
     p = Params(k=8, a=1, b=13, n=31)
-    assert _uvw(p, x_point(8)) == _dense_at_x(8, 1, 13, 31)
+    assert _eval(p, quad_rat(x_point(8))) == _dense_at_x(8, 1, 13, 31)
 
 
 def _first_value(params, order):
@@ -385,13 +389,13 @@ def test_block_size_does_not_matter(monkeypatch, cell, block):
     if cell == (6, 2, 23, 3) and block in (2, 7):
         assert any(_first_value(p, order) % block for order in range(3))
     monkeypatch.setattr(forms_mod, "_BLOCK", block)
-    assert _uvw(p, x_point(p.k)) == _dense_at_x(*cell)
+    assert _eval(p, quad_rat(x_point(p.k))) == _dense_at_x(*cell)
 
 
 def test_d_upto_called_once_per_eval_UVW(monkeypatch):
     # one walk serves all three orders at the one scale L = lcm(1..d)
     p = Params(k=6, a=1, b=13, n=5)
-    want = _uvw(p, x_point(6))
+    want = _eval(p, quad_rat(x_point(6)))
     calls = []
 
     def counting(n):
@@ -399,7 +403,7 @@ def test_d_upto_called_once_per_eval_UVW(monkeypatch):
         return d_upto(n)
 
     monkeypatch.setattr(forms_mod, "d_upto", counting)
-    assert _uvw(p, x_point(6)) == want
+    assert _eval(p, quad_rat(x_point(6))) == want
     assert calls == [p.degree]
 
 
@@ -469,7 +473,7 @@ def test_scaled_forms_degenerate_k(k, n):
     # integer scaling must still come out exact
     p = Params(k=k, a=1, b=7, n=n)
     uvw = eval_UVW(p, x_point(k))
-    assert uvw.U.is_rational and uvw.V.is_rational and uvw.W.is_rational
+    assert all(x.is_rational for x in _quads(uvw))
     delta, delta1 = delta_products(p)
     forms = scaled_integer_forms(p, uvw, delta, delta1)
     assert forms.Q == -forms.B
@@ -480,7 +484,7 @@ def test_scaled_forms_guards():
     p = Params(k=6, a=1, b=7, n=1)
     uvw = eval_UVW(p, x_point(6))
     with pytest.raises(DomainError):
-        scaled_integer_forms(p, eval_UVW(p, QuadRat(F(1, 3))), 15, 1)
+        scaled_integer_forms(p, eval_UVW(p, quad_tuple(QuadRat(F(1, 3)))), 15, 1)
     # a delta that does not divide d_bn must be reported, never rounded
     with pytest.raises(IntegralityError) as err:
         scaled_integer_forms(p, uvw, 11, 1)

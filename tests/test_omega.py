@@ -4,14 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from irrbounds import (CertificateError, DomainError, Params, compute_omega,
-                       delta_products, n_constants, omega_contains)
+from irrbounds.errors import CertificateError, DomainError
+from irrbounds.exact_arith import Params
 from irrbounds import omega as omega_module
 from irrbounds.fixed import Ball, prec_of
-from irrbounds.omega import Interval, IntervalSet, _breakpoints, omega_runs
+from irrbounds.omega import (_breakpoints, compute_omega, delta_products,
+                             n_constants, omega_contains, omega_runs)
+from irrbounds.rational import Interval, IntervalSet
 from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
                      floor_sum_min, floor_sum_value, grid_discrepancies,
-                     omega_by_fraction_probes)
+                     omega_by_fraction_probes, runs_of)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ def test_runs_are_the_fraction_intervals():
             assert all(math.gcd(*end) == 1 for lo, hi, _, _ in runs
                        for end in (lo, hi))
             balls = []
-            for given in (runs, omega):
+            for given in (runs, runs_of(omega)):
                 omega_module._n_pair.cache_clear()
                 balls.append([(v.man, v.exp, v.rad)
                               for v in n_constants(a, b, given, 40)])
@@ -316,19 +318,18 @@ def test_delta_squarefree_and_prime_range():
 # ---------------------------------------------------------------------------
 
 def test_n_constants_empty_set():
-    n1, n2 = n_constants(1, 7, IntervalSet([]), 40)
+    n1, n2 = n_constants(1, 7, runs_of(IntervalSet([])), 40)
     assert abs(float(n1 - 7)) < 1e-30
     assert abs(float(n2 - 12)) < 1e-30  # 2b - 2a
 
 
 def test_n_constants_digit_guard():
     with pytest.raises(DomainError):
-        n_constants(1, 7, IntervalSet([]), 10)
+        n_constants(1, 7, runs_of(IntervalSet([])), 10)
 
 
 def test_n1_finite_n_convergence_monotone(big_sieve):
-    omega = compute_omega(1, 7).omega
-    n1, _ = n_constants(1, 7, omega, 40)
+    n1, _ = n_constants(1, 7, omega_runs(1, 7), 40)
     errs = [abs(finite_n_n1(1, 7, n, big_sieve) - float(n1))
             for n in (10**3 + 1, 10**4 + 1, 10**5 + 1)]
     assert errs[0] > errs[1] > errs[2]
@@ -338,7 +339,6 @@ def test_n1_finite_n_convergence_monotone(big_sieve):
 @pytest.mark.parametrize("a,b", [(1, 7), (1, 13), (2, 23)])
 def test_n2_finite_n_agrees(a, b, big_sieve):
     # every parameter pair the non-quadraticity table depends on
-    omega = compute_omega(a, b).omega
-    _, n2 = n_constants(a, b, omega, 40)
+    _, n2 = n_constants(a, b, omega_runs(a, b), 40)
     est = finite_n_n2(a, b, 10**4 + 1, big_sieve)
     assert abs(est - float(n2)) / float(n2) < 0.02

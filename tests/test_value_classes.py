@@ -10,15 +10,17 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from irrbounds import DomainError, QuadRat, omega
-from irrbounds.forms import IntegerForms, Params, UVWValues
-from irrbounds.measures import BoundResult, TableRow, VerificationRow
-from irrbounds.omega import Interval, IntervalSet, OmegaReport
+from irrbounds import omega
+from irrbounds.errors import DomainError
+from irrbounds.exact_arith import Params
+from irrbounds.forms import IntegerForms, UVWValues, VerificationRow
+from irrbounds.measures import BoundResult, TableRow
+from irrbounds.rational import Interval, IntervalSet, OmegaReport, QuadRat
+from oracles import quad_tuple, runs_of
 
 PARAMS = Params(k=6, a=1, b=13, n=31)
 FORMS = IntegerForms(n=31, P=1, Q=-2, X=3, Y=-4, Z=5, A=6, B=7, C=8,
-                     R=F(1, 3), S=F(1, 9), T=F(1, 27), delta=11, delta1=13,
-                     d_bn=60, d_b2an=12)
+                     delta=11, delta1=13, d_bn=60, d_b2an=12)
 BOUND = BoundResult(kind="irrationality", k=6, a=1, b=7, M1=mp.mpf(24),
                     M2=mp.mpf(-8), K=mp.mpf(-2), N=mp.mpf(2), bound=mp.mpf(3),
                     applicable=True, digits=60, degenerate=False)
@@ -26,8 +28,9 @@ BOUND = BoundResult(kind="irrationality", k=6, a=1, b=7, M1=mp.mpf(24),
 # each class with the fields of one instance, in declaration order
 RECORDS = [
     (Params, {"k": 6, "a": 1, "b": 13, "n": 31}),
-    (UVWValues, {"U": QuadRat(1), "V": QuadRat(0, 1, 13), "W": QuadRat(2),
-                 "params": PARAMS, "x": QuadRat(F(7, 6), F(-1, 6), 13)}),
+    (UVWValues, {"U": quad_tuple(QuadRat(1)), "V": quad_tuple(QuadRat(0, 1, 13)),
+                 "W": quad_tuple(QuadRat(2)), "params": PARAMS,
+                 "x": quad_tuple(QuadRat(F(7, 6), F(-1, 6), 13))}),
     (IntegerForms, {name: getattr(FORMS, name) for name in IntegerForms.__slots__}),
     (BoundResult, {name: getattr(BOUND, name) for name in BoundResult.__slots__}),
     (VerificationRow, {"n": 31, "P": 1, "Q": -2, "X": 3, "Y": -4, "Z": 5,
@@ -63,7 +66,7 @@ def test_one_differing_field_makes_records_unequal():
             != Interval(F(1, 6), F(3, 7), True, True))
     # a field left out of the repr still counts
     fields = {name: getattr(FORMS, name) for name in IntegerForms.__slots__}
-    assert IntegerForms(**{**fields, "R": F(1, 5)}) != FORMS
+    assert IntegerForms(**{**fields, "delta": 17}) != FORMS
     assert Params(6, 1, 13, 31) != TableRow(6, 1, 13)
 
 
@@ -124,7 +127,7 @@ def test_n_pair_memo_hits_for_equal_components():
     rebuilt = IntervalSet([Interval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
                            for iv in report.omega])
     assert all(a == b and a is not b for a, b in zip(rebuilt, report.omega))
-    first = omega.n_constants(1, 7, report.omega, 41)
+    first = omega.n_constants(1, 7, runs_of(report.omega), 41)
     hits = omega._n_pair.cache_info().hits
-    assert omega.n_constants(1, 7, rebuilt, 41) == first
+    assert omega.n_constants(1, 7, runs_of(rebuilt), 41) == first
     assert omega._n_pair.cache_info().hits == hits + 1
