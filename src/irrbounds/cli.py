@@ -45,15 +45,16 @@ MAX_DIGITS = 500
 # each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
-# cap admits b up to 203, and that grid of 100 cells takes 1.6-2.0 s per
-# process at the default digits on the same machine, and 5.8-8.1 s with a
+# cap admits b up to 203, and that grid of 100 cells takes 0.79-0.90 s per
+# process at the default digits on the same machine, and 4.5-4.6 s with a
 # 29 MB peak at --digits 500.
 MAX_SEARCH_CELLS = 100
-# largest b that bound, omega and verify accept: Omega's Farey walk is
-# O(b^2).  Per process on the same machine (two runs), bound --k 6 --a 1
-# --b B takes 0.14-0.18 / 0.29-0.32 / 0.72-0.86 / 1.2-1.7 s at B = 201 /
-# 401 / 801 / 1001, and 0.39-0.41 / 0.73-1.1 / 2.7-2.9 / 3.6-6.0 s with a
-# 17 MB peak at --digits 500.
+# largest b that bound, omega and verify accept: the psi sums of N1 and N2
+# cost O(b^2) (Omega's walk is O(b), 0.02 s at b = 1001).  Per process on
+# the same machine (two runs), bound --k 6 --a 1 --b B takes 0.09 / 0.13-0.15
+# / 0.27-0.31 / 0.35-0.36 / 1.2-1.3 s at B = 201 / 401 / 801 / 1001 / 2001,
+# and 0.24-0.25 / 0.68 / 3.0-3.2 / 3.5-4.2 / 11-13 s with an 18-21 MB peak
+# at --digits 500, so b = 2001 would triple the slowest bound.
 MAX_B = 1001
 
 
@@ -273,6 +274,9 @@ class _Formatter(argparse.HelpFormatter):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):  # argparse's write would swallow EPIPE
+        (file or sys.stdout).write(self.format_help())
 
 
 def _parser() -> _Parser:

@@ -35,7 +35,7 @@ class PrecisionError(ArithmeticError):
 
 
 class CertificateError(ArithmeticError):
-    """An exact certificate of Omega's interval description did not hold: a
-    step of the breakpoint walk did not join Farey neighbours beyond the
-    denominator bound, a floor coefficient exceeded that bound, or an
-    interval's closure disagreed with pointwise membership."""
+    """An exact certificate of Omega's interval description did not hold:
+    the breakpoint walk did not run from 0/1 to 1/1 in increasing steps
+    through every point j/m of each floor coefficient m, or an interval's
+    closure disagreed with pointwise membership."""

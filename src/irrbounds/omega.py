@@ -3,8 +3,9 @@ finite-n prime products Delta and Delta1, and the asymptotic
 denominator-savings constants N1 and N2.
 
 Membership of num/den is decided by integer residues mod den from the
-three-group floor inequality, as the prime scans need.  One walk certified
-by the Farey-neighbour property yields Omega's runs as int pairs
+three-group floor inequality, as the prime scans need.  One walk over the
+floor terms' own breakpoints j/m, with a direct certificate that it met
+each of them in order, yields Omega's runs as int pairs
 (:func:`omega_runs`) for the digamma sums and N2's exact large-prime sum;
 only :func:`compute_omega` (omega's printing, the tests) makes the
 ``Fraction`` records of :mod:`.rational` of them.
@@ -12,7 +13,7 @@ only :func:`compute_omega` (omega's printing, the tests) makes the
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 from functools import lru_cache
 
@@ -79,88 +80,83 @@ def omega_contains(a: int, b: int, y) -> bool:
 
 # -- interval description -----------------------------------------------------
 
-def _breakpoints(bound: int):
-    """The Farey sequence of order ``bound`` on [0, 1): every j/m with
-    m <= bound as the pair (j, m), ascending, by the next-term recurrence of
-    Farey neighbours."""
-    p, q, r, s = 0, 1, 1, bound
-    while p < q:
-        yield p, q
-        t = (bound + q) // s
-        p, q, r, s = r, s, t * r - p, t * s - q
-
-
-def omega_runs(a: int, b: int, denominator_bound: int | None = None) -> tuple:
-    """Omega(a, b) as its runs ((lo_num, lo_den), (hi_num, hi_den),
-    lo_closed, hi_closed), ascending, ends in lowest terms.  For fixed y the
-    min over x reduces to six candidate x values (:func:`_candidates`).  At
-    those candidates every floor term is [m*y] for an integer m of
-    :func:`_mod_table` or a difference of two of them, and [m*y] changes
-    only where m*y is an integer: at fractions whose reduced denominator
-    divides |m|.  If p/q < r/s are Farey neighbours (r*q - p*s = 1), every
-    fraction strictly between them has a denominator of at least q + s
-    (Hardy & Wright, Thm. 28).  So on a gap with q + s > bound >= |m| no
-    floor term changes, membership is constant, and the gap's mediant
-    (p + r)/(q + s) decides all of it; each breakpoint is decided by itself.
-    One integer walk decides both and certifies each step as it goes: it
-    runs from 0/1 to 1/1, each step joins neighbours with q + s > bound,
-    every coefficient is at most the bound, and each run's closure flags
-    agree with pointwise membership; otherwise CertificateError.  Memoised
-    per (a, b, denominator bound)."""
-    _validate_ab(a, b)
-    bound = b if denominator_bound is None else denominator_bound
-    if bound < b:
-        raise DomainError("denominator bound below b misses breakpoints")
-    return _omega_report(a, b, bound)
-
-
-def compute_omega(a: int, b: int, denominator_bound: int | None = None):
-    """The certifying set as :func:`omega_runs` in ``Fraction`` intervals, a
-    :class:`rational.OmegaReport` shared per (a, b, runs, bound)."""
-    from .rational import _report
-    return _report(a, b, omega_runs(a, b, denominator_bound), denominator_bound or b)
+def _points(table) -> list[tuple[int, int]]:
+    """Every j/m, 0 <= j <= m, in lowest terms and ascending, for each
+    distinct nonzero |m| of the floor terms [m*y] at the candidates: m_u,
+    m_w and m_u - m_w of each pair of the :func:`_mod_table` ``table``.
+    Distinct such fractions differ by at least 1/M^2, M the largest m, so
+    with 2^K > M^2 the key floor(j*2^K/m) sorts them and merges only equals."""
+    coeffs = {abs(m) for row in table for m_u, m_w in row
+              for m in (m_u, m_w, m_u - m_w)} - {0}
+    shift = 2 * max(coeffs).bit_length()
+    points = {}
+    for m in coeffs:
+        for j in range(m + 1):
+            g = math.gcd(j, m)
+            points[(j << shift) // m] = j // g, m // g
+    return [points[key] for key in sorted(points)]
 
 
 @lru_cache(maxsize=None)
-def _omega_report(a: int, b: int, bound: int) -> tuple:
-    """The certified walk of :func:`omega_runs`."""
+def omega_runs(a: int, b: int) -> tuple:
+    """Omega(a, b) as its runs ((lo_num, lo_den), (hi_num, hi_den),
+    lo_closed, hi_closed), ascending, ends in lowest terms.  For fixed y the
+    min over x reduces to six candidate x values (:func:`_candidates`).
+    There every floor term is [m*y] for an m of :func:`_mod_table` or a
+    difference of two, and [m*y] changes only at the points j/m,
+    0 <= j <= m.  At most seven |m| occur (a, 2a and b - 4a, ..., b), so
+    the walk meets at most 7b + 7 points (:func:`_points`).  It decides each
+    point, and each open gap between consecutive points by its mediant
+    (p + r)/(q + s), which lies strictly inside: no floor term changes on
+    the gap.  Its certificate is direct: the walk runs from 0/1 to 1/1,
+    consecutive points strictly increase (r*q > p*s), for every coefficient
+    m of the table exactly m + 1 walked points have a denominator dividing
+    m (so all j/m were met, and no gap holds one), and each run's closure
+    flags agree with pointwise membership; otherwise CertificateError.
+    Memoised per (a, b)."""
+    _validate_ab(a, b)
     table = _mod_table(a, b)
-    widest = max(max(abs(m_u), abs(m_w), abs(m_u - m_w))
-                 for row in table for m_u, m_w in row)
-    if widest > bound:
-        raise CertificateError(f"floor coefficient {widest} exceeds the "
-                               f"denominator bound {bound}")
-    steps = iter(_breakpoints(bound))
-    p, q = next(steps, (None, None))
-    if (p, q) != (0, 1):
-        raise CertificateError("the breakpoint walk does not start at 0/1")
+    points = _points(table)
+    if points[:1] != [(0, 1)] or points[-1:] != [(1, 1)]:
+        raise CertificateError("the breakpoint walk does not run from 0/1 to 1/1")
 
     runs: list[list] = []
     cur: list | None = None  # [lo, hi, lo_closed, hi_closed], ends as (num, den)
-    for r, s in itertools.chain(steps, ((1, 1),)):
-        if r * q - p * s != 1 or q + s <= bound:
-            raise CertificateError(
-                f"{p}/{q} and {r}/{s} are not Farey neighbours beyond order "
-                f"{bound}; a breakpoint may lie between them")
+    for (p, q), (r, s) in zip(points, points[1:]):
+        if r * q <= p * s:
+            raise CertificateError(f"the breakpoints {p}/{q} and {r}/{s} are "
+                                   "out of order; one may lie between them")
         # the point p/q, then the open gap (p/q, r/s)
         for hi, closed, inside in (((p, q), True, _member(table, p, q)),
                                    ((r, s), False, _member(table, p + r, q + s))):
-            if inside:
-                if cur is None:
-                    cur = [(p, q), hi, closed, closed]
-                    runs.append(cur)
-                else:
-                    cur[1], cur[3] = hi, closed
-            else:
+            if not inside:
                 cur = None
-        p, q = r, s
+            elif cur is None:
+                cur = [(p, q), hi, closed, closed]
+                runs.append(cur)
+            else:
+                cur[1], cur[3] = hi, closed
 
+    # each floor term's progression j/m walked in full, m read afresh from
+    # the table, not from _points
+    dens = collections.Counter(q for _, q in points)
+    terms = (m for row in table for m_u, m_w in row for m in (m_u, m_w, m_u - m_w))
+    for m in map(abs, terms):
+        if m and sum(c for q, c in dens.items() if m % q == 0) != m + 1:
+            raise CertificateError(f"the breakpoint walk misses a point j/{m}")
     # each closure flag against the public predicate at the exact endpoint
     for lo, hi, *flags in runs:
         if [omega_contains(a, b, lo), omega_contains(a, b, hi)] != flags:
             raise CertificateError(f"the closure of the run {lo}-{hi} disagrees "
                                    "with pointwise membership")
     return tuple(map(tuple, runs))
+
+
+def compute_omega(a: int, b: int):
+    """The certifying set as :func:`omega_runs` in ``Fraction`` intervals, a
+    :class:`rational.OmegaReport` shared per (a, b, runs)."""
+    from .rational import _report
+    return _report(a, b, omega_runs(a, b))
 
 
 # -- finite-n prime products --------------------------------------------------

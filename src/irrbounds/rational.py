@@ -209,14 +209,13 @@ class IntervalSet(Frozen):
 
 
 class OmegaReport(Frozen):
-    __slots__ = ("a", "b", "omega", "denominator_bound")
+    __slots__ = ("a", "b", "omega")
     a: int
     b: int
     omega: IntervalSet
-    denominator_bound: int
 
 
 @lru_cache(maxsize=None)
-def _report(a: int, b: int, runs: tuple, bound: int) -> OmegaReport:
+def _report(a: int, b: int, runs: tuple) -> OmegaReport:
     return OmegaReport(a, b, IntervalSet(
-        Interval(Fraction(*lo), Fraction(*hi), *flags) for lo, hi, *flags in runs), bound)
+        Interval(Fraction(*lo), Fraction(*hi), *flags) for lo, hi, *flags in runs))

@@ -19,10 +19,12 @@ and :func:`runs_of` turns an ``IntervalSet`` into Omega's int runs.
 :func:`omega_by_fraction_probes` is the interval description built the way
 the package built it before its integer walk: ``Fraction`` probes at every
 point of the literal Farey set and at every gap's mediant.
+:func:`farey_runs` is the integer walk the package made after that, over
+the Farey sequence (:func:`farey_points`) instead of the floor terms' own
+breakpoints, the reference for ``omega.omega_runs`` at large b.
 :func:`grid_discrepancies` compares pointwise membership with the interval
-set on a literal grid; :func:`certified_grid_check` extends that to every
-point of a grid with per-gap constancy certificates plus a random literal
-sample.
+set on a literal grid; :func:`certified_grid_check` scans a random sample
+of a grid that holds every breakpoint.
 
 :func:`m_rate_nine_logs` is the saddle rate the way the package took it
 before its one-logarithm form: one log per factor, and
@@ -51,9 +53,8 @@ from irrbounds import forms
 from irrbounds.errors import IntegralityError
 from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
                              _walk, eval_UVW, x_point)
-from irrbounds.omega import (_breakpoints, _candidates, _groups, _mod_table,
-                             _omega_primes, _validate_ab, delta_products,
-                             omega_contains)
+from irrbounds.omega import (_candidates, _groups, _member, _mod_table,
+                             _omega_primes, _validate_ab, delta_products)
 from irrbounds.rational import Interval, IntervalSet, QuadRat, Rat
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
@@ -149,6 +150,40 @@ def omega_by_fraction_probes(a: int, b: int, bound: int) -> IntervalSet:
     return IntervalSet(intervals)
 
 
+def farey_points(bound: int):
+    """The Farey sequence of order ``bound`` on [0, 1): every j/m with
+    m <= bound as the pair (j, m), ascending, by the next-term recurrence of
+    Farey neighbours."""
+    p, q, r, s = 0, 1, 1, bound
+    while p < q:
+        yield p, q
+        t = (bound + q) // s
+        p, q, r, s = r, s, t * r - p, t * s - q
+
+
+def farey_runs(a: int, b: int, bound: int) -> tuple:
+    """Omega(a, b)'s int runs by the walk the package made before it walked
+    only the floor terms' own breakpoints: membership by ``omega._member``
+    at each point of the Farey sequence of order ``bound`` >= b and at each
+    gap's mediant, merged into maximal runs.  Every fraction strictly
+    between Farey neighbours p/q < r/s has a denominator of at least q + s
+    > bound (Hardy & Wright, Thm. 28), so no breakpoint j/m lies in a gap."""
+    table = _mod_table(a, b)
+    runs, cur = [], None  # cur: [lo, hi, lo_closed, hi_closed]
+    points = [*farey_points(bound), (1, 1)]
+    for (p, q), (r, s) in zip(points, points[1:]):
+        for hi, closed, inside in (((p, q), True, _member(table, p, q)),
+                                   ((r, s), False, _member(table, p + r, q + s))):
+            if not inside:
+                cur = None
+            elif cur is None:
+                cur = [(p, q), hi, closed, closed]
+                runs.append(cur)
+            else:
+                cur[1], cur[3] = hi, closed
+    return tuple(map(tuple, runs))
+
+
 def grid_discrepancies(a: int, b: int, L: int, omega: IntervalSet,
                        indices=None) -> int:
     """Count grid points y = i/L where pointwise membership disagrees with
@@ -198,70 +233,28 @@ def grid_discrepancies(a: int, b: int, L: int, omega: IntervalSet,
 @dataclass(frozen=True)
 class GridCheck:
     grid_size: int
-    breakpoints_checked: int
-    gaps_certified: int
     sampled_literal: int
     discrepancies: int
 
 
 def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
                          sample: int = 0, seed: int = 0) -> GridCheck:
-    """Establish zero discrepancies over the full grid i/L without touching
-    every grid point individually.
-
-    Every floor term in the six-candidate formula is of the form [m*y] with a
-    fixed integer coefficient |m| <= b: the pairs of :func:`_mod_table` and
-    their differences c3.  On an open gap between consecutive breakpoints,
-    each such term is constant as soon as m*y crosses no integer strictly
-    inside the gap; that crossing-freeness is checked exactly per gap and per
-    coefficient.  Combined with exact membership at every breakpoint (all of
-    which are grid points, since lcm(1..b) | L) and at one interior point per
-    gap, agreement then holds at every one of the L grid points.  A
-    deterministic random sample of grid points is scanned by
-    :func:`grid_discrepancies` on top as an independent guard on this very
-    argument.
+    """A deterministic random sample of the grid i/L, scanned literally by
+    :func:`grid_discrepancies`.  The grid must hold every breakpoint j/m of
+    the floor terms (m <= b, so lcm(1..b) | L).  Agreement at every point
+    of it is what ``omega.omega_runs`` certifies itself: it walks each
+    breakpoint in order and decides each one and each gap between them.
+    The sample guards that argument independently.
     """
     _validate_ab(a, b)
     for m in range(1, b + 1):
         if L % m:
             raise DomainError(f"L = {L} is not divisible by {m}; breakpoints "
                               "would fall between grid points")
-    coeffs = {m for row in _mod_table(a, b) for m_u, m_w in row
-              for m in (m_u, m_w, m_u - m_w)}
-    coeffs.discard(0)
-
-    pts = [Fraction(p, q) for p, q in _breakpoints(b)]
-    endpoints = {iv.lo for iv in omega} | {iv.hi for iv in omega}
-    bad = 0
-    for i, p in enumerate(pts):
-        if omega_contains(a, b, p) != omega.contains(p):
-            bad += 1
-        hi = pts[i + 1] if i + 1 < len(pts) else Fraction(1)
-        # constancy certificate: no integer strictly inside (m*p, m*hi)
-        for m in coeffs:
-            lo_m, hi_m = sorted((m * p, m * hi))
-            count = math.ceil(hi_m) - math.floor(lo_m) - 1
-            if count > 0:
-                raise DomainError(
-                    f"floor term {m}*y crosses an integer inside ({p}, {hi}); "
-                    "breakpoint lattice is incomplete")
-        # the interval description must not subdivide the gap either
-        for q in endpoints:
-            if p < q < hi:
-                raise DomainError(f"interval endpoint {q} inside gap ({p}, {hi})")
-        mid = (p + hi) / 2
-        if omega_contains(a, b, mid) != omega.contains(mid):
-            bad += 1
-
-    sampled = 0
-    if sample:
-        rng = random.Random(seed)
-        idx = (rng.randrange(L) for _ in range(sample))
-        bad += grid_discrepancies(a, b, L, omega, indices=idx)
-        sampled = sample
-    return GridCheck(grid_size=L, breakpoints_checked=len(pts),
-                     gaps_certified=len(pts), sampled_literal=sampled,
-                     discrepancies=bad)
+    rng = random.Random(seed)
+    bad = grid_discrepancies(a, b, L, omega,
+                             indices=[rng.randrange(L) for _ in range(sample)])
+    return GridCheck(grid_size=L, sampled_literal=sample, discrepancies=bad)
 
 
 def m_rate_nine_logs(a: int, b: int, z, x):

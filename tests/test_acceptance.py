@@ -5,9 +5,9 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 Environment knobs:
   IRRBOUNDS_DECAY_N=51   extend the decay checks from n = 31 to n = 51
   IRRBOUNDS_FULL_GRID=1  run the literal 5.35e10-point grid scan for (2, 23)
-                         (hours of CPU; the default run proves the same
-                         zero-discrepancy claim via exact per-gap constancy
-                         certificates plus a large random literal sample)
+                         (hours of CPU; by default Omega's own walk
+                         certificate proves the same zero-discrepancy
+                         claim, and a large random literal sample guards it)
 """
 
 import math

@@ -291,16 +291,17 @@ def test_search_refuses_grid_above_cap_before_any_work(capsys, monkeypatch,
     ("verify", "--k", "6", "--a", "1", "--n", "1"),
 ], ids=lambda argv: argv[0])
 def test_b_above_cap_refused_before_the_walk(capsys, monkeypatch, argv):
-    # Omega's Farey walk is O(b^2): b = MAX_B + 2 is refused with one line
-    # before the walk starts, and b = MAX_B reaches it
+    # b = MAX_B + 2 is refused with one line before Omega's walk starts,
+    # and b = MAX_B reaches it
     def boom(*args, **kwargs):
-        raise RuntimeError("the Farey walk started")
+        raise RuntimeError("the walk started")
 
-    monkeypatch.setattr(omega, "_breakpoints", boom)
+    monkeypatch.setattr(omega, "_points", boom)
+    omega.omega_runs.cache_clear()
     code, out, err = run(capsys, *argv, "--b", str(MAX_B + 2))
     assert code == 1 and out == ""
     assert err == f"Error: --b {MAX_B + 2} is above the cap {MAX_B}\n"
-    with pytest.raises(RuntimeError, match="the Farey walk started"):
+    with pytest.raises(RuntimeError, match="the walk started"):
         main([*argv, "--b", str(MAX_B)])
 
 
@@ -475,19 +476,16 @@ def _swap_two(pts):
 @pytest.mark.parametrize("mutate", [
     lambda pts: [(p, q) for p, q in pts if q != 7], _swap_two])
 def test_omega_certificate_failure_exit_4(capsys, monkeypatch, mutate):
-    # a breakpoint walk without the points of denominator b, or with two
-    # neighbours swapped, has a step whose ends are not Farey neighbours
-    # beyond b: no set may be printed
-    from irrbounds import asymptotics, omega
-
-    farey = omega._breakpoints
-    monkeypatch.setattr(omega, "_breakpoints",
-                        lambda bound: mutate(list(farey(bound))))
-    omega._omega_report.cache_clear()
+    # a breakpoint walk without the progression j/b of the coefficient b,
+    # or with two points swapped, may miss a breakpoint: no set may be
+    # printed
+    points = omega._points
+    monkeypatch.setattr(omega, "_points", lambda table: mutate(points(table)))
+    omega.omega_runs.cache_clear()
     try:
         code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
     finally:
-        omega._omega_report.cache_clear()
+        omega.omega_runs.cache_clear()
     assert code == 4
     assert out == ""
     assert err.startswith("certificate failure: ") and err.count("\n") == 1
@@ -787,20 +785,25 @@ def test_usage_errors_exit_1_one_line(capsys, argv):
     assert err.startswith("Error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("argv", [BOUND_6_1_7, _verify_n31(8)],
-                         ids=["bound", "verify-n31"])
+@pytest.mark.parametrize("argv", [BOUND_6_1_7, _verify_n31(8), ("--help",)],
+                         ids=["bound", "verify-n31", "help"])
 def test_closed_stdout_exits_141_with_empty_stderr(argv):
     # stdout's reader is gone before the first write, as with `| head -c 0`:
     # exit 141, as for SIGPIPE, with no traceback and no "Exception
-    # ignored" line at interpreter shutdown
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    try:
-        child = subprocess.run([sys.executable, "-m", "irrbounds", *argv],
-                               stdout=write_end, stderr=subprocess.PIPE,
-                               env=env, timeout=120)
-    finally:
-        os.close(write_end)
-    assert (child.returncode, child.stderr) == (141, b"")
+    # ignored" line at interpreter shutdown.  Buffered, the write fails at
+    # the flush; unbuffered, at the write itself, which argparse's own help
+    # printing would swallow
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "irrbounds", *argv],
+                                   stdout=write_end, stderr=subprocess.PIPE,
+                                   env={**env, **unbuffered}, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b""), unbuffered

@@ -15,7 +15,7 @@ from oracles import dual_path_ell
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 # the once-per-key memos of the bound path, one per dependency layer
-MEMOS = (omega._omega_report, omega._n_pair, asymptotics._psi,
+MEMOS = (omega.omega_runs, omega._n_pair, asymptotics._psi,
          asymptotics._gauss_row, asymptotics._certified_solve)
 
 
@@ -209,7 +209,7 @@ def test_headline_table_shape():
 def test_headline_table_computes_each_constant_once_per_key():
     # 13 cells over 3 distinct (a, b), each cell once, at 60 digits
     cold = _cold(headline_table, 60)
-    assert omega._omega_report.cache_info().misses == 3
+    assert omega.omega_runs.cache_info().misses == 3
     assert omega._n_pair.cache_info().misses == 3
     assert asymptotics._certified_solve.cache_info().misses == 13
     psi = asymptotics._psi.cache_info()

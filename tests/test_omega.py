@@ -8,12 +8,12 @@ from irrbounds.errors import CertificateError, DomainError
 from irrbounds.exact_arith import Params
 from irrbounds import omega as omega_module
 from irrbounds.fixed import Ball, prec_of
-from irrbounds.omega import (_breakpoints, compute_omega, delta_products,
-                             n_constants, omega_contains, omega_runs)
+from irrbounds.omega import (compute_omega, delta_products, n_constants,
+                             omega_contains, omega_runs)
 from irrbounds.rational import Interval, IntervalSet
-from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
-                     floor_sum_min, floor_sum_value, grid_discrepancies,
-                     omega_by_fraction_probes, runs_of)
+from oracles import (certified_grid_check, farey_points, farey_runs,
+                     finite_n_n1, finite_n_n2, floor_sum_min, floor_sum_value,
+                     grid_discrepancies, omega_by_fraction_probes, runs_of)
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +100,33 @@ def test_omega_dense_grid_17():
 
 
 def test_breakpoints_are_the_farey_sequence():
+    # the points of the reference walk
     for n in range(1, 60):
         literal = sorted({F(j, m) for m in range(1, n + 1) for j in range(m)})
-        assert [F(p, q) for p, q in _breakpoints(n)] == literal
+        assert [F(p, q) for p, q in farey_points(n)] == literal
 
 
 def test_walk_matches_the_fraction_probes():
-    # the integer walk against the Fraction-probe construction it replaced
+    # the walk over the floor terms' own breakpoints against the two it
+    # replaced: Fraction probes, and the integer walk through every fraction
+    # of order b; probes at a finer set of points find the same set
     cells = [(a, b) for b in range(5, 62, 2) for a in range(1, (b - 1) // 4 + 1)]
     for a, b in cells + [(1, 203)]:
         assert compute_omega(a, b).omega == omega_by_fraction_probes(a, b, b)
-    assert compute_omega(2, 23, 40).omega == omega_by_fraction_probes(2, 23, 40)
+    for a, b in cells + [(1, 203), (1, 1001), (2, 1001)]:
+        assert omega_runs(a, b) == farey_runs(a, b, b), (a, b)
+    assert compute_omega(2, 23).omega == omega_by_fraction_probes(2, 23, 40)
+
+
+def test_walk_probes_membership_o_of_b_times(monkeypatch):
+    # a cold walk at b = 1001 makes at most 12 b membership probes, its
+    # closure checks included; the Farey walk of order b makes about 0.6 b^2
+    member, calls = omega_module._member, []
+    monkeypatch.setattr(omega_module, "_member",
+                        lambda *args: calls.append(args) or member(*args))
+    omega_module.omega_runs.cache_clear()
+    omega_runs(1, 1001)
+    assert 0 < len(calls) <= 12 * 1001
 
 
 def test_runs_are_the_fraction_intervals():
@@ -140,47 +156,56 @@ def test_runs_are_the_fraction_intervals():
             assert (n2.man, n2.exp, n2.rad) == (want.man, want.exp, want.rad)
 
 
-# the walk's breakpoints, kept from monkeypatching
-_farey = _breakpoints
+# the walk's points, kept from monkeypatching
+_walk_points = omega_module._points
 
 
-def _dropped(bound):
-    return [(p, q) for p, q in _farey(bound) if q != bound]
+def _dropped(table):
+    # the progression j/7 of the coefficient b = 7, which divides no other
+    return [(p, q) for p, q in _walk_points(table) if q != 7]
 
 
-def _swapped(bound):
-    pts = list(_farey(bound))
+def _swapped(table):
+    pts = _walk_points(table)
     pts[3], pts[4] = pts[4], pts[3]
     return pts
 
 
-@pytest.mark.parametrize("mutate", [_dropped, _swapped])
+BROKEN = {_dropped: "misses a point j/7", _swapped: "out of order"}
+
+
+@pytest.mark.parametrize("mutate", list(BROKEN))
 def test_broken_walk_raises(monkeypatch, mutate):
-    # without the points of the largest denominator, or with two neighbours
-    # out of order, some step joins fractions that are not Farey neighbours
-    # beyond the bound, and the walk must not return a set
-    monkeypatch.setattr(omega_module, "_breakpoints", mutate)
-    omega_module._omega_report.cache_clear()
+    # without one coefficient's progression, or with two points out of
+    # order, a gap may hide a breakpoint, and the walk must not return a set
+    monkeypatch.setattr(omega_module, "_points", mutate)
+    omega_module.omega_runs.cache_clear()
     try:
-        with pytest.raises(CertificateError, match="not Farey neighbours"):
+        with pytest.raises(CertificateError, match=BROKEN[mutate]):
             compute_omega(1, 7)
     finally:
-        omega_module._omega_report.cache_clear()
+        omega_module.omega_runs.cache_clear()
 
 
 def test_walk_checks_its_start_and_its_coefficients(monkeypatch):
-    omega_module._omega_report.cache_clear()
+    omega_module.omega_runs.cache_clear()
     try:
-        monkeypatch.setattr(omega_module, "_breakpoints",
-                            lambda bound: iter(list(_farey(bound))[1:]))
-        with pytest.raises(CertificateError, match="start at 0/1"):
-            compute_omega(1, 7)
-        monkeypatch.undo()
-        # a coefficient beyond the bound may jump inside a gap
-        with pytest.raises(CertificateError, match="exceeds"):
-            omega_module._omega_report(1, 7, 6)
+        for cut in (slice(1, None), slice(None, -1)):
+            monkeypatch.setattr(omega_module, "_points",
+                                lambda table: _walk_points(table)[cut])
+            with pytest.raises(CertificateError, match="from 0/1 to 1/1"):
+                omega_runs(1, 7)
+        # every fraction of order b - 1 misses the points j/b
+        monkeypatch.setattr(omega_module, "_points",
+                            lambda table: [*farey_points(6), (1, 1)])
+        with pytest.raises(CertificateError, match="misses a point j/7"):
+            omega_runs(1, 7)
+        # a walk through more points than the breakpoints finds the same runs
+        monkeypatch.setattr(omega_module, "_points",
+                            lambda table: [*farey_points(9), (1, 1)])
+        assert omega_runs(1, 7) == farey_runs(1, 7, 7)
     finally:
-        omega_module._omega_report.cache_clear()
+        omega_module.omega_runs.cache_clear()
 
 
 def test_omega_is_shared_and_immutable():
@@ -192,7 +217,7 @@ def test_omega_is_shared_and_immutable():
 
 def test_omega_refinement_stability():
     for a, b in ((1, 7), (2, 23)):
-        assert compute_omega(a, b).omega == compute_omega(a, b, 2 * b).omega
+        assert omega_runs(a, b) == farey_runs(a, b, 2 * b)
 
 
 def test_certified_grid_check_2_23():
@@ -209,7 +234,7 @@ def test_full_literal_grid_1_13():
     omega = compute_omega(1, 13).omega
     L = math.lcm(*range(1, 14)) * 10
     assert grid_discrepancies(1, 13, L, omega) == 0
-    assert compute_omega(1, 13, 26).omega == omega
+    assert runs_of(omega) == farey_runs(1, 13, 26)
 
 
 def test_vectorized_grid_matches_pure_python():

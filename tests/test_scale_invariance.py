@@ -1,4 +1,5 @@
-"""Scale invariance of the bound path, an end-to-end check across layers.
+"""Scale invariance of the bound path and of the exact forms, end-to-end
+checks across layers.
 
 For odd t the parameters (ta, tb, n) build the same polynomial A as
 (a, b, tn), so M1, M2, K and N of (ta, tb) are t times those of (a, b), and
@@ -7,7 +8,15 @@ cubic all differ from those of (a, b), so the relation crosses the psi rows,
 the Omega walk, the saddle solve and the K logarithms.  Each scaled constant
 must lie within t r + r' of t times the unscaled one, r and r' the two
 proven radii.
+
+The exact forms obey the same identity with nothing left to round: the
+floor expression is 1-periodic in y, so Omega(ta, tb) = {y : {ty} in
+Omega(a, b)} and Delta and Delta1 pick the same primes, and P, Q, X, Y and
+Z of (ta, tb, n) equal those of (a, b, tn).  Their decays, (1/n) ln|ell|,
+are then t times each other, within t r + r'.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -16,7 +25,8 @@ from hypothesis import strategies as st
 
 from irrbounds import measures
 from irrbounds.errors import NonApplicableError
-from irrbounds.measures import HEADLINE_KS, MU2_PARAMS
+from irrbounds.forms import verify_forms
+from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, predicted_decay
 
 TABLE_CELLS = ([(k, 1, 7, False) for k in HEADLINE_KS]
                + [(k, a, b, True) for k, (a, b) in MU2_PARAMS.items()])
@@ -72,3 +82,45 @@ def test_random_cells_scale_with_t(k, a, gap, t, quadratic):
         # scaled cubic is the same cubic in z/t
         with pytest.raises(NonApplicableError):
             measures._constants(k, t * a, t * b, 60)
+
+
+def _exact(ball):
+    """A ball's centre and radius as exact rationals."""
+    scale = Fraction(2) ** ball.exp
+    return ball.man * scale, ball.rad * scale
+
+
+def _verify(k, a, b, n):
+    # as the verify command does, the predicted decays size the enclosure
+    # of the forms in alpha_k
+    [row] = verify_forms(k, a, b, [n], decays=predicted_decay(k, a, b, 60))
+    return row
+
+
+def _check_scaled_forms(k, a, b, n, t):
+    base, scaled = _verify(k, a, b, t * n), _verify(k, t * a, t * b, n)
+    for name in "PQXYZ":
+        assert getattr(scaled, name) == getattr(base, name), name
+    for name in ("decay_linear", "decay_quadratic"):
+        (value, radius), (other, other_radius) = (
+            _exact(getattr(base, name)), _exact(getattr(scaled, name)))
+        assert abs(other - t * value) <= t * radius + other_radius, name
+
+
+@pytest.mark.parametrize("a,b,n,t", [(1, 13, 3, 3), (1, 13, 3, 5), (1, 7, 7, 3)])
+def test_forms_scale_with_t(a, b, n, t):
+    # (1, 13, 9) against (3, 39, 3), (1, 13, 15) against (5, 65, 3) and
+    # (1, 7, 21) against (3, 21, 7), at k = 8: degrees 297, 495 and 315
+    _check_scaled_forms(8, a, b, n, t)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.one_of(st.integers(1, 10**6), st.sampled_from([10**24, 10**100, 10**300])),
+       st.integers(1, 2), st.integers(0, 4), st.sampled_from([1, 3, 5]),
+       st.sampled_from([3, 5]))
+@example(10**300, 1, 0, 1, 3)
+@example(4, 1, 0, 3, 3)  # 2k + 1 = 9, a perfect square
+def test_random_forms_scale_with_t(k, a, gap, n, t):
+    # degree 3 (b - 2a) t n at most 975, and 195 at a huge k, where each
+    # coefficient carries about log2(k) bits per degree
+    _check_scaled_forms(k, a, 4 * a + 2 * gap + 1, 1 if k > 10**6 else n, t)

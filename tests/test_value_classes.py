@@ -40,8 +40,7 @@ RECORDS = [
     (TableRow, {"k": 6, "mu": BOUND, "mu2": None}),
     (Interval, {"lo": F(1, 6), "hi": F(3, 7), "lo_closed": True,
                 "hi_closed": False}),
-    (OmegaReport, {"a": 1, "b": 7, "omega": IntervalSet([]),
-                   "denominator_bound": 7}),
+    (OmegaReport, {"a": 1, "b": 7, "omega": IntervalSet([])}),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
