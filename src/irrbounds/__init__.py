@@ -17,7 +17,6 @@ _EXPORTS = {
                  "predicted_decay", "search_params"),
     "omega": ("compute_omega", "delta_products", "n_constants",
               "omega_contains"),
-    "rational": ("IntervalSet", "OmegaReport", "QuadRat", "Rat"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

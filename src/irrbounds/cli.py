@@ -26,12 +26,12 @@ import sys
 
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
-from .exact_arith import Params, format_int
+from .exact_arith import Params, format_int, format_pair
 from .fixed import certify
 from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
                        mu2_bound, mu_bound, predicted_decay, search_params,
                        table_row)
-from .omega import compute_omega, n_constants, omega_runs
+from .omega import compute_omega, n_constants
 
 # the working-precision floor of omega.n_constants and a cap, checked before
 # any work; Euler's constant is held for psi up to about 560 digits.  Per
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
     # imported past the checks, so a refused command line never compiles it
     from .forms import verify_forms
 
-    rows = verify_forms(k, a, b, ns, digits, decays=(pred_l, pred_m))
+    rows = verify_forms(k, a, b, ns, digits)
     out = []
     for r in rows:
         entry = {
@@ -221,18 +221,19 @@ def cmd_verify(args) -> int:
 
 def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
-    from .rational import format_rat
-
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
-    report = compute_omega(a, b)
-    n1, n2 = n_constants(a, b, omega_runs(a, b), digits)
+    runs = compute_omega(a, b)
+    n1, n2 = n_constants(a, b, runs, digits)
     psi_sum = b - n1
     for name, value in (("psi sum", psi_sum), ("N1", n1), ("N2", n2)):
         certify(f"Omega({a}, {b}) {name}", value, digits)
-    measure = format_rat(report.omega.total_measure())
-    intervals = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
-                  "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
-                 for iv in report.omega]
+    num, den = 0, 1  # the measure, the sum of hi - lo over the runs
+    for (ln, ld), (hn, hd), _, _ in runs:
+        num, den = num * ld * hd + (hn * ld - ln * hd) * den, den * ld * hd
+    measure = format_pair(num, den)
+    intervals = [{"lo": format_pair(*lo), "hi": format_pair(*hi),
+                  "lo_closed": lo_closed, "hi_closed": hi_closed}
+                 for lo, hi, lo_closed, hi_closed in runs]
     if args.fmt == "json":
         _echo_json({
             "a": a, "b": b, "intervals": intervals, "measure": measure,
@@ -242,7 +243,11 @@ def cmd_omega(args) -> int:
     elif args.fmt == "csv":
         _echo_rows(intervals, "csv", ["lo", "hi", "lo_closed", "hi_closed"])
     else:
-        print(f"Omega({a}, {b}) = {report.omega}")
+        # a point as {x}, an interval between its closure brackets
+        shown = ["{%s}" % iv["lo"] if iv["lo"] == iv["hi"] else "%s%s, %s%s" % (
+            "(["[iv["lo_closed"]], iv["lo"], iv["hi"], ")]"[iv["hi_closed"]])
+            for iv in intervals]
+        print(f"Omega({a}, {b}) = {' u '.join(shown) or '{}'}")
         print(f"measure = {measure}")
         print(f"psi sum = {fmt_sig(psi_sum, sig)}   "
               f"N1 = {fmt_sig(n1, sig)}   N2 = {fmt_sig(n2, sig)}")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  IntegralityError renders its
+value through ``exact_arith.format_pair``, imported when one is raised."""
 
 
 class DomainError(ValueError):
@@ -14,13 +15,13 @@ class IntegralityError(ArithmeticError):
     either the construction's integrality guarantee or the code is wrong."""
 
     def __init__(self, quantity: str, value):
-        # imported here, as rational imports this module; format_rat is not
-        # cut off at str()'s 4300-digit limit.  An int pair is num/den.
-        from .rational import Rat, format_rat
+        # an int, an int pair (num, den), anything with a numerator and a
+        # denominator, or a str, shown as it is; as_pair and format_pair (no
+        # 4300-digit limit) are imported here, as exact_arith imports errors
+        from .exact_arith import as_pair, format_pair
 
-        value = Rat(*value) if isinstance(value, tuple) else value
         self.quantity, self.value = quantity, value
-        shown = format_rat(value) if isinstance(value, (int, Rat)) else value
+        shown = value if isinstance(value, str) else format_pair(*as_pair(value))
         super().__init__(f"{quantity} is not an integer: {shown}")
 
 

@@ -1,12 +1,12 @@
 """Exact integer substrate, which every command loads: rationals as int
-pairs (:func:`as_pair`), ``format_int``, the integer cube root, rational
-square-root bounds (which import ``fractions`` when called), the prime
-sieve, lcm(1..n), ``Frozen``, the base of the package's immutable records,
-and ``Params``.  All of it is immutable and safe to share between workers."""
+pairs (:func:`as_pair`, ``format_pair``), ``format_int``, the integer cube
+root, rational square-root bounds (``fractions`` imported when called), the
+prime sieve, lcm(1..n), ``Frozen``, the base of the package's immutable
+records, and ``Params``.  All of it is safe to share between workers."""
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DomainError, SieveCapacityError
 
@@ -27,6 +27,17 @@ def format_int(x: int) -> str:
     except ValueError:
         from decimal import Decimal
         return str(Decimal(x))
+
+
+def format_pair(num: int, den: int) -> str:
+    """num/den in lowest terms with a positive denominator, as ``num/den``
+    (plain ``num`` when that denominator is 1), through :func:`format_int`,
+    so without the 4300-digit limit."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return format_int(num)
+    return f"{format_int(num)}/{format_int(den)}"
 
 
 def icbrt(n: int) -> int:

@@ -28,8 +28,9 @@ from itertools import chain, repeat
 from math import comb, factorial, gcd, isqrt, lcm, log, prod
 
 from .errors import DomainError, IntegralityError, PrecisionError
-from .exact_arith import Frozen, Params, PrimeSieve, d_upto
+from .exact_arith import Frozen, Params, d_upto
 from .fixed import Ball, prec_of
+from .measures import predicted_decay
 from .omega import delta_products
 
 __all__ = [
@@ -507,26 +508,26 @@ def _alpha_combinations(k: int, combos, digits: int,
                          "passes")
 
 
-def verify_forms(k: int, a: int, b: int, n_list, digits: int = 60,
-                 sieve: PrimeSieve | None = None,
-                 decays=()) -> list[VerificationRow]:
+def verify_forms(k: int, a: int, b: int, n_list,
+                 digits: int = 60) -> list[VerificationRow]:
     """Exact integer forms and high-precision form values for each odd n.
 
     Integrality violations raise IntegralityError naming the quantity.  ell
     and m come from certified enclosures that exclude 0; a form whose
     enclosure stays too wide, as a vanishing form would, raises
-    PrecisionError.  ``decays``, the rates of ``predicted_decay``, size the
-    enclosure's first pass for forms of about exp(n * rate).
+    PrecisionError.  The rates of ``predicted_decay`` size the enclosure's
+    first pass for forms of about exp(n * rate).
     """
+    decay = float(min(predicted_decay(k, a, b, digits)))
     rows = []
     for n in n_list:
         params = Params(k=k, a=a, b=b, n=n)
         uvw = eval_UVW(params, x_point(k))
-        delta, delta1 = delta_products(params, sieve)
+        delta, delta1 = delta_products(params)
         forms = scaled_integer_forms(params, uvw, delta, delta1)
         ell, m = _alpha_combinations(
             k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits,
-            max(0, -int(n * float(min(decays, default=0)) / log(2))))
+            max(0, -int(n * decay / log(2))))
         prec = prec_of(digits + 10)
         rows.append(VerificationRow(
             n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,

@@ -10,13 +10,14 @@ an exception: searches iterate past inapplicable cells.  Every constant is a
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt, nan
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
 from .exact_arith import Frozen, Params
 from .fixed import Ball, certify, prec_of
-from .omega import n_constants, omega_runs
+from .omega import compute_omega, n_constants
 
 __all__ = ["BoundResult", "TableRow", "mu_bound", "mu2_bound",
            "search_params", "predicted_decay", "headline_table", "table_row",
@@ -78,7 +79,7 @@ def _constants(k: int, a: int, b: int, digits: int):
     _, m1 = saddle_real(a, b, x, digits)
     _, m2 = saddle_complex(a, b, x, digits)
     k1, k2 = k_constants(k, a, b, digits)
-    n1, n2 = n_constants(a, b, omega_runs(a, b), digits)
+    n1, n2 = n_constants(a, b, compute_omega(a, b), digits)
     return m1, m2, k1, k2, n1, n2
 
 
@@ -140,9 +141,10 @@ def mu2_bound(k: int, a: int, b: int, digits: int = 60) -> BoundResult:
     return _bound("non-quadraticity", k, a, b, digits)
 
 
+@lru_cache(maxsize=None)
 def predicted_decay(k: int, a: int, b: int, digits: int = 60):
     """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms, balls
-    each certified to its radius."""
+    each certified to its radius; memoised, as verify_forms reads them too."""
     _, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     decays = tuple(_sum((m2, kk, nn), prec_of(digits + 10))
                    for kk, nn in ((k1, n1), (k2, n2)))

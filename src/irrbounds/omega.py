@@ -6,9 +6,8 @@ Membership of num/den is decided by integer residues mod den from the
 three-group floor inequality, as the prime scans need.  One walk over the
 floor terms' own breakpoints j/m, with a direct certificate that it met
 each of them in order, yields Omega's runs as int pairs
-(:func:`omega_runs`) for the digamma sums and N2's exact large-prime sum;
-only :func:`compute_omega` (omega's printing, the tests) makes the
-``Fraction`` records of :mod:`.rational` of them.
+(:func:`compute_omega`): the digamma sums and N2's exact large-prime sum
+read them, and omega prints them.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from .errors import CertificateError, DomainError, SieveCapacityError
 from .exact_arith import Params, PrimeSieve, as_pair
 from .fixed import Ball, prec_of
 
-__all__ = ["omega_contains", "omega_runs", "compute_omega", "delta_products",
-           "n_constants"]
+__all__ = ["omega_contains", "compute_omega", "delta_products", "n_constants"]
 
 
 def _validate_ab(a: int, b: int) -> None:
@@ -98,7 +96,7 @@ def _points(table) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def omega_runs(a: int, b: int) -> tuple:
+def compute_omega(a: int, b: int) -> tuple:
     """Omega(a, b) as its runs ((lo_num, lo_den), (hi_num, hi_den),
     lo_closed, hi_closed), ascending, ends in lowest terms.  For fixed y the
     min over x reduces to six candidate x values (:func:`_candidates`).
@@ -152,13 +150,6 @@ def omega_runs(a: int, b: int) -> tuple:
     return tuple(map(tuple, runs))
 
 
-def compute_omega(a: int, b: int):
-    """The certifying set as :func:`omega_runs` in ``Fraction`` intervals, a
-    :class:`rational.OmegaReport` shared per (a, b, runs)."""
-    from .rational import _report
-    return _report(a, b, omega_runs(a, b))
-
-
 # -- finite-n prime products --------------------------------------------------
 
 def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
@@ -174,15 +165,13 @@ def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
             if _member(table, n % p, p)]
 
 
-def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int, int]:
+def delta_products(params: Params) -> tuple[int, int]:
     """(Delta, Delta1) for one n: products of the primes with {n/p} in
     Omega, over p > sqrt(bn) and over p > (b-2a)n respectively."""
     a, b, n = params.a, params.b, params.n
-    if sieve is None:
-        sieve = PrimeSieve(max(b * n, 10))
     cut1 = (b - 2 * a) * n
     delta = delta1 = 1
-    for p in _omega_primes(a, b, n, sieve):
+    for p in _omega_primes(a, b, n, PrimeSieve(max(b * n, 10))):
         delta *= p
         if p > cut1:
             delta1 *= p
@@ -193,7 +182,7 @@ def delta_products(params: Params, sieve: PrimeSieve | None = None) -> tuple[int
 
 def n_constants(a: int, b: int, runs: tuple, digits: int):
     """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta,
-    as balls, from Omega's runs (:func:`omega_runs`).
+    as balls, from Omega's runs (:func:`compute_omega`).
     N1 = b - sum over components [u, v] of psi(v) - psi(u): the lcm grows at
     rate b while the digamma difference is the density of the primes counted
     in Delta.  N2 adds b - 2a for the second lcm plus the large-prime regime

@@ -2,6 +2,12 @@
 Omega(a, b), and the saddle rate by nine logarithms.  numpy is needed here
 only; the package does not import it.
 
+The ``Fraction`` layer the package printed through before its int pairs:
+``Rat`` (:class:`fractions.Fraction`), :func:`format_rat`, Omega's
+:class:`Interval` and :class:`IntervalSet`, with :func:`omega_intervals`
+building the set from ``omega.compute_omega``'s runs, and :class:`QuadRat`,
+Q(sqrt D), the reference for the forms' int tuples.
+
 :func:`floor_sum_value` and :func:`floor_sum_min` evaluate the three-group
 floor expression literally, the reference for ``omega.omega_contains``.
 :func:`shift_poly`, :func:`tail_transform_coeffs` (by the difference
@@ -21,7 +27,7 @@ the package built it before its integer walk: ``Fraction`` probes at every
 point of the literal Farey set and at every gap's mediant.
 :func:`farey_runs` is the integer walk the package made after that, over
 the Farey sequence (:func:`farey_points`) instead of the floor terms' own
-breakpoints, the reference for ``omega.omega_runs`` at large b.
+breakpoints, the reference for ``omega.compute_omega`` at large b.
 :func:`grid_discrepancies` compares pointwise membership with the interval
 set on a literal grid; :func:`certified_grid_check` scans a random sample
 of a grid that holds every breakpoint.
@@ -48,17 +54,218 @@ import mpmath as mp
 
 from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
-from irrbounds.exact_arith import Params, PrimeSieve, d_upto
+from irrbounds.exact_arith import Frozen, Params, PrimeSieve, d_upto, format_int
 from irrbounds import forms
 from irrbounds.errors import IntegralityError
 from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
                              _walk, eval_UVW, x_point)
 from irrbounds.omega import (_candidates, _groups, _member, _mod_table,
-                             _omega_primes, _validate_ab, delta_products)
-from irrbounds.rational import Interval, IntervalSet, QuadRat, Rat
+                             _omega_primes, _validate_ab, compute_omega,
+                             delta_products)
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
 GRID_CHUNK = 1 << 20
+
+Rat = Fraction
+
+
+def format_rat(x: Rat) -> str:
+    """Render as ``num/den`` (plain ``num`` when the denominator is 1),
+    through :func:`format_int`, so without the 4300-digit limit."""
+    if x.denominator == 1:
+        return format_int(x.numerator)
+    return f"{format_int(x.numerator)}/{format_int(x.denominator)}"
+
+
+class QuadRat:
+    """u + v*sqrt(D) with exact rational parts and a fixed positive integer D.
+    A perfect-square D folds v into u at construction, so degenerate k = 4
+    (D = 9) takes the generic paths; values with v == 0 combine with any D.
+    """
+
+    __slots__ = ("u", "v", "D")
+
+    def __init__(self, u, v=0, D: int = 1):
+        if D < 1:
+            raise DomainError(f"D must be a positive integer, got {D}")
+        u, v = Fraction(u), Fraction(v)
+        r = math.isqrt(D)
+        if r * r == D and v:
+            u, v = u + v * r, Fraction(0)
+        self.u, self.v, self.D = u, v, D
+
+    @classmethod
+    def sqrt_d(cls, D: int) -> "QuadRat":
+        """The element sqrt(D) itself (collapses when D is a perfect square)."""
+        return cls(0, 1, D)
+
+    @property
+    def is_rational(self) -> bool:
+        return self.v == 0
+
+    def _join_d(self, other: "QuadRat") -> int:
+        if self.D == other.D:
+            return self.D
+        if self.v == 0:
+            return other.D
+        if other.v == 0:
+            return self.D
+        raise DomainError(f"mismatched radicands: {self.D} vs {other.D}")
+
+    def _coerce(self, other) -> "QuadRat":
+        if isinstance(other, QuadRat):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadRat(other, 0, self.D)
+        return NotImplemented
+
+    def __add__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        return QuadRat(self.u + o.u, self.v + o.v, self._join_d(o))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return QuadRat(-self.u, -self.v, self.D)
+
+    def __mul__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        D = self._join_d(o)
+        return QuadRat(self.u * o.u + D * self.v * o.v,
+                       self.u * o.v + self.v * o.u, D)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadRat":
+        n = self.norm()
+        if n == 0:
+            raise DomainError("inverse of zero (or of a zero-norm element)")
+        return QuadRat(self.u / n, -self.v / n, self.D)
+
+    def __truediv__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, e: int) -> "QuadRat":
+        if not isinstance(e, int):
+            raise DomainError("QuadRat powers must be integers")
+        base = self.inverse() if e < 0 else self
+        e = abs(e)
+        out = QuadRat(1, 0, self.D)
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def conj(self) -> "QuadRat":
+        return QuadRat(self.u, -self.v, self.D)
+
+    def norm(self) -> Rat:
+        return self.u * self.u - self.D * self.v * self.v
+
+    def __eq__(self, other):
+        if (o := self._coerce(other)) is NotImplemented:
+            return o
+        if self.u != o.u or self.v != o.v:
+            return False
+        return self.v == 0 or self.D == o.D
+
+    def __hash__(self):
+        if self.v == 0:
+            return hash(self.u)
+        return hash((self.u, self.v, self.D))
+
+    def __bool__(self):
+        return bool(self.u) or bool(self.v)
+
+    def __repr__(self):
+        if self.v == 0:
+            return f"QuadRat({format_rat(self.u)})"
+        return f"QuadRat({format_rat(self.u)} + {format_rat(self.v)}*sqrt({self.D}))"
+
+
+class Interval(Frozen):
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    lo: Fraction
+    hi: Fraction
+    lo_closed: bool
+    hi_closed: bool
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.lo > self.hi:
+            raise DomainError("interval endpoints out of order")
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            raise DomainError("a degenerate interval must be closed")
+
+    def contains(self, y: Fraction) -> bool:
+        return (self.lo < y < self.hi or y == self.lo and self.lo_closed
+                or y == self.hi and self.hi_closed)
+
+    def __str__(self):
+        if self.lo == self.hi:
+            return "{%s}" % format_rat(self.lo)
+        return "%s%s, %s%s" % ("[" if self.lo_closed else "(",
+                               format_rat(self.lo), format_rat(self.hi),
+                               ")" if not self.hi_closed else "]")
+
+
+class IntervalSet(Frozen):
+    """Sorted, pairwise-disjoint rational-endpoint subintervals of [0, 1),
+    immutable."""
+
+    __slots__ = ("intervals",)
+    intervals: tuple[Interval, ...]
+
+    def __init__(self, intervals):
+        ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
+        for prev, cur in zip(ivs, ivs[1:]):
+            # touching only where both sides exclude the shared point
+            if cur.lo < prev.hi or (cur.lo == prev.hi
+                                    and (cur.lo_closed or prev.hi_closed)):
+                raise DomainError("intervals overlap or touch with closure")
+        for iv in ivs:
+            if iv.lo < 0 or iv.hi > 1 or (iv.hi == 1 and iv.hi_closed):
+                raise DomainError("intervals must lie within [0, 1)")
+        super().__init__(tuple(ivs))
+
+    def contains(self, y: Fraction) -> bool:
+        return any(iv.contains(y) for iv in self.intervals)
+
+    def total_measure(self) -> Fraction:
+        return sum(iv.hi - iv.lo for iv in self.intervals)
+
+    def __iter__(self):
+        return iter(self.intervals)
+
+    def __len__(self):
+        return len(self.intervals)
+
+    def __str__(self):
+        if not self.intervals:
+            return "{}"
+        return " u ".join(str(iv) for iv in self.intervals)
+
+
+def omega_intervals(a: int, b: int) -> IntervalSet:
+    """Omega(a, b) as ``Fraction`` intervals, built from the int runs of
+    ``omega.compute_omega``."""
+    return IntervalSet(Interval(Fraction(*lo), Fraction(*hi), *flags)
+                       for lo, hi, *flags in compute_omega(a, b))
 
 
 def quad_tuple(x: QuadRat) -> tuple[int, int, int, int]:
@@ -73,7 +280,7 @@ def quad_rat(x: tuple[int, int, int, int]) -> QuadRat:
 
 
 def runs_of(omega: IntervalSet) -> tuple:
-    """The intervals of ``omega`` as the int runs of ``omega.omega_runs``."""
+    """The intervals of ``omega`` as the int runs of ``omega.compute_omega``."""
     return tuple(((iv.lo.numerator, iv.lo.denominator),
                   (iv.hi.numerator, iv.hi.denominator), iv.lo_closed,
                   iv.hi_closed) for iv in omega)
@@ -242,7 +449,7 @@ def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
     """A deterministic random sample of the grid i/L, scanned literally by
     :func:`grid_discrepancies`.  The grid must hold every breakpoint j/m of
     the floor terms (m <= b, so lcm(1..b) | L).  Agreement at every point
-    of it is what ``omega.omega_runs`` certifies itself: it walks each
+    of it is what ``omega.compute_omega`` certifies itself: it walks each
     breakpoint in order and decides each one and each gap between them.
     The sample guards that argument independently.
     """

@@ -20,11 +20,10 @@ from irrbounds.exact_arith import Params
 from irrbounds.forms import (eval_UVW, scaled_integer_forms, verify_forms,
                              x_point)
 from irrbounds.measures import mu2_bound, mu_bound, predicted_decay
-from irrbounds.omega import compute_omega, delta_products, n_constants, omega_runs
-from irrbounds.rational import QuadRat
-from oracles import (certified_grid_check, finite_n_n1, finite_n_n2,
-                     grid_discrepancies, quad_rat, quad_tuple, scaling_factors,
-                     series_uvw)
+from irrbounds.omega import compute_omega, delta_products, n_constants
+from oracles import (QuadRat, certified_grid_check, finite_n_n1, finite_n_n2,
+                     grid_discrepancies, omega_intervals, quad_rat, quad_tuple,
+                     scaling_factors, series_uvw)
 
 MU_TABLE = {3: 6.64610, 5: 5.82337, 6: 3.51433, 7: 5.45248, 8: 3.47834,
             9: 5.23162, 10: 3.45356, 11: 5.08120, 12: 3.43506}
@@ -169,11 +168,11 @@ def test_criterion_5_series_oracle():
 
 
 def test_criterion_6_omega_grids():
-    omega7 = compute_omega(1, 7).omega
+    omega7 = omega_intervals(1, 7)
     L7 = math.lcm(*range(1, 8)) * 10
     bad7 = grid_discrepancies(1, 7, L7, omega7)
 
-    omega23 = compute_omega(2, 23).omega
+    omega23 = omega_intervals(2, 23)
     L23 = math.lcm(*range(1, 24)) * 10
     cert = certified_grid_check(2, 23, L23, omega23, sample=200_000, seed=11)
     bad23 = cert.discrepancies
@@ -195,7 +194,7 @@ def test_criterion_6_omega_grids():
 
 def test_criterion_7_n1_convergence(big_sieve):
     t0 = time.monotonic()
-    n1, _ = n_constants(1, 7, omega_runs(1, 7), 60)
+    n1, _ = n_constants(1, 7, compute_omega(1, 7), 60)
     n = 10**5 + 1
     est = finite_n_n1(1, 7, n, big_sieve)
     rel = abs(est - float(n1)) / float(n1)

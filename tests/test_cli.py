@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import asymptotics, omega
+from irrbounds import asymptotics, measures, omega
 from irrbounds.cli import MAX_B, MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
 from irrbounds.fixed import Ball
+from oracles import format_rat, omega_intervals, runs_of
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 
@@ -297,7 +298,7 @@ def test_b_above_cap_refused_before_the_walk(capsys, monkeypatch, argv):
         raise RuntimeError("the walk started")
 
     monkeypatch.setattr(omega, "_points", boom)
-    omega.omega_runs.cache_clear()
+    omega.compute_omega.cache_clear()
     code, out, err = run(capsys, *argv, "--b", str(MAX_B + 2))
     assert code == 1 and out == ""
     assert err == f"Error: --b {MAX_B + 2} is above the cap {MAX_B}\n"
@@ -325,6 +326,40 @@ def test_omega_json_schema(capsys):
     assert set(first) == {"lo", "hi", "lo_closed", "hi_closed"}
     assert first["lo"] == "1/6"
     assert isinstance(first["lo_closed"], bool)
+
+
+def _omega_by_fractions(a, b, fmt):
+    """omega's stdout rendered from the Fraction intervals of the oracles,
+    by format_rat and IntervalSet's str, as the package printed it before
+    it printed its int runs."""
+    intervals = omega_intervals(a, b)
+    n1, n2 = omega.n_constants(a, b, runs_of(intervals), 60)
+    rows = [{"lo": format_rat(iv.lo), "hi": format_rat(iv.hi),
+             "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed}
+            for iv in intervals]
+    measure = format_rat(intervals.total_measure())
+    if fmt == "json":
+        return json.dumps({
+            "a": a, "b": b, "intervals": rows, "measure": measure,
+            **{name: float(fmt_sig(value)) for name, value in
+               (("psi_sum", b - n1), ("N1", n1), ("N2", n2))}}, indent=2) + "\n"
+    if fmt == "csv":
+        return "lo,hi,lo_closed,hi_closed\n" + "".join(
+            f"{r['lo']},{r['hi']},{r['lo_closed']},{r['hi_closed']}\n" for r in rows)
+    return (f"Omega({a}, {b}) = {intervals}\nmeasure = {measure}\n"
+            f"psi sum = {fmt_sig(b - n1)}   N1 = {fmt_sig(n1)}   "
+            f"N2 = {fmt_sig(n2)}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_omega_output_matches_the_fraction_rendering(capsys, fmt):
+    # every a <= 3 and odd b <= 41, in-process
+    for a in (1, 2, 3):
+        for b in range(4 * a + 1, 42, 2):
+            code, out, err = run(capsys, "omega", "--a", str(a), "--b", str(b),
+                                 "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == _omega_by_fractions(a, b, fmt), (a, b)
 
 
 def test_omega_deterministic(capsys):
@@ -454,7 +489,8 @@ def test_omega_wide_radius_exit_4(capsys, monkeypatch):
     ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1")])
 def test_wide_saddle_radius_exit_4(capsys, monkeypatch, argv):
     # a bound, a search and verify's predicted decay stop at the first value
-    # whose radius is too wide, with nothing on stdout
+    # whose radius is too wide, with nothing on stdout; the decay's memo
+    # starts cold
     saddle_complex = asymptotics.saddle_complex
 
     def widened(*args, **kwargs):
@@ -462,6 +498,7 @@ def test_wide_saddle_radius_exit_4(capsys, monkeypatch, argv):
         return z1, _widened(m2, Fraction(1, 10**40))
 
     monkeypatch.setattr("irrbounds.measures.saddle_complex", widened)
+    measures.predicted_decay.cache_clear()
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
@@ -481,11 +518,11 @@ def test_omega_certificate_failure_exit_4(capsys, monkeypatch, mutate):
     # printed
     points = omega._points
     monkeypatch.setattr(omega, "_points", lambda table: mutate(points(table)))
-    omega.omega_runs.cache_clear()
+    omega.compute_omega.cache_clear()
     try:
         code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
     finally:
-        omega.omega_runs.cache_clear()
+        omega.compute_omega.cache_clear()
     assert code == 4
     assert out == ""
     assert err.startswith("certificate failure: ") and err.count("\n") == 1
@@ -504,10 +541,10 @@ def test_alpha_enclosure_too_wide_exit_4(capsys, monkeypatch):
     # one pass of the alpha enclosure at its starting width cannot certify
     # the forms at n = 31 when nothing sizes that width: a zero decay hint
     # starts it as if the forms were of size 1
-    import irrbounds.cli as cli_mod
+    import irrbounds.forms as forms_mod
 
-    predicted = cli_mod.predicted_decay
-    monkeypatch.setattr(cli_mod, "predicted_decay",
+    predicted = forms_mod.predicted_decay
+    monkeypatch.setattr(forms_mod, "predicted_decay",
                         lambda *args: tuple(0 * rate for rate in predicted(*args)))
     monkeypatch.setattr("irrbounds.forms.MAX_ALPHA_PASSES", 1)
     code, out, err = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
@@ -683,38 +720,46 @@ def test_import_and_help_load_no_unused_module():
 # a bare interpreter: -I ignores the PYTHON* variables and the user site,
 # and -S skips site, so no .pth file or sitecustomize can load a module
 # ahead of the package (faking a load) or stub one out (hiding it); -B
-# leaves no bytecode in src/
-BARE_RUN = ("import sys; sys.path.insert(0, sys.argv[1]); "
+# leaves no bytecode in src/.  The module named first is imported ahead of
+# the command.
+BARE_RUN = ("import sys, importlib; sys.path.insert(0, sys.argv[1]); "
+            "importlib.import_module(sys.argv[2]); "
             "import irrbounds.cli as cli; "
-            "code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
+            "code = cli.main(sys.argv[3:]) if sys.argv[3:] else 0; "
             "print(code, *sys.modules, file=sys.stderr)")
+# fractions and decimal, and the dense oracles of irrbounds.dense, which
+# import fractions; decimal may load only to print an integer past str()'s
+# 4300-digit limit, which no command here reaches
+FRACTION_LAYER = {"fractions", "decimal", "irrbounds.dense"}
 
 
-@pytest.mark.parametrize("argv,loads", [
-    ([], False),
-    (["table", "--paper"], False),
-    (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], False),
-    (["bound", "--k", "6", "--a", "1", "--b", "7"], False),
-    (["omega", "--a", "1", "--b", "7"], True),
-    (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], False),
-    (_verify_n31(8), False),
-], ids=["import", "table", "search", "bound", "omega", "verify", "verify-n31"])
-def test_bound_commands_never_load_fractions_or_decimal(argv, loads):
-    # the bound path and verify run on ints: the import and table, search,
-    # bound and verify leave fractions, decimal and the package's Fraction
-    # layer unloaded; omega loads all three, which shows that the check sees
-    # a load
-    fraction_layer = {"fractions", "decimal", "irrbounds.rational"}
+@pytest.mark.parametrize("argv,preload", [
+    ([], "irrbounds.cli"),
+    (["table", "--paper"], "irrbounds.cli"),
+    (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], "irrbounds.cli"),
+    (["bound", "--k", "6", "--a", "1", "--b", "7"], "irrbounds.cli"),
+    (["omega", "--a", "1", "--b", "7"], "irrbounds.cli"),
+    (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], "irrbounds.cli"),
+    (_verify_n31(8), "irrbounds.cli"),
+    (["omega", "--a", "1", "--b", "7"], "irrbounds.dense"),
+], ids=["import", "table", "search", "bound", "omega", "verify", "verify-n31",
+        "control"])
+def test_bound_commands_never_load_fractions_or_decimal(argv, preload):
+    # every command runs on ints: the import and all five commands leave
+    # fractions, decimal and irrbounds.dense unloaded.  The control imports
+    # irrbounds.dense (and with it fractions and decimal) ahead of omega,
+    # which shows that the check sees a load
     bare = subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
                            "import sys; print(*sys.modules)"],
                           capture_output=True, text=True, timeout=60)
-    assert not fraction_layer & set(bare.stdout.split())
+    assert not FRACTION_LAYER & set(bare.stdout.split())
     child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", BARE_RUN,
-                            str(SRC), *argv], capture_output=True, text=True,
-                           timeout=120)
+                            str(SRC), preload, *argv], capture_output=True,
+                           text=True, timeout=120)
     code, *modules = child.stderr.split()
     assert code == "0", child.stderr
-    assert fraction_layer & set(modules) == (fraction_layer if loads else set())
+    control = preload == "irrbounds.dense"
+    assert FRACTION_LAYER & set(modules) == (FRACTION_LAYER if control else set())
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,12 +7,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irrbounds.errors import DomainError, SieveCapacityError
-from irrbounds.exact_arith import d_upto, format_int, sqrt_bounds
-from irrbounds.rational import QuadRat, format_rat
+from irrbounds.exact_arith import d_upto, format_int, format_pair, sqrt_bounds
+from oracles import QuadRat, format_rat
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,9 +23,23 @@ rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 # rationals
 # ---------------------------------------------------------------------------
 
+# integers on both sides of str()'s 4300-digit limit
+wide_ints = (st.integers(-10**40, 10**40) | st.integers(10**4300, 10**4310)
+             | st.integers(-10**4310, -10**4300))
+
+
 @given(rationals)
 def test_fraction_render_roundtrip(x):
     assert F(format_rat(x)) == x
+
+
+@given(wide_ints, wide_ints.filter(bool), st.integers(1, 10**6))
+@example(3 * 10**4300, -6, 7)
+@example(0, -5, 1)
+def test_format_pair_matches_the_fraction_rendering(num, den, scale):
+    # either sign of the denominator, unreduced pairs and ends past 4300
+    # digits render as the oracle renders the reduced Fraction
+    assert format_pair(num * scale, den * scale) == format_rat(F(num, den))
 
 
 @given(st.integers(-10**40, 10**40))

@@ -15,7 +15,7 @@ from oracles import dual_path_ell
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 # the once-per-key memos of the bound path, one per dependency layer
-MEMOS = (omega.omega_runs, omega._n_pair, asymptotics._psi,
+MEMOS = (omega.compute_omega, omega._n_pair, asymptotics._psi,
          asymptotics._gauss_row, asymptotics._certified_solve)
 
 
@@ -174,6 +174,17 @@ def test_vanishing_form_is_never_certified():
         forms._alpha_combinations(8, [[(0, 1), (0, 0)]], 60)
 
 
+def test_verify_forms_sizes_its_enclosure_from_the_predicted_decay():
+    # at k = 10^300 the linear form is about exp(-2424 n), some 45,000 bits
+    # below 1 at n = 13, while the coefficients carry about 1000 bits per
+    # degree.  Started at the coefficients' size, the enclosure ran out of
+    # passes (PrecisionError) here: of a sweep over a <= 2, b <= 4a + 9 and
+    # odd n <= 25 at k = 10^6 to 10^300, the failing cell of least degree
+    row = verify_forms(10**300, 1, 9, [13])[0]
+    pred_l, _ = predicted_decay(10**300, 1, 9)
+    assert abs(float(row.decay_linear - pred_l) / float(pred_l)) < 0.02
+
+
 def test_verify_rejects_even_n():
     with pytest.raises(ValueError):
         verify_forms(6, 1, 7, [2])
@@ -209,7 +220,7 @@ def test_headline_table_shape():
 def test_headline_table_computes_each_constant_once_per_key():
     # 13 cells over 3 distinct (a, b), each cell once, at 60 digits
     cold = _cold(headline_table, 60)
-    assert omega.omega_runs.cache_info().misses == 3
+    assert omega.compute_omega.cache_info().misses == 3
     assert omega._n_pair.cache_info().misses == 3
     assert asymptotics._certified_solve.cache_info().misses == 13
     psi = asymptotics._psi.cache_info()

@@ -9,11 +9,11 @@ from irrbounds.exact_arith import Params
 from irrbounds import omega as omega_module
 from irrbounds.fixed import Ball, prec_of
 from irrbounds.omega import (compute_omega, delta_products, n_constants,
-                             omega_contains, omega_runs)
-from irrbounds.rational import Interval, IntervalSet
-from oracles import (certified_grid_check, farey_points, farey_runs,
-                     finite_n_n1, finite_n_n2, floor_sum_min, floor_sum_value,
-                     grid_discrepancies, omega_by_fraction_probes, runs_of)
+                             omega_contains)
+from oracles import (Interval, IntervalSet, certified_grid_check, farey_points,
+                     farey_runs, finite_n_n1, finite_n_n2, floor_sum_min,
+                     floor_sum_value, grid_discrepancies,
+                     omega_by_fraction_probes, omega_intervals, runs_of)
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +74,20 @@ def test_min_over_x_is_attained_on_candidates():
 # ---------------------------------------------------------------------------
 
 def test_omega_17_structure():
-    report = compute_omega(1, 7)
-    ivs = report.omega.intervals
+    omega = omega_intervals(1, 7)
+    ivs = omega.intervals
     assert ivs[0].lo >= F(1, 7)
     assert ivs == (
         Interval(F(1, 6), F(3, 7), True, False),
         Interval(F(1, 2), F(5, 7), True, False),
         Interval(F(3, 4), F(6, 7), True, False),
     )
-    assert report.omega.total_measure() == F(7, 12)
+    assert omega.total_measure() == F(7, 12)
 
 
 def test_omega_avoids_low_interval():
     for a, b in ((1, 7), (2, 23), (1, 13)):
-        omega = compute_omega(a, b).omega
+        omega = omega_intervals(a, b)
         for iv in omega:
             assert iv.lo >= F(1, b)
         assert not omega.contains(F(1, 2 * b))
@@ -95,7 +95,7 @@ def test_omega_avoids_low_interval():
 
 
 def test_omega_dense_grid_17():
-    omega = compute_omega(1, 7).omega
+    omega = omega_intervals(1, 7)
     assert grid_discrepancies(1, 7, 5040, omega) == 0
 
 
@@ -112,10 +112,10 @@ def test_walk_matches_the_fraction_probes():
     # of order b; probes at a finer set of points find the same set
     cells = [(a, b) for b in range(5, 62, 2) for a in range(1, (b - 1) // 4 + 1)]
     for a, b in cells + [(1, 203)]:
-        assert compute_omega(a, b).omega == omega_by_fraction_probes(a, b, b)
+        assert omega_intervals(a, b) == omega_by_fraction_probes(a, b, b)
     for a, b in cells + [(1, 203), (1, 1001), (2, 1001)]:
-        assert omega_runs(a, b) == farey_runs(a, b, b), (a, b)
-    assert compute_omega(2, 23).omega == omega_by_fraction_probes(2, 23, 40)
+        assert compute_omega(a, b) == farey_runs(a, b, b), (a, b)
+    assert omega_intervals(2, 23) == omega_by_fraction_probes(2, 23, 40)
 
 
 def test_walk_probes_membership_o_of_b_times(monkeypatch):
@@ -124,19 +124,19 @@ def test_walk_probes_membership_o_of_b_times(monkeypatch):
     member, calls = omega_module._member, []
     monkeypatch.setattr(omega_module, "_member",
                         lambda *args: calls.append(args) or member(*args))
-    omega_module.omega_runs.cache_clear()
-    omega_runs(1, 1001)
+    omega_module.compute_omega.cache_clear()
+    compute_omega(1, 1001)
     assert 0 < len(calls) <= 12 * 1001
 
 
 def test_runs_are_the_fraction_intervals():
-    # the int runs the bound path reads are compute_omega's intervals, end
-    # for end and flag for flag, in lowest terms; N1 and N2 come out ball
-    # for ball from either input, and N2's int-pair large-prime sum is the
-    # Fraction sum it replaced
+    # the int runs the bound path reads are the Fraction probes' intervals,
+    # end for end and flag for flag, in lowest terms; N1 and N2 come out
+    # ball for ball from either input, and N2's int-pair large-prime sum is
+    # the Fraction sum it replaced
     for a in (1, 2, 3):
         for b in range(4 * a + 1, 42, 2):
-            runs, omega = omega_runs(a, b), compute_omega(a, b).omega
+            runs, omega = compute_omega(a, b), omega_by_fraction_probes(a, b, b)
             assert [(F(*lo), F(*hi), *flags) for lo, hi, *flags in runs] == [
                 (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) for iv in omega]
             assert all(math.gcd(*end) == 1 for lo, hi, _, _ in runs
@@ -179,49 +179,51 @@ def test_broken_walk_raises(monkeypatch, mutate):
     # without one coefficient's progression, or with two points out of
     # order, a gap may hide a breakpoint, and the walk must not return a set
     monkeypatch.setattr(omega_module, "_points", mutate)
-    omega_module.omega_runs.cache_clear()
+    omega_module.compute_omega.cache_clear()
     try:
         with pytest.raises(CertificateError, match=BROKEN[mutate]):
             compute_omega(1, 7)
     finally:
-        omega_module.omega_runs.cache_clear()
+        omega_module.compute_omega.cache_clear()
 
 
 def test_walk_checks_its_start_and_its_coefficients(monkeypatch):
-    omega_module.omega_runs.cache_clear()
+    omega_module.compute_omega.cache_clear()
     try:
         for cut in (slice(1, None), slice(None, -1)):
             monkeypatch.setattr(omega_module, "_points",
                                 lambda table: _walk_points(table)[cut])
             with pytest.raises(CertificateError, match="from 0/1 to 1/1"):
-                omega_runs(1, 7)
+                compute_omega(1, 7)
         # every fraction of order b - 1 misses the points j/b
         monkeypatch.setattr(omega_module, "_points",
                             lambda table: [*farey_points(6), (1, 1)])
         with pytest.raises(CertificateError, match="misses a point j/7"):
-            omega_runs(1, 7)
+            compute_omega(1, 7)
         # a walk through more points than the breakpoints finds the same runs
         monkeypatch.setattr(omega_module, "_points",
                             lambda table: [*farey_points(9), (1, 1)])
-        assert omega_runs(1, 7) == farey_runs(1, 7, 7)
+        assert compute_omega(1, 7) == farey_runs(1, 7, 7)
     finally:
-        omega_module.omega_runs.cache_clear()
+        omega_module.compute_omega.cache_clear()
 
 
 def test_omega_is_shared_and_immutable():
-    report = compute_omega(1, 7)
-    assert compute_omega(1, 7) is report
-    with pytest.raises(AttributeError):
-        report.omega.intervals = ()
+    runs = compute_omega(1, 7)
+    assert compute_omega(1, 7) is runs
+    with pytest.raises(TypeError):
+        runs[0] = ()
+    with pytest.raises(TypeError):
+        runs[0][2] = False
 
 
 def test_omega_refinement_stability():
     for a, b in ((1, 7), (2, 23)):
-        assert omega_runs(a, b) == farey_runs(a, b, 2 * b)
+        assert compute_omega(a, b) == farey_runs(a, b, 2 * b)
 
 
 def test_certified_grid_check_2_23():
-    omega = compute_omega(2, 23).omega
+    omega = omega_intervals(2, 23)
     L = math.lcm(*range(1, 24)) * 10
     res = certified_grid_check(2, 23, L, omega, sample=5000, seed=3)
     assert res.discrepancies == 0
@@ -231,14 +233,14 @@ def test_certified_grid_check_2_23():
 def test_full_literal_grid_1_13():
     # the pair behind three of the four non-quadraticity table values;
     # its grid is small enough to scan literally in full
-    omega = compute_omega(1, 13).omega
+    omega = omega_intervals(1, 13)
     L = math.lcm(*range(1, 14)) * 10
     assert grid_discrepancies(1, 13, L, omega) == 0
     assert runs_of(omega) == farey_runs(1, 13, 26)
 
 
 def test_vectorized_grid_matches_pure_python():
-    omega = compute_omega(1, 7).omega
+    omega = omega_intervals(1, 7)
     assert grid_discrepancies(1, 7, 4200, omega) == 0
     assert grid_discrepancies(1, 7, 4199, omega) == 0  # endpoints off the grid
     # force disagreements by shifting an interval or flipping its closure:
@@ -261,14 +263,14 @@ def test_vectorized_grid_matches_pure_python():
 
 def test_vectorized_grid_on_large_l_subrange():
     # the acceptance-scale grid, scanned literally on a window around 1e10
-    omega = compute_omega(2, 23).omega
+    omega = omega_intervals(2, 23)
     L = math.lcm(*range(1, 24)) * 10
     assert grid_discrepancies(2, 23, L, omega,
                               indices=range(10**10, 10**10 + 10**6)) == 0
 
 
 def test_certified_grid_rejects_bad_l():
-    omega = compute_omega(1, 7).omega
+    omega = omega_intervals(1, 7)
     with pytest.raises(DomainError):
         certified_grid_check(1, 7, 1000, omega)  # 7 does not divide 1000
 
@@ -354,7 +356,7 @@ def test_n_constants_digit_guard():
 
 
 def test_n1_finite_n_convergence_monotone(big_sieve):
-    n1, _ = n_constants(1, 7, omega_runs(1, 7), 40)
+    n1, _ = n_constants(1, 7, compute_omega(1, 7), 40)
     errs = [abs(finite_n_n1(1, 7, n, big_sieve) - float(n1))
             for n in (10**3 + 1, 10**4 + 1, 10**5 + 1)]
     assert errs[0] > errs[1] > errs[2]
@@ -364,6 +366,6 @@ def test_n1_finite_n_convergence_monotone(big_sieve):
 @pytest.mark.parametrize("a,b", [(1, 7), (1, 13), (2, 23)])
 def test_n2_finite_n_agrees(a, b, big_sieve):
     # every parameter pair the non-quadraticity table depends on
-    _, n2 = n_constants(a, b, omega_runs(a, b), 40)
+    _, n2 = n_constants(a, b, compute_omega(a, b), 40)
     est = finite_n_n2(a, b, 10**4 + 1, big_sieve)
     assert abs(est - float(n2)) / float(n2) < 0.02

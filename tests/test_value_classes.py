@@ -15,8 +15,8 @@ from irrbounds.errors import DomainError
 from irrbounds.exact_arith import Params
 from irrbounds.forms import IntegerForms, UVWValues, VerificationRow
 from irrbounds.measures import BoundResult, TableRow
-from irrbounds.rational import Interval, IntervalSet, OmegaReport, QuadRat
-from oracles import quad_tuple, runs_of
+from oracles import (Interval, IntervalSet, QuadRat, omega_intervals,
+                     quad_tuple, runs_of)
 
 PARAMS = Params(k=6, a=1, b=13, n=31)
 FORMS = IntegerForms(n=31, P=1, Q=-2, X=3, Y=-4, Z=5, A=6, B=7, C=8,
@@ -40,7 +40,6 @@ RECORDS = [
     (TableRow, {"k": 6, "mu": BOUND, "mu2": None}),
     (Interval, {"lo": F(1, 6), "hi": F(3, 7), "lo_closed": True,
                 "hi_closed": False}),
-    (OmegaReport, {"a": 1, "b": 7, "omega": IntervalSet([])}),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
@@ -122,11 +121,11 @@ def test_integer_forms_repr_leaves_out_the_scaling_fields():
 
 
 def test_n_pair_memo_hits_for_equal_components():
-    report = omega.compute_omega(1, 7)
+    intervals = omega_intervals(1, 7)
     rebuilt = IntervalSet([Interval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
-                           for iv in report.omega])
-    assert all(a == b and a is not b for a, b in zip(rebuilt, report.omega))
-    first = omega.n_constants(1, 7, runs_of(report.omega), 41)
+                           for iv in intervals])
+    assert all(a == b and a is not b for a, b in zip(rebuilt, intervals))
+    first = omega.n_constants(1, 7, runs_of(intervals), 41)
     hits = omega._n_pair.cache_info().hits
     assert omega.n_constants(1, 7, runs_of(rebuilt), 41) == first
     assert omega._n_pair.cache_info().hits == hits + 1
