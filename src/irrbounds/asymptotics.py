@@ -3,11 +3,13 @@ complex roots give the growth and decay rates M1 and M2, and the
 scaling-rate constants K1 and K2: each a :class:`fixed.Ball` with a radius
 proved end to end, on Python ints alone (no ``fractions``).
 
-Digamma comes from Gauss's digamma theorem, one memoised row of cosines and
-log-sines per denominator and precision.  The saddle root beyond b is found
-by Newton and certified by two exact probes for every x in an enclosure
-whose ends are int pairs; near x = 1 the working precision carries guard
-digits.  alpha_value, by mpmath, is the test oracle of measures._alpha_fixed.
+Every exact rational argument is an int pair (num, den).  Digamma comes
+from Gauss's digamma theorem, memoised per argument, with one memoised row
+of cosines and log-sines per denominator and precision.  The saddle
+functions take x as a ball; the root beyond b is found by Newton and
+certified by two exact probes for every x in an enclosure whose ends are
+int pairs; near x = 1 the working precision carries guard digits.
+alpha_value, by mpmath, is the test oracle of measures._alpha_fixed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from operator import mul
 from functools import lru_cache
 
 from .errors import DomainError, NonApplicableError, PrecisionError
-from .exact_arith import as_pair, icbrt
+from .exact_arith import icbrt
 from .fixed import Ball, cos_2pi, euler_fixed, ln_fixed, pi_fixed, prec_of
 
 __all__ = ["digamma", "alpha_value", "saddle_real", "saddle_complex",
@@ -26,22 +28,14 @@ __all__ = ["digamma", "alpha_value", "saddle_real", "saddle_complex",
 
 # -- digamma at rational arguments --------------------------------------------
 
-def digamma(x, digits: int) -> Ball:
-    """psi(x) for rational 0 < x <= 1 in lowest terms (exact_arith.as_pair),
-    where all of Omega's endpoints lie, by Gauss's digamma theorem: a ball
-    of radius at most 2^-prec, prec the bits of digits + 10 digits
-    (:func:`_psi`).  Euler's constant has 2048 bits: PrecisionError above
-    about 560 digits."""
-    num, den = as_pair(x)
-    if not 0 < num <= den:
-        raise DomainError(f"digamma requires 0 < x <= 1, got {x}")
-    return _psi(num, den, digits)
-
-
 @lru_cache(maxsize=None)
-def _psi(p: int, den: int, digits: int) -> Ball:
-    """psi(p/q), q = den, 0 < p <= q, memoised: Omega's endpoints share many
-    arguments.  Gauss's digamma theorem (DLMF 5.4.19) gives, for q > 1,
+def digamma(x: tuple[int, int], digits: int) -> Ball:
+    """psi(p/q) for the int pair x = (p, q), 0 < p <= q in lowest terms,
+    where all of Omega's endpoints lie, memoised, as they share many
+    arguments: a ball of radius at most 2^-prec, prec the bits of
+    digits + 10 digits.  Euler's constant has 2048 bits: PrecisionError
+    above about 560 digits.  Gauss's digamma theorem (DLMF 5.4.19) gives,
+    for q > 1,
 
         psi(p/q) = -gamma - ln 2q - (pi/2) cot(pi p/q)
                    + sum_{n=1}^{ceil(q/2)-1} cos(2 pi n p/q) ln sin^2(pi n/q),
@@ -58,6 +52,9 @@ def _psi(p: int, den: int, digits: int) -> Ball:
     (|cot| < q), as d/dc sqrt((1+c)/(1-c)) = 1/((1 - c)|sin 2 pi p/q|) <
     q^3/8 near C_p (0 when q = 2); 1 per floor, 2 for gamma and ln 2q.
     """
+    p, den = x
+    if not 0 < p <= den:
+        raise DomainError(f"digamma requires 0 < x <= 1, got {p}/{den}")
     prec = prec_of(digits + 10)
     wp = prec + 2 * den.bit_length()
     if den == 1:
@@ -194,13 +191,14 @@ def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
     return Ball(z, -shift).rnd(prec)
 
 
-def _newton_start(a: int, b: int, x, prec: int) -> tuple[int, int]:
-    """Start (m, e) of the integer Newton for the root beyond b at an exact
-    x (as_pair): Newton in doubles from the proven bound b/(1 - x^(1/3)), or
+def _newton_start(a: int, b: int, x: tuple[int, int],
+                  prec: int) -> tuple[int, int]:
+    """Start (m, e) of the integer Newton for the root beyond b at the exact
+    x, an int pair: Newton in doubles from the proven bound b/(1 - x^(1/3)), or
     where doubles fail (x rounds to 1 at huge k) or end at or below b, the
     bound rounded as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4
     bits or more and a sticky bit.  The start sets the speed, not the result."""
-    xn, xd = as_pair(x)
+    xn, xd = x
     try:
         xf = xn / xd
         c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xf)
@@ -224,12 +222,12 @@ def _newton_start(a: int, b: int, x, prec: int) -> tuple[int, int]:
     return bound.man, bound.exp
 
 
-def _solve_cubic(a: int, b: int, x, digits: int, w: int):
-    """(z0, s, p, box) at w bits for x, a ball (or an exact rational, made
-    one at w bits): the real root z0 > b of the saddle cubic at x's centre,
-    the other two roots' sum s = -c2/c3 - z0 and product p = -c0/(c3 z0),
-    and the box (zn, en, e, x_lo, x_hi, x_ball): the root's certified
-    bracket [(zn -/+ en)/2^e], zn/2^e = z0, x's ends as int pairs and ball.
+def _solve_cubic(a: int, b: int, x: Ball, digits: int, w: int):
+    """(z0, s, p, box) at w bits for the ball x: the real root z0 > b of
+    the saddle cubic at x's centre, the other two roots' sum s = -c2/c3 - z0
+    and product p = -c0/(c3 z0), and the box (zn, en, e, x_lo, x_hi,
+    x_ball): the root's certified bracket [(zn -/+ en)/2^e], zn/2^e = z0,
+    x's ends as int pairs and ball.
 
     The cubic is z(z-a)(z-2a) (x - f(z)), f(z) = (z-(b-2a))(z-(b-a))(z-b) /
     (z(z-a)(z-2a)).  On z > b each factor (z-r)/(z-c) of f has r > c >= 0
@@ -245,8 +243,6 @@ def _solve_cubic(a: int, b: int, x, digits: int, w: int):
     keyed on every exact input."""
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
-    if not isinstance(x, Ball):
-        x = Ball(x.numerator).div(x.denominator, w)
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
     return _certified_solve(a, b, (x.man, x.exp), digits, *x.bounds(), w)
@@ -256,13 +252,13 @@ def _solve_cubic(a: int, b: int, x, digits: int, w: int):
 def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                      x_lo, x_hi, prec: int):
     x = Ball(*x_dyadic)
-    (ln, ld), (hn, hd) = x_lo, x_hi = as_pair(x_lo), as_pair(x_hi)
+    (ln, ld), (hn, hd) = x_lo, x_hi
     c3, c2, c1, c0 = ((c if isinstance(c, Ball) else Ball(c)).rnd(prec)
                       for c in _real_cubic_coeffs(a, b, x))
     # the deflation needs z0 to absolute, not relative, accuracy: its
     # z0 ~ 1/(1 - x) costs the guard digits once more
     z0 = _newton_polish((c3, c2, c1, c0), _newton_start(a, b, x.centre(), prec),
-                        prec, digits + 10 + guard_digits(1 - x))
+                        prec, digits + 10 + guard_digits((1 - x).centre()))
     e = max(0, -z0.exp)
     zn, zd = z0.man << z0.exp + e, 1 << e
     en = -(-zn // (2 * 10 ** (digits + 5)))
@@ -278,22 +274,22 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
     return z0, s, p, (zn, en, e, x_lo, x_hi, x.spanning(x_lo, x_hi))
 
 
-def guard_digits(gap) -> int:
-    """Working digits to add to the saddle solve at x = 1 - gap (a ball's
-    centre or an exact rational, as_pair).  The root beyond b is about
+def guard_digits(gap: tuple[int, int]) -> int:
+    """Working digits to add to the saddle solve at x = 1 - gap, an int
+    pair (a ball's centre, Ball.centre).  The root beyond b is about
     3(b - 2a)/(1 - x), so a relative error e in x moves it by about
     e/(1 - x) relative: past 1/(1 - x) = 10^8 each decimal costs one digit,
     max(0, ceil(log10(1/gap)) - 8).  1 - x_k is about sqrt(2/k): no guard
     for k <= 10^16."""
-    num, den = as_pair(gap.centre() if isinstance(gap, Ball) else gap)
+    num, den = gap
     if num <= 0 or num * 10**8 >= den:
         return 0
     return len(str(-(-den // num) - 1)) - 8
 
 
-def _saddle_bits(x, digits: int) -> int:
+def _saddle_bits(x: Ball, digits: int) -> int:
     """Working bits of the saddle functions: digits + 15 and the guard."""
-    return prec_of(digits + 15 + guard_digits(1 - x))
+    return prec_of(digits + 15 + guard_digits((1 - x).centre()))
 
 
 def _rate_cs(a: int, b: int) -> tuple[int, ...]:
@@ -335,19 +331,19 @@ def _deflation_bounds(a: int, b: int, box, w: int):
     return bounds
 
 
-def saddle_real(a: int, b: int, x, digits: int) -> tuple[Ball, Ball]:
-    """(z0, M1): the unique root z0 > b of the saddle cubic at x's centre,
-    certified by exact sign probes (:func:`_solve_cubic`), and the growth
-    rate M1 of the U coefficients, a ball over the root's bracket and x's
-    enclosure (:func:`_m_rate`)."""
+def saddle_real(a: int, b: int, x: Ball, digits: int) -> tuple[Ball, Ball]:
+    """(z0, M1): the unique root z0 > b of the saddle cubic at the centre of
+    the ball x, certified by exact sign probes (:func:`_solve_cubic`), and
+    the growth rate M1 of the U coefficients, a ball over the root's bracket
+    and x's enclosure (:func:`_m_rate`)."""
     w = _saddle_bits(x, digits)
     z0, _, _, (zn, en, e, _, _, x_ball) = _solve_cubic(a, b, x, digits, w)
-    z = z0.spanning(zn - en, zn + en, -e)
+    z = z0.spanning((zn - en, 1), (zn + en, 1), -e)
     dists = [(z - c).rnd(w).pow(2, w) for c in _rate_cs(a, b)]
     return z0, _m_rate(a, b, x_ball, dists, w)
 
 
-def saddle_complex(a: int, b: int, x,
+def saddle_complex(a: int, b: int, x: Ball,
                    digits: int) -> tuple[tuple[Ball, Ball], Ball]:
     """(z1, M2): z1 = (re, im), the upper-half-plane root of the mirrored
     saddle equation, and the decay rate M2 of the forms, as in
@@ -370,8 +366,8 @@ def saddle_complex(a: int, b: int, x,
     # |w - c|^2 = (c - s/2)^2 + p - s^2/4 = c^2 - s c + p
     half = s.ldexp(-1)
     dists = [((c - half).rnd(w).pow(2, w) + im2).rnd(w).spanning(
-        (c * c << w) - c * s_hi + p_lo, (c * c << w) - c * s_lo + p_hi, -w)
-        for c in _rate_cs(a, b)]
+        ((c * c << w) - c * s_hi + p_lo, 1),
+        ((c * c << w) - c * s_lo + p_hi, 1), -w) for c in _rate_cs(a, b)]
     return (-half, im2.sqrt(w)), _m_rate(a, b, box[-1], dists, w)
 
 

@@ -65,8 +65,6 @@ class UsageError(Exception):
 def fmt_sig(x, sig: int = 6) -> str:
     """Fixed rendering of a ball's centre at ``sig`` significant digits, from
     all its bits; a float (the nan of an inapplicable cell) as str()."""
-    if x is None:
-        return ""
     if isinstance(x, float):
         return str(x)
     return x.to_str(sig)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package.  IntegralityError renders its
-value through ``exact_arith.format_pair``, imported when one is raised."""
+"""Exception types shared across the package.  IntegralityError holds its
+value as an int pair (num, den) and renders it through
+``exact_arith.format_pair``, imported when one is raised."""
 
 
 class DomainError(ValueError):
@@ -14,15 +15,14 @@ class IntegralityError(ArithmeticError):
     """A quantity that must be an exact integer is not: never rounded, as
     either the construction's integrality guarantee or the code is wrong."""
 
-    def __init__(self, quantity: str, value):
-        # an int, an int pair (num, den), anything with a numerator and a
-        # denominator, or a str, shown as it is; as_pair and format_pair (no
-        # 4300-digit limit) are imported here, as exact_arith imports errors
-        from .exact_arith import as_pair, format_pair
+    def __init__(self, quantity: str, value: tuple[int, int]):
+        # value is the int pair (num, den); format_pair (no 4300-digit limit)
+        # is imported here, as exact_arith imports errors
+        from .exact_arith import format_pair
 
         self.quantity, self.value = quantity, value
-        shown = value if isinstance(value, str) else format_pair(*as_pair(value))
-        super().__init__(f"{quantity} is not an integer: {shown}")
+        super().__init__(f"{quantity} is not an integer: "
+                         f"{format_pair(*value)}")
 
 
 class NonApplicableError(ArithmeticError):

@@ -1,23 +1,15 @@
-"""Exact integer substrate, which every command loads: rationals as int
-pairs (:func:`as_pair`, ``format_pair``), ``format_int``, the integer cube
-root, rational square-root bounds (``fractions`` imported when called), the
-prime sieve, lcm(1..n), ``Frozen``, the base of the package's immutable
-records, and ``Params``.  All of it is safe to share between workers."""
+"""Exact integer substrate, which every command loads: ``format_pair`` for
+rationals, which the package takes and returns as int pairs (num, den)
+only, ``format_int``, the integer cube root, rational square-root bounds
+(``fractions`` imported when called), the prime sieve, lcm(1..n),
+``Frozen``, the base of the package's immutable records, and ``Params``.
+All of it is safe to share between workers."""
 
 from __future__ import annotations
 
 from math import gcd, isqrt
 
 from .errors import DomainError, SieveCapacityError
-
-DEFAULT_SIEVE_LIMIT = 2_000_000
-
-
-def as_pair(x) -> tuple[int, int]:
-    """An exact rational as the int pair (num, den), den > 0: a pair as it
-    is, an int or a Fraction by its numerator and denominator."""
-    return x if isinstance(x, tuple) else (x.numerator, x.denominator)
-
 
 def format_int(x: int) -> str:
     """str(x), or past str()'s 4300-digit limit (Python 3.11), which verify
@@ -145,7 +137,7 @@ class PrimeSieve:
 
     __slots__ = ("limit", "_table")
 
-    def __init__(self, limit: int = DEFAULT_SIEVE_LIMIT):
+    def __init__(self, limit: int):
         if limit < 2:
             raise DomainError("sieve limit must be >= 2")
         self.limit = limit
@@ -156,11 +148,6 @@ class PrimeSieve:
                 step = len(range(p * p, limit + 1, p))
                 table[p * p:: p] = b"\x00" * step
         self._table = bytes(table)
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise SieveCapacityError(f"{n} exceeds sieve limit {self.limit}")
-        return n >= 0 and bool(self._table[n])
 
     def primes(self, lo: int = 2, hi: int | None = None) -> list[int]:
         """All primes p with lo <= p <= hi, ascending."""

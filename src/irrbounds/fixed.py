@@ -5,6 +5,7 @@ exact, and rounding, division, ln, roots and powers add their error to the
 radius, so every radius is proved end to end.  Centres round as mpmath's
 mpf arithmetic does (to nearest, ties to even), so code that rounds where
 mpmath did gets its centres bit for bit, and the same order of tied bounds.
+Its exact views, centre, bounds and the ends of spanning, are int pairs.
 
 ln and pi give floor(v 2^prec), cos the nearest int, from series whose error
 is counted as they run and kept below 2^-20 units by guard bits (R. P. Brent
@@ -18,7 +19,6 @@ import math
 from functools import lru_cache, total_ordering
 
 from .errors import PrecisionError
-from .exact_arith import as_pair
 
 __all__ = ["Ball", "certify", "prec_of", "ln_fixed", "pi_fixed", "cos_2pi",
            "euler_fixed"]
@@ -169,13 +169,15 @@ class Ball:
     def __init__(self, man: int, exp: int = 0, rad: int = 0):
         self.man, self.exp, self.rad = man, exp, rad
 
-    def spanning(self, lo, hi, exp: int = 0) -> Ball:
+    def spanning(self, lo: tuple[int, int], hi: tuple[int, int],
+                 exp: int = 0) -> Ball:
         """The ball of this centre, in units 2^32 times finer, that holds
-        [lo, hi] 2^exp (exact_arith.as_pair): radius max(man - floor(lo 2^s),
-        ceil(hi 2^s) - man, 0), s = exp - self.exp + 32, in ints."""
+        [lo, hi] 2^exp, lo and hi int pairs (num, den), den > 0: radius
+        max(man - floor(lo 2^s), ceil(hi 2^s) - man, 0), s = exp - self.exp
+        + 32, in ints."""
         man, s = self.man << 32, exp - self.exp + 32
         t = max(0, -s)
-        (ln, ld), (hn, hd) = as_pair(lo), as_pair(hi)
+        (ln, ld), (hn, hd) = lo, hi
         return Ball(man, self.exp - 32, max(man - (ln << s + t) // (ld << t),
                                             -((-hn << s + t) // (hd << t)) - man, 0))
 

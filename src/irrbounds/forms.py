@@ -25,7 +25,7 @@ lcm(1..j)^2.  As j <= d, L A'(y0) and L^2 A''(y0) are integers.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import comb, factorial, gcd, isqrt, lcm, log, prod
+from math import comb, factorial, gcd, isqrt, log, prod
 
 from .errors import DomainError, IntegralityError, PrecisionError
 from .exact_arith import Frozen, Params, d_upto
@@ -409,15 +409,15 @@ def scaled_integer_forms(params: Params, uvw: UVWValues,
     dd = _exact_div(d_bn, delta, "d_bn/Delta")
     (rn, rd), (sn, sd), (tn, td) = R, S, T
     sn, tn = sn * dd, tn * d_b2an * delta1 * dd
-    # in the order the checks report: A, B, C, then P, Q, X, Y, Z
-    A, B, C, P, Q, X, Y, Z = (_exact_div(num, den, name) for num, den, name in (
+    # in the order the checks report: A, B, C, then P, X, Y; Q = -B and
+    # Z = -D C share their numerators and denominators, so cannot fail
+    A, B, C, P, X, Y = (_exact_div(num, den, name) for num, den, name in (
         (rn * uu, rd * ue, "R*U(x_k)"),
         (sn * sq, sd * ve, "S*(d/Delta)*sqrt(D)*V(x_k)"),
         (tn * wu, td * we, "T*d'*Delta1*(d/Delta)*W(x_k)"),
-        (sn * uu, sd * ue, "P"), (-sn * sq, sd * ve, "Q"),
-        (tn * uu, td * ue, "X"), (-tn * sq, td * ve, "Y"),
-        (-tn * D * wu, td * we, "Z")))
-    return IntegerForms(n=n, P=P, Q=Q, X=X, Y=Y, Z=Z, A=A, B=B, C=C,
+        (sn * uu, sd * ue, "P"), (tn * uu, td * ue, "X"),
+        (-tn * sq, td * ve, "Y")))
+    return IntegerForms(n=n, P=P, Q=-B, X=X, Y=Y, Z=-D * C, A=A, B=B, C=C,
                         delta=delta, delta1=delta1, d_bn=d_bn, d_b2an=d_b2an)
 
 
@@ -463,28 +463,23 @@ def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
 
 def _alpha_combinations(k: int, combos, digits: int,
                         depth: int = 0) -> list[Ball]:
-    """each sum of c * alpha_k^p over (c, p) pairs, c an int or Fraction and
-    p in {0, 1, 2}, one list of pairs per combination, certified to
+    """each sum of c * alpha_k^p over (c, p) pairs, c an int and p in
+    {0, 1, 2}, one list of pairs per combination, certified to
     10^-(digits+10) relative and nonzero, as a ball at digits + 10 digits;
     ``depth`` bits widen the first pass for sums near 2^-depth.
 
     A combination is exponentially small against coefficients of thousands
-    of bits.  Scaled to integers by the lcm L of their denominators, the
-    ball sum of c (A +- E)^p 2^(-p bits), (A, E) the enclosure of
-    alpha_k 2^bits, holds its value times L.  It is accepted when radius
+    of bits.  The ball sum of c (A +- E)^p 2^(-p bits), (A, E) the enclosure
+    of alpha_k 2^bits, holds its value.  It is accepted when radius
     10^(digits+10) < |centre| - radius, which also proves it nonzero, and
-    divided by L.  Otherwise bits grows by the shortfall read from the bit
-    lengths of centre and radius, plus 16 as E grows with bits, and by at
-    least twice its last growth (while the ball holds 0 the centre is
-    noise); after MAX_ALPHA_PASSES passes, PrecisionError."""
-    scaled = []
-    for terms in combos:
-        den = lcm(*(c.denominator for c, _ in terms))
-        scaled.append((den, [(c.numerator * (den // c.denominator), p)
-                             for c, p in terms]))
+    rounded by a division by 1 at digits + 10 digits.  Otherwise bits grows
+    by the shortfall read from the bit lengths of centre and radius, plus 16
+    as E grows with bits, and by at least twice its last growth (while the
+    ball holds 0 the centre is noise); after MAX_ALPHA_PASSES passes,
+    PrecisionError."""
     scale, prec = 10 ** (digits + 10), prec_of(digits + 10)
     need = scale.bit_length() + 2  # 2^need > 4 * scale
-    bits = (max(abs(c).bit_length() for _, terms in scaled for c, _ in terms)
+    bits = (max(abs(c).bit_length() for terms in combos for c, _ in terms)
             + scale.bit_length() + 64 + depth)
     grow = 0
     for _ in range(MAX_ALPHA_PASSES):
@@ -492,14 +487,14 @@ def _alpha_combinations(k: int, combos, digits: int,
         alpha = Ball(a, -bits, e)
         powers = [Ball(1), alpha, alpha * alpha]
         vals, shortfall = [], 0
-        for den, terms in scaled:
+        for terms in combos:
             value = sum((powers[p] * c for c, p in terms), Ball(0))
             if value.rad * scale < abs(value.man) - value.rad:
-                vals.append(value.div(den, prec))
+                vals.append(value.div(1, prec))
             else:
                 shortfall = max(shortfall, value.rad.bit_length() + need
                                 - abs(value.man).bit_length())
-        if len(vals) == len(scaled):
+        if len(vals) == len(combos):
             return vals
         grow = max(shortfall + 16, 2 * grow)
         bits += grow

@@ -7,7 +7,8 @@ three-group floor inequality, as the prime scans need.  One walk over the
 floor terms' own breakpoints j/m, with a direct certificate that it met
 each of them in order, yields Omega's runs as int pairs
 (:func:`compute_omega`): the digamma sums and N2's exact large-prime sum
-read them, and omega prints them.
+read them, and omega prints them.  An exact rational argument, such as a
+point tested for membership, is an int pair (num, den).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import collections
 import math
 from functools import lru_cache
 
+from .asymptotics import digamma
 from .errors import CertificateError, DomainError, SieveCapacityError
-from .exact_arith import Params, PrimeSieve, as_pair
+from .exact_arith import Params, PrimeSieve
 from .fixed import Ball, prec_of
 
 __all__ = ["omega_contains", "compute_omega", "delta_products", "n_constants"]
@@ -70,10 +72,10 @@ def _member(table, num: int, den: int) -> bool:
     return True
 
 
-def omega_contains(a: int, b: int, y) -> bool:
+def omega_contains(a: int, b: int, y: tuple[int, int]) -> bool:
     """Pointwise membership test (the authoritative one for prime products)
-    of an exact rational y (:func:`exact_arith.as_pair`)."""
-    return _member(_mod_table(a, b), *as_pair(y))
+    of the exact rational y, an int pair (num, den), den > 0."""
+    return _member(_mod_table(a, b), *y)
 
 
 # -- interval description -----------------------------------------------------
@@ -180,28 +182,23 @@ def delta_products(params: Params) -> tuple[int, int]:
 
 # -- asymptotic constants -----------------------------------------------------
 
+@lru_cache(maxsize=None)
 def n_constants(a: int, b: int, runs: tuple, digits: int):
     """(N1, N2): the exponential rates of d_bn/Delta and d'*Delta1*d_bn/Delta,
-    as balls, from Omega's runs (:func:`compute_omega`).
+    as balls, from Omega's runs (:func:`compute_omega`), memoised per key.
     N1 = b - sum over components [u, v] of psi(v) - psi(u): the lcm grows at
     rate b while the digamma difference is the density of the primes counted
     in Delta.  N2 adds b - 2a for the second lcm plus the large-prime regime
     of Delta1, where {n/p} = n/p makes the density of p > (b-2a)n with
     n/p in [u, v) equal to 1/u - 1/v, restricted to [0, 1/(b-2a)) and with
-    components split at the cut.  The tests hold both to finite-n sieves."""
+    components split at the cut.  The tests hold both to finite-n sieves.
+
+    psi's balls at digits + 10 digits (asymptotics.digamma), summed and
+    differenced, and the large-prime part, an exact int-pair sum, are each
+    rounded at digits + 10 digits: ball arithmetic carries the radii."""
     _validate_ab(a, b)
     if digits < 30:
         raise DomainError("digits must be >= 30")
-    return _n_pair(a, b, runs, digits)
-
-
-@lru_cache(maxsize=None)
-def _n_pair(a: int, b: int, runs: tuple, digits: int):
-    """psi's balls at digits + 10 digits (asymptotics.digamma), summed and
-    differenced, and the large-prime part, an exact int-pair sum, each
-    rounded at digits + 10 digits: ball arithmetic carries the radii."""
-    from .asymptotics import digamma
-
     p, cut = prec_of(digits + 10), b - 2 * a
     psi_total, num, den = Ball(0), 0, 1  # large-prime part num/den
     for lo, hi, _, _ in runs:

@@ -22,6 +22,10 @@ and the integer scaling in ``QuadRat`` and ``Fraction`` arithmetic, around
 the same int kernel.  :func:`quad_tuple` and :func:`quad_rat` convert
 between a ``QuadRat`` and the int tuple (u, v, e, D) the forms compute on,
 and :func:`runs_of` turns an ``IntervalSet`` into Omega's int runs.
+:func:`pair` turns a ``Fraction`` (or an int) into the int pair (num, den)
+that every exact rational argument of the package is, and :func:`saddle_x`
+makes the ball x of the saddle functions from an exact num/den, as they
+made it themselves when they still took a ``Fraction``.
 :func:`omega_by_fraction_probes` is the interval description built the way
 the package built it before its integer walk: ``Fraction`` probes at every
 point of the literal Farey set and at every gap's mediant.
@@ -54,8 +58,10 @@ import mpmath as mp
 
 from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
+from irrbounds.asymptotics import guard_digits
 from irrbounds.exact_arith import Frozen, Params, PrimeSieve, d_upto, format_int
 from irrbounds import forms
+from irrbounds.fixed import Ball, prec_of
 from irrbounds.errors import IntegralityError
 from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
                              _walk, eval_UVW, x_point)
@@ -279,6 +285,21 @@ def quad_rat(x: tuple[int, int, int, int]) -> QuadRat:
     return QuadRat(Fraction(u, e), Fraction(v, e), D)
 
 
+def pair(x) -> tuple[int, int]:
+    """The exact rational x, a ``Fraction`` or an int, as the int pair
+    (num, den) in lowest terms, den > 0."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def saddle_x(num: int, den: int, digits: int) -> Ball:
+    """The ball x = num/den that saddle_real and saddle_complex take: the
+    quotient at their working bits, digits + 15 and the guard digits of
+    1 - x (asymptotics._saddle_bits), as they built it from a ``Fraction``."""
+    w = prec_of(digits + 15 + guard_digits((den - num, den)))
+    return Ball(num).div(den, w)
+
+
 def runs_of(omega: IntervalSet) -> tuple:
     """The intervals of ``omega`` as the int runs of ``omega.compute_omega``."""
     return tuple(((iv.lo.numerator, iv.lo.denominator),
@@ -317,8 +338,14 @@ def dual_path_ell(k: int, a: int, b: int, n: int, digits: int = 60) -> mp.mpf:
     _, s_factor, _ = scaling_factors(params)
     scale = s_factor * Fraction(d_upto(b * n), delta)
     sq_v = QuadRat.sqrt_d(2 * k + 1) * quad_rat(uvw.V)
-    return _alpha_combinations(
-        k, [[(scale * quad_rat(uvw.U).u, 1), (-scale * sq_v.u, 0)]], digits)[0]
+    p, q = scale * quad_rat(uvw.U).u, -scale * sq_v.u
+    # the forms' enclosure takes int coefficients: scaled by the lcm L of
+    # the denominators, the combination is divided by L again
+    den = lcm(p.denominator, q.denominator)
+    ell = _alpha_combinations(k, [[(p.numerator * (den // p.denominator), 1),
+                                   (q.numerator * (den // q.denominator), 0)]],
+                              digits)[0]
+    return ell.div(den, prec_of(digits + 10))
 
 
 def _contains_by_fraction(a: int, b: int, y: Fraction) -> bool:
@@ -737,7 +764,7 @@ def scaling_factors(params: Params) -> tuple[Fraction, Fraction, Fraction]:
 
 def _as_int(value: Fraction, quantity: str) -> int:
     if value.denominator != 1:
-        raise IntegralityError(quantity, value)
+        raise IntegralityError(quantity, pair(value))
     return value.numerator
 
 
@@ -750,13 +777,13 @@ def fraction_integer_forms(params: Params, U: QuadRat, V: QuadRat,
     sqV = QuadRat.sqrt_d(D) * V
     for name, val in (("U(x_k)", U), ("sqrt(D)*V(x_k)", sqV), ("W(x_k)", W)):
         if val.v != 0:
-            raise IntegralityError(f"radical part of {name}", val.v)
+            raise IntegralityError(f"radical part of {name}", pair(val.v))
     R, S, T = scaling_factors(params)
     d_bn = d_upto(b * n)
     d_b2an = d_upto((b - 2 * a) * n)
     dd = Fraction(d_bn, delta)
     if dd.denominator != 1:
-        raise IntegralityError("d_bn/Delta", dd)
+        raise IntegralityError("d_bn/Delta", pair(dd))
     scale = T * d_b2an * delta1 * dd
     fields = {"A": _as_int(R * U.u, "R*U(x_k)"),
               "B": _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)"),

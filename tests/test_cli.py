@@ -15,7 +15,7 @@ from irrbounds import asymptotics, measures, omega
 from irrbounds.cli import MAX_B, MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
 from irrbounds.errors import IntegralityError, PrecisionError
 from irrbounds.fixed import Ball
-from oracles import format_rat, omega_intervals, runs_of
+from oracles import format_rat, omega_intervals, pair, runs_of
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 
@@ -137,7 +137,7 @@ def test_verify_integrality_failure_exit_3(capsys, monkeypatch):
     import irrbounds.forms as forms_mod
 
     def boom(*args, **kwargs):
-        raise IntegralityError("R*U(x_k)", "7/3")
+        raise IntegralityError("R*U(x_k)", (7, 3))
 
     # cmd_verify imports verify_forms from forms when it runs
     monkeypatch.setattr(forms_mod, "verify_forms", boom)
@@ -148,7 +148,7 @@ def test_verify_integrality_failure_exit_3(capsys, monkeypatch):
 
 
 def test_integrality_error_renders_past_the_str_digit_limit():
-    exc = IntegralityError("R*U(x_k)", Fraction(7**6000, 3))
+    exc = IntegralityError("R*U(x_k)", (7**6000, 3))
     assert str(exc).startswith("R*U(x_k) is not an integer: 3874")
     assert str(exc).endswith("/3")
 
@@ -157,7 +157,7 @@ def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
     import irrbounds.forms as forms_mod
 
     def boom(*args, **kwargs):
-        raise IntegralityError("R*U(x_k)", Fraction(7**6000, 3))
+        raise IntegralityError("R*U(x_k)", (7**6000, 3))
 
     monkeypatch.setattr(forms_mod, "verify_forms", boom)
     code, _, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
@@ -397,7 +397,7 @@ def test_fmt_sig_keeps_trailing_zeros():
 
     assert fmt_sig(ball(mp.mpf("6.6461037")), 6) == "6.64610"
     assert fmt_sig(ball(mp.mpf("12.40837834")), 6) == "12.4084"
-    assert fmt_sig(None) == ""
+    assert fmt_sig(float("nan")) == "nan"  # an inapplicable cell's M1
 
 
 def test_displayed_value_stable_across_working_precision(capsys):
@@ -463,7 +463,7 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
 def _widened(ball, radius):
     """The ball of the same centre with the rational ``radius``."""
     centre = Fraction(*ball.centre())
-    return ball.spanning(centre - radius, centre + radius)
+    return ball.spanning(pair(centre - radius), pair(centre + radius))
 
 
 def test_omega_wide_radius_exit_4(capsys, monkeypatch):

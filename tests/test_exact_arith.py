@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import irrbounds
 from irrbounds.errors import DomainError, SieveCapacityError
 from irrbounds.exact_arith import d_upto, format_int, format_pair, sqrt_bounds
 from oracles import QuadRat, format_rat
@@ -40,6 +42,43 @@ def test_format_pair_matches_the_fraction_rendering(num, den, scale):
     # either sign of the denominator, unreduced pairs and ends past 4300
     # digits render as the oracle renders the reduced Fraction
     assert format_pair(num * scale, den * scale) == format_rat(F(num, den))
+
+
+def _fraction_reads(source: str) -> list[str]:
+    """Each .numerator or .denominator attribute and each as_pair name
+    (called, imported, defined or read as an attribute) in ``source``, as
+    "line: name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator",
+                                                            "denominator"):
+            found.append(f"{node.lineno}: .{node.attr}")
+        names = (getattr(node, field, None)
+                 for field in ("id", "attr", "name", "asname"))
+        if "as_pair" in names:
+            found.append(f"{node.lineno}: as_pair")
+    return found
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["package", "control"])
+def test_exact_rationals_are_int_pairs_in_the_package(control):
+    # every exact rational the package takes is an int pair (num, den): no
+    # module but dense.py, the Fraction polynomials of the test oracles,
+    # reads a numerator or a denominator attribute or names as_pair.  The
+    # control snippet must be flagged, so the walk sees such a read
+    if control:
+        sources = {"snippet.py": "from m import as_pair\n"
+                                 "def f(x):\n    return x.numerator\n"}
+    else:
+        package = Path(irrbounds.__file__).parent
+        sources = {path.name: path.read_text()
+                   for path in sorted(package.glob("*.py"))
+                   if path.name != "dense.py"}
+        assert {"asymptotics.py", "fixed.py", "forms.py"} <= sources.keys()
+    found = [f"{name}:{hit}" for name, text in sources.items()
+             for hit in _fraction_reads(text)]
+    assert found == (["snippet.py:1: as_pair", "snippet.py:3: .numerator"]
+                     if control else []), found
 
 
 @given(st.integers(-10**40, 10**40))
@@ -215,5 +254,3 @@ def test_sieve_against_trial_division(small_sieve):
 def test_sieve_capacity_error(small_sieve):
     with pytest.raises(SieveCapacityError):
         small_sieve.primes(2, 100_000)
-    with pytest.raises(SieveCapacityError):
-        small_sieve.is_prime(100_000)

@@ -15,7 +15,7 @@ from oracles import dual_path_ell
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
 # the once-per-key memos of the bound path, one per dependency layer
-MEMOS = (omega.compute_omega, omega._n_pair, asymptotics._psi,
+MEMOS = (omega.compute_omega, omega.n_constants, asymptotics.digamma,
          asymptotics._gauss_row, asymptotics._certified_solve)
 
 
@@ -221,9 +221,9 @@ def test_headline_table_computes_each_constant_once_per_key():
     # 13 cells over 3 distinct (a, b), each cell once, at 60 digits
     cold = _cold(headline_table, 60)
     assert omega.compute_omega.cache_info().misses == 3
-    assert omega._n_pair.cache_info().misses == 3
+    assert omega.n_constants.cache_info().misses == 3
     assert asymptotics._certified_solve.cache_info().misses == 13
-    psi = asymptotics._psi.cache_info()
+    psi = asymptotics.digamma.cache_info()
     assert psi.misses == psi.currsize and psi.hits > 0
     assert headline_table(60) == cold  # served from the memos
 
@@ -246,7 +246,7 @@ def test_digamma_runs_once_per_argument(monkeypatch):
 
     monkeypatch.setattr(mp, "digamma", refused)
     _cold(search_params, 7, 3, 21)
-    psi = asymptotics._psi.cache_info()
+    psi = asymptotics.digamma.cache_info()
     assert psi.misses == psi.currsize == 130
     assert asymptotics._gauss_row.cache_info().currsize == 19
 

@@ -13,7 +13,7 @@ from irrbounds.omega import (compute_omega, delta_products, n_constants,
 from oracles import (Interval, IntervalSet, certified_grid_check, farey_points,
                      farey_runs, finite_n_n1, finite_n_n2, floor_sum_min,
                      floor_sum_value, grid_discrepancies,
-                     omega_by_fraction_probes, omega_intervals, runs_of)
+                     omega_by_fraction_probes, omega_intervals, pair, runs_of)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_residue_membership_matches_literal_floor_min():
         a = rng.randrange(1, 5)
         b = rng.randrange(4 * a + 1, 4 * a + 40, 2)
         y = F(rng.randrange(-500, 2000), rng.randrange(1, 400))
-        assert omega_contains(a, b, y) == (floor_sum_min(a, b, y) >= 1)
+        assert omega_contains(a, b, pair(y)) == (floor_sum_min(a, b, y) >= 1)
 
 
 def test_min_over_x_is_attained_on_candidates():
@@ -91,7 +91,7 @@ def test_omega_avoids_low_interval():
         for iv in omega:
             assert iv.lo >= F(1, b)
         assert not omega.contains(F(1, 2 * b))
-        assert not omega_contains(a, b, F(1, 2 * b))
+        assert not omega_contains(a, b, (1, 2 * b))
 
 
 def test_omega_dense_grid_17():
@@ -143,7 +143,7 @@ def test_runs_are_the_fraction_intervals():
                        for end in (lo, hi))
             balls = []
             for given in (runs, runs_of(omega)):
-                omega_module._n_pair.cache_clear()
+                n_constants.cache_clear()
                 balls.append([(v.man, v.exp, v.rad)
                               for v in n_constants(a, b, given, 40)])
             assert balls[0] == balls[1]

@@ -126,6 +126,6 @@ def test_n_pair_memo_hits_for_equal_components():
                            for iv in intervals])
     assert all(a == b and a is not b for a, b in zip(rebuilt, intervals))
     first = omega.n_constants(1, 7, runs_of(intervals), 41)
-    hits = omega._n_pair.cache_info().hits
+    hits = omega.n_constants.cache_info().hits
     assert omega.n_constants(1, 7, runs_of(rebuilt), 41) == first
-    assert omega._n_pair.cache_info().hits == hits + 1
+    assert omega.n_constants.cache_info().hits == hits + 1
