@@ -8,7 +8,10 @@ the saddle root's or Omega's certificate, a form's alpha_k enclosure), 141
 stdout closed before all of it was written (``| head``), as for SIGPIPE,
 with nothing on stderr.  Usage errors, --print-digits above --digits - 5
 and --b above MAX_B among them, are refused before any work with one
-stderr line, ``Error: <message>``, and no stdout.
+stderr line, ``Error: <message>``, and no stdout.  Each command imports
+its own layers on entry, past its argv checks, so ``--help`` and a refused
+command line are answered before any of the bound engine (``fixed``,
+``asymptotics``, ``omega``, ``measures``, ``forms``) is loaded.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
@@ -26,12 +29,6 @@ import sys
 
 from .errors import (CertificateError, IntegralityError, NonApplicableError,
                      PrecisionError)
-from .exact_arith import Params, format_int, format_pair
-from .fixed import certify
-from .measures import (BoundResult, grid_size, headline_table, is_degenerate,
-                       mu2_bound, mu_bound, predicted_decay, search_params,
-                       table_row)
-from .omega import compute_omega, n_constants
 
 # the working-precision floor of omega.n_constants and a cap, checked before
 # any work; Euler's constant is held for psi up to about 560 digits.  Per
@@ -42,7 +39,12 @@ MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
 # verify accepts.  eval_UVW costs about d^2.1: 0.04 s at d = 1023 and 4.5 s at
 # d = 9999 in-process on a shared 2-core machine.  As b > 4a, it also keeps
-# each prime sieve below b*n < 2d/3.
+# each prime sieve below b*n < 2d/3.  It does not bound the forms' size:
+# verify --k 8 --a 1 --b 13 --n 303 --quadratic (d = 9999) gives bits(P) =
+# 25,016 and bits(X) = 30,867 in 4.7 s per process, but k is uncapped and
+# bits(P) grows with log k.  At d = 1023 (--a 1 --b 13 --n 31), per process
+# on the same machine, bits(P) is 2,588 / 10,614 / 24,208 / 59,324 and a
+# run takes 0.16 / 0.21 / 0.40 / 1.35 s at k = 8 / 10^8 / 10^20 / 10^51.
 MAX_VERIFY_DEGREE = 10_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
 # cap admits b up to 203, and that grid of 100 cells takes 0.79-0.90 s per
@@ -118,6 +120,8 @@ def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
 
 def cmd_bound(args) -> int:
     """Compute one measure bound for alpha_k with parameters (a, b)."""
+    from .measures import mu2_bound, mu_bound
+
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
     res = (mu2_bound if args.quadratic else mu_bound)(k, a, b, digits)
     row = _bound_row(res, sig)
@@ -155,6 +159,8 @@ def _bound_row(res: BoundResult, sig: int) -> dict:
 
 def cmd_table(args) -> int:
     """Tabulate bounds over k with the table's parameter choices."""
+    from .measures import headline_table, is_degenerate, table_row
+
     sig, fmt = args.print_digits, args.fmt
     rows = []
     table = headline_table(args.digits) if args.paper else [table_row(args.k, args.digits)]
@@ -180,6 +186,8 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     """Run the exact integrality pipeline and report the form decay."""
+    from .exact_arith import Params, format_int
+
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
     try:
         ns = [int(s) for s in args.n.split(",") if s.strip()]
@@ -192,10 +200,12 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"the forms for --n {args.n} have total degree {degree}, above "
             f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
-    pred_l, pred_m = predicted_decay(k, a, b, digits)
-    # imported past the checks, so a refused command line never compiles it
+    # forms, the largest module, is compiled first, while the heap is
+    # smallest: that keeps the process's peak down
     from .forms import verify_forms
+    from .measures import predicted_decay
 
+    pred_l, pred_m = predicted_decay(k, a, b, digits)
     rows = verify_forms(k, a, b, ns, digits)
     out = []
     for r in rows:
@@ -219,6 +229,10 @@ def cmd_verify(args) -> int:
 
 def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
+    from .exact_arith import format_pair
+    from .fixed import certify
+    from .omega import compute_omega, n_constants
+
     a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     runs = compute_omega(a, b)
     n1, n2 = n_constants(a, b, runs, digits)
@@ -254,11 +268,15 @@ def cmd_omega(args) -> int:
 
 def cmd_search(args) -> int:
     """Grid-search (a, b) and rank the applicable bounds."""
+    from .exact_arith import grid_size
+
     cells = grid_size(args.a_max, args.b_max)
     if cells > MAX_SEARCH_CELLS:
         raise UsageError(
             f"--a-max {args.a_max} --b-max {args.b_max} spans {cells} (a, b) "
             f"cells, above the cap {MAX_SEARCH_CELLS}")
+    from .measures import search_params
+
     results = search_params(args.k, args.a_max, args.b_max, args.digits,
                             quadratic=args.quadratic)
     if not results:

@@ -1,9 +1,11 @@
-"""Exact integer substrate, which every command loads: ``format_pair`` for
-rationals, which the package takes and returns as int pairs (num, den)
-only, ``format_int``, the integer cube root, rational square-root bounds
-(``fractions`` imported when called), the prime sieve, lcm(1..n),
-``Frozen``, the base of the package's immutable records, and ``Params``.
-All of it is safe to share between workers."""
+"""Exact integer substrate, which loads nothing but ``math`` and the
+package's errors: ``format_pair`` for rationals, which the package takes
+and returns as int pairs (num, den) only, ``format_int``, the integer cube
+root, rational square-root bounds (``fractions`` imported when called), the
+prime sieve, lcm(1..n), ``Frozen``, the base of the package's immutable
+records, ``Params`` and the search grid's size, which the CLI's argv checks
+read before the bound engine loads.  All of it is safe to share between
+workers."""
 
 from __future__ import annotations
 
@@ -128,6 +130,19 @@ class Params(Frozen):
     @property
     def half_bn1(self) -> int:
         return (self.b * self.n + 1) // 2
+
+
+def _grid_a_max(a_max: int, b_max: int) -> int:
+    """The largest a with a cell on the search grid: b > 4a needs 4a < b_max."""
+    return max(0, min(a_max, (b_max - 1) // 4))
+
+
+def grid_size(a_max: int, b_max: int) -> int:
+    """Number of (a, b) cells search_params visits: 1 <= a <= a_max and odd
+    b with 4a < b <= b_max.  Row a holds (b_max+1)//2 - 2a of them, so the
+    count is a closed form and costs nothing for any a_max and b_max."""
+    top = _grid_a_max(a_max, b_max)
+    return top * ((b_max + 1) // 2) - top * (top + 1)
 
 
 # -- primes and d_n = lcm(1..n) -----------------------------------------------

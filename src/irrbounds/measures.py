@@ -15,13 +15,13 @@ from math import isqrt, nan
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, Params
+from .exact_arith import Frozen, Params, _grid_a_max
 from .fixed import Ball, certify, prec_of
 from .omega import compute_omega, n_constants
 
 __all__ = ["BoundResult", "TableRow", "mu_bound", "mu2_bound",
            "search_params", "predicted_decay", "headline_table", "table_row",
-           "HEADLINE_KS", "is_degenerate", "grid_size"]
+           "HEADLINE_KS", "is_degenerate"]
 
 # k values of the headline table, with the parameter choices that produce it:
 # (1, 7) for every irrationality bound; non-quadraticity bounds exist for the
@@ -155,25 +155,13 @@ def predicted_decay(k: int, a: int, b: int, digits: int = 60):
 
 # -- search and table ---------------------------------------------------------
 
-def _grid_a_max(a_max: int, b_max: int) -> int:
-    """The largest a with a cell on the grid: b > 4a needs 4a < b_max."""
-    return max(0, min(a_max, (b_max - 1) // 4))
-
-
-def grid_size(a_max: int, b_max: int) -> int:
-    """Number of (a, b) cells search_params visits: 1 <= a <= a_max and odd
-    b with 4a < b <= b_max.  Row a holds (b_max+1)//2 - 2a of them, so the
-    count is a closed form and costs nothing for any a_max and b_max."""
-    top = _grid_a_max(a_max, b_max)
-    return top * ((b_max + 1) // 2) - top * (top + 1)
-
-
 def search_params(k: int, a_max: int, b_max: int, digits: int = 60,
                   quadratic: bool = False) -> list[BoundResult]:
-    """All applicable (a, b) cells on the grid, ascending by the bound's
-    centre, equal centres toward smaller b, then smaller a.  Equal bounds,
-    as scale invariance makes (1, 5) and (3, 15), mostly differ in their
-    rounded centres' last bit, which then orders them, not b or a."""
+    """All applicable (a, b) cells on the grid (``exact_arith.grid_size``
+    counts them), ascending by the bound's centre, equal centres toward
+    smaller b, then smaller a.  Equal bounds, as scale invariance makes
+    (1, 5) and (3, 15), mostly differ in their rounded centres' last bit,
+    which then orders them, not b or a."""
     out = []
     fn = mu2_bound if quadratic else mu_bound
     for a in range(1, _grid_a_max(a_max, b_max) + 1):

@@ -80,14 +80,20 @@ def omega_contains(a: int, b: int, y: tuple[int, int]) -> bool:
 
 # -- interval description -----------------------------------------------------
 
+def _coefficients(table) -> set[int]:
+    """The distinct nonzero |m| of the floor terms [m*y] at the candidates:
+    m_u, m_w and m_u - m_w of each pair of the :func:`_mod_table`
+    ``table``, at most seven."""
+    return {abs(m) for row in table for m_u, m_w in row
+            for m in (m_u, m_w, m_u - m_w)} - {0}
+
+
 def _points(table) -> list[tuple[int, int]]:
     """Every j/m, 0 <= j <= m, in lowest terms and ascending, for each
-    distinct nonzero |m| of the floor terms [m*y] at the candidates: m_u,
-    m_w and m_u - m_w of each pair of the :func:`_mod_table` ``table``.
-    Distinct such fractions differ by at least 1/M^2, M the largest m, so
-    with 2^K > M^2 the key floor(j*2^K/m) sorts them and merges only equals."""
-    coeffs = {abs(m) for row in table for m_u, m_w in row
-              for m in (m_u, m_w, m_u - m_w)} - {0}
+    coefficient m of :func:`_coefficients`.  Distinct such fractions differ
+    by at least 1/M^2, M the largest m, so with 2^K > M^2 the key
+    floor(j*2^K/m) sorts them and merges only equals."""
+    coeffs = _coefficients(table)
     shift = 2 * max(coeffs).bit_length()
     points = {}
     for m in coeffs:
@@ -138,11 +144,12 @@ def compute_omega(a: int, b: int) -> tuple:
                 cur[1], cur[3] = hi, closed
 
     # each floor term's progression j/m walked in full, m read afresh from
-    # the table, not from _points
+    # the table, not from _points: the walked denominators dividing m
     dens = collections.Counter(q for _, q in points)
-    terms = (m for row in table for m_u, m_w in row for m in (m_u, m_w, m_u - m_w))
-    for m in map(abs, terms):
-        if m and sum(c for q, c in dens.items() if m % q == 0) != m + 1:
+    for m in _coefficients(table):
+        divisors = {d for q in range(1, math.isqrt(m) + 1) if m % q == 0
+                    for d in (q, m // q)}
+        if sum(dens[d] for d in divisors) != m + 1:
             raise CertificateError(f"the breakpoint walk misses a point j/{m}")
     # each closure flag against the public predicate at the exact endpoint
     for lo, hi, *flags in runs:

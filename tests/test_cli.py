@@ -274,12 +274,10 @@ def test_verify_refuses_degree_above_cap_before_any_work(capsys, monkeypatch):
     (1, 2 * MAX_SEARCH_CELLS + 5), (3, 1001), (10**12, 10**12)])
 def test_search_refuses_grid_above_cap_before_any_work(capsys, monkeypatch,
                                                        a_max, b_max):
-    import irrbounds.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise RuntimeError("search started work past its cap")
 
-    monkeypatch.setattr(cli_mod, "search_params", boom)
+    monkeypatch.setattr(measures, "search_params", boom)
     code, out, err = run(capsys, "search", "--k", "7", "--a-max", str(a_max),
                          "--b-max", str(b_max))
     assert code == 1
@@ -453,7 +451,7 @@ def test_precision_failure_exit_4(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise PrecisionError("saddle root not certified")
 
-    monkeypatch.setattr("irrbounds.cli.mu_bound", fail)
+    monkeypatch.setattr("irrbounds.measures.mu_bound", fail)
     code, out, err = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7")
     assert code == 4
     assert out == ""
@@ -475,7 +473,7 @@ def test_omega_wide_radius_exit_4(capsys, monkeypatch):
         n1, n2 = n_constants(a, b, components, digits)
         return _widened(n1, Fraction(1, 10**50)), _widened(n2, Fraction(1, 10**50))
 
-    monkeypatch.setattr("irrbounds.cli.n_constants", widened)
+    monkeypatch.setattr("irrbounds.omega.n_constants", widened)
     code, out, err = run(capsys, "omega", "--a", "1", "--b", "7")
     assert code == 4
     assert out == ""
@@ -715,6 +713,39 @@ def test_import_and_help_load_no_unused_module():
         assert code == "0", child.stderr
         assert ("irrbounds.forms" in modules) == loads_forms, argv
         assert "irrbounds.dense" not in modules
+
+
+# the bound engine, which each command imports on entry, past its argv checks
+ENGINE = {f"irrbounds.{name}" for name in
+          ("fixed", "asymptotics", "omega", "measures", "forms", "dense")}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    *(([command, "--help"], 0)
+      for command in ("bound", "table", "verify", "omega", "search")),
+    (["table"], 1),  # neither --paper nor --k: argparse refuses
+    (["bound", "--k", "6", "--a", "1", "--b", "7", "--digits", "20"], 1),
+    (["bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "56"], 1),
+    (["omega", "--a", "1", "--b", str(MAX_B + 2)], 1),
+    (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", "333"], 1),
+    (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", ","], 1),
+    (["search", "--k", "7", "--a-max", "9", "--b-max", "99"], 1),
+    (["bound", "--k", "6", "--a", "1", "--b", "7"], 0),  # control
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_help_and_refusals_never_load_the_engine(argv, code):
+    # --help and every class of refused command line are answered by the
+    # CLI alone; the control computes a bound, and so loads the engine but
+    # forms and the dense oracles
+    child = _run_child("-c", "import sys, irrbounds.cli as cli; "
+                       "code = cli.main(sys.argv[1:]); "
+                       "print(code, *sys.modules, file=sys.stderr)", *argv)
+    got, *modules = child.stderr.decode().splitlines()[-1].split()
+    assert int(got) == code, child.stderr
+    loaded = ENGINE & set(modules)
+    control = argv == ["bound", "--k", "6", "--a", "1", "--b", "7"]
+    assert loaded == (ENGINE - {"irrbounds.forms", "irrbounds.dense"}
+                      if control else set()), argv
 
 
 # a bare interpreter: -I ignores the PYTHON* variables and the user site,

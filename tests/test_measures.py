@@ -10,7 +10,8 @@ from irrbounds import (alpha_value, asymptotics, forms, headline_table,
                        measures, mu2_bound, mu_bound, omega, predicted_decay,
                        search_params, verify_forms)
 from irrbounds.errors import NonApplicableError, PrecisionError
-from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, grid_size, is_degenerate
+from irrbounds.exact_arith import grid_size
+from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, is_degenerate
 from oracles import dual_path_ell
 from pinned_digits import MU2_8_1_13, MU_6_1_7
 
