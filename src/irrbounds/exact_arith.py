@@ -3,7 +3,7 @@ package's errors: ``format_pair`` for rationals, which the package takes
 and returns as int pairs (num, den) only, ``format_int``, the integer cube
 root, rational square-root bounds (``fractions`` imported when called), the
 prime sieve, lcm(1..n), ``Frozen``, the base of the package's immutable
-records, ``Params`` and the search grid's size, which the CLI's argv checks
+records, ``Params`` and the search grid, whose size the CLI's argv checks
 read before the bound engine loads.  All of it is safe to share between
 workers."""
 
@@ -137,10 +137,18 @@ def _grid_a_max(a_max: int, b_max: int) -> int:
     return max(0, min(a_max, (b_max - 1) // 4))
 
 
+def grid_cells(a_max: int, b_max: int):
+    """The (a, b) cells that search visits, row by row: 1 <= a <= a_max
+    and odd b with 4a < b <= b_max."""
+    for a in range(1, _grid_a_max(a_max, b_max) + 1):
+        for b in range(4 * a + 1, b_max + 1, 2):
+            yield a, b
+
+
 def grid_size(a_max: int, b_max: int) -> int:
-    """Number of (a, b) cells search_params visits: 1 <= a <= a_max and odd
-    b with 4a < b <= b_max.  Row a holds (b_max+1)//2 - 2a of them, so the
-    count is a closed form and costs nothing for any a_max and b_max."""
+    """Number of :func:`grid_cells`.  Row a holds (b_max+1)//2 - 2a of
+    them, so the count is a closed form and costs nothing for any a_max and
+    b_max."""
     top = _grid_a_max(a_max, b_max)
     return top * ((b_max + 1) // 2) - top * (top + 1)
 

@@ -15,7 +15,7 @@ from math import isqrt, nan
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, Params, _grid_a_max
+from .exact_arith import Frozen, Params, grid_cells
 from .fixed import Ball, certify, prec_of
 from .omega import compute_omega, n_constants
 
@@ -157,18 +157,16 @@ def predicted_decay(k: int, a: int, b: int, digits: int = 60):
 
 def search_params(k: int, a_max: int, b_max: int, digits: int = 60,
                   quadratic: bool = False) -> list[BoundResult]:
-    """All applicable (a, b) cells on the grid (``exact_arith.grid_size``
-    counts them), ascending by the bound's centre, equal centres toward
-    smaller b, then smaller a.  Equal bounds, as scale invariance makes
-    (1, 5) and (3, 15), mostly differ in their rounded centres' last bit,
-    which then orders them, not b or a."""
+    """All applicable cells of ``exact_arith.grid_cells``, ascending by the
+    bound's centre, equal centres toward smaller b, then smaller a.  Equal
+    bounds, as scale invariance makes (1, 5) and (3, 15), mostly differ in
+    their rounded centres' last bit, which then orders them, not b or a."""
     out = []
     fn = mu2_bound if quadratic else mu_bound
-    for a in range(1, _grid_a_max(a_max, b_max) + 1):
-        for b in range(4 * a + 1, b_max + 1, 2):
-            res = fn(k, a, b, digits)
-            if res.applicable:
-                out.append(res)
+    for a, b in grid_cells(a_max, b_max):
+        res = fn(k, a, b, digits)
+        if res.applicable:
+            out.append(res)
     out.sort(key=lambda r: (r.bound, r.b, r.a))
     return out
 

@@ -668,6 +668,16 @@ def _run_child(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=120)
 
 
+def _modules_after(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of the CLI run on argv in a fresh interpreter, and the
+    modules loaded by then."""
+    child = _run_child("-c", "import sys, irrbounds.cli as cli; "
+                       "code = cli.main(sys.argv[1:]); "
+                       "print(code, *sys.modules, file=sys.stderr)", *argv)
+    code, *modules = child.stderr.decode().splitlines()[-1].split()
+    return int(code), set(modules)
+
+
 def test_cli_runs_without_click_or_numpy():
     child = _run_child("-c", NO_CLICK_OR_NUMPY)
     assert child.returncode == 0, child.stderr
@@ -699,53 +709,44 @@ def test_import_and_help_load_no_unused_module():
                 if line.startswith("import time:")}
     assert "irrbounds.cli" in imported
     assert not UNUSED_AT_START & imported
-    # the bound commands never compile forms.py; verify loads it, but not
-    # the dense oracles of irrbounds.dense
     assert "irrbounds.forms" not in loaded | imported
-    for argv, loads_forms in (
-            (["table", "--paper"], False),
-            (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], False),
-            (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], True)):
-        child = _run_child("-c", "import sys, irrbounds.cli as cli; "
-                           "code = cli.main(sys.argv[1:]); "
-                           "print(code, *sys.modules, file=sys.stderr)", *argv)
-        code, *modules = child.stderr.decode().split()
-        assert code == "0", child.stderr
-        assert ("irrbounds.forms" in modules) == loads_forms, argv
-        assert "irrbounds.dense" not in modules
 
 
-# the bound engine, which each command imports on entry, past its argv checks
+# the bound engine, which each command imports on entry, past its argv
+# checks.  No command loads the dense oracles, and only verify loads forms
 ENGINE = {f"irrbounds.{name}" for name in
           ("fixed", "asymptotics", "omega", "measures", "forms", "dense")}
-
-
-@pytest.mark.parametrize("argv,code", [
-    (["--help"], 0),
-    *(([command, "--help"], 0)
+BOUND_ENGINE = ENGINE - {"irrbounds.forms", "irrbounds.dense"}
+ENGINE_LOADS = [
+    (["--help"], 0, set()),
+    *(([command, "--help"], 0, set())
       for command in ("bound", "table", "verify", "omega", "search")),
-    (["table"], 1),  # neither --paper nor --k: argparse refuses
-    (["bound", "--k", "6", "--a", "1", "--b", "7", "--digits", "20"], 1),
-    (["bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "56"], 1),
-    (["omega", "--a", "1", "--b", str(MAX_B + 2)], 1),
-    (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", "333"], 1),
-    (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", ","], 1),
-    (["search", "--k", "7", "--a-max", "9", "--b-max", "99"], 1),
-    (["bound", "--k", "6", "--a", "1", "--b", "7"], 0),  # control
-], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
-def test_help_and_refusals_never_load_the_engine(argv, code):
+    # one refusal of each class
+    (["table"], 1, set()),  # neither --paper nor --k: argparse refuses
+    (["bound", "--k", "6", "--a", "1", "--b", "7", "--digits", "20"], 1, set()),
+    (["bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "56"], 1, set()),
+    (["omega", "--a", "1", "--b", str(MAX_B + 2)], 1, set()),
+    (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", "333"], 1, set()),
+    (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", ","], 1, set()),
+    (["search", "--k", "7", "--a-max", "9", "--b-max", "99"], 1, set()),
+    # each command that computes
+    (["bound", "--k", "6", "--a", "1", "--b", "7"], 0, BOUND_ENGINE),
+    (["table", "--paper"], 0, BOUND_ENGINE),
+    (["search", "--k", "7", "--a-max", "1", "--b-max", "9"], 0, BOUND_ENGINE),
+    (["omega", "--a", "1", "--b", "7"], 0, BOUND_ENGINE - {"irrbounds.measures"}),
+    (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], 0,
+     ENGINE - {"irrbounds.dense"}),
+]
+
+
+@pytest.mark.parametrize("argv,code,engine", ENGINE_LOADS,
+                         ids=[" ".join(argv) for argv, _, _ in ENGINE_LOADS])
+def test_each_command_loads_only_its_engine_layers(argv, code, engine):
     # --help and every class of refused command line are answered by the
-    # CLI alone; the control computes a bound, and so loads the engine but
-    # forms and the dense oracles
-    child = _run_child("-c", "import sys, irrbounds.cli as cli; "
-                       "code = cli.main(sys.argv[1:]); "
-                       "print(code, *sys.modules, file=sys.stderr)", *argv)
-    got, *modules = child.stderr.decode().splitlines()[-1].split()
-    assert int(got) == code, child.stderr
-    loaded = ENGINE & set(modules)
-    control = argv == ["bound", "--k", "6", "--a", "1", "--b", "7"]
-    assert loaded == (ENGINE - {"irrbounds.forms", "irrbounds.dense"}
-                      if control else set()), argv
+    # CLI alone; a command that computes loads its own layers only
+    got, modules = _modules_after(*argv)
+    assert got == code
+    assert ENGINE & modules == engine
 
 
 # a bare interpreter: -I ignores the PYTHON* variables and the user site,
@@ -802,10 +803,8 @@ def test_bound_commands_never_load_fractions_or_decimal(argv, preload):
 ], ids=lambda argv: argv[0])
 def test_commands_never_load_mpmath(argv):
     # every command runs on the package's own integer arithmetic
-    child = _run_child("-c", "import sys, irrbounds.cli as cli; "
-                       "code = cli.main(sys.argv[1:]); "
-                       "print(code, 'mpmath' in sys.modules, file=sys.stderr)", *argv)
-    assert child.stderr.decode().split() == ["0", "False"], child.stderr
+    code, modules = _modules_after(*argv)
+    assert code == 0 and "mpmath" not in modules
 
 
 def test_no_module_level_mpmath_import():

@@ -10,7 +10,7 @@ from irrbounds import (alpha_value, asymptotics, forms, headline_table,
                        measures, mu2_bound, mu_bound, omega, predicted_decay,
                        search_params, verify_forms)
 from irrbounds.errors import NonApplicableError, PrecisionError
-from irrbounds.exact_arith import grid_size
+from irrbounds.exact_arith import grid_cells, grid_size
 from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, is_degenerate
 from oracles import dual_path_ell
 from pinned_digits import MU2_8_1_13, MU_6_1_7
@@ -309,6 +309,7 @@ def test_high_precision_bounds_pinned():
 def test_grid_size_counts_the_searched_cells():
     for a_max in range(-1, 8):
         for b_max in range(-2, 40):
-            cells = sum(1 for a in range(1, a_max + 1)
-                        for b in range(4 * a + 1, b_max + 1) if b % 2)
-            assert grid_size(a_max, b_max) == cells
+            cells = [(a, b) for a in range(1, a_max + 1)
+                     for b in range(4 * a + 1, b_max + 1) if b % 2]
+            assert list(grid_cells(a_max, b_max)) == cells
+            assert grid_size(a_max, b_max) == len(cells)

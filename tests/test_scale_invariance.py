@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrbounds import measures
@@ -108,29 +108,34 @@ def test_forms_scale_with_t(a, b, n, t):
     _check_scaled_forms(8, a, b, n, t)
 
 
-# the effective cells (k, a, gap, n, t) this process has checked.  The
-# @examples run before the draws, and hypothesis does not skip a draw equal
-# to one of them, nor one that differs only in the n a huge k forces to 1:
-# such a draw is rejected, and another drawn in its place.  A cell is added
-# only once checked, so a failing draw replays
-_CHECKED_CELLS = set()
+# the cells (k, a, gap, n, t) of the @examples below, which each run
+# checks.  A huge k forces n = 1, so a draw that differs from one of them
+# in n alone, or not at all, would check it again; the strategy skips
+# such draws (explicit examples do not pass through it)
+PINNED_CELLS = frozenset({(10**300, 1, 0, 1, 3), (4, 1, 0, 3, 3),
+                          (10**24, 2, 4, 1, 5), (10**100, 2, 4, 1, 5),
+                          (10**300, 2, 4, 1, 5)})
+
+
+def _unpinned(cell):
+    k, a, gap, n, t = cell
+    return (k, a, gap, 1 if k > 10**6 else n, t) not in PINNED_CELLS
 
 
 @settings(deadline=None, max_examples=15, derandomize=True)
-@given(st.one_of(st.integers(1, 10**6), st.sampled_from([10**24, 10**100, 10**300])),
-       st.integers(1, 2), st.integers(0, 4), st.sampled_from([1, 3, 5]),
-       st.sampled_from([3, 5]))
-@example(10**300, 1, 0, 1, 3)
-@example(4, 1, 0, 3, 3)  # 2k + 1 = 9, a perfect square
+@given(st.tuples(
+    st.one_of(st.integers(1, 10**6), st.sampled_from([10**24, 10**100, 10**300])),
+    st.integers(1, 2), st.integers(0, 4), st.sampled_from([1, 3, 5]),
+    st.sampled_from([3, 5])).filter(_unpinned))
+@example((10**300, 1, 0, 1, 3))
+@example((4, 1, 0, 3, 3))  # 2k + 1 = 9, a perfect square
 # each huge k at its costliest draw, degree 195, so every run pays for it
-@example(10**24, 2, 4, 1, 5)
-@example(10**100, 2, 4, 1, 5)
-@example(10**300, 2, 4, 1, 5)
-def test_random_forms_scale_with_t(k, a, gap, n, t):
+@example((10**24, 2, 4, 1, 5))
+@example((10**100, 2, 4, 1, 5))
+@example((10**300, 2, 4, 1, 5))
+def test_random_forms_scale_with_t(cell):
     # degree 3 (b - 2a) t n at most 975, and 195 at a huge k, where each
     # coefficient carries about log2(k) bits per degree; the draws are
     # derived from the test, so each run draws the same examples
-    cell = (k, a, gap, 1 if k > 10**6 else n, t)
-    assume(cell not in _CHECKED_CELLS)
-    _check_scaled_forms(k, a, 4 * a + 2 * gap + 1, cell[3], t)
-    _CHECKED_CELLS.add(cell)
+    k, a, gap, n, t = cell
+    _check_scaled_forms(k, a, 4 * a + 2 * gap + 1, 1 if k > 10**6 else n, t)
