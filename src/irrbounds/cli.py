@@ -39,13 +39,24 @@ MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
 # verify accepts.  eval_UVW costs about d^2.1: 0.04 s at d = 1023 and 4.5 s at
 # d = 9999 in-process on a shared 2-core machine.  As b > 4a, it also keeps
-# each prime sieve below b*n < 2d/3.  It does not bound the forms' size:
-# verify --k 8 --a 1 --b 13 --n 303 --quadratic (d = 9999) gives bits(P) =
-# 25,016 and bits(X) = 30,867 in 4.7 s per process, but k is uncapped and
-# bits(P) grows with log k.  At d = 1023 (--a 1 --b 13 --n 31), per process
-# on the same machine, bits(P) is 2,588 / 10,614 / 24,208 / 59,324 and a
-# run takes 0.16 / 0.21 / 0.40 / 1.35 s at k = 8 / 10^8 / 10^20 / 10^51.
+# each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
+# largest total degree times the bit length of k that verify accepts.  The
+# degree cap alone does not bound the forms, as k is otherwise uncapped and
+# bits(P) grows by about d/3 per bit of k.  Per process on the same machine,
+# verify --a 1 --b 13 --quadratic --format json gives bits(P) and time
+#   d = 1023 (--n 31), k = 8 / 10^20 / 10^51 / 10^100 / 10^300:
+#     2,588 / 24,208 / 59,324 / 114,830 / 341,385 bits, 0.21 / 0.62 / 1.9
+#     / 4.3 / 32 s
+#   d = 3333 (--n 101), k = 8 / 10^20 / 10^51:
+#     8,357 / 78,794 / 193,205 bits, 1.1 / 5.3 / 17 s
+#   d = 9999 (--n 303), k = 8 / 2^17 - 1 / 10^12:
+#     25,016 / 74,882 / 147,752 bits, 6.2 / 13 / 27 s
+# with a peak of 16-19 MB, so at a fixed product the largest d costs most.
+# At the cap, d = 1023 / 3333 / 9999 admit k of up to 195 / 60 / 20 bits
+# and take 1.5 / 3.1 / 11 s (bits(P) 68,388 / 72,752 / 84,881), at most
+# twice the 6.2 s of the degree cap at k = 8; k = 10^51 at n = 31 is 173,910.
+MAX_VERIFY_DEGREE_BITS = 200_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
 # cap admits b up to 203, and that grid of 100 cells takes 0.79-0.90 s per
 # process at the default digits on the same machine, and 4.5-4.6 s with a
@@ -200,12 +211,19 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"the forms for --n {args.n} have total degree {degree}, above "
             f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
+    if degree * k.bit_length() > MAX_VERIFY_DEGREE_BITS:
+        raise UsageError(
+            f"the forms for --n {args.n} have total degree {degree} and --k "
+            f"has {k.bit_length()} bits, a product above the cap "
+            f"{MAX_VERIFY_DEGREE_BITS}")
     # forms, the largest module, is compiled first, while the heap is
     # smallest: that keeps the process's peak down
     from .forms import verify_forms
-    from .measures import predicted_decay
 
-    pred_l, pred_m = predicted_decay(k, a, b, digits)
+    if args.fmt == "text":  # only text prints the decay, and so loads measures
+        from .measures import predicted_decay
+
+        pred_l, pred_m = predicted_decay(k, a, b, digits)
     rows = verify_forms(k, a, b, ns, digits)
     out = []
     for r in rows:

@@ -25,12 +25,11 @@ lcm(1..j)^2.  As j <= d, L A'(y0) and L^2 A''(y0) are integers.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import comb, factorial, gcd, isqrt, log, prod
+from math import comb, factorial, gcd, isqrt, prod
 
 from .errors import DomainError, IntegralityError, PrecisionError
 from .exact_arith import Frozen, Params, d_upto
 from .fixed import Ball, prec_of
-from .measures import predicted_decay
 from .omega import delta_products
 
 __all__ = [
@@ -461,26 +460,33 @@ def _alpha_fixed(k: int, bits: int) -> tuple[int, int]:
     return -2 * total, 4 * (j + 1)
 
 
-def _alpha_combinations(k: int, combos, digits: int,
-                        depth: int = 0) -> list[Ball]:
+def _alpha_combinations(k: int, combos, digits: int) -> list[Ball]:
     """each sum of c * alpha_k^p over (c, p) pairs, c an int and p in
     {0, 1, 2}, one list of pairs per combination, certified to
-    10^-(digits+10) relative and nonzero, as a ball at digits + 10 digits;
-    ``depth`` bits widen the first pass for sums near 2^-depth.
+    10^-(digits+10) relative and nonzero, as a ball at digits + 10 digits.
 
     A combination is exponentially small against coefficients of thousands
     of bits.  The ball sum of c (A +- E)^p 2^(-p bits), (A, E) the enclosure
     of alpha_k 2^bits, holds its value.  It is accepted when radius
     10^(digits+10) < |centre| - radius, which also proves it nonzero, and
-    rounded by a division by 1 at digits + 10 digits.  Otherwise bits grows
-    by the shortfall read from the bit lengths of centre and radius, plus 16
-    as E grows with bits, and by at least twice its last growth (while the
-    ball holds 0 the centre is noise); after MAX_ALPHA_PASSES passes,
-    PrecisionError."""
+    rounded by a division by 1 at digits + 10 digits.  The first pass sizes
+    bits from the coefficients alone: alpha_k's irrationality measure is at
+    least 2 and its non-quadraticity measure at least 3 (Dirichlet), so a
+    form of degree p from this construction, with c of B bits, lies at most
+    about B/p bits below 1; bits starts at B (p+1)//p, the largest over the
+    combinations (p at least 1), plus the digits and 64 bits of slack.
+    After a pass that fails, bits grows by the shortfall read from the bit
+    lengths of centre and radius, plus 16 as E grows with bits, and by at
+    least twice its last growth (while the ball holds 0 the centre is
+    noise); after MAX_ALPHA_PASSES passes, PrecisionError."""
     scale, prec = 10 ** (digits + 10), prec_of(digits + 10)
     need = scale.bit_length() + 2  # 2^need > 4 * scale
-    bits = (max(abs(c).bit_length() for terms in combos for c, _ in terms)
-            + scale.bit_length() + 64 + depth)
+
+    def start(terms) -> int:  # B (p+1)//p, B the coefficients' bits
+        deg = max(1, *(p for _, p in terms))
+        return max(abs(c).bit_length() for c, _ in terms) * (deg + 1) // deg
+
+    bits = max(map(start, combos)) + scale.bit_length() + 64
     grow = 0
     for _ in range(MAX_ALPHA_PASSES):
         a, e = _alpha_fixed(k, bits)
@@ -508,12 +514,11 @@ def verify_forms(k: int, a: int, b: int, n_list,
     """Exact integer forms and high-precision form values for each odd n.
 
     Integrality violations raise IntegralityError naming the quantity.  ell
-    and m come from certified enclosures that exclude 0; a form whose
-    enclosure stays too wide, as a vanishing form would, raises
-    PrecisionError.  The rates of ``predicted_decay`` size the enclosure's
-    first pass for forms of about exp(n * rate).
+    and m come from certified enclosures that exclude 0, each sized from its
+    own coefficients (:func:`_alpha_combinations`); a form whose enclosure
+    stays too wide, as a vanishing form would, raises PrecisionError.  Only
+    the exact layers run: neither ``asymptotics`` nor ``measures`` loads.
     """
-    decay = float(min(predicted_decay(k, a, b, digits)))
     rows = []
     for n in n_list:
         params = Params(k=k, a=a, b=b, n=n)
@@ -521,8 +526,7 @@ def verify_forms(k: int, a: int, b: int, n_list,
         delta, delta1 = delta_products(params)
         forms = scaled_integer_forms(params, uvw, delta, delta1)
         ell, m = _alpha_combinations(
-            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits,
-            max(0, -int(n * decay / log(2))))
+            k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits)
         prec = prec_of(digits + 10)
         rows.append(VerificationRow(
             n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,

@@ -10,7 +10,6 @@ an exception: searches iterate past inapplicable cells.  Every constant is a
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt, nan
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
@@ -141,10 +140,9 @@ def mu2_bound(k: int, a: int, b: int, digits: int = 60) -> BoundResult:
     return _bound("non-quadraticity", k, a, b, digits)
 
 
-@lru_cache(maxsize=None)
 def predicted_decay(k: int, a: int, b: int, digits: int = 60):
     """(M2+K1+N1, M2+K2+N2): the limits of (1/n) ln of the two forms, balls
-    each certified to its radius; memoised, as verify_forms reads them too."""
+    each certified to its radius, which text-format verify prints."""
     _, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     decays = tuple(_sum((m2, kk, nn), prec_of(digits + 10))
                    for kk, nn in ((k1, n1), (k2, n2)))

@@ -17,7 +17,6 @@ import collections
 import math
 from functools import lru_cache
 
-from .asymptotics import digamma
 from .errors import CertificateError, DomainError, SieveCapacityError
 from .exact_arith import Params, PrimeSieve
 from .fixed import Ball, prec_of
@@ -203,6 +202,9 @@ def n_constants(a: int, b: int, runs: tuple, digits: int):
     psi's balls at digits + 10 digits (asymptotics.digamma), summed and
     differenced, and the large-prime part, an exact int-pair sum, are each
     rounded at digits + 10 digits: ball arithmetic carries the radii."""
+    # imported on call: verify needs only delta_products, not asymptotics
+    from .asymptotics import digamma
+
     _validate_ab(a, b)
     if digits < 30:
         raise DomainError("digits must be >= 30")

@@ -270,6 +270,26 @@ def test_verify_refuses_degree_above_cap_before_any_work(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("k,n,code", [
+    (10**51, "31", 4), (2**195 - 1, "31", 4), (2**196, "31", 1),
+    (2**20 - 1, "303", 4), (2**20, "303", 1), (2**45 - 1, "31,101", 4),
+    (2**45, "31,101", 1)])
+def test_verify_caps_degree_times_k_bits_before_any_work(capsys, monkeypatch,
+                                                         k, n, code):
+    # total degree times bitlen(k) above MAX_VERIFY_DEGREE_BITS is refused
+    # with one line; at or below it the forms are reached (stubbed here)
+    import irrbounds.forms as forms_mod
+
+    def reached(*args, **kwargs):
+        raise PrecisionError("reached the forms")
+
+    monkeypatch.setattr(forms_mod, "verify_forms", reached)
+    got, out, err = run(capsys, "verify", "--k", str(k), "--a", "1", "--b",
+                        "13", "--n", n, "--format", "json")
+    assert got == code and out == ""
+    assert ("above the cap" if code == 1 else "reached the forms") in err
+
+
 @pytest.mark.parametrize("a_max,b_max", [
     (1, 2 * MAX_SEARCH_CELLS + 5), (3, 1001), (10**12, 10**12)])
 def test_search_refuses_grid_above_cap_before_any_work(capsys, monkeypatch,
@@ -438,13 +458,18 @@ def test_high_precision_stdout_pinned(capsys):
 
 def test_verify_inapplicable_cell_exit_2(capsys):
     # the complex saddle point does not exist at (k, a, b) = (1, 7, 29); bound
-    # reports the same cell with exit 2
+    # reports the same cell with exit 2.  Only text-format verify prints the
+    # predicted decay that needs it: json prints the exact forms, exit 0
     code, _, err = run(capsys, "verify", "--k", "1", "--a", "7", "--b", "29",
                        "--n", "1")
     assert code == 2
     assert "not applicable" in err and "Traceback" not in err
     code, _, _ = run(capsys, "bound", "--k", "1", "--a", "7", "--b", "29")
     assert code == 2
+    code, out, err = run(capsys, "verify", "--k", "1", "--a", "7", "--b", "29",
+                         "--n", "1", "--format", "json")
+    assert code == 0 and err == ""
+    assert [row["integral"] for row in json.loads(out)] == [True]
 
 
 def test_precision_failure_exit_4(capsys, monkeypatch):
@@ -487,8 +512,7 @@ def test_omega_wide_radius_exit_4(capsys, monkeypatch):
     ("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1")])
 def test_wide_saddle_radius_exit_4(capsys, monkeypatch, argv):
     # a bound, a search and verify's predicted decay stop at the first value
-    # whose radius is too wide, with nothing on stdout; the decay's memo
-    # starts cold
+    # whose radius is too wide, with nothing on stdout
     saddle_complex = asymptotics.saddle_complex
 
     def widened(*args, **kwargs):
@@ -496,7 +520,6 @@ def test_wide_saddle_radius_exit_4(capsys, monkeypatch, argv):
         return z1, _widened(m2, Fraction(1, 10**40))
 
     monkeypatch.setattr("irrbounds.measures.saddle_complex", widened)
-    measures.predicted_decay.cache_clear()
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
@@ -536,15 +559,18 @@ def test_huge_k_bound_is_certified(capsys):
 
 
 def test_alpha_enclosure_too_wide_exit_4(capsys, monkeypatch):
-    # one pass of the alpha enclosure at its starting width cannot certify
-    # the forms at n = 31 when nothing sizes that width: a zero decay hint
-    # starts it as if the forms were of size 1
+    # an enclosure of alpha_k 2^bits wider than 2^bits certifies no form in
+    # alpha_k, so the one pass allowed ends the run with nothing on stdout
     import irrbounds.forms as forms_mod
 
-    predicted = forms_mod.predicted_decay
-    monkeypatch.setattr(forms_mod, "predicted_decay",
-                        lambda *args: tuple(0 * rate for rate in predicted(*args)))
-    monkeypatch.setattr("irrbounds.forms.MAX_ALPHA_PASSES", 1)
+    alpha_fixed = forms_mod._alpha_fixed
+
+    def widened(k, bits):
+        a, e = alpha_fixed(k, bits)
+        return a, e << bits
+
+    monkeypatch.setattr(forms_mod, "_alpha_fixed", widened)
+    monkeypatch.setattr(forms_mod, "MAX_ALPHA_PASSES", 1)
     code, out, err = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "13",
                          "--n", "31")
     assert code == 4
@@ -717,6 +743,7 @@ def test_import_and_help_load_no_unused_module():
 ENGINE = {f"irrbounds.{name}" for name in
           ("fixed", "asymptotics", "omega", "measures", "forms", "dense")}
 BOUND_ENGINE = ENGINE - {"irrbounds.forms", "irrbounds.dense"}
+EXACT_LAYERS = {f"irrbounds.{name}" for name in ("fixed", "omega", "forms")}
 ENGINE_LOADS = [
     (["--help"], 0, set()),
     *(([command, "--help"], 0, set())
@@ -728,6 +755,8 @@ ENGINE_LOADS = [
     (["omega", "--a", "1", "--b", str(MAX_B + 2)], 1, set()),
     (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", "333"], 1, set()),
     (["verify", "--k", "8", "--a", "1", "--b", "13", "--n", ","], 1, set()),
+    (["verify", "--k", str(2**200), "--a", "1", "--b", "13", "--n", "31"], 1,
+     set()),
     (["search", "--k", "7", "--a-max", "9", "--b-max", "99"], 1, set()),
     # each command that computes
     (["bound", "--k", "6", "--a", "1", "--b", "7"], 0, BOUND_ENGINE),
@@ -736,6 +765,10 @@ ENGINE_LOADS = [
     (["omega", "--a", "1", "--b", "7"], 0, BOUND_ENGINE - {"irrbounds.measures"}),
     (["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1"], 0,
      ENGINE - {"irrbounds.dense"}),
+    # only text prints the predicted decay: json and csv run the exact
+    # layers alone
+    *((["verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1", "--format",
+        fmt], 0, EXACT_LAYERS) for fmt in ("json", "csv")),
 ]
 
 

@@ -175,7 +175,7 @@ def test_vanishing_form_is_never_certified():
         forms._alpha_combinations(8, [[(0, 1), (0, 0)]], 60)
 
 
-def test_verify_forms_sizes_its_enclosure_from_the_predicted_decay():
+def test_verify_forms_at_huge_k_decays_as_predicted():
     # at k = 10^300 the linear form is about exp(-2424 n), some 45,000 bits
     # below 1 at n = 13, while the coefficients carry about 1000 bits per
     # degree.  Started at the coefficients' size, the enclosure ran out of
@@ -184,6 +184,24 @@ def test_verify_forms_sizes_its_enclosure_from_the_predicted_decay():
     row = verify_forms(10**300, 1, 9, [13])[0]
     pred_l, _ = predicted_decay(10**300, 1, 9)
     assert abs(float(row.decay_linear - pred_l) / float(pred_l)) < 0.02
+
+
+@pytest.mark.parametrize("k,a,b,n", [(8, 1, 13, 31), (8, 1, 13, 51),
+                                     (8, 1, 13, 101), (10**300, 1, 9, 13)],
+                         ids=["n31", "n51", "n101", "k1e300"])
+def test_alpha_enclosure_resolves_in_one_pass(monkeypatch, k, a, b, n):
+    # the first pass, sized from the forms' own coefficients, certifies both
+    # forms: one fixed-point sum of alpha_k per n
+    calls = []
+    alpha_fixed = forms._alpha_fixed
+
+    def counted(k, bits):
+        calls.append(bits)
+        return alpha_fixed(k, bits)
+
+    monkeypatch.setattr(forms, "_alpha_fixed", counted)
+    verify_forms(k, a, b, [n])
+    assert len(calls) == 1
 
 
 def test_verify_rejects_even_n():
