@@ -37,7 +37,7 @@ from .errors import (CertificateError, IntegralityError, NonApplicableError,
 MIN_DIGITS = 30
 MAX_DIGITS = 500
 # largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
-# verify accepts.  eval_UVW costs about d^2.1: 0.04 s at d = 1023 and 4.5 s at
+# verify accepts.  eval_UVW costs about d^2.1: 0.03 s at d = 1023 and 3.1 s at
 # d = 9999 in-process on a shared 2-core machine.  As b > 4a, it also keeps
 # each prime sieve below b*n < 2d/3.
 MAX_VERIFY_DEGREE = 10_000
@@ -46,16 +46,17 @@ MAX_VERIFY_DEGREE = 10_000
 # bits(P) grows by about d/3 per bit of k.  Per process on the same machine,
 # verify --a 1 --b 13 --quadratic --format json gives bits(P) and time
 #   d = 1023 (--n 31), k = 8 / 10^20 / 10^51 / 10^100 / 10^300:
-#     2,588 / 24,208 / 59,324 / 114,830 / 341,385 bits, 0.21 / 0.62 / 1.9
-#     / 4.3 / 32 s
+#     2,588 / 24,208 / 59,324 / 114,830 / 341,385 bits, 0.16 / 0.36 / 1.0
+#     / 3.0 / 16 s
 #   d = 3333 (--n 101), k = 8 / 10^20 / 10^51:
-#     8,357 / 78,794 / 193,205 bits, 1.1 / 5.3 / 17 s
+#     8,357 / 78,794 / 193,205 bits, 0.41 / 2.9 / 9.1 s
 #   d = 9999 (--n 303), k = 8 / 2^17 - 1 / 10^12:
-#     25,016 / 74,882 / 147,752 bits, 6.2 / 13 / 27 s
-# with a peak of 16-19 MB, so at a fixed product the largest d costs most.
+#     25,016 / 74,882 / 147,752 bits, 3.6 / 8.3 / 17 s
+# with a peak of 16-17 MB, so at a fixed product the largest d costs most.
 # At the cap, d = 1023 / 3333 / 9999 admit k of up to 195 / 60 / 20 bits
-# and take 1.5 / 3.1 / 11 s (bits(P) 68,388 / 72,752 / 84,881), at most
-# twice the 6.2 s of the degree cap at k = 8; k = 10^51 at n = 31 is 173,910.
+# and take 1.2 / 2.6 / 8.7 s (bits(P) 68,388 / 72,752 / 84,881), at most
+# 2.5 times the 3.6 s of the degree cap at k = 8; k = 10^51 at n = 31 is
+# 173,910.
 MAX_VERIFY_DEGREE_BITS = 200_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
 # cap admits b up to 203, and that grid of 100 cells takes 0.79-0.90 s per

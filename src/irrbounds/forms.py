@@ -10,16 +10,20 @@ computed on int tuples (u, v, e, D) for (u + v sqrt(D))/e, the form the
 records hold them in too.  A of degree d is never expanded (the expanded A
 is the test oracle ``build_A`` of ``irrbounds.dense``): one walk over the
 integers m yields u_r(m) = L^r A^(r)(-m), r = 0, 1, 2, at one scale
-L = lcm(1..d), and the three transform sums take it in lockstep, streamed,
-in blocks (after Paterson and Stockmeyer, 1973): O(d) big-by-small
-operations and O(d/block) full-size products per form.
+L = lcm(1..bn), and one transform recurrence takes it for all three r,
+streamed, in blocks (after Paterson and Stockmeyer, 1973): O(d)
+big-by-small operations and O(d/block) full-size products per form.
 
-Every u_r is an integer.  A is a product of binomial coefficients, so
-y -> A(y0 + y) maps integers to integers for each integer y0, and
-A(y0 + y) = sum_{j<=d} c_j C(y, j) with integers c_j.  In this basis
-C(y, j)'(0) = (-1)^(j-1)/j and C(y, j)''(0) = 2 (-1)^j H_(j-1)/j, H the
-harmonic number, whose denominator divides lcm(1..j-1) j and so
-lcm(1..j)^2.  As j <= d, L A'(y0) and L^2 A''(y0) are integers.
+Every u_r is an integer.  A is the product of three root blocks
+R(y) = C(y + hi, cnt), cnt = hi - lo + 1 <= bn.  Each maps integers to
+integers, so R(y0 + y) = sum_{j<=cnt} c_j C(y, j) with integers c_j for
+each integer y0.  In this basis C(y, j)'(0) = (-1)^(j-1)/j and
+C(y, j)''(0) = 2 (-1)^j H_(j-1)/j, H the harmonic number, whose denominator
+divides lcm(1..j-1) j and so lcm(1..j)^2.  As j <= bn, L R'(y0) and
+L^2 R''(y0) are integers, and by the product rule so are L A'(y0), a sum
+of terms R' R R, and L^2 A''(y0), one of terms R'' R R and R' R' R.  The
+walk's harmonic sums read L/x and L^2/x^2 for x <= bn only, so they too
+are exact.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ def _restart(blocks, m: int, L: int, S1: dict, S2: dict) -> list[int]:
 
 def _walk(params: Params, L: int, last: int):
     """(u0, u1, u2), u_r = L^r A^(r)(-m), for m = (b-2a)n + 1 .. last; below
-    that m every value a transform sum reads is 0.
+    that m every value a transform sum reads is 0.  L = lcm(1..bn) makes
+    every state an integer (see the module docstring); a smaller L fails.
 
     With C = prod (x + hi) and E = prod (x + lo - 1) over the blocks,
     A(x - 1) C(x) = A(x) E(x); with F(x) = A(x - 1) and its derivatives,
@@ -173,9 +178,10 @@ def _walk(params: Params, L: int, last: int):
 # -- the transform sums in O(d) big operations, and U, V, W -------------------
 
 # values per block of _PoleSum.  Median CPU time of eval_UVW by block size,
-# shared 2-core machine: d = 1023 (21 runs) 48 ms at 32, 46 at 48 and 64, 49
-# at 96; d = 3333 (7 runs) 0.40 s at 32 and 48, 0.37 at 64, 0.43 at 96;
-# d = 6633 (3 runs) 1.95 s at 48, 1.82 at 64, 1.77 at 96.
+# shared 2-core machine: d = 1023 (21 runs) 31.7 ms at 32, 31.1 at 48, 30.7
+# at 64, 32.3 at 96; d = 3333 (7 runs) 0.38 s at 32, 0.34 at 48, 0.33 at 64
+# and 0.34 at 96; d = 6633 (3 runs) 1.63 s at 32, 1.49 at 48, 1.45 at 64,
+# 1.38 at 96.
 _BLOCK = 64
 
 
@@ -204,12 +210,13 @@ def _combine(c, g: tuple[int, int], k: tuple[int, int], D: int, den: int,
 
 
 class _PoleSum:
-    """sum_j c_j t^(j+1) for the transform c_j of a degree-delta polynomial p,
-    fed v_s = p(-1-s) times a fixed scale, s = 0..delta, one at a time.
+    """sum_j c_j t^(j+1) for the transforms c_j of three polynomials p_r,
+    r = 0, 1, 2, each of degree at most delta, fed v_s = p_r(-1-s) times a
+    fixed scale, s = 0..delta, by :meth:`run`.
 
     Since c_j = sum_s (-1)^s C(j, s) p(-1-s), the sum is
-    S = sum_s (-1)^s p(-1-s) G_s with G_s = sum_{j=s..delta} C(j, s) t^(j+1).
-    As 1/(1 - t) = 1 - z,
+    S = sum_s (-1)^s p(-1-s) G_s with G_s = sum_{j=s..delta} C(j, s) t^(j+1),
+    one G_s for all three, as c_j = 0 for j > deg p.  As 1/(1 - t) = 1 - z,
         G_0 = t (1 - t^(delta+1)) (1 - z),
         G_s = -z G_(s-1) - C(delta+1, s) (1 - z) t^(delta+2).
     G_s is a polynomial in t of degree delta + 1, so g_s = G_s td^(delta+1)
@@ -223,7 +230,7 @@ class _PoleSum:
         alpha_i = W alpha_(i-1) (s0+i),  eps_i = eps_(i-1) step (s0+i),
         beta_i = W beta_(i-1) (s0+i) + n_i step^(i-1),
     from alpha_0 = eps_0 = 1 and beta_0 = 0, with n_i the product of
-    (delta+2-r) for r = s0+1..s0+i.  So the block's terms add up to
+    (delta+2-r) for r = s0+1..s0+i.  So a block's terms add up to
     (X g_s0 - Y k_s0)/E, E = eps_(B-1), with X = sum_i c_i alpha_i mu_i and
     Y = sum_i c_i beta_i mu_i, c_i = (-1)^s v_s at s = s0 + i and
     mu_i = E/eps_i.  Two descending Horner passes make them from small
@@ -231,71 +238,79 @@ class _PoleSum:
         H_i = H_(i+1) W (s0+i+1) + c_i mu_i,
         K_i = H_i + (delta+1-s0-i) step K_(i+1),
     X = H_0 and Y = (delta+1-s0) K_1, as Y = sum_(i>=1) n_i step^(i-1) H_i.
-    Then g and k advance by i = B.  Every g_s, k_s and v_s g_s, so every
-    block sum, is an integer pair: a remainder raises ``IntegralityError``
-    naming the order and the block's first index s0.
+    Order r reads its block r shift values after order 0: each order forms
+    its (X, Y) as its block fills, from the block's multipliers, and order 2
+    combines all three with g and k, which then advance by i = B.  Every g_s,
+    k_s and v_s g_s, so every block sum, is an integer pair: a remainder
+    raises ``IntegralityError`` naming the block's first index s0, and the
+    order where it is one order's sum.
     """
 
-    __slots__ = ("order", "delta", "D", "w", "step", "tdp", "g", "k", "s0",
-                 "buf", "su", "sv", "w_block", "step_block")
+    __slots__ = ("delta", "D", "w", "step", "w_block", "step_block", "tdp",
+                 "g", "k", "open", "sums")
 
-    def __init__(self, order: int, delta: int, common, tdp: int, g, k):
+    def __init__(self, delta: int, common, tdp: int, g, k):
         # common = (D, W, step, W^B, step^B), tdp = td^(delta+1)
-        self.order, self.delta, self.tdp, self.g, self.k = order, delta, tdp, g, k
+        self.delta, self.tdp, self.g, self.k = delta, tdp, g, k
         self.D, self.w, self.step, self.w_block, self.step_block = common
-        self.s0, self.buf, self.su, self.sv = 0, [], 0, 0
+        self.open, self.sums = {}, [(0, 0)] * 3
 
     @classmethod
-    def orders(cls, d: int, z: tuple, D: int) -> list[_PoleSum]:
-        """The sums for delta = d, d - 1, d - 2 at z = (zu + zv sqrt(D))/zd,
-        from one W^B and step^B (alpha_B = W^B rise and eps_B = step^B rise,
-        rise = (s0+B)!/s0!), and one T^(d-1), T = t td, and td^(d-1),
-        carried up a delta by T and td.  As (1 - z) t = -z, the seeds are
-        g_0 = z (T^(delta+1) - td^(delta+1)) and k_0 = -z zd td T^(delta+1)."""
-        zu, zv, zd = z[:3]
+    def at(cls, delta: int, z: tuple, D: int) -> _PoleSum:
+        """The sum at z = (zu + zv sqrt(D))/zd, with one W^B and step^B for
+        every advance (alpha_B = W^B rise and eps_B = step^B rise,
+        rise = (s0+B)!/s0!).  With T = t td, as (1 - z) t = -z, the seeds
+        are g_0 = z (T^(delta+1) - td^(delta+1)) and
+        k_0 = -z zd td T^(delta+1)."""
+        zu, zv, zd = z
         tu, tv, td = _canon(*_mul((zu, zv), (zu - zd, -zv), D),
                             (zu - zd) ** 2 - D * zv * zv, D)
-        w, step = (-zu * td, -zv * td), zd * td
-        common = (D, w, step, _pow(w, _BLOCK, D), step ** _BLOCK)
-        top, tdp, sums = _pow((tu, tv), d - 1, D), td ** (d - 1), []
-        for r in (2, 1, 0):
-            where = f"order-{r} pole-sum seed"
-            g0 = tuple(_exact_div(x, zd, where)
-                       for x in _mul((zu, zv), (top[0] - tdp, top[1]), D))
-            ku, kv = _mul((zu, zv), top, D)
-            sums.append(cls(r, d - r, common, tdp, g0, (-ku * td, -kv * td)))
-            top, tdp = _mul(top, (tu, tv), D), tdp * td
-        return sums[::-1]
+        w, step, tdp = (-zu * td, -zv * td), zd * td, td ** (delta + 1)
+        ku, kv = _mul((zu, zv), _pow((tu, tv), delta + 1, D), D)
+        g0 = (_exact_div(ku - zu * tdp, zd, "pole-sum seed"),
+              _exact_div(kv - zv * tdp, zd, "pole-sum seed"))
+        return cls(delta, (D, w, step, _pow(w, _BLOCK, D), step ** _BLOCK),
+                   tdp, g0, (-ku * td, -kv * td))
 
-    def push(self, v: int) -> None:
-        buf = self.buf
-        buf.append(v)
-        if len(buf) == _BLOCK or self.s0 + len(buf) > self.delta:
-            self._block()
+    def run(self, values, shift: int) -> None:
+        """Order r reads the r-th entry of the i-th of ``values`` as v_s,
+        s = i - r shift, for s = 0..delta."""
+        delta, bufs = self.delta, ([], [], [])
+        for i, u in enumerate(values):
+            for r, buf in enumerate(bufs):
+                s = i - r * shift
+                if 0 <= s <= delta:
+                    buf.append(u[r])
+                    if len(buf) == _BLOCK or s == delta:
+                        self._block(r, s + 1 - len(buf), buf)
+                        buf.clear()
 
-    def _block(self) -> None:
-        buf, s0, delta, step, D = self.buf, self.s0, self.delta, self.step, self.D
-        size = len(buf)
-        where = f"order-{self.order} pole-sum block at s0 = {s0}"
+    def _block(self, r: int, s0: int, buf: list) -> None:
+        D, step, delta = self.D, self.step, self.delta
+        if not r:  # the multipliers of H and K per value, last value first
+            (wu, wv), rows, mu = self.w, [], 1
+            for s in range(s0 + len(buf) - 1, s0 - 1, -1):
+                f = s + 1
+                rows.append((wu * f, D * wv * f, wv * f, -mu if s & 1 else mu,
+                             (delta - s) * step))
+                e, mu = mu, mu * step * s
+            self.open[s0] = [e, rows]
+        entry = self.open[s0]
+        hu = hv = ku = kv = 0
         if any(buf):
-            wu, wv = self.w
-            hu, hv, ku, kv, mu = 0, 0, 0, 0, 1
-            for i in range(size - 1, -1, -1):
-                f = s0 + i + 1
-                c = buf[i] * (-mu if (s0 + i) & 1 else mu)
-                hu, hv = (hu * (wu * f) + hv * (D * wv * f) + c,
-                          hu * (wv * f) + hv * (wu * f))
-                if i:
-                    x = (delta + 1 - s0 - i) * step
-                    ku, kv = hu + x * ku, hv + x * kv
-                    mu *= step * (s0 + i)
-            n1 = delta + 1 - s0
-            su, sv = _combine((hu, hv, n1 * ku, n1 * kv), self.g, self.k, D,
-                              mu, where)
-            self.su, self.sv = self.su + su, self.sv + sv
-        buf.clear()
-        self.s0 += size
-        if self.s0 <= delta:
+            for v, (p, q, x, mu, y) in zip(reversed(buf), entry[1]):
+                ku, kv = hu + y * ku, hv + y * kv
+                hu, hv = hu * p + hv * q + v * mu, hu * x + hv * p
+        entry.append((hu, hv, (delta + 1 - s0) * ku, (delta + 1 - s0) * kv))
+        if r < 2:
+            return
+        e, _, *hks = self.open.pop(s0)
+        for order, hk in enumerate(hks):
+            pair = _combine(hk, self.g, self.k, D, e,
+                            f"order-{order} pole-sum block at s0 = {s0}")
+            self.sums[order] = [x + y for x, y in zip(self.sums[order], pair)]
+        size, where = len(buf), f"pole-sum block at s0 = {s0}"
+        if s0 + size <= delta:
             rise = prod(range(s0 + 1, s0 + size + 1))
             row = (*(x * rise for x in self.w_block),
                    *_beta(self.w, D, step, delta, s0, size))
@@ -327,29 +342,29 @@ def eval_UVW(params: Params, z: tuple[int, int, int, int]) -> UVWValues:
 
     U uses the transform of A itself; V the transform of A'(. - an) with the
     extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}: the
-    shifts land the sums where the transform values are nonzero.  The three
-    ``_PoleSum`` take each value of one ``_walk`` as it comes.  An inexact
-    step raises ``IntegralityError`` naming m, or the order and s0 of a block.
+    shifts land the sums where the transform values are nonzero.  One
+    ``_PoleSum`` at delta = d takes each value of one ``_walk`` at
+    L = lcm(1..bn) as it comes, for all three, so the walk runs to
+    m = 2an + d + 1.  An inexact step raises ``IntegralityError`` naming m,
+    or s0 of a block and, for one order's block sum, the order.
     """
     (zu, zv, zd), D = _canon(*z), z[3]
     if not (zu or zv):
         raise DomainError("z = 0 is outside the domain of U, V, W")
     if not zv and zu == zd:
         raise DomainError("z = 1 is a pole of the transform variable")
-    d, shift, L = params.degree, params.a * params.n, d_upto(params.degree)
-    sums = _PoleSum.orders(d, (zu, zv, zd), D)
-    values = chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
-                   _walk(params, L, 2 * shift + d - 1))
-    # order r reads A^(r)(-m) at m = 1 + r*shift + s, s = 0..d-r
-    for i, u in enumerate(values):
-        for r, pole_sum in enumerate(sums):
-            if 0 <= i - r * shift <= d - r:
-                pole_sum.push(u[r])
+    d, shift = params.degree, params.a * params.n
+    L = d_upto(params.b * params.n)
+    pole = _PoleSum.at(d, (zu, zv, zd), D)
+    # order r reads L^r A^(r)(-m) at m = 1 + r*shift + s, s = 0..d: the
+    # walk starts at m = (b-2a)n + 1 = d/3 + 1
+    pole.run(chain(repeat((0, 0, 0), d // 3), _walk(params, L, 2 * shift + d + 1)),
+             shift)
     # order r carries z^(r*shift - (bn+1)/2), a negative power as b > 4a
     iu, iv, ie = _canon(zd * zu, -zd * zv, zu * zu - D * zv * zv, D)
-    U, V, W = ((*_mul(_pow((iu, iv), e, D), (s.su, s.sv), D),
-                ie**e * L**r * s.tdp, D)
-               for r, s in enumerate(sums) for e in [params.half_bn1 - r * shift])
+    U, V, W = ((*_mul(_pow((iu, iv), e, D), pole.sums[r], D),
+                ie**e * L**r * pole.tdp, D)
+               for r in range(3) for e in [params.half_bn1 - r * shift])
     return UVWValues(U=U, V=V, W=W, params=params, x=(zu, zv, zd, D))
 
 

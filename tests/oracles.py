@@ -718,34 +718,27 @@ def _int_pair(x: QuadRat) -> tuple[int, int, int]:
 
 def fraction_uvw(params: Params, z: QuadRat) -> tuple:
     """(U, V, W) at z by the ``QuadRat`` formulas of eval_UVW before its int
-    tuples: t = z/(z-1), the seeds of the three ``forms._PoleSum`` from
-    t^(d-1) and (1-z) t, and z^(r*an - (bn+1)/2) times the scaled sums; the
-    walk and the blocks are the package's own."""
+    tuples: t = z/(z-1), the seeds of the one ``forms._PoleSum`` from
+    t^(d+1) and (1-z) t, and z^(r*an - (bn+1)/2) times the scaled sums; the
+    walk at L = lcm(1..bn), the blocks and the recurrence are the
+    package's own."""
     t = z / (z - QuadRat(1, 0, z.D))
-    d, shift, L = params.degree, params.a * params.n, d_upto(params.degree)
+    d, shift, L = params.degree, params.a * params.n, d_upto(params.b * params.n)
     zu, zv, zd = _int_pair(z)
     td = _int_pair(t)[2]
     w, step = (-zu * td, -zv * td), zd * td
     w_block = QuadRat(*w, z.D) ** forms._BLOCK
     common = (z.D, w, step, (int(w_block.u), int(w_block.v)),
               step ** forms._BLOCK)
-    zt, t_top, tdp, sums = (1 - z) * t, t ** (d - 1), td ** (d - 1), []
-    for r in (2, 1, 0):
-        top = zt * t_top * tdp
-        g0, k = zt * tdp - top, top * step
-        sums.append(_PoleSum(r, d - r, common, tdp, (int(g0.u), int(g0.v)),
-                             (int(k.u), int(k.v))))
-        t_top, tdp = t_top * t, tdp * td
-    sums = sums[::-1]
-    values = chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
-                   _walk(params, L, 2 * shift + d - 1))
-    for i, u in enumerate(values):
-        for r, pole_sum in enumerate(sums):
-            if 0 <= i - r * shift <= d - r:
-                pole_sum.push(u[r])
+    zt, tdp = (1 - z) * t, td ** (d + 1)
+    top = zt * t ** (d + 1) * tdp
+    g0, k = zt * tdp - top, top * step
+    pole = _PoleSum(d, common, tdp, (int(g0.u), int(g0.v)), (int(k.u), int(k.v)))
+    pole.run(chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
+                   _walk(params, L, 2 * shift + d + 1)), shift)
     return tuple(z ** (r * shift - params.half_bn1) * QuadRat(
-        Fraction(s.su, L**r * s.tdp), Fraction(s.sv, L**r * s.tdp), z.D)
-        for r, s in enumerate(sums))
+        Fraction(su, L**r * tdp), Fraction(sv, L**r * tdp), z.D)
+        for r, (su, sv) in enumerate(pole.sums))
 
 
 def scaling_factors(params: Params) -> tuple[Fraction, Fraction, Fraction]:

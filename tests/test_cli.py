@@ -170,16 +170,17 @@ def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
 def test_inexact_pole_sum_block_exit_3(capsys, monkeypatch):
     # with blocks of 4, the order-0 block at s0 = 20 holds the first nonzero
     # values A(-m), m > bn = 21; one corrupted coefficient there, the
-    # rational part of the beta_4 that advances g past the block, leaves
-    # the block's division by eps_4 with a remainder, which must end the run
-    # with one line
+    # rational part of the beta_4 that advances the shared g past the
+    # block, leaves the block's division by eps_4 with a remainder, which
+    # must end the run with one line; the advance serves all three orders,
+    # so the message names the block alone
     import irrbounds.forms as forms_mod
 
     beta = forms_mod._beta
 
     def corrupt(w, D, step, delta, s0, size):
         bu, bv = beta(w, D, step, delta, s0, size)
-        if s0 == 20 and delta == 45:  # order 0 of degree 45
+        if s0 == 20 and delta == 45:  # the degree d = 45 of A
             bu += 1
         return bu, bv
 
@@ -189,7 +190,7 @@ def test_inexact_pole_sum_block_exit_3(capsys, monkeypatch):
                          "--n", "3")
     assert code == 3
     assert out == ""
-    assert err.startswith("integrality failure: order-0 pole-sum block at "
+    assert err.startswith("integrality failure: pole-sum block at "
                           "s0 = 20 is not an integer: ")
     assert len(err.splitlines()) == 1
 

@@ -393,7 +393,7 @@ def test_block_size_does_not_matter(monkeypatch, cell, block):
 
 
 def test_d_upto_called_once_per_eval_UVW(monkeypatch):
-    # one walk serves all three orders at the one scale L = lcm(1..d)
+    # one walk serves all three orders at the one scale L = lcm(1..bn)
     p = Params(k=6, a=1, b=13, n=5)
     want = _eval(p, quad_rat(x_point(6)))
     calls = []
@@ -404,29 +404,68 @@ def test_d_upto_called_once_per_eval_UVW(monkeypatch):
 
     monkeypatch.setattr(forms_mod, "d_upto", counting)
     assert _eval(p, quad_rat(x_point(6))) == want
-    assert calls == [p.degree]
+    assert calls == [p.b * p.n]
 
 
-@pytest.mark.parametrize("a,b,n", [(1, 7, 1), (1, 7, 3), (2, 23, 1),
-                                   (1, 13, 5)])
-def test_root_multiset_values_match_dense_derivatives(a, b, n):
-    # every value the walk yields, across both restarts and beyond bn, is
-    # L^r A^(r)(-m); below its first m, every value a transform sum reads
-    # is 0
-    p = Params(k=6, a=a, b=b, n=n)
+def _assert_walk_matches_dense(p):
+    """Every value the walk yields at L = lcm(1..bn), across both restarts
+    and beyond bn, is L^r A^(r)(-m); below its first m, every value a
+    transform sum reads is 0."""
     A = build_A(p)
     polys = [derivative(A, order) for order in range(3)]
-    L = d_upto(p.degree)
-    first = (b - 2 * a) * n + 1
-    last = 2 * a * n + p.degree - 1
+    L = d_upto(p.b * p.n)
+    first = (p.b - 2 * p.a) * p.n + 1
+    last = 2 * p.a * p.n + p.degree + 1
     got = list(_walk(p, L, last))
     assert len(got) == last - first + 1
     for m, u in zip(range(first, last + 1), got):
         assert [F(v, L**r) for r, v in enumerate(u)] == [q(-m) for q in polys]
     for m in range(1, first):
         for order in range(3):
-            if m > order * a * n:
+            if m > order * p.a * p.n:
                 assert polys[order](-m) == 0
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 7, 1), (1, 7, 3), (2, 23, 1),
+                                   (1, 13, 5)])
+def test_root_multiset_values_match_dense_derivatives(a, b, n):
+    _assert_walk_matches_dense(Params(k=6, a=a, b=b, n=n))
+
+
+_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+
+
+@st.composite
+def _small_cells(draw):
+    # any small cell, or one with n = 1 and b prime, so that bn, the
+    # largest root of A, is a prime that lcm(1..bn - 1) lacks
+    a = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return Params(k=1, a=a, b=draw(st.sampled_from(
+            [b for b in _PRIMES if b > 4 * a])), n=1)
+    b = 4 * a + 1 + 2 * draw(st.integers(0, 5))
+    return Params(k=1, a=a, b=b, n=draw(st.sampled_from([1, 3])))
+
+
+@given(_small_cells())
+@example(Params(k=1, a=1, b=5, n=1))
+@example(Params(k=1, a=3, b=23, n=1))
+@example(Params(k=1, a=2, b=19, n=3))
+@settings(max_examples=30, deadline=None)
+def test_walk_at_lcm_to_bn_is_integral(p):
+    # the scale lcm(1..bn) suffices: the walk never raises, and every value
+    # is the dense L^r A^(r)(-m)
+    _assert_walk_matches_dense(p)
+
+
+def test_walk_below_lcm_to_bn_raises():
+    # at lcm(1..bn - 1) the prime bn = 7 is missing from the scale, and the
+    # restart at m = 6 leaves L^2 A''(-6) = 240/7
+    p = Params(k=6, a=1, b=7, n=1)
+    with pytest.raises(IntegralityError) as got:
+        list(_walk(p, d_upto(p.b * p.n - 1), 2 * p.a * p.n + p.degree + 1))
+    assert got.value.quantity == "L^2 A^(2)(-6)"
+    assert F(*got.value.value) == F(240, 7)
 
 
 # ---------------------------------------------------------------------------
