@@ -9,21 +9,21 @@ x_k has t = (1 - sqrt(2k+1))/2, so every value lives in Q(sqrt(2k+1)) and is
 computed on int tuples (u, v, e, D) for (u + v sqrt(D))/e, the form the
 records hold them in too.  A of degree d is never expanded (the expanded A
 is the test oracle ``build_A`` of ``irrbounds.dense``): one walk over the
-integers m yields u_r(m) = L^r A^(r)(-m), r = 0, 1, 2, at one scale
+integers m yields v_r(m) = L^2 A^(r)(-m), r = 0, 1, 2, at one scale L^2,
 L = lcm(1..bn), and one transform recurrence takes it for all three r,
 streamed, in blocks (after Paterson and Stockmeyer, 1973): O(d)
 big-by-small operations and O(d/block) full-size products per form.
 
-Every u_r is an integer.  A is the product of three root blocks
+Every v_r is an integer.  A is the product of three root blocks
 R(y) = C(y + hi, cnt), cnt = hi - lo + 1 <= bn.  Each maps integers to
 integers, so R(y0 + y) = sum_{j<=cnt} c_j C(y, j) with integers c_j for
 each integer y0.  In this basis C(y, j)'(0) = (-1)^(j-1)/j and
 C(y, j)''(0) = 2 (-1)^j H_(j-1)/j, H the harmonic number, whose denominator
 divides lcm(1..j-1) j and so lcm(1..j)^2.  As j <= bn, L R'(y0) and
 L^2 R''(y0) are integers, and by the product rule so are L A'(y0), a sum
-of terms R' R R, and L^2 A''(y0), one of terms R'' R R and R' R' R.  The
-walk's harmonic sums read L/x and L^2/x^2 for x <= bn only, so they too
-are exact.
+of terms R' R R, and L^2 A''(y0), one of terms R'' R R and R' R' R; so
+L^2 A, L^2 A' and L^2 A'' are integers at every integer.  The walk's
+harmonic sums read L/x and L^2/x^2 for x <= bn only, so they too are exact.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _exact_div(num: int, den: int, where: str) -> int:
     return quo
 
 
-# -- L^r A^(r)(-m), r = 0, 1, 2, from one walk over m -------------------------
+# -- L^2 A^(r)(-m), r = 0, 1, 2, from one walk over m -------------------------
 
 def _root_blocks(params: Params) -> tuple[tuple[int, int], ...]:
     """The three root blocks (lo, hi) of A, innermost first: A(x) times its
@@ -100,15 +100,16 @@ def _ends(lo: int, hi: int, m: int) -> tuple[int, int]:
 
 
 def _restart(blocks, m: int, L: int, S1: dict, S2: dict) -> list[int]:
-    """The six states of ``_walk`` at m, from the root multiset.  With
-    den A(x) = (x + m)^mu R(x), den = prod cnt! over the blocks,
-    cnt = hi - lo + 1, and mu blocks holding m, den A^(r)(-m) is
+    """The three states of ``_walk`` at m, v_r = L^2 A^(r)(-m), from the root
+    multiset.  With den A(x) = (x + m)^mu R(x), den = prod cnt! over the
+    blocks, cnt = hi - lo + 1, and mu blocks holding m, den A^(r)(-m) is
     r!/(r-mu)! R^(r-mu)(-m) for r >= mu, else 0; at -m, R = q = prod (j - m)
     over the other roots, R'/R = h1, R''/R = h1^2 - h2, h_i = sum 1/(j-m)^i.
     A block holding m puts (-1)^(m-lo)/(cnt C(cnt-1, m-lo)) into q/den, one
     below m (-1)^cnt C(m-lo, cnt); h1, h2 come from S1 = L H, S2 = L^2 H2.
-    So u_r = C(r, mu) u_mu P_(r-mu), P = (1, L h1, L^2 (h1^2 - h2)): h2 is
-    read only where mu = 0, so only blocks below m add to it.
+    So L^r A^(r)(-m) = C(r, mu) u P_(r-mu), u = L^mu A^(mu)(-m) and
+    P = (1, L h1, L^2 (h1^2 - h2)), and v_r is L^(2-r) times it: h2 is read
+    only where mu = 0, so only blocks below m add to it.
     """
     mu, num, den, h1, h2 = 0, 1, 1, 0, 0
     for lo, hi in blocks:
@@ -122,13 +123,12 @@ def _restart(blocks, m: int, L: int, S1: dict, S2: dict) -> list[int]:
             num *= (-1) ** cnt * comb(f, cnt)
             h2 += S2[f] - S2[e]
     base = _exact_div(factorial(mu) * L**mu * num, den, f"L^{mu} A^({mu})(-{m})")
-    u0, u1, u2 = (comb(r, mu) * base * (1, h1, h1 * h1 - h2)[r - mu]
-                  if r >= mu else 0 for r in range(3))
-    return [u0, L * u0, L * L * u0, u1, L * u1, u2]
+    return [comb(r, mu) * base * (1, h1, h1 * h1 - h2)[r - mu] * L ** (2 - r)
+            if r >= mu else 0 for r in range(3)]
 
 
 def _walk(params: Params, L: int, last: int):
-    """(u0, u1, u2), u_r = L^r A^(r)(-m), for m = (b-2a)n + 1 .. last; below
+    """(v0, v1, v2), v_r = L^2 A^(r)(-m), for m = (b-2a)n + 1 .. last; below
     that m every value a transform sum reads is 0.  L = lcm(1..bn) makes
     every state an integer (see the module docstring); a smaller L fails.
 
@@ -136,11 +136,14 @@ def _walk(params: Params, L: int, last: int):
     A(x - 1) C(x) = A(x) E(x); with F(x) = A(x - 1) and its derivatives,
         F C = A E,   F' C = A' E + A E' - F C',
         F'' C = A'' E + 2 A' E' + A E'' - 2 F' C' - F C''.
-    At x = -m, F^(r) = A^(r)(-m-1).  Scaled by L^r, these step six integer
-    states, u0, L u0, L^2 u0, u1, L u1 and u2, from m to m + 1 by small
-    products and one exact division by C(-m) each (a remainder raises
-    ``IntegralityError``).  C(-m) = 0 at m = hi, so the walk starts and
-    restarts at each hi + 1, its harmonic sums all from one sweep.
+    At x = -m, F^(r) = A^(r)(-m-1).  Times L^2, with C, E and their
+    derivatives at -m, they step the three states from m to m + 1:
+        v0(m+1) = v0 E / C,
+        v1(m+1) = (v1 E + v0 E' - v0(m+1) C') / C,
+        v2(m+1) = (v2 E + 2 v1 E' + v0 E'' - 2 v1(m+1) C' - v0(m+1) C'') / C,
+    nine small products and three exact divisions by C(-m) (a remainder
+    raises ``IntegralityError``).  C(-m) = 0 at m = hi, so the walk starts
+    and restarts at each hi + 1, its harmonic sums all from one sweep.
     """
     blocks = _root_blocks(params)
     points = [hi + 1 for _, hi in blocks]
@@ -154,25 +157,21 @@ def _walk(params: Params, L: int, last: int):
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = blocks
     for m in range(points[0], last + 1):
         if m in points:
-            u0, la, l2a, u1, la1, u2 = _restart(blocks, m, L, S1, S2)
+            v0, v1, v2 = _restart(blocks, m, L, S1, S2)
         else:
             x1, x2, x3 = hi1 - m + 1, hi2 - m + 1, hi3 - m + 1
             y1, y2, y3 = lo1 - m, lo2 - m, lo3 - m
             C, C1, C2 = x1 * x2 * x3, x1 * x2 + (x1 + x2) * x3, 2 * (x1 + x2 + x3)
             E, E1, E2 = y1 * y2 * y3, y1 * y2 + (y1 + y2) * y3, 2 * (y1 + y2 + y3)
-            nla, r0 = divmod(la * E, C)
-            nl2a, r1 = divmod(l2a * E, C)
-            nla1, r2 = divmod(la1 * E + l2a * E1 - nl2a * C1, C)
-            u0, r3 = divmod(u0 * E, C)
-            u1, r4 = divmod(u1 * E + la * E1 - nla * C1, C)
-            u2, r5 = divmod(u2 * E + la1 * (2 * E1) + l2a * E2
-                            - nla1 * (2 * C1) - nl2a * C2, C)
-            if r0 or r1 or r2 or r3 or r4 or r5:
+            n0, r0 = divmod(v0 * E, C)
+            n1, r1 = divmod(v1 * E + v0 * E1 - n0 * C1, C)
+            n2, r2 = divmod(v2 * E + v1 * (2 * E1) + v0 * E2
+                            - n1 * (2 * C1) - n0 * C2, C)
+            if r0 or r1 or r2:
                 raise IntegralityError(f"shift-identity step to m = {m}", next(
-                    (q * C + r, C) for q, r in ((nla, r0), (nl2a, r1), (nla1, r2),
-                                                (u0, r3), (u1, r4), (u2, r5)) if r))
-            la, l2a, la1 = nla, nl2a, nla1
-        yield u0, u1, u2
+                    (q * C + r, C) for q, r in ((n0, r0), (n1, r1), (n2, r2)) if r))
+            v0, v1, v2 = n0, n1, n2
+        yield v0, v1, v2
 
 
 # -- the transform sums in O(d) big operations, and U, V, W -------------------
@@ -325,7 +324,8 @@ class UVWValues(Frozen):
 
     At z = x_k the radical parts of U and W and the rational part of V vanish
     identically: U, W and sqrt(2k+1)*V are rational there.  U, V, W and x
-    are int tuples (u, v, e, D), each (u + v sqrt(D))/e.
+    are int tuples (u, v, e, D), each (u + v sqrt(D))/e in the canonical form
+    of ``_canon``, so two values compare equal exactly when they are equal.
     """
 
     __slots__ = ("U", "V", "W", "params", "x")
@@ -345,8 +345,10 @@ def eval_UVW(params: Params, z: tuple[int, int, int, int]) -> UVWValues:
     shifts land the sums where the transform values are nonzero.  One
     ``_PoleSum`` at delta = d takes each value of one ``_walk`` at
     L = lcm(1..bn) as it comes, for all three, so the walk runs to
-    m = 2an + d + 1.  An inexact step raises ``IntegralityError`` naming m,
-    or s0 of a block and, for one order's block sum, the order.
+    m = 2an + d + 1; each order's sum is then divided by L^2, the walk's
+    scale, and U, V and W are returned in lowest terms.  An inexact step
+    raises ``IntegralityError`` naming m, or s0 of a block and, for one
+    order's block sum, the order.
     """
     (zu, zv, zd), D = _canon(*z), z[3]
     if not (zu or zv):
@@ -356,14 +358,14 @@ def eval_UVW(params: Params, z: tuple[int, int, int, int]) -> UVWValues:
     d, shift = params.degree, params.a * params.n
     L = d_upto(params.b * params.n)
     pole = _PoleSum.at(d, (zu, zv, zd), D)
-    # order r reads L^r A^(r)(-m) at m = 1 + r*shift + s, s = 0..d: the
+    # order r reads L^2 A^(r)(-m) at m = 1 + r*shift + s, s = 0..d: the
     # walk starts at m = (b-2a)n + 1 = d/3 + 1
     pole.run(chain(repeat((0, 0, 0), d // 3), _walk(params, L, 2 * shift + d + 1)),
              shift)
     # order r carries z^(r*shift - (bn+1)/2), a negative power as b > 4a
     iu, iv, ie = _canon(zd * zu, -zd * zv, zu * zu - D * zv * zv, D)
-    U, V, W = ((*_mul(_pow((iu, iv), e, D), pole.sums[r], D),
-                ie**e * L**r * pole.tdp, D)
+    U, V, W = ((*_canon(*_mul(_pow((iu, iv), e, D), pole.sums[r], D),
+                        ie**e * L * L * pole.tdp, D), D)
                for r in range(3) for e in [params.half_bn1 - r * shift])
     return UVWValues(U=U, V=V, W=W, params=params, x=(zu, zv, zd, D))
 

@@ -719,9 +719,9 @@ def _int_pair(x: QuadRat) -> tuple[int, int, int]:
 def fraction_uvw(params: Params, z: QuadRat) -> tuple:
     """(U, V, W) at z by the ``QuadRat`` formulas of eval_UVW before its int
     tuples: t = z/(z-1), the seeds of the one ``forms._PoleSum`` from
-    t^(d+1) and (1-z) t, and z^(r*an - (bn+1)/2) times the scaled sums; the
-    walk at L = lcm(1..bn), the blocks and the recurrence are the
-    package's own."""
+    t^(d+1) and (1-z) t, and z^(r*an - (bn+1)/2) times the sums, each
+    divided by L^2, the scale of the walk at L = lcm(1..bn); the walk, the
+    blocks and the recurrence are the package's own."""
     t = z / (z - QuadRat(1, 0, z.D))
     d, shift, L = params.degree, params.a * params.n, d_upto(params.b * params.n)
     zu, zv, zd = _int_pair(z)
@@ -737,7 +737,7 @@ def fraction_uvw(params: Params, z: QuadRat) -> tuple:
     pole.run(chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
                    _walk(params, L, 2 * shift + d + 1)), shift)
     return tuple(z ** (r * shift - params.half_bn1) * QuadRat(
-        Fraction(su, L**r * tdp), Fraction(sv, L**r * tdp), z.D)
+        Fraction(su, L * L * tdp), Fraction(sv, L * L * tdp), z.D)
         for r, (su, sv) in enumerate(pole.sums))
 
 

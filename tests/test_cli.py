@@ -195,10 +195,10 @@ def test_inexact_pole_sum_block_exit_3(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("state", range(6))
+@pytest.mark.parametrize("state", range(3))
 def test_corrupted_walk_state_exit_3(capsys, monkeypatch, state):
     # the walk restarts from the root multiset at m = bn + 1 = 22; one unit
-    # added to any of its six states there leaves the next step's division
+    # added to any of its three states there leaves the next step's division
     # by C(-22) with a remainder, which must end the run with one line
     import irrbounds.forms as forms_mod
 

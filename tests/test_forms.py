@@ -409,7 +409,7 @@ def test_d_upto_called_once_per_eval_UVW(monkeypatch):
 
 def _assert_walk_matches_dense(p):
     """Every value the walk yields at L = lcm(1..bn), across both restarts
-    and beyond bn, is L^r A^(r)(-m); below its first m, every value a
+    and beyond bn, is L^2 A^(r)(-m); below its first m, every value a
     transform sum reads is 0."""
     A = build_A(p)
     polys = [derivative(A, order) for order in range(3)]
@@ -419,17 +419,30 @@ def _assert_walk_matches_dense(p):
     got = list(_walk(p, L, last))
     assert len(got) == last - first + 1
     for m, u in zip(range(first, last + 1), got):
-        assert [F(v, L**r) for r, v in enumerate(u)] == [q(-m) for q in polys]
+        assert list(u) == [L * L * q(-m) for q in polys]
     for m in range(1, first):
         for order in range(3):
             if m > order * p.a * p.n:
                 assert polys[order](-m) == 0
 
 
-@pytest.mark.parametrize("a,b,n", [(1, 7, 1), (1, 7, 3), (2, 23, 1),
-                                   (1, 13, 5)])
+_WALK_CELLS = [(1, 7, 1), (1, 7, 3), (2, 23, 1), (1, 13, 5)]
+
+
+@pytest.mark.parametrize("a,b,n", _WALK_CELLS)
 def test_root_multiset_values_match_dense_derivatives(a, b, n):
     _assert_walk_matches_dense(Params(k=6, a=a, b=b, n=n))
+
+
+@pytest.mark.parametrize("a,b,n", _WALK_CELLS)
+def test_uvw_in_lowest_terms(a, b, n):
+    # U, V and W come back in _canon's form, so UVWValues compare by value;
+    # unreduced, V's denominator at (6, 1, 7, 3) has 95 bits, not 8
+    p = Params(k=6, a=a, b=b, n=n)
+    for z in (x_point(6), (1, 0, 2, 13)):
+        uvw = eval_UVW(p, z)
+        for value in (uvw.U, uvw.V, uvw.W):
+            assert (*forms_mod._canon(*value), value[3]) == value
 
 
 _PRIMES = (5, 7, 11, 13, 17, 19, 23)
@@ -454,7 +467,7 @@ def _small_cells(draw):
 @settings(max_examples=30, deadline=None)
 def test_walk_at_lcm_to_bn_is_integral(p):
     # the scale lcm(1..bn) suffices: the walk never raises, and every value
-    # is the dense L^r A^(r)(-m)
+    # is the dense L^2 A^(r)(-m)
     _assert_walk_matches_dense(p)
 
 
