@@ -5,12 +5,10 @@ Each name loads its module on first access (PEP 562), so a process imports
 only the layers it uses: the bound commands never load ``forms``."""
 
 _EXPORTS = {
-    "asymptotics": ("alpha_value", "digamma", "k_constants", "saddle_complex",
-                    "saddle_real"),
+    "asymptotics": ("digamma", "k_constants", "saddle_complex", "saddle_real"),
     "errors": ("CertificateError", "DomainError", "IntegralityError",
                "NonApplicableError", "PrecisionError", "SieveCapacityError"),
     "exact_arith": ("Params", "PrimeSieve", "d_upto"),
-    "dense": ("IntPoly", "build_A", "derivative"),
     "forms": ("IntegerForms", "UVWValues", "VerificationRow", "eval_UVW",
               "scaled_integer_forms", "verify_forms", "x_point"),
     "measures": ("BoundResult", "headline_table", "mu2_bound", "mu_bound",

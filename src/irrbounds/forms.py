@@ -184,18 +184,6 @@ def _walk(params: Params, L: int, last: int):
 _BLOCK = 64
 
 
-def _beta(w: tuple[int, int], D: int, step: int, delta: int, s0: int,
-          size: int) -> tuple[int, int]:
-    """beta_size of ``_PoleSum``, an integer pair; nk is n_i step^(i-1)."""
-    wu, wv = w
-    bu, bv, nk = 0, 0, 1
-    for r in range(s0 + 1, s0 + size + 1):
-        nk *= delta + 2 - r
-        bu, bv = bu * (wu * r) + bv * (D * wv * r) + nk, bu * (wv * r) + bv * (wu * r)
-        nk *= step
-    return bu, bv
-
-
 def _combine(c, g: tuple[int, int], k: tuple[int, int], D: int, den: int,
              where: str) -> tuple[int, int]:
     """(alpha g - beta k)/den as an integer pair, alpha = c[0] + c[1] sqrt(D),
@@ -206,6 +194,17 @@ def _combine(c, g: tuple[int, int], k: tuple[int, int], D: int, den: int,
     return (_exact_div(p - r + D * (q - s), den, where),
             _exact_div((au + av) * (gu + gv) - p - q
                        - (bu + bv) * (ku + kv) + r + s, den, where))
+
+
+def _horner(values, rows, lead: int, h: int = 0) -> tuple[int, int, int, int]:
+    """(X, Y) of ``_PoleSum`` as two integer pairs, X = H_0 and
+    Y = lead K_1, from the two Horner passes over ``values`` and their
+    ``rows`` of multipliers, both last first, from H = h above the top row."""
+    hu, hv, ku, kv = h, 0, 0, 0
+    for v, (p, q, x, mu, y) in zip(values, rows):
+        ku, kv = hu + y * ku, hv + y * kv
+        hu, hv = hu * p + hv * q + v * mu, hu * x + hv * p
+    return hu, hv, lead * ku, lead * kv
 
 
 class _PoleSum:
@@ -232,11 +231,18 @@ class _PoleSum:
     (delta+2-r) for r = s0+1..s0+i.  So a block's terms add up to
     (X g_s0 - Y k_s0)/E, E = eps_(B-1), with X = sum_i c_i alpha_i mu_i and
     Y = sum_i c_i beta_i mu_i, c_i = (-1)^s v_s at s = s0 + i and
-    mu_i = E/eps_i.  Two descending Horner passes make them from small
-    multipliers and one mu_i per value: from H_B = K_B = 0,
+    mu_i = E/eps_i.  Two descending Horner passes (:func:`_horner`) make
+    them from small multipliers and one mu_i per value: from H_B = K_B = 0,
         H_i = H_(i+1) W (s0+i+1) + c_i mu_i,
         K_i = H_i + (delta+1-s0-i) step K_(i+1),
     X = H_0 and Y = (delta+1-s0) K_1, as Y = sum_(i>=1) n_i step^(i-1) H_i.
+    The same passes advance g: g_(s0+B) is the sum of the one value c_B = 1
+    just past the block, with mu_B = 1 over eps_B = E step (s0+B).  Its
+    row's multipliers meet only H = K = 0, so the passes over the block's
+    own rows, started from H_B = c_B mu_B = 1, give X = alpha_B and
+    Y = beta_B; a row of its own in the block would put the factor
+    step (s0+B) into every mu_i of the block's sums.  k advances by
+    C(delta+1, s0+B)/C(delta+1, s0).
     Order r reads its block r shift values after order 0: each order forms
     its (X, Y) as its block fills, from the block's multipliers, and order 2
     combines all three with g and k, which then advance by i = B.  Every g_s,
@@ -245,22 +251,19 @@ class _PoleSum:
     order where it is one order's sum.
     """
 
-    __slots__ = ("delta", "D", "w", "step", "w_block", "step_block", "tdp",
-                 "g", "k", "open", "sums")
+    __slots__ = ("delta", "D", "w", "step", "tdp", "g", "k", "open", "sums")
 
     def __init__(self, delta: int, common, tdp: int, g, k):
-        # common = (D, W, step, W^B, step^B), tdp = td^(delta+1)
+        # common = (D, W, step), tdp = td^(delta+1)
         self.delta, self.tdp, self.g, self.k = delta, tdp, g, k
-        self.D, self.w, self.step, self.w_block, self.step_block = common
+        self.D, self.w, self.step = common
         self.open, self.sums = {}, [(0, 0)] * 3
 
     @classmethod
     def at(cls, delta: int, z: tuple, D: int) -> _PoleSum:
-        """The sum at z = (zu + zv sqrt(D))/zd, with one W^B and step^B for
-        every advance (alpha_B = W^B rise and eps_B = step^B rise,
-        rise = (s0+B)!/s0!).  With T = t td, as (1 - z) t = -z, the seeds
-        are g_0 = z (T^(delta+1) - td^(delta+1)) and
-        k_0 = -z zd td T^(delta+1)."""
+        """The sum at z = (zu + zv sqrt(D))/zd.  With T = t td, as
+        (1 - z) t = -z, the seeds are g_0 = z (T^(delta+1) - td^(delta+1))
+        and k_0 = -z zd td T^(delta+1)."""
         zu, zv, zd = z
         tu, tv, td = _canon(*_mul((zu, zv), (zu - zd, -zv), D),
                             (zu - zd) ** 2 - D * zv * zv, D)
@@ -268,8 +271,7 @@ class _PoleSum:
         ku, kv = _mul((zu, zv), _pow((tu, tv), delta + 1, D), D)
         g0 = (_exact_div(ku - zu * tdp, zd, "pole-sum seed"),
               _exact_div(kv - zv * tdp, zd, "pole-sum seed"))
-        return cls(delta, (D, w, step, _pow(w, _BLOCK, D), step ** _BLOCK),
-                   tdp, g0, (-ku * td, -kv * td))
+        return cls(delta, (D, w, step), tdp, g0, (-ku * td, -kv * td))
 
     def run(self, values, shift: int) -> None:
         """Order r reads the r-th entry of the i-th of ``values`` as v_s,
@@ -285,37 +287,36 @@ class _PoleSum:
                         buf.clear()
 
     def _block(self, r: int, s0: int, buf: list) -> None:
-        D, step, delta = self.D, self.step, self.delta
+        D, step, delta, size = self.D, self.step, self.delta, len(buf)
+        lead = delta + 1 - s0
         if not r:  # the multipliers of H and K per value, last value first
             (wu, wv), rows, mu = self.w, [], 1
-            for s in range(s0 + len(buf) - 1, s0 - 1, -1):
+            for s in range(s0 + size - 1, s0 - 1, -1):
                 f = s + 1
                 rows.append((wu * f, D * wv * f, wv * f, -mu if s & 1 else mu,
                              (delta - s) * step))
                 e, mu = mu, mu * step * s
             self.open[s0] = [e, rows]
         entry = self.open[s0]
-        hu = hv = ku = kv = 0
-        if any(buf):
-            for v, (p, q, x, mu, y) in zip(reversed(buf), entry[1]):
-                ku, kv = hu + y * ku, hv + y * kv
-                hu, hv = hu * p + hv * q + v * mu, hu * x + hv * p
-        entry.append((hu, hv, (delta + 1 - s0) * ku, (delta + 1 - s0) * kv))
+        entry.append(_horner(reversed(buf), entry[1], lead) if any(buf)
+                     else (0, 0, 0, 0))
         if r < 2:
             return
-        e, _, *hks = self.open.pop(s0)
+        e, rows, *hks = self.open.pop(s0)
         for order, hk in enumerate(hks):
             pair = _combine(hk, self.g, self.k, D, e,
                             f"order-{order} pole-sum block at s0 = {s0}")
             self.sums[order] = [x + y for x, y in zip(self.sums[order], pair)]
-        size, where = len(buf), f"pole-sum block at s0 = {s0}"
         if s0 + size <= delta:
-            rise = prod(range(s0 + 1, s0 + size + 1))
-            row = (*(x * rise for x in self.w_block),
-                   *_beta(self.w, D, step, delta, s0, size))
-            self.g = _combine(row, self.g, self.k, D, self.step_block * rise, where)
+            # g_(s0+B): the block sum of the unit value c_B = 1 just past
+            # the block, from H_B = c_B mu_B = 1, over eps_B
+            where = f"pole-sum block at s0 = {s0}"
+            unit = _horner(repeat(0), rows, lead, 1)
+            self.g = _combine(unit, self.g, self.k, D, e * step * (s0 + size),
+                              where)
             # k_(s0+B) = k_s0 C(delta+1, s0+B)/C(delta+1, s0)
-            num = prod(range(delta + 2 - s0 - size, delta + 2 - s0))
+            rise = prod(range(s0 + 1, s0 + size + 1))
+            num = prod(range(delta + 2 - s0 - size, lead + 1))
             self.k = tuple(_exact_div(x * num, rise, where) for x in self.k)
 
 

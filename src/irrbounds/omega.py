@@ -73,7 +73,11 @@ def _member(table, num: int, den: int) -> bool:
 
 def omega_contains(a: int, b: int, y: tuple[int, int]) -> bool:
     """Pointwise membership test (the authoritative one for prime products)
-    of the exact rational y, an int pair (num, den), den > 0."""
+    of the exact rational y, an int pair (num, den), den > 0; any y, also
+    outside [0, 1).  DomainError for den <= 0 or (a, b) outside the domain."""
+    _validate_ab(a, b)
+    if y[1] <= 0:
+        raise DomainError(f"need a denominator > 0, got y = {y[0]}/{y[1]}")
     return _member(_mod_table(a, b), *y)
 
 

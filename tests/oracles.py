@@ -60,7 +60,6 @@ from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
 from irrbounds.asymptotics import guard_digits
 from irrbounds.exact_arith import Frozen, Params, PrimeSieve, d_upto, format_int
-from irrbounds import forms
 from irrbounds.fixed import Ball, prec_of
 from irrbounds.errors import IntegralityError
 from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
@@ -726,19 +725,42 @@ def fraction_uvw(params: Params, z: QuadRat) -> tuple:
     d, shift, L = params.degree, params.a * params.n, d_upto(params.b * params.n)
     zu, zv, zd = _int_pair(z)
     td = _int_pair(t)[2]
-    w, step = (-zu * td, -zv * td), zd * td
-    w_block = QuadRat(*w, z.D) ** forms._BLOCK
-    common = (z.D, w, step, (int(w_block.u), int(w_block.v)),
-              step ** forms._BLOCK)
+    common = (z.D, (-zu * td, -zv * td), zd * td)
     zt, tdp = (1 - z) * t, td ** (d + 1)
     top = zt * t ** (d + 1) * tdp
-    g0, k = zt * tdp - top, top * step
+    g0, k = zt * tdp - top, top * zd * td
     pole = _PoleSum(d, common, tdp, (int(g0.u), int(g0.v)), (int(k.u), int(k.v)))
     pole.run(chain(repeat((0, 0, 0), (params.b - 2 * params.a) * params.n),
                    _walk(params, L, 2 * shift + d + 1)), shift)
     return tuple(z ** (r * shift - params.half_bn1) * QuadRat(
         Fraction(su, L * L * tdp), Fraction(sv, L * L * tdp), z.D)
         for r, (su, sv) in enumerate(pole.sums))
+
+
+def stepped_pole_sums(delta: int, z: tuple[int, int, int], D: int, values,
+                      shift: int) -> list[tuple[int, int]]:
+    """The three sums S_r = sum_s (-1)^s v_r(s) g_s of ``forms._PoleSum``
+    by their definition, one s at a time and in no blocks: from the seeds
+    of ``_PoleSum.at``, k_(s+1) = k_s (delta+1-s)/(s+1) and
+    g_(s+1) = (W g_s - k_(s+1))/step, each step checked exact; v_r(s) is
+    the r-th entry of ``values[s + r shift]``, as ``_PoleSum.run`` reads."""
+    pole = _PoleSum.at(delta, z, D)
+    (wu, wv), step, g, k = pole.w, pole.step, pole.g, pole.k
+
+    def exact(num: int, den: int) -> int:
+        quo, rem = divmod(num, den)
+        assert not rem, f"the step to s = {s + 1} is not exact"
+        return quo
+
+    sums = [(0, 0)] * 3
+    for s in range(delta + 1):
+        for r in range(3):
+            c = (-1) ** s * values[s + r * shift][r]
+            sums[r] = (sums[r][0] + c * g[0], sums[r][1] + c * g[1])
+        k = tuple(exact(x * (delta + 1 - s), s + 1) for x in k)
+        g = (exact(wu * g[0] + D * wv * g[1] - k[0], step),
+             exact(wu * g[1] + wv * g[0] - k[1], step))
+    return sums
 
 
 def scaling_factors(params: Params) -> tuple[Fraction, Fraction, Fraction]:

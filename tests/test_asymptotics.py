@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrbounds import (DomainError, NonApplicableError, PrecisionError,
-                       alpha_value, digamma, k_constants, saddle_complex,
-                       saddle_real)
+                       digamma, k_constants, saddle_complex, saddle_real)
 from irrbounds import asymptotics
-from irrbounds.asymptotics import _eval_cubic, _real_cubic_coeffs
+from irrbounds.asymptotics import _eval_cubic, _real_cubic_coeffs, alpha_value
 from irrbounds.fixed import Ball, certify
 from irrbounds.measures import _x_numeric, mu_bound
 from oracles import (cubic_roots_cardano, m_rate_nine_logs, pair,

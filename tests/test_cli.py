@@ -169,23 +169,22 @@ def test_huge_integrality_failure_exit_3(capsys, monkeypatch):
 
 def test_inexact_pole_sum_block_exit_3(capsys, monkeypatch):
     # with blocks of 4, the order-0 block at s0 = 20 holds the first nonzero
-    # values A(-m), m > bn = 21; one corrupted coefficient there, the
-    # rational part of the beta_4 that advances the shared g past the
-    # block, leaves the block's division by eps_4 with a remainder, which
-    # must end the run with one line; the advance serves all three orders,
-    # so the message names the block alone
+    # values A(-m), m > bn = 21; one unit added to the rational part of the
+    # alpha_4 that advances the shared g past the block, the X of the unit
+    # value's block sum, leaves the advance's division by eps_4 with a
+    # remainder, which must end the run with one line; the advance serves
+    # all three orders, so the message names the block alone
     import irrbounds.forms as forms_mod
 
-    beta = forms_mod._beta
+    combine = forms_mod._combine
 
-    def corrupt(w, D, step, delta, s0, size):
-        bu, bv = beta(w, D, step, delta, s0, size)
-        if s0 == 20 and delta == 45:  # the degree d = 45 of A
-            bu += 1
-        return bu, bv
+    def corrupt(c, g, k, D, den, where):
+        if where == "pole-sum block at s0 = 20":
+            c = (c[0] + 1, *c[1:])
+        return combine(c, g, k, D, den, where)
 
     monkeypatch.setattr(forms_mod, "_BLOCK", 4)
-    monkeypatch.setattr(forms_mod, "_beta", corrupt)
+    monkeypatch.setattr(forms_mod, "_combine", corrupt)
     code, out, err = run(capsys, "verify", "--k", "6", "--a", "1", "--b", "7",
                          "--n", "3")
     assert code == 3

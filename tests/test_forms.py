@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction as F
 from functools import lru_cache
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -10,12 +12,12 @@ from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, IntegralityError
 import irrbounds.forms as forms_mod
 from irrbounds.exact_arith import Params, d_upto
-from irrbounds.forms import (IntegerForms, UVWValues, _root_blocks, _walk,
-                             eval_UVW, scaled_integer_forms, x_point)
+from irrbounds.forms import (IntegerForms, UVWValues, _PoleSum, _root_blocks,
+                             _walk, eval_UVW, scaled_integer_forms, x_point)
 from oracles import (QuadRat, _radical_sum, _transform_nums,
                      fraction_integer_forms, fraction_uvw, quad_rat, quad_tuple,
                      scaling_factors, series_uvw, shift_poly,
-                     tail_transform_coeffs)
+                     stepped_pole_sums, tail_transform_coeffs)
 from irrbounds.omega import delta_products
 
 
@@ -390,6 +392,39 @@ def test_block_size_does_not_matter(monkeypatch, cell, block):
         assert any(_first_value(p, order) % block for order in range(3))
     monkeypatch.setattr(forms_mod, "_BLOCK", block)
     assert _eval(p, quad_rat(x_point(p.k))) == _dense_at_x(*cell)
+
+
+# (delta, shift, k, z): z = x_k, or a random rational at D = 2k + 1
+_POLE_CASES = [(12, 0, 6, "x"), (12, 5, 6, "q"), (25, 1, 4, "x"),
+               (25, 9, 8, "q"), (40, 9, 8, "x"), (40, 0, 12, "q")]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, "d", "d+1", "d+2"])
+@pytest.mark.parametrize("case", _POLE_CASES,
+                         ids=["-".join(map(str, c)) for c in _POLE_CASES])
+def test_pole_sum_matches_its_definition(monkeypatch, case, block):
+    # 40-digit random values, which the walk never supplies (its leading
+    # values are zero), summed in blocks against the one-step recurrence:
+    # one value per block, a few, a last block cut short at delta, and one
+    # block over all delta + 1 values or more, which takes no advance
+    delta, shift, k, kind = case
+    rng = random.Random(repr(case))
+    D = 2 * k + 1
+    if kind == "x":
+        z = x_point(k)[:3]
+    else:
+        num = rng.randrange(2, 10**6)
+        den = num + rng.choice([-1, 1]) * rng.randrange(1, num)  # z != 0, 1
+        g = gcd(num, den)
+        z = (rng.choice([-1, 1]) * num // g, 0, den // g)
+    values = [tuple(rng.randrange(-10**40, 10**40) for _ in range(3))
+              for _ in range(delta + 1 + 2 * shift)]
+    size = {"d": delta, "d+1": delta + 1, "d+2": delta + 2}.get(block, block)
+    want = stepped_pole_sums(delta, z, D, values, shift)
+    monkeypatch.setattr(forms_mod, "_BLOCK", size)
+    pole = _PoleSum.at(delta, z, D)
+    pole.run(values, shift)
+    assert [tuple(x) for x in pole.sums] == want
 
 
 def test_d_upto_called_once_per_eval_UVW(monkeypatch):

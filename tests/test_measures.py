@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import (alpha_value, asymptotics, forms, headline_table,
-                       measures, mu2_bound, mu_bound, omega, predicted_decay,
+from irrbounds import (asymptotics, forms, headline_table, measures,
+                       mu2_bound, mu_bound, omega, predicted_decay,
                        search_params, verify_forms)
+from irrbounds.asymptotics import alpha_value
 from irrbounds.errors import NonApplicableError, PrecisionError
 from irrbounds.exact_arith import grid_cells, grid_size
 from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, is_degenerate

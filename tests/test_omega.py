@@ -94,6 +94,16 @@ def test_omega_avoids_low_interval():
         assert not omega_contains(a, b, (1, 2 * b))
 
 
+@pytest.mark.parametrize("a,b,y", [(1, 7, (1, 0)), (1, 7, (1, -3)),
+                                   (1, 3, (1, 2))],
+                         ids=["den-0", "den-negative", "b-below-4a"])
+def test_omega_contains_rejects_what_compute_omega_rejects(a, b, y):
+    # a zero or negative denominator, or an (a, b) that compute_omega
+    # refuses, is a DomainError, not a ZeroDivisionError or an answer
+    with pytest.raises(DomainError):
+        omega_contains(a, b, y)
+
+
 def test_omega_dense_grid_17():
     omega = omega_intervals(1, 7)
     assert grid_discrepancies(1, 7, 5040, omega) == 0
