@@ -36,14 +36,13 @@ from .errors import (CertificateError, IntegralityError, NonApplicableError,
 # 0.12-0.15 s at 500 digits and table --paper 0.20-0.22 s.
 MIN_DIGITS = 30
 MAX_DIGITS = 500
-# largest total form degree, the sum of d = 3(b-2a)n over the --n list, that
-# verify accepts.  eval_UVW costs about d^2.1: 0.03 s at d = 1023 and 3.1 s at
-# d = 9999 in-process on a shared 2-core machine.  As b > 4a, it also keeps
-# each prime sieve below b*n < 2d/3.
-MAX_VERIFY_DEGREE = 10_000
-# largest total degree times the bit length of k that verify accepts.  The
-# degree cap alone does not bound the forms, as k is otherwise uncapped and
-# bits(P) grows by about d/3 per bit of k.  Per process on the same machine,
+# largest total form degree, the sum of d = 3(b-2a)n over the --n list,
+# times the larger of 20 and the bit length of k, that verify accepts.  So
+# the total degree is at most 10,000: eval_UVW costs about d^2.1, 0.03 s at
+# d = 1023 and 3.1 s at d = 9999 in-process on a shared 2-core machine, and
+# as b > 4a each prime sieve stays below b*n < 2d/3.  Past 20 bits the
+# product caps the forms, as bits(P) grows by about d/3 per bit of k and k
+# is otherwise uncapped.  Per process on the same machine,
 # verify --a 1 --b 13 --quadratic --format json gives bits(P) and time
 #   d = 1023 (--n 31), k = 8 / 10^20 / 10^51 / 10^100 / 10^300:
 #     2,588 / 24,208 / 59,324 / 114,830 / 341,385 bits, 0.16 / 0.36 / 1.0
@@ -55,7 +54,7 @@ MAX_VERIFY_DEGREE = 10_000
 # with a peak of 16-17 MB, so at a fixed product the largest d costs most.
 # At the cap, d = 1023 / 3333 / 9999 admit k of up to 195 / 60 / 20 bits
 # and take 1.2 / 2.6 / 8.7 s (bits(P) 68,388 / 72,752 / 84,881), at most
-# 2.5 times the 3.6 s of the degree cap at k = 8; k = 10^51 at n = 31 is
+# 2.5 times the 3.6 s of d = 9999 at k = 8; k = 10^51 at n = 31 is
 # 173,910.
 MAX_VERIFY_DEGREE_BITS = 200_000
 # largest number of (a, b) cells that search accepts.  With --a-max 1 the
@@ -208,15 +207,11 @@ def cmd_verify(args) -> int:
     if not ns:
         raise UsageError("empty --n list")
     degree = sum(Params(k=k, a=a, b=b, n=n).degree for n in ns)
-    if degree > MAX_VERIFY_DEGREE:
-        raise UsageError(
-            f"the forms for --n {args.n} have total degree {degree}, above "
-            f"the cap {MAX_VERIFY_DEGREE} on the sum of 3(b-2a)n")
-    if degree * k.bit_length() > MAX_VERIFY_DEGREE_BITS:
+    if degree * max(20, k.bit_length()) > MAX_VERIFY_DEGREE_BITS:
         raise UsageError(
             f"the forms for --n {args.n} have total degree {degree} and --k "
-            f"has {k.bit_length()} bits, a product above the cap "
-            f"{MAX_VERIFY_DEGREE_BITS}")
+            f"has {k.bit_length()} bits: the degree times the larger of 20 and "
+            f"the bits is above the cap {MAX_VERIFY_DEGREE_BITS}")
     # forms, the largest module, is compiled first, while the heap is
     # smallest: that keeps the process's peak down
     from .forms import verify_forms

@@ -58,11 +58,10 @@ def sqrt_bounds(d: int, digits: int):
 class Frozen:
     """Base of the package's immutable records: a subclass lists its fields
     in ``__slots__``, set once, by position or keyword.  Equality and hash go
-    by the tuple of fields, and the repr leaves out those in ``_hidden``: a
-    frozen dataclass without the start-up cost of ``dataclasses``."""
+    by the tuple of fields, which the repr shows: a frozen dataclass without
+    the start-up cost of ``dataclasses``."""
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -97,7 +96,7 @@ class Frozen:
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self.__slots__ if name not in self._hidden)
+                          for name in self.__slots__)
         return f"{type(self).__name__}({shown})"
 
 

@@ -339,7 +339,8 @@ class UVWValues(Frozen):
 
 def eval_UVW(params: Params, z: tuple[int, int, int, int]) -> UVWValues:
     """Evaluate U, V, W exactly at z (z != 0, 1) via the finite closed forms;
-    z is an int tuple (u, v, e, D), e != 0 and D >= 1, as :func:`x_point`.
+    z is an int tuple (u, v, e, D), e != 0 and D >= 1 (else ``DomainError``),
+    as :func:`x_point`.
 
     U uses the transform of A itself; V the transform of A'(. - an) with the
     extra z^{an} factor; W the transform of A''(. - 2an) with z^{2an}: the
@@ -351,6 +352,8 @@ def eval_UVW(params: Params, z: tuple[int, int, int, int]) -> UVWValues:
     raises ``IntegralityError`` naming m, or s0 of a block and, for one
     order's block sum, the order.
     """
+    if not z[2] or z[3] < 1:
+        raise DomainError("z = (u + v sqrt(D))/e needs e != 0 and D >= 1")
     (zu, zv, zd), D = _canon(*z), z[3]
     if not (zu or zv):
         raise DomainError("z = 0 is outside the domain of U, V, W")
@@ -377,34 +380,34 @@ class IntegerForms(Frozen):
     """The integer coefficient pairs of the linear and quadratic forms.
 
     ell_n = P*alpha_k + Q and m_n = X*alpha_k^2 + Z are exponentially small;
-    Y pairs with X in the intermediate linear form X*alpha_k + Y.  A, B, C
-    are the three directly scaled integers (R*U, S*(d/Delta)*sqrt(D)*V and
-    T*d'*Delta1*(d/Delta)*W); P..Z are assembled from the same ingredients.
+    Y pairs with X in the intermediate linear form X*alpha_k + Y.
     """
 
-    __slots__ = ("n", "P", "Q", "X", "Y", "Z", "A", "B", "C", "delta",
-                 "delta1", "d_bn", "d_b2an")
-    _hidden = ("delta", "delta1", "d_bn", "d_b2an")
+    __slots__ = ("n", "P", "Q", "X", "Y", "Z")
     n: int
     P: int
     Q: int
     X: int
     Y: int
     Z: int
-    A: int
-    B: int
-    C: int
-    delta: int
-    delta1: int
-    d_bn: int
-    d_b2an: int
 
 
-def scaled_integer_forms(params: Params, uvw: UVWValues,
-                         delta: int, delta1: int) -> IntegerForms:
-    """Scale the exact U, V, W at x_k into the integer form coefficients;
-    a fractional result aborts with the offending name, never rounded."""
-    *x, D = x_point(params.k)
+def scaled_integer_forms(uvw: UVWValues) -> IntegerForms:
+    """Scale the exact U, V, W at x_k into the integer form coefficients of
+    the cell ``uvw.params``, with that cell's (Delta, Delta1) from
+    ``delta_products``; a fractional result aborts with the offending name,
+    never rounded.
+
+    With R, S, T the normalizing factors, dd = d_bn/Delta and d' = d_(b-2a)n,
+    three integers are divided out exactly, in the order the checks report:
+        A = R U,  B = S dd sqrt(D) V,  C = T d' Delta1 dd W.
+    As S = R base^(an) and T = S base^(an), every other field is a product:
+    with t = base^(an) d' Delta1,
+        P = A base^(an) dd,  X = P t,  Y = -B t,  Q = -B,  Z = -D C.
+    """
+    params = uvw.params
+    k, a, b, n = params.k, params.a, params.b, params.n
+    *x, D = x_point(k)
     *z, zD = uvw.x
     if z != x or z[1] and zD != D:
         raise DomainError("integer forms are defined only at the point x_k")
@@ -417,32 +420,27 @@ def scaled_integer_forms(params: Params, uvw: UVWValues,
         if v:
             raise IntegralityError(f"radical part of {name}", (v, e))
 
-    # the normalizing factors R, S, T for k even / odd, int pairs in lowest terms
-    k, a, b, n = params.k, params.a, params.b, params.n
+    # R, S, T = top/base^e for e = (cn+1)/2, c = b, b-2a, b-4a, for k even /
+    # odd: their denominators are td base^(2an), td base^(an) and td
     top, base = ((1, k // 2) if k % 2 == 0
                  else (2 ** ((3 * (b - 2 * a) * n + 1) // 2), k))
-    R, S, T = ((top, base ** ((c * n + 1) // 2)) for c in (b, b - 2 * a, b - 4 * a))
-    d_bn, d_b2an = d_upto(b * n), d_upto((b - 2 * a) * n)
-    dd = _exact_div(d_bn, delta, "d_bn/Delta")
-    (rn, rd), (sn, sd), (tn, td) = R, S, T
-    sn, tn = sn * dd, tn * d_b2an * delta1 * dd
-    # in the order the checks report: A, B, C, then P, X, Y; Q = -B and
-    # Z = -D C share their numerators and denominators, so cannot fail
-    A, B, C, P, X, Y = (_exact_div(num, den, name) for num, den, name in (
-        (rn * uu, rd * ue, "R*U(x_k)"),
-        (sn * sq, sd * ve, "S*(d/Delta)*sqrt(D)*V(x_k)"),
-        (tn * wu, td * we, "T*d'*Delta1*(d/Delta)*W(x_k)"),
-        (sn * uu, sd * ue, "P"), (tn * uu, td * ue, "X"),
-        (-tn * sq, td * ve, "Y")))
-    return IntegerForms(n=n, P=P, Q=-B, X=X, Y=Y, Z=-D * C, A=A, B=B, C=C,
-                        delta=delta, delta1=delta1, d_bn=d_bn, d_b2an=d_b2an)
+    rise, td = base ** (a * n), base ** (((b - 4 * a) * n + 1) // 2)
+    sd = td * rise
+    delta, delta1 = delta_products(params)
+    dd = _exact_div(d_upto(b * n), delta, "d_bn/Delta")
+    d1 = d_upto((b - 2 * a) * n) * delta1
+    A = _exact_div(top * uu, sd * rise * ue, "R*U(x_k)")
+    B = _exact_div(top * dd * sq, sd * ve, "S*(d/Delta)*sqrt(D)*V(x_k)")
+    C = _exact_div(top * d1 * dd * wu, td * we, "T*d'*Delta1*(d/Delta)*W(x_k)")
+    P, t = A * rise * dd, rise * d1
+    return IntegerForms(n=n, P=P, Q=-B, X=P * t, Y=-B * t, Z=-D * C)
 
 
 # -- finite-n verification harness --------------------------------------------
 
 class VerificationRow(Frozen):
     __slots__ = ("n", "P", "Q", "X", "Y", "Z", "ell", "m", "decay_linear",
-                 "decay_quadratic", "forms")
+                 "decay_quadratic")
     n: int
     P: int
     Q: int
@@ -453,7 +451,6 @@ class VerificationRow(Frozen):
     m: Ball
     decay_linear: Ball
     decay_quadratic: Ball
-    forms: IntegerForms
 
 
 # passes of the alpha-enclosure loop before a form counts as unresolved
@@ -540,16 +537,14 @@ def verify_forms(k: int, a: int, b: int, n_list,
     rows = []
     for n in n_list:
         params = Params(k=k, a=a, b=b, n=n)
-        uvw = eval_UVW(params, x_point(k))
-        delta, delta1 = delta_products(params)
-        forms = scaled_integer_forms(params, uvw, delta, delta1)
+        forms = scaled_integer_forms(eval_UVW(params, x_point(k)))
         ell, m = _alpha_combinations(
             k, [[(forms.P, 1), (forms.Q, 0)], [(forms.X, 2), (forms.Z, 0)]], digits)
         prec = prec_of(digits + 10)
         rows.append(VerificationRow(
             n=n, P=forms.P, Q=forms.Q, X=forms.X, Y=forms.Y, Z=forms.Z,
             ell=ell, m=m, decay_linear=abs(ell).log(prec).div(n, prec),
-            decay_quadratic=abs(m).log(prec).div(n, prec), forms=forms))
+            decay_quadratic=abs(m).log(prec).div(n, prec)))
     return rows
 
 

@@ -786,7 +786,9 @@ def _as_int(value: Fraction, quantity: str) -> int:
 def fraction_integer_forms(params: Params, U: QuadRat, V: QuadRat,
                            W: QuadRat, delta: int, delta1: int) -> dict:
     """The fields of scaled_integer_forms at x_k by its ``Fraction``
-    formulas before the int tuples, checks and their order included."""
+    formulas before the int tuples, checks and their order included: every
+    field is scaled directly, and A, B, C, the integers the package divides
+    out, are checked first, though not returned."""
     k, a, b, n = params.k, params.a, params.b, params.n
     D = 2 * k + 1
     sqV = QuadRat.sqrt_d(D) * V
@@ -800,13 +802,11 @@ def fraction_integer_forms(params: Params, U: QuadRat, V: QuadRat,
     if dd.denominator != 1:
         raise IntegralityError("d_bn/Delta", pair(dd))
     scale = T * d_b2an * delta1 * dd
-    fields = {"A": _as_int(R * U.u, "R*U(x_k)"),
-              "B": _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)"),
-              "C": _as_int(scale * W.u, "T*d'*Delta1*(d/Delta)*W(x_k)"),
-              "P": _as_int(S * dd * U.u, "P"),
-              "Q": _as_int(-S * dd * sqV.u, "Q"),
-              "X": _as_int(scale * U.u, "X"),
-              "Y": _as_int(-scale * sqV.u, "Y"),
-              "Z": _as_int(-scale * D * W.u, "Z")}
-    return {"n": n, **fields, "delta": delta, "delta1": delta1, "d_bn": d_bn,
-            "d_b2an": d_b2an}
+    _as_int(R * U.u, "R*U(x_k)")
+    _as_int(S * dd * sqV.u, "S*(d/Delta)*sqrt(D)*V(x_k)")
+    _as_int(scale * W.u, "T*d'*Delta1*(d/Delta)*W(x_k)")
+    return {"n": n, "P": _as_int(S * dd * U.u, "P"),
+            "Q": _as_int(-S * dd * sqV.u, "Q"),
+            "X": _as_int(scale * U.u, "X"),
+            "Y": _as_int(-scale * sqV.u, "Y"),
+            "Z": _as_int(-scale * D * W.u, "Z")}

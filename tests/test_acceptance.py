@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from irrbounds.exact_arith import Params
+from irrbounds.exact_arith import Params, d_upto
 from irrbounds.forms import (eval_UVW, scaled_integer_forms, verify_forms,
                              x_point)
 from irrbounds.measures import mu2_bound, mu_bound, predicted_decay
@@ -73,11 +73,9 @@ def test_criterion_3_integrality():
     for k, a, b in ((6, 1, 7), (7, 1, 7), (8, 1, 13)):
         for n in range(1, 16, 2):
             params = Params(k=k, a=a, b=b, n=n)
-            uvw = eval_UVW(params, x_point(k))
-            delta, delta1 = delta_products(params)
             # raises IntegralityError on any fractional part
-            forms = scaled_integer_forms(params, uvw, delta, delta1)
-            for name in ("A", "B", "C", "P", "Q", "X", "Y", "Z"):
+            forms = scaled_integer_forms(eval_UVW(params, x_point(k)))
+            for name in ("P", "Q", "X", "Y", "Z"):
                 assert isinstance(getattr(forms, name), int)
                 checked += 1
     assert report("3", "integer scaling for 3 parameter sets, odd n <= 15",
@@ -113,12 +111,13 @@ def test_criterion_4_decay_quadratic(big_sieve):
     res = mu2_bound(k, a, b, digits=60)
     m2, k2, n2 = float(res.M2), float(res.K), float(res.N)
     row = verify_forms(k, a, b, [n], digits=60)[0]
-    f = row.forms
     observed = float(row.decay_quadratic)
-    T = scaling_factors(Params(k=k, a=a, b=b, n=n))[2]
+    params = Params(k=k, a=a, b=b, n=n)
+    T = scaling_factors(params)[2]
+    delta, delta1 = delta_products(params)
     rate_t = (math.log(T.numerator) - math.log(T.denominator)) / n
-    rate_n = (math.log(f.d_b2an) + math.log(f.delta1)
-              + math.log(f.d_bn) - math.log(f.delta)) / n
+    rate_n = (math.log(d_upto((b - 2 * a) * n)) + math.log(delta1)
+              + math.log(d_upto(b * n)) - math.log(delta)) / n
     reference = m2 + rate_t + rate_n
     rel = abs((observed - reference) / reference)
     t_gap = rate_t - k2 + math.log(4) / (2 * n)

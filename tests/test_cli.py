@@ -290,6 +290,23 @@ def test_verify_caps_degree_times_k_bits_before_any_work(capsys, monkeypatch,
     assert ("above the cap" if code == 1 else "reached the forms") in err
 
 
+@pytest.mark.parametrize("n,code", [("667", 1), ("665", 4)])
+def test_verify_caps_degree_at_small_k(capsys, monkeypatch, n, code):
+    # below 20 bits of k the cap counts 20 bits, so it caps the total degree
+    # at 10,000: 3(7-2)667 = 10,005 is refused, 3(7-2)665 = 9,975 reaches
+    # the forms (stubbed here)
+    import irrbounds.forms as forms_mod
+
+    def reached(*args, **kwargs):
+        raise PrecisionError("reached the forms")
+
+    monkeypatch.setattr(forms_mod, "verify_forms", reached)
+    got, out, err = run(capsys, "verify", "--k", "8", "--a", "1", "--b", "7",
+                        "--n", n, "--format", "json")
+    assert got == code and out == ""
+    assert ("above the cap" if code == 1 else "reached the forms") in err
+
+
 @pytest.mark.parametrize("a_max,b_max", [
     (1, 2 * MAX_SEARCH_CELLS + 5), (3, 1001), (10**12, 10**12)])
 def test_search_refuses_grid_above_cap_before_any_work(capsys, monkeypatch,

@@ -265,6 +265,14 @@ def test_eval_rejects_poles():
         eval_UVW(p, quad_tuple(QuadRat(1)))
 
 
+@pytest.mark.parametrize("z", [(1, 0, 0, 13), (1, 1, 2, -3), (1, 1, 2, 0)])
+def test_eval_rejects_points_outside_its_domain(z):
+    # a zero denominator e or D < 1 is outside the documented domain of the
+    # int tuple (u + v sqrt(D))/e: DomainError, not a bare arithmetic error
+    with pytest.raises(DomainError):
+        eval_UVW(Params(k=6, a=1, b=7, n=1), z)
+
+
 # ---------------------------------------------------------------------------
 # the root-multiset path against the dense oracle
 # ---------------------------------------------------------------------------
@@ -338,10 +346,9 @@ def test_int_edge_matches_fraction_formulas(cell):
         return
     at_x = eval_UVW(params, x_point(params.k))
     assert at_x.params == uvw.params and _quads(at_x, "UVWx") == _quads(uvw, "UVWx")
-    delta, delta1 = delta_products(params)
-    forms = scaled_integer_forms(params, uvw, delta, delta1)
+    forms = scaled_integer_forms(uvw)
     got = {name: getattr(forms, name) for name in IntegerForms.__slots__}
-    assert got == fraction_integer_forms(params, *want, delta, delta1)
+    assert got == fraction_integer_forms(params, *want, *delta_products(params))
 
 
 @pytest.mark.parametrize("field,part", [(f, p) for f in "UVW" for p in (0, 1)])
@@ -354,11 +361,10 @@ def test_corrupted_remainder_names_quantity_and_exact_rational(field, part):
     parts = {name: list(getattr(uvw, name)) for name in "UVW"}
     parts[field][part] += 1
     bad = UVWValues(*map(tuple, parts.values()), params=p, x=uvw.x)
-    delta, delta1 = delta_products(p)
     with pytest.raises(IntegralityError) as got:
-        scaled_integer_forms(p, bad, delta, delta1)
+        scaled_integer_forms(bad)
     with pytest.raises(IntegralityError) as want:
-        fraction_integer_forms(p, *_quads(bad), delta, delta1)
+        fraction_integer_forms(p, *_quads(bad), *delta_products(p))
     assert got.value.quantity == want.value.quantity
     assert F(*got.value.value) == F(*want.value.value)
     assert str(got.value) == str(want.value)
@@ -528,14 +534,14 @@ def test_walk_below_lcm_to_bn_raises():
 def test_scaled_forms_are_integers(k, a, b, n):
     p = Params(k=k, a=a, b=b, n=n)
     uvw = eval_UVW(p, x_point(k))
-    delta, delta1 = delta_products(p)
-    forms = scaled_integer_forms(p, uvw, delta, delta1)
-    for name in ("P", "Q", "X", "Y", "Z", "A", "B", "C"):
+    forms = scaled_integer_forms(uvw)
+    for name in ("P", "Q", "X", "Y", "Z"):
         assert isinstance(getattr(forms, name), int)
-    # internal consistency of the assembly
-    assert forms.Q == -forms.B
-    assert forms.Z == -(2 * k + 1) * forms.C
+    # internal consistency of the assembly: Z = -D C and X/P = Y/Q = t
+    assert forms.Z % (2 * k + 1) == 0
     assert forms.X * forms.Q == forms.P * forms.Y
+    want = fraction_integer_forms(p, *_quads(uvw), *delta_products(p))
+    assert want == {name: getattr(forms, name) for name in IntegerForms.__slots__}
 
 
 @pytest.mark.parametrize("k,a,b,n", [(6, 1, 7, 1), (6, 1, 7, 3), (7, 1, 7, 1)])
@@ -543,15 +549,19 @@ def test_scaling_ratio_consistency(k, a, b, n):
     # P = (S/R) (d/Delta) A with S/R = m^{an} (even k) or k^{an} (odd k)
     p = Params(k=k, a=a, b=b, n=n)
     uvw = eval_UVW(p, x_point(k))
-    delta, delta1 = delta_products(p)
-    forms = scaled_integer_forms(p, uvw, delta, delta1)
+    forms = scaled_integer_forms(uvw)
     R, S, T = scaling_factors(p)
     base = k // 2 if k % 2 == 0 else k
     assert S / R == base ** (a * n)
     assert T / R == base ** (2 * a * n)
-    dd = forms.d_bn // delta
-    assert forms.P == base ** (a * n) * dd * forms.A
-    assert forms.X == base ** (2 * a * n) * dd * forms.A * forms.d_b2an * delta1
+    # A = R U(x_k), an integer, from the oracle's R and U
+    A = R * quad_rat(uvw.U).u
+    assert A.denominator == 1
+    delta, delta1 = delta_products(p)
+    dd = d_upto(b * n) // delta
+    assert forms.P == base ** (a * n) * dd * A
+    assert forms.X == (base ** (2 * a * n) * dd * A
+                       * d_upto((b - 2 * a) * n) * delta1)
 
 
 @pytest.mark.parametrize("k,n", [(4, 1), (4, 3), (12, 1), (12, 3)])
@@ -561,18 +571,19 @@ def test_scaled_forms_degenerate_k(k, n):
     p = Params(k=k, a=1, b=7, n=n)
     uvw = eval_UVW(p, x_point(k))
     assert all(x.is_rational for x in _quads(uvw))
-    delta, delta1 = delta_products(p)
-    forms = scaled_integer_forms(p, uvw, delta, delta1)
-    assert forms.Q == -forms.B
-    assert forms.Z == -(2 * k + 1) * forms.C
+    forms = scaled_integer_forms(uvw)
+    assert forms.Z % (2 * k + 1) == 0
+    want = fraction_integer_forms(p, *_quads(uvw), *delta_products(p))
+    assert want == {name: getattr(forms, name) for name in IntegerForms.__slots__}
 
 
-def test_scaled_forms_guards():
+def test_scaled_forms_guards(monkeypatch):
     p = Params(k=6, a=1, b=7, n=1)
     uvw = eval_UVW(p, x_point(6))
     with pytest.raises(DomainError):
-        scaled_integer_forms(p, eval_UVW(p, quad_tuple(QuadRat(F(1, 3)))), 15, 1)
+        scaled_integer_forms(eval_UVW(p, quad_tuple(QuadRat(F(1, 3)))))
     # a delta that does not divide d_bn must be reported, never rounded
+    monkeypatch.setattr(forms_mod, "delta_products", lambda params: (11, 1))
     with pytest.raises(IntegralityError) as err:
-        scaled_integer_forms(p, uvw, 11, 1)
+        scaled_integer_forms(uvw)
     assert "d_bn/Delta" in str(err.value)
