@@ -124,6 +124,10 @@ def alpha_value(k: int, digits: int):
 
 # -- the saddle-point cubic ---------------------------------------------------
 
+# why a cell has no M2: saddle_complex raises it, and bound prints it
+NO_COMPLEX_SADDLE = "saddle cubic has three real roots; no complex saddle point"
+
+
 def _real_cubic_coeffs(a: int, b: int, x):
     """Coefficients (c3, c2, c1, c0) of the cleared saddle equation
     x*z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b).
@@ -197,7 +201,13 @@ def _newton_start(a: int, b: int, x: tuple[int, int],
     x, an int pair: Newton in doubles from the proven bound b/(1 - x^(1/3)), or
     where doubles fail (x rounds to 1 at huge k) or end at or below b, the
     bound rounded as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4
-    bits or more and a sticky bit.  The start sets the speed, not the result."""
+    bits or more and a sticky bit.  The start sets where the polish stops,
+    so the last bits of z0 and of M1 and M2: from the bound alone, z0's
+    ball changed in 41 of the 97 cells of the benchmark's table and
+    searches, M1's in 27 and M2's in 30.  No bound's ball changed there,
+    as the bound rounds its sums at digits + 10 digits, but a bound's
+    last bit orders search's exact ties, so a new start is a change of
+    result until the references show otherwise."""
     xn, xd = x
     try:
         xf = xn / xd
@@ -357,8 +367,7 @@ def saddle_complex(a: int, b: int, x: Ball,
     (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(a, b, box, w)
     squares = s_lo * s_lo, s_hi * s_hi
     if p_hi - (0 if s_lo <= 0 <= s_hi else min(squares) >> w + 2) <= 0:
-        raise NonApplicableError("saddle cubic has three real roots; "
-                                 "no complex saddle point")
+        raise NonApplicableError(NO_COMPLEX_SADDLE)
     im2 = (p - (s * s).rnd(w).ldexp(-2)).rnd(w)
     if p_lo + (-max(squares) >> w + 2) <= 0 or im2 <= 0:
         raise PrecisionError(f"the sign of p - s^2/4 = {im2.to_str(10)} at "

@@ -2,22 +2,25 @@
 
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes (:data:`EXIT_CODES`): 0 success, 1 usage
-or validation error, 2 inapplicable parameters, 3 integrality failure, 4 a
-certificate did not hold (a radius too wide for its digits or for a sign,
-the saddle root's or Omega's certificate, a form's alpha_k enclosure), 141
-stdout closed before all of it was written (``| head``), as for SIGPIPE,
-with nothing on stderr.  Usage errors, --print-digits above --digits - 5
-and --b above MAX_B among them, are refused before any work with one
-stderr line, ``Error: <message>``, and no stdout.  Each command imports
+or validation error (or a non-finite json number), 2 inapplicable
+parameters, 3 integrality failure, 4 a certificate did not hold (a radius
+too wide for its digits or for a sign, the saddle root's or Omega's
+certificate, a form's alpha_k enclosure), 141 stdout closed before all of
+it was written (``| head``), as for SIGPIPE, with nothing on stderr.
+Usage errors, --print-digits above --digits - 5 and --b above MAX_B among
+them, are refused before any work with one stderr line,
+``Error: <message>``, and no stdout.  Each command imports
 its own layers on entry, past its argv checks, so ``--help`` and a refused
 command line are answered before any of the bound engine (``fixed``,
 ``asymptotics``, ``omega``, ``measures``, ``forms``) is loaded.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
-each value's own precision, so identical invocations are byte-identical and
-diffable.  Exact rationals are serialized as "num/den" strings, never
-floats.
+each value's own precision (``Ball.to_str``; json and csv through
+``_number``), so identical invocations are byte-identical and diffable.
+An absent value, the M1, M2, K and N of a cell without a complex saddle,
+is null in json and an empty field in csv.  Exact rationals are
+serialized as "num/den" strings, never floats.
 """
 
 from __future__ import annotations
@@ -75,12 +78,11 @@ class UsageError(Exception):
     """A command line refused before any work (exit 1)."""
 
 
-def fmt_sig(x, sig: int = 6) -> str:
-    """Fixed rendering of a ball's centre at ``sig`` significant digits, from
-    all its bits; a float (the nan of an inapplicable cell) as str()."""
-    if isinstance(x, float):
-        return str(x)
-    return x.to_str(sig)
+def _number(x, sig: int):
+    """A ball's json and csv number: its centre at ``sig`` significant
+    digits, from all its bits, as a float; None, an absent value, stays
+    None (json null, an empty csv field)."""
+    return None if x is None else float(x.to_str(sig))
 
 
 def _check_limits(args: argparse.Namespace) -> None:
@@ -106,7 +108,8 @@ def _check_limits(args: argparse.Namespace) -> None:
 def _echo_json(value) -> None:
     import json
 
-    print(json.dumps(value, indent=2))
+    # strict json: a nan or an inf raises ValueError (exit 1), never prints
+    print(json.dumps(value, indent=2, allow_nan=False))
 
 
 def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
@@ -131,6 +134,7 @@ def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
 
 def cmd_bound(args) -> int:
     """Compute one measure bound for alpha_k with parameters (a, b)."""
+    from .asymptotics import NO_COMPLEX_SADDLE
     from .measures import mu2_bound, mu_bound
 
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
@@ -146,23 +150,24 @@ def cmd_bound(args) -> int:
             print(f"note: 2k+1 = {2*k+1} is a perfect square; alpha_{k} "
                   "is a rational multiple of the log of a rational")
         if not res.applicable:
-            total = res.M2 + res.K + res.N
+            reason = NO_COMPLEX_SADDLE if res.M2 is None else (
+                f"M2+K+N = {(res.M2 + res.K + res.N).to_str(sig)} >= 0")
             print(f"{label}(alpha_{k}) bound not applicable at "
-                  f"a={a}, b={b}: M2+K+N = {fmt_sig(total, sig)} >= 0")
+                  f"a={a}, b={b}: {reason}")
         else:
-            print(f"{label}(alpha_{k}) <= {fmt_sig(res.bound, sig)}   "
+            print(f"{label}(alpha_{k}) <= {res.bound.to_str(sig)}   "
                   f"(a={a}, b={b})")
-            print(f"  M1 = {fmt_sig(res.M1, sig)}   M2 = {fmt_sig(res.M2, sig)}   "
-                  f"K = {fmt_sig(res.K, sig)}   N = {fmt_sig(res.N, sig)}")
+            print(f"  M1 = {res.M1.to_str(sig)}   M2 = {res.M2.to_str(sig)}   "
+                  f"K = {res.K.to_str(sig)}   N = {res.N.to_str(sig)}")
     return 0 if res.applicable else 2
 
 
 def _bound_row(res: BoundResult, sig: int) -> dict:
     return {
         "kind": res.kind, "k": res.k, "a": res.a, "b": res.b,
-        "bound": float(fmt_sig(res.bound, sig)) if res.applicable else None,
+        "bound": _number(res.bound, sig),
         "applicable": res.applicable, "degenerate": res.degenerate,
-        **{name: float(fmt_sig(getattr(res, name), sig))
+        **{name: _number(getattr(res, name), sig)
            for name in ("M1", "M2", "K", "N")},
         "digits": res.digits,
     }
@@ -176,15 +181,11 @@ def cmd_table(args) -> int:
     rows = []
     table = headline_table(args.digits) if args.paper else [table_row(args.k, args.digits)]
     for tr in table:
-        row = {
-            "k": tr.k,
-            "mu": float(fmt_sig(tr.mu.bound, sig)) if tr.mu.applicable else None,
-            "mu2": (float(fmt_sig(tr.mu2.bound, sig))
-                    if tr.mu2 is not None and tr.mu2.applicable else None),
-            "a_mu": tr.mu.a, "b_mu": tr.mu.b,
-            "a_mu2": tr.mu2.a if tr.mu2 is not None else None,
-            "b_mu2": tr.mu2.b if tr.mu2 is not None else None,
-        }
+        row = {"k": tr.k, "mu": _number(tr.mu.bound, sig), "mu2": None,
+               "a_mu": tr.mu.a, "b_mu": tr.mu.b, "a_mu2": None, "b_mu2": None}
+        if tr.mu2 is not None:
+            row.update(mu2=_number(tr.mu2.bound, sig), a_mu2=tr.mu2.a,
+                       b_mu2=tr.mu2.b)
         if fmt == "text" and is_degenerate(tr.k):
             row["note"] = "degenerate: 2k+1 is a perfect square"
         rows.append(row)
@@ -225,18 +226,18 @@ def cmd_verify(args) -> int:
     for r in rows:
         entry = {
             "n": r.n, "P": format_int(r.P), "Q": format_int(r.Q),
-            "decay_linear": float(fmt_sig(r.decay_linear, sig)),
+            "decay_linear": _number(r.decay_linear, sig),
         }
         if args.quadratic:
             entry.update({"X": format_int(r.X), "Y": format_int(r.Y),
                           "Z": format_int(r.Z),
-                          "decay_quadratic": float(fmt_sig(r.decay_quadratic, sig))})
+                          "decay_quadratic": _number(r.decay_quadratic, sig)})
         entry["integral"] = True
         out.append(entry)
     _echo_rows(out, args.fmt, list(out[0]))
     if args.fmt == "text":
-        print(f"predicted decay: linear {fmt_sig(pred_l, sig)}"
-              f", quadratic {fmt_sig(pred_m, sig)}")
+        print(f"predicted decay: linear {pred_l.to_str(sig)}"
+              f", quadratic {pred_m.to_str(sig)}")
         print(f"all integrality checks passed for n in {ns}")
     return 0
 
@@ -263,8 +264,8 @@ def cmd_omega(args) -> int:
     if args.fmt == "json":
         _echo_json({
             "a": a, "b": b, "intervals": intervals, "measure": measure,
-            "psi_sum": float(fmt_sig(psi_sum, sig)),
-            "N1": float(fmt_sig(n1, sig)), "N2": float(fmt_sig(n2, sig)),
+            "psi_sum": _number(psi_sum, sig),
+            "N1": _number(n1, sig), "N2": _number(n2, sig),
         })
     elif args.fmt == "csv":
         _echo_rows(intervals, "csv", ["lo", "hi", "lo_closed", "hi_closed"])
@@ -275,8 +276,8 @@ def cmd_omega(args) -> int:
             for iv in intervals]
         print(f"Omega({a}, {b}) = {' u '.join(shown) or '{}'}")
         print(f"measure = {measure}")
-        print(f"psi sum = {fmt_sig(psi_sum, sig)}   "
-              f"N1 = {fmt_sig(n1, sig)}   N2 = {fmt_sig(n2, sig)}")
+        print(f"psi sum = {psi_sum.to_str(sig)}   "
+              f"N1 = {n1.to_str(sig)}   N2 = {n2.to_str(sig)}")
     return 0
 
 
@@ -368,7 +369,8 @@ EXIT_CODES = (
     (NonApplicableError, 2, "not applicable: "),
     (PrecisionError, 4, "precision failure: "),
     (CertificateError, 4, "certificate failure: "),
-    (ValueError, 1, "error: "),  # DomainError, SieveCapacityError
+    # DomainError, SieveCapacityError, json's refusal of a nan
+    (ValueError, 1, "error: "),
 )
 
 

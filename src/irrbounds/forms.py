@@ -176,11 +176,12 @@ def _walk(params: Params, L: int, last: int):
 
 # -- the transform sums in O(d) big operations, and U, V, W -------------------
 
-# values per block of _PoleSum.  Median CPU time of eval_UVW by block size,
-# shared 2-core machine: d = 1023 (21 runs) 31.7 ms at 32, 31.1 at 48, 30.7
-# at 64, 32.3 at 96; d = 3333 (7 runs) 0.38 s at 32, 0.34 at 48, 0.33 at 64
-# and 0.34 at 96; d = 6633 (3 runs) 1.63 s at 32, 1.49 at 48, 1.45 at 64,
-# 1.38 at 96.
+# values per block of _PoleSum.  Median CPU time of eval_UVW at
+# (8, 1, 13, n) by block size 32 / 48 / 64 / 96 / 128, the sizes cycled in
+# one process, shared 2-core machine: d = 1023 (21 runs) 20.7 / 20.1 /
+# 19.6 / 21.3 / 22.4 ms; d = 3333 (15 runs) 262 / 226 / 233 / 240 / 250 ms;
+# d = 6633 (9 runs) 1.06 / 0.94 / 0.86 / 0.88 / 0.88 s.  Each size's
+# quartiles span 10-25% of its median: only 32 loses clearly, at 6633.
 _BLOCK = 64
 
 

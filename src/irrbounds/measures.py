@@ -5,12 +5,14 @@ small parameter-space search.  The finite-n verification harness lives in
 
 Applicability (the sign condition on the decay rate) is a data outcome, not
 an exception: searches iterate past inapplicable cells.  Every constant is a
-:class:`fixed.Ball`, and the bound 1 - A/D is ball arithmetic on them.
+:class:`fixed.Ball`, and the bound 1 - A/D is ball arithmetic on them; a
+cell without a complex saddle has no M1, M2, K or N, and records each as
+None.
 """
 
 from __future__ import annotations
 
-from math import isqrt, nan
+from math import isqrt
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
@@ -43,10 +45,10 @@ class BoundResult(Frozen):
     k: int
     a: int
     b: int
-    M1: Ball                # each nan where no saddle point exists
-    M2: Ball
-    K: Ball
-    N: Ball
+    M1: Ball | None         # each None where no complex saddle exists
+    M2: Ball | None
+    K: Ball | None
+    N: Ball | None
     bound: Ball | None
     applicable: bool
     digits: int
@@ -110,10 +112,10 @@ def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
     try:
         m1, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     except NonApplicableError:
-        # no saddle point exists for this cell; a structured outcome, so
+        # no complex saddle exists for this cell; a structured outcome, so
         # parameter searches can iterate past it
-        return BoundResult(kind=kind, k=k, a=a, b=b, M1=nan, M2=nan,
-                           K=nan, N=nan, bound=None, applicable=False,
+        return BoundResult(kind=kind, k=k, a=a, b=b, M1=None, M2=None,
+                           K=None, N=None, bound=None, applicable=False,
                            digits=digits, degenerate=is_degenerate(k))
     kk, nn = (k2, n2) if quadratic else (k1, n1)
     for name, value in zip(("M1", "M2", "K", "N"), (m1, m2, kk, nn)):

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from irrbounds import asymptotics, measures, omega
-from irrbounds.cli import MAX_B, MAX_DIGITS, MAX_SEARCH_CELLS, fmt_sig, main
+from irrbounds.cli import MAX_B, MAX_DIGITS, MAX_SEARCH_CELLS, _number, main
 from irrbounds.errors import IntegralityError, PrecisionError
 from irrbounds.fixed import Ball
 from oracles import format_rat, omega_intervals, pair, runs_of
@@ -376,14 +376,14 @@ def _omega_by_fractions(a, b, fmt):
     if fmt == "json":
         return json.dumps({
             "a": a, "b": b, "intervals": rows, "measure": measure,
-            **{name: float(fmt_sig(value)) for name, value in
+            **{name: float(value.to_str(6)) for name, value in
                (("psi_sum", b - n1), ("N1", n1), ("N2", n2))}}, indent=2) + "\n"
     if fmt == "csv":
         return "lo,hi,lo_closed,hi_closed\n" + "".join(
             f"{r['lo']},{r['hi']},{r['lo_closed']},{r['hi_closed']}\n" for r in rows)
     return (f"Omega({a}, {b}) = {intervals}\nmeasure = {measure}\n"
-            f"psi sum = {fmt_sig(b - n1)}   N1 = {fmt_sig(n1)}   "
-            f"N2 = {fmt_sig(n2)}\n")
+            f"psi sum = {(b - n1).to_str(6)}   N1 = {n1.to_str(6)}   "
+            f"N2 = {n2.to_str(6)}\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
@@ -425,14 +425,84 @@ def test_search_empty_grid_exit_2(capsys):
 # formatting
 # ---------------------------------------------------------------------------
 
-def test_fmt_sig_keeps_trailing_zeros():
+def test_printed_numbers_keep_trailing_zeros():
     def ball(x):
         sign, man, exp, _ = x._mpf_
         return Ball(-man if sign else man, exp)
 
-    assert fmt_sig(ball(mp.mpf("6.6461037")), 6) == "6.64610"
-    assert fmt_sig(ball(mp.mpf("12.40837834")), 6) == "12.4084"
-    assert fmt_sig(float("nan")) == "nan"  # an inapplicable cell's M1
+    assert ball(mp.mpf("6.6461037")).to_str(6) == "6.64610"
+    assert ball(mp.mpf("12.40837834")).to_str(6) == "12.4084"
+    # json and csv print the float of the same digits
+    assert _number(ball(mp.mpf("6.6461037")), 6) == 6.6461
+    assert _number(None, 6) is None  # an absent value: json null, csv empty
+
+
+def _strict_json(text):
+    """json.loads refusing NaN, Infinity and -Infinity, which RFC 8259
+    does not allow."""
+    def refuse(name):
+        raise ValueError(f"{name} is not json")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify", "--k", str(k), "--a", "1", "--b", "13", "--n", "31",
+       "--quadratic"] for k in (6, 8, 10)),
+    ["table", "--paper"],
+    *(["search", "--k", str(k), "--a-max", "3", "--b-max", "21"]
+      for k in (5, 7, 9, 11)),
+    ["omega", "--a", "1", "--b", "7"],
+    ["bound", "--k", "6", "--a", "1", "--b", "7"],
+    ["bound", "--k", "1", "--a", "7", "--b", "29"],
+    ["bound", "--k", "1", "--a", "7", "--b", "29", "--quadratic"],
+], ids=" ".join)
+def test_json_output_is_strict_json(capsys, argv):
+    # the benchmark's reference argvs and a cell without a complex saddle
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == ((2 if "29" in argv else 0), "")
+    _strict_json(out)
+
+
+@pytest.mark.parametrize("quadratic", [[], ["--quadratic"]], ids=["mu", "mu2"])
+@pytest.mark.parametrize("cell", [("1", "7", "29"), ("1", "100", "401")],
+                         ids="-".join)
+def test_no_complex_saddle_is_absent_in_every_format(capsys, cell, quadratic):
+    # no M1, M2, K, N or bound exists there: json null, an empty csv field,
+    # and in text the reason verify exits 2 with, each with exit 2
+    k, a, b = cell
+    argv = ["bound", "--k", k, "--a", a, "--b", b, *quadratic]
+    absent = ["bound", "M1", "M2", "K", "N"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    row = _strict_json(out)
+    assert [name for name, value in row.items() if value is None] == absent
+    assert row["applicable"] is False
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (2, "")
+    header, line = out.splitlines()
+    fields = dict(zip(header.split(","), line.split(",")))
+    assert [name for name, value in fields.items() if value == ""] == absent
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    code_v, _, reason = run(capsys, "verify", "--k", k, "--a", a, "--b", b,
+                            "--n", "1")
+    assert (code_v, reason) == (2, "not applicable: saddle cubic has three "
+                                   "real roots; no complex saddle point\n")
+    label = "mu2" if quadratic else "mu"
+    assert out == (f"{label}(alpha_{k}) bound not applicable at a={a}, b={b}: "
+                   f"{reason.removeprefix('not applicable: ')}")
+
+
+def test_non_finite_json_number_exits_1_with_empty_stdout(capsys, monkeypatch):
+    # json.dumps refuses a nan before anything is printed
+    import irrbounds.cli as cli
+
+    monkeypatch.setattr(cli, "_number", lambda x, sig: float("nan"))
+    code, out, err = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7",
+                         "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON")
 
 
 def test_displayed_value_stable_across_working_precision(capsys):

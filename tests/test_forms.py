@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 from math import gcd
@@ -431,6 +433,31 @@ def test_pole_sum_matches_its_definition(monkeypatch, case, block):
     pole = _PoleSum.at(delta, z, D)
     pole.run(values, shift)
     assert [tuple(x) for x in pole.sums] == want
+
+
+def test_pole_sum_streams_its_values():
+    # run keeps no value past its block: order r sums each block as it
+    # fills, and only per-block results wait for order 2.  With the shift
+    # 32 blocks long, a design that holds the values between order 0 and
+    # order 2 keeps 2 shift = 64 blocks of them alive; the bound admits 8.
+    # The values are made as they are read, each entry 2,000 bits
+    delta, shift = 2 * forms_mod._BLOCK - 1, 32 * forms_mod._BLOCK
+
+    def values():
+        for i in range(delta + 1 + 2 * shift):
+            yield tuple((1 << 2000) - 3 * i - r for r in range(3))
+
+    first = next(values())
+    one = sys.getsizeof(first) + sum(map(sys.getsizeof, first))
+    z = x_point(6)
+    pole = _PoleSum.at(delta, z[:3], z[3])
+    tracemalloc.start()
+    try:
+        pole.run(values(), shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * forms_mod._BLOCK * one, (peak, one)
 
 
 def test_d_upto_called_once_per_eval_UVW(monkeypatch):

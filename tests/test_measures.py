@@ -57,10 +57,10 @@ def test_inapplicable_is_data_not_error():
 def test_missing_saddle_is_data_not_error():
     # at k=1 with (a, b) = (7, 29) the mirrored cubic has three real roots;
     # the cell must report inapplicable instead of raising, so grid searches
-    # can walk past it
+    # can walk past it, and records its absent constants as None
     res = mu2_bound(1, 7, 29)
     assert not res.applicable and res.bound is None
-    assert mp.isnan(res.M2)
+    assert res.M2 is None
     assert search_params(1, 7, 29, quadratic=True) == []
 
 
