@@ -198,32 +198,12 @@ def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
 def _newton_start(a: int, b: int, x: tuple[int, int],
                   prec: int) -> tuple[int, int]:
     """Start (m, e) of the integer Newton for the root beyond b at the exact
-    x, an int pair: Newton in doubles from the proven bound b/(1 - x^(1/3)), or
-    where doubles fail (x rounds to 1 at huge k) or end at or below b, the
-    bound rounded as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4
-    bits or more and a sticky bit.  The start sets where the polish stops,
-    so the last bits of z0 and of M1 and M2: from the bound alone, z0's
-    ball changed in 41 of the 97 cells of the benchmark's table and
-    searches, M1's in 27 and M2's in 30.  No bound's ball changed there,
-    as the bound rounds its sums at digits + 10 digits, but a bound's
-    last bit orders search's exact ties, so a new start is a change of
-    result until the references show otherwise."""
+    x, an int pair: the proven bound b/(1 - x^(1/3)) (:func:`_solve_cubic`),
+    rounded as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4 bits
+    or more and a sticky bit.  From there the polish makes 9-11 cubic
+    evaluations per solve at 60 digits and 12-14 at 500 digits on the 97
+    cells of the benchmark's table and searches."""
     xn, xd = x
-    try:
-        xf = xn / xd
-        c3, c2, c1, c0 = _real_cubic_coeffs(a, b, xf)
-        z = b / (1 - xf ** (1 / 3))
-        for _ in range(100):
-            step = ((((c3 * z + c2) * z + c1) * z + c0)
-                    / ((3 * c3 * z + 2 * c2) * z + c1))
-            z -= step
-            if not abs(step) > 1e-14 * z:
-                break
-    except (OverflowError, ZeroDivisionError):
-        z = math.nan
-    if math.isfinite(z) and z > b:
-        num, den = z.as_integer_ratio()
-        return num, 1 - den.bit_length()
     t = prec + 4 + max(0, xd.bit_length() - xn.bit_length()) // 3
     root = icbrt((xn << 3 * t) // xd)
     if root ** 3 * xd != xn << 3 * t:
@@ -262,6 +242,7 @@ def _solve_cubic(a: int, b: int, x: Ball, digits: int, w: int):
 def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                      x_lo, x_hi, prec: int):
     x = Ball(*x_dyadic)
+    x_ball = x.spanning(x_lo, x_hi)
     (ln, ld), (hn, hd) = x_lo, x_hi
     c3, c2, c1, c0 = ((c if isinstance(c, Ball) else Ball(c)).rnd(prec)
                       for c in _real_cubic_coeffs(a, b, x))
@@ -276,12 +257,14 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
             and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
             and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
         raise PrecisionError(f"saddle root {z0.to_str(20)} beyond b={b} not "
-                             f"certified for x in [{ln / ld}, {hn / hd}]")
+                             f"certified for x = {x_ball.to_str(20)} +- "
+                             f"{x_ball.radius().to_str(3)}")
     if not 0 < ln * hd <= hn * ld < hd * ld:
-        raise PrecisionError(f"x's enclosure [{ln / ld}, {hn / hd}] leaves (0, 1)")
+        raise PrecisionError(f"x's enclosure {x_ball.to_str(20)} +- "
+                             f"{x_ball.radius().to_str(3)} leaves (0, 1)")
     s = ((-c2).div(c3, prec) - z0).rnd(prec)
     p = (-c0).div((c3 * z0).rnd(prec), prec)
-    return z0, s, p, (zn, en, e, x_lo, x_hi, x.spanning(x_lo, x_hi))
+    return z0, s, p, (zn, en, e, x_lo, x_hi, x_ball)
 
 
 def guard_digits(gap: tuple[int, int]) -> int:

@@ -7,8 +7,8 @@ parameters, 3 integrality failure, 4 a certificate did not hold (a radius
 too wide for its digits or for a sign, the saddle root's or Omega's
 certificate, a form's alpha_k enclosure), 141 stdout closed before all of
 it was written (``| head``), as for SIGPIPE, with nothing on stderr.
-Usage errors, --print-digits above --digits - 5 and --b above MAX_B among
-them, are refused before any work with one stderr line,
+Usage errors, --print-digits above --digits - 5, --k or --a below 1 and
+--b above MAX_B among them, are refused before any work with one stderr line,
 ``Error: <message>``, and no stdout.  Each command imports
 its own layers on entry, past its argv checks, so ``--help`` and a refused
 command line are answered before any of the bound engine (``fixed``,
@@ -88,7 +88,8 @@ def _number(x, sig: int):
 def _check_limits(args: argparse.Namespace) -> None:
     """Refuse, before any work, digits outside their ranges, printed digits
     the enclosures do not certify (each published value is accepted only
-    with a radius of at most 10^-(digits-5) of it), and b above MAX_B."""
+    with a radius of at most 10^-(digits-5) of it), k or a below 1, and b
+    above MAX_B."""
     if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
         raise UsageError(f"Invalid value for '--digits': {args.digits} is not "
                          f"in the range {MIN_DIGITS}<=x<={MAX_DIGITS}.")
@@ -99,6 +100,11 @@ def _check_limits(args: argparse.Namespace) -> None:
         raise UsageError(
             f"--print-digits {args.print_digits} is above --digits {args.digits}"
             f" - 5 = {args.digits - 5}, the digits the enclosures certify")
+    for option in ("k", "a"):
+        value = getattr(args, option, None)  # None: omega, table --paper
+        if value is not None and value < 1:
+            raise UsageError(f"Invalid value for '--{option}': {value} is not "
+                             f"in the range x>=1.")
     if getattr(args, "b", 0) > MAX_B:
         raise UsageError(f"--b {args.b} is above the cap {MAX_B}")
 

@@ -11,7 +11,8 @@ from irrbounds import (DomainError, NonApplicableError, PrecisionError,
 from irrbounds import asymptotics
 from irrbounds.asymptotics import _eval_cubic, _real_cubic_coeffs, alpha_value
 from irrbounds.fixed import Ball, certify
-from irrbounds.measures import _x_numeric, mu_bound
+from irrbounds.exact_arith import grid_cells
+from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, _x_numeric, mu_bound
 from oracles import (cubic_roots_cardano, m_rate_nine_logs, pair,
                      saddle_rates_iv, saddle_x)
 
@@ -195,22 +196,51 @@ def test_saddle_real_certifies_on_the_grid(k, ab):
         assert b < z0 <= b / (1 - mp.cbrt(x))
 
 
-def test_newton_start_near_the_root_or_at_the_bound():
-    # Newton in doubles starts the mpf Newton within about 1e-15 of z0 on the
-    # table cells; where float(x) rounds to 1, the start is the proven bound
+def test_newton_start_is_the_rounded_bound():
+    # the start is b/(1 - cbrt(x)) as mpmath rounds it at the solve's
+    # precision, above z0 on the table cells, and so where float(x) rounds
+    # to 1
     for k in TABLE_KS:
         x = _x_numeric(k, 60)
+        prec = asymptotics._saddle_bits(x, 60)
         for a, b in ((1, 7), (2, 23), (1, 13)):
             z0, _ = saddle_real(a, b, x, 60)
+            start = asymptotics._newton_start(a, b, x.centre(), prec)
+            with mp.workprec(prec):
+                assert mp.mpf(start) == b / (1 - mp.cbrt(mp.mpf(x)))
             with mp.workdps(75):
-                start = mp.mpf(asymptotics._newton_start(a, b, x.centre(), 250))
-                assert mp.fabs(start - z0) < mp.mpf(10) ** -13 * z0
+                assert mp.mpf(start) > mp.mpf(z0)
     with mp.workdps(75):
         x = 1 - mp.mpf(10) ** -40
         assert float(x) == 1
         _, man, exp, _ = x._mpf_
         start = asymptotics._newton_start(1, 7, (man, 2**-exp), mp.mp.prec)
         assert mp.mpf(start) == 7 / (1 - mp.cbrt(x))
+
+
+def test_newton_polish_evaluations_per_solve(monkeypatch):
+    # from the bound, on the 97 solves of the benchmark's table and
+    # searches, the polish makes at most 11 cubic evaluations at 60 digits
+    # and 14 at 500; the counts repeat exactly, so a slower start or step
+    # fails here
+    calls = []
+    evaluate = asymptotics._eval_cubic
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(asymptotics, "_eval_cubic", counted)
+    cells = [*((k, 1, 7) for k in HEADLINE_KS),
+             *((k, *ab) for k, ab in MU2_PARAMS.items()),
+             *((k, a, b) for k in (5, 7, 9, 11) for a, b in grid_cells(3, 21))]
+    assert len(cells) == 97
+    for digits, most in ((60, 11), (500, 14)):
+        for k, a, b in cells:
+            asymptotics._certified_solve.cache_clear()  # each solve runs
+            calls.clear()
+            saddle_real(a, b, _x_numeric(k, digits), digits)
+            assert 0 < len(calls) <= most, (k, a, b, digits, len(calls))
 
 
 def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
@@ -262,7 +292,9 @@ def test_saddle_certificate_fails_closed():
                (x_hi - wide, x_hi)):
         # a solve certified for the true enclosure must not serve another
         solve(x_lo, x_hi)
-        with pytest.raises(PrecisionError):
+        # the refusal prints x's enclosure as a ball, centre +- radius
+        with pytest.raises(PrecisionError, match=r"not certified for x = "
+                           r"0\.56574145408933511781 \+- \d"):
             solve(*xb)
 
 
@@ -284,7 +316,8 @@ def test_guard_digits_only_near_one():
 
 
 @pytest.mark.parametrize("e, bound", [(30, "3.0268974"), (60, "3.0136297"),
-                                      (100, "3.0082221"), (300, "3.0027556")])
+                                      (100, "3.0082221"), (300, "3.0027556"),
+                                      (2000, "3.0004143")])
 def test_huge_k_certifies_with_guard_digits(e, bound):
     # 1/(1 - x_k) is about 10^(e/2): without the guard digits in x and in
     # the solve, the saddle certificate refused the root (k >= 10^24); without

@@ -714,6 +714,23 @@ def test_digit_options_rejected_at_parse_time(capsys, argv):
     assert "Invalid value for '--" in err
 
 
+@pytest.mark.parametrize("option,argv", [
+    ("--k", ("bound", "--k", "0", "--a", "1", "--b", "7")),
+    ("--a", ("bound", "--k", "6", "--a", "0", "--b", "7")),
+    ("--k", ("table", "--k", "0")),
+    ("--k", ("search", "--k", "0")),
+    ("--k", ("verify", "--k", "-1", "--a", "1", "--b", "7", "--n", "1")),
+    ("--a", ("omega", "--a", "0", "--b", "7")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_k_and_a_below_one_refused_by_name(capsys, option, argv):
+    # refused before any work, naming the option the command line gave
+    code, out, err = run(capsys, *argv)
+    value = argv[argv.index(option) + 1]
+    assert (code, out) == (1, "")
+    assert err == (f"Error: Invalid value for '{option}': {value} is not in "
+                   "the range x>=1.\n")
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
@@ -845,6 +862,7 @@ ENGINE_LOADS = [
     (["verify", "--k", str(2**200), "--a", "1", "--b", "13", "--n", "31"], 1,
      set()),
     (["search", "--k", "7", "--a-max", "9", "--b-max", "99"], 1, set()),
+    (["bound", "--k", "0", "--a", "1", "--b", "7"], 1, set()),
     # each command that computes
     (["bound", "--k", "6", "--a", "1", "--b", "7"], 0, BOUND_ENGINE),
     (["table", "--paper"], 0, BOUND_ENGINE),
