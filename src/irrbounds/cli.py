@@ -1,4 +1,5 @@
-"""Command-line front end, on the standard library's argparse.
+"""Command-line front end: one option table (:data:`COMMANDS`) and a small
+parser that reads it.
 
 Commands: bound, table, verify, omega, search.  Formats: text (aligned
 columns), csv, json.  Exit codes (:data:`EXIT_CODES`): 0 success, 1 usage
@@ -7,12 +8,14 @@ parameters, 3 integrality failure, 4 a certificate did not hold (a radius
 too wide for its digits or for a sign, the saddle root's or Omega's
 certificate, a form's alpha_k enclosure), 141 stdout closed before all of
 it was written (``| head``), as for SIGPIPE, with nothing on stderr.
-Usage errors, --print-digits above --digits - 5, --k or --a below 1 and
---b above MAX_B among them, are refused before any work with one stderr line,
-``Error: <message>``, and no stdout.  Each command imports
-its own layers on entry, past its argv checks, so ``--help`` and a refused
-command line are answered before any of the bound engine (``fixed``,
-``asymptotics``, ``omega``, ``measures``, ``forms``) is loaded.
+Usage errors, an option outside its range in the table (--k, --a, --b
+below 1 among them), --print-digits above --digits - 5 and --b above MAX_B,
+are refused before any work with one stderr line, ``Error: <message>``,
+and no stdout.  The parser and ``--help`` load no module (no argparse,
+gettext or locale), and each command imports its own layers on entry,
+past its argv checks, so ``--help`` and a refused command line are
+answered before any of the bound engine (``fixed``, ``asymptotics``,
+``omega``, ``measures``, ``forms``) is loaded.
 
 All numeric output is fixed-format at a requested number of significant
 digits (6 by default, the table precision), rendered from all the bits of
@@ -25,7 +28,6 @@ serialized as "num/den" strings, never floats.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
@@ -85,26 +87,15 @@ def _number(x, sig: int):
     return None if x is None else float(x.to_str(sig))
 
 
-def _check_limits(args: argparse.Namespace) -> None:
-    """Refuse, before any work, digits outside their ranges, printed digits
-    the enclosures do not certify (each published value is accepted only
-    with a radius of at most 10^-(digits-5) of it), k or a below 1, and b
-    above MAX_B."""
-    if not MIN_DIGITS <= args.digits <= MAX_DIGITS:
-        raise UsageError(f"Invalid value for '--digits': {args.digits} is not "
-                         f"in the range {MIN_DIGITS}<=x<={MAX_DIGITS}.")
-    if args.print_digits < 1:
-        raise UsageError(f"Invalid value for '--print-digits': "
-                         f"{args.print_digits} is not in the range x>=1.")
+def _check_limits(args: Args) -> None:
+    """Refuse, before any work, what no one option's range covers: printed
+    digits the enclosures do not certify (each published value is accepted
+    only with a radius of at most 10^-(digits-5) of it), and b above
+    MAX_B."""
     if args.print_digits > args.digits - 5:
         raise UsageError(
             f"--print-digits {args.print_digits} is above --digits {args.digits}"
             f" - 5 = {args.digits - 5}, the digits the enclosures certify")
-    for option in ("k", "a"):
-        value = getattr(args, option, None)  # None: omega, table --paper
-        if value is not None and value < 1:
-            raise UsageError(f"Invalid value for '--{option}': {value} is not "
-                             f"in the range x>=1.")
     if getattr(args, "b", 0) > MAX_B:
         raise UsageError(f"--b {args.b} is above the cap {MAX_B}")
 
@@ -146,9 +137,9 @@ def cmd_bound(args) -> int:
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
     res = (mu2_bound if args.quadratic else mu_bound)(k, a, b, digits)
     row = _bound_row(res, sig)
-    if args.fmt == "json":
+    if args.format == "json":
         _echo_json(row)
-    elif args.fmt == "csv":
+    elif args.format == "csv":
         _echo_rows([row], "csv", list(row))
     else:
         label = "mu2" if args.quadratic else "mu"
@@ -183,7 +174,7 @@ def cmd_table(args) -> int:
     """Tabulate bounds over k with the table's parameter choices."""
     from .measures import headline_table, is_degenerate, table_row
 
-    sig, fmt = args.print_digits, args.fmt
+    sig, fmt = args.print_digits, args.format
     rows = []
     table = headline_table(args.digits) if args.paper else [table_row(args.k, args.digits)]
     for tr in table:
@@ -223,7 +214,7 @@ def cmd_verify(args) -> int:
     # smallest: that keeps the process's peak down
     from .forms import verify_forms
 
-    if args.fmt == "text":  # only text prints the decay, and so loads measures
+    if args.format == "text":  # only text prints the decay, and so loads measures
         from .measures import predicted_decay
 
         pred_l, pred_m = predicted_decay(k, a, b, digits)
@@ -240,8 +231,8 @@ def cmd_verify(args) -> int:
                           "decay_quadratic": _number(r.decay_quadratic, sig)})
         entry["integral"] = True
         out.append(entry)
-    _echo_rows(out, args.fmt, list(out[0]))
-    if args.fmt == "text":
+    _echo_rows(out, args.format, list(out[0]))
+    if args.format == "text":
         print(f"predicted decay: linear {pred_l.to_str(sig)}"
               f", quadratic {pred_m.to_str(sig)}")
         print(f"all integrality checks passed for n in {ns}")
@@ -267,13 +258,13 @@ def cmd_omega(args) -> int:
     intervals = [{"lo": format_pair(*lo), "hi": format_pair(*hi),
                   "lo_closed": lo_closed, "hi_closed": hi_closed}
                  for lo, hi, lo_closed, hi_closed in runs]
-    if args.fmt == "json":
+    if args.format == "json":
         _echo_json({
             "a": a, "b": b, "intervals": intervals, "measure": measure,
             "psi_sum": _number(psi_sum, sig),
             "N1": _number(n1, sig), "N2": _number(n2, sig),
         })
-    elif args.fmt == "csv":
+    elif args.format == "csv":
         _echo_rows(intervals, "csv", ["lo", "hi", "lo_closed", "hi_closed"])
     else:
         # a point as {x}, an interval between its closure brackets
@@ -296,75 +287,254 @@ def cmd_search(args) -> int:
         raise UsageError(
             f"--a-max {args.a_max} --b-max {args.b_max} spans {cells} (a, b) "
             f"cells, above the cap {MAX_SEARCH_CELLS}")
-    from .measures import search_params
+    results = []
+    if cells:  # an empty grid is answered before the engine loads
+        from .measures import search_params
 
-    results = search_params(args.k, args.a_max, args.b_max, args.digits,
-                            quadratic=args.quadratic)
+        results = search_params(args.k, args.a_max, args.b_max, args.digits,
+                                quadratic=args.quadratic)
     if not results:
         print("no applicable (a, b) on the grid", file=sys.stderr)
         return 2
     rows = [_bound_row(r, args.print_digits) for r in results]
-    _echo_rows(rows, args.fmt, list(rows[0]))
+    _echo_rows(rows, args.format, list(rows[0]))
     return 0
 
 
-class _Formatter(argparse.HelpFormatter):
-    def add_usage(self, usage, actions, groups, prefix="Usage: "):
-        super().add_usage(usage, actions, groups, prefix)
+class Option:
+    """One row of the option table: ``--name``, its type (``int``, ``str``,
+    or None for a flag, which takes no value and defaults to False), its
+    default, whether it is required, its choices and its range."""
+
+    def __init__(self, name: str, kind=int, default=None, *, required=False,
+                 choices=(), low=None, high=None, help=""):
+        self.name, self.kind, self.required = name, kind, required
+        self.default = False if kind is None else default
+        self.choices, self.low, self.high, self.help = choices, low, high, help
+        self.dest = name[2:].replace("-", "_")
+
+    def invocation(self) -> str:
+        """The option as its help shows it: ``--k K``, ``--format
+        {text,csv,json}``, ``--quadratic``."""
+        if self.kind is None:
+            return self.name
+        shown = "{%s}" % ",".join(self.choices) if self.choices else self.dest.upper()
+        return f"{self.name} {shown}"
+
+    def describe(self) -> str:
+        """The help line: the help and the default of an option that takes
+        one."""
+        if self.kind is None or self.default is None:
+            return self.help
+        return f"{self.help} (default {self.default})".lstrip()
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+class Args:
+    """A parsed command line: ``run``, the command's function, and one
+    attribute per option."""
 
-    def print_help(self, file=None):  # argparse's write would swallow EPIPE
-        (file or sys.stdout).write(self.format_help())
+    def __init__(self, **values):
+        vars(self).update(values)
 
 
-def _parser() -> _Parser:
-    """The command line; every command inherits the digit and format options."""
-    shared = {"allow_abbrev": False, "formatter_class": _Formatter}
-    common = _Parser(add_help=False, **shared)
-    common.add_argument("--digits", type=int, default=60, help=f"working "
-                        f"digits, {MIN_DIGITS} to {MAX_DIGITS} (default %(default)s)")
-    common.add_argument("--print-digits", type=int, default=6, help="digits "
-                        "shown, 1 to --digits - 5 (default %(default)s)")
-    common.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
-                        default="text", help="output format (default %(default)s)")
+def _positive(*names: str) -> tuple[Option, ...]:
+    return tuple(Option(name, required=True, low=1) for name in names)
 
-    parser = _Parser(prog="irrbounds", description=(
-        "Upper bounds on the irrationality and non-quadraticity measures of "
-        "alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."), **shared)
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
-                                     required=True)
 
-    def command(name: str, run, *int_options: str,
-                quadratic: str | None = None) -> _Parser:
-        sub = commands.add_parser(name, parents=[common], help=run.__doc__,
-                                  description=run.__doc__, **shared)
-        sub.set_defaults(run=run)
-        for option in int_options:
-            sub.add_argument(f"--{option}", type=int, required=True)
-        if quadratic:
-            sub.add_argument("--quadratic", action="store_true", help=quadratic)
-        return sub
+# every command takes these, ahead of its own
+COMMON = (
+    Option("--digits", default=60, low=MIN_DIGITS, high=MAX_DIGITS,
+           help=f"working digits, {MIN_DIGITS} to {MAX_DIGITS}"),
+    Option("--print-digits", default=6, low=1,
+           help="digits shown, 1 to --digits - 5"),
+    Option("--format", str, "text", choices=("text", "csv", "json"),
+           help="output format"),
+)
+# command -> (its function, its own options, the options of which the
+# command line gives exactly one)
+COMMANDS = {
+    "bound": (cmd_bound, (
+        *_positive("--k", "--a", "--b"),
+        Option("--quadratic", None,
+               help="non-quadraticity bound instead of irrationality"),
+    ), ()),
+    "table": (cmd_table, (
+        Option("--paper", None, help="the headline table (k = 3, 5, 6, ..., 12)"),
+        Option("--k", low=1, help="one row, with the default parameter choices"),
+    ), ("--paper", "--k")),
+    "verify": (cmd_verify, (
+        *_positive("--k", "--a", "--b"),
+        Option("--quadratic", None,
+               help="also show the quadratic-form columns X, Y, Z"),
+        Option("--n", str, required=True,
+               help="comma-separated odd n values, e.g. 1,3,5"),
+    ), ()),
+    "omega": (cmd_omega, _positive("--a", "--b"), ()),
+    "search": (cmd_search, (
+        *_positive("--k"),
+        Option("--quadratic", None, help="rank the mu2 bounds"),
+        Option("--a-max", default=2), Option("--b-max", default=15),
+    ), ()),
+}
+DESCRIPTION = ("Upper bounds on the irrationality and non-quadraticity "
+               "measures of alpha_k = sqrt(2k+1) * "
+               "ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)).")
+HELP = ("-h", "--help")
 
-    command("bound", cmd_bound, "k", "a", "b",
-            quadratic="non-quadraticity bound instead of irrationality")
-    table = command("table", cmd_table).add_mutually_exclusive_group(required=True)
-    table.add_argument("--paper", action="store_true",
-                       help="the headline table (k = 3, 5, 6, ..., 12)")
-    table.add_argument("--k", type=int,
-                       help="one row, with the default parameter choices")
-    verify = command("verify", cmd_verify, "k", "a", "b",
-                     quadratic="also show the quadratic-form columns X, Y, Z")
-    verify.add_argument("--n", required=True,
-                        help="comma-separated odd n values, e.g. 1,3,5")
-    command("omega", cmd_omega, "a", "b")
-    search = command("search", cmd_search, "k", quadratic="rank the mu2 bounds")
-    search.add_argument("--a-max", type=int, default=2, help="(default %(default)s)")
-    search.add_argument("--b-max", type=int, default=15, help="(default %(default)s)")
-    return parser
+
+def _is_value(token: str) -> bool:
+    """Whether a token can be an option's value: as in argparse, any token
+    but one that looks like an option.  A negative number (-1, -.5, -1.5)
+    is a value, so that ``--k -1`` reaches the range check."""
+    if token[:1] != "-" or token == "-" or " " in token:
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    if dot:
+        return fraction.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
+
+
+def _choices(values) -> str:
+    return ", ".join(map(repr, values))
+
+
+def _parse(argv: list[str]) -> Args | str:
+    """The command line read against :data:`COMMANDS`: its Args, or the help
+    text that ``-h`` or ``--help`` asks for.  Options come in any order, as
+    ``--opt value`` or ``--opt=value``, and the last of a repeated option
+    wins.  Refusals raise UsageError with argparse's messages: first a
+    value of the wrong type or choice, or one of two exclusive options, in
+    argv order; then a missing option; then unknown or abbreviated options
+    and stray words; then each option's range, in table order."""
+    unknown = []
+    for at, token in enumerate(argv):
+        if token in HELP:
+            return _help()
+        if not token.startswith("-"):
+            break
+        unknown.append(token)
+    else:
+        raise UsageError("the following arguments are required: COMMAND")
+    if token not in COMMANDS:
+        raise UsageError(f"argument COMMAND: invalid choice: {token!r} "
+                         f"(choose from {_choices(COMMANDS)})")
+    command = token
+    run, own, one_of = COMMANDS[command]
+    options = {option.name: option for option in (*COMMON, *own)}
+    values = {option.dest: option.default for option in options.values()}
+    given = set()
+    tokens = iter(argv[at + 1:])
+    for token in tokens:
+        if token in HELP:
+            return _help(command)
+        name, equals, value = token.partition("=")
+        option = options.get(name) if token.startswith("--") else None
+        if option is None:
+            unknown.append(token)
+            continue
+        if option.kind is None:
+            if equals:
+                raise UsageError(f"argument {name}: ignored explicit argument "
+                                 f"{value!r}")
+            value = True
+        elif not equals:
+            value = next(tokens, "--")  # "--": no token is left to take
+            if not _is_value(value):
+                raise UsageError(f"argument {name}: expected one argument")
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid int value: "
+                                 f"{value!r}") from None
+        if option.choices and value not in option.choices:
+            raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {_choices(option.choices)})")
+        others = given.intersection(one_of) - {name} if name in one_of else ()
+        if others:
+            raise UsageError(f"argument {name}: not allowed with argument "
+                             f"{others.pop()}")
+        given.add(name)
+        values[option.dest] = value
+    missing = [option.name for option in own
+               if option.required and option.name not in given]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    if one_of and not given & set(one_of):
+        raise UsageError(f"one of the arguments {' '.join(one_of)} is required")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    for option in options.values():
+        value, low, high = values[option.dest], option.low, option.high
+        if low is not None and value is not None and (
+                value < low or high is not None and value > high):
+            span = f"x>={low}" if high is None else f"{low}<=x<={high}"
+            raise UsageError(f"Invalid value for '{option.name}': {value} is "
+                             f"not in the range {span}.")
+    return Args(run=run, **values)
+
+
+def _wrap(head: str, words, indent: int) -> list[str]:
+    """Words appended to ``head``, greedily, in lines of at most 78
+    columns; each further line starts with ``indent`` spaces."""
+    lines = [head]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(" " * indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
+
+
+def _section(title: str, rows: list[tuple[str, str]], column: int) -> str:
+    """A titled list of (invocation, help) rows, as argparse lays it out:
+    each help from ``column``, or on its own line below an invocation too
+    long for it."""
+    lines = [f"{title}:"]
+    for lead, text in rows:
+        if not text:
+            lines.append(lead)
+        elif len(lead) + 2 <= column:
+            lines.append(f"{lead:<{column}}{text}")
+        else:
+            lines += [lead, " " * column + text]
+    return "\n".join(lines)
+
+
+def _help(command: str | None = None) -> str:
+    """The help of the whole command line, or of one command, from the
+    option table."""
+    rows = [("  -h, --help", "show this help message and exit")]
+    if command is None:
+        usage = ["Usage: irrbounds [-h] COMMAND ..."]
+        first, *rest = DESCRIPTION.split()
+        about = "\n".join(_wrap(first, rest, 0))
+        commands = [("  COMMAND", ""), *((f"    {name}", run.__doc__)
+                                          for name, (run, _, _) in COMMANDS.items())]
+        sections = {"options": rows, "commands": commands}
+    else:
+        run, own, one_of = COMMANDS[command]
+        options = (*COMMON, *own)
+        exclusive = [option.invocation() for option in own if option.name in one_of]
+        parts = ["[-h]"]
+        for option in options:
+            if option.name not in one_of:
+                shown = option.invocation()
+                parts.append(shown if option.required else f"[{shown}]")
+            elif option.name == one_of[0]:
+                parts.append(f"({' | '.join(exclusive)})")
+        head = f"Usage: irrbounds {command}"
+        usage = _wrap(head, parts, len(head) + 1)
+        about = run.__doc__
+        rows += [(f"  {option.invocation()}", option.describe()) for option in options]
+        sections = {"options": rows}
+    # the help column: 2 past the longest invocation, and at most 24
+    column = min(24, 2 + max(len(lead) for entries in sections.values()
+                             for lead, _ in entries))
+    return "\n\n".join(["\n".join(usage), about, *(
+        _section(title, entries, column)
+        for title, entries in sections.items())]) + "\n"
 
 
 # exception -> exit code and stderr prefix; the first match wins.  main
@@ -383,12 +553,13 @@ EXIT_CODES = (
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        try:
-            args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # --help
+            sys.stdout.write(args)
+            code = 0
+        else:
             _check_limits(args)
             code = args.run(args)
-        except SystemExit as exc:  # --help
-            code = int(exc.code or 0)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irrbounds import asymptotics, measures, omega
-from irrbounds.cli import MAX_B, MAX_DIGITS, MAX_SEARCH_CELLS, _number, main
+from irrbounds import asymptotics, cli, measures, omega
+from irrbounds.cli import (COMMANDS, COMMON, MAX_B, MAX_DIGITS,
+                           MAX_SEARCH_CELLS, _number, main)
 from irrbounds.errors import IntegralityError, PrecisionError
 from irrbounds.fixed import Ball
 from oracles import format_rat, omega_intervals, pair, runs_of
@@ -416,9 +417,12 @@ def test_search_best_cell_first(capsys):
 
 
 def test_search_empty_grid_exit_2(capsys):
-    code, _, err = run(capsys, "search", "--k", "6", "--a-max", "1",
-                       "--b-max", "3")
-    assert code == 2
+    # a grid without a cell is answered from its size, before the engine
+    # loads
+    for a_max, b_max in (("1", "3"), ("0", "15"), ("2", "4")):
+        code, out, err = run(capsys, "search", "--k", "6", "--a-max", a_max,
+                             "--b-max", b_max)
+        assert (code, out, err) == (2, "", "no applicable (a, b) on the grid\n")
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +724,7 @@ def test_digit_options_rejected_at_parse_time(capsys, argv):
     ("--k", ("table", "--k", "0")),
     ("--k", ("search", "--k", "0")),
     ("--k", ("verify", "--k", "-1", "--a", "1", "--b", "7", "--n", "1")),
+    ("--k", ("table", "--k", "-1")),
     ("--a", ("omega", "--a", "0", "--b", "7")),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_k_and_a_below_one_refused_by_name(capsys, option, argv):
@@ -729,6 +734,20 @@ def test_k_and_a_below_one_refused_by_name(capsys, option, argv):
     assert (code, out) == (1, "")
     assert err == (f"Error: Invalid value for '{option}': {value} is not in "
                    "the range x>=1.\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--k", "6", "--a", "1"),
+    ("omega", "--a", "1"),
+    ("verify", "--k", "6", "--a", "1", "--n", "1"),
+], ids=lambda argv: argv[0])
+def test_b_below_one_refused_by_name(capsys, argv):
+    # the option table holds --b's range, so the refusal names --b before
+    # any work, not the engine's k, a, b, n
+    for b in ("0", "-1"):
+        assert run(capsys, *argv, "--b", b) == (
+            1, "", f"Error: Invalid value for '--b': {b} is not in the range "
+                   "x>=1.\n")
 
 
 @settings(max_examples=60, deadline=None,
@@ -821,8 +840,11 @@ def test_cli_runs_without_click_or_numpy():
 
 # modules no CLI start-up may load: dataclasses, with inspect, cost every
 # process about 10 ms, json and csv load only where a --format uses them,
-# and mpmath is a test oracle alone
-UNUSED_AT_START = {"dataclasses", "inspect", "json", "csv", "mpmath"}
+# mpmath is a test oracle alone, and the command line is read from the
+# option table, with no argparse (nor its gettext and locale)
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+UNUSED_AT_START = {"dataclasses", "inspect", "json", "csv", "mpmath",
+                   *PARSER_MODULES}
 
 
 def test_import_and_help_load_no_unused_module():
@@ -853,7 +875,7 @@ ENGINE_LOADS = [
     *(([command, "--help"], 0, set())
       for command in ("bound", "table", "verify", "omega", "search")),
     # one refusal of each class
-    (["table"], 1, set()),  # neither --paper nor --k: argparse refuses
+    (["table"], 1, set()),  # neither --paper nor --k
     (["bound", "--k", "6", "--a", "1", "--b", "7", "--digits", "20"], 1, set()),
     (["bound", "--k", "6", "--a", "1", "--b", "7", "--print-digits", "56"], 1, set()),
     (["omega", "--a", "1", "--b", str(MAX_B + 2)], 1, set()),
@@ -863,6 +885,12 @@ ENGINE_LOADS = [
      set()),
     (["search", "--k", "7", "--a-max", "9", "--b-max", "99"], 1, set()),
     (["bound", "--k", "0", "--a", "1", "--b", "7"], 1, set()),
+    (["bound", "--k", "6", "--a", "1", "--b", "-1"], 1, set()),
+    (["verify", "--k", "6", "--a", "1", "--b", "-1", "--n", "1"], 1, set()),
+    (["omega", "--a", "1", "--b", "-1"], 1, set()),
+    # an empty grid is answered from its size alone
+    (["search", "--k", "6", "--a-max", "0"], 2, set()),
+    (["search", "--k", "6", "--b-max", "4"], 2, set()),
     # each command that computes
     (["bound", "--k", "6", "--a", "1", "--b", "7"], 0, BOUND_ENGINE),
     (["table", "--paper"], 0, BOUND_ENGINE),
@@ -881,10 +909,12 @@ ENGINE_LOADS = [
                          ids=[" ".join(argv) for argv, _, _ in ENGINE_LOADS])
 def test_each_command_loads_only_its_engine_layers(argv, code, engine):
     # --help and every class of refused command line are answered by the
-    # CLI alone; a command that computes loads its own layers only
+    # CLI alone; a command that computes loads its own layers only, and no
+    # command line loads argparse, gettext or locale
     got, modules = _modules_after(*argv)
     assert got == code
     assert ENGINE & modules == engine
+    assert not PARSER_MODULES & modules
 
 
 # a bare interpreter: -I ignores the PYTHON* variables and the user site,
@@ -971,31 +1001,106 @@ def test_fresh_process_formats_match_reference(label, argv):
 @pytest.mark.parametrize("argv", [
     ["--help"],
     *([cmd, "--help"] for cmd in ("bound", "table", "verify", "omega", "search")),
+    ["-h"],
+    *([cmd, "-h"] for cmd in ("bound", "table", "verify", "omega", "search")),
+    ["bound", "--k", "6", "-h", "--bogus"],
 ])
 def test_help_exit_0(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert out.startswith("Usage: irrbounds ") and err == ""
+    # -h is --help, wherever it stands, ahead of any refusal
+    command = [word for word in argv[:1] if word in COMMANDS]
+    assert run(capsys, *command, "--help") == (0, out, "")
+
+
+def _base_argv(command: str) -> list[str]:
+    """The shortest command line the table accepts for a command: each
+    required option at 1, and the first of its exclusive options."""
+    _, own, one_of = COMMANDS[command]
+    argv = [command]
+    for option in own:
+        if option.required or one_of[:1] == (option.name,):
+            argv += [option.name] if option.kind is None else [option.name, "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_the_options_the_parser_accepts(capsys, command):
+    # the help and the parser read one table: an option the help lists is
+    # one the parser takes, and every other option name is unrecognized
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = {line.split()[0] for line in out.split("\noptions:\n")[1].splitlines()
+              if line.lstrip().startswith("--")}
+    base = _base_argv(command)
+    assert isinstance(cli._parse(base), cli.Args)
+    names = {option.name for option in COMMON} | {"--bogus", "--dig"} | {
+        option.name for _, own, _ in COMMANDS.values() for option in own}
+    accepted = set()
+    for name in names:
+        try:
+            cli._parse([*base, f"{name}=x"])
+        except cli.UsageError as exc:
+            if str(exc) == f"unrecognized arguments: {name}=x":
+                continue
+        accepted.add(name)
+    assert listed == accepted
+    assert accepted == {option.name for option in (*COMMON, *COMMANDS[command][1])}
+
+
+def test_option_spellings_and_repeats_read_alike(capsys):
+    # --opt=value reads as --opt value, and the last of a repeated option
+    # wins
+    code, out, err = run(capsys, "table", "--k", "6")
+    assert (code, err) == (0, "") and "3.51433" in out
+    assert run(capsys, "table", "--k=6") == (code, out, err)
+    assert run(capsys, "table", "--k", "3", "--k=6") == (code, out, err)
+    assert run(capsys, "table", "--format", "json", "--k", "6",
+               "--format=text") == (code, out, err)
 
 
 BOUND_6_1_7 = ("bound", "--k", "6", "--a", "1", "--b", "7")
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param((), id="no-command"),
-    pytest.param(("frobnicate",), id="unknown-command"),
-    pytest.param((*BOUND_6_1_7, "--bogus"), id="unknown-option"),
-    pytest.param((*BOUND_6_1_7, "--dig", "30"), id="abbreviated-option"),
-    pytest.param(("bound", "--k", "x", "--a", "1", "--b", "7"), id="k-not-int"),
-    pytest.param((*BOUND_6_1_7, "--format", "xml"), id="unknown-format"),
-    pytest.param(("verify", "--k", "6", "--a", "1", "--b", "7"), id="verify-without-n"),
-    pytest.param(("table", "--paper", "--k", "3"), id="table-paper-and-k"),
+@pytest.mark.parametrize("argv,message", [
+    pytest.param((), "the following arguments are required: COMMAND",
+                 id="no-command"),
+    pytest.param(("frobnicate",), "argument COMMAND: invalid choice: "
+                 "'frobnicate' (choose from 'bound', 'table', 'verify', "
+                 "'omega', 'search')", id="unknown-command"),
+    pytest.param((*BOUND_6_1_7, "--bogus"), "unrecognized arguments: --bogus",
+                 id="unknown-option"),
+    pytest.param((*BOUND_6_1_7, "--dig", "30"),
+                 "unrecognized arguments: --dig 30", id="abbreviated-option"),
+    pytest.param(("bound", "--k", "x", "--a", "1", "--b", "7"),
+                 "argument --k: invalid int value: 'x'", id="k-not-int"),
+    pytest.param((*BOUND_6_1_7, "--format", "xml"), "argument --format: "
+                 "invalid choice: 'xml' (choose from 'text', 'csv', 'json')",
+                 id="unknown-format"),
+    pytest.param(("verify", "--k", "6", "--a", "1", "--b", "7"),
+                 "the following arguments are required: --n",
+                 id="verify-without-n"),
+    pytest.param(("table", "--paper", "--k", "3"),
+                 "argument --k: not allowed with argument --paper",
+                 id="table-paper-and-k"),
+    pytest.param(("table",), "one of the arguments --paper --k is required",
+                 id="table-neither"),
+    pytest.param(("bound",), "the following arguments are required: --k, "
+                 "--a, --b", id="bound-without-options"),
+    pytest.param((*BOUND_6_1_7, "--k"), "argument --k: expected one argument",
+                 id="k-without-value"),
+    pytest.param(("bound", "--k", "--a", "1", "--b", "7"),
+                 "argument --k: expected one argument", id="k-before-option"),
+    pytest.param((*BOUND_6_1_7, "--quadratic=1"),
+                 "argument --quadratic: ignored explicit argument '1'",
+                 id="flag-with-value"),
+    pytest.param((*BOUND_6_1_7, "7"), "unrecognized arguments: 7",
+                 id="stray-word"),
 ])
-def test_usage_errors_exit_1_one_line(capsys, argv):
+def test_usage_errors_exit_1_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("Error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert (code, out, err) == (1, "", f"Error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [BOUND_6_1_7, _verify_n31(8), ("--help",)],
@@ -1004,8 +1109,8 @@ def test_closed_stdout_exits_141_with_empty_stderr(argv):
     # stdout's reader is gone before the first write, as with `| head -c 0`:
     # exit 141, as for SIGPIPE, with no traceback and no "Exception
     # ignored" line at interpreter shutdown.  Buffered, the write fails at
-    # the flush; unbuffered, at the write itself, which argparse's own help
-    # printing would swallow
+    # the flush; unbuffered, at the write itself, which the help must not
+    # swallow
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
