@@ -9,7 +9,7 @@ of cosines and log-sines per denominator and precision.  The saddle
 functions take x as a ball; the root beyond b is found by Newton and
 certified by two exact probes for every x in an enclosure whose ends are
 int pairs; near x = 1 the working precision carries guard digits.
-alpha_value, by mpmath, is the test oracle of measures._alpha_fixed.
+alpha_value, by mpmath, is the test oracle of forms._alpha_fixed.
 """
 
 from __future__ import annotations

@@ -321,13 +321,6 @@ class Option:
         shown = "{%s}" % ",".join(self.choices) if self.choices else self.dest.upper()
         return f"{self.name} {shown}"
 
-    def describe(self) -> str:
-        """The help line: the help and the default of an option that takes
-        one."""
-        if self.kind is None or self.default is None:
-            return self.help
-        return f"{self.help} (default {self.default})".lstrip()
-
 
 class Args:
     """A parsed command line: ``run``, the command's function, and one
@@ -376,9 +369,9 @@ COMMANDS = {
         Option("--a-max", default=2), Option("--b-max", default=15),
     ), ()),
 }
-DESCRIPTION = ("Upper bounds on the irrationality and non-quadraticity "
-               "measures of alpha_k = sqrt(2k+1) * "
-               "ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1)).")
+DESCRIPTION = """\
+Upper bounds on the irrationality and non-quadraticity measures of
+alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."""
 HELP = ("-h", "--help")
 
 
@@ -475,66 +468,30 @@ def _parse(argv: list[str]) -> Args | str:
     return Args(run=run, **values)
 
 
-def _wrap(head: str, words, indent: int) -> list[str]:
-    """Words appended to ``head``, greedily, in lines of at most 78
-    columns; each further line starts with ``indent`` spaces."""
-    lines = [head]
-    for word in words:
-        if len(lines[-1]) + 1 + len(word) > 78:
-            lines.append(" " * indent + word)
-        else:
-            lines[-1] += " " + word
-    return lines
-
-
-def _section(title: str, rows: list[tuple[str, str]], column: int) -> str:
-    """A titled list of (invocation, help) rows, as argparse lays it out:
-    each help from ``column``, or on its own line below an invocation too
-    long for it."""
-    lines = [f"{title}:"]
-    for lead, text in rows:
-        if not text:
-            lines.append(lead)
-        elif len(lead) + 2 <= column:
-            lines.append(f"{lead:<{column}}{text}")
-        else:
-            lines += [lead, " " * column + text]
-    return "\n".join(lines)
-
-
 def _help(command: str | None = None) -> str:
-    """The help of the whole command line, or of one command, from the
-    option table."""
-    rows = [("  -h, --help", "show this help message and exit")]
+    """The help of the whole command line, or of one command: the option
+    table as it stands, one row per command or option; an option's row
+    ends with its default, "(required)" or the exclusive pair it is in."""
     if command is None:
-        usage = ["Usage: irrbounds [-h] COMMAND ..."]
-        first, *rest = DESCRIPTION.split()
-        about = "\n".join(_wrap(first, rest, 0))
-        commands = [("  COMMAND", ""), *((f"    {name}", run.__doc__)
-                                          for name, (run, _, _) in COMMANDS.items())]
-        sections = {"options": rows, "commands": commands}
+        head = (f"COMMAND [options]\n\n{DESCRIPTION}\n\n"
+                "commands (irrbounds COMMAND --help lists its options):")
+        rows = [(name, run.__doc__) for name, (run, _, _) in COMMANDS.items()]
     else:
         run, own, one_of = COMMANDS[command]
-        options = (*COMMON, *own)
-        exclusive = [option.invocation() for option in own if option.name in one_of]
-        parts = ["[-h]"]
-        for option in options:
-            if option.name not in one_of:
-                shown = option.invocation()
-                parts.append(shown if option.required else f"[{shown}]")
-            elif option.name == one_of[0]:
-                parts.append(f"({' | '.join(exclusive)})")
-        head = f"Usage: irrbounds {command}"
-        usage = _wrap(head, parts, len(head) + 1)
-        about = run.__doc__
-        rows += [(f"  {option.invocation()}", option.describe()) for option in options]
-        sections = {"options": rows}
-    # the help column: 2 past the longest invocation, and at most 24
-    column = min(24, 2 + max(len(lead) for entries in sections.values()
-                             for lead, _ in entries))
-    return "\n\n".join(["\n".join(usage), about, *(
-        _section(title, entries, column)
-        for title, entries in sections.items())]) + "\n"
+        head = f"{command} [options]\n\n{run.__doc__}\n\noptions:"
+        rows = [("-h, --help", "show this help message and exit")]
+        for option in (*COMMON, *own):
+            if option.name in one_of:
+                note = f"(one of {', '.join(one_of)})"
+            elif option.required:
+                note = "(required)"
+            elif option.kind and option.default is not None:
+                note = f"(default {option.default})"
+            else:
+                note = ""
+            rows.append((option.invocation(), f"{option.help} {note}".strip()))
+    return "".join([f"Usage: irrbounds {head}\n",
+                    *(f"  {lead}  {text}\n" for lead, text in rows)])
 
 
 # exception -> exit code and stderr prefix; the first match wins.  main

@@ -37,9 +37,8 @@ from .fixed import Ball, prec_of
 from .omega import delta_products
 
 __all__ = [
-    "Params", "IntPoly", "UVWValues", "IntegerForms", "VerificationRow",
-    "x_point", "build_A", "derivative", "eval_UVW", "scaled_integer_forms",
-    "verify_forms",
+    "Params", "UVWValues", "IntegerForms", "VerificationRow", "x_point",
+    "eval_UVW", "scaled_integer_forms", "verify_forms",
 ]
 
 

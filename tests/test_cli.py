@@ -962,6 +962,28 @@ def test_bound_commands_never_load_fractions_or_decimal(argv, preload):
     assert FRACTION_LAYER & set(modules) == (FRACTION_LAYER if control else set())
 
 
+# a star import of forms in a bare interpreter, then (the control) one of
+# the dense oracles that forms.__getattr__ passes on
+STAR_IMPORT = ("import sys; sys.path.insert(0, sys.argv[1]); "
+               "from irrbounds.forms import *; print(*sys.modules); "
+               "import irrbounds.forms; irrbounds.forms.build_A; "
+               "print(*sys.modules)")
+
+
+def test_forms_star_import_loads_no_fraction_layer():
+    # forms.__all__ names only what forms defines: the star import leaves
+    # fractions, decimal and irrbounds.dense unloaded, and build_A, read
+    # through forms.__getattr__, loads them, which shows the check sees a
+    # load
+    child = subprocess.run([sys.executable, "-I", "-S", "-B", "-c",
+                            STAR_IMPORT, str(SRC)], capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    star, control = (set(line.split()) for line in child.stdout.splitlines())
+    assert "irrbounds.forms" in star and not FRACTION_LAYER & star
+    assert FRACTION_LAYER <= control
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--paper"],
     ["search", "--k", "7", "--a-max", "1", "--b-max", "9"],
@@ -1012,6 +1034,27 @@ def test_help_exit_0(capsys, argv):
     # -h is --help, wherever it stands, ahead of any refusal
     command = [word for word in argv[:1] if word in COMMANDS]
     assert run(capsys, *command, "--help") == (0, out, "")
+    # the option table as rows, each within 79 columns: the top level's
+    # one per command with its docstring, a command's one per option with
+    # "required", its default or its exclusive pair
+    assert max(map(len, out.splitlines())) <= 79
+    if not command:
+        for name, (function, _, _) in COMMANDS.items():
+            assert f"\n  {name}  {function.__doc__}\n" in out
+        return
+    _, own, _ = COMMANDS[command[0]]
+    rows = {line.split()[0]: line for line in out.splitlines()
+            if line.startswith("  --")}
+    for option in (*COMMON, *own):
+        row = rows[option.name]
+        assert row.startswith(f"  {option.invocation()}  ")
+        if option.required:
+            assert row.endswith(" (required)")
+        if option.kind is not None and option.default is not None:
+            assert row.endswith(f" (default {option.default})")
+    if command == ["table"]:
+        assert rows["--paper"].endswith(" (one of --paper, --k)")
+        assert rows["--k"].endswith(" (one of --paper, --k)")
 
 
 def _base_argv(command: str) -> list[str]:
