@@ -8,7 +8,9 @@ from Gauss's digamma theorem, memoised per argument, with one memoised row
 of cosines and log-sines per denominator and precision.  The saddle
 functions take x as a ball; the root beyond b is found by Newton and
 certified by two exact probes for every x in an enclosure whose ends are
-int pairs; near x = 1 the working precision carries guard digits.
+int pairs, all on one integer cubic (:func:`_cubic`), taken at x's centre
+and at the enclosure's ends; near x = 1 the working precision carries
+guard digits.
 alpha_value, by mpmath, is the test oracle of forms._alpha_fixed.
 """
 
@@ -128,68 +130,61 @@ def alpha_value(k: int, digits: int):
 NO_COMPLEX_SADDLE = "saddle cubic has three real roots; no complex saddle point"
 
 
-def _real_cubic_coeffs(a: int, b: int, x):
-    """Coefficients (c3, c2, c1, c0) of the cleared saddle equation
-    x*z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b).
+def _cubic(a: int, b: int, x: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Integer coefficients (c3, c2, c1, c0) of xd times the saddle cubic
+    x z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b) at the exact x = xn/xd, an
+    int pair with xd > 0.
 
-    The mirrored equation x*z(z+a)(z+2a) - (z+(b-2a))(z+(b-a))(z+b) is minus
+    The mirrored equation x z(z+a)(z+2a) - (z+(b-2a))(z+(b-a))(z+b) is minus
     this cubic at -z, so its roots are these roots negated.
     """
+    xn, xd = x
     r1, r2, r3 = b - 2 * a, b - a, b
-    c3 = x - 1
-    c2 = x * (-3 * a) + (r1 + r2 + r3)
-    c1 = x * (2 * a * a) - (r1 * r2 + r1 * r3 + r2 * r3)
-    c0 = r1 * r2 * r3
-    return c3, c2, c1, c0
+    return (xn - xd, 3 * (r2 * xd - a * xn),
+            2 * a * a * xn - (r1 * r2 + r1 * r3 + r2 * r3) * xd, r1 * r2 * r3 * xd)
 
 
-def _eval_cubic(coeffs, z):
-    c3, c2, c1, c0 = coeffs
-    return ((c3 * z + c2) * z + c1) * z + c0
+def _value(c, zn: int, zd: int) -> int:
+    """zd^3 times the cubic of the coefficients c at z = zn/zd: with zd > 0
+    and c from :func:`_cubic`, an integer of the saddle cubic's sign."""
+    c3, c2, c1, c0 = c
+    return ((c3 * zn + c2 * zd) * zn + c1 * zd * zd) * zn + c0 * zd ** 3
 
 
-def _cleared_cubic(a: int, b: int, zn: int, zd: int, xn: int, xd: int) -> int:
-    """The cleared cubic at z = zn/zd and x = xn/xd times zd^3 * xd: the
-    integer xn*G - xd*H with G = zn(zn - a zd)(zn - 2a zd) and
-    H = (zn - r1 zd)(zn - r2 zd)(zn - r3 zd), r1, r2, r3 = b-2a, b-a, b.
-    With zd, xd > 0 it has the sign of the cubic."""
-    g = zn * (zn - a * zd) * (zn - 2 * a * zd)
-    h = (zn - (b - 2 * a) * zd) * (zn - (b - a) * zd) * (zn - b * zd)
-    return xn * g - xd * h
-
-
-def _certified_sign(a: int, b: int, zn: int, zd: int, x_lo, x_hi) -> int | None:
-    """Sign of the cleared cubic at z = zn/zd (zd > 0), certain for every x
-    in [x_lo, x_hi], int pairs (it is linear in x); None when it is not."""
-    lo, hi = (_cleared_cubic(a, b, zn, zd, *x) for x in (x_lo, x_hi))
+def _certified_sign(ends, zn: int, zd: int) -> int | None:
+    """Sign of the saddle cubic at z = zn/zd (zd > 0), certain for every x
+    between the two x whose :func:`_cubic` are ``ends`` (it is linear in
+    x); None when it is not."""
+    lo, hi = (_value(c, zn, zd) for c in ends)
     return 1 if lo > 0 < hi else -1 if lo < 0 > hi else None
 
 
-def _newton_polish(coeffs, z0: tuple[int, int], prec: int, dps: int) -> Ball:
-    """Newton on the cubic of the ball centres ``coeffs`` from z0 = m 2^e
-    until a step is at most 10^(3-dps) max(1, |z|), halving a step that
-    raises |f| while it is above 10^(3-dps), rounded to prec bits.  With each
-    C_i 2^e_i, e = min e_i, and z = Z 2^-E, Z of prec bits or more,
-    f(z) 2^(3E-e) and f'(z) 2^(2E-e) are integers, and a step moves Z by
-    their quotient, rounded: the only error."""
-    e = min(c.exp for c in coeffs)
+def _newton_polish(c, z0: tuple[int, int], prec: int, dps: int) -> Ball:
+    """Newton on the cubic f of the integers c (:func:`_cubic` at x's
+    centre) from z0 = m 2^e until a step is at most 10^(3-dps) max(1, |z|),
+    rounded to prec bits.  With z = Z 2^-E, Z of prec bits or more, and
+    c_i shifted by (3-i)E bits, f(z) 2^3E (:func:`_value` at Z/1) and
+    f'(z) 2^2E are integers, and a step moves Z by their quotient, rounded:
+    the only error.
+
+    No step needs halving.  Per unit of x's denominator, f''(z) =
+    6((x-1)z + b - a - ax) vanishes at z_i = a + B/u, B = b - 2a, u = 1 - x,
+    where F = h/g (:func:`_solve_cubic`) is x(B^2 x^2 - a^2 u^2)/(B^2 -
+    a^2 u^2) < x, as B > 2a > au: so f(z_i) = g(x - F) > 0 whenever
+    z_i > b, and z_i lies below the root z0.  On [z0, oo) f is thus concave
+    and falling, and Newton from the bound b/(1 - x^(1/3)) >= z0
+    (:func:`_newton_start`) falls monotonically to z0, |f| never rising, up
+    to the last unit's rounding."""
     zm, ze = z0
     shift = max(0, -ze, prec - ze - zm.bit_length())  # E
     z, u = zm << ze + shift, 1 << shift
-    ints = c3, c2, c1, _ = [c.man << c.exp - e + i * shift
-                            for i, c in enumerate(coeffs)]
+    scaled = c[0], c[1] << shift, c[2] << 2 * shift, c[3] << 3 * shift
+    c3, c2, c1, _ = scaled
     tol = 10 ** (dps - 3)
-    fz = _eval_cubic(ints, z)
     for _ in range(200):
         fp = (3 * c3 * z + 2 * c2) * z + c1
-        step = (2 * fz + fp) // (2 * fp)
-        znew = z - step
-        fnew = _eval_cubic(ints, znew)
-        while abs(fnew) > abs(fz) and abs(step) * tol > u:
-            step = step // 2 if step > 0 else -(-step // 2)
-            znew = z - step
-            fnew = _eval_cubic(ints, znew)
-        z, fz = znew, fnew
+        step = (2 * _value(scaled, z, 1) + fp) // (2 * fp)
+        z -= step
         if abs(step) * tol <= max(u, abs(z)):
             break
     return Ball(z, -shift).rnd(prec)
@@ -200,8 +195,8 @@ def _newton_start(a: int, b: int, x: tuple[int, int],
     """Start (m, e) of the integer Newton for the root beyond b at the exact
     x, an int pair: the proven bound b/(1 - x^(1/3)) (:func:`_solve_cubic`),
     rounded as mpmath's b/(1 - cbrt(x)) is: the cube root to prec + 4 bits
-    or more and a sticky bit.  From there the polish makes 9-11 cubic
-    evaluations per solve at 60 digits and 12-14 at 500 digits on the 97
+    or more and a sticky bit.  From there the polish makes 8-10 cubic
+    evaluations per solve at 60 digits and 11-13 at 500 digits on the 97
     cells of the benchmark's table and searches."""
     xn, xd = x
     t = prec + 4 + max(0, xd.bit_length() - xn.bit_length()) // 3
@@ -219,18 +214,19 @@ def _solve_cubic(a: int, b: int, x: Ball, digits: int, w: int):
     x_ball): the root's certified bracket [(zn -/+ en)/2^e], zn/2^e = z0,
     x's ends as int pairs and ball.
 
-    The cubic is z(z-a)(z-2a) (x - f(z)), f(z) = (z-(b-2a))(z-(b-a))(z-b) /
-    (z(z-a)(z-2a)).  On z > b each factor (z-r)/(z-c) of f has r > c >= 0
-    (as b > 4a), so it is positive and strictly increasing: f rises from 0
-    to 1, and for x in (0, 1) exactly one root lies beyond b, the cubic
-    positive before it and negative after it.  Each factor is also
-    >= (z-b)/z, so that root is at most b/(1 - x^(1/3)), where Newton
-    starts.  Two exact probes at lo, hi = z0 -/+ z0 10^-(digits+5)/2,
-    rounded outward, certify it: lo > b, sign +1 at lo and -1 at hi for
-    every x in the enclosure (:func:`_cleared_cubic` at its ends); else
-    PrecisionError.  Newton stops near 10^-(digits+7), and x_k's enclosure
-    moves the root by less (measures._x_numeric).  The last solve is kept,
-    keyed on every exact input."""
+    The cubic is x g - h = g (x - F), g = z(z-a)(z-2a),
+    h = (z-(b-2a))(z-(b-a))(z-b), F = h/g.  On z > b each factor (z-r)/(z-c)
+    of F has r > c >= 0 (as b > 4a), so it is positive and strictly
+    increasing: F rises from 0 to 1, and for x in (0, 1) exactly one root
+    lies beyond b, the cubic positive before it and negative after it.
+    Each factor is also >= (z-b)/z, so that root is at most
+    b/(1 - x^(1/3)), where Newton starts.  Two exact probes at lo, hi =
+    z0 -/+ z0 10^-(digits+5)/2, rounded outward, certify it: lo > b, sign +1
+    at lo and -1 at hi for every x in the enclosure (:func:`_value` of
+    :func:`_cubic` at its ends); else PrecisionError.  Newton stops near
+    10^-(digits+7), and x_k's enclosure moves the root by less
+    (measures._x_numeric).  The last solve is kept, keyed on every exact
+    input."""
     if a < 1 or b <= 4 * a:
         raise DomainError("need b > 4a >= 4")
     if not 0 < x < 1:
@@ -244,26 +240,26 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
     x = Ball(*x_dyadic)
     x_ball = x.spanning(x_lo, x_hi)
     (ln, ld), (hn, hd) = x_lo, x_hi
-    c3, c2, c1, c0 = ((c if isinstance(c, Ball) else Ball(c)).rnd(prec)
-                      for c in _real_cubic_coeffs(a, b, x))
+    c3, c2, _, c0 = c = _cubic(a, b, x.centre())
     # the deflation needs z0 to absolute, not relative, accuracy: its
     # z0 ~ 1/(1 - x) costs the guard digits once more
-    z0 = _newton_polish((c3, c2, c1, c0), _newton_start(a, b, x.centre(), prec),
+    z0 = _newton_polish(c, _newton_start(a, b, x.centre(), prec),
                         prec, digits + 10 + guard_digits((1 - x).centre()))
     e = max(0, -z0.exp)
     zn, zd = z0.man << z0.exp + e, 1 << e
     en = -(-zn // (2 * 10 ** (digits + 5)))
+    ends = _cubic(a, b, x_lo), _cubic(a, b, x_hi)
     if not (zn - en > b * zd
-            and _certified_sign(a, b, zn - en, zd, x_lo, x_hi) == 1
-            and _certified_sign(a, b, zn + en, zd, x_lo, x_hi) == -1):
+            and _certified_sign(ends, zn - en, zd) == 1
+            and _certified_sign(ends, zn + en, zd) == -1):
         raise PrecisionError(f"saddle root {z0.to_str(20)} beyond b={b} not "
                              f"certified for x = {x_ball.to_str(20)} +- "
                              f"{x_ball.radius().to_str(3)}")
     if not 0 < ln * hd <= hn * ld < hd * ld:
         raise PrecisionError(f"x's enclosure {x_ball.to_str(20)} +- "
                              f"{x_ball.radius().to_str(3)} leaves (0, 1)")
-    s = ((-c2).div(c3, prec) - z0).rnd(prec)
-    p = (-c0).div((c3 * z0).rnd(prec), prec)
+    s = (Ball(-c2).div(c3, prec) - z0).rnd(prec)
+    p = Ball(-c0).div((c3 * z0).rnd(prec), prec)
     return z0, s, p, (zn, en, e, x_lo, x_hi, x_ball)
 
 
@@ -307,20 +303,20 @@ def _m_rate(a: int, b: int, x: Ball, dists, w: int) -> Ball:
 def _deflation_bounds(a: int, b: int, box, w: int):
     """((s_lo, p_lo), (s_hi, p_hi)): exact bounds, in units of 2^-w, on the
     other two roots' sum s and product p over the :func:`_solve_cubic` box.
-    By Vieta, with g = 1 - x, p = c0/(g z) and s = (Q - 2a^2 x - c0/z)/(g z),
-    Q = r1 r2 + r1 r3 + r2 r3, c0 = r1 r2 r3: unlike the root sum -c2/c3 - z,
-    no terms of size 1/(1 - x) cancel.  Both fall as z > b rises and rise
-    with x (ds/dz has the sign of 2 c0/z - Q + 2a^2 x < 4a^2 - b^2 < 0, ds/dx
-    that of Q - 2a^2 - c0/z > 0): the corners (x_lo, z_hi), (x_hi, z_lo)."""
+    By Vieta, on the coefficients of :func:`_cubic` at x, p = -c0/(c3 z) and
+    s = (c1 z + c0)/(c3 z^2): unlike the root sum -c2/c3 - z, no terms of
+    size 1/(1 - x) cancel.  Per unit of x's denominator, -c3 = 1 - x,
+    -c1 = Q - 2a^2 x and c0 = r1 r2 r3, Q = r1 r2 + r1 r3 + r2 r3.  Both fall
+    as z > b rises and rise with x (ds/dz has the sign of 2 c0/z - Q + 2a^2 x
+    < 4a^2 - b^2 < 0, ds/dx that of Q - 2a^2 - c0/z > 0): the corners
+    (x_lo, z_hi), (x_hi, z_lo)."""
     zn, en, e, x_lo, x_hi, _ = box
-    r1, r2, r3 = b - 2 * a, b - a, b
-    q, c0 = r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
     bounds = []
-    for (xn, xd), z, up in ((x_lo, zn + en, False), (x_hi, zn - en, True)):
-        den = (xd - xn) * z * z
+    for x, z, up in ((x_lo, zn + en, False), (x_hi, zn - en, True)):
+        c3, _, c1, c0 = _cubic(a, b, x)
+        den = -c3 * z * z
         bounds.append([-(-v // den) if up else v // den for v in (
-            (q * xd * z - 2 * a * a * xn * z - (c0 * xd << e)) << w + e,
-            c0 * xd * z << w + e)])
+            (-c1 * z - (c0 << e)) << w + e, c0 * z << w + e)])
     return bounds
 
 

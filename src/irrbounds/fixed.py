@@ -247,11 +247,6 @@ class Ball:
     def __float__(self):  # as Fraction's: the int quotient, correctly rounded
         return int.__truediv__(*self.centre())
 
-    @property
-    def _mpf_(self):  # the exact centre, as mpmath converts it (tests)
-        from mpmath.libmp import from_man_exp
-        return from_man_exp(self.man, self.exp)
-
     def ldexp(self, n: int) -> Ball:
         return Ball(self.man, self.exp + n, self.rad)
 

@@ -1,6 +1,11 @@
 import pytest
+from mpmath.libmp import from_man_exp
 
 from irrbounds import PrimeSieve
+from irrbounds.fixed import Ball
+
+# mpmath reads a Ball as its exact centre, so a test can pass one to mpmath
+Ball._mpf_ = property(lambda self: from_man_exp(self.man, self.exp))
 
 
 @pytest.fixture(scope="session")

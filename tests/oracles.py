@@ -40,6 +40,9 @@ of a grid that holds every breakpoint.
 before its one-logarithm form: one log per factor, and
 :func:`cubic_roots_cardano` finds all three roots of the saddle cubic by
 the radical formula, independently of the Newton and deflation path.
+:func:`_real_cubic_coeffs` and :func:`_eval_cubic` are that cubic's
+coefficients at any x (a ``Fraction``, an mpf) and their Horner value, as
+the package held them before its one integer cubic.
 :func:`saddle_rates_iv` encloses M1 and M2 over a box of roots and x in
 mpmath's ``iv`` interval context at full precision, the reference for the
 radii the package proves without it.
@@ -538,6 +541,26 @@ def saddle_rates_iv(a: int, b: int, z_lo: Fraction, z_hi: Fraction,
         return tuple(rates)
     finally:
         iv.dps = saved
+
+
+def _real_cubic_coeffs(a: int, b: int, x):
+    """Coefficients (c3, c2, c1, c0) of the cleared saddle equation
+    x*z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b).
+
+    The mirrored equation x*z(z+a)(z+2a) - (z+(b-2a))(z+(b-a))(z+b) is minus
+    this cubic at -z, so its roots are these roots negated.
+    """
+    r1, r2, r3 = b - 2 * a, b - a, b
+    c3 = x - 1
+    c2 = x * (-3 * a) + (r1 + r2 + r3)
+    c1 = x * (2 * a * a) - (r1 * r2 + r1 * r3 + r2 * r3)
+    c0 = r1 * r2 * r3
+    return c3, c2, c1, c0
+
+
+def _eval_cubic(coeffs, z):
+    c3, c2, c1, c0 = coeffs
+    return ((c3 * z + c2) * z + c1) * z + c0
 
 
 def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:

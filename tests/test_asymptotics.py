@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from irrbounds import (DomainError, NonApplicableError, PrecisionError,
                        digamma, k_constants, saddle_complex, saddle_real)
 from irrbounds import asymptotics
-from irrbounds.asymptotics import _eval_cubic, _real_cubic_coeffs, alpha_value
+from irrbounds.asymptotics import alpha_value
 from irrbounds.fixed import Ball, certify
 from irrbounds.exact_arith import grid_cells
 from irrbounds.measures import HEADLINE_KS, MU2_PARAMS, _x_numeric, mu_bound
-from oracles import (cubic_roots_cardano, m_rate_nine_logs, pair,
-                     saddle_rates_iv, saddle_x)
+from oracles import (_eval_cubic, _real_cubic_coeffs, cubic_roots_cardano,
+                     m_rate_nine_logs, pair, saddle_rates_iv, saddle_x)
 
 TABLE_KS = (3, 5, 6, 7, 8, 9, 10, 11, 12)
 
@@ -156,6 +156,8 @@ def test_cubic_coeffs_match_product_form(ab, x, z):
     assert _eval_cubic(coeffs, z) == direct(z)
     # the mirrored saddle equation is minus the same cubic at -z
     assert mirrored(z) == -_eval_cubic(coeffs, -z)
+    # the package's integer cubic is the same one times x's denominator
+    assert asymptotics._cubic(a, b, pair(x)) == tuple(x.denominator * c for c in coeffs)
 
 
 def _ratio(a, b, z):
@@ -181,6 +183,29 @@ def test_one_root_beyond_b_and_its_bound(ab, x, t, dt):
             == z1 * (z1 - a) * (z1 - 2 * a) * (x - _ratio(a, b, z1)))
     assert _ratio(a, b, z1) >= ((z1 - b) / z1) ** 3
     assert _ratio(a, b, z1) < _ratio(a, b, z2)
+
+
+@given(st.integers(1, 5).flatmap(lambda a: st.tuples(
+           st.just(a), st.integers(1, 21).map(lambda j: 4 * a + 2 * j - 1))),
+       st.fractions(0, 1, max_denominator=10**6).filter(lambda x: 0 < x < 1))
+def test_inflection_point_lies_below_the_root(ab, x):
+    # the proof that lets Newton go without step-halving
+    # (asymptotics._newton_polish): f'' = 6((x-1)z + b - a - ax) vanishes at
+    # z_i = a + B/u, B = b - 2a, u = 1 - x, where h/g = x(B^2 x^2 - a^2 u^2)/
+    # (B^2 - a^2 u^2) < x, so the cubic is positive at z_i if z_i > b: z_i
+    # lies below the root beyond b, and f is concave past it
+    a, b = ab
+    big, u = b - 2 * a, 1 - x
+    zi = a + big / u
+    c3, c2, _, _ = c = asymptotics._cubic(a, b, pair(x))
+    assert (c3, 2 * c2) == (x.denominator * (x - 1),
+                            6 * x.denominator * (b - a - a * x))
+    assert 6 * c3 * zi + 2 * c2 == 0
+    ratio = _ratio(a, b, zi)
+    assert ratio == x * (big**2 * x**2 - a**2 * u**2) / (big**2 - a**2 * u**2)
+    assert ratio < x
+    if zi > b:
+        assert asymptotics._value(c, zi.numerator, zi.denominator) > 0
 
 
 @settings(deadline=None)
@@ -222,15 +247,18 @@ def test_newton_polish_evaluations_per_solve(monkeypatch):
     # from the bound, on the 97 solves of the benchmark's table and
     # searches, the polish makes at most 11 cubic evaluations at 60 digits
     # and 14 at 500; the counts repeat exactly, so a slower start or step
-    # fails here
+    # fails here.  Newton's evaluations are all but the probes' (which take
+    # the cubic at the ends of x's enclosure), and |f| never rises from one
+    # iterate to the next: f is concave and falling past the root
     calls = []
-    evaluate = asymptotics._eval_cubic
+    evaluate = asymptotics._value
 
-    def counted(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def counted(c, zn, zd):
+        value = evaluate(c, zn, zd)
+        calls.append((c, abs(value)))
+        return value
 
-    monkeypatch.setattr(asymptotics, "_eval_cubic", counted)
+    monkeypatch.setattr(asymptotics, "_value", counted)
     cells = [*((k, 1, 7) for k in HEADLINE_KS),
              *((k, *ab) for k, ab in MU2_PARAMS.items()),
              *((k, a, b) for k in (5, 7, 9, 11) for a, b in grid_cells(3, 21))]
@@ -239,40 +267,57 @@ def test_newton_polish_evaluations_per_solve(monkeypatch):
         for k, a, b in cells:
             asymptotics._certified_solve.cache_clear()  # each solve runs
             calls.clear()
-            saddle_real(a, b, _x_numeric(k, digits), digits)
-            assert 0 < len(calls) <= most, (k, a, b, digits, len(calls))
+            x = _x_numeric(k, digits)
+            saddle_real(a, b, x, digits)
+            ends = [asymptotics._cubic(a, b, end) for end in x.bounds()]
+            newton = [f for c, f in calls if c not in ends]
+            assert 0 < len(newton) <= most, (k, a, b, digits, len(newton))
+            assert all(f1 <= f0 for f0, f1 in zip(newton, newton[1:])), (
+                k, a, b, digits)
 
 
 def test_solve_cubic_makes_four_exact_evaluations(monkeypatch):
     calls = []
-    probe = asymptotics._cleared_cubic
+    evaluate = asymptotics._value
 
     def counted(*args):
         calls.append(args)
-        return probe(*args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(asymptotics, "_cleared_cubic", counted)
+    monkeypatch.setattr(asymptotics, "_value", counted)
     asymptotics._certified_solve.cache_clear()  # the solve must really run
     x = _x_numeric(8, 60)
     saddle_real(1, 13, x, 60)  # one _solve_cubic call
-    # exact rationals z = zn/zd and x = xn/xd, as integers with zd, xd > 0
-    assert len(calls) == 4
-    assert all(type(v) is int for args in calls for v in args)
-    assert all(zd > 0 and xd > 0 for _, _, _, zd, _, xd in calls)
+    # the probes: exact rationals z = zn/zd, zd > 0, in the integer cubic at
+    # each end x = xn/xd, xd > 0, of x's enclosure; every other evaluation
+    # is Newton's, of the cubic at x's centre with z's scale in its
+    # coefficients: c3 as it is, and zd = 1
+    ends = [asymptotics._cubic(1, 13, end) for end in x.bounds()]
+    probes = [args for args in calls if args[0] in ends]
+    assert len(probes) == 4
+    assert all(type(v) is int for c, zn, zd in probes for v in (*c, zn, zd))
+    assert all(zd > 0 for _, _, zd in probes)
+    assert all(xd > 0 for _, xd in x.bounds())
+    c3 = asymptotics._cubic(1, 13, x.centre())[0]
+    assert all(c[0] == c3 and zd == 1 for c, _, zd in calls if c not in ends)
 
 
 @given(_AB, st.fractions(-1, 2, max_denominator=10**30),
        st.fractions(-100, 10**6, max_denominator=10**30))
 def test_integer_probe_has_the_sign_of_the_cubic(ab, x, z):
     a, b = ab
-    probe = asymptotics._cleared_cubic(a, b, z.numerator, z.denominator,
-                                       x.numerator, x.denominator)
-    value = _eval_cubic(_real_cubic_coeffs(a, b, x), z)
+    probe = asymptotics._value(asymptotics._cubic(a, b, pair(x)),
+                               z.numerator, z.denominator)
+    # the product form x z(z-a)(z-2a) - (z-(b-2a))(z-(b-a))(z-b), times
+    # zd^3 xd, so of the cubic's sign
+    value = (x * z * (z - a) * (z - 2 * a)
+             - (z - (b - 2 * a)) * (z - (b - a)) * (z - b))
+    assert probe == value * z.denominator ** 3 * x.denominator
     assert (probe > 0) == (value > 0) and (probe < 0) == (value < 0)
     # the same integer for an unreduced z and x
-    assert asymptotics._cleared_cubic(
-        a, b, 3 * z.numerator, 3 * z.denominator,
-        7 * x.numerator, 7 * x.denominator) == 27 * 7 * probe
+    assert asymptotics._value(
+        asymptotics._cubic(a, b, (7 * x.numerator, 7 * x.denominator)),
+        3 * z.numerator, 3 * z.denominator) == 27 * 7 * probe
 
 
 def test_saddle_certificate_fails_closed():
