@@ -210,9 +210,9 @@ def _newton_start(a: int, b: int, x: tuple[int, int],
 def _solve_cubic(a: int, b: int, x: Ball, digits: int, w: int):
     """(z0, s, p, box) at w bits for the ball x: the real root z0 > b of
     the saddle cubic at x's centre, the other two roots' sum s = -c2/c3 - z0
-    and product p = -c0/(c3 z0), and the box (zn, en, e, x_lo, x_hi,
-    x_ball): the root's certified bracket [(zn -/+ en)/2^e], zn/2^e = z0,
-    x's ends as int pairs and ball.
+    and product p = -c0/(c3 z0), and the box (zn, en, e, ends, x_ball): the
+    root's certified bracket [(zn -/+ en)/2^e], zn/2^e = z0, the
+    :func:`_cubic` at x's two ends and x's ball.
 
     The cubic is x g - h = g (x - F), g = z(z-a)(z-2a),
     h = (z-(b-2a))(z-(b-a))(z-b), F = h/g.  On z > b each factor (z-r)/(z-c)
@@ -260,7 +260,7 @@ def _certified_solve(a: int, b: int, x_dyadic: tuple[int, int], digits: int,
                              f"{x_ball.radius().to_str(3)} leaves (0, 1)")
     s = (Ball(-c2).div(c3, prec) - z0).rnd(prec)
     p = Ball(-c0).div((c3 * z0).rnd(prec), prec)
-    return z0, s, p, (zn, en, e, x_lo, x_hi, x_ball)
+    return z0, s, p, (zn, en, e, ends, x_ball)
 
 
 def guard_digits(gap: tuple[int, int]) -> int:
@@ -300,7 +300,7 @@ def _m_rate(a: int, b: int, x: Ball, dists, w: int) -> Ball:
     return num.div(den, w).log(w).ldexp(-1)
 
 
-def _deflation_bounds(a: int, b: int, box, w: int):
+def _deflation_bounds(box, w: int):
     """((s_lo, p_lo), (s_hi, p_hi)): exact bounds, in units of 2^-w, on the
     other two roots' sum s and product p over the :func:`_solve_cubic` box.
     By Vieta, on the coefficients of :func:`_cubic` at x, p = -c0/(c3 z) and
@@ -309,11 +309,10 @@ def _deflation_bounds(a: int, b: int, box, w: int):
     -c1 = Q - 2a^2 x and c0 = r1 r2 r3, Q = r1 r2 + r1 r3 + r2 r3.  Both fall
     as z > b rises and rise with x (ds/dz has the sign of 2 c0/z - Q + 2a^2 x
     < 4a^2 - b^2 < 0, ds/dx that of Q - 2a^2 - c0/z > 0): the corners
-    (x_lo, z_hi), (x_hi, z_lo)."""
-    zn, en, e, x_lo, x_hi, _ = box
+    (x_lo, z_hi), (x_hi, z_lo), read from the box's cubics at x's ends."""
+    zn, en, e, ends, _ = box
     bounds = []
-    for x, z, up in ((x_lo, zn + en, False), (x_hi, zn - en, True)):
-        c3, _, c1, c0 = _cubic(a, b, x)
+    for (c3, _, c1, c0), z, up in zip(ends, (zn + en, zn - en), (False, True)):
         den = -c3 * z * z
         bounds.append([-(-v // den) if up else v // den for v in (
             (-c1 * z - (c0 << e)) << w + e, c0 * z << w + e)])
@@ -326,7 +325,7 @@ def saddle_real(a: int, b: int, x: Ball, digits: int) -> tuple[Ball, Ball]:
     the growth rate M1 of the U coefficients, a ball over the root's bracket
     and x's enclosure (:func:`_m_rate`)."""
     w = _saddle_bits(x, digits)
-    z0, _, _, (zn, en, e, _, _, x_ball) = _solve_cubic(a, b, x, digits, w)
+    z0, _, _, (zn, en, e, _, x_ball) = _solve_cubic(a, b, x, digits, w)
     z = z0.spanning((zn - en, 1), (zn + en, 1), -e)
     dists = [(z - c).rnd(w).pow(2, w) for c in _rate_cs(a, b)]
     return z0, _m_rate(a, b, x_ball, dists, w)
@@ -343,7 +342,7 @@ def saddle_complex(a: int, b: int, x: Ball,
     they leave its sign open, PrecisionError."""
     w = _saddle_bits(x, digits)
     _, s, p, box = _solve_cubic(a, b, x, digits, w)
-    (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(a, b, box, w)
+    (s_lo, p_lo), (s_hi, p_hi) = _deflation_bounds(box, w)
     squares = s_lo * s_lo, s_hi * s_hi
     if p_hi - (0 if s_lo <= 0 <= s_hi else min(squares) >> w + 2) <= 0:
         raise NonApplicableError(NO_COMPLEX_SADDLE)

@@ -8,10 +8,10 @@ parameters, 3 integrality failure, 4 a certificate did not hold (a radius
 too wide for its digits or for a sign, the saddle root's or Omega's
 certificate, a form's alpha_k enclosure), 141 stdout closed before all of
 it was written (``| head``), as for SIGPIPE, with nothing on stderr.
-Usage errors, an option outside its range in the table (--k, --a, --b
-below 1 among them), --print-digits above --digits - 5 and --b above MAX_B,
-are refused before any work with one stderr line, ``Error: <message>``,
-and no stdout.  The parser and ``--help`` load no module (no argparse,
+A refused command line prints one stderr line, ``Error: <message>``, and
+no stdout: argv at its first bad token (:func:`_parse`), or a cell outside
+the paper's (b odd, b > 4a >= 4; an odd n for verify) before any engine
+module loads.  The parser and ``--help`` load no module (no argparse,
 gettext or locale), and each command imports its own layers on entry,
 past its argv checks, so ``--help`` and a refused command line are
 answered before any of the bound engine (``fixed``, ``asymptotics``,
@@ -76,7 +76,7 @@ MAX_SEARCH_CELLS = 100
 MAX_B = 1001
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """A command line refused before any work (exit 1)."""
 
 
@@ -85,19 +85,6 @@ def _number(x, sig: int):
     digits, from all its bits, as a float; None, an absent value, stays
     None (json null, an empty csv field)."""
     return None if x is None else float(x.to_str(sig))
-
-
-def _check_limits(args: Args) -> None:
-    """Refuse, before any work, what no one option's range covers: printed
-    digits the enclosures do not certify (each published value is accepted
-    only with a radius of at most 10^-(digits-5) of it), and b above
-    MAX_B."""
-    if args.print_digits > args.digits - 5:
-        raise UsageError(
-            f"--print-digits {args.print_digits} is above --digits {args.digits}"
-            f" - 5 = {args.digits - 5}, the digits the enclosures certify")
-    if getattr(args, "b", 0) > MAX_B:
-        raise UsageError(f"--b {args.b} is above the cap {MAX_B}")
 
 
 # json and csv are imported where they format, so a process loads at most
@@ -131,6 +118,9 @@ def _echo_rows(rows: list[dict], fmt: str, order: list[str]) -> None:
 
 def cmd_bound(args) -> int:
     """Compute one measure bound for alpha_k with parameters (a, b)."""
+    from .exact_arith import check_cell
+
+    check_cell(args.a, args.b)
     from .asymptotics import NO_COMPLEX_SADDLE
     from .measures import mu2_bound, mu_bound
 
@@ -172,7 +162,7 @@ def _bound_row(res: BoundResult, sig: int) -> dict:
 
 def cmd_table(args) -> int:
     """Tabulate bounds over k with the table's parameter choices."""
-    from .measures import headline_table, is_degenerate, table_row
+    from .measures import headline_table, table_row
 
     sig, fmt = args.print_digits, args.format
     rows = []
@@ -183,7 +173,7 @@ def cmd_table(args) -> int:
         if tr.mu2 is not None:
             row.update(mu2=_number(tr.mu2.bound, sig), a_mu2=tr.mu2.a,
                        b_mu2=tr.mu2.b)
-        if fmt == "text" and is_degenerate(tr.k):
+        if fmt == "text" and tr.mu.degenerate:
             row["note"] = "degenerate: 2k+1 is a perfect square"
         rows.append(row)
     order = ["k", "mu", "mu2", "a_mu", "b_mu", "a_mu2", "b_mu2"]
@@ -198,18 +188,13 @@ def cmd_verify(args) -> int:
     from .exact_arith import Params, format_int
 
     k, a, b, digits, sig = args.k, args.a, args.b, args.digits, args.print_digits
-    try:
-        ns = [int(s) for s in args.n.split(",") if s.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad --n list {args.n!r}") from exc
-    if not ns:
-        raise UsageError("empty --n list")
-    degree = sum(Params(k=k, a=a, b=b, n=n).degree for n in ns)
+    degree = sum(Params(k=k, a=a, b=b, n=n).degree for n in args.n)
     if degree * max(20, k.bit_length()) > MAX_VERIFY_DEGREE_BITS:
         raise UsageError(
-            f"the forms for --n {args.n} have total degree {degree} and --k "
-            f"has {k.bit_length()} bits: the degree times the larger of 20 and "
-            f"the bits is above the cap {MAX_VERIFY_DEGREE_BITS}")
+            f"the forms for --n {','.join(map(str, args.n))} have total "
+            f"degree {degree} and --k has {k.bit_length()} bits: the degree times "
+            f"the larger of 20 and the bits is above the cap "
+            f"{MAX_VERIFY_DEGREE_BITS}")
     # forms, the largest module, is compiled first, while the heap is
     # smallest: that keeps the process's peak down
     from .forms import verify_forms
@@ -218,7 +203,7 @@ def cmd_verify(args) -> int:
         from .measures import predicted_decay
 
         pred_l, pred_m = predicted_decay(k, a, b, digits)
-    rows = verify_forms(k, a, b, ns, digits)
+    rows = verify_forms(k, a, b, args.n, digits)
     out = []
     for r in rows:
         entry = {
@@ -235,17 +220,19 @@ def cmd_verify(args) -> int:
     if args.format == "text":
         print(f"predicted decay: linear {pred_l.to_str(sig)}"
               f", quadratic {pred_m.to_str(sig)}")
-        print(f"all integrality checks passed for n in {ns}")
+        print(f"all integrality checks passed for n in {args.n}")
     return 0
 
 
 def cmd_omega(args) -> int:
     """Print the certifying set as exact fraction intervals."""
-    from .exact_arith import format_pair
+    from .exact_arith import check_cell, format_pair
+
+    a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
+    check_cell(a, b)
     from .fixed import certify
     from .omega import compute_omega, n_constants
 
-    a, b, digits, sig = args.a, args.b, args.digits, args.print_digits
     runs = compute_omega(a, b)
     n1, n2 = n_constants(a, b, runs, digits)
     psi_sum = b - n1
@@ -301,9 +288,17 @@ def cmd_search(args) -> int:
     return 0
 
 
+def int_list(text: str) -> list[int]:
+    """verify's --n: comma-separated ints, blank ones skipped, at least one."""
+    values = [int(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise ValueError("no int in the list")
+    return values
+
+
 class Option:
-    """One row of the option table: ``--name``, its type (``int``, ``str``,
-    or None for a flag, which takes no value and defaults to False), its
+    """One row of the option table: ``--name``, its converter (``int``,
+    ``str``, :func:`int_list`; None for a flag, False unless given), its
     default, whether it is required, its choices and its range."""
 
     def __init__(self, name: str, kind=int, default=None, *, required=False,
@@ -331,7 +326,9 @@ class Args:
 
 
 def _positive(*names: str) -> tuple[Option, ...]:
-    return tuple(Option(name, required=True, low=1) for name in names)
+    return tuple(Option(name, required=True, low=1,
+                        high=MAX_B if name == "--b" else None)
+                 for name in names)
 
 
 # every command takes these, ahead of its own
@@ -359,7 +356,7 @@ COMMANDS = {
         *_positive("--k", "--a", "--b"),
         Option("--quadratic", None,
                help="also show the quadratic-form columns X, Y, Z"),
-        Option("--n", str, required=True,
+        Option("--n", int_list, required=True,
                help="comma-separated odd n values, e.g. 1,3,5"),
     ), ()),
     "omega": (cmd_omega, _positive("--a", "--b"), ()),
@@ -375,74 +372,64 @@ alpha_k = sqrt(2k+1) * ln((sqrt(2k+1)-1)/(sqrt(2k+1)+1))."""
 HELP = ("-h", "--help")
 
 
-def _is_value(token: str) -> bool:
-    """Whether a token can be an option's value: as in argparse, any token
-    but one that looks like an option.  A negative number (-1, -.5, -1.5)
-    is a value, so that ``--k -1`` reaches the range check."""
-    if token[:1] != "-" or token == "-" or " " in token:
-        return True
-    whole, dot, fraction = token[1:].partition(".")
-    if dot:
-        return fraction.isdecimal() and (not whole or whole.isdecimal())
-    return whole.isdecimal()
-
-
 def _choices(values) -> str:
     return ", ".join(map(repr, values))
 
 
 def _parse(argv: list[str]) -> Args | str:
     """The command line read against :data:`COMMANDS`: its Args, or the help
-    text that ``-h`` or ``--help`` asks for.  Options come in any order, as
-    ``--opt value`` or ``--opt=value``, and the last of a repeated option
-    wins.  Refusals raise UsageError with argparse's messages: first a
-    value of the wrong type or choice, or one of two exclusive options, in
-    argv order; then a missing option; then unknown or abbreviated options
-    and stray words; then each option's range, in table order."""
-    unknown = []
-    for at, token in enumerate(argv):
-        if token in HELP:
-            return _help()
-        if not token.startswith("-"):
-            break
-        unknown.append(token)
-    else:
+    text that ``-h`` or ``--help`` asks for.  argv is read once, in order:
+    the command, then options as ``--opt value`` or ``--opt=value``, a
+    value being any token not starting with ``--`` (``--k -1`` meets its
+    range); the last of a repeated option wins.  UsageError refuses the
+    first bad token (an unknown option or stray word, a wrong type, choice
+    or range, the second of an exclusive pair), then a missing option, then
+    --print-digits above --digits - 5, more than the radii certify."""
+    if not argv:
         raise UsageError("the following arguments are required: COMMAND")
-    if token not in COMMANDS:
-        raise UsageError(f"argument COMMAND: invalid choice: {token!r} "
+    command, *rest = argv
+    if command in HELP:
+        return _help()
+    if command not in COMMANDS:
+        raise UsageError(f"argument COMMAND: invalid choice: {command!r} "
                          f"(choose from {_choices(COMMANDS)})")
-    command = token
     run, own, one_of = COMMANDS[command]
     options = {option.name: option for option in (*COMMON, *own)}
     values = {option.dest: option.default for option in options.values()}
     given = set()
-    tokens = iter(argv[at + 1:])
+    tokens = iter(rest)
     for token in tokens:
         if token in HELP:
             return _help(command)
         name, equals, value = token.partition("=")
         option = options.get(name) if token.startswith("--") else None
         if option is None:
-            unknown.append(token)
-            continue
+            raise UsageError(f"unrecognized arguments: {token}")
         if option.kind is None:
             if equals:
                 raise UsageError(f"argument {name}: ignored explicit argument "
                                  f"{value!r}")
             value = True
-        elif not equals:
-            value = next(tokens, "--")  # "--": no token is left to take
-            if not _is_value(value):
-                raise UsageError(f"argument {name}: expected one argument")
-        if option.kind is int:
+        else:
+            if not equals:
+                value = next(tokens, "--")  # "--": no token is left to take
+                if value.startswith("--"):
+                    raise UsageError(f"argument {name}: expected one argument")
             try:
-                value = int(value)
+                value = option.kind(value)
             except ValueError:
-                raise UsageError(f"argument {name}: invalid int value: "
+                kind = option.kind.__name__
+                raise UsageError(f"argument {name}: invalid {kind} value: "
                                  f"{value!r}") from None
-        if option.choices and value not in option.choices:
-            raise UsageError(f"argument {name}: invalid choice: {value!r} "
-                             f"(choose from {_choices(option.choices)})")
+            if option.choices and value not in option.choices:
+                raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                                 f"(choose from {_choices(option.choices)})")
+            low, high = option.low, option.high
+            if low is not None and (
+                    value < low or high is not None and value > high):
+                span = f"x>={low}" if high is None else f"{low}<=x<={high}"
+                raise UsageError(f"Invalid value for '{name}': {value} is not "
+                                 f"in the range {span}.")
         others = given.intersection(one_of) - {name} if name in one_of else ()
         if others:
             raise UsageError(f"argument {name}: not allowed with argument "
@@ -456,15 +443,11 @@ def _parse(argv: list[str]) -> Args | str:
                          + ", ".join(missing))
     if one_of and not given & set(one_of):
         raise UsageError(f"one of the arguments {' '.join(one_of)} is required")
-    if unknown:
-        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    for option in options.values():
-        value, low, high = values[option.dest], option.low, option.high
-        if low is not None and value is not None and (
-                value < low or high is not None and value > high):
-            span = f"x>={low}" if high is None else f"{low}<=x<={high}"
-            raise UsageError(f"Invalid value for '{option.name}': {value} is "
-                             f"not in the range {span}.")
+    shown, digits = values["print_digits"], values["digits"]
+    if shown > digits - 5:
+        raise UsageError(f"--print-digits {shown} is above --digits {digits}"
+                         f" - 5 = {digits - 5}, the digits the enclosures "
+                         "certify")
     return Args(run=run, **values)
 
 
@@ -497,13 +480,12 @@ def _help(command: str | None = None) -> str:
 # exception -> exit code and stderr prefix; the first match wins.  main
 # turns a closed stdout (BrokenPipeError) into 141, with nothing on stderr
 EXIT_CODES = (
-    (UsageError, 1, "Error: "),
     (IntegralityError, 3, "integrality failure: "),
     (NonApplicableError, 2, "not applicable: "),
     (PrecisionError, 4, "precision failure: "),
     (CertificateError, 4, "certificate failure: "),
-    # DomainError, SieveCapacityError, json's refusal of a nan
-    (ValueError, 1, "error: "),
+    # UsageError, DomainError, SieveCapacityError, json's refusal of a nan
+    (ValueError, 1, "Error: "),
 )
 
 
@@ -515,7 +497,6 @@ def main(argv=None) -> int:
             sys.stdout.write(args)
             code = 0
         else:
-            _check_limits(args)
             code = args.run(args)
         sys.stdout.flush()
         return code

@@ -3,9 +3,9 @@ package's errors: ``format_pair`` for rationals, which the package takes
 and returns as int pairs (num, den) only, ``format_int``, the integer cube
 root, rational square-root bounds (``fractions`` imported when called), the
 prime sieve, lcm(1..n), ``Frozen``, the base of the package's immutable
-records, ``Params`` and the search grid, whose size the CLI's argv checks
-read before the bound engine loads.  All of it is safe to share between
-workers."""
+records, the cell rule, ``Params`` and the search grid, which the CLI's
+argv checks read before the bound engine loads.  All of it is safe to
+share between workers."""
 
 from __future__ import annotations
 
@@ -100,10 +100,17 @@ class Frozen:
         return f"{type(self).__name__}({shown})"
 
 
+def check_cell(a: int, b: int) -> None:
+    """The paper's cells (a, b): b odd, so that (bn+1)/2 and the scaling
+    exponents are integers, and b > 4a >= 4, so that the three root blocks
+    of A nest; DomainError otherwise."""
+    if a < 1 or b <= 4 * a or b % 2 == 0:
+        raise DomainError(f"need b odd and b > 4a >= 4, got a={a}, b={b}")
+
+
 class Params(Frozen):
-    """Index k of alpha_k plus the construction parameters (a, b, n): b and
-    n odd, so that (bn+1)/2 and the scaling exponents are integers, and
-    b > 4a, so that the three root blocks of A nest."""
+    """Index k of alpha_k plus the construction parameters (a, b, n): a
+    cell of :func:`check_cell` and an odd n."""
 
     __slots__ = ("k", "a", "b", "n")
     k: int
@@ -113,14 +120,11 @@ class Params(Frozen):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if self.k < 1 or self.a < 1 or self.b < 1 or self.n < 1:
-            raise ValueError("k, a, b, n must all be positive")
-        if self.b % 2 == 0:
-            raise ValueError(f"b must be odd, got {self.b}")
+        if self.k < 1 or self.n < 1:
+            raise ValueError("k and n must be positive")
+        check_cell(self.a, self.b)
         if self.n % 2 == 0:
             raise ValueError(f"n must be odd, got {self.n}")
-        if self.b <= 4 * self.a:
-            raise ValueError(f"need b > 4a, got b={self.b}, a={self.a}")
 
     @property
     def degree(self) -> int:

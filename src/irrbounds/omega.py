@@ -18,15 +18,10 @@ import math
 from functools import lru_cache
 
 from .errors import CertificateError, DomainError, SieveCapacityError
-from .exact_arith import Params, PrimeSieve
+from .exact_arith import Params, PrimeSieve, check_cell
 from .fixed import Ball, prec_of
 
 __all__ = ["omega_contains", "compute_omega", "delta_products", "n_constants"]
-
-
-def _validate_ab(a: int, b: int) -> None:
-    if a < 1 or b <= 4 * a or b % 2 == 0:
-        raise DomainError(f"need b odd and b > 4a >= 4, got a={a}, b={b}")
 
 
 # -- the floor inequality -----------------------------------------------------
@@ -75,7 +70,7 @@ def omega_contains(a: int, b: int, y: tuple[int, int]) -> bool:
     """Pointwise membership test (the authoritative one for prime products)
     of the exact rational y, an int pair (num, den), den > 0; any y, also
     outside [0, 1).  DomainError for den <= 0 or (a, b) outside the domain."""
-    _validate_ab(a, b)
+    check_cell(a, b)
     if y[1] <= 0:
         raise DomainError(f"need a denominator > 0, got y = {y[0]}/{y[1]}")
     return _member(_mod_table(a, b), *y)
@@ -123,7 +118,7 @@ def compute_omega(a: int, b: int) -> tuple:
     m (so all j/m were met, and no gap holds one), and each run's closure
     flags agree with pointwise membership; otherwise CertificateError.
     Memoised per (a, b)."""
-    _validate_ab(a, b)
+    check_cell(a, b)
     table = _mod_table(a, b)
     points = _points(table)
     if points[:1] != [(0, 1)] or points[-1:] != [(1, 1)]:
@@ -168,7 +163,7 @@ def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
     """The primes sqrt(bn) < p <= bn whose {n/p} lies in Omega(a, b),
     ascending, decided pointwise: primes above bn never qualify ({n/p} < 1/b
     there), and no product counts a prime p <= sqrt(bn)."""
-    _validate_ab(a, b)
+    check_cell(a, b)
     bn = b * n
     if sieve.limit < bn:
         raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
@@ -209,7 +204,7 @@ def n_constants(a: int, b: int, runs: tuple, digits: int):
     # imported on call: verify needs only delta_products, not asymptotics
     from .asymptotics import digamma
 
-    _validate_ab(a, b)
+    check_cell(a, b)
     if digits < 30:
         raise DomainError("digits must be >= 30")
     p, cut = prec_of(digits + 10), b - 2 * a

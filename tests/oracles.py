@@ -62,14 +62,14 @@ import mpmath as mp
 from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, SieveCapacityError
 from irrbounds.asymptotics import guard_digits
-from irrbounds.exact_arith import Frozen, Params, PrimeSieve, d_upto, format_int
+from irrbounds.exact_arith import (Frozen, Params, PrimeSieve, check_cell,
+                                   d_upto, format_int)
 from irrbounds.fixed import Ball, prec_of
 from irrbounds.errors import IntegralityError
 from irrbounds.forms import (_alpha_combinations, _PoleSum, _root_blocks,
                              _walk, eval_UVW, x_point)
 from irrbounds.omega import (_candidates, _groups, _member, _mod_table,
-                             _omega_primes, _validate_ab, compute_omega,
-                             delta_products)
+                             _omega_primes, compute_omega, delta_products)
 
 # grid points per numpy pass of grid_discrepancies (int64: 8 MiB per column)
 GRID_CHUNK = 1 << 20
@@ -432,7 +432,7 @@ def grid_discrepancies(a: int, b: int, L: int, omega: IntervalSet,
     """
     import numpy as np
 
-    _validate_ab(a, b)
+    check_cell(a, b)
     if b * L >= 2**63:
         raise DomainError(f"grid L = {L} too large: {b}*i overflows int64")
     windows = []
@@ -482,7 +482,7 @@ def certified_grid_check(a: int, b: int, L: int, omega: IntervalSet,
     breakpoint in order and decides each one and each gap between them.
     The sample guards that argument independently.
     """
-    _validate_ab(a, b)
+    check_cell(a, b)
     for m in range(1, b + 1):
         if L % m:
             raise DomainError(f"L = {L} is not divisible by {m}; breakpoints "

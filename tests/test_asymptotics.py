@@ -486,8 +486,8 @@ def test_saddle_complex_decides_the_discriminant_on_its_bounds(monkeypatch):
     bounds = asymptotics._deflation_bounds
     x = _x_numeric(6, 60)
     for shift, error in ((10**6, PrecisionError), (-(10**6), NonApplicableError)):
-        def moved(a, b, box, w, shift=shift):
-            (s_lo, p_lo), (s_hi, p_hi) = bounds(a, b, box, w)
+        def moved(box, w, shift=shift):
+            (s_lo, p_lo), (s_hi, p_hi) = bounds(box, w)
             if shift > 0:  # p's bounds widened to hold 0
                 return (s_lo, p_lo - (shift << w)), (s_hi, p_hi)
             return (s_lo, p_lo + (shift << w)), (s_hi, p_hi + (shift << w))
@@ -530,7 +530,7 @@ def test_deflation_bounds_hold_the_other_roots(k, a, b):
     x = _x_numeric(k, digits)
     w = asymptotics._saddle_bits(x, digits)
     z0, _, _, box = asymptotics._solve_cubic(a, b, x, digits, w)
-    (s_lo, p_lo), (s_hi, p_hi) = asymptotics._deflation_bounds(a, b, box, w)
+    (s_lo, p_lo), (s_hi, p_hi) = asymptotics._deflation_bounds(box, w)
     with mp.workdps(digits + 30):
         roots = cubic_roots_cardano(_real_cubic_coeffs(a, b, mp.mpf(x)), digits + 20)
         roots.sort(key=lambda r: mp.fabs(r - z0))

@@ -337,7 +337,8 @@ def test_b_above_cap_refused_before_the_walk(capsys, monkeypatch, argv):
     omega.compute_omega.cache_clear()
     code, out, err = run(capsys, *argv, "--b", str(MAX_B + 2))
     assert code == 1 and out == ""
-    assert err == f"Error: --b {MAX_B + 2} is above the cap {MAX_B}\n"
+    assert err == (f"Error: Invalid value for '--b': {MAX_B + 2} is not in "
+                   f"the range 1<=x<={MAX_B}.\n")
     with pytest.raises(RuntimeError, match="the walk started"):
         main([*argv, "--b", str(MAX_B)])
 
@@ -506,7 +507,7 @@ def test_non_finite_json_number_exits_1_with_empty_stdout(capsys, monkeypatch):
     code, out, err = run(capsys, "bound", "--k", "6", "--a", "1", "--b", "7",
                          "--format", "json")
     assert (code, out) == (1, "")
-    assert err.startswith("error: Out of range float values are not JSON")
+    assert err.startswith("Error: Out of range float values are not JSON")
 
 
 def test_displayed_value_stable_across_working_precision(capsys):
@@ -747,7 +748,7 @@ def test_b_below_one_refused_by_name(capsys, argv):
     for b in ("0", "-1"):
         assert run(capsys, *argv, "--b", b) == (
             1, "", f"Error: Invalid value for '--b': {b} is not in the range "
-                   "x>=1.\n")
+                   f"1<=x<={MAX_B}.\n")
 
 
 @settings(max_examples=60, deadline=None,
@@ -1043,7 +1044,8 @@ def test_help_exit_0(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert out.startswith("Usage: irrbounds ") and err == ""
-    # -h is --help, wherever it stands, ahead of any refusal
+    # -h is --help, wherever it stands, ahead of any refusal a later
+    # token brings
     command = [word for word in argv[:1] if word in COMMANDS]
     assert run(capsys, *command, "--help") == (0, out, "")
     # the option table as rows, each within 79 columns: the top level's
@@ -1118,7 +1120,8 @@ def test_option_spellings_and_repeats_read_alike(capsys):
 BOUND_6_1_7 = ("bound", "--k", "6", "--a", "1", "--b", "7")
 
 
-@pytest.mark.parametrize("argv,message", [
+# each refused command line, with the message of its one stderr line
+USAGE_ERRORS = [
     pytest.param((), "the following arguments are required: COMMAND",
                  id="no-command"),
     pytest.param(("frobnicate",), "argument COMMAND: invalid choice: "
@@ -1127,7 +1130,7 @@ BOUND_6_1_7 = ("bound", "--k", "6", "--a", "1", "--b", "7")
     pytest.param((*BOUND_6_1_7, "--bogus"), "unrecognized arguments: --bogus",
                  id="unknown-option"),
     pytest.param((*BOUND_6_1_7, "--dig", "30"),
-                 "unrecognized arguments: --dig 30", id="abbreviated-option"),
+                 "unrecognized arguments: --dig", id="abbreviated-option"),
     pytest.param(("bound", "--k", "x", "--a", "1", "--b", "7"),
                  "argument --k: invalid int value: 'x'", id="k-not-int"),
     pytest.param((*BOUND_6_1_7, "--format", "xml"), "argument --format: "
@@ -1152,10 +1155,62 @@ BOUND_6_1_7 = ("bound", "--k", "6", "--a", "1", "--b", "7")
                  id="flag-with-value"),
     pytest.param((*BOUND_6_1_7, "7"), "unrecognized arguments: 7",
                  id="stray-word"),
-])
+    # argv is read in order, and its first bad token is the one refused
+    pytest.param(("bound", "--bogus", "--k", "x"),
+                 "unrecognized arguments: --bogus", id="first-bad-token"),
+    pytest.param(("bound", "--k", "0", "--bogus"), "Invalid value for '--k': "
+                 "0 is not in the range x>=1.", id="range-before-later-token"),
+    pytest.param(("verify", "--k", "6", "--a", "1", "--b", "7", "--n", ","),
+                 "argument --n: invalid int_list value: ','", id="empty-n-list"),
+    pytest.param(("bound", "--k", "6", "--a", "1", "--b", str(MAX_B + 2)),
+                 f"Invalid value for '--b': {MAX_B + 2} is not in the range "
+                 f"1<=x<={MAX_B}.", id="b-above-cap"),
+    pytest.param((*BOUND_6_1_7, "--digits", "30", "--print-digits", "26"),
+                 "--print-digits 26 is above --digits 30 - 5 = 25, the digits "
+                 "the enclosures certify", id="print-digits-above-digits"),
+    # the paper's cells, one rule for bound, omega and verify
+    pytest.param(("bound", "--k", "6", "--a", "1", "--b", "8"),
+                 "need b odd and b > 4a >= 4, got a=1, b=8", id="even-b"),
+    pytest.param(("bound", "--k", "6", "--a", "2", "--b", "7"),
+                 "need b odd and b > 4a >= 4, got a=2, b=7", id="b-not-above-4a"),
+    pytest.param(("omega", "--a", "1", "--b", "4"),
+                 "need b odd and b > 4a >= 4, got a=1, b=4", id="omega-cell"),
+    pytest.param(("verify", "--k", "6", "--a", "1", "--b", "10", "--n", "1"),
+                 "need b odd and b > 4a >= 4, got a=1, b=10", id="verify-cell"),
+    pytest.param(("verify", "--k", "6", "--a", "1", "--b", "7", "--n", "1,2"),
+                 "n must be odd, got 2", id="even-n"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
 def test_usage_errors_exit_1_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"Error: {message}\n")
+
+
+# a child that runs the CLI on argv[2:], then writes the name of every
+# module loaded by then to the file argv[1] names, so that stdout and
+# stderr hold the CLI's own output alone
+REFUSED_RUN = ("import sys, irrbounds.cli as cli; code = cli.main(sys.argv[2:]); "
+               "open(sys.argv[1], 'w').write(' '.join(sys.modules)); "
+               "sys.exit(code)")
+# what a refused command line may load of the package: the cell rule and
+# Params are in exact_arith, which loads only math and the errors
+REFUSAL_MODULES = {"irrbounds", "irrbounds.cli", "irrbounds.errors",
+                   "irrbounds.exact_arith"}
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_refused_line_loads_no_engine_in_a_child(tmp_path, argv, message):
+    # a fresh process: exit 1, no stdout, one stderr line, and no engine
+    # module loaded, the cell rule's refusals included
+    modules = tmp_path / "modules"
+    child = _run_child("-c", REFUSED_RUN, str(modules), *argv)
+    assert (child.returncode, child.stdout, child.stderr.decode()) == (
+        1, b"", f"Error: {message}\n")
+    loaded = {name for name in modules.read_text().split()
+              if name.split(".")[0] == "irrbounds"}
+    assert loaded <= REFUSAL_MODULES
 
 
 @pytest.mark.parametrize("argv", [BOUND_6_1_7, _verify_n31(8), ("--help",)],

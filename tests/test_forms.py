@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
-from math import gcd
+from math import gcd, log, sqrt
 from unittest.mock import patch
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from irrbounds.dense import IntPoly, build_A, derivative
 from irrbounds.errors import DomainError, IntegralityError
 import irrbounds.forms as forms_mod
-from irrbounds.exact_arith import Params, d_upto
+from irrbounds.exact_arith import Params, PrimeSieve, d_upto
 from irrbounds.forms import (IntegerForms, UVWValues, _PoleSum, _root_blocks,
                              _walk, eval_UVW, scaled_integer_forms, x_point)
 from oracles import (QuadRat, _radical_sum, _transform_nums,
@@ -614,3 +614,29 @@ def test_scaled_forms_guards(monkeypatch):
     with pytest.raises(IntegralityError) as err:
         scaled_integer_forms(uvw)
     assert "d_bn/Delta" in str(err.value)
+
+
+@pytest.mark.parametrize("k,a,b", [(6, 1, 7), (8, 1, 13)])
+def test_common_factor_of_the_forms_stays_small(k, a, b):
+    # g = gcd(P, Q) or gcd(X, Y, Z), the factor the published forms still
+    # share: all of it from primes p <= bn, with ln g / sqrt(bn) below 3.0
+    # (2.60 the largest measured here, (6, 1, 7) at n = 11, quadratic) and
+    # ln g / n falling as n grows, as ln g = O(sqrt(bn)) would have it.  A
+    # claim about the construction: a failure is a finding, never a bound
+    # to widen
+    rates = {"linear": [], "quadratic": []}
+    for n in (11, 31, 51, 101):
+        forms = scaled_integer_forms(eval_UVW(Params(k=k, a=a, b=b, n=n),
+                                              x_point(k)))
+        primes = PrimeSieve(b * n).primes()
+        for kind, g in (("linear", gcd(forms.P, forms.Q)),
+                        ("quadratic", gcd(forms.X, forms.Y, forms.Z))):
+            rest = g
+            for p in primes:
+                while rest % p == 0:
+                    rest //= p
+            assert rest == 1, (kind, n)
+            assert log(g) / sqrt(b * n) < 3.0, (kind, n)
+            rates[kind].append(log(g) / n)
+    for kind, rate in rates.items():
+        assert all(x > y for x, y in zip(rate, rate[1:])), (kind, rate)

@@ -100,7 +100,7 @@ def test_bad_fields_raise_type_error(args, kwargs):
 def test_params_and_interval_validate():
     with pytest.raises(ValueError, match="positive"):
         Params(k=0, a=1, b=13, n=31)
-    with pytest.raises(ValueError, match="b must be odd"):
+    with pytest.raises(ValueError, match="need b odd"):
         Params(6, 1, 12, 31)
     with pytest.raises(ValueError, match="b > 4a"):
         Params(6, 1, 3, 31)
