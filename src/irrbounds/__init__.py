@@ -7,7 +7,7 @@ only the layers it uses: the bound commands never load ``forms``."""
 _EXPORTS = {
     "asymptotics": ("digamma", "k_constants", "saddle_complex", "saddle_real"),
     "errors": ("CertificateError", "DomainError", "IntegralityError",
-               "NonApplicableError", "PrecisionError", "SieveCapacityError"),
+               "NonApplicableError", "PrecisionError"),
     "exact_arith": ("Params", "PrimeSieve", "d_upto"),
     "forms": ("IntegerForms", "UVWValues", "VerificationRow", "eval_UVW",
               "scaled_integer_forms", "verify_forms", "x_point"),

@@ -21,7 +21,7 @@ from operator import mul
 from functools import lru_cache
 
 from .errors import DomainError, NonApplicableError, PrecisionError
-from .exact_arith import icbrt
+from .exact_arith import check_cell, icbrt
 from .fixed import Ball, cos_2pi, euler_fixed, ln_fixed, pi_fixed, prec_of
 
 __all__ = ["digamma", "alpha_value", "saddle_real", "saddle_complex",
@@ -227,8 +227,7 @@ def _solve_cubic(a: int, b: int, x: Ball, digits: int, w: int):
     10^-(digits+7), and x_k's enclosure moves the root by less
     (measures._x_numeric).  The last solve is kept, keyed on every exact
     input."""
-    if a < 1 or b <= 4 * a:
-        raise DomainError("need b > 4a >= 4")
+    check_cell(a, b)
     if not 0 < x < 1:
         raise DomainError("x must lie in (0, 1)")
     return _certified_solve(a, b, (x.man, x.exp), digits, *x.bounds(), w)
@@ -370,8 +369,7 @@ def k_constants(k: int, a: int, b: int, digits: int = 60) -> tuple[Ball, Ball]:
     Each is a ball at digits + 10 digits (:meth:`fixed.Ball.log`), rounded
     after each product and sum.
     """
-    if k < 1 or a < 1 or b <= 4 * a:
-        raise DomainError("need k >= 1 and b > 4a")
+    check_cell(a, b, k)
     p = prec_of(digits + 10)
     if k % 2 == 0:
         ln, bonus = Ball(k // 2).rnd(p).log(p), 0

@@ -484,7 +484,7 @@ EXIT_CODES = (
     (NonApplicableError, 2, "not applicable: "),
     (PrecisionError, 4, "precision failure: "),
     (CertificateError, 4, "certificate failure: "),
-    # UsageError, DomainError, SieveCapacityError, json's refusal of a nan
+    # UsageError, DomainError, json's refusal of a nan
     (ValueError, 1, "Error: "),
 )
 

@@ -4,11 +4,8 @@ value as an int pair (num, den) and renders it through
 
 
 class DomainError(ValueError):
-    """Operation applied outside its mathematical domain."""
-
-
-class SieveCapacityError(ValueError):
-    """A prime query exceeded the sieve's precomputed limit."""
+    """Operation applied outside its mathematical domain, such as a (k, a,
+    b) outside ``exact_arith.check_cell`` or a prime past a sieve's limit."""
 
 
 class IntegralityError(ArithmeticError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .errors import DomainError, SieveCapacityError
+from .errors import DomainError
 
 def format_int(x: int) -> str:
     """str(x), or past str()'s 4300-digit limit (Python 3.11), which verify
@@ -100,10 +100,13 @@ class Frozen:
         return f"{type(self).__name__}({shown})"
 
 
-def check_cell(a: int, b: int) -> None:
-    """The paper's cells (a, b): b odd, so that (bn+1)/2 and the scaling
-    exponents are integers, and b > 4a >= 4, so that the three root blocks
-    of A nest; DomainError otherwise."""
+def check_cell(a: int, b: int, k: int = 1) -> None:
+    """The paper's domain, checked at every engine entry before any work:
+    cells (a, b) with b odd, so that (bn+1)/2 and the scaling exponents are
+    integers, and b > 4a >= 4, so that the three root blocks of A nest, and
+    k >= 1 where an entry takes k; DomainError otherwise."""
+    if k < 1:
+        raise DomainError(f"need k >= 1, got k={k}")
     if a < 1 or b <= 4 * a or b % 2 == 0:
         raise DomainError(f"need b odd and b > 4a >= 4, got a={a}, b={b}")
 
@@ -121,10 +124,10 @@ class Params(Frozen):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
+            raise DomainError("k and n must be positive")
         check_cell(self.a, self.b)
         if self.n % 2 == 0:
-            raise ValueError(f"n must be odd, got {self.n}")
+            raise DomainError(f"n must be odd, got {self.n}")
 
     @property
     def degree(self) -> int:
@@ -179,7 +182,7 @@ class PrimeSieve:
         """All primes p with lo <= p <= hi, ascending."""
         hi = self.limit if hi is None else hi
         if hi > self.limit:
-            raise SieveCapacityError(f"{hi} exceeds sieve limit {self.limit}")
+            raise DomainError(f"{hi} exceeds sieve limit {self.limit}")
         return [p for p in range(max(lo, 2), hi + 1) if self._table[p]]
 
 

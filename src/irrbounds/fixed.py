@@ -264,7 +264,7 @@ class Ball:
         """|man|; PrecisionError where the ball holds 0 (or, if it must be
         positive, a value below 0)."""
         if abs(self.man) <= self.rad or positive and self.man < 0:
-            raise PrecisionError(f"{what} of {self.to_str(10)} +- "
+            raise PrecisionError(f"{what} {self.to_str(10)} +- "
                                  f"{self.radius().to_str(3)}")
         return abs(self.man)
 
@@ -290,7 +290,7 @@ class Ball:
         relative error, P errs by under (4n + bitlen(n)) 2^(1-w) <=
         2^(bitlen(n)+4-w) relative.  For u = r/|X| <= 1/(2n),
         |x^n - X^n| <= |X|^n n u (1 + u)^(n-1) <= |X|^n n u (1 + 2nu)."""
-        m = self._nonzero("a power")
+        m = self._nonzero("a power of")
         if 2 * n * self.rad > m:
             raise PrecisionError(f"a power {n} of a ball too wide for it")
         tz = (m & -m).bit_length() - 1
@@ -318,7 +318,7 @@ class Ball:
         """ln to prec bits from :func:`ln_fixed` at prec + 40 fractional
         bits: as the exact ln unless |ln| < 2^-10 or it lies within 2^-28
         units of a rounding boundary.  |ln x - ln X| <= r/(X - r)."""
-        m = self._nonzero("ln", positive=True)
+        m = self._nonzero("ln of", positive=True)
         return Ball(ln_fixed(m, self.exp, prec + 40), -prec - 40,
                     -(-(self.rad << prec + 40) // (m - self.rad)) + 2).rnd(prec)
 
@@ -326,7 +326,7 @@ class Ball:
         """Square root to prec bits: the isqrt to prec + 2 bits or more, a
         sticky bit for a remainder, rounds as the exact root;
         |sqrt x - sqrt X| <= r/(sqrt X + sqrt(X - r)) for x within r of X."""
-        m = self._nonzero("a square root", positive=True)
+        m = self._nonzero("a square root of", positive=True)
         t = max(0, 2 * prec - m.bit_length() + 4)
         t += (self.exp - t) & 1
         big, r = m << t, self.rad << t

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .asymptotics import guard_digits, k_constants, saddle_complex, saddle_real
 from .errors import NonApplicableError, PrecisionError
-from .exact_arith import Frozen, Params, grid_cells
+from .exact_arith import Frozen, check_cell, grid_cells
 from .fixed import Ball, certify, prec_of
 from .omega import compute_omega, n_constants
 
@@ -75,7 +75,9 @@ def _x_numeric(k: int, digits: int) -> Ball:
 
 
 def _constants(k: int, a: int, b: int, digits: int):
-    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits, each a ball."""
+    """(M1, M2, K1, K2, N1, N2) at ``digits`` working digits, each a ball,
+    for the (k, a, b) of :func:`exact_arith.check_cell`, checked first."""
+    check_cell(a, b, k)
     x = _x_numeric(k, digits)
     _, m1 = saddle_real(a, b, x, digits)
     _, m2 = saddle_complex(a, b, x, digits)
@@ -108,7 +110,6 @@ def _sum(balls, prec: int) -> Ball:
 
 def _bound(kind: str, k: int, a: int, b: int, digits: int) -> BoundResult:
     quadratic = kind == "non-quadraticity"
-    Params(k=k, a=a, b=b, n=1)  # parameter validation only
     try:
         m1, m2, k1, k2, n1, n2 = _constants(k, a, b, digits)
     except NonApplicableError:

@@ -17,7 +17,7 @@ import collections
 import math
 from functools import lru_cache
 
-from .errors import CertificateError, DomainError, SieveCapacityError
+from .errors import CertificateError, DomainError
 from .exact_arith import Params, PrimeSieve, check_cell
 from .fixed import Ball, prec_of
 
@@ -162,11 +162,9 @@ def compute_omega(a: int, b: int) -> tuple:
 def _omega_primes(a: int, b: int, n: int, sieve: PrimeSieve) -> list[int]:
     """The primes sqrt(bn) < p <= bn whose {n/p} lies in Omega(a, b),
     ascending, decided pointwise: primes above bn never qualify ({n/p} < 1/b
-    there), and no product counts a prime p <= sqrt(bn)."""
-    check_cell(a, b)
+    there), and no product counts a prime p <= sqrt(bn).  Params checks the
+    cell, and ``sieve.primes`` refuses a bn past its limit."""
     bn = b * n
-    if sieve.limit < bn:
-        raise SieveCapacityError(f"sieve limit {sieve.limit} < bn = {bn}")
     table = _mod_table(a, b)
     return [p for p in sieve.primes(math.isqrt(bn) + 1, bn)
             if _member(table, n % p, p)]
@@ -201,10 +199,10 @@ def n_constants(a: int, b: int, runs: tuple, digits: int):
     psi's balls at digits + 10 digits (asymptotics.digamma), summed and
     differenced, and the large-prime part, an exact int-pair sum, are each
     rounded at digits + 10 digits: ball arithmetic carries the radii."""
+    check_cell(a, b)
     # imported on call: verify needs only delta_products, not asymptotics
     from .asymptotics import digamma
 
-    check_cell(a, b)
     if digits < 30:
         raise DomainError("digits must be >= 30")
     p, cut = prec_of(digits + 10), b - 2 * a

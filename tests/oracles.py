@@ -60,7 +60,7 @@ from math import lcm
 import mpmath as mp
 
 from irrbounds.dense import IntPoly, build_A, derivative
-from irrbounds.errors import DomainError, SieveCapacityError
+from irrbounds.errors import DomainError
 from irrbounds.asymptotics import guard_digits
 from irrbounds.exact_arith import (Frozen, Params, PrimeSieve, check_cell,
                                    d_upto, format_int)
@@ -595,7 +595,7 @@ def cubic_roots_cardano(coeffs, digits: int) -> list[mp.mpc]:
 def log_d_upto(n: int, sieve: PrimeSieve) -> float:
     """ln lcm(1..n) as a float (finite-n oracle use; exact value is huge)."""
     if n > sieve.limit:
-        raise SieveCapacityError(f"{n} exceeds sieve limit {sieve.limit}")
+        raise DomainError(f"{n} exceeds sieve limit {sieve.limit}")
     total = 0.0
     for p in sieve.primes(2, n):
         e = 1

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import irrbounds
-from irrbounds.errors import DomainError, SieveCapacityError
-from irrbounds.exact_arith import d_upto, format_int, format_pair, sqrt_bounds
+from irrbounds import asymptotics, errors, measures, omega
+from irrbounds.errors import DomainError
+from irrbounds.exact_arith import (Params, d_upto, format_int, format_pair,
+                                   sqrt_bounds)
 from oracles import QuadRat, format_rat
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -252,5 +255,55 @@ def test_sieve_against_trial_division(small_sieve):
 
 
 def test_sieve_capacity_error(small_sieve):
-    with pytest.raises(SieveCapacityError):
+    with pytest.raises(DomainError, match="exceeds sieve limit"):
         small_sieve.primes(2, 100_000)
+
+
+# ---------------------------------------------------------------------------
+# the domain rule at every engine entry, and the package's exports
+# ---------------------------------------------------------------------------
+
+X_6 = measures._x_numeric(6, 60)  # a valid x for the saddles
+
+# each public entry that takes a cell, called at (k, a, b)
+ENTRIES = {
+    "mu_bound": lambda k, a, b: measures.mu_bound(k, a, b),
+    "mu2_bound": lambda k, a, b: measures.mu2_bound(k, a, b),
+    "predicted_decay": lambda k, a, b: measures.predicted_decay(k, a, b),
+    "saddle_real": lambda k, a, b: asymptotics.saddle_real(a, b, X_6, 60),
+    "saddle_complex": lambda k, a, b: asymptotics.saddle_complex(a, b, X_6, 60),
+    "k_constants": lambda k, a, b: asymptotics.k_constants(k, a, b),
+    "compute_omega": lambda k, a, b: omega.compute_omega(a, b),
+    "n_constants": lambda k, a, b: omega.n_constants(
+        a, b, omega.compute_omega(1, 7), 60),
+    "omega_contains": lambda k, a, b: omega.omega_contains(a, b, (1, 3)),
+    "Params": lambda k, a, b: Params(k, a, b, 1),
+}
+TAKE_K = ("mu_bound", "mu2_bound", "predicted_decay", "k_constants", "Params")
+REFUSALS = ([(entry, 6, a, b) for entry in ENTRIES for a, b in ((1, 8), (2, 7))]
+            + [(entry, k, 1, 7) for entry in TAKE_K for k in (0, -5)])
+
+
+@pytest.mark.parametrize("entry, k, a, b", REFUSALS)
+def test_engine_entries_refuse_outside_the_domain(monkeypatch, entry, k, a, b):
+    # an even b, b <= 4a or k < 1 is a DomainError before any work: no
+    # saddle solve and no digamma runs
+    calls = []
+    for name in ("_certified_solve", "digamma"):
+        real = getattr(asymptotics, name)
+        monkeypatch.setattr(asymptotics, name, lambda *args, _name=name,
+                            _real=real: calls.append(_name) or _real(*args))
+    with pytest.raises(DomainError):
+        ENTRIES[entry](k, a, b)
+    assert calls == []
+
+
+def test_exports_resolve_to_their_modules():
+    # each public name resolves through the package's __getattr__ to the
+    # object its _EXPORTS module defines; a removed name does not resolve
+    for name in set(irrbounds.__all__) - {"__version__"}:
+        module = import_module(f"irrbounds.{irrbounds._MODULE_OF[name]}")
+        assert irrbounds.__getattr__(name) is vars(module)[name]
+    assert not hasattr(errors, "SieveCapacityError")
+    with pytest.raises(AttributeError):
+        irrbounds.SieveCapacityError

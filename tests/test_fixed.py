@@ -175,3 +175,15 @@ def test_rnd_ties_to_even_as_mpmath():
         for prec in range(1, man.bit_length()):
             got = Ball(man, -5).rnd(prec)
             assert got._mpf_ == from_man_exp(man, -5, prec, "n"), (man, prec)
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: Ball(1).div(Ball(0), 53), "a quotient by 0.0 +- 0.0"),
+    (lambda: Ball(0).pow(3, 53), "a power of 0.0 +- 0.0"),
+    (lambda: Ball(-1).log(53), "ln of -1.000000000 +- 0.0"),
+    (lambda: Ball(-2).sqrt(53), "a square root of -2.000000000 +- 0.0"),
+], ids=["div", "pow", "log", "sqrt"])
+def test_refusals_name_the_operation_and_the_ball(op, message):
+    with pytest.raises(PrecisionError) as info:
+        op()
+    assert str(info.value) == message

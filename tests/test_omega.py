@@ -7,6 +7,7 @@ import pytest
 from irrbounds.errors import CertificateError, DomainError
 from irrbounds.exact_arith import Params
 from irrbounds import omega as omega_module
+from irrbounds.cli import main
 from irrbounds.fixed import Ball, prec_of
 from irrbounds.omega import (compute_omega, delta_products, n_constants,
                              omega_contains)
@@ -193,6 +194,27 @@ def test_broken_walk_raises(monkeypatch, mutate):
     try:
         with pytest.raises(CertificateError, match=BROKEN[mutate]):
             compute_omega(1, 7)
+    finally:
+        omega_module.compute_omega.cache_clear()
+
+
+def test_closure_certificate_refuses_a_flipped_end(monkeypatch, capsys):
+    # pointwise membership that disagrees at one run end: compute_omega
+    # raises, and the omega command exits 4 with nothing on stdout
+    end = compute_omega(1, 7)[0][0]
+    real = omega_module.omega_contains
+    monkeypatch.setattr(omega_module, "omega_contains",
+                        lambda a, b, y: real(a, b, y) != (y == end))
+    omega_module.compute_omega.cache_clear()
+    try:
+        with pytest.raises(CertificateError,
+                           match="disagrees with pointwise membership"):
+            compute_omega(1, 7)
+        assert main(["omega", "--a", "1", "--b", "7"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "certificate failure"]
     finally:
         omega_module.compute_omega.cache_clear()
 
